@@ -1,16 +1,24 @@
-"""Crypto microbenchmark: windowed Ed25519, batch verification, sig cache.
+"""Crypto microbenchmark: Ed25519 fast path, batch verification, sig cache.
 
-Measures the three layers of the batched validation pipeline's crypto
-fast path:
+Measures the layers of the pipeline's crypto fast path:
 
-* **single verify** — the extended-coordinate windowed implementation
-  against a faithful *naive affine* baseline: affine double-and-add where
-  every point addition pays two modular inversions (``pow(.., P-2, P)``),
-  the textbook formulation the fast path exists to avoid;
+* **single verify, cold key** — first sight of a public key: decompress,
+  then the generic windowed multiplication, against a faithful *naive
+  affine* baseline: affine double-and-add where every point addition pays
+  two modular inversions (``pow(.., P-2, P)``), the textbook formulation
+  the fast path exists to avoid;
+* **single verify, warm key** — third sight of a key: the second sight
+  built the key's split table (that build is *not* timed here), so
+  ``h*A`` runs over it with 28 doublings instead of 252;
+* **sign** — :func:`repro.crypto.ed25519.sign` with a recurring seed (the
+  expanded key comes from the memo) against a reference signer that
+  re-derives the public key on every call and compresses with the RFC's
+  Fermat inversion — what ``sign`` cost before ISSUE 14;
 * **batch verify** — :func:`repro.crypto.ed25519.verify_batch`'s single
   random-linear-combination check (one shared doubling chain via Straus
-  interleaving) against one-at-a-time fast verifies, at several batch
-  sizes;
+  interleaving) against one-at-a-time *cold* verifies on first-sight keys
+  — the traffic a batch actually serves: a key the node has seen before
+  is either answered by the signature cache or cheap to verify alone;
 * **signature cache** — the cluster-wide verdict cache under the
   replicated pipeline's access pattern: the proposer verifies a block's
   signatures once (batch), then N-1 replicas check the same triples.
@@ -18,13 +26,18 @@ fast path:
   pass performs ``len(triples)`` lookups, all of which must hit, so the
   expected rate is ``(n_replicas - 1) / n_replicas`` of all lookups.
 
-Results go to ``BENCH_crypto.json`` at the repo root.  Acceptance gates
-(also enforced by the CI perf smoke job): fast single verify >= 10x the
-naive affine baseline, and batch-32 >= 1.5x over single fast verifies.
+Acceptance gates (also enforced by the CI perf smoke job): cold single
+verify >= 10x the naive affine baseline, warm >= 1.6x cold, sign >= 1.8x
+the re-deriving reference, and batch-32 >= 1.5x over cold single verifies.
+
+Run as a script (what CI does) the report also goes to
+``BENCH_crypto.json`` at the repo root; under pytest nothing is written,
+so a tier-1 run leaves the tracked file alone.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -38,6 +51,7 @@ BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_crypto.js
 N_KEYS = 32
 N_FAST_VERIFIES = 24
 N_NAIVE_VERIFIES = 2
+N_SIGNS = 64
 BATCH_SIZES = (8, 32)
 N_CACHE_REPLICAS = 4
 
@@ -105,6 +119,31 @@ def naive_affine_verify(public_key: bytes, message: bytes, signature: bytes) -> 
     return left == right
 
 
+# -- baseline: a signer that re-derives the public key per call ----------------
+#
+# What ``sign`` did before the expanded-key memo: RFC 8032 section 5.1.6
+# taken literally, with the public key derived from the seed every time and
+# the RFC's Fermat inversion (``modp_inv``) in each point compression — two
+# base multiplications and two 255-step exponentiations per signature where
+# one multiplication and one Euclidean inversion are needed.
+
+
+def _fermat_compress(point) -> bytes:
+    x, y, z, _ = point
+    z_inv = pow(z, P - 2, P)
+    return int.to_bytes(y * z_inv % P | ((x * z_inv % P & 1) << 255), 32, "little")
+
+
+def rederiving_sign(seed: bytes, message: bytes) -> bytes:
+    seed_hash = hashlib.sha512(seed).digest()
+    scalar = ed25519._clamp(seed_hash)
+    public = _fermat_compress(ed25519._base_mult(scalar))
+    r = ed25519._sha512_int(seed_hash[32:], message) % L
+    r_point = _fermat_compress(ed25519._base_mult(r))
+    challenge = ed25519._sha512_int(r_point, public, message) % L
+    return r_point + int.to_bytes((r + challenge * scalar) % L, 32, "little")
+
+
 # -- workload -----------------------------------------------------------------
 
 
@@ -128,6 +167,16 @@ def timed(thunk) -> float:
 # -- sections -----------------------------------------------------------------
 
 
+def forget_public_keys() -> None:
+    """Make the next sight of every key a first sight again."""
+    ed25519._PUBKEY_CACHE.clear()
+
+
+def verify_all(triples) -> None:
+    for public, message, signature in triples:
+        assert ed25519.verify(public, message, signature)
+
+
 def measure_single_verify() -> dict[str, float]:
     triples = make_signatures(N_KEYS)
     # Sanity: the baseline is a real verifier, not a strawman.
@@ -138,38 +187,68 @@ def measure_single_verify() -> dict[str, float]:
         for public, message, signature in triples[:N_NAIVE_VERIFIES]:
             assert naive_affine_verify(public, message, signature)
 
-    def run_fast() -> None:
-        for public, message, signature in triples[:N_FAST_VERIFIES]:
-            assert ed25519.verify(public, message, signature)
-
-    run_fast()  # warm the decompressed-public-key cache (steady state)
+    fast = triples[:N_FAST_VERIFIES]
     naive_s = timed(run_naive) / N_NAIVE_VERIFIES
-    fast_s = timed(run_fast) / N_FAST_VERIFIES
+    # Per-key state is more than the decompressed point: the first sight
+    # of a key memoises the point and multiplies generically, the second
+    # builds the key's split table, the third is the steady state of a
+    # recurring signer.  Time the first and the third, never the second.
+    # Best of three rounds each: both ratios below divide two ~50 ms
+    # passes, and this host's speed moves by 20-30% between such windows.
+    cold_s = warm_s = float("inf")
+    for _ in range(3):
+        forget_public_keys()
+        cold_s = min(cold_s, timed(lambda: verify_all(fast)))
+        verify_all(fast)  # second sight: the tables get built, untimed
+        warm_s = min(warm_s, timed(lambda: verify_all(fast)))
+    cold_s /= len(fast)
+    warm_s /= len(fast)
     return {
         "naive_affine_ms": round(naive_s * 1000, 3),
-        "fast_ms": round(fast_s * 1000, 3),
-        "speedup": round(naive_s / fast_s, 2),
+        "single_verify_cold_key_ms": round(cold_s * 1000, 3),
+        "single_verify_warm_key_ms": round(warm_s * 1000, 3),
+        "cold_speedup_vs_naive": round(naive_s / cold_s, 2),
+        "warm_speedup_vs_cold": round(cold_s / warm_s, 2),
+    }
+
+
+def measure_sign() -> dict[str, float]:
+    seed = b"\x07" * 32
+    messages = [f"crypto-bench-sign-{number}".encode() * 8 for number in range(N_SIGNS)]
+    assert rederiving_sign(seed, messages[0]) == ed25519.sign(seed, messages[0])
+    # Best of five interleaved passes: each pass is ~15-40 ms, and this
+    # host's speed moves by 20-30% between such windows.
+    reference_s = sign_s = float("inf")
+    for _ in range(5):
+        reference_s = min(reference_s, timed(lambda: [rederiving_sign(seed, m) for m in messages]))
+        sign_s = min(sign_s, timed(lambda: [ed25519.sign(seed, m) for m in messages]))
+    reference_s /= N_SIGNS
+    sign_s /= N_SIGNS
+    return {
+        "rederiving_reference_ms": round(reference_s * 1000, 3),
+        "sign_ms": round(sign_s * 1000, 3),
+        "speedup": round(reference_s / sign_s, 2),
     }
 
 
 def measure_batch_verify() -> dict[str, object]:
     triples = make_signatures(max(BATCH_SIZES))
-    for public, message, signature in triples:
-        assert ed25519.verify(public, message, signature)  # warm + sanity
 
+    def cold_pass(thunk) -> float:
+        forget_public_keys()
+        return timed(thunk)
+
+    single_s = min(cold_pass(lambda: verify_all(triples)) for _ in range(3)) / len(triples)
     sizes = {}
-    single_s = timed(
-        lambda: [ed25519.verify(*triple) for triple in triples]
-    ) / len(triples)
     for size in BATCH_SIZES:
         batch = triples[:size]
-        best = min(timed(lambda: ed25519.verify_batch(batch)) for _ in range(3))
+        best = min(cold_pass(lambda: ed25519.verify_batch(batch)) for _ in range(3))
         per_sig = best / size
         sizes[str(size)] = {
             "batch_ms_per_sig": round(per_sig * 1000, 3),
-            "speedup_vs_single": round(single_s / per_sig, 2),
+            "speedup_vs_cold_single": round(single_s / per_sig, 2),
         }
-    return {"single_fast_ms": round(single_s * 1000, 3), "batch": sizes}
+    return {"single_verify_cold_key_ms": round(single_s * 1000, 3), "batch": sizes}
 
 
 def measure_signature_cache() -> dict[str, float]:
@@ -213,33 +292,43 @@ def measure_signature_cache() -> dict[str, float]:
     }
 
 
-def test_crypto_batching():
+def run_report() -> dict[str, dict]:
+    """Measure every section and enforce the acceptance gates."""
     report = {
         "single_verify": measure_single_verify(),
+        "sign": measure_sign(),
         "batch_verify": measure_batch_verify(),
         "signature_cache": measure_signature_cache(),
     }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-
     lines = ["crypto batching microbenchmark"]
     for section, numbers in report.items():
         lines.append(f"  {section}: {json.dumps(numbers)}")
     print("\n".join(lines))
 
-    # Acceptance gates (ISSUE 4): the windowed extended-coordinate path
-    # clears 10x the naive affine baseline, and batch-32 adds >= 1.5x on
-    # top of single fast verifies.
-    assert report["single_verify"]["speedup"] >= 10.0, report["single_verify"]
+    # The generic windowed extended-coordinate path clears 10x the naive
+    # affine baseline (ISSUE 4); a key's split table adds >= 1.6x on top
+    # and the expanded-key memo >= 1.8x on signing (ISSUE 14); batch-32
+    # adds >= 1.5x over single verifies of the same first-sight keys.
+    single = report["single_verify"]
+    assert single["cold_speedup_vs_naive"] >= 10.0, single
+    assert single["warm_speedup_vs_cold"] >= 1.6, single
+    assert report["sign"]["speedup"] >= 1.8, report["sign"]
     assert (
-        report["batch_verify"]["batch"]["32"]["speedup_vs_single"] >= 1.5
+        report["batch_verify"]["batch"]["32"]["speedup_vs_cold_single"] >= 1.5
     ), report["batch_verify"]
     # Replica passes are pure cache reads: every lookup after the proposer
     # pass must hit, and hits must be dramatically cheaper than verifying.
     assert report["signature_cache"]["hit_rate"] >= 0.74, report["signature_cache"]
     assert report["signature_cache"]["replica_speedup"] >= 5.0, report["signature_cache"]
+    return report
+
+
+def test_crypto_batching():
+    run_report()
 
 
 if __name__ == "__main__":
-    test_crypto_batching()
+    report = run_report()  # gates first: a red run leaves the tracked file alone
+    with open(BENCH_PATH, "w") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")

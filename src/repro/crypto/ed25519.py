@@ -6,20 +6,32 @@ Edwards curve edwards25519, using extended homogeneous coordinates for
 group arithmetic.  It is deliberately free of third-party dependencies;
 ``hashlib.sha512`` is the only primitive it borrows.
 
-The hot path is tuned for the validation pipeline, which verifies every
-signature of every block on every replica:
+The hot path is tuned for what the pipeline actually does — sign with a
+seed it has used before, verify against a public key it has seen before —
+and for the validation pipeline's batch pre-pass:
 
 * all group arithmetic runs on extended (projective) coordinates, so a
-  scalar multiplication performs **zero** field inversions (one inversion
-  happens only at point compression);
-* base-point multiples come from a precomputed 4-bit window table
-  (signing and the ``s*B`` half of verification);
-* variable-point multiplication (``h*A`` in verification) uses fixed-window
-  recoding instead of double-and-add, halving the number of point adds;
+  scalar multiplication performs **zero** field inversions; the one
+  inversion per point compression or decompression is Euclidean
+  (``pow(x, -1, P)``), a fifth of the cost of a Fermat exponentiation;
+* every multiplication runs through one routine, :func:`_straus`: 4-bit
+  window tables whose entries are stored ready for the addition formula,
+  and one doubling chain shared by all terms;
+* the base point's table is split 64 ways at import, so ``r*B`` in signing
+  and ``s*B`` in verification cost at most 64 adds and no doublings;
+* :func:`sign` memoises the expanded key (:data:`_EXPANDED_KEY_CACHE`,
+  4096 seeds, 2 MB worst case): one base multiplication and one
+  compression per signature, the public key is never re-derived;
+* :func:`verify` memoises recurring public keys (:data:`_PUBKEY_CACHE`, 512
+  keys, ~20 MB worst case) and from the second sight of a key an 8-way
+  split table for it, so ``h*A`` costs 28 doublings and at most 64 adds
+  instead of 252 doublings, 14 table-building adds and ~60 more;
 * :func:`verify_batch` checks many signatures at once through a single
-  random-linear-combination equation evaluated with a Straus interleaved
-  multi-scalar multiplication — the doubling chain is shared across the
-  whole batch, which is where the batch speedup comes from.
+  random-linear-combination equation — the doubling chain is shared across
+  the whole batch, which is where the batch speedup comes from.
+
+Both memos are module-level, FIFO-evicted at a fixed cap, and hold pure
+functions of their keys: no verdict and no signature byte depends on them.
 
 The implementation favours clarity over constant-time guarantees — it is a
 research reproduction, not a hardened production signer — but it is fully
@@ -37,7 +49,7 @@ from repro.common.errors import InvalidKeyError, InvalidSignatureError
 # Curve constants for edwards25519 (RFC 8032, section 5.1).
 P = 2**255 - 19
 L = 2**252 + 27742317777372353535851937790883648493
-D = (-121665 * pow(121666, P - 2, P)) % P
+D = (-121665 * pow(121666, -1, P)) % P
 
 #: Sign bit mask for point encoding.
 _SIGN_BIT = 1 << 255
@@ -94,85 +106,38 @@ def _point_double(a):
 _IDENTITY = _Point(0, 1, 1, 0)
 
 
-def _window_table(point: _Point) -> list[_Point]:
-    """Multiples ``0..15`` of ``point`` for 4-bit window recoding."""
-    table = [_IDENTITY, point]
+def _window_table(point) -> list:
+    """Multiples ``1..15`` of ``point`` for 4-bit window recoding.
+
+    Entries are stored as ``(Y-X, Y+X, 2*D*T, 2*Z)`` — the factors the
+    addition formula needs from its table operand — so each table add in
+    :func:`_straus` is 8 field multiplications instead of 9.  Slot 0 (the
+    identity) is never added and stays ``None``.
+    """
+    multiples = [point]
     for _ in range(14):
-        table.append(_point_add(table[-1], point))
-    return table
+        multiples.append(_point_add(multiples[-1], point))
+    return [None] + [
+        ((y - x) % P, (y + x) % P, t * _D2 % P, 2 * z % P) for x, y, z, t in multiples
+    ]
 
 
-def _scalar_mult(point, scalar: int):
-    """Fixed-window (4-bit) scalar multiplication of a variable point.
+def _straus(terms: Sequence[tuple[list, int]], steps: int):
+    """``sum(scalar_i * point_i)`` over ``terms[i] = (_window_table(point_i), scalar_i)``.
 
-    Processes the scalar one nibble at a time from the most significant
-    end: four doublings then at most one table add per window — about half
-    the point additions of double-and-add for the ~253-bit scalars the
-    verification equation produces, with no field inversions anywhere.
-    The doubling chain is inlined on local field elements: at ~250
-    doublings per multiplication, tuple construction and call dispatch
-    would otherwise rival the big-int arithmetic itself.
+    Straus interleaving: every scalar is read one nibble at a time from
+    nibble ``steps - 1`` down, four doublings per step shared by all
+    terms, then at most one table add per term.  The one place group
+    arithmetic is inlined on local field elements — at hundreds of point
+    operations per signature, tuple construction and call dispatch would
+    otherwise rival the big-int arithmetic itself — and the routine every
+    multiplication in this module runs through.
     """
-    if scalar <= 0:
-        return _IDENTITY
-    table = _window_table(point)
-    nibbles: list[int] = []
-    while scalar > 0:
-        nibbles.append(scalar & 0xF)
-        scalar >>= 4
-    x, y, z, t = table[nibbles[-1]]
-    p = P
-    for nibble in reversed(nibbles[:-1]):
-        for _ in range(4):
-            aa = x * x % p
-            bb = y * y % p
-            cc = 2 * z * z % p
-            h = aa + bb
-            e = h - (x + y) * (x + y)
-            g = aa - bb
-            f = cc + g
-            x, y, z, t = e * f % p, g * h % p, f * g % p, e * h % p
-        if nibble:
-            bx, by, bz, bt = table[nibble]
-            aa = (y - x) * (by - bx) % p
-            bb = (y + x) * (by + bx) % p
-            cc = t * bt % p * _D2 % p
-            dd = 2 * z * bz % p
-            e = bb - aa
-            f = dd - cc
-            g = dd + cc
-            h = bb + aa
-            x, y, z, t = e * f % p, g * h % p, f * g % p, e * h % p
-    return (x, y, z, t)
-
-
-def _multi_scalar_mult(pairs: Sequence[tuple[int, Any]]):
-    """Straus interleaved multi-scalar multiplication: ``sum(k_i * P_i)``.
-
-    One shared doubling chain serves every term, so the marginal cost of
-    an extra point is its 4-bit window table plus ~one add per window —
-    the workhorse of :func:`verify_batch`.
-    """
-    tables = []
-    nibble_rows = []
-    max_windows = 0
-    for scalar, point in pairs:
-        if scalar <= 0:
-            continue
-        nibbles: list[int] = []
-        while scalar > 0:
-            nibbles.append(scalar & 0xF)
-            scalar >>= 4
-        tables.append(_window_table(point))
-        nibble_rows.append(nibbles)
-        max_windows = max(max_windows, len(nibbles))
-    if not tables:
-        return _IDENTITY
     x, y, z, t = _IDENTITY
     p = P
-    started = False
-    for window in range(max_windows - 1, -1, -1):
-        if started:
+    top = 4 * steps - 4
+    for shift in range(top, -1, -4):
+        if shift != top:
             for _ in range(4):
                 aa = x * x % p
                 bb = y * y % p
@@ -182,20 +147,60 @@ def _multi_scalar_mult(pairs: Sequence[tuple[int, Any]]):
                 g = aa - bb
                 f = cc + g
                 x, y, z, t = e * f % p, g * h % p, f * g % p, e * h % p
-        for table, nibbles in zip(tables, nibble_rows):
-            if window < len(nibbles) and nibbles[window]:
-                started = True
-                bx, by, bz, bt = table[nibbles[window]]
-                aa = (y - x) * (by - bx) % p
-                bb = (y + x) * (by + bx) % p
-                cc = t * bt % p * _D2 % p
-                dd = 2 * z * bz % p
+        for table, scalar in terms:
+            nibble = (scalar >> shift) & 0xF
+            if nibble:
+                ymx, ypx, t2d, z2 = table[nibble]
+                aa = (y - x) * ymx % p
+                bb = (y + x) * ypx % p
+                cc = t * t2d % p
+                dd = z * z2 % p
                 e = bb - aa
                 f = dd - cc
                 g = dd + cc
                 h = bb + aa
                 x, y, z, t = e * f % p, g * h % p, f * g % p, e * h % p
     return (x, y, z, t)
+
+
+def _scalar_mult(point, scalar: int):
+    """Fixed-window (4-bit) multiplication of a variable point: four
+    doublings then at most one add per nibble, no field inversions."""
+    if scalar <= 0:
+        return _IDENTITY
+    return _straus([(_window_table(point), scalar)], (scalar.bit_length() + 3) // 4)
+
+
+def _multi_scalar_mult(pairs: Sequence[tuple[int, Any]]):
+    """``sum(k_i * P_i)`` on one doubling chain shared by every term, so
+    the marginal cost of an extra point is its window table plus ~one add
+    per nibble — the workhorse of :func:`verify_batch`."""
+    terms = [(_window_table(point), scalar) for scalar, point in pairs if scalar > 0]
+    return _straus(terms, max(((k.bit_length() + 3) // 4 for _, k in terms), default=0))
+
+
+def _split_table(point, chunks: int) -> list[list]:
+    """Window tables of ``2**(256 // chunks * j) * point`` for each chunk ``j``.
+
+    Cutting a 256-bit scalar into ``chunks`` equal pieces with a table
+    each trades memory for doublings: :func:`_table_mult` then runs
+    ``64 // chunks`` steps instead of 64.  The base point affords 64
+    chunks (no doublings at all, built once at import); a recurring
+    public key gets 8 (28 doublings), see :data:`_PUBKEY_CACHE`.
+    """
+    rows = [_window_table(point)]
+    for _ in range(chunks - 1):
+        for _ in range(256 // chunks):
+            point = _point_double(point)
+        rows.append(_window_table(point))
+    return rows
+
+
+def _table_mult(rows: list[list], scalar: int):
+    """``scalar * point`` over ``rows = _split_table(point, chunks)``, for
+    ``0 <= scalar < 2**256``: at most 64 adds whatever the split."""
+    stride = 256 // len(rows)
+    return _straus([(row, scalar >> stride * j) for j, row in enumerate(rows)], stride // 4)
 
 
 #: sqrt(-1) mod P, the p = 5 (mod 8) square-root fixup factor.
@@ -210,7 +215,7 @@ def _recover_x(y: int, sign: int) -> int:
     """
     if y >= P:
         raise InvalidKeyError("y coordinate out of range")
-    x2 = (y * y - 1) * pow(D * y * y + 1, P - 2, P) % P
+    x2 = (y * y - 1) * pow(D * y * y + 1, -1, P) % P
     if x2 == 0:
         if sign:
             raise InvalidKeyError("invalid sign bit for x = 0")
@@ -227,42 +232,23 @@ def _recover_x(y: int, sign: int) -> int:
 
 
 # Base point B (RFC 8032 section 5.1).
-_BASE_Y = 4 * pow(5, P - 2, P) % P
+_BASE_Y = 4 * pow(5, -1, P) % P
 _BASE_X = _recover_x(_BASE_Y, 0)
 _BASE = _Point(_BASE_X, _BASE_Y, 1, _BASE_X * _BASE_Y % P)
 
-# Precomputed table of B * 2^(4i) multiples for 4-bit windowed multiplication
-# of the base point; signing performance matters because the benchmark
-# harness signs hundreds of thousands of transactions.
-_WINDOW_BITS = 4
-_TABLE: list[list[_Point]] = []
-_current = _BASE
-for _ in range(64):  # 256 bits / 4 bits per window
-    row = [_IDENTITY]
-    for _i in range(1, 16):
-        row.append(_point_add(row[-1], _current))
-    _TABLE.append(row)
-    for _i in range(_WINDOW_BITS):
-        _current = _point_double(_current)
+#: The base point is simply the key whose table is built at import.
+_BASE_TABLE = _split_table(_BASE, 64)
 
 
-def _base_mult(scalar: int) -> _Point:
-    """Multiply the base point by ``scalar`` using the precomputed table."""
-    result = _IDENTITY
-    window = 0
-    while scalar > 0:
-        nibble = scalar & 0xF
-        if nibble:
-            result = _point_add(result, _TABLE[window][nibble])
-        scalar >>= 4
-        window += 1
-    return result
+def _base_mult(scalar: int):
+    """Multiply the base point by ``scalar`` (64 table adds, no doublings)."""
+    return _table_mult(_BASE_TABLE, scalar)
 
 
 def _point_compress(point) -> bytes:
     """Encode a point to its 32-byte compressed form (the one inversion)."""
     px, py, pz, _ = point
-    z_inv = pow(pz, P - 2, P)
+    z_inv = pow(pz, -1, P)
     x = px * z_inv % P
     y = py * z_inv % P
     return int.to_bytes(y | ((x & 1) << 255), 32, "little")
@@ -283,28 +269,62 @@ def _point_decompress(data: bytes) -> _Point:
     return _Point(x, y, 1, x * y % P)
 
 
-#: Decompressed public keys, bounded.  Point decompression costs two field
-#: exponentiations — a third of a single verification — and the same signer
-#: keys recur across every block, so memoising ``A`` (never ``R``, which is
-#: unique per signature) removes one of the two per-verify inversions.
-#: Decompression is a pure function of the encoding, so the cache cannot
-#: change any verdict.
-_PUBKEY_CACHE: dict[bytes, _Point] = {}
-_PUBKEY_CACHE_MAX = 4096
+def _memo_put(memo: dict, cap: int, key: bytes, value: Any) -> None:
+    """Insert into a bounded module-level memo, evicting FIFO.
+
+    One entry goes per insert (dicts iterate in insertion order);
+    wholesale clearing would collapse the hit rate for key populations
+    just past the bound.
+    """
+    if len(memo) >= cap:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
+#: Recurring public keys: encoding -> ``[A, split table or None]``, at most
+#: :data:`_PUBKEY_CACHE_MAX` entries, ~39 KB each once the table exists
+#: (~20 MB worst case).  The first sight of a key decompresses it (an
+#: inversion and a square root, ~8% of a generic verification) and
+#: multiplies generically.  The second sight — an entry exists, whether
+#: :func:`verify` or :func:`verify_batch` made it — builds the key's 8-way
+#: :func:`_split_table` for about the price of one generic verification;
+#: from then on ``h*A`` costs 28 doublings instead of 252.  One-shot keys
+#: pay nothing, and a key population cycling past the bound is evicted
+#: before its second sight, so no table is built that could not be kept —
+#: nor is its decompression remembered (the cap was 4096 points before it
+#: had to price a table): 1024 keys in rotation verify at the first-sight
+#: cost every time, measured no slower than with the old memo hitting but
+#: with none of the warm-key gain; the benchmark workloads have ~20 keys.
+#: Only ``A`` is memoised, never ``R`` (unique per signature).  Both
+#: decompression and multiplication are pure functions of the encoding, so
+#: the memo cannot change any verdict.
+_PUBKEY_CACHE: dict[bytes, list] = {}
+_PUBKEY_CACHE_MAX = 512
+_PUBKEY_TABLE_CHUNKS = 8
 
 
 def _decompress_public(data: bytes) -> _Point:
-    """Cached :func:`_point_decompress` for recurring public keys."""
-    point = _PUBKEY_CACHE.get(data)
-    if point is None:
-        point = _point_decompress(data)
-        if len(_PUBKEY_CACHE) >= _PUBKEY_CACHE_MAX:
-            # FIFO eviction of one entry (dicts iterate in insertion
-            # order); wholesale clearing would collapse the hit rate for
-            # key populations just past the bound.
-            del _PUBKEY_CACHE[next(iter(_PUBKEY_CACHE))]
-        _PUBKEY_CACHE[data] = point
-    return point
+    """Memoised :func:`_point_decompress` for recurring public keys."""
+    entry = _PUBKEY_CACHE.get(data)
+    if entry is None:
+        entry = [_point_decompress(data), None]
+        _memo_put(_PUBKEY_CACHE, _PUBKEY_CACHE_MAX, data, entry)
+    return entry[0]
+
+
+def _public_mult(public_key: bytes, scalar: int):
+    """``scalar * A`` for a compressed public key: generic on the first
+    sight of the key, over its split table from the second sight on.
+
+    Raises:
+        InvalidKeyError: if the encoding is malformed or off-curve.
+    """
+    entry = _PUBKEY_CACHE.get(public_key)
+    if entry is None:
+        return _scalar_mult(_decompress_public(public_key), scalar)
+    if entry[1] is None:
+        entry[1] = _split_table(entry[0], _PUBKEY_TABLE_CHUNKS)
+    return _table_mult(entry[1], scalar)
 
 
 def _points_equal(a, b) -> bool:
@@ -328,16 +348,49 @@ def _clamp(seed_hash: bytes) -> int:
     return scalar
 
 
+#: Expanded private keys: seed -> (clamped scalar, nonce prefix, compressed
+#: public key), at most :data:`_EXPANDED_KEY_CACHE_MAX` entries of ~0.5 KB
+#: (2 MB worst case).  Validators sign a vote per round and clients a
+#: transaction per submit with the same few seeds; re-deriving the public
+#: key would cost a second base multiplication and compression per
+#: signature.
+_EXPANDED_KEY_CACHE: dict[bytes, tuple[int, bytes, bytes]] = {}
+_EXPANDED_KEY_CACHE_MAX = 4096
+
+
+def _expand_seed(seed: bytes) -> tuple[int, bytes, bytes]:
+    """Memoised RFC 8032 key expansion (section 5.1.5).
+
+    Raises:
+        InvalidKeyError: if the seed is not exactly 32 bytes.
+    """
+    expanded = _EXPANDED_KEY_CACHE.get(seed)
+    if expanded is None:
+        if len(seed) != 32:
+            raise InvalidKeyError("Ed25519 seed must be 32 bytes")
+        seed_hash = hashlib.sha512(seed).digest()
+        scalar = _clamp(seed_hash)
+        expanded = (scalar, seed_hash[32:], _point_compress(_base_mult(scalar)))
+        _memo_put(_EXPANDED_KEY_CACHE, _EXPANDED_KEY_CACHE_MAX, seed, expanded)
+    return expanded
+
+
+def memo_stats() -> dict[str, int]:
+    """Resident entries of the two key memos (counts only, no key material)."""
+    return {
+        "expanded_seeds": len(_EXPANDED_KEY_CACHE),
+        "public_keys": len(_PUBKEY_CACHE),
+        "public_key_tables": sum(entry[1] is not None for entry in _PUBKEY_CACHE.values()),
+    }
+
+
 def public_key_from_seed(seed: bytes) -> bytes:
     """Derive the 32-byte public key from a 32-byte private seed.
 
     Raises:
         InvalidKeyError: if the seed is not exactly 32 bytes.
     """
-    if len(seed) != 32:
-        raise InvalidKeyError("Ed25519 seed must be 32 bytes")
-    scalar = _clamp(hashlib.sha512(seed).digest())
-    return _point_compress(_base_mult(scalar))
+    return _expand_seed(seed)[2]
 
 
 def sign(seed: bytes, message: bytes) -> bytes:
@@ -350,13 +403,7 @@ def sign(seed: bytes, message: bytes) -> bytes:
     Raises:
         InvalidKeyError: if the seed is malformed.
     """
-    if len(seed) != 32:
-        raise InvalidKeyError("Ed25519 seed must be 32 bytes")
-    seed_hash = hashlib.sha512(seed).digest()
-    scalar = _clamp(seed_hash)
-    prefix = seed_hash[32:]
-    public = _point_compress(_base_mult(scalar))
-
+    scalar, prefix, public = _expand_seed(seed)
     r = _sha512_int(prefix, message) % L
     r_point = _point_compress(_base_mult(r))
     challenge = _sha512_int(r_point, public, message) % L
@@ -380,18 +427,17 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """
     if len(public_key) != 32 or len(signature) != 64:
         return False
-    try:
-        a_point = _decompress_public(public_key)
-        r_point = _point_decompress(signature[:32])
-    except InvalidKeyError:
-        return False
     s = int.from_bytes(signature[32:], "little")
     if s >= L:
         return False
     challenge = _sha512_int(signature[:32], public_key, message) % L
+    try:
+        r_point = _point_decompress(signature[:32])
+        right = _point_add(r_point, _public_mult(public_key, challenge))
+    except InvalidKeyError:
+        return False
     # Check 8*s*B == 8*(R + h*A): three doublings per side kill torsion.
     left = _base_mult(s)
-    right = _point_add(r_point, _scalar_mult(a_point, challenge))
     left = _point_double(_point_double(_point_double(left)))
     right = _point_double(_point_double(_point_double(right)))
     return _points_equal(left, right)
@@ -437,7 +483,7 @@ def _batch_coefficient(rng: Any, index: int, parts: tuple[bytes, bytes, bytes]) 
 
 
 def _batch_equation_holds(
-    candidates: list[tuple[int, _Point, _Point, int, int]], coefficients: list[int]
+    candidates: list[tuple[int, bytes, _Point, _Point, int, int]], coefficients: list[int]
 ) -> bool:
     """The single RLC check ``sum(z_i*s_i)*B == sum(z_i*R_i) + sum(z_i*h_i*A_i)``.
 
@@ -455,25 +501,20 @@ def _batch_equation_holds(
     cost of three point doublings per batch.
     """
     base_scalar = 0
-    merged: dict[int, list] = {}
-
-    def add_term(scalar: int, point) -> None:
-        # Merge scalars for recurring points (the same signer key across a
-        # block, interned by the decompression memo) so each distinct
-        # point pays for one window table.  Summing mod L is sound under
-        # the cofactored check: any torsion discrepancy it introduces is
-        # annihilated by the final multiplication by 8.
-        entry = merged.get(id(point))
-        if entry is None:
-            merged[id(point)] = [scalar % L, point]
-        else:
-            entry[0] = (entry[0] + scalar) % L
-
-    for (_, a_point, r_point, s, challenge), z in zip(candidates, coefficients):
+    pairs: list[tuple[int, Any]] = []
+    # Scalars of one signer (the same key across a block) are summed per
+    # public-key *encoding*, so each distinct key pays for one window
+    # table whatever the decompression memo evicts mid-batch; ``R`` is
+    # unique per signature and stays a term of its own.  Summing mod L is
+    # sound under the cofactored check: any torsion discrepancy it
+    # introduces is annihilated by the final multiplication by 8.
+    merged: dict[bytes, list] = {}
+    for (_, public_key, a_point, r_point, s, challenge), z in zip(candidates, coefficients):
         base_scalar = (base_scalar + z * s) % L
-        add_term(z, r_point)
-        add_term(z * challenge, a_point)
-    pairs = [(scalar, point) for scalar, point in merged.values()]
+        pairs.append((z, r_point))
+        entry = merged.setdefault(public_key, [0, a_point])
+        entry[0] = (entry[0] + z * challenge) % L
+    pairs.extend((scalar, point) for scalar, point in merged.values())
     combined = _point_add(_base_mult((-base_scalar) % L), _multi_scalar_mult(pairs))
     combined = _point_double(_point_double(_point_double(combined)))
     return _points_equal(combined, _IDENTITY)
@@ -508,7 +549,7 @@ def verify_batch(
         Per-item verdicts, aligned with ``items``.
     """
     results = [False] * len(items)
-    candidates: list[tuple[int, _Point, _Point, int, int]] = []
+    candidates: list[tuple[int, bytes, _Point, _Point, int, int]] = []
     for index, (public_key, message, signature) in enumerate(items):
         if len(public_key) != 32 or len(signature) != 64:
             continue
@@ -521,7 +562,7 @@ def verify_batch(
         if s >= L:
             continue
         challenge = _sha512_int(signature[:32], public_key, message) % L
-        candidates.append((index, a_point, r_point, s, challenge))
+        candidates.append((index, public_key, a_point, r_point, s, challenge))
     if not candidates:
         return results
     if len(candidates) == 1:

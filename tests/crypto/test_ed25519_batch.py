@@ -228,6 +228,29 @@ class TestCofactoredVerification:
         triples[3] = (public, triples[3][1], bytes(tampered))
         assert ed25519.verify_batch(triples) == [True, True, True, False, True, True]
 
+    def test_same_signer_scalars_merge_across_an_eviction_inside_the_batch(self, monkeypatch):
+        """The merge is keyed on the public-key encoding, not on which
+        point object the decompression memo happened to hand out: with the
+        memo squeezed to one entry, two signers alternating through a
+        batch are each decompressed afresh every time, and still pay for
+        one window table per key."""
+        monkeypatch.setattr(ed25519, "_PUBKEY_CACHE", {})
+        monkeypatch.setattr(ed25519, "_PUBKEY_CACHE_MAX", 1)
+        seeds = [bytes([7] * 32), bytes([8] * 32)]
+        triples = [
+            (ed25519.public_key_from_seed(seed), f"m-{i}".encode(), ed25519.sign(seed, f"m-{i}".encode()))
+            for i in range(3)
+            for seed in seeds
+        ]
+        terms = []
+        multi_scalar_mult = ed25519._multi_scalar_mult
+        monkeypatch.setattr(
+            ed25519, "_multi_scalar_mult", lambda pairs: terms.append(len(pairs)) or multi_scalar_mult(pairs)
+        )
+        assert ed25519.verify_batch(triples) == [True] * 6
+        assert terms == [6 + 2]  # six R terms, one merged term per signer
+        assert len(ed25519._PUBKEY_CACHE) == 1
+
 
 class TestMalformedKeyEdgeCases:
     """Fast-path decoding edge cases the pipeline must reject cleanly."""

@@ -38,6 +38,19 @@ class TestCommands:
         assert "RETURN" in out
         assert "eventual commit holds: True" in out
 
+    def test_crypto_narrates_per_key_state_in_counts(self, capsys, monkeypatch):
+        from repro.crypto import ed25519
+
+        monkeypatch.setattr(ed25519, "_PUBKEY_CACHE", {})
+        monkeypatch.setattr(ed25519, "_EXPANDED_KEY_CACHE", {})
+        assert main(["crypto", "--batch", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "4 expanded seeds memoised" in out
+        assert "first sight of each key" in out and "(4 keys memoised, 0 tables)" in out
+        assert "second sight of each key" in out and "third sight of each key" in out
+        assert out.count("(4 keys memoised, 4 tables)") == 2
+        assert "3/4 valid" in out
+
     def test_simtest(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["simtest", "--seed", "3", "--steps", "25", "--shards", "2"]) == 0
