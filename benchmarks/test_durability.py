@@ -1,6 +1,6 @@
 """Durability microbenchmark: group commit, recovery scaling, snapshots.
 
-Three measurements of the persistence stack:
+Four measurements of the persistence stack:
 
 * **group commit vs naive flush** — the same record stream written
   through a real-file backend (real ``fsync``) two ways: one sync per
@@ -16,9 +16,18 @@ Three measurements of the persistence stack:
   recovered with and without checkpoints every 1 000 records.  The
   replayed-record ratio is deterministic (>= 4x fewer with snapshots);
   wall speedup is reported alongside.
+* **checkpoint cost vs state size** — one steady-state checkpoint (a
+  few inserts and updates since the last one) of a 1 k / 4 k / 16 k
+  document state: a checkpoint splices the bytes kept per document, so
+  the gate is on counts — it encodes exactly the documents updated
+  since the last checkpoint, whatever the state size, and a checkpoint
+  with nothing new encodes none.  Milliseconds are reported beside what
+  the same state costs to deep-copy and encode whole (the checkpoint
+  before the splice), whose bytes must be identical.
 
-Results go to ``BENCH_durability.json`` at the repo root; CI uploads
-the artifact and enforces the gates.
+Run as a script (CI's hot-path smoke job does) the report goes to
+``BENCH_durability.json`` at the repo root; a pytest run enforces the
+same gates and leaves the tracked file alone.
 """
 
 from __future__ import annotations
@@ -29,9 +38,10 @@ import shutil
 import tempfile
 import time
 
+import repro.common.encoding as encoding
 from repro.durability.node import DurabilityConfig, NodeDurability
-from repro.durability.recovery import collections_state, diff_databases, recover
-from repro.durability.wal import FileBackend, SegmentedWal
+from repro.durability.recovery import checkpoint_state, diff_databases, recover
+from repro.durability.wal import FileBackend, SegmentedWal, encode_frame
 from repro.sim.events import EventLoop
 from repro.storage.database import Database
 
@@ -42,6 +52,10 @@ GROUP_BATCH = 32
 RECOVERY_SWEEP = (1_000, 4_000, 16_000)
 SNAPSHOT_HISTORY = 8_000
 SNAPSHOT_INTERVAL = 1_000
+CHECKPOINT_SWEEP = (1_000, 4_000, 16_000)
+#: Work between two checkpoints of the scaling sweep.
+CHECKPOINT_INSERTS = 32
+CHECKPOINT_UPDATES = 8
 
 
 def _record(index: int) -> dict:
@@ -105,9 +119,7 @@ def _build_history(n_records: int, snapshot_interval: int | None) -> NodeDurabil
     durability = NodeDurability("bench", loop, config)
     database = Database("bench", wal=durability.log)
     if snapshot_interval is not None:
-        durability.state_provider = lambda: {
-            "collections": collections_state(database)
-        }
+        durability.state_provider = lambda: checkpoint_state(database)
     transactions = database.create_collection("transactions")
     for index in range(n_records):
         transactions.insert_one(
@@ -162,15 +174,93 @@ def measure_snapshot_amortisation() -> dict:
     }
 
 
-def test_durability():
+def _counting_encodes(work) -> tuple[int, float]:
+    """``(canonical encodes, seconds)`` of one call of ``work``."""
+    original = encoding.canonical_serialize
+    calls = 0
+
+    def counting(value):
+        nonlocal calls
+        calls += 1
+        return original(value)
+
+    encoding.canonical_serialize = counting
+    try:
+        start = time.perf_counter()
+        work()
+        elapsed = time.perf_counter() - start
+    finally:
+        encoding.canonical_serialize = original
+    return calls, elapsed
+
+
+def measure_checkpoint_scaling() -> dict:
+    sweep = {}
+    for n_documents in CHECKPOINT_SWEEP:
+        loop = EventLoop()
+        durability = NodeDurability(
+            "bench", loop, DurabilityConfig(snapshot_interval=n_documents * 4)
+        )
+        database = Database("bench", wal=durability.log)
+        durability.state_provider = lambda: checkpoint_state(database)
+        transactions = database.create_collection("transactions")
+        transactions.create_index("id", unique=True)
+
+        def insert(index: int) -> None:
+            transactions.insert_one(
+                {
+                    "id": f"tx-{index:06d}",
+                    "operation": "TRANSFER",
+                    "amount": index,
+                    "memo": "m" * 600,  # ~0.7 KB, the e2e marketplace's mean
+                }
+            )
+
+        for index in range(n_documents):
+            insert(index)
+        loop.run_until_idle()
+        durability.checkpoint()
+        # Steady state: a little work, then the measured checkpoint.
+        for index in range(n_documents, n_documents + CHECKPOINT_INSERTS):
+            insert(index)
+        for index in range(CHECKPOINT_UPDATES):
+            transactions.update_many(
+                {"id": f"tx-{index:06d}"}, {"$set": {"amount": -index}}
+            )
+        loop.run_until_idle()
+        encodes, spliced_s = _counting_encodes(durability.checkpoint)
+        (snap_name,) = [n for n in durability.disk.list() if n.endswith(".snap")]
+        snapshot = durability.disk.read(snap_name)
+        # The same checkpoint the way it was built before the splice.
+        start = time.perf_counter()
+        whole = encode_frame(
+            {
+                "lsn": durability.wal.last_lsn,
+                "state": {"collections": {"transactions": transactions.find({})}},
+            }
+        )
+        whole_s = time.perf_counter() - start
+        assert snapshot == whole, "spliced snapshot differs from the whole-state encoding"
+        idle_encodes, _ = _counting_encodes(durability.state_provider)
+        sweep[str(n_documents)] = {
+            "documents": len(transactions),
+            "snapshot_bytes": len(snapshot),
+            "encodes": encodes,
+            "encodes_with_nothing_new": idle_encodes,
+            "checkpoint_ms": round(spliced_s * 1000, 3),
+            "copy_and_encode_whole_ms": round(whole_s * 1000, 3),
+            "speedup": round(whole_s / spliced_s, 2),
+        }
+    return sweep
+
+
+def run_report() -> dict:
     report = {
         "group_commit": measure_group_commit(),
         "recovery_scaling": measure_recovery_scaling(),
         "snapshot_amortisation": measure_snapshot_amortisation(),
+        "checkpoint_scaling": measure_checkpoint_scaling(),
     }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
 
     lines = ["durability microbenchmark"]
     for section, numbers in report.items():
@@ -192,7 +282,20 @@ def test_durability():
     assert sweep[str(RECOVERY_SWEEP[-1])]["recover_ms"] >= sweep[
         str(RECOVERY_SWEEP[0])
     ]["recover_ms"], sweep
+    # A checkpoint encodes what changed since the last one and nothing
+    # else, at every state size (counts; the times are reported only).
+    for row in report["checkpoint_scaling"].values():
+        assert row["encodes"] == CHECKPOINT_UPDATES, row
+        assert row["encodes_with_nothing_new"] == 0, row
+    return report
+
+
+def test_durability():
+    run_report()
 
 
 if __name__ == "__main__":
-    test_durability()
+    report = run_report()  # gates first: a red run leaves the tracked file alone
+    with open(BENCH_PATH, "w") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")

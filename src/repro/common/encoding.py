@@ -9,7 +9,7 @@ scratch so the library has no dependencies beyond the standard library.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterable
 
 from repro.common.errors import EncodingError
 
@@ -43,6 +43,49 @@ def canonical_serialize(value: Any) -> str:
 def canonical_bytes(value: Any) -> bytes:
     """UTF-8 bytes of :func:`canonical_serialize`."""
     return canonical_serialize(value).encode("utf-8")
+
+
+def object_pieces(
+    members: dict[str, Any], pieces: list[bytes] | None = None
+) -> list[bytes]:
+    """Byte pieces that concatenate to the canonical encoding of an object
+    whose member values are already encoded.
+
+    A value is the canonical bytes of that member, or a nested ``dict`` of
+    such values.  Joined, the pieces equal ``canonical_bytes`` of the
+    object byte for byte: canonical JSON has no context-dependent
+    whitespace or escaping, so a value's encoding is the same wherever it
+    is nested and only the key order has to be redone.  The values are in
+    the list by reference — a multi-megabyte member is not copied until
+    the caller joins, once, into its final buffer.
+    """
+    if pieces is None:
+        pieces = []
+    pieces.append(b"{")
+    for key in sorted(members):
+        pieces.append(json.dumps(key, ensure_ascii=False).encode("utf-8"))
+        pieces.append(b":")
+        value = members[key]
+        if isinstance(value, dict):
+            object_pieces(value, pieces)
+        else:
+            pieces.append(value)
+        pieces.append(b",")
+    if members:
+        pieces.pop()
+    pieces.append(b"}")
+    return pieces
+
+
+def splice_object(members: dict[str, Any]) -> bytes:
+    """Canonical bytes of an object whose member values are already
+    encoded (see :func:`object_pieces`)."""
+    return b"".join(object_pieces(members))
+
+
+def splice_array(items: Iterable[bytes]) -> bytes:
+    """Canonical bytes of an array of already-encoded items."""
+    return b"[%s]" % b",".join(items)
 
 
 def base58_encode(data: bytes) -> str:

@@ -33,6 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.common.encoding import canonical_bytes, splice_array, splice_object
 from repro.consensus.abci import Application
 from repro.consensus.mempool import Mempool
 from repro.consensus.types import (
@@ -142,6 +143,16 @@ class Validator:
         #: rebuilt purely from its disk restores them
         #: (:meth:`restore_durable`) instead of trusting process memory.
         self.persistence = None
+        #: height -> (block, canonical bytes of its record) and height ->
+        #: (certificate, canonical bytes): a durable node encodes each
+        #: once, when it is first journaled, and the ``lock`` frame, the
+        #: ``block`` frame and every checkpoint splice those bytes.  One
+        #: entry per height (a different block or certificate at a height
+        #: replaces it), so they hold about what the ``blocks`` and
+        #: ``certs`` parts of one snapshot file do; never filled while
+        #: ``persistence`` is None.
+        self._block_bytes: dict[int, tuple[Block, bytes]] = {}
+        self._cert_bytes: dict[int, tuple[dict, bytes]] = {}
         self._timeout_handle: EventHandle | None = None
         self._last_propose_time = float("-inf")
         self._catchup_requested_at = float("-inf")
@@ -588,17 +599,7 @@ class Validator:
                         block=vote.block_id[:8],
                     )
                 if self.persistence is not None:
-                    # Write-ahead consensus state (Tendermint WAL): a
-                    # restart-from-disk must see the lock or it could
-                    # help a second quorum form at this height.  Forced
-                    # past the group cadence — the precommit this lock
-                    # licenses broadcasts below, and a vote that outran
-                    # its lock's durability is the height-fork race with
-                    # a crash in the middle.
-                    self.persistence.journal(
-                        {"k": "lock", "r": vote.round, "b": block_record(proposal)}
-                    )
-                    self.persistence.log.flush_now()
+                    self._journal_lock()
         if (
             self._locked_block is None
             or self._locked_block.block_id != vote.block_id
@@ -730,9 +731,11 @@ class Validator:
             # catch-up; a decided lock needs no explicit clear — recovery
             # drops any lock at or below the recovered chain height.
             record = {"k": "block", "b": block_record(block)}
+            body = {"k": b'"block"', "b": self._block_body(block, record["b"])}
             if cert is not None:
                 record["cert"] = cert
-            self.persistence.journal(record)
+                body["cert"] = self._cert_body(block.height, cert)
+            self.persistence.journal(record, body=splice_object(body))
         self.engine.record_commit(self.node_id, block)
 
     def _build_commit_cert(self, block: Block) -> dict | None:
@@ -943,17 +946,64 @@ class Validator:
 
     # -- durable-state checkpoint / restore -----------------------------------
 
-    def consensus_snapshot(self) -> dict:
-        """Serialised durable consensus state (chain + lock) for the
-        node's checkpoint provider."""
-        lock = None
+    def _journal_lock(self) -> None:
+        """Write-ahead consensus state (Tendermint WAL): a
+        restart-from-disk must see the lock or it could help a second
+        quorum form at this height.  Forced past the group cadence — the
+        precommit this lock licenses is broadcast next, and a vote that
+        outran its lock's durability is the height-fork race with a
+        crash in the middle."""
+        record = block_record(self._locked_block)
+        self.persistence.journal(
+            {"k": "lock", "r": self._locked_round, "b": record},
+            body=splice_object(
+                {
+                    "k": b'"lock"',
+                    "r": b"%d" % self._locked_round,
+                    "b": self._block_body(self._locked_block, record),
+                }
+            ),
+        )
+        self.persistence.log.flush_now()
+
+    def _block_body(self, block: Block, record: dict | None = None) -> bytes:
+        """Canonical bytes of ``block``'s record (``record`` if the caller
+        already built it), encoded on first use per block."""
+        entry = self._block_bytes.get(block.height)
+        if entry is None or entry[0] is not block:
+            encoded = canonical_bytes(record or block_record(block))
+            entry = self._block_bytes[block.height] = (block, encoded)
+        return entry[1]
+
+    def _cert_body(self, height: int, cert: dict) -> bytes:
+        """Canonical bytes of the certificate held for ``height``."""
+        entry = self._cert_bytes.get(height)
+        if entry is None or entry[0] is not cert:
+            entry = self._cert_bytes[height] = (cert, canonical_bytes(cert))
+        return entry[1]
+
+    def consensus_snapshot(self) -> dict[str, bytes]:
+        """Durable consensus state (chain, lock, certificates) for the
+        node's checkpoint provider, each member canonically encoded —
+        spliced from the per-block / per-certificate bytes, so only a
+        block or certificate that was never journaled here (restored
+        from disk) is encoded now."""
+        lock = b"null"
         if self._locked_block is not None:
-            lock = {"r": self._locked_round, "b": block_record(self._locked_block)}
+            lock = splice_object(
+                {
+                    "r": b"%d" % self._locked_round,
+                    "b": self._block_body(self._locked_block),
+                }
+            )
         return {
-            "blocks": [block_record(block) for block in self.chain],
+            "blocks": splice_array(self._block_body(block) for block in self.chain),
             "lock": lock,
             # [height, cert] pairs: canonical JSON requires string keys.
-            "certs": [list(item) for item in sorted(self.commit_certs.items())],
+            "certs": splice_array(
+                b"[%d,%s]" % (height, self._cert_body(height, cert))
+                for height, cert in sorted(self.commit_certs.items())
+            ),
         }
 
     def restore_durable(
@@ -979,6 +1029,8 @@ class Validator:
         self._locked_block = locked_block
         self._locked_round = locked_round
         self.commit_certs = dict(certs or {})
+        self._block_bytes.clear()
+        self._cert_bytes.clear()
         self._last_propose_time = float("-inf")
         self._catchup_requested_at = float("-inf")
 

@@ -25,7 +25,7 @@ from repro.core.server import ServerCostModel, SmartchainServer
 from repro.core.transaction import ACCEPT_BID
 from repro.crypto.keys import ReservedAccounts
 from repro.durability.node import DurabilityConfig, NodeDurability
-from repro.durability.recovery import collections_state, recover
+from repro.durability.recovery import checkpoint_state, recover
 from repro.sim.events import EventLoop
 from repro.sim.failures import FailureInjector
 from repro.sim.network import Network, NetworkConfig
@@ -461,13 +461,13 @@ class SmartchainCluster:
 
     # -- durability: checkpoints + restart-from-disk ---------------------------------
 
-    def _node_checkpoint_state(self, node_id: str) -> dict[str, Any]:
-        """Full snapshot state of one node: collections + chain + lock."""
-        server = self.servers[node_id]
-        return {
-            "collections": collections_state(server.database),
+    def _node_checkpoint_state(self, node_id: str) -> list[bytes]:
+        """Full snapshot state of one node, canonically encoded:
+        collections + chain + lock + certificates."""
+        return checkpoint_state(
+            self.servers[node_id].database,
             **self.engine.validator(node_id).consensus_snapshot(),
-        }
+        )
 
     def restart_node_from_disk(self, node_id: str, torn_bytes: int = 0) -> None:
         """Kill a node, discard its memory, restore it purely from disk.

@@ -15,7 +15,7 @@ from repro.durability.recovery import (
     RecoveredState,
     apply_db_op,
     block_record,
-    collections_state,
+    checkpoint_state,
     diff_databases,
     rebuild_block,
     recover,
@@ -44,7 +44,7 @@ __all__ = [
     "StorageBackend",
     "apply_db_op",
     "block_record",
-    "collections_state",
+    "checkpoint_state",
     "decode_prefix",
     "diff_databases",
     "encode_frame",

@@ -54,7 +54,10 @@ class GroupCommitLog:
         self._loop = loop
         self.flush_interval = min(flush_interval, max_latency)
         self.max_latency = max_latency
-        self._queue: list[tuple[dict[str, Any], DurableCallback | None]] = []
+        #: (record, durable callback, pre-encoded record body or None).
+        self._queue: list[
+            tuple[dict[str, Any], DurableCallback | None, bytes | None]
+        ] = []
         self._flush_handle: EventHandle | None = None
         #: Hook run after every flush (the snapshot cadence check).
         self.after_flush: Callable[[], None] | None = None
@@ -91,10 +94,14 @@ class GroupCommitLog:
         return len(self._queue)
 
     def append(
-        self, record: dict[str, Any], on_durable: DurableCallback | None = None
+        self,
+        record: dict[str, Any],
+        on_durable: DurableCallback | None = None,
+        body: bytes | None = None,
     ) -> None:
-        """Queue ``record`` for the tick's group flush."""
-        self._queue.append((record, on_durable))
+        """Queue ``record`` for the tick's group flush (``body`` as in
+        :meth:`SegmentedWal.append`)."""
+        self._queue.append((record, on_durable, body))
         self.stats["appends"] += 1
         if self._flush_handle is None or self._flush_handle.cancelled:
             self._batch_opened_at = self._loop.clock.now
@@ -109,8 +116,8 @@ class GroupCommitLog:
         batch, self._queue = self._queue, []
         last_lsn = 0
         flushed: list[tuple[int, dict[str, Any]]] = []
-        for record, _ in batch:
-            last_lsn = self.wal.append(record)
+        for record, _, body in batch:
+            last_lsn = self.wal.append(record, body)
             flushed.append((last_lsn, record))
         self.wal.sync()
         self.stats["flushes"] += 1
@@ -130,7 +137,7 @@ class GroupCommitLog:
             # entirely.
             tracer = tel.tracer
             if tracer.started:
-                for record, _ in batch:
+                for record, _, _ in batch:
                     if record.get("k") == "block":
                         for tx in record["b"]["txs"]:
                             if tracer.sampled(tx[0]):
@@ -143,7 +150,7 @@ class GroupCommitLog:
         self._batch_opened_at = None
         for listener in self.listeners:
             listener(flushed)
-        for _, on_durable in batch:
+        for _, on_durable, _ in batch:
             if on_durable is not None:
                 on_durable(last_lsn)
         if self.after_flush is not None:

@@ -16,12 +16,19 @@ whole persistence stack:
 The snapshot cadence runs off the commit log's ``after_flush`` hook —
 deterministic, loop-driven, and always at a flush boundary so the
 checkpoint is consistent with the synced WAL prefix it claims to cover.
+
+A checkpoint does not walk the state through Python: the owner's
+``state_provider`` returns the state's canonical bytes (in pieces, joined
+once into the snapshot frame), spliced from the per-document / per-block
+bytes that were made when each journal record was built (see
+:mod:`repro.durability.snapshot`), and the snapshot file is
+byte-identical to encoding the dict state from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.durability.commitlog import GroupCommitLog
 from repro.durability.snapshot import SnapshotManager
@@ -75,14 +82,17 @@ class NodeDurability:
         )
         self.log.after_flush = self._maybe_snapshot
         self.snapshots = SnapshotManager(self.disk)
-        #: Provider of the full checkpoint state (set by the owner).
-        self.state_provider: Callable[[], dict[str, Any]] | None = None
+        #: Provider of the full checkpoint state, canonically encoded, in
+        #: byte pieces (set by the owner; see
+        #: :func:`repro.durability.recovery.checkpoint_state`).
+        self.state_provider: Callable[[], Sequence[bytes]] | None = None
 
     # -- journaling -----------------------------------------------------------
 
-    def journal(self, record: dict[str, Any]) -> None:
-        """Append one record to the tick's group-commit batch."""
-        self.log.append(record)
+    def journal(self, record: dict[str, Any], body: bytes | None = None) -> None:
+        """Append one record (and, if the caller has them, its canonical
+        bytes) to the tick's group-commit batch."""
+        self.log.append(record, body=body)
 
     def _maybe_snapshot(self) -> None:
         if self.state_provider is None:
@@ -95,7 +105,7 @@ class NodeDurability:
         """Take a snapshot now and retire covered WAL segments."""
         self.log.flush_now()
         cutoff = self.wal.last_lsn
-        state = self.state_provider() if self.state_provider is not None else {}
+        state = self.state_provider() if self.state_provider is not None else [b"{}"]
         self.snapshots.take(state, cutoff)
         self.wal.retire(cutoff)
         return cutoff

@@ -21,6 +21,12 @@ suffix), load the newest valid snapshot, then replay every journal
 record with an LSN past the snapshot.  The result is exactly the state
 whose journal records were durably synced — the longest valid prefix of
 the node's history, never a partial frame.
+
+Writers splice frames from bytes encoded once (an ``insert``'s document,
+a ``lock`` / ``block`` record's block and certificate, a checkpoint's
+whole state — :func:`checkpoint_state`); every frame on the device is
+byte-identical to ``encode_frame`` of the record dict, so this module
+reads them back with plain ``json.loads`` and knows nothing of it.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.common.encoding import canonical_serialize, deep_copy_json
+from repro.common.encoding import canonical_serialize, deep_copy_json, object_pieces
 from repro.consensus.types import Block, TxEnvelope
 from repro.storage.database import Database
 from repro.durability.wal import SegmentedWal
@@ -99,12 +105,22 @@ def apply_db_op(database: Database, op: dict[str, Any]) -> None:
         raise ValueError(f"unknown journaled db op {kind!r}")
 
 
-def collections_state(database: Database) -> dict[str, list[dict[str, Any]]]:
-    """Full dump of every collection, in stored (insertion) order."""
-    return {
-        name: database.collection(name).find({}, copy=True)
+def checkpoint_state(database: Database, **members: bytes) -> list[bytes]:
+    """A checkpoint's state object, canonically encoded, as byte pieces.
+
+    ``{"collections": {name: [documents in insertion order]}, **members}``
+    where ``members`` (a validator's chain, lock and certificates) are
+    already encoded.  Nothing is copied or re-encoded: each collection
+    splices the bytes it kept per document, and the pieces are joined
+    only once, into the snapshot frame.  Joined they are byte-identical
+    to ``canonical_bytes`` of the equivalent dict state — the form
+    :func:`recover` decodes and :func:`load_collections` loads.
+    """
+    collections = {
+        name: database.collection(name).encoded_documents()
         for name in database.collection_names()
     }
+    return object_pieces({"collections": collections, **members})
 
 
 def load_collections(
@@ -207,12 +223,14 @@ def recover(durability: Any, database_factory: Callable[[], Database], repair: b
     snapshot = durability.snapshots.latest()
     if snapshot is not None:
         state.snapshot_lsn, snap_state = snapshot
+        # ``latest`` decoded the frame for this call alone, so its parts
+        # are taken by reference.
         load_collections(database, snap_state.get("collections", {}))
-        state.block_records = deep_copy_json(snap_state.get("blocks", []))
-        state.lock = deep_copy_json(snap_state.get("lock"))
+        state.block_records = snap_state.get("blocks", [])
+        state.lock = snap_state.get("lock")
         # Certificates snapshot as [height, cert] pairs (canonical JSON
         # keys must be strings; heights are ints).
-        for height, cert in deep_copy_json(snap_state.get("certs", [])):
+        for height, cert in snap_state.get("certs", []):
             state.certs[height] = cert
     for lsn, record in wal.scan():
         if lsn <= state.snapshot_lsn:

@@ -41,11 +41,23 @@ from repro.common.encoding import canonical_bytes, canonical_serialize
 FRAME_HEADER = 8
 
 
+def frame_payload(*parts: bytes) -> bytes:
+    """One wire frame whose payload is the concatenation of ``parts``.
+
+    The parts are already canonically encoded; length and checksum run
+    over them in place, so a multi-megabyte part (a checkpoint's state)
+    is copied once, into the frame.
+    """
+    length = checksum = 0
+    for part in parts:
+        length += len(part)
+        checksum = zlib.crc32(part, checksum)
+    return b"".join((length.to_bytes(4, "big"), checksum.to_bytes(4, "big"), *parts))
+
+
 def encode_frame(record: dict[str, Any]) -> bytes:
     """One wire frame for ``record`` (canonical JSON body)."""
-    payload = canonical_bytes(record)
-    header = len(payload).to_bytes(4, "big") + zlib.crc32(payload).to_bytes(4, "big")
-    return header + payload
+    return frame_payload(canonical_bytes(record))
 
 
 def decode_prefix(data: bytes) -> tuple[list[dict[str, Any]], int]:
@@ -76,6 +88,23 @@ def decode_prefix(data: bytes) -> tuple[list[dict[str, Any]], int]:
             break
         offset = body_end
     return frames, offset
+
+
+def single_frame_body(data: bytes) -> bytes | None:
+    """The body of ``data`` if it is exactly one intact frame, else None.
+
+    Length and checksum only — the body is not decoded, so a caller that
+    needs just a look at its first bytes (the same-LSN snapshot guard)
+    does not parse megabytes of state.
+    """
+    body = data[FRAME_HEADER:]
+    if (
+        len(data) < FRAME_HEADER
+        or int.from_bytes(data[:4], "big") != len(body)
+        or int.from_bytes(data[4:8], "big") != zlib.crc32(body)
+    ):
+        return None
+    return body
 
 
 def iter_frames(data: bytes) -> Iterator[dict[str, Any]]:
@@ -349,15 +378,22 @@ class SegmentedWal:
 
     # -- writing --------------------------------------------------------------
 
-    def append(self, record: dict[str, Any]) -> int:
+    def append(self, record: dict[str, Any], body: bytes | None = None) -> int:
         """Stamp ``record`` with the next LSN and append its frame.
+
+        ``body``, when given, is ``canonical_bytes(record)`` made earlier
+        (a journaled insert, lock or block is encoded once, where it is
+        built).  Either way the frame is spliced around the record's
+        bytes and equals ``encode_frame({"lsn": lsn, "rec": record})``.
 
         The bytes are *not* durable until :meth:`sync` — the group-commit
         layer batches many appends under one sync.
         """
         lsn = self.next_lsn
         self.next_lsn += 1
-        frame = encode_frame({"lsn": lsn, "rec": record})
+        if body is None:
+            body = canonical_bytes(record)
+        frame = frame_payload(b'{"lsn":%d,"rec":' % lsn, body, b"}")
         if not self._segments or self._active_size >= self.segment_max_bytes:
             name = self._segment_name(lsn)
             self._segments.append((lsn, name))

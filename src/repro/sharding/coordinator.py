@@ -57,7 +57,7 @@ from repro.common.errors import ValidationError
 from repro.core.cluster import SmartchainCluster
 from repro.core.transaction import OutputRef
 from repro.durability.node import NodeDurability
-from repro.durability.recovery import collections_state, recover
+from repro.durability.recovery import checkpoint_state, recover
 from repro.sharding.router import RoutingDecision
 from repro.sim.events import EventLoop
 from repro.storage.database import SMARTCHAINDB_LAYOUT, Database
@@ -191,8 +191,8 @@ class TwoPhaseCoordinator:
                 collection.create_index(path, unique=unique)
         return database
 
-    def _checkpoint_state(self) -> dict[str, Any]:
-        return {"collections": collections_state(self.durable)}
+    def _checkpoint_state(self) -> list[bytes]:
+        return checkpoint_state(self.durable)
 
     def _force(self) -> None:
         """2PC force-write point: flush the journal *now*.

@@ -81,7 +81,7 @@ from typing import Any, Callable
 from repro.common.encoding import deep_copy_json
 from repro.common.errors import MigrationError
 from repro.core.transaction import OutputRef
-from repro.durability.recovery import collections_state, recover, scan_block_records
+from repro.durability.recovery import checkpoint_state, recover, scan_block_records
 from repro.storage.database import Database
 
 #: Every phase, in protocol order (terminal states last).
@@ -266,8 +266,8 @@ class ReshardController:
         collection.create_index("phase")
         return database
 
-    def _checkpoint_state(self) -> dict[str, Any]:
-        return {"collections": collections_state(self.journal_db)}
+    def _checkpoint_state(self) -> list[bytes]:
+        return checkpoint_state(self.journal_db)
 
     def _force(self) -> None:
         """Migration force-write point: the ``cutover`` record must hit

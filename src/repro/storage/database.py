@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.common.encoding import canonical_bytes
 from repro.common.errors import CollectionNotFoundError
 from repro.storage.collection import Collection
 
@@ -62,6 +63,8 @@ class Database:
         self.name = name
         self.wal = wal
         self._collections: dict[str, Collection] = {}
+        #: Collection name -> its canonical bytes (insert record bodies).
+        self._encoded_names: dict[str, bytes] = {}
 
     def create_collection(self, name: str) -> Collection:
         """Create (or fetch) a collection by name."""
@@ -69,6 +72,7 @@ class Database:
         if collection is None:
             collection = Collection(name)
             self._collections[name] = collection
+            self._encoded_names[name] = canonical_bytes(name)
             if self.wal is not None:
                 collection.journal = self._journal
         return collection
@@ -84,8 +88,20 @@ class Database:
         for collection in self._collections.values():
             collection.journal = self._journal if wal is not None else None
 
-    def _journal(self, op: dict[str, Any]) -> None:
-        self.wal.append({"k": "db", **op})
+    def _journal(self, op: dict[str, Any], document: bytes | None = None) -> None:
+        """Emit one ``db`` record; an insert arrives with the stored
+        document's canonical bytes, so the record body is spliced around
+        them (sorted keys ``c`` < ``d`` < ``k`` < ``op``) instead of
+        encoding the document a second time at flush."""
+        record = {"k": "db", **op}
+        if document is None:
+            self.wal.append(record)
+        else:
+            self.wal.append(
+                record,
+                body=b'{"c":%s,"d":%s,"k":"db","op":"insert"}'
+                % (self._encoded_names[op["c"]], document),
+            )
 
     def collection(self, name: str) -> Collection:
         """Fetch an existing collection.

@@ -12,6 +12,9 @@ from repro.common.encoding import (
     deep_copy_json,
     hex_decode,
     hex_encode,
+    object_pieces,
+    splice_array,
+    splice_object,
 )
 from repro.common.errors import EncodingError
 
@@ -38,6 +41,54 @@ class TestCanonicalSerialize:
 
     def test_canonical_bytes_utf8(self):
         assert canonical_bytes({"k": "é"}) == '{"k":"é"}'.encode("utf-8")
+
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestSplice:
+    """Splicing already-encoded members == encoding the whole value."""
+
+    @given(st.dictionaries(st.text(), json_values, max_size=6))
+    def test_object_equals_whole_encoding(self, value):
+        members = {key: canonical_bytes(item) for key, item in value.items()}
+        assert splice_object(members) == canonical_bytes(value)
+
+    @given(st.lists(json_values, max_size=6))
+    def test_array_equals_whole_encoding(self, value):
+        assert splice_array(canonical_bytes(item) for item in value) == canonical_bytes(value)
+
+    def test_keys_are_sorted_and_escaped(self):
+        members = {"b": b"1", 'a"\n': b"[]", "é": b"null"}
+        assert splice_object(members) == canonical_bytes({"b": 1, 'a"\n': [], "é": None})
+
+    def test_empty(self):
+        assert splice_object({}) == b"{}"
+        assert splice_array([]) == b"[]"
+
+    @given(st.dictionaries(st.text(), st.dictionaries(st.text(), json_values, max_size=3), max_size=4))
+    def test_nested_objects_are_spliced_in_place(self, value):
+        members = {
+            outer: {key: canonical_bytes(item) for key, item in inner.items()}
+            for outer, inner in value.items()
+        }
+        assert splice_object(members) == canonical_bytes(value)
+
+    def test_pieces_hold_the_members_by_reference(self):
+        big = canonical_bytes(["x" * 1000])
+        pieces = object_pieces({"a": {"b": big}})
+        assert any(piece is big for piece in pieces)
+        assert b"".join(pieces) == b'{"a":{"b":' + big + b"}}"
 
 
 class TestBase58:

@@ -1,16 +1,19 @@
 """Snapshot + WAL replay rebuilds databases, chains and lock state."""
 
+import json
+
 from repro.consensus.types import Block, TxEnvelope
 from repro.durability.node import DurabilityConfig, NodeDurability
 from repro.durability.recovery import (
     apply_db_op,
     block_record,
-    collections_state,
+    checkpoint_state,
     diff_databases,
     load_collections,
     rebuild_block,
     recover,
 )
+from repro.durability.wal import encode_frame
 from repro.sim.events import EventLoop
 from repro.storage.database import Database
 
@@ -66,9 +69,7 @@ class TestSnapshots:
     def test_snapshot_bounds_replay(self):
         loop = EventLoop()
         durability, database = make_durable_db(loop, snapshot_interval=10)
-        durability.state_provider = lambda: {
-            "collections": collections_state(database)
-        }
+        durability.state_provider = lambda: checkpoint_state(database)
         items = database.create_collection("items")
         for i in range(35):
             items.insert_one({"n": i})
@@ -83,9 +84,7 @@ class TestSnapshots:
         durability, database = make_durable_db(
             loop, snapshot_interval=20, segment_max_bytes=512
         )
-        durability.state_provider = lambda: {
-            "collections": collections_state(database)
-        }
+        durability.state_provider = lambda: checkpoint_state(database)
         items = database.create_collection("items")
         for i in range(120):
             items.insert_one({"n": i, "pad": "x" * 40})
@@ -102,9 +101,7 @@ class TestSnapshots:
         durability, database = make_durable_db(
             loop, snapshot_interval=50, segment_max_bytes=256
         )
-        durability.state_provider = lambda: {
-            "collections": collections_state(database)
-        }
+        durability.state_provider = lambda: checkpoint_state(database)
         items = database.create_collection("items")
         for i in range(100):
             items.insert_one({"n": i, "pad": "x" * 16})
@@ -120,9 +117,7 @@ class TestSnapshots:
     def test_torn_same_lsn_snapshot_is_rewritten(self):
         loop = EventLoop()
         durability, database = make_durable_db(loop)
-        durability.state_provider = lambda: {
-            "collections": collections_state(database)
-        }
+        durability.state_provider = lambda: checkpoint_state(database)
         items = database.create_collection("items")
         for i in range(8):
             items.insert_one({"n": i})
@@ -134,6 +129,17 @@ class TestSnapshots:
         durability.checkpoint()  # same cutoff, but the torn file must be rewritten
         latest = durability.snapshots.latest()
         assert latest is not None and latest[0] == cutoff
+
+    def test_same_name_snapshot_of_another_lsn_is_rewritten(self):
+        """The guard reads the ``{"lsn":N,`` opening: a whole frame whose
+        LSN merely starts with the same digits does not count as taken."""
+        loop = EventLoop()
+        durability, _ = make_durable_db(loop)
+        snapshots = durability.snapshots
+        durability.disk.append(snapshots._name(5), encode_frame({"lsn": 50, "state": {}}))
+        durability.disk.sync(snapshots._name(5))
+        snapshots.take([b'{"blocks":[]}'], 5)
+        assert snapshots.latest() == (5, {"blocks": []})
 
     def test_torn_snapshot_falls_back_to_wal(self):
         loop = EventLoop()
@@ -156,7 +162,9 @@ class TestSnapshots:
         for i in range(5):
             col.insert_one({"n": i})
         target = Database("t")
-        load_collections(target, collections_state(source))
+        load_collections(
+            target, json.loads(b"".join(checkpoint_state(source)))["collections"]
+        )
         assert [d["n"] for d in target.collection("c").find({})] == [0, 1, 2, 3, 4]
 
 

@@ -8,6 +8,7 @@ from repro.durability.wal import (
     SimDisk,
     encode_frame,
     iter_frames,
+    single_frame_body,
     valid_prefix_length,
 )
 
@@ -40,6 +41,29 @@ class TestFrames:
     def test_unicode_survives_canonical_encoding(self):
         frame = encode_frame({"name": "zoë", "glyph": "✓"})
         assert list(iter_frames(frame)) == [{"name": "zoë", "glyph": "✓"}]
+
+
+    def test_single_frame_body_accepts_exactly_one_intact_frame(self):
+        frame = encode_frame({"lsn": 7, "state": {"k": "zoë"}})
+        assert single_frame_body(frame) == frame[FRAME_HEADER:]
+        assert single_frame_body(frame + frame) is None  # a second frame appended
+        assert single_frame_body(frame[:-1]) is None  # torn tail
+        assert single_frame_body(frame[:5]) is None  # torn header
+        assert single_frame_body(b"") is None
+        flipped = bytearray(frame)
+        flipped[-2] ^= 0xFF
+        assert single_frame_body(bytes(flipped)) is None
+
+    def test_append_with_a_pre_encoded_body_writes_the_same_frame(self):
+        spliced, encoded = SimDisk(), SimDisk()
+        record = {"k": "db", "op": "insert", "c": "rows", "d": {"z": 1.5, "a": "é"}}
+        body = b'{"c":"rows","d":{"a":"\xc3\xa9","z":1.5},"k":"db","op":"insert"}'
+        SegmentedWal(spliced).append(record, body)
+        SegmentedWal(encoded).append(record)
+        spliced.sync_all()
+        encoded.sync_all()
+        (name,) = spliced.list()
+        assert spliced.read(name) == encoded.read(name) != b""
 
 
 class TestSimDisk:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.encoding import canonical_bytes
 from repro.common.errors import DuplicateKeyError, QueryError
 from repro.storage.collection import Collection
 
@@ -159,3 +160,61 @@ def test_indexed_and_scan_results_agree_property(entries, wanted):
     via_index = sorted(d["id"] for d in indexed.find({"operation": wanted}))
     naive = sorted(d["id"] for d in plain if d["operation"] == wanted)
     assert via_index == naive
+
+
+class TestKeptBytes:
+    """A journaled collection keeps each live document's canonical bytes."""
+
+    @pytest.fixture()
+    def journaled(self, txs):
+        self.journal = []
+        txs.journal = lambda op, document=None: self.journal.append((op, document))
+        return txs
+
+    def test_insert_hands_the_journal_the_documents_bytes(self, journaled):
+        doc_id = journaled.insert_one(doc("t1", keys=("é",)))
+        (op, fragment), = self.journal
+        assert op["op"] == "insert"
+        assert fragment == canonical_bytes(op["d"]) == journaled._fragments[doc_id]
+
+    def test_rejected_insert_keeps_nothing(self, journaled):
+        journaled.insert_one(doc("t1"))
+        with pytest.raises(DuplicateKeyError):
+            journaled.insert_one(doc("t1"))
+        assert len(journaled._fragments) == 1
+
+    def test_update_and_delete_drop_them(self, journaled):
+        journaled.insert_many([doc("t1"), doc("t2", "BID"), doc("t3", "BID")])
+        journaled.update_many({"id": "t1"}, {"$set": {"operation": "BID"}})
+        journaled.update_many({"id": "t2"}, lambda found: {**found, "seen": True})
+        journaled.delete_many({"id": "t3"})
+        assert len(journaled) == 2 and journaled._fragments == {}
+
+    def test_volatile_collection_keeps_none(self, txs):
+        txs.insert_many([doc("t1"), doc("t2")])
+        txs.update_many({"id": "t1"}, {"$set": {"operation": "BID"}})
+        assert txs._fragments == {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["insert", "set", "call", "delete"]), st.integers(0, 12)),
+            max_size=40,
+        )
+    )
+    def test_dump_equals_whole_encoding_and_bytes_track_live_documents(self, steps):
+        collection = Collection("c")
+        collection.create_index("n")
+        collection.journal = lambda op, document=None: None
+        for serial, (step, n) in enumerate(steps):
+            if step == "insert":
+                collection.insert_one({"n": n, "zeta": serial / 3.0, "alpha": {"ü": []}})
+            elif step == "set":
+                collection.update_many({"n": n}, {"$set": {"alpha.set": serial}})
+            elif step == "call":
+                collection.update_many({"n": n}, lambda found: {**found, "called": serial})
+            else:
+                collection.delete_many({"n": n})
+            assert set(collection._fragments) <= set(collection._documents)
+        assert collection.encoded_documents() == canonical_bytes(collection.find({}))
+        assert set(collection._fragments) == set(collection._documents)

@@ -1,5 +1,6 @@
 """ChangeFeed: views see exactly the durable journal, nothing more."""
 
+from repro.common.encoding import canonical_bytes
 from repro.durability.node import DurabilityConfig, NodeDurability
 from repro.durability.recovery import scan_block_records
 from repro.sim.events import EventLoop
@@ -79,7 +80,9 @@ class TestBootstrap:
 
     def test_scan_block_records_covers_snapshot_and_wal_suffix(self):
         loop, durability, views, feed = make_stack()
-        durability.state_provider = lambda: {"blocks": [block(1, create("c1", "alice"))]}
+        durability.state_provider = lambda: [
+            canonical_bytes({"blocks": [block(1, create("c1", "alice"))]})
+        ]
         durability.journal({"k": "block", "b": block(1, create("c1", "alice"))})
         loop.run_until_idle()
         durability.checkpoint()  # block 1 now lives in the snapshot only
