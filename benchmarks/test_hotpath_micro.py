@@ -17,9 +17,13 @@ rewired, each against a faithful re-implementation of the previous
   iterator + key re-hash per transaction, per-transaction dedup-window
   trims) against the ``popitem``-based reap with batched window upkeep.
 
-Results are written to ``BENCH_hotpath.json`` at the repo root so the
-perf trajectory is tracked across PRs.  The acceptance gates double as
-the CI perf-regression floor: query >= 4x, commit >= 4x (ISSUE 4).
+Under pytest (tier-1) the file gates what repeats exactly — both sides of
+every comparison return the same answers, and the cached pipeline does
+each stateless check once per transaction — and only prints the
+speedups.  Run as a script (CI ``hotpath-smoke``) it also asserts the
+perf-regression floors (query >= 4x, commit >= 4x; ISSUE 4) and then
+writes ``BENCH_hotpath.json`` at the repo root so the perf trajectory is
+tracked across PRs.
 """
 
 from __future__ import annotations
@@ -162,9 +166,15 @@ def measure_query_throughput() -> dict[str, float]:
 
     interpreted_s = timed(run_interpreted)
     compiled_s = timed(run_compiled)
+    matched = 0
+    for query in queries[::7]:  # odd stride: every query shape
+        expected = interpreted_find(collection, query)
+        assert collection.find(query, copy=False) == expected, query
+        matched += len(expected)
     return {
         "documents": N_DOCUMENTS,
         "queries": N_QUERIES,
+        "documents_matched_in_parity_sample": matched,
         "interpreted_qps": round(N_QUERIES / interpreted_s, 1),
         "compiled_qps": round(N_QUERIES / compiled_s, 1),
         "speedup": round(interpreted_s / compiled_s, 2),
@@ -174,20 +184,22 @@ def measure_query_throughput() -> dict[str, float]:
 def measure_insert_throughput() -> dict[str, float]:
     keys = [(number * 2_654_435_761) % 1_000_003 for number in range(N_INDEX_INSERTS)]
 
+    from repro.storage.indexes import SortedIndex
+
+    flat, blocked = FlatSortedIndex(), SortedIndex("height")
+
     def run_flat() -> None:
-        index = FlatSortedIndex()
         for doc_id, key in enumerate(keys):
-            index.add(key, doc_id)
+            flat.add(key, doc_id)
 
     def run_blocked() -> None:
-        from repro.storage.indexes import SortedIndex
-
-        index = SortedIndex("height")
         for doc_id, key in enumerate(keys):
-            index._insert(key, doc_id)
+            blocked._insert(key, doc_id)
 
     flat_s = timed(run_flat)
     blocked_s = timed(run_blocked)
+    # Same ordered contents: a range over everything returns the flat order.
+    assert list(blocked.range()) == flat._ids
     return {
         "inserts": N_INDEX_INSERTS,
         "flat_ips": round(N_INDEX_INSERTS / flat_s, 1),
@@ -213,7 +225,8 @@ def measure_commit_latency() -> dict[str, float]:
         # The cluster-wide signature cache is process-global; pin it to a
         # known state per phase so neither the seed baseline nor earlier
         # tests in the session leak verdicts into the measurement.
-        previous = set_shared_cache(SignatureCache() if signature_cache else None)
+        signatures = SignatureCache() if signature_cache else None
+        previous = set_shared_cache(signatures)
         durations = []
         try:
             for payload in payloads:
@@ -223,6 +236,12 @@ def measure_commit_latency() -> dict[str, float]:
                     assert validator.check_tx(payload)    # validator CheckTx
                 validator.validate_semantics(ctx, payload)  # DeliverTx
                 durations.append(time.perf_counter() - start)
+            if verification_cache:
+                # Admitted once: one miss, then five hits, and one real
+                # signature verification per transaction.
+                probe = validator.verification_cache
+                assert (probe.misses, probe.hits) == (N_COMMIT_TXS, 5 * N_COMMIT_TXS)
+                assert (signatures.misses, signatures.hits) == (N_COMMIT_TXS, 0)
             return durations
         finally:
             set_shared_cache(previous)
@@ -320,24 +339,31 @@ def measure_mempool_reap() -> dict[str, float]:
     }
 
 
-def test_hotpath_micro():
+def run_report() -> dict:
+    """Measure every section (their parity and count gates run inside)
+    and print the report; the speedups are reported, not judged."""
     report = {
         "query_throughput": measure_query_throughput(),
         "insert_throughput": measure_insert_throughput(),
         "commit_latency": measure_commit_latency(),
         "mempool_reap": measure_mempool_reap(),
     }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-
     lines = ["hot-path microbenchmark"]
     for section, numbers in report.items():
         lines.append(f"  {section}: " + ", ".join(f"{k}={v}" for k, v in numbers.items()))
     print("\n".join(lines))
+    return report
 
+
+def test_hotpath_micro():
+    run_report()
+
+
+if __name__ == "__main__":
+    report = run_report()
     # Perf-regression floors (ISSUE 4): the CI perf smoke job fails when
     # these drop, so a PR cannot silently give the speedups back.
+    # Gates first: a red run leaves the tracked file alone.
     assert report["query_throughput"]["speedup"] >= 4.0, report["query_throughput"]
     assert report["commit_latency"]["speedup"] >= 4.0, report["commit_latency"]
     # Conservative bounds for the remaining paths (typical measurements
@@ -345,7 +371,6 @@ def test_hotpath_micro():
     # against regressing below the seed implementation).
     assert report["insert_throughput"]["speedup"] >= 1.5, report["insert_throughput"]
     assert report["mempool_reap"]["speedup"] >= 1.0, report["mempool_reap"]
-
-
-if __name__ == "__main__":
-    test_hotpath_micro()
+    with open(BENCH_PATH, "w") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")

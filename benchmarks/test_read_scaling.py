@@ -24,8 +24,12 @@ not gated at 10x: those scans were already index-served, so the views'
 win there is bounded — the O(history) wins live on the analytics
 surface.
 
-Results go to ``BENCH_reads.json`` at the repo root; CI uploads the file
-so the read-path trajectory is visible across PRs.
+Under pytest (tier-1) the file gates what repeats exactly — both read
+paths answer identically, view-served reads never touch the document
+store, lag is zero at idle — and only prints the speedups.  Run as a
+script (CI ``hotpath-smoke``) it also asserts the >= 10x bar and then
+writes ``BENCH_reads.json`` at the repo root, so the read-path
+trajectory is visible across PRs.
 """
 
 from __future__ import annotations
@@ -171,7 +175,9 @@ def _view_lag(cluster) -> int:
     )
 
 
-def test_read_scaling():
+def run_report() -> dict:
+    """Build the history, measure both read paths (parity and count gates
+    run here) and print the report; speedups are reported, not judged."""
     cluster, sample_assets = _build_history()
     server = cluster.any_server()
     assert server.views_current()
@@ -227,10 +233,6 @@ def test_read_scaling():
         },
         "read_stats": dict(server.read_stats),
     }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-
     dashboard = report["analytics_dashboard"]
     print(
         f"read scaling: dashboard {dashboard['scan_ms']}ms scans vs "
@@ -238,14 +240,24 @@ def test_read_scaling():
         f"view-served store reads={store_reads['view_served_finds']}, lag={lag}"
     )
 
-    # Acceptance gates (ISSUE 8): repeated analytics queries >= 10x
-    # faster from views, served without touching the document store,
-    # with zero staleness once the loop is idle.
-    assert speedup >= 10.0, dashboard
+    # Acceptance gates (ISSUE 8), the deterministic part: views answer
+    # without touching the document store, with zero staleness once the
+    # loop is idle.
     assert store_reads["view_served_finds"] == 0, store_reads
     assert store_reads["scan_finds"] > 0, store_reads  # the counter works
     assert lag == 0, report["freshness"]
+    return report
+
+
+def test_read_scaling():
+    run_report()
 
 
 if __name__ == "__main__":
-    test_read_scaling()
+    report = run_report()
+    # ISSUE 8's wall-clock bar: repeated analytics queries >= 10x faster
+    # from views.  Gate first: a red run leaves the tracked file alone.
+    assert report["analytics_dashboard"]["speedup"] >= 10.0, report["analytics_dashboard"]
+    with open(BENCH_PATH, "w") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")

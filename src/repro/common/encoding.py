@@ -155,6 +155,11 @@ def hex_decode(text: str) -> bytes:
         raise EncodingError(f"invalid hex string: {exc}") from exc
 
 
+#: The JSON leaf types.  ``deep_copy_json`` tests them inline — saving a
+#: recursive call per leaf, which is most of a document.
+SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def deep_copy_json(value: Any) -> Any:
     """Copy a JSON-like structure (dict/list/scalars) without shared state.
 
@@ -163,7 +168,13 @@ def deep_copy_json(value: Any) -> Any:
     cannot corrupt validated state.
     """
     if isinstance(value, dict):
-        return {key: deep_copy_json(item) for key, item in value.items()}
+        return {
+            key: item if type(item) in SCALAR_TYPES else deep_copy_json(item)
+            for key, item in value.items()
+        }
     if isinstance(value, list):
-        return [deep_copy_json(item) for item in value]
+        return [
+            item if type(item) in SCALAR_TYPES else deep_copy_json(item)
+            for item in value
+        ]
     return value

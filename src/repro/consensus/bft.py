@@ -46,7 +46,7 @@ from repro.consensus.types import (
     precommit_message,
 )
 from repro.crypto.keys import keypair_from_string, verify_signature
-from repro.durability.recovery import block_record
+from repro.durability.recovery import block_record, encoded_block_record
 from repro.sim.events import EventHandle, EventLoop
 from repro.sim.network import Message, Network
 
@@ -731,7 +731,7 @@ class Validator:
             # catch-up; a decided lock needs no explicit clear — recovery
             # drops any lock at or below the recovered chain height.
             record = {"k": "block", "b": block_record(block)}
-            body = {"k": b'"block"', "b": self._block_body(block, record["b"])}
+            body = {"k": b'"block"', "b": self._block_body(block)}
             if cert is not None:
                 record["cert"] = cert
                 body["cert"] = self._cert_body(block.height, cert)
@@ -953,25 +953,25 @@ class Validator:
         precommit this lock licenses is broadcast next, and a vote that
         outran its lock's durability is the height-fork race with a
         crash in the middle."""
-        record = block_record(self._locked_block)
         self.persistence.journal(
-            {"k": "lock", "r": self._locked_round, "b": record},
+            {"k": "lock", "r": self._locked_round, "b": block_record(self._locked_block)},
             body=splice_object(
                 {
                     "k": b'"lock"',
                     "r": b"%d" % self._locked_round,
-                    "b": self._block_body(self._locked_block, record),
+                    "b": self._block_body(self._locked_block),
                 }
             ),
         )
         self.persistence.log.flush_now()
 
-    def _block_body(self, block: Block, record: dict | None = None) -> bytes:
-        """Canonical bytes of ``block``'s record (``record`` if the caller
-        already built it), encoded on first use per block."""
+    def _block_body(self, block: Block) -> bytes:
+        """Canonical bytes of ``block``'s record, made on first use per
+        block — around the transactions' own bytes when the application
+        keeps them (its optional ``kept_payload`` hook)."""
         entry = self._block_bytes.get(block.height)
         if entry is None or entry[0] is not block:
-            encoded = canonical_bytes(record or block_record(block))
+            encoded = encoded_block_record(block, getattr(self.app, "kept_payload", None))
             entry = self._block_bytes[block.height] = (block, encoded)
         return entry[1]
 

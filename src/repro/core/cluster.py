@@ -23,6 +23,7 @@ from repro.core.driver import Driver, DriverCallback
 from repro.core.nested import NestedTransactionProcessor
 from repro.core.server import ServerCostModel, SmartchainServer
 from repro.core.transaction import ACCEPT_BID
+from repro.core.validation import shared_memo
 from repro.crypto.keys import ReservedAccounts
 from repro.durability.node import DurabilityConfig, NodeDurability
 from repro.durability.recovery import checkpoint_state, recover
@@ -306,10 +307,14 @@ class SmartchainCluster:
         if not _retry:
             # The driver-to-cluster trust boundary: one deep copy here
             # means no caller-held reference can mutate the payload the
-            # pipeline (and its identity-keyed verification cache)
-            # verifies — the single copy the zero-copy discipline keeps.
+            # pipeline (and its identity-keyed admission memo) verifies,
+            # stores and journals by reference from here on — the single
+            # copy the zero-copy discipline keeps.
             payload = deep_copy_json(payload)
-        size_bytes = len(canonical_bytes(payload))
+        # The one canonical encoding of the payload: sizes it here, then
+        # (once admitted) is what every durable replica journals.
+        encoded = canonical_bytes(payload)
+        size_bytes = len(encoded)
         now = self.loop.clock.now
         record = TxRecord(tx_id, operation, size_bytes, submitted_at=now)
         self.records[tx_id] = record
@@ -362,6 +367,8 @@ class SmartchainCluster:
                     )
                 self._fire_callback(tx_id, "rejected", str(error))
                 return
+            if self.node_durability:
+                shared_memo().keep_encoded(payload, encoded)
             if trace_flags & TRACE_SAMPLED:
                 self.telemetry.tracer.event(
                     tx_id, "receiver_validated", node=self.node_label(receiver_id)

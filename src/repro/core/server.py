@@ -27,7 +27,7 @@ from repro.core.context import ValidationContext
 from repro.core.nested import NestedTransactionProcessor
 from repro.core.parallel import ConflictScheduler
 from repro.core.transaction import ACCEPT_BID, RETURN, OutputRef
-from repro.core.validation import TransactionValidator
+from repro.core.validation import TransactionValidator, encoded_payload, kept_payload
 from repro.crypto.keys import ReservedAccounts
 from repro.sim.clock import SimClock
 from repro.storage.database import Database, make_smartchaindb_database
@@ -179,12 +179,16 @@ class SmartchainServer:
         cross-shard spend.  Per-node and advisory, so the time-varying
         lock table is safe to consult here."""
         self.stats["checked"] += 1
-        if not self.validator.check_tx(envelope.payload):
-            return False
-        if self._spends_guarded_output(envelope.payload):
+        return self.validator.check_tx(envelope.payload) and self._admissible(
+            envelope.payload
+        )
+
+    def _admissible(self, payload: dict[str, Any]) -> bool:
+        """The node-local half of CheckTx: lock oracle, then ingress gates."""
+        if self._spends_guarded_output(payload):
             return False
         for gate in self.context.ingress_gates:
-            if gate(envelope.payload) is not None:
+            if gate(payload) is not None:
                 return False
         return True
 
@@ -205,11 +209,22 @@ class SmartchainServer:
     def check_block(self, envelopes: list[TxEnvelope]) -> list[bool]:
         """Whole-block CheckTx: every signature in the block settles
         through one batched verification before the per-transaction
-        checks run (the consensus engine's optional batching hook)."""
+        checks run (the consensus engine's optional batching hook).
+        Verdict for verdict what :meth:`check_tx` returns one at a time,
+        lock oracle and ingress gates included."""
         self.stats["checked"] += len(envelopes)
-        return self.validator.check_block(
-            [envelope.payload for envelope in envelopes], rng=self._crypto_rng
-        )
+        payloads = [envelope.payload for envelope in envelopes]
+        stateless = self.validator.check_block(payloads, rng=self._crypto_rng)
+        return [
+            ok and self._admissible(payload)
+            for ok, payload in zip(stateless, payloads)
+        ]
+
+    def kept_payload(self, payload: dict[str, Any]) -> bytes | None:
+        """The canonical bytes already held for a transaction payload, if
+        any (the consensus engine's optional hook for splicing durable
+        block records)."""
+        return kept_payload(payload)
 
     def deliver_tx(self, envelope: TxEnvelope) -> bool:
         """DeliverTx: the final stateful validation before mutating state.
@@ -224,13 +239,15 @@ class SmartchainServer:
         self.context.now = self.clock.now
         self.context.use_spend_guards = False
         try:
-            transaction = self.validator.validate_semantics(self.context, envelope.payload)
+            self.validator.validate_semantics(self.context, envelope.payload)
         except ValidationError:
             self.stats["rejected"] += 1
             return False
         finally:
             self.context.use_spend_guards = True
-        self.context.stage(transaction.to_dict())
+        # Frozen at the submit boundary: staged, stored and journaled by
+        # reference from here on.
+        self.context.stage(envelope.payload)
         self.stats["delivered"] += 1
         tel = self.telemetry
         if tel is not None and tel.enabled and envelope.trace_flags & 1:
@@ -257,7 +274,7 @@ class SmartchainServer:
         spent_in_block: set[tuple[str, int]] = set()
         for envelope in delivered:
             payload = envelope.payload
-            transactions.insert_one(payload)
+            transactions.insert_one(payload, copy=False, encode=encoded_payload)
             asset = payload.get("asset") or {}
             if "data" in asset:
                 assets.insert_one({"id": payload["id"], "data": asset.get("data")})

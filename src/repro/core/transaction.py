@@ -176,21 +176,43 @@ class Transaction:
         {"operation", "asset", "inputs", "outputs", "metadata", "references", "children"}
     )
 
+    #: True once :meth:`seal` verified the instance and made it read-only.
+    _sealed = False
+
     def __setattr__(self, name: str, value: Any) -> None:
+        if self._sealed:
+            raise AttributeError(f"sealed transaction is read-only (tried to set {name!r})")
         object.__setattr__(self, name, value)
         if name in Transaction._BODY_FIELDS:
             self.invalidate_caches()
 
     def invalidate_caches(self) -> None:
         """Drop memoised canonical bytes/ids after in-place mutation."""
+        if self._sealed:
+            raise AttributeError("sealed transaction is read-only")
         object.__setattr__(self, "_cached_signing_payload", None)
         object.__setattr__(self, "_cached_signed_bytes", None)
         object.__setattr__(self, "_cached_id", None)
-        # Tri-state signature verdict, written only by the server
-        # validation pipeline (which owns the instance for the duration
-        # of validation): None = unknown, True/False = already verified
-        # for the identical payload.
-        object.__setattr__(self, "_signatures_memo", None)
+
+    @property
+    def sealed(self) -> bool:
+        """Whether :meth:`seal` verified and froze this instance."""
+        return self._sealed
+
+    def seal(self) -> bool:
+        """Verify id and signatures once, then freeze; True if sealed.
+
+        A sealed transaction is what the admission memo
+        (:mod:`repro.core.validation`) shares between every replica of
+        the process: its attributes reject assignment, its canonical
+        forms are already memoised, and :meth:`verify_signatures`
+        answers True without touching the signature cache — the verdict
+        was a pure function of a body that can no longer change.  A
+        transaction failing either check stays unsealed and writable.
+        """
+        if not self._sealed and self.verify_id() and self.verify_signatures():
+            object.__setattr__(self, "_sealed", True)
+        return self._sealed
 
     # -- serialisation --------------------------------------------------------
 
@@ -324,15 +346,13 @@ class Transaction:
         output are checked against that output's condition by the
         semantic validators (which know the prior transaction).
 
-        When the server validation pipeline has already verified this
-        exact payload (``_signatures_memo``), the ed25519 verifications
-        are skipped; otherwise they always run — the method never stores
-        the memo itself, so direct callers see in-place fulfillment
-        mutations.
+        A :meth:`seal`-ed transaction already passed and cannot change;
+        otherwise the ed25519 verifications always run — the method
+        stores no verdict itself, so direct callers see in-place
+        fulfillment mutations.
         """
-        memo = self._signatures_memo
-        if memo is not None:
-            return memo
+        if self._sealed:
+            return True
         payload = self.signing_payload()
         for item in self.inputs:
             condition = Condition(public_keys=tuple(item.owners_before), threshold=1)

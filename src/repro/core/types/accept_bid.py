@@ -106,7 +106,8 @@ class AcceptBidValidator:
         request_payload: dict[str, Any],
     ) -> None:
         """Algorithm 3 line 6: only the requester may accept a bid."""
-        accept_signer = ctx.signer_of(transaction.to_dict())
+        owners = transaction.inputs[0].owners_before if transaction.inputs else []
+        accept_signer = owners[0] if owners else None
         request_signer = ctx.signer_of(request_payload)
         if accept_signer is None or accept_signer != request_signer:
             raise ValidationError(

@@ -34,7 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.common.encoding import canonical_serialize, deep_copy_json, object_pieces
+from repro.common.encoding import (
+    canonical_bytes,
+    canonical_serialize,
+    deep_copy_json,
+    object_pieces,
+    splice_array,
+)
 from repro.consensus.types import Block, TxEnvelope
 from repro.storage.database import Database
 from repro.durability.wal import SegmentedWal
@@ -43,25 +49,64 @@ from repro.durability.wal import SegmentedWal
 # -- block (de)serialisation --------------------------------------------------
 
 
-def block_record(block: Block) -> dict[str, Any]:
-    """Serialise a consensus block, envelopes included."""
+def _block_header(block: Block) -> dict[str, Any]:
     return {
         "h": block.height,
         "r": block.round,
         "p": block.proposer,
         "prev": block.previous_id,
         "id": block.block_id,
-        "txs": [
-            [
-                envelope.tx_id,
-                envelope.payload,
-                envelope.size_bytes,
-                envelope.weight,
-                envelope.submitted_at,
-            ]
-            for envelope in block.transactions
-        ],
     }
+
+
+def _envelope_item(envelope: TxEnvelope) -> list[Any]:
+    """An envelope's entry in its block's record; slot 1 is the payload."""
+    return [
+        envelope.tx_id,
+        envelope.payload,
+        envelope.size_bytes,
+        envelope.weight,
+        envelope.submitted_at,
+    ]
+
+
+def block_record(block: Block) -> dict[str, Any]:
+    """Serialise a consensus block, envelopes included."""
+    record = _block_header(block)
+    record["txs"] = [_envelope_item(envelope) for envelope in block.transactions]
+    return record
+
+
+def encoded_block_record(
+    block: Block, kept_payload: Callable[[Any], bytes | None] | None = None
+) -> bytes:
+    """``canonical_bytes(block_record(block))``, byte for byte.
+
+    ``kept_payload(payload)`` returns the canonical bytes somebody
+    already holds for that payload object, or None.  When every
+    transaction of the block has them they are spliced in by reference
+    and only the header and the envelopes' scalars are encoded; a block
+    with nothing to splice (empty, no ``kept_payload``, or read back
+    from disk so nothing of it was ever admitted here) is encoded whole,
+    in one call.
+    """
+    kept = (
+        [kept_payload(envelope.payload) for envelope in block.transactions]
+        if kept_payload is not None
+        else []
+    )
+    if not kept or None in kept:
+        return canonical_bytes(block_record(block))
+
+    def item(envelope: TxEnvelope, payload: bytes) -> bytes:
+        fields = _envelope_item(envelope)
+        before, after = canonical_bytes(fields[:1]), canonical_bytes(fields[2:])
+        return b"%s,%s,%s" % (before[:-1], payload, after[1:])
+
+    # "txs" sorts after every header key, so it closes the object (the
+    # parity with ``block_record`` is pinned in tests/durability).
+    header = canonical_bytes(_block_header(block))
+    return b'%s,"txs":%s}' % (header[:-1], splice_array(map(item, block.transactions, kept)))
 
 
 def rebuild_block(record: dict[str, Any]) -> Block:

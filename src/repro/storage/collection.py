@@ -23,7 +23,12 @@ class Collection:
     Reads therefore only pay for a copy when the caller may mutate the
     result: ``find(...)`` defaults to copying, while internal read-only
     consumers (validation, analytics) pass ``copy=False`` and receive the
-    frozen stored documents directly — the zero-copy hot path.
+    frozen stored documents directly — the zero-copy hot path.  Its
+    mirror on the write side is ``insert_one(..., copy=False)``: a caller
+    whose document is *already* frozen (a transaction payload past the
+    submit boundary) hands it over by reference, so every replica of a
+    process stores the same dict — sound for the same reason zero-copy
+    reads are: nothing ever mutates a stored document in place.
 
     Queries are *compiled once* (:mod:`repro.storage.compiler`) and the
     resulting predicate closure is evaluated per candidate, instead of
@@ -100,11 +105,27 @@ class Collection:
 
     # -- writes ---------------------------------------------------------------
 
-    def insert_one(self, document: dict[str, Any]) -> int:
+    def insert_one(
+        self,
+        document: dict[str, Any],
+        *,
+        copy: bool = True,
+        encode: Callable[[dict[str, Any]], bytes] = canonical_bytes,
+    ) -> int:
         """Insert a document; returns its internal id.
 
         The document is deep-copied here — the single freeze-on-insert
         copy — so later caller mutation cannot corrupt stored state.
+
+        Args:
+            copy: ``copy=False`` stores the caller's object itself.  The
+                caller vouches that it is frozen: no reference that could
+                mutate it exists outside code honouring the stored-document
+                contract (internal callers only — the counterpart of
+                ``find(copy=False)``).
+            encode: how a journaled collection gets the stored document's
+                canonical bytes; a caller that already holds them passes
+                a lookup returning exactly ``canonical_bytes(document)``.
 
         Raises:
             DuplicateKeyError: if a unique index is violated (the insert is
@@ -113,7 +134,7 @@ class Collection:
         """
         if not isinstance(document, dict):
             raise StorageError(f"{self.name}: documents must be mappings")
-        stored = deep_copy_json(document)
+        stored = deep_copy_json(document) if copy else document
         doc_id = next(self._next_id)
         added: list[HashIndex] = []
         try:
@@ -131,7 +152,7 @@ class Collection:
         if self.journal is not None:
             # ``stored`` is frozen from here on, so the journal record
             # may hold it by reference and its encoding never goes stale.
-            fragment = self._fragments[doc_id] = canonical_bytes(stored)
+            fragment = self._fragments[doc_id] = encode(stored)
             self.journal({"op": "insert", "c": self.name, "d": stored}, fragment)
         return doc_id
 

@@ -11,8 +11,8 @@ predicates dominate naive query evaluation in relational engines.
 dictionary is translated *once* into a tree of nested closures — paths
 pre-split, operands pre-bound, regexes pre-compiled — and the resulting
 :class:`Predicate` is a plain callable ``doc -> bool``.  Compiled
-predicates are cached in a small LRU keyed on the canonical JSON bytes of
-the query, so the repeated queries issued by validation and analytics
+predicates are cached in a small LRU keyed on the query's structure (its
+scalar clauses, or its canonical JSON when nested), so the repeated queries issued by validation and analytics
 (``{"operation": "BID", "references": <rfq>}`` and friends) compile
 exactly once per shape.
 
@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import re
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Any, Callable
 
-from repro.common.encoding import canonical_serialize, deep_copy_json
+from repro.common.encoding import SCALAR_TYPES, canonical_serialize, deep_copy_json
 from repro.common.errors import EncodingError, QueryError
 from repro.storage.documents import (
     _TYPE_NAMES,
@@ -581,17 +582,41 @@ def _compile_matcher(query: dict[str, Any]) -> DocMatcher:
 # -- the LRU-cached entry point -----------------------------------------------
 
 _CACHE_MAX = 1024
-_cache: "OrderedDict[str, Predicate]" = OrderedDict()
+_cache: "OrderedDict[Any, Predicate]" = OrderedDict()
 _cache_hits = 0
 _cache_misses = 0
+
+
+def _cache_key(query: dict[str, Any]) -> Any:
+    """LRU key of a query, or None when it cannot be cached.
+
+    A flat query of string paths and scalar operands — nearly every query
+    the write path issues — is keyed on its sorted ``(path, operand type,
+    operand)`` triples.  The type is part of the key because ``True ==
+    1 == 1.0`` and they hash alike, while their predicates differ (the
+    canonical JSON key told them apart as ``true`` / ``1`` / ``1.0``).
+    Anything nested (operator documents, ``$elemMatch``, ``$or`` lists)
+    is keyed on its canonical JSON text.
+    """
+    triples = []
+    for path, operand in query.items():
+        if type(path) is not str or type(operand) not in SCALAR_TYPES:
+            try:
+                return canonical_serialize(query)
+            except EncodingError:
+                return None
+        triples.append((path, type(operand), operand))
+    if len(triples) > 1:
+        triples.sort(key=itemgetter(0))
+    return tuple(triples)
 
 
 def compile_query(query: dict[str, Any]) -> Predicate:
     """Compile ``query`` into a reusable :class:`Predicate`.
 
-    Compiled predicates are cached in an LRU keyed on the canonical JSON
-    serialisation of the query, so two structurally identical queries (the
-    overwhelmingly common case on the validation hot path) share one
+    Compiled predicates are cached in an LRU keyed on the query's
+    structure (:func:`_cache_key`), so two structurally identical queries
+    (the overwhelmingly common case on the validation hot path) share one
     compilation.  Queries containing non-JSON values (e.g. compiled
     pattern objects) are compiled uncached.
 
@@ -602,10 +627,7 @@ def compile_query(query: dict[str, Any]) -> Predicate:
     global _cache_hits, _cache_misses
     if not isinstance(query, dict):
         raise QueryError("query must be a mapping")
-    try:
-        key = canonical_serialize(query)
-    except EncodingError:
-        key = None
+    key = _cache_key(query)
     if key is not None:
         cached = _cache.get(key)
         if cached is not None:

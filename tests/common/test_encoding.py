@@ -144,3 +144,46 @@ class TestDeepCopyJson:
     def test_scalars_pass_through(self):
         assert deep_copy_json(5) == 5
         assert deep_copy_json(None) is None
+
+    def test_matches_the_recursive_reference(self):
+        """The inlined leaf test must copy exactly what recursing into
+        every leaf did."""
+
+        def reference(value):
+            if isinstance(value, dict):
+                return {key: reference(item) for key, item in value.items()}
+            if isinstance(value, list):
+                return [reference(item) for item in value]
+            return value
+
+        class Tagged(dict):
+            pass
+
+        class Batch(list):
+            pass
+
+        marker = (1, 2)  # not JSON: passed through by reference, as before
+        original = {
+            "scalars": [0, 1, True, False, None, 1.5, "", "é"],
+            "empties": {"d": {}, "l": [], "ll": [[]], "ld": [{}], "dl": {"x": []}},
+            "sub": Tagged(a=Batch([1, Tagged(b=2)]), b=Batch()),
+            "deep": [[[{"k": [{"z": None}]}]]],
+            "foreign": marker,
+        }
+        copy = deep_copy_json(original)
+        assert copy == reference(original) == original
+        assert type(copy["sub"]) is dict and type(copy["sub"]["a"]) is list
+        assert type(copy["sub"]["a"][1]) is dict
+        assert copy["foreign"] is marker
+        assert copy["scalars"][2] is True and copy["scalars"][1] == 1
+        assert type(copy["scalars"][1]) is int
+
+    def test_shared_subtrees_become_independent_copies(self):
+        shared = {"n": [1]}
+        original = {"a": shared, "b": shared, "c": [shared, shared]}
+        copy = deep_copy_json(original)
+        assert copy["a"] is not copy["b"] and copy["c"][0] is not copy["c"][1]
+        copy["a"]["n"].append(2)
+        assert copy["b"] == {"n": [1]} and shared == {"n": [1]}
+        for container in (copy, copy["a"], copy["a"]["n"], copy["c"], copy["c"][0]):
+            assert container is not original and container is not shared

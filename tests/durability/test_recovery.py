@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.common.encoding import canonical_bytes
 from repro.consensus.types import Block, TxEnvelope
 from repro.durability.node import DurabilityConfig, NodeDurability
 from repro.durability.recovery import (
@@ -9,6 +12,7 @@ from repro.durability.recovery import (
     block_record,
     checkpoint_state,
     diff_databases,
+    encoded_block_record,
     load_collections,
     rebuild_block,
     recover,
@@ -176,6 +180,46 @@ class TestBlockRecords:
         assert rebuilt.block_id == block.block_id
         assert rebuilt.transactions[0].payload == envelope.payload
         assert rebuilt.transactions[0].size_bytes == 99
+
+    # The spliced encoding is what goes to disk and ``block_record`` is what
+    # ``rebuild_block`` reads back: they must never drift apart.
+    ENVELOPES = [
+        TxEnvelope("tx-1", {"id": "tx-1", "operation": "CREATE"}, 99, 2, 0.5),
+        TxEnvelope('a,"b",c\\', {"z": [1, {"é": None}], "a": {}, "m": 'x,"y"'}, 7, 1, 3),
+        TxEnvelope("ünï,cøde", {"nested": {"b": 2.50, "a": [True, False]}}, 0, 10**12, 1e-9),
+        TxEnvelope("", {}, 1, 0, 12345.678),
+    ]
+
+    @pytest.mark.parametrize("count", range(len(ENVELOPES) + 1))
+    def test_spliced_record_equals_the_encoded_dict(self, count):
+        block = Block.build(4, 2, 'scdb-"0",x', self.ENVELOPES[:count], "e" * 64)
+        whole = canonical_bytes(block_record(block))
+        calls = []
+
+        def kept(payload):
+            calls.append(payload)
+            return canonical_bytes(payload)
+
+        assert encoded_block_record(block, kept) == whole
+        assert [id(p) for p in calls] == [id(e.payload) for e in block.transactions]
+        assert encoded_block_record(block) == whole
+        assert rebuild_block(json.loads(encoded_block_record(block, kept))) == block
+
+    def test_a_block_with_any_payload_not_kept_is_encoded_in_one_call(self, monkeypatch):
+        from repro.common import encoding
+
+        block = Block.build(4, 0, "scdb-1", self.ENVELOPES, "e" * 64)
+        whole = canonical_bytes(block_record(block))
+        missing = self.ENVELOPES[2].payload
+        calls = []
+        real = encoding.canonical_serialize
+        monkeypatch.setattr(
+            encoding, "canonical_serialize", lambda value: calls.append(1) or real(value)
+        )
+        spliced = encoded_block_record(
+            block, lambda payload: None if payload is missing else b"never spliced"
+        )
+        assert len(calls) == 1 and spliced == whole
 
     def test_lock_cleared_once_height_commits(self):
         loop = EventLoop()

@@ -99,6 +99,42 @@ class TestAdmissionHonorsTheLockOracle:
         assert validator.submit_transaction(envelope) is False
         assert payload["id"] not in validator.mempool
 
+    def test_block_check_refuses_what_check_tx_refuses(self):
+        """The verdict must not depend on how many transactions of a
+        proposal this node has not seen: two or more misses route through
+        ``check_block``, which used to skip the lock oracle and the
+        ingress gates — and the ``True`` was then memoised."""
+        cluster = SmartchainCluster(ClusterConfig(seed=3))
+        envelopes = []
+        for material in ("holder-a", "holder-b"):
+            owner, create = _committed_create(cluster, material)
+            payload = _transfer_payload(cluster, owner, create)
+            envelopes.append(envelope_for(payload, payload["id"], 100))
+        node_id = cluster.engine.validator_order[0]
+        server = cluster.servers[node_id]
+        assert server.check_block(envelopes) == [True, True]
+        cluster.add_spend_guard(lambda ref: "shard-lock:phantom")
+        assert [server.check_tx(envelope) for envelope in envelopes] == [False, False]
+        assert server.check_block(envelopes) == [False, False]
+        validator = cluster.engine.validator(node_id)
+        assert validator._check_batch(envelopes) == [False, False]
+
+    def test_block_check_applies_the_ingress_gates(self):
+        cluster = SmartchainCluster(ClusterConfig(seed=3))
+        envelopes = []
+        for material in ("gated-a", "gated-b"):
+            create = cluster.driver.prepare_create(
+                keypair_from_string(material), {"capabilities": ["x"]}
+            ).to_dict()
+            envelopes.append(envelope_for(create, create["id"], 100))
+        refused = envelopes[1].tx_id
+        cluster.add_ingress_gate(
+            lambda payload: "refused" if payload["id"] == refused else None
+        )
+        server = cluster.any_server()
+        assert [server.check_tx(envelope) for envelope in envelopes] == [True, False]
+        assert server.check_block(envelopes) == [True, False]
+
     def test_inputless_operations_are_unaffected(self):
         cluster = SmartchainCluster(ClusterConfig(seed=3))
         cluster.add_spend_guard(lambda ref: "shard-lock:anything")

@@ -236,6 +236,50 @@ def test_cache_keyed_on_canonical_form():
     assert first is second
 
 
+def test_flat_key_keeps_bool_int_float_and_str_operands_apart():
+    """``True == 1 == 1.0`` and they hash alike; their predicates differ
+    (the canonical JSON key told them apart, the flat key must too)."""
+    clear_cache()
+    documents = [{"a": True}, {"a": 1}, {"a": 1.0}, {"a": "1"}, {"a": None}]
+    queries = [{"a": True}, {"a": 1}, {"a": 1.0}, {"a": "1"}, {"a": None}]
+    predicates = [compile_query(query) for query in queries]
+    assert len({id(predicate) for predicate in predicates}) == len(queries)
+    for query, predicate in zip(queries, predicates):
+        assert compile_query(dict(query)) is predicate
+        for document in documents:
+            assert predicate(document) == matches(document, query), (query, document)
+
+
+def test_flat_key_ignores_clause_order_but_not_paths():
+    clear_cache()
+    first = compile_query({"transaction_id": "t", "output_index": 0})
+    assert compile_query({"output_index": 0, "transaction_id": "t"}) is first
+    assert compile_query({"output_index": 0, "transaction_id": "u"}) is not first
+    assert compile_query({"output_index": 0}) is not first
+
+
+def test_nested_queries_fall_back_to_the_canonical_key():
+    clear_cache()
+    query = {
+        "inputs.fulfills.transaction_id": "t",
+        "inputs": {"$elemMatch": {"fulfills.transaction_id": "t", "fulfills.output_index": 0}},
+    }
+    first = compile_query(query)
+    reordered = {
+        "inputs": {"$elemMatch": {"fulfills.output_index": 0, "fulfills.transaction_id": "t"}},
+        "inputs.fulfills.transaction_id": "t",
+    }
+    assert compile_query(reordered) is first
+    other = compile_query(
+        {**query, "inputs": {"$elemMatch": {"fulfills.transaction_id": "t", "fulfills.output_index": 1}}}
+    )
+    assert other is not first
+    document = {"inputs": [{"fulfills": {"transaction_id": "t", "output_index": 0}}]}
+    assert first(document) and not other(document)
+    # A flat query and a nested one can never share a key.
+    assert compile_query({"inputs": "t"}) is not first
+
+
 def test_cached_predicate_immune_to_caller_mutation():
     """Mutating a query dict after use must not poison the cache entry."""
     clear_cache()
