@@ -3,40 +3,42 @@
 Measures the layers of the pipeline's crypto fast path:
 
 * **single verify, cold key** — first sight of a public key: decompress,
-  then the generic windowed multiplication, against a faithful *naive
-  affine* baseline: affine double-and-add where every point addition pays
-  two modular inversions (``pow(.., P-2, P)``), the textbook formulation
-  the fast path exists to avoid;
+  then a multiplication over a one-row table made for the occasion,
+  against a faithful *naive affine* baseline: affine double-and-add where
+  every point addition pays two modular inversions (``pow(.., P-2, P)``),
+  the textbook formulation the fast path exists to avoid;
 * **single verify, warm key** — third sight of a key: the second sight
-  built the key's split table (that build is *not* timed here), so
-  ``h*A`` runs over it with 28 doublings instead of 252;
+  built the key's window table (that build is *not* timed here), so
+  ``h*A`` runs over it with 15 doublings instead of ~250, ``s*B`` over the
+  base table with none, and ``R`` is checked by its encoding;
 * **sign** — :func:`repro.crypto.ed25519.sign` with a recurring seed (the
   expanded key comes from the memo) against a reference signer that
   re-derives the public key on every call and compresses with the RFC's
   Fermat inversion — what ``sign`` cost before ISSUE 14;
 * **batch verify** — :func:`repro.crypto.ed25519.verify_batch`'s single
-  random-linear-combination check (one shared doubling chain via Straus
-  interleaving) against one-at-a-time *cold* verifies on first-sight keys
-  — the traffic a batch actually serves: a key the node has seen before
-  is either answered by the signature cache or cheap to verify alone;
+  random-linear-combination check (one shared doubling chain) against
+  one-at-a-time *cold* verifies on first-sight keys, and against *warm*
+  singles — what the pipeline actually runs for its ~20 recurring keys;
 * **signature cache** — the cluster-wide verdict cache under the
   replicated pipeline's access pattern: the proposer verifies a block's
   signatures once (batch), then N-1 replicas check the same triples.
-  Hit rate is counted directly from the cache's own stats: each replica
-  pass performs ``len(triples)`` lookups, all of which must hit, so the
-  expected rate is ``(n_replicas - 1) / n_replicas`` of all lookups.
+  Hits are counted from the cache's own stats: each replica pass performs
+  ``len(triples)`` lookups, all of which must hit.
 
-Acceptance gates (also enforced by the CI perf smoke job): cold single
-verify >= 10x the naive affine baseline, warm >= 1.6x cold, sign >= 1.8x
-the re-deriving reference, and batch-32 >= 1.5x over cold single verifies.
-
-Run as a script (what CI does) the report also goes to
-``BENCH_crypto.json`` at the repo root; under pytest nothing is written,
-so a tier-1 run leaves the tracked file alone.
+Under pytest (tier-1) only deterministic facts are gated — every route
+returns the naive verifier's verdicts, each key gets exactly one table,
+signatures equal the reference signer's bytes, the cache's hit and miss
+counts — and times are *reported*.  Run as a script (what CI's
+``hotpath-smoke`` does) the wall-clock ratios are asserted as well: cold
+single verify >= 10x the naive affine baseline, warm >= 3x cold, sign >=
+2.5x the re-deriving reference, batch-32 >= 1.5x over cold singles, a
+replica's cache pass >= 5x cheaper than the proposer's batch; then the
+report goes to ``BENCH_crypto.json`` at the repo root.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -177,11 +179,31 @@ def verify_all(triples) -> None:
         assert ed25519.verify(public, message, signature)
 
 
+@contextlib.contextmanager
+def counting_key_tables():
+    """Yield a list that grows by one for every multi-row (per-key) table
+    ``ed25519._affine_table`` builds inside the block."""
+    built = []
+    original = ed25519._affine_table
+
+    def counting(point, width, cols, rows):
+        if rows > 1:
+            built.append(point)
+        return original(point, width, cols, rows)
+
+    ed25519._affine_table = counting
+    try:
+        yield built
+    finally:
+        ed25519._affine_table = original
+
+
 def measure_single_verify() -> dict[str, float]:
     triples = make_signatures(N_KEYS)
+    tampered = [(public, message + b"!", signature) for public, message, signature in triples]
     # Sanity: the baseline is a real verifier, not a strawman.
     assert naive_affine_verify(*triples[0])
-    assert not naive_affine_verify(triples[0][0], b"tampered", triples[0][2])
+    assert not naive_affine_verify(*tampered[0])
 
     def run_naive() -> None:
         for public, message, signature in triples[:N_NAIVE_VERIFIES]:
@@ -190,23 +212,32 @@ def measure_single_verify() -> dict[str, float]:
     fast = triples[:N_FAST_VERIFIES]
     naive_s = timed(run_naive) / N_NAIVE_VERIFIES
     # Per-key state is more than the decompressed point: the first sight
-    # of a key memoises the point and multiplies generically, the second
-    # builds the key's split table, the third is the steady state of a
-    # recurring signer.  Time the first and the third, never the second.
-    # Best of three rounds each: both ratios below divide two ~50 ms
+    # of a key memoises the point and multiplies over a one-row table, the
+    # second builds the key's own table, the third is the steady state of
+    # a recurring signer.  Time the first and the third, never the second.
+    # Best of three rounds each: both ratios below divide two ~10-40 ms
     # passes, and this host's speed moves by 20-30% between such windows.
     cold_s = warm_s = float("inf")
-    for _ in range(3):
-        forget_public_keys()
-        cold_s = min(cold_s, timed(lambda: verify_all(fast)))
-        verify_all(fast)  # second sight: the tables get built, untimed
-        warm_s = min(warm_s, timed(lambda: verify_all(fast)))
+    with counting_key_tables() as built:
+        for _ in range(3):
+            forget_public_keys()
+            cold_s = min(cold_s, timed(lambda: verify_all(fast)))
+            # Route parity: a tampered message fails on the table-building
+            # (second sight, untimed) and on the warm route alike.
+            assert not any(ed25519.verify(*triple) for triple in tampered[: len(fast)])
+            warm_s = min(warm_s, timed(lambda: verify_all(fast)))
+            assert not any(ed25519.verify(*triple) for triple in tampered[: len(fast)])
+    # One table per key per round, however often the key came back.
+    assert len(built) == 3 * len(fast), len(built)
+    assert ed25519.memo_stats()["public_key_tables"] == len(fast)
     cold_s /= len(fast)
     warm_s /= len(fast)
     return {
         "naive_affine_ms": round(naive_s * 1000, 3),
         "single_verify_cold_key_ms": round(cold_s * 1000, 3),
         "single_verify_warm_key_ms": round(warm_s * 1000, 3),
+        "warm_verify_us": round(warm_s * 1e6, 1),
+        "key_tables_built_per_key": len(built) // (3 * len(fast)),
         "cold_speedup_vs_naive": round(naive_s / cold_s, 2),
         "warm_speedup_vs_cold": round(cold_s / warm_s, 2),
     }
@@ -215,8 +246,8 @@ def measure_single_verify() -> dict[str, float]:
 def measure_sign() -> dict[str, float]:
     seed = b"\x07" * 32
     messages = [f"crypto-bench-sign-{number}".encode() * 8 for number in range(N_SIGNS)]
-    assert rederiving_sign(seed, messages[0]) == ed25519.sign(seed, messages[0])
-    # Best of five interleaved passes: each pass is ~15-40 ms, and this
+    assert [rederiving_sign(seed, m) for m in messages] == [ed25519.sign(seed, m) for m in messages]
+    # Best of five interleaved passes: each pass is ~10-25 ms, and this
     # host's speed moves by 20-30% between such windows.
     reference_s = sign_s = float("inf")
     for _ in range(5):
@@ -227,18 +258,25 @@ def measure_sign() -> dict[str, float]:
     return {
         "rederiving_reference_ms": round(reference_s * 1000, 3),
         "sign_ms": round(sign_s * 1000, 3),
+        "sign_us": round(sign_s * 1e6, 1),
         "speedup": round(reference_s / sign_s, 2),
     }
 
 
 def measure_batch_verify() -> dict[str, object]:
     triples = make_signatures(max(BATCH_SIZES))
+    forged = list(triples)
+    forged[3] = (forged[3][0], b"tampered", forged[3][2])
+    expected = [index != 3 for index in range(len(forged))]
+    assert ed25519.verify_batch(forged) == [ed25519.verify(*triple) for triple in forged] == expected
 
     def cold_pass(thunk) -> float:
         forget_public_keys()
         return timed(thunk)
 
     single_s = min(cold_pass(lambda: verify_all(triples)) for _ in range(3)) / len(triples)
+    verify_all(triples)  # second sight: tables built, untimed
+    warm_s = min(timed(lambda: verify_all(triples)) for _ in range(3)) / len(triples)
     sizes = {}
     for size in BATCH_SIZES:
         batch = triples[:size]
@@ -248,7 +286,15 @@ def measure_batch_verify() -> dict[str, object]:
             "batch_ms_per_sig": round(per_sig * 1000, 3),
             "speedup_vs_cold_single": round(single_s / per_sig, 2),
         }
-    return {"single_verify_cold_key_ms": round(single_s * 1000, 3), "batch": sizes}
+    # Below 1: a batch costs more per signature than the warm singles the
+    # pipeline runs for its recurring keys (ROADMAP item 5(b)).
+    batch32_ms = sizes["32"]["batch_ms_per_sig"]
+    return {
+        "single_verify_cold_key_ms": round(single_s * 1000, 3),
+        "single_verify_warm_key_ms": round(warm_s * 1000, 3),
+        "batch": sizes,
+        "batch32_vs_warm_single": round(warm_s * 1000 / batch32_ms, 2),
+    }
 
 
 def measure_signature_cache() -> dict[str, float]:
@@ -277,23 +323,27 @@ def measure_signature_cache() -> dict[str, float]:
         proposer_s = timed(proposer_pass)
         replica_s = sum(timed(replica_pass) for _ in range(N_CACHE_REPLICAS - 1))
         replica_per_pass = replica_s / (N_CACHE_REPLICAS - 1)
-        lookups = cache.hits + cache.misses
-        hit_rate = cache.hit_rate()
+        hits, misses = cache.hits, cache.misses
     finally:
         set_shared_cache(previous)
+    # Replica passes are pure cache reads: every lookup after the proposer
+    # pass hits, so exactly (replicas - 1) / replicas of all lookups do.
+    assert (hits, misses) == ((N_CACHE_REPLICAS - 1) * N_KEYS, N_KEYS), (hits, misses)
     return {
         "signatures": N_KEYS,
         "replicas": N_CACHE_REPLICAS,
         "proposer_batch_ms": round(proposer_s * 1000, 3),
         "replica_pass_ms": round(replica_per_pass * 1000, 3),
-        "cache_lookups": lookups,
-        "hit_rate": round(hit_rate, 4),
+        "cache_lookups": hits + misses,
+        "cache_hits": hits,
+        "hit_rate": round(hits / (hits + misses), 4),
         "replica_speedup": round(proposer_s / replica_per_pass, 2),
     }
 
 
 def run_report() -> dict[str, dict]:
-    """Measure every section and enforce the acceptance gates."""
+    """Measure every section (their deterministic gates run inside) and
+    print the report; wall-clock figures are reported, not judged."""
     report = {
         "single_verify": measure_single_verify(),
         "sign": measure_sign(),
@@ -304,22 +354,6 @@ def run_report() -> dict[str, dict]:
     for section, numbers in report.items():
         lines.append(f"  {section}: {json.dumps(numbers)}")
     print("\n".join(lines))
-
-    # The generic windowed extended-coordinate path clears 10x the naive
-    # affine baseline (ISSUE 4); a key's split table adds >= 1.6x on top
-    # and the expanded-key memo >= 1.8x on signing (ISSUE 14); batch-32
-    # adds >= 1.5x over single verifies of the same first-sight keys.
-    single = report["single_verify"]
-    assert single["cold_speedup_vs_naive"] >= 10.0, single
-    assert single["warm_speedup_vs_cold"] >= 1.6, single
-    assert report["sign"]["speedup"] >= 1.8, report["sign"]
-    assert (
-        report["batch_verify"]["batch"]["32"]["speedup_vs_cold_single"] >= 1.5
-    ), report["batch_verify"]
-    # Replica passes are pure cache reads: every lookup after the proposer
-    # pass must hit, and hits must be dramatically cheaper than verifying.
-    assert report["signature_cache"]["hit_rate"] >= 0.74, report["signature_cache"]
-    assert report["signature_cache"]["replica_speedup"] >= 5.0, report["signature_cache"]
     return report
 
 
@@ -328,7 +362,22 @@ def test_crypto_batching():
 
 
 if __name__ == "__main__":
-    report = run_report()  # gates first: a red run leaves the tracked file alone
+    report = run_report()
+    # Wall-clock floors, asserted only here.  The one-row windowed path
+    # clears 10x the naive affine baseline (ISSUE 4); a key's own table,
+    # the base table and R-by-encoding add >= 3x on top and signing over
+    # the base table is >= 2.5x the re-deriving reference (ISSUE 17);
+    # batch-32 is >= 1.5x over single verifies of the same first-sight
+    # keys; cache hits are dramatically cheaper than verifying.
+    # Gates first: a red run leaves the tracked file alone.
+    single = report["single_verify"]
+    assert single["cold_speedup_vs_naive"] >= 10.0, single
+    assert single["warm_speedup_vs_cold"] >= 3.0, single
+    assert report["sign"]["speedup"] >= 2.5, report["sign"]
+    assert (
+        report["batch_verify"]["batch"]["32"]["speedup_vs_cold_single"] >= 1.5
+    ), report["batch_verify"]
+    assert report["signature_cache"]["replica_speedup"] >= 5.0, report["signature_cache"]
     with open(BENCH_PATH, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -111,9 +111,9 @@ def _cmd_crypto(args: argparse.Namespace) -> int:
         " a signature is one base multiplication, the public key is not re-derived"
     )
     for sight, note in (
-        ("first", "decompresses it, multiplies generically"),
-        ("second", "builds its 8x16 split table"),
-        ("third", "uses the table: 28 doublings, not 252"),
+        ("first", "decompresses it, multiplies over a one-row table"),
+        ("second", "builds its 13x16 signed-window table"),
+        ("third", "uses the table: 15 doublings, not 252"),
     ):
         assert all(ed25519.verify(*triple) for triple in triples)
         stats = ed25519.memo_stats()

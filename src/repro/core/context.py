@@ -143,6 +143,20 @@ class ValidationContext:
             {"operation": "ACCEPT_BID", "references": request_id}, copy=False
         )
 
+    def accepted_request_ids(self) -> set[str]:
+        """Every id an ACCEPT_BID — committed, or staged in this block —
+        references: exactly the RFQs :meth:`accept_for_request` finds an
+        accept for, from one query instead of one per RFQ."""
+        accepted: set[str] = set()
+        for staged in self._staged_txs.values():
+            if staged.get("operation") == "ACCEPT_BID":
+                accepted.update(staged.get("references", []))
+        for accept in self._database.collection("transactions").find(
+            {"operation": "ACCEPT_BID"}, copy=False
+        ):
+            accepted.update(accept.get("references") or [])
+        return accepted
+
     def signer_of(self, payload: dict[str, Any]) -> str | None:
         """The first ``owners_before`` key of the first input — the
         account that authored the transaction (Algorithm 3 line 6)."""

@@ -414,9 +414,12 @@ class SmartchainServer:
         requests = self.database.collection("transactions").find(
             {"operation": "REQUEST"}, copy=False
         )
+        if not requests:
+            return []
+        accepted = self.context.accepted_request_ids()
         open_requests = []
         for request in requests:
-            if self.context.accept_for_request(request["id"]) is not None:
+            if request["id"] in accepted:
                 continue
             if capability is not None:
                 data = (request.get("asset") or {}).get("data") or {}

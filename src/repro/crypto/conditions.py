@@ -42,9 +42,10 @@ class Condition:
     def __post_init__(self) -> None:
         if not self.public_keys:
             raise SchemaValidationError("condition requires at least one public key", "condition.public_keys")
-        if not 1 <= self.threshold <= len(self.public_keys):
+        distinct = len(set(self.public_keys))
+        if not 1 <= self.threshold <= distinct:
             raise SchemaValidationError(
-                f"threshold {self.threshold} out of range for {len(self.public_keys)} keys",
+                f"threshold {self.threshold} out of range for {distinct} distinct keys",
                 "condition.threshold",
             )
 
@@ -121,11 +122,12 @@ class Fulfillment:
 
     def signature_items(self, condition: Condition, message: bytes) -> list[tuple[str, bytes, str]]:
         """The ``(public_key, message, signature)`` triples :meth:`satisfies`
-        would verify — the unit the batched validation pipeline collects
-        across a whole block and settles in one batch check."""
+        verifies, one per distinct condition key that signed — the unit the
+        batched validation pipeline collects across a whole block and
+        settles in one batch check."""
         return [
             (public_key, message, self.signatures[public_key])
-            for public_key in condition.public_keys
+            for public_key in dict.fromkeys(condition.public_keys)
             if public_key in self.signatures
         ]
 
@@ -133,16 +135,11 @@ class Fulfillment:
         """Check whether this fulfillment satisfies ``condition``.
 
         Counts the distinct condition keys whose recorded signature
-        verifies over ``message`` and compares against the threshold.
-        Extraneous signatures by non-condition keys are ignored.
+        verifies over ``message`` — a key the condition lists twice still
+        signs once — and compares against the threshold.  Extraneous
+        signatures by non-condition keys are ignored.
         """
-        valid = 0
-        for public_key in condition.public_keys:
-            signature = self.signatures.get(public_key)
-            if signature is None:
-                continue
-            if verify_signature(public_key, message, signature):
-                valid += 1
+        valid = sum(verify_signature(*triple) for triple in self.signature_items(condition, message))
         return valid >= condition.threshold
 
     def require(self, condition: Condition, message: bytes) -> None:

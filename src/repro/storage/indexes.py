@@ -22,8 +22,8 @@ from typing import Any, Iterable, Iterator
 from repro.common.errors import DuplicateKeyError
 from repro.storage.documents import resolve_path
 
-#: Shared empty lookup result — callers treat lookups as frozen views.
-_EMPTY_IDS: frozenset[int] = frozenset()
+#: Shared empty lookup result — callers treat lookups as read-only views.
+_EMPTY_IDS: tuple[int, ...] = ()
 
 
 def _index_keys(document: Any, path: str) -> set[Any]:
@@ -40,12 +40,17 @@ def _index_keys(document: Any, path: str) -> set[Any]:
 
 
 class HashIndex:
-    """Exact-match index mapping key value -> set of document ids."""
+    """Exact-match index mapping key value -> ids of the documents under it.
+
+    Most keys (a transaction id, an output reference, a block height) hold
+    one document for life, so a bucket of one id is a 1-tuple and becomes
+    a ``set`` — four times the bytes — only when a second id arrives.
+    """
 
     def __init__(self, path: str, unique: bool = False):
         self.path = path
         self.unique = unique
-        self._buckets: dict[Any, set[int]] = {}
+        self._buckets: dict[Any, tuple[int] | set[int]] = {}
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
@@ -57,32 +62,43 @@ class HashIndex:
             DuplicateKeyError: if unique and a key value is already taken.
         """
         keys = _index_keys(document, self.path)
+        buckets = self._buckets
         if self.unique:
             for key in keys:
-                bucket = self._buckets.get(key)
+                bucket = buckets.get(key)
                 if bucket and doc_id not in bucket:
                     raise DuplicateKeyError(
                         f"duplicate value {key!r} for unique index on {self.path!r}"
                     )
         for key in keys:
-            self._buckets.setdefault(key, set()).add(doc_id)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = (doc_id,)
+            elif type(bucket) is set:
+                bucket.add(doc_id)
+            elif bucket[0] != doc_id:
+                buckets[key] = {bucket[0], doc_id}
 
     def remove(self, doc_id: int, document: Any) -> None:
         """Drop a document from the index."""
+        buckets = self._buckets
         for key in _index_keys(document, self.path):
-            bucket = self._buckets.get(key)
-            if bucket is not None:
+            bucket = buckets.get(key)
+            if type(bucket) is set:
                 bucket.discard(doc_id)
                 if not bucket:
-                    del self._buckets[key]
+                    del buckets[key]
+            elif bucket is not None and bucket[0] == doc_id:
+                del buckets[key]
 
-    def lookup(self, key: Any) -> frozenset[int] | set[int]:
-        """Document ids stored under ``key`` — a *frozen view*, not a copy.
+    def lookup(self, key: Any) -> tuple[int, ...] | set[int]:
+        """Document ids stored under ``key`` — a *read-only view*, not a copy.
 
-        The returned set is the index's live bucket (or a shared empty
-        frozenset); callers must treat it as read-only.  The planner and
-        ``Collection._match_ids`` immediately materialise their own sorted
-        candidate list, so no allocation happens on the probe itself.
+        The result is the index's live bucket (a 1-tuple or a set) or a
+        shared empty tuple: sized and iterable, nothing more, and never to
+        be mutated.  The planner and ``Collection._match_ids`` immediately
+        materialise their own sorted candidate list, so no allocation
+        happens on the probe itself.
         """
         bucket = self._buckets.get(key)
         return bucket if bucket is not None else _EMPTY_IDS

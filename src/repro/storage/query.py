@@ -48,7 +48,7 @@ class QueryPlanner:
         query: dict[str, Any],
         collection_size: int,
         equalities: dict[str, Any] | None = None,
-    ) -> tuple[QueryPlan, frozenset[int] | set[int] | None]:
+    ) -> tuple[QueryPlan, tuple[int, ...] | set[int] | None]:
         """Plan ``query``; returns the plan and candidate ids (None = scan).
 
         Strategy: among all indexed equality paths, pick the one with the
@@ -60,14 +60,15 @@ class QueryPlanner:
                 if the caller already has them (compiled predicates carry
                 them pre-extracted); recomputed from ``query`` otherwise.
 
-        The returned candidate set is a *frozen view* of the chosen index
-        bucket — callers must materialise it (``sorted(...)``) before
-        mutating the collection.
+        The returned candidate ids are a *read-only view* of the chosen
+        index bucket (sized and iterable: a 1-tuple or a set) — callers
+        must materialise it (``sorted(...)``) before mutating the
+        collection.
         """
         if equalities is None:
             equalities = extract_equality_paths(query)
         best_path: str | None = None
-        best_ids: frozenset[int] | set[int] | None = None
+        best_ids: tuple[int, ...] | set[int] | None = None
         for path, key in equalities.items():
             index = self._indexes.get(path)
             if index is None:

@@ -138,3 +138,69 @@ class TestGoldenParity:
             MarketplaceAnalytics(server, source="oracle")
         with pytest.raises(ValueError):
             FraudAnalyzer(server, source="oracle")
+
+
+def open_by_probing_each_request(server, capability=None):
+    """The scan as it was: one ``accept_for_request`` probe per committed
+    REQUEST — the reference the one-pass accepted set has to equal."""
+    found = []
+    for request in server.database.collection("transactions").find({"operation": "REQUEST"}):
+        if server.context.accept_for_request(request["id"]) is not None:
+            continue
+        if capability is not None and capability not in request["asset"]["data"]["capabilities"]:
+            continue
+        found.append(request)
+    return found
+
+
+class TestOpenRequestsScanBuildsTheAcceptedSetOnce:
+    CAPABILITIES = (None, "3d-print", "cnc", "iso-9001", "never-requested")
+
+    def assert_scan_parity(self, server, views_too=True):
+        answers = {}
+        for capability in self.CAPABILITIES:
+            scan = server.open_requests(capability, source="scan")
+            assert scan == open_by_probing_each_request(server, capability), capability
+            if views_too:
+                key = lambda r: r["id"]
+                assert sorted(scan, key=key) == sorted(server.open_requests(capability, source="views"), key=key)
+            answers[capability] = [request["id"] for request in scan]
+        return answers
+
+    def test_open_and_accepted_requests_with_and_without_a_capability(self):
+        cluster = durable_cluster(seed=43)
+        _, accepted = rich_history(cluster)
+        server = cluster.any_server()
+        answers = self.assert_scan_parity(server)
+        (still_open,) = answers[None]
+        assert still_open != accepted.tx_id
+        assert answers == {
+            None: [still_open], "3d-print": [], "cnc": [still_open], "iso-9001": [], "never-requested": [],
+        }
+
+    def test_an_accept_that_is_only_staged_closes_its_request(self):
+        """Inside a block, an ACCEPT_BID staged by an earlier DeliverTx must
+        already hide its RFQ — the answer the per-request probe gave."""
+        cluster = durable_cluster(seed=47)
+        rich_history(cluster)
+        server = cluster.any_server()
+        (still_open,) = self.assert_scan_parity(server)[None]
+        server.context.stage(
+            {"id": "staged-accept", "operation": "ACCEPT_BID", "references": [still_open, "winning-bid"], "inputs": []}
+        )
+        try:
+            assert server.context.accept_for_request(still_open)["id"] == "staged-accept"
+            answers = self.assert_scan_parity(server, views_too=False)  # views see commits only
+            assert not any(answers.values())
+        finally:
+            server.context.clear_staged()
+        assert self.assert_scan_parity(server)[None] == [still_open]
+
+    def test_no_requests_no_accept_query(self):
+        cluster = durable_cluster(seed=53)
+        cluster.submit_and_settle(cluster.driver.prepare_create(ALICE, {"capabilities": ["cnc"]}))
+        server = cluster.any_server()
+        transactions = server.database.collection("transactions")
+        before = transactions.stats["queries"]
+        assert server.open_requests(source="scan") == []
+        assert transactions.stats["queries"] == before + 1

@@ -8,7 +8,7 @@ validation stack.
 
 import pytest
 
-from repro.common.errors import ValidationError
+from repro.common.errors import SchemaValidationError, ValidationError
 from repro.core.context import ValidationContext
 from repro.core.transaction import Input, Output, OutputRef, Transaction
 from repro.core.validation import TransactionValidator
@@ -114,6 +114,44 @@ class TestGroupAssets:
         transaction.sign(outsiders)
         with pytest.raises(ValidationError):
             validator.validate_semantics(ctx, transaction.to_dict())
+
+    def test_an_output_whose_threshold_exceeds_its_distinct_keys_is_rejected_at_parse(self, ledger):
+        """``(A, A)`` at threshold 2 promised two signers and took one."""
+        ctx, validator, commit = ledger
+        create = group_create()
+        twice = [BOARD[0].public_key] * 2
+        condition = create.outputs[0].condition
+        object.__setattr__(condition, "public_keys", tuple(twice))  # past __post_init__
+        create.outputs[0].public_keys = list(twice)
+        payload = create.sign([BOARD[0]]).to_dict()
+        assert payload["outputs"][0]["condition"] == {
+            "type": "threshold-sha-256", "public_keys": twice, "threshold": 2,
+        }
+        with pytest.raises(SchemaValidationError) as raised:
+            validator.validate(ctx, payload)
+        assert raised.value.path == "condition.threshold"
+
+    def test_a_key_listed_twice_cannot_meet_the_threshold_alone(self, ledger):
+        ctx, validator, commit = ledger
+        create = group_create()
+        listed = [BOARD[0].public_key, BOARD[0].public_key, BOARD[1].public_key]
+        create.outputs[0] = Output(
+            condition=Condition.for_group(listed, threshold=2), amount=1, public_keys=listed
+        )
+        create = commit(create.sign([BOARD[0]]))
+        validator.validate(ctx, create.to_dict())
+        with pytest.raises(ValidationError) as raised:
+            validator.validate(ctx, group_spend(create, [BOARD[0]]).to_dict())
+        assert "condition" in str(raised.value)
+        validator.validate(ctx, group_spend(create, [BOARD[0], BOARD[1]]).to_dict())
+
+    def test_owners_before_repeating_a_key_keeps_verifying(self, ledger):
+        ctx, validator, commit = ledger
+        create = group_create()
+        create.inputs[0].owners_before = [BOARD[0].public_key] * 2
+        create.sign([BOARD[0]])
+        assert create.verify_signatures()
+        validator.validate(ctx, create.to_dict())
 
     def test_group_asset_end_to_end_on_cluster(self):
         from repro.core.cluster import ClusterConfig, SmartchainCluster

@@ -36,6 +36,17 @@ class TestCondition:
         with pytest.raises(SchemaValidationError):
             Condition(public_keys=(KEYS[0].public_key,), threshold=0)
 
+    def test_threshold_is_bounded_by_the_distinct_keys(self):
+        a, b = KEYS[0].public_key, KEYS[1].public_key
+        for keys, threshold in (((a, a), 2), ((a, a, b), 3), ((a, b, a, b), 3)):
+            with pytest.raises(SchemaValidationError) as raised:
+                Condition(public_keys=keys, threshold=threshold)
+            assert raised.value.path == "condition.threshold"
+            with pytest.raises(SchemaValidationError):
+                Condition.from_dict({"public_keys": list(keys), "threshold": threshold})
+        assert Condition(public_keys=(a, a), threshold=1).threshold == 1
+        assert Condition(public_keys=(a, a, b), threshold=2).threshold == 2
+
     def test_dict_roundtrip(self):
         condition = Condition.for_group([k.public_key for k in KEYS[:3]], threshold=2)
         rebuilt = Condition.from_dict(condition.to_dict())
@@ -92,6 +103,29 @@ class TestFulfillment:
         fulfillment.add_signature(KEYS[0], self.MESSAGE)
         fulfillment.signatures[KEYS[1].public_key] = fulfillment.signatures[KEYS[0].public_key]
         assert not fulfillment.satisfies(condition, self.MESSAGE)
+
+    def test_a_key_the_condition_lists_twice_signs_once(self):
+        """One signer used to satisfy 2-of-(A, A, B): the count walked the
+        key list, so A's signature was verified — and counted — twice."""
+        a, b = KEYS[0].public_key, KEYS[1].public_key
+        condition = Condition(public_keys=(a, a, b), threshold=2)
+        fulfillment = Fulfillment()
+        fulfillment.add_signature(KEYS[0], self.MESSAGE)
+        assert not fulfillment.satisfies(condition, self.MESSAGE)
+        assert fulfillment.signature_items(condition, self.MESSAGE) == [
+            (a, self.MESSAGE, fulfillment.signatures[a])
+        ]
+        with pytest.raises(ThresholdNotMetError):
+            fulfillment.require(condition, self.MESSAGE)
+        fulfillment.add_signature(KEYS[1], self.MESSAGE)
+        assert fulfillment.satisfies(condition, self.MESSAGE)
+
+    def test_a_repeated_key_at_threshold_one_keeps_verifying(self):
+        condition = Condition(public_keys=(KEYS[0].public_key,) * 2, threshold=1)
+        fulfillment = Fulfillment()
+        assert not fulfillment.satisfies(condition, self.MESSAGE)
+        fulfillment.add_signature(KEYS[0], self.MESSAGE)
+        assert fulfillment.satisfies(condition, self.MESSAGE)
 
     def test_dict_roundtrip(self):
         fulfillment = Fulfillment()
