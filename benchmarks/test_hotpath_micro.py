@@ -15,15 +15,19 @@ rewired, each against a faithful re-implementation of the previous
   against the production path with both caches on;
 * **mempool reaping** — the seed head-pop loop (fresh ``items()`` view
   iterator + key re-hash per transaction, per-transaction dedup-window
-  trims) against the ``popitem``-based reap with batched window upkeep.
+  trims) against the ``popitem``-based reap with batched window upkeep;
+* **point queries** — the write path's lookups by an id that never
+  repeats (``getTxFromDB``, the spend check, the spend-guard probe of an
+  empty collection, the two-field utxo query): the previous compile-first
+  read path against the probe-first one.
 
 Under pytest (tier-1) the file gates what repeats exactly — both sides of
 every comparison return the same answers, and the cached pipeline does
 each stateless check once per transaction — and only prints the
 speedups.  Run as a script (CI ``hotpath-smoke``) it also asserts the
-perf-regression floors (query >= 4x, commit >= 4x; ISSUE 4) and then
-writes ``BENCH_hotpath.json`` at the repo root so the perf trajectory is
-tracked across PRs.
+perf-regression floors (query >= 4x, commit >= 4x; ISSUE 4; spend check
+>= 3x, id lookup >= 2x; ISSUE 18) and then writes ``BENCH_hotpath.json``
+at the repo root so the perf trajectory is tracked across PRs.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ from repro.crypto.keys import ReservedAccounts, keypair_from_string
 from repro.crypto.sigcache import SignatureCache, set_shared_cache
 from repro.common.encoding import deep_copy_json
 from repro.storage.collection import Collection
-from repro.storage.compiler import clear_cache
+from repro.storage.compiler import cache_info, clear_cache, compile_query
 from repro.storage.documents import matches
 from repro.storage.database import make_smartchaindb_database
+from repro.storage.query import QueryPlan
 from repro.telemetry.registry import exact_percentile
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_hotpath.json")
@@ -57,6 +62,7 @@ N_COMMIT_TXS = 60
 N_MEMPOOL_TXS = 24_000
 MEMPOOL_BLOCK_TXS = 32
 MEMPOOL_BLOCK_WEIGHT = 64
+N_POINT_QUERIES = 1_500
 
 
 # -- baselines: the previous implementations, verbatim ------------------------
@@ -64,11 +70,8 @@ MEMPOOL_BLOCK_WEIGHT = 64
 
 def interpreted_find(collection: Collection, query: dict[str, Any]) -> list[dict[str, Any]]:
     """The seed read path: plan, then per-candidate ``matches`` + deep copy."""
-    plan, candidate_ids = collection._planner.plan(query, len(collection))
-    if plan.kind == "index":
-        candidates = sorted(candidate_ids) if candidate_ids else []
-    else:
-        candidates = list(collection._documents)
+    probed = collection._planner.probe(query)
+    candidates = sorted(probed[2]) if probed else list(collection._documents)
     results = []
     for doc_id in candidates:
         document = collection._documents.get(doc_id)
@@ -77,6 +80,37 @@ def interpreted_find(collection: Collection, query: dict[str, Any]) -> list[dict
         if matches(document, query):
             results.append(deep_copy_json(document))
     return results
+
+
+def compile_first_find_one(collection: Collection, query: dict[str, Any]):
+    """The previous point read: compile (or find in the LRU) first, plan
+    second (a ``QueryPlan`` per query, as the old planner allocated),
+    then the residual over a freshly built candidate list."""
+    predicate = compile_query(query)
+    best_path, best_ids = None, None
+    for path, key in predicate.equalities.items():
+        index = collection._hash_indexes.get(path)
+        if index is None:
+            continue
+        ids = index.lookup(key)
+        if best_ids is None or len(ids) < len(best_ids):
+            best_path, best_ids = path, ids
+            if not ids:
+                break
+    matcher = predicate
+    if best_ids is not None:
+        plan = QueryPlan("index", best_path, predicate.equalities[best_path], len(best_ids))
+        candidates = sorted(best_ids)
+        if isinstance(plan.key, str):
+            matcher = predicate.residual_for(plan.index_path)
+    else:
+        plan = QueryPlan("scan", None, None, len(collection))
+        candidates = list(collection._documents)
+    for doc_id in candidates:
+        document = collection._documents[doc_id]
+        if matcher is None or matcher(document):
+            return document
+    return None
 
 
 class FlatSortedIndex:
@@ -339,6 +373,104 @@ def measure_mempool_reap() -> dict[str, float]:
     }
 
 
+def measure_point_queries() -> dict[str, Any]:
+    database = make_smartchaindb_database("bench")
+    transactions = database.collection("transactions")
+    utxos = database.collection("utxos")
+    migrations = database.collection("shard_migrations")  # empty, as on most shards
+    count = N_POINT_QUERIES
+    ids = [f"{number:064x}" for number in range(count)]
+    for number, tx_id in enumerate(ids):
+        # A chain of transfers: each spends output 0 of the one before and
+        # leaves its own two outputs unspent until the next one.
+        transactions.insert_one(
+            {
+                "id": tx_id,
+                "operation": "TRANSFER",
+                "asset": {"id": ids[0]},
+                "inputs": [
+                    {
+                        "fulfills": {"transaction_id": ids[number - 1], "output_index": 0},
+                        "owners_before": [f"K{number % 20}"],
+                    }
+                ],
+                "outputs": [
+                    {"public_keys": [f"K{number % 20}"], "amount": 1},
+                    {"public_keys": [f"K{(number + 1) % 20}"], "amount": 1},
+                ],
+            }
+        )
+        for output_index in (0, 1):
+            utxos.insert_one(
+                {
+                    "transaction_id": tx_id,
+                    "output_index": output_index,
+                    "public_keys": [f"K{(number + output_index) % 20}"],
+                    "amount": 1,
+                }
+            )
+    unknown = [f"f{number:063x}" for number in range(count)]
+
+    def spend_check(tx_id: str, output_index: int) -> dict[str, Any]:
+        return {
+            "inputs.fulfills.transaction_id": tx_id,
+            "inputs": {
+                "$elemMatch": {
+                    "fulfills.transaction_id": tx_id,
+                    "fulfills.output_index": output_index,
+                }
+            },
+        }
+
+    # Every query names an id no other query of its row names: the
+    # write path's case, where a compiled predicate is never reused.
+    rows = {
+        "id_lookup": (transactions, [{"id": tx_id} for tx_id in ids]),
+        "spend_check_unspent": (transactions, [spend_check(tx_id, 0) for tx_id in unknown]),
+        "empty_guard": (
+            migrations,
+            [{"transaction_id": tx_id, "output_index": 0, "direction": "out"} for tx_id in ids],
+        ),
+        "utxo_absent": (utxos, [{"transaction_id": tx_id, "output_index": 1} for tx_id in unknown]),
+        # A candidate the other clauses must still check: compiled, as before.
+        "spend_check_sibling_spent": (transactions, [spend_check(tx_id, 1) for tx_id in ids]),
+        "utxo": (utxos, [{"transaction_id": tx_id, "output_index": 1} for tx_id in ids]),
+    }
+    compiled_rows = {"spend_check_sibling_spent", "utxo"}
+    report: dict[str, Any] = {"queries_per_row": count}
+    for name, (collection, queries) in rows.items():
+        def run_before() -> None:
+            for query in queries:
+                compile_first_find_one(collection, query)
+
+        def run_now() -> None:
+            for query in queries:
+                collection.find_one(query, copy=False)
+
+        before_s = now_s = float("inf")
+        for _ in range(3):
+            clear_cache()
+            before_s = min(before_s, timed(run_before))
+            clear_cache()
+            now_s = min(now_s, timed(run_now))
+            # The gate that repeats exactly: what the probe answers never
+            # compiles, what it cannot compiles once per distinct query.
+            info = cache_info()
+            assert (info["hits"], info["misses"]) == (0, count if name in compiled_rows else 0), name
+        for query in queries[::97]:
+            assert collection.find_one(query, copy=False) is compile_first_find_one(
+                collection, query
+            ), query
+        found = sum(collection.find_one(query, copy=False) is not None for query in queries)
+        assert found == (count if name in ("id_lookup", "utxo") else 0), name
+        report[name] = {
+            "compile_first_us": round(1e6 * before_s / count, 2),
+            "probe_first_us": round(1e6 * now_s / count, 2),
+            "speedup": round(before_s / now_s, 2),
+        }
+    return report
+
+
 def run_report() -> dict:
     """Measure every section (their parity and count gates run inside)
     and print the report; the speedups are reported, not judged."""
@@ -347,6 +479,7 @@ def run_report() -> dict:
         "insert_throughput": measure_insert_throughput(),
         "commit_latency": measure_commit_latency(),
         "mempool_reap": measure_mempool_reap(),
+        "point_query": measure_point_queries(),
     }
     lines = ["hot-path microbenchmark"]
     for section, numbers in report.items():
@@ -371,6 +504,10 @@ if __name__ == "__main__":
     # against regressing below the seed implementation).
     assert report["insert_throughput"]["speedup"] >= 1.5, report["insert_throughput"]
     assert report["mempool_reap"]["speedup"] >= 1.0, report["mempool_reap"]
+    # ISSUE 18: point queries answered by the probe (typical: 5-20x).
+    points = report["point_query"]
+    assert points["spend_check_unspent"]["speedup"] >= 3.0, points
+    assert points["id_lookup"]["speedup"] >= 2.0, points
     with open(BENCH_PATH, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -583,7 +583,13 @@ class Validator:
             # adopting one would precommit a value the node already voted
             # past, the other entrance to the height-fork race.
             proposal = self._proposals.get(key, {}).get(vote.block_id)
-            if proposal is not None:
+            if proposal is not None and not (
+                self._locked_block is proposal and self._locked_round == vote.round
+            ):
+                # Every prevote past the quorum lands here again (the
+                # fourth of four, a topped-up bucket): the lock it would
+                # adopt is the one already held and already durable, so
+                # it is neither counted nor journaled a second time.
                 self._locked_block = proposal
                 self._locked_round = vote.round
                 tel = self.telemetry

@@ -20,8 +20,14 @@ from repro.core.transaction import Transaction
 from repro.crypto.conditions import Condition
 
 
-def spent_output(ctx: ValidationContext, transaction: Transaction, index: int) -> dict[str, Any]:
-    """Resolve the committed output an input spends.
+def spent_output(
+    ctx: ValidationContext, transaction: Transaction, index: int
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Resolve what an input spends: ``(prior transaction, spent output)``.
+
+    The prior transaction's payload is read once, here; the rules that
+    need more of it than the output (asset lineage) take it from the
+    return value instead of asking the ledger again.
 
     Raises:
         InputDoesNotExistError: if the prior transaction or output index
@@ -41,7 +47,7 @@ def spent_output(ctx: ValidationContext, transaction: Transaction, index: int) -
             f"transaction {item.fulfills.transaction_id[:8]} has no output "
             f"{item.fulfills.output_index}"
         )
-    return outputs[item.fulfills.output_index]
+    return prior, outputs[item.fulfills.output_index]
 
 
 def validate_transfer_inputs(
@@ -71,7 +77,7 @@ def validate_transfer_inputs(
     total_spent = 0
     seen_refs: set[tuple[str, int]] = set()
     for index, item in enumerate(transaction.inputs):
-        output = spent_output(ctx, transaction, index)
+        prior, output = spent_output(ctx, transaction, index)
         ref = item.fulfills
         assert ref is not None  # guarded by spent_output
         key = (ref.transaction_id, ref.output_index)
@@ -84,8 +90,7 @@ def validate_transfer_inputs(
         ctx.require_unspent(ref)
 
         if check_asset_lineage and asset_id is not None:
-            prior = ctx.get_tx(ref.transaction_id)
-            lineage = ctx.asset_lineage_id(prior) if prior else None
+            lineage = ctx.asset_lineage_id(prior)
             if lineage != asset_id and ref.transaction_id != asset_id:
                 raise ValidationError(
                     f"input {index} spends asset {str(lineage)[:8]} but transaction "

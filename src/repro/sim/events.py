@@ -1,28 +1,31 @@
 """Discrete-event loop.
 
-Events are (time, priority, seq, callback) entries in a heap.  The loop
-pops the earliest event, advances the shared :class:`SimClock` to its
-timestamp, and runs the callback — which may schedule further events.
-Ties break by insertion order so runs are fully deterministic.
+Events are ``(time, priority, sequence, event)`` tuples in a heap.  The
+loop pops the earliest event, advances the shared :class:`SimClock` to
+its timestamp, and runs the callback — which may schedule further events.
+Ties break by insertion order so runs are fully deterministic: the
+sequence number is unique, so tuple comparison — done in C by ``heapq``
+— is decided before it would reach the event object.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.sim.clock import SimClock
 
 
-@dataclass(order=True)
 class _Event:
-    time: float
-    priority: int
-    sequence: int
-    callback: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """What a heap entry carries besides its sort key."""
+
+    __slots__ = ("time", "callback", "cancelled")
+
+    def __init__(self, time: float, callback: Callable[[], Any]):
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
 
 
 class EventHandle:
@@ -49,7 +52,7 @@ class EventLoop:
 
     def __init__(self, clock: SimClock | None = None):
         self.clock = clock or SimClock()
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, int, _Event]] = []
         self._sequence = itertools.count()
         self._processed = 0
 
@@ -61,7 +64,7 @@ class EventLoop:
     @property
     def pending(self) -> int:
         """Number of scheduled, uncancelled events."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def schedule_at(self, timestamp: float, callback: Callable[[], Any], priority: int = 0) -> EventHandle:
         """Schedule ``callback`` at an absolute simulated time.
@@ -73,8 +76,8 @@ class EventLoop:
             raise ValueError(
                 f"cannot schedule at {timestamp} before now ({self.clock.now})"
             )
-        event = _Event(timestamp, priority, next(self._sequence), callback)
-        heapq.heappush(self._heap, event)
+        event = _Event(timestamp, callback)
+        heapq.heappush(self._heap, (timestamp, priority, next(self._sequence), event))
         return EventHandle(event)
 
     def schedule_in(self, delay: float, callback: Callable[[], Any], priority: int = 0) -> EventHandle:
@@ -86,7 +89,7 @@ class EventLoop:
     def step(self) -> bool:
         """Run the single earliest event; returns False if none remain."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             self.clock.advance_to(event.time)
@@ -110,7 +113,7 @@ class EventLoop:
         while self._heap:
             if max_events is not None and executed >= max_events:
                 break
-            upcoming = self._heap[0]
+            upcoming = self._heap[0][3]
             if upcoming.cancelled:
                 heapq.heappop(self._heap)
                 continue

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.encoding import canonical_bytes, deep_copy_json, splice_array
 from repro.common.errors import DuplicateKeyError, QueryError, StorageError
-from repro.storage.compiler import Predicate, compile_query
+from repro.storage.compiler import compile_query
 from repro.storage.documents import resolve_path
 from repro.storage.indexes import HashIndex, SortedIndex
 from repro.storage.query import QueryPlan, QueryPlanner
@@ -30,9 +30,21 @@ class Collection:
     process stores the same dict — sound for the same reason zero-copy
     reads are: nothing ever mutates a stored document in place.
 
-    Queries are *compiled once* (:mod:`repro.storage.compiler`) and the
-    resulting predicate closure is evaluated per candidate, instead of
-    re-interpreting the query dictionary per document.
+    Queries are *planned first and compiled last*.  The hash indexes are
+    probed straight from the query's top-level equalities, and the probe
+    alone answers the write path's usual lookups: an empty bucket is the
+    answer (the usual fate of a spend check or a "not yet present"
+    lookup), and a query that *is* the probed string equality
+    (``{"id": x}``) yields its bucket as it stands.  Everything else — a
+    scan, or a bucket that the query's other clauses still have to
+    filter — is compiled (:mod:`repro.storage.compiler`), once, and the
+    closure is evaluated per candidate instead of re-interpreting the
+    query dictionary.
+
+    One consequence: the clauses of a query whose probe comes back empty
+    are never read, so a malformed one returns nothing there instead of
+    raising :class:`QueryError`; with a candidate or on a scan it is
+    rejected eagerly, before any document is touched.
 
     A *journaled* collection also keeps the canonical bytes of each
     frozen document, made once when its ``insert`` journal record is
@@ -269,32 +281,47 @@ class Collection:
     # -- reads ----------------------------------------------------------------
 
     def _match_ids(self, query: dict[str, Any]) -> Iterator[tuple[int, dict[str, Any]]]:
-        self.stats["queries"] += 1
-        predicate: Predicate = compile_query(query)
-        plan, candidate_ids = self._planner.plan(
-            query, len(self._documents), predicate.equalities
-        )
-        documents = self._documents
-        matcher: Callable[[Any], bool] | None = predicate
-        if plan.kind == "index":
-            self.stats["index_probes"] += 1
-            if not candidate_ids:
-                candidates: list[int] = []
-            elif len(candidate_ids) == 1:
-                candidates = list(candidate_ids)
-            else:
-                candidates = sorted(candidate_ids)
-            # Index-covered clause elimination: every candidate already
-            # satisfies the probed equality, so only the residual clauses
-            # run per document (None = single-equality query, no
-            # per-document work at all).  String keys only — for bool/int
-            # keys hash equality is coarser than query equality.
-            if plan.index_path is not None and isinstance(plan.key, str):
-                matcher = predicate.residual_for(plan.index_path)
-        else:
-            self.stats["full_scans"] += 1
-            candidates = list(documents)
+        """Every ``(doc id, stored document)`` matching ``query``, by id.
+
+        Planned first, compiled last (see the class docstring): the hash
+        indexes are probed straight from the query's top-level
+        equalities, and the compiler only runs when the probe leaves
+        clauses to check.
+        """
         stats = self.stats
+        stats["queries"] += 1
+        if not isinstance(query, dict):
+            raise QueryError("query must be a mapping")
+        documents = self._documents
+        probed = self._planner.probe(query)
+        matcher: Callable[[Any], bool] | None
+        if probed is None:
+            stats["full_scans"] += 1
+            candidates: Iterable[int] = list(documents)
+            matcher = compile_query(query)
+        else:
+            stats["index_probes"] += 1
+            path, key, candidates = probed
+            if not candidates:
+                # Nothing under the probed key: no document can match,
+                # whatever the other clauses say (they are never read).
+                return
+            if type(candidates) is set:
+                # The index's live bucket, of any size down to one id:
+                # fixed here, before a writer's first mutation changes it.
+                candidates = sorted(candidates)
+            # Index-covered clause elimination: every candidate already
+            # satisfies the probed equality, so only the other clauses
+            # run per document.  String keys only — for bool/int keys
+            # hash equality is coarser than query equality
+            # (``True == 1 == 1.0`` share a bucket).
+            if type(key) is not str:
+                matcher = compile_query(query)
+            elif len(query) == 1:
+                # The query *is* the probed equality: the bucket is the answer.
+                matcher = None
+            else:
+                matcher = compile_query(query).residual_for(path)
         for doc_id in candidates:
             document = documents.get(doc_id)
             if document is None:
@@ -387,5 +414,4 @@ class Collection:
 
     def explain(self, query: dict[str, Any]) -> QueryPlan:
         """Expose the access path the planner would pick (for ablations)."""
-        plan, _ = self._planner.plan(query, len(self._documents))
-        return plan
+        return self._planner.plan(query, len(self._documents))

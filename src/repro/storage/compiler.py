@@ -11,10 +11,16 @@ predicates dominate naive query evaluation in relational engines.
 dictionary is translated *once* into a tree of nested closures — paths
 pre-split, operands pre-bound, regexes pre-compiled — and the resulting
 :class:`Predicate` is a plain callable ``doc -> bool``.  Compiled
-predicates are cached in a small LRU keyed on the query's structure (its
-scalar clauses, or its canonical JSON when nested), so the repeated queries issued by validation and analytics
-(``{"operation": "BID", "references": <rfq>}`` and friends) compile
-exactly once per shape.
+predicates are cached in a small LRU keyed on the query's structure *and
+operand values* (its scalar clauses, or its canonical JSON when nested),
+so a query issued again — ``{"operation": "BID"}``, a per-owner wallet
+find, the analytics mixes — compiles exactly once.
+
+``Collection._match_ids`` probes the indexes first and comes here only
+when the probe leaves clauses to check: a scan, or a non-empty bucket
+under a query with more clauses than the probed equality.  An empty
+bucket and a lone string equality (``{"id": x}``) are answered by the
+probe, so most one-shot ids of the write path never reach the LRU.
 
 ``matches()`` is kept untouched as the parity oracle; the property suite
 in ``tests/storage/test_compiler.py`` asserts ``compile_query(q)(doc) ==
@@ -74,8 +80,9 @@ class Predicate:
 
     Attributes:
         query: the original query dictionary (for explain/debugging).
-        equalities: the top-level exact-equality constraints, pre-extracted
-            so the planner never re-walks the query.
+        equalities: the top-level exact-equality constraints — the
+            clauses an index probe can cover (:meth:`residual_for`) and
+            the cheap ones the conjunction tries first.
     """
 
     __slots__ = ("query", "equalities", "_matcher", "_clauses", "_residuals")
@@ -590,8 +597,9 @@ _cache_misses = 0
 def _cache_key(query: dict[str, Any]) -> Any:
     """LRU key of a query, or None when it cannot be cached.
 
-    A flat query of string paths and scalar operands — nearly every query
-    the write path issues — is keyed on its sorted ``(path, operand type,
+    The key holds the operand *values*, so it only hits for a query
+    issued again with the same operands.  A flat query of string paths
+    and scalar operands is keyed on its sorted ``(path, operand type,
     operand)`` triples.  The type is part of the key because ``True ==
     1 == 1.0`` and they hash alike, while their predicates differ (the
     canonical JSON key told them apart as ``true`` / ``1`` / ``1.0``).
@@ -615,9 +623,10 @@ def compile_query(query: dict[str, Any]) -> Predicate:
     """Compile ``query`` into a reusable :class:`Predicate`.
 
     Compiled predicates are cached in an LRU keyed on the query's
-    structure (:func:`_cache_key`), so two structurally identical queries
-    (the overwhelmingly common case on the validation hot path) share one
-    compilation.  Queries containing non-JSON values (e.g. compiled
+    structure and operands (:func:`_cache_key`), so a query issued twice
+    — by the same caller or by another validator of the process — shares
+    one compilation; a miss costs a deep copy of the query plus the
+    closure build.  Queries containing non-JSON values (e.g. compiled
     pattern objects) are compiled uncached.
 
     Raises:

@@ -245,15 +245,18 @@ def extract_equality_paths(query: dict[str, Any]) -> dict[str, Any]:
     """Pull out the top-level exact-equality constraints of a query.
 
     The query planner uses these to probe hash indexes.  Operator documents
-    containing only ``$eq`` count as equality.
+    containing only ``$eq`` count as equality.  Only scalar operands
+    qualify either way: an array or object operand is neither hashable
+    nor what an index bucket is keyed on.
     """
     equalities: dict[str, Any] = {}
     for key, condition in query.items():
         if key.startswith("$"):
             continue
         if _is_operator_doc(condition):
-            if set(condition) == {"$eq"}:
-                equalities[key] = condition["$eq"]
-        elif not isinstance(condition, (dict, list)):
+            if len(condition) != 1 or "$eq" not in condition:
+                continue
+            condition = condition["$eq"]
+        if not isinstance(condition, (dict, list)):
             equalities[key] = condition
     return equalities

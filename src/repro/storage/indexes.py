@@ -96,9 +96,12 @@ class HashIndex:
 
         The result is the index's live bucket (a 1-tuple or a set) or a
         shared empty tuple: sized and iterable, nothing more, and never to
-        be mutated.  The planner and ``Collection._match_ids`` immediately
-        materialise their own sorted candidate list, so no allocation
-        happens on the probe itself.
+        be mutated.  A set stays a set when it shrinks, down to one id, so
+        a caller that may mutate the collection while iterating must copy
+        by *type*, not by size: ``Collection._match_ids`` sorts every set
+        into its own candidate list and walks a tuple as it stands (a
+        tuple cannot change under it).  No allocation happens on the probe
+        itself.
         """
         bucket = self._buckets.get(key)
         return bucket if bucket is not None else _EMPTY_IDS

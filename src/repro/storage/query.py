@@ -6,6 +6,10 @@ planner here reproduces that behaviour: if a query carries a top-level
 equality on an indexed path, candidate documents come from the hash index
 and only those are fully matched; otherwise the collection is scanned.
 
+Planning comes *first*: :meth:`QueryPlanner.probe` needs nothing but the
+query dictionary and the index buckets, so ``Collection`` asks it before
+deciding whether the query is worth compiling at all.
+
 The plan is surfaced (``QueryPlan``) so the ablation benchmark can compare
 indexed vs scan execution explicitly.
 """
@@ -43,49 +47,45 @@ class QueryPlanner:
         self._indexes = indexes
         self._sorted_indexes = sorted_indexes
 
-    def plan(
-        self,
-        query: dict[str, Any],
-        collection_size: int,
-        equalities: dict[str, Any] | None = None,
-    ) -> tuple[QueryPlan, tuple[int, ...] | set[int] | None]:
-        """Plan ``query``; returns the plan and candidate ids (None = scan).
+    def probe(
+        self, query: dict[str, Any]
+    ) -> tuple[str, Any, tuple[int, ...] | set[int]] | None:
+        """Probe the hash indexes for ``query``'s top-level equalities.
 
-        Strategy: among all indexed equality paths, pick the one with the
-        smallest bucket (most selective).  A probe that finds no bucket
-        short-circuits to an empty candidate set.
+        Returns ``(path, key, ids)`` of the most selective indexed
+        equality — the smallest bucket, the first one found empty ending
+        the search — or None when no equality path is indexed (scan).
+        Reads nothing but the query dictionary and the index buckets: it
+        runs *before* any compilation, so a query whose answer the probe
+        already holds (an empty bucket, a lone string equality) never
+        reaches the compiler.
 
-        Args:
-            equalities: the query's top-level exact-equality constraints,
-                if the caller already has them (compiled predicates carry
-                them pre-extracted); recomputed from ``query`` otherwise.
-
-        The returned candidate ids are a *read-only view* of the chosen
-        index bucket (sized and iterable: a 1-tuple or a set) — callers
-        must materialise it (``sorted(...)``) before mutating the
-        collection.
+        ``ids`` is a *read-only view* of the chosen index bucket (sized
+        and iterable: a 1-tuple, a set or the shared empty tuple) —
+        callers must materialise a set (``sorted(...)``) before mutating
+        the collection.
         """
-        if equalities is None:
-            equalities = extract_equality_paths(query)
-        best_path: str | None = None
-        best_ids: tuple[int, ...] | set[int] | None = None
-        for path, key in equalities.items():
-            index = self._indexes.get(path)
+        indexes = self._indexes
+        best: tuple[str, Any, tuple[int, ...] | set[int]] | None = None
+        for path, key in extract_equality_paths(query).items():
+            index = indexes.get(path)
             if index is None:
                 continue
             ids = index.lookup(key)
-            if best_ids is None or len(ids) < len(best_ids):
-                best_path = path
-                best_ids = ids
+            if best is None or len(ids) < len(best[2]):
+                best = (path, key, ids)
                 if not ids:
                     break
-        if best_ids is not None:
-            plan = QueryPlan(
-                kind="index",
-                index_path=best_path,
-                key=equalities.get(best_path) if best_path else None,
-                candidates=len(best_ids),
-            )
-            return plan, best_ids
-        plan = QueryPlan(kind="scan", index_path=None, key=None, candidates=collection_size)
-        return plan, None
+        return best
+
+    def plan(self, query: dict[str, Any], collection_size: int) -> QueryPlan:
+        """The access path :meth:`probe` picks, as a :class:`QueryPlan`.
+
+        Only ``Collection.explain`` (and the ablation benchmarks) want the
+        plan object; the read path calls :meth:`probe` and allocates none.
+        """
+        probed = self.probe(query)
+        if probed is None:
+            return QueryPlan(kind="scan", index_path=None, key=None, candidates=collection_size)
+        path, key, ids = probed
+        return QueryPlan(kind="index", index_path=path, key=key, candidates=len(ids))

@@ -191,6 +191,30 @@ class TestTransfer:
         ).sign([BOB])
         validator.validate(ctx, hop2.to_dict())
 
+    def test_each_spent_transaction_is_read_once(self, ledger):
+        """Per input: one ``getTxFromDB`` (output, condition and asset
+        lineage all come from that payload) and one spend check."""
+        ctx, validator, commit = ledger
+        create = commit(
+            build_create(
+                ALICE, {"name": "w"}, recipients=[(ALICE.public_key, 2), (ALICE.public_key, 3)]
+            ).sign([ALICE])
+        )
+        merge = build_transfer(
+            ALICE,
+            [(create.tx_id, 0, 2), (create.tx_id, 1, 3)],
+            create.tx_id,
+            [(BOB.public_key, 5)],
+        ).sign([ALICE])
+        fetched = []
+        get_tx = ctx.get_tx
+        ctx.get_tx = lambda tx_id: fetched.append(tx_id) or get_tx(tx_id)
+        transactions = ctx._database.collection("transactions")
+        before = transactions.stats["queries"]
+        validator.validate_semantics(ctx, merge.to_dict())
+        assert fetched == [create.tx_id, create.tx_id]
+        assert transactions.stats["queries"] - before == 4
+
 
 class TestRequest:
     def test_valid_request(self, ledger):

@@ -137,6 +137,84 @@ class TestLockForcedDurability:
         records = [rec for _, rec in durability.wal.scan() if rec.get("k") == "lock"]
         assert records and records[-1]["b"]["id"] == block.block_id
 
+    def test_prevotes_past_the_quorum_do_not_journal_the_lock_again(self):
+        """Regression: the fourth prevote reaches ``_on_prevote_quorum``
+        like the third and used to re-adopt the identical lock — a second
+        ``lock`` frame carrying the whole block, a second forced sync and
+        a doubled ``consensus_lock_adoptions``, at every height."""
+        from repro.consensus.types import PREVOTE, Block, TxEnvelope, Vote
+
+        cluster = SmartchainCluster(
+            ClusterConfig(
+                n_validators=4,
+                durability=DurabilityConfig(flush_interval=0.002, max_latency=0.002),
+            )
+        )
+        order = cluster.engine.validator_order
+        node = order[0]
+        validator = cluster.engine.validator(node)
+        durability = cluster.node_durability[node]
+        adoptions = cluster.telemetry.counter("consensus_lock_adoptions", node=node)
+
+        def lock_frames():
+            return [
+                (rec["b"]["h"], rec["r"], rec["b"]["id"])
+                for _, rec in durability.wal.scan()
+                if rec.get("k") == "lock"
+            ]
+
+        envelope = TxEnvelope("tx-lock", {"id": "tx-lock"}, 64, 1, 0.0)
+        block = Block.build(1, 0, node, [envelope], validator.last_block_id)
+        validator._proposals[(1, 0)] = {block.block_id: block}
+        for voter in order[:3]:
+            validator._handle_vote(Vote(PREVOTE, 1, 0, block.block_id, voter), voter)
+        assert lock_frames() == [(1, 0, block.block_id)]
+        syncs = durability.log.stats["flushes"]
+        validator._handle_vote(Vote(PREVOTE, 1, 0, block.block_id, order[3]), order[3])
+        assert lock_frames() == [(1, 0, block.block_id)]
+        assert durability.log.stats["flushes"] == syncs
+        assert adoptions.value == 1
+        assert (1, 0) in validator._precommitted
+        # A polka for the same block in a later round *moves* the lock:
+        # that is a new (height, round) and is journaled — once.
+        again = Block.build(1, 1, order[2], [envelope], validator.last_block_id)
+        assert again.block_id == block.block_id
+        validator._proposals[(1, 1)] = {again.block_id: again}
+        for voter in order:
+            validator._handle_vote(Vote(PREVOTE, 1, 1, again.block_id, voter), voter)
+        assert lock_frames() == [(1, 0, block.block_id), (1, 1, block.block_id)]
+        assert adoptions.value == 2
+        assert validator._locked_round == 1
+
+    def test_a_run_leaves_one_lock_frame_per_height_and_round_locked(self):
+        """Decode every validator's WAL after real traffic: one ``lock``
+        frame per (height, round) the validator adopted, as many as its
+        adoption counter says, and every committed height locked by a
+        quorum of validators."""
+        cluster = SmartchainCluster(
+            ClusterConfig(
+                n_validators=4,
+                seed=3,
+                # No checkpoint: retiring segments would hide early frames.
+                durability=DurabilityConfig(snapshot_interval=10**9),
+            )
+        )
+        run_traffic(cluster, n_creates=24, n_transfers=12)
+        heights = [block.height for block in cluster.engine.validator(cluster.engine.validator_order[0]).chain]
+        assert len(heights) >= 4
+        lockers = {height: 0 for height in heights}
+        for node in cluster.engine.validator_order:
+            frames = [
+                (rec["b"]["h"], rec["r"])
+                for _, rec in cluster.node_durability[node].wal.scan()
+                if rec.get("k") == "lock"
+            ]
+            assert frames == sorted(set(frames)), node
+            assert len(frames) == cluster.telemetry.counter("consensus_lock_adoptions", node=node).value
+            for height, _ in frames:
+                lockers[height] += 1
+        assert all(count >= 3 for count in lockers.values()), lockers
+
 
 class TestShardedRestart:
     def test_participant_agent_restart_between_prepare_and_decision(self):

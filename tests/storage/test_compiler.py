@@ -170,7 +170,9 @@ values = st.recursive(
 
 documents = st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), values, max_size=4)
 
-paths = st.sampled_from(["a", "b", "a.b", "a.c", "a.0", "a.b.c", "b.1", "d"])
+PATHS = ["a", "b", "a.b", "a.c", "a.0", "a.b.c", "b.1", "d"]
+
+paths = st.sampled_from(PATHS)
 
 operator_docs = st.one_of(
     st.fixed_dictionaries({"$eq": scalars}),
