@@ -4,8 +4,8 @@ One engine serves both consensus protocols the paper's evaluation uses:
 
 * **Tendermint** (SmartchainDB side): proposer rotation, prevote/precommit
   phases with 2/3 quorums, and BigchainDB's *blockchain pipelining* — the
-  proposer of height H+1 may propose as soon as it observes a prevote
-  quorum for H, without waiting for H to finalise.
+  storage commit of height H overlaps the round of H+1, whose proposer
+  does not wait for it.
 * **Istanbul BFT** (Quorum / ETH-SC side): the same two-phase quorum
   structure (PRE-PREPARE/PREPARE/COMMIT maps onto proposal/prevote/
   precommit), *no* pipelining, and a minimum block period.
@@ -15,46 +15,38 @@ lose volatile state (mempool, votes) and catch up from peers on recovery.
 Liveness needs > 2/3 of validators online, matching the paper's BFT
 threshold discussion in Section 4.2.1.
 
-It is also hardened against the byzantine fault family the chaos
-harness injects (:mod:`repro.consensus.byzantine`): quorum tallies
-count *validators*, never messages (a double-voter's first vote per
-(phase, height, round) is the only one that counts); votes authenticate
-their wire sender (``vote.voter`` must equal the sending node — votes
-are not relayed in this protocol); proposals are accepted only from the
-due proposer of their (height, round) and must extend this node's
-chain; and an equivocating proposer's rival blocks are retained side by
-side so whichever id earns an honest quorum can still commit, while the
-misbehavior itself lands in the validator's ``evidence`` log.
+Every protocol decision — and the hardening against the byzantine fault
+family of :mod:`repro.consensus.byzantine`: per-validator tallies,
+vote-sender authentication, proposer legitimacy, the lock rule — is the
+pure round machine of :mod:`repro.consensus.round`.  This module is its
+driver: timers, the wire, validation and commit costs, WAL force points,
+catch-up with commit certificates, telemetry, the ``evidence`` log.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.common.encoding import canonical_bytes, splice_array, splice_object
 from repro.consensus.abci import Application
 from repro.consensus.mempool import Mempool
-from repro.consensus.types import (
-    NIL,
-    PRECOMMIT,
-    PREVOTE,
-    Block,
-    TxEnvelope,
-    Vote,
-    precommit_message,
-)
+from repro.consensus import round as machine
+from repro.consensus.round import GENESIS_ID, RoundState, Send
+from repro.consensus.types import PRECOMMIT, Block, TxEnvelope, Vote, precommit_message
 from repro.crypto.keys import keypair_from_string, verify_signature
 from repro.durability.recovery import block_record, encoded_block_record
 from repro.sim.events import EventHandle, EventLoop
 from repro.sim.network import Message, Network
 
-GENESIS_ID = "0" * 64
-
 #: Cap on the per-validator misbehavior evidence log: a vote-spamming
 #: byzantine peer must not grow honest memory without bound.
 EVIDENCE_LIMIT = 512
+
+#: Bound on the per-validator CheckTx verdict memo (see
+#: ``Validator.check_tx_cached``).
+CHECK_MEMO_LIMIT = 4096
 
 
 @dataclass
@@ -79,9 +71,6 @@ class BftConfig:
     propose_timeout: float = 1.0
     min_block_interval: float = 0.0
     vote_size_bytes: int = 128
-    #: Bound on the per-validator CheckTx verdict memo (see
-    #: ``Validator.check_tx_cached``).
-    check_memo_size: int = 4096
 
 
 @dataclass
@@ -94,48 +83,23 @@ class CommitRecord:
 
 
 class Validator:
-    """One consensus participant: state machine + mempool + application."""
+    """One consensus participant: mempool, application, and the driver of
+    one round machine — network messages, mempool work and fired timers
+    go in as events; the actions that come back are carried out in order.
+    """
 
-    def __init__(
-        self,
-        node_id: str,
-        engine: "BftEngine",
-        application: Application,
-    ):
+    def __init__(self, node_id: str, engine: "BftEngine", application: Application):
         self.node_id = node_id
         self.engine = engine
+        self._loop: EventLoop = engine.loop
+        self._network: Network = engine.network
         self.app = application
         self.mempool = Mempool()
-        self.height = 1
-        self.round = 0
         self.chain: list[Block] = []
-        self.last_block_id = GENESIS_ID
-        # Volatile consensus state.  Proposals key (height, round) ->
-        # {block_id -> Block}: under an equivocating proposer two rival
-        # blocks legitimately coexist for one round, and commit must be
-        # able to resolve whichever id a quorum lands on.
-        self._proposals: dict[tuple[int, int], dict[str, Block]] = {}
-        self._votes: dict[tuple[str, int, int, str], set[str]] = {}
-        #: First vote seen per (phase, height, round) per voter — the
-        #: per-validator half of quorum accounting.  A conflicting second
-        #: vote is double-voting evidence and never counts.
-        self._first_votes: dict[tuple[str, int, int], dict[str, str]] = {}
-        self._prevoted: set[tuple[int, int]] = set()
-        self._precommitted: set[tuple[int, int]] = set()
+        #: The round machine's state (height, round, lock, proposals,
+        #: tally): anyone may read it, only ``round.step`` changes it.
+        self.state = RoundState(node_id, tuple(engine.validator_order))
         self._committed_ids: set[str] = set()
-        self._proposed_rounds: set[tuple[int, int]] = set()
-        #: Tendermint lock rule: once this validator observes a prevote
-        #: quorum (polka) for a block, it locks on it — later rounds at
-        #: the same height prevote NIL against any *different* block, and
-        #: the lock only moves to a block with a newer polka.  Without it,
-        #: two rounds at one height can each assemble a quorum for a
-        #: different block and fork the chain (found by the chaos harness
-        #: once lane-parallel validation tightened the vote races).  Like
-        #: Tendermint's write-ahead consensus state, the lock survives
-        #: crashes — a recovering validator that forgot it could join a
-        #: second quorum and recreate the fork.
-        self._locked_round = -1
-        self._locked_block: Block | None = None
         #: Optional :class:`~repro.durability.node.NodeDurability` (set
         #: by the cluster in durable deployments).  The lock rule's
         #: crash-survival then means what it says: lock adoptions and
@@ -168,20 +132,17 @@ class Validator:
         #: Optional :class:`~repro.consensus.byzantine.ByzantineBehavior`
         #: (installed by the fault plane's mark-byzantine control): when
         #: set, this node *lies* — the behavior rewrites its outbound
-        #: proposals/votes and may swallow inbound traffic.  The honest
-        #: round machine below never consults it for its own decisions.
+        #: proposals/votes and may swallow inbound traffic.  The round
+        #: machine never sees it.
         self.byzantine = None
         #: Observed peer misbehavior (forged votes, double votes,
         #: equivocating proposals), bounded by ``EVIDENCE_LIMIT``.
         self.evidence: list[dict] = []
         #: Deterministic per-validator signing identity (public half
-        #: derivable by every peer): non-nil precommits are signed, and a
-        #: quorum of those signatures is the commit certificate catch-up
-        #: serves alongside each block.
+        #: derivable by every peer): precommits are signed, and a quorum
+        #: of those signatures is the commit certificate catch-up serves
+        #: alongside each block.
         self.keypair = keypair_from_string(f"validator:{node_id}")
-        #: (height, round, block_id) -> {voter: precommit signature},
-        #: harvested by the vote tally; volatile like the tally itself.
-        self._precommit_sigs: dict[tuple[int, int, str], dict[str, str]] = {}
         #: height -> commit certificate for every block this node
         #: committed (assembled locally or adopted from verified
         #: catch-up); journaled with the block record, so a restarted
@@ -196,27 +157,35 @@ class Validator:
         #: after the previous commit) — the height-duration histogram's
         #: start point.
         self._height_started_at: float | None = None
+        self._do = {
+            Send: self._send,
+            machine.GetValue: self._get_value,
+            machine.CheckBlock: self._check_block,
+            machine.JournalLock: self._adopt_lock,
+            machine.ArmTimeout: self._schedule_round_timeout,
+            machine.Commit: self._commit_block,
+            machine.RequestCatchup: lambda action: self._request_catchup(action.peer),
+            machine.Evidence: lambda action: self._record_evidence(action.kind, **action.fields),
+        }
 
     # -- helpers ---------------------------------------------------------------
 
     @property
-    def _loop(self) -> EventLoop:
-        return self.engine.loop
+    def _tel(self):
+        """The telemetry sink, when one is attached and switched on."""
+        tel = self.telemetry
+        return tel if tel is not None and tel.enabled else None
 
-    @property
-    def _network(self) -> Network:
-        return self.engine.network
+    def _step(self, event) -> None:
+        self._execute(machine.step(self.state, event))
 
-    def _broadcast(self, kind: str, payload, size_bytes: int) -> None:
-        self._network.broadcast(self.node_id, kind, payload, size_bytes)
+    def _execute(self, actions: list) -> None:
+        for action in actions:
+            self._do[type(action)](action)
 
-    def _quorum(self) -> int:
-        n = len(self.engine.validators)
-        return (2 * n) // 3 + 1
-
-    def is_proposer(self, height: int, round_number: int) -> bool:
-        order = self.engine.validator_order
-        return order[(height + round_number) % len(order)] == self.node_id
+    def _later(self, delay: float, run: Callable[[], Any]) -> None:
+        """Call ``run`` in ``delay`` sim-seconds unless this node has crashed by then."""
+        self._loop.schedule_in(delay, lambda: self._network.is_crashed(self.node_id) or run())
 
     # -- batched application checks ---------------------------------------------
 
@@ -250,13 +219,12 @@ class Validator:
                 fresh = check_block([envelopes[index] for index in misses])
             else:
                 fresh = [self.app.check_tx(envelopes[index]) for index in misses]
-            limit = self.engine.config.check_memo_size
             for index, verdict in zip(misses, fresh):
                 envelope = envelopes[index]
                 verdicts[index] = verdict
                 memo[envelope.tx_id] = (envelope.payload, verdict)
                 memo.move_to_end(envelope.tx_id)
-            while len(memo) > limit:
+            while len(memo) > CHECK_MEMO_LIMIT:
                 memo.popitem(last=False)
         return [bool(verdict) for verdict in verdicts]
 
@@ -280,93 +248,88 @@ class Validator:
         if added and self._height_started_at is None:
             self._height_started_at = self._loop.clock.now
         if added and gossip:
-            self._broadcast("TX", envelope, envelope.size_bytes)
+            self._network.broadcast(self.node_id, "TX", envelope, envelope.size_bytes)
         self._kick_proposer()
         return added
 
     def _kick_proposer(self) -> None:
         # New work arrived: arm the liveness timeout and, if due, propose.
         self._schedule_round_timeout()
-        if self.is_proposer(self.height, self.round):
-            self.maybe_propose()
+        self.maybe_propose()
 
     # -- proposing ----------------------------------------------------------------
 
     def maybe_propose(self) -> None:
         """Propose a block if this node is the due proposer and work exists."""
-        if self.engine.network.is_crashed(self.node_id):
+        if self._network.is_crashed(self.node_id):
             return
-        if (self.height, self.round) in self._proposed_rounds:
-            return
-        if not self.is_proposer(self.height, self.round):
-            return
-        if self._locked_block is not None and self._locked_block.height == self.height:
-            # Locked proposer: re-propose the locked *value* at the
-            # current round — same parent and transactions, hence the same
-            # value-based block id, so peers locked on it prevote it and
-            # a fresh round can finish what the interrupted one started.
-            # Proposing new content here would deadlock against the lock.
-            locked = self._locked_block
-            block = Block.build(
-                self.height,
-                self.round,
-                self.node_id,
-                list(locked.transactions),
-                locked.previous_id,
-            )
-            self._proposed_rounds.add((self.height, self.round))
-            self._last_propose_time = self._loop.clock.now
-            self._loop.schedule_in(0.0, lambda: self._publish_proposal(block))
-            return
+        self._step(machine.ProposeDue())
+
+    def _get_value(self, _action: machine.GetValue) -> None:
         if len(self.mempool) == 0:
             return
-        now = self._loop.clock.now
-        earliest = self._last_propose_time + self.engine.config.min_block_interval
-        if now < earliest:
+        config = self.engine.config
+        earliest = self._last_propose_time + config.min_block_interval
+        if self._loop.clock.now < earliest:
             self._loop.schedule_at(earliest, self.maybe_propose)
             return
         # Non-destructive assembly: transactions leave the pool only when
         # a block containing them commits.
         batch = self.mempool.peek(
-            max_txs=self.engine.config.max_block_txs,
-            max_weight=self.engine.config.max_block_weight,
+            max_txs=config.max_block_txs,
+            max_weight=config.max_block_weight,
             exclude=self._committed_ids,
         )
         if not batch:
             return
-        block = Block.build(self.height, self.round, self.node_id, batch, self.last_block_id)
-        self._proposed_rounds.add((self.height, self.round))
-        self._last_propose_time = now
         # Proposer pays block assembly/execution cost before the proposal
         # hits the wire (Quorum executes transactions while building);
         # conflict-free transactions execute in parallel lanes.
-        assembly_cost = self._block_validation_cost(batch)
-        self._loop.schedule_in(
-            assembly_cost,
-            lambda: self._publish_proposal(block),
-        )
+        [proposal] = machine.step(self.state, machine.ProposeDue(batch))
+        self._send(proposal, assembly_cost=self._block_validation_cost(batch))
+
+    def _send(self, send: Send, assembly_cost: float = 0.0) -> None:
+        """A vote leaves now, a proposal once its assembly is paid for
+        (a re-proposed locked value costs nothing to assemble)."""
+        if send.kind == "VOTE":
+            self._send_vote(send.payload)
+        else:
+            self._last_propose_time = self._loop.clock.now
+            self._later(assembly_cost, lambda: self._publish_proposal(send.payload))
 
     def _publish_proposal(self, block: Block) -> None:
-        if self.engine.network.is_crashed(self.node_id):
-            return
-        if self.byzantine is not None and self.byzantine.publish_proposal(self, block):
-            return
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.histogram("consensus_block_txs", node=self.telemetry_label).observe(
-                len(block.transactions)
-            )
-            for envelope in block.transactions:
-                if envelope.trace_flags & 1:
-                    tel.tracer.event(
-                        envelope.tx_id,
-                        "consensus_propose",
-                        node=self.telemetry_label,
-                        height=block.height,
-                        round=block.round,
-                    )
-        self._broadcast("PROPOSAL", block, block.size_bytes)
+        self._wire(Send(None, "PROPOSAL", block))
         self._handle_proposal(block, self.node_id)
+
+    def _send_vote(self, vote: Vote) -> None:
+        """Broadcast one of this node's votes and tally it locally."""
+        if vote.phase == PRECOMMIT:
+            message = precommit_message(vote.height, vote.round, vote.block_id)
+            vote = replace(vote, sig=self.keypair.sign(message))
+        self._wire(Send(None, "VOTE", vote))
+        self._handle_vote(vote, self.node_id)
+
+    def _wire(self, send: Send) -> None:
+        """Put a send on the network — withheld, duplicated, paired with
+        a conflicting vote or split between peers if a byzantine behavior
+        is installed.  The caller delivers the honest original locally,
+        so a lying node's own state machine stays coherent."""
+        sends = [send] if self.byzantine is None else self.byzantine.outbound(self.state, send)
+        for to, kind, payload in sends:
+            size = self.engine.config.vote_size_bytes if kind == "VOTE" else payload.size_bytes
+            if to is not None:
+                self._network.send(self.node_id, to, kind, payload, size)
+                continue
+            if kind == "PROPOSAL" and (tel := self._tel) is not None:
+                block_txs = tel.histogram("consensus_block_txs", node=self.telemetry_label)
+                block_txs.observe(len(payload.transactions))
+                for envelope in payload.transactions:
+                    if envelope.trace_flags & 1:
+                        tel.tracer.event(
+                            envelope.tx_id, "consensus_propose",
+                            node=self.telemetry_label, height=payload.height, round=payload.round,
+                        )
+            self._network.broadcast(self.node_id, kind, payload, size)
 
     # -- message handling -----------------------------------------------------------
 
@@ -401,266 +364,47 @@ class Validator:
             self._handle_catchup_blocks(message.payload, message.sender)
 
     def _handle_proposal(self, block: Block, sender: str | None = None) -> None:
-        if block.height < self.height:
-            return
-        order = self.engine.validator_order
-        due = order[(block.height + block.round) % len(order)]
-        if block.proposer != due or (sender is not None and sender != block.proposer):
-            # Proposer legitimacy: only the rotation's due proposer for
-            # (height, round) may propose, and proposals are not relayed,
-            # so the wire sender must *be* that proposer.  Anything else
-            # is an impostor block — drop it and keep the evidence.
-            self._record_evidence(
-                "forged_proposal",
-                height=block.height,
-                round=block.round,
-                proposer=block.proposer,
-                sender=sender,
-                block_id=block.block_id,
-            )
-            return
-        slot = self._proposals.setdefault((block.height, block.round), {})
-        if block.block_id not in slot:
-            if slot:
-                # Equivocation: a second, different block from the due
-                # proposer at one (height, round).  Both are retained —
-                # commit resolves whichever id earns a quorum — but this
-                # node's single prevote (below) already went to the
-                # first-seen sibling, so the proposer cannot mint extra
-                # voting power by multiplying blocks.
-                self._record_evidence(
-                    "equivocation",
-                    height=block.height,
-                    round=block.round,
-                    proposer=block.proposer,
-                    block_ids=sorted([*slot, block.block_id]),
-                )
-            slot[block.block_id] = block
-        if block.height > self.height:
-            self._request_catchup(block.proposer)
-            return
-        if block.round > self.round:
-            # Round join: a proposal from a later round is proof the
-            # cluster moved on; vote there instead of splitting quorums
-            # across rounds.
-            self.round = block.round
-        elif block.round < self.round and not (
-            self._locked_block is not None
-            and self._locked_block.block_id == block.block_id
-        ):
-            # Stale round: never prevote it (two live rounds at one height
-            # is how a height forks), unless it is exactly our locked
-            # block — those prevotes top up the bucket the lock came from.
-            return
-        self._schedule_round_timeout()
-        key = (block.height, block.round)
-        if key in self._prevoted:
-            return
-        self._prevoted.add(key)
-        # Validation compute before prevoting: every peer re-validates the
-        # block's transactions (the paper's second validation set).  The
-        # simulated charge packs conflict-free transactions into parallel
-        # lanes; the real compute runs signature checks batch-first and
-        # memo-skips transactions this node already admitted.
-        validation_cost = self._block_validation_cost(block.transactions)
-        # A block must extend *this* node's chain: a proposal whose parent
-        # is not our last committed block earns a NIL prevote (an honest
-        # proposer at our height always builds on the same parent we hold,
-        # so only a lying proposer trips this).
-        valid = block.previous_id == self.last_block_id and all(
-            self._check_batch(block.transactions)
-        )
-        block_id = block.block_id if valid else NIL
-        if (
-            block_id != NIL
-            and self._locked_block is not None
-            and self._locked_block.height == block.height
-            and self._locked_block.block_id != block.block_id
-        ):
-            # Locked on a different block at this height: refuse to help a
-            # second quorum form (the lock rule's safety half).
-            block_id = NIL
-
-        def send_prevote() -> None:
-            if self.engine.network.is_crashed(self.node_id):
-                return
-            self._send_vote(Vote(PREVOTE, block.height, block.round, block_id, self.node_id))
-
-        self._loop.schedule_in(validation_cost, send_prevote)
-
-    def _send_vote(self, vote: Vote) -> None:
-        """Broadcast one of this node's votes and tally it locally.
-
-        The byzantine hook may rewrite the outbound set — withhold it,
-        duplicate it, or pair it with a conflicting vote — but the local
-        tally always counts the honest original, so a lying node's own
-        state machine stays coherent."""
-        outgoing = (
-            [vote]
-            if self.byzantine is None
-            else self.byzantine.outgoing_votes(self, vote)
-        )
-        for item in outgoing:
-            self._broadcast("VOTE", item, self.engine.config.vote_size_bytes)
-        self._handle_vote(vote, self.node_id)
+        self._step(machine.ProposalReceived(block, sender))
 
     def _handle_vote(self, vote: Vote, sender: str) -> None:
-        if vote.voter != sender:
-            # Vote-sender authentication: votes are never relayed in this
-            # protocol, so a vote claiming a third validator's identity is
-            # a forgery by the wire sender.  Without this check a single
-            # byzantine node could mint a full quorum of phantom voters.
-            self._record_evidence(
-                "forged_vote",
-                phase=vote.phase,
-                height=vote.height,
-                round=vote.round,
-                voter=vote.voter,
-                sender=sender,
+        self._step(machine.VoteReceived(vote, sender))
+
+    def _check_block(self, action: machine.CheckBlock) -> None:
+        """The machine's ``valid(v)``: the verdict is taken now and the
+        prevote it licenses leaves after the validation compute — every
+        peer re-validates the block's transactions (the paper's second
+        validation set), conflict-free ones in parallel lanes, skipping
+        through the memo what this node already admitted."""
+        block = action.block
+        validation_cost = self._block_validation_cost(block.transactions)
+        # A block must extend *this* node's chain: an honest proposer at
+        # our height builds on the parent we hold, so only a liar trips it.
+        valid = block.previous_id == self.state.last_block_id and all(
+            self._check_batch(block.transactions)
+        )
+        prevote = machine.step(self.state, machine.BlockChecked(block, valid))
+        self._later(validation_cost, lambda: self._execute(prevote))
+
+    def _adopt_lock(self, action: machine.JournalLock) -> None:
+        tel = self._tel
+        if tel is not None:
+            tel.counter("consensus_lock_adoptions", node=self.telemetry_label).inc()
+            block = action.block
+            tel.flight_event(
+                self.telemetry_label, "lock_adopt",
+                height=block.height, round=action.round, block=block.block_id[:8],
             )
-            return
-        if vote.height < self.height:
-            return
-        if vote.height > self.height:
-            self._request_catchup(sender)
-            return
-        if self._tally_vote(vote) < self._quorum() or vote.block_id == NIL:
-            return
-        if vote.phase == PREVOTE:
-            self._on_prevote_quorum(vote)
-        else:
-            self._on_precommit_quorum(vote)
-
-    def _tally_vote(self, vote: Vote) -> int:
-        """Count a vote into its (phase, height, round, block) bucket.
-
-        Quorum accounting is per *validator*, never per message: each
-        validator contributes at most one vote per (phase, height,
-        round) — the first one seen.  A conflicting second vote is
-        double-voting evidence and counts for nothing; a re-delivered
-        duplicate adds nothing to the bucket (sets dedupe it), so no
-        flood of copies can assemble a quorum.  Returns the bucket's
-        voter count after the vote (0 when it was discarded)."""
-        slot = self._first_votes.setdefault((vote.phase, vote.height, vote.round), {})
-        recorded = slot.get(vote.voter)
-        if recorded is None:
-            slot[vote.voter] = vote.block_id
-            if vote.phase == PRECOMMIT and vote.block_id != NIL and vote.sig:
-                self._precommit_sigs.setdefault(
-                    (vote.height, vote.round, vote.block_id), {}
-                )[vote.voter] = vote.sig
-        elif recorded != vote.block_id:
-            self._record_evidence(
-                "double_vote",
-                phase=vote.phase,
-                height=vote.height,
-                round=vote.round,
-                voter=vote.voter,
-                block_ids=sorted([recorded, vote.block_id]),
-            )
-            return 0
-        key = (vote.phase, vote.height, vote.round, vote.block_id)
-        voters = self._votes.setdefault(key, set())
-        voters.add(vote.voter)
-        return len(voters)
-
-    def _on_prevote_quorum(self, vote: Vote) -> None:
-        key = (vote.height, vote.round)
-        if (
-            vote.height == self.height
-            and vote.round >= self._locked_round
-            and (
-                vote.round >= self.round
-                or (
-                    self._locked_block is not None
-                    and self._locked_block.block_id == vote.block_id
-                )
-            )
-        ):
-            # A polka at (or refreshing) the current state: adopt the
-            # lock.  Only a later polka may move it to a different block,
-            # and a polka from an abandoned round never *creates* a lock —
-            # adopting one would precommit a value the node already voted
-            # past, the other entrance to the height-fork race.
-            proposal = self._proposals.get(key, {}).get(vote.block_id)
-            if proposal is not None and not (
-                self._locked_block is proposal and self._locked_round == vote.round
-            ):
-                # Every prevote past the quorum lands here again (the
-                # fourth of four, a topped-up bucket): the lock it would
-                # adopt is the one already held and already durable, so
-                # it is neither counted nor journaled a second time.
-                self._locked_block = proposal
-                self._locked_round = vote.round
-                tel = self.telemetry
-                if tel is not None and tel.enabled:
-                    tel.counter(
-                        "consensus_lock_adoptions", node=self.telemetry_label
-                    ).inc()
-                    tel.flight_event(
-                        self.telemetry_label,
-                        "lock_adopt",
-                        height=vote.height,
-                        round=vote.round,
-                        block=vote.block_id[:8],
-                    )
-                if self.persistence is not None:
-                    self._journal_lock()
-        if (
-            self._locked_block is None
-            or self._locked_block.block_id != vote.block_id
-        ):
-            # Precommit only what this node is locked on: a stale polka
-            # for an abandoned value, or one whose proposal never arrived
-            # (so no lock could form), earns no precommit — an unlocked
-            # precommitter is free to help a rival quorum later, which is
-            # the height-fork race all over again.
-            return
-        if key not in self._precommitted:
-            self._precommitted.add(key)
-            self._send_vote(
-                Vote(
-                    PRECOMMIT,
-                    vote.height,
-                    vote.round,
-                    vote.block_id,
-                    self.node_id,
-                    sig=self.keypair.sign(
-                        precommit_message(vote.height, vote.round, vote.block_id)
-                    ),
-                )
-            )
-        # Blockchain pipelining: the next proposer may start assembling
-        # height H+1 as soon as H has a prevote quorum.
-        if self.engine.config.pipelining and self.is_proposer(vote.height + 1, 0):
-            block = self._proposals.get((vote.height, vote.round), {}).get(vote.block_id)
-            if block is not None:
-                self._pipeline_next(block)
-
-    def _pipeline_next(self, parent: Block) -> None:
-        """Pre-assemble the next block optimistically (commit will publish)."""
-        # Nothing to do eagerly beyond kicking the proposer once committed;
-        # the speedup is modelled by skipping the post-commit storage wait.
-        self._pipeline_ready = parent.height + 1
-
-    def _on_precommit_quorum(self, vote: Vote) -> None:
-        if vote.height != self.height:
-            return
-        block = self._proposals.get((vote.height, vote.round), {}).get(vote.block_id)
-        if block is None:
-            return
-        self._commit_block(block)
+        if self.persistence is not None:
+            self._journal_lock()
 
     # -- commit ------------------------------------------------------------------
 
-    def _commit_block(self, block: Block) -> None:
-        commit_cost = self.app.commit_cost(block)
+    def _commit_block(self, action: machine.Commit) -> None:
+        block = action.block
         pipelined = self.engine.config.pipelining
 
         def finalize() -> None:
-            if self.engine.network.is_crashed(self.node_id):
-                return
-            if block.height != self.height:
+            if block.height != self.state.h:
                 return
             self._apply_block(block)
             self._cancel_round_timeout()
@@ -673,42 +417,33 @@ class Validator:
             self._schedule_round_timeout()
 
         if pipelined:
-            # Storage write overlaps the next round: finalize logically now,
-            # charge the disk time to the background.
+            # Storage write overlaps the next round: finalize logically
+            # now; the disk time is off the critical path.
             finalize()
-            self._loop.clock  # (storage happens off the critical path)
         else:
-            self._loop.schedule_in(commit_cost, finalize)
+            self._later(self.app.commit_cost(block), finalize)
 
     def _apply_block(self, block: Block, cert: dict | None = None) -> None:
-        # Assemble the commit certificate before volatile vote state is
-        # GC'd below: locally committed blocks draw on the tallied
-        # precommit signatures, catch-up-applied blocks adopt the cert
-        # that was verified on arrival.
+        # Assemble the commit certificate before the tally is reset
+        # below: locally committed blocks draw on the tallied precommit
+        # signatures, catch-up-applied blocks adopt the cert that was
+        # verified on arrival.
         if cert is None:
             cert = self._build_commit_cert(block)
         if cert is not None:
             self.commit_certs[block.height] = cert
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
+        tel = self._tel
+        if tel is not None:
             now = self._loop.clock.now
             if self._height_started_at is not None:
-                tel.observe_ms(
-                    "consensus_height_ms",
-                    now - self._height_started_at,
-                    node=self.telemetry_label,
-                )
+                height_s = now - self._height_started_at
+                tel.observe_ms("consensus_height_ms", height_s, node=self.telemetry_label)
             self._height_started_at = None
-            tel.counter("consensus_rounds_used", node=self.telemetry_label).inc(
-                block.round + 1
-            )
+            tel.counter("consensus_rounds_used", node=self.telemetry_label).inc(block.round + 1)
             tel.flight_event(
-                self.telemetry_label,
-                "block_commit",
-                height=block.height,
-                round=block.round,
-                block=block.block_id[:8],
-                txs=len(block.transactions),
+                self.telemetry_label, "block_commit",
+                height=block.height, round=block.round,
+                block=block.block_id[:8], txs=len(block.transactions),
             )
         delivered = [
             envelope
@@ -717,20 +452,13 @@ class Validator:
         ]
         self.app.commit_block(block, delivered)
         self.chain.append(block)
-        self.last_block_id = block.block_id
-        self.height = block.height + 1
-        self.round = 0
-        if self._locked_block is not None and self._locked_block.height <= block.height:
-            # The locked height is decided (by this block or catch-up).
-            self._locked_block = None
-            self._locked_round = -1
+        machine.step(self.state, machine.Decided(block))
         self._committed_ids.update(envelope.tx_id for envelope in block.transactions)
         self.mempool.remove([envelope.tx_id for envelope in block.transactions])
-        if tel is not None and tel.enabled and len(self.mempool) > 0:
+        if tel is not None and len(self.mempool) > 0:
             # Backlogged height: the next height's work window opens now,
             # not at the next submit.
             self._height_started_at = self._loop.clock.now
-        self._gc_consensus_state(block.height)
         if self.persistence is not None:
             # Full envelopes ride the record so a restarted node rebuilds
             # the exact chain (same value-based block ids) and can serve
@@ -744,23 +472,27 @@ class Validator:
             self.persistence.journal(record, body=splice_object(body))
         self.engine.record_commit(self.node_id, block)
 
-    def _build_commit_cert(self, block: Block) -> dict | None:
-        """Quorum of verified precommit signatures for a committed block.
+    def _signers(self, block: Block, round_number: int, sigs: dict[str, str]) -> dict[str, str]:
+        """The entries of ``sigs`` that are a validator's valid precommit
+        signature for ``block`` at ``round_number`` (verified through the
+        cluster's verdict cache)."""
+        message = precommit_message(block.height, round_number, block.block_id)
+        keys = self.engine.public_keys
+        return {
+            voter: sig
+            for voter, sig in sigs.items()
+            if voter in keys and verify_signature(keys[voter], message, sig)
+        }
 
-        Signatures are verified (through the cluster's verdict cache) at
-        assembly so a lying voter cannot smuggle an invalid signature
-        into the certificate and poison honest catch-up service.
-        """
-        collected = self._precommit_sigs.get(
-            (block.height, block.round, block.block_id), {}
+    def _build_commit_cert(self, block: Block) -> dict | None:
+        """Quorum of verified precommit signatures for a committed block:
+        a lying voter cannot smuggle an invalid signature into the
+        certificate and poison honest catch-up service."""
+        counted = self.state.voters(PRECOMMIT, block.round, block.block_id)
+        sigs = self._signers(
+            block, block.round, {vote.voter: vote.sig for vote in counted if vote.sig}
         )
-        message = precommit_message(block.height, block.round, block.block_id)
-        sigs = {}
-        for voter, sig in collected.items():
-            public_key = self.engine.public_keys.get(voter)
-            if public_key is not None and verify_signature(public_key, message, sig):
-                sigs[voter] = sig
-        if len(sigs) < self._quorum():
+        if len(sigs) < self.state.quorum:
             return None
         return {"h": block.height, "r": block.round, "id": block.block_id, "sigs": sigs}
 
@@ -772,59 +504,20 @@ class Validator:
         sigs = cert.get("sigs")
         if not isinstance(round_number, int) or not isinstance(sigs, dict):
             return False
-        validators = set(self.engine.validator_order)
-        if not set(sigs) <= validators:
+        if not set(sigs) <= set(self.engine.validator_order):
             return False
-        message = precommit_message(block.height, round_number, block.block_id)
-        valid = sum(
-            1
-            for voter, sig in sigs.items()
-            if verify_signature(self.engine.public_keys[voter], message, sig)
-        )
-        return valid >= self._quorum()
-
-    def _gc_consensus_state(self, committed_height: int) -> None:
-        self._precommit_sigs = {
-            key: value
-            for key, value in self._precommit_sigs.items()
-            if key[0] > committed_height
-        }
-        self._proposals = {
-            key: value for key, value in self._proposals.items() if key[0] > committed_height
-        }
-        self._votes = {
-            key: value for key, value in self._votes.items() if key[1] > committed_height
-        }
-        self._first_votes = {
-            key: value
-            for key, value in self._first_votes.items()
-            if key[1] > committed_height
-        }
-        self._prevoted = {key for key in self._prevoted if key[0] > committed_height}
-        self._precommitted = {key for key in self._precommitted if key[0] > committed_height}
-        self._proposed_rounds = {
-            key for key in self._proposed_rounds if key[0] > committed_height
-        }
+        return len(self._signers(block, round_number, sigs)) >= self.state.quorum
 
     # -- timeouts & liveness --------------------------------------------------------
 
-    def _has_pending_work(self) -> bool:
-        """True if this height still has something to decide."""
-        if len(self.mempool) > 0:
-            return True
-        return any(key[0] == self.height for key in self._proposals)
-
-    def _schedule_round_timeout(self) -> None:
+    def _schedule_round_timeout(self, _action: machine.ArmTimeout | None = None) -> None:
         if self._timeout_handle is not None and not self._timeout_handle.cancelled:
             return
-        if not self._has_pending_work():
+        if len(self.mempool) == 0 and not self.state.undecided():
             # Nothing to decide: stay quiet instead of spinning rounds.
             return
-        height, round_number = self.height, self.round
-        # Exponential backoff per skipped round (IBFT-style) so that slow
-        # block assembly at high gas loads is not perpetually outrun by
-        # the round timer.
-        timeout = self.engine.config.propose_timeout * (2 ** min(round_number, 6))
+        height, round_number = self.state.h, self.state.round
+        timeout = self.engine.config.propose_timeout * machine.timeout_scale(round_number)
         self._timeout_handle = self._loop.schedule_in(
             timeout,
             lambda: self._on_round_timeout(height, round_number),
@@ -837,22 +530,9 @@ class Validator:
 
     def _on_round_timeout(self, height: int, round_number: int) -> None:
         self._timeout_handle = None
-        if self.engine.network.is_crashed(self.node_id):
+        if self._network.is_crashed(self.node_id):
             return
-        if self.height != height or self.round != round_number:
-            # Stale timer from before a catch-up/commit.  While it was
-            # armed it blocked fresh arming, so it must hand the liveness
-            # chain back to the current height — otherwise a node that
-            # caught up with a non-empty mempool starves its pending
-            # transactions forever (found by the chaos harness).
-            self._schedule_round_timeout()
-            return
-        if not self._has_pending_work():
-            return
-        # Skip to the next proposer at the same height.
-        self.round += 1
-        self._schedule_round_timeout()
-        self.maybe_propose()
+        self._step(machine.TimeoutFired(height, round_number, len(self.mempool) > 0))
 
     # -- catch-up ---------------------------------------------------------------------
 
@@ -863,7 +543,7 @@ class Validator:
         if now - self._catchup_requested_at < 0.5:
             return
         self._catchup_requested_at = now
-        self._network.send(self.node_id, peer, "CATCHUP_REQUEST", self.height, 64)
+        self._network.send(self.node_id, peer, "CATCHUP_REQUEST", self.state.h, 64)
 
     def _handle_catchup_request(self, from_height: int, sender: str) -> None:
         if self.byzantine is not None and self.byzantine.answer_catchup(
@@ -881,19 +561,17 @@ class Validator:
 
     def _handle_catchup_blocks(self, items: list[dict], sender: str | None = None) -> None:
         """Adopt a served chain suffix — but only blocks that arrive with
-        a valid quorum commit certificate.
+        a valid quorum commit certificate, or a byzantine peer could feed
+        a recovering node a forged chain (catch-up poisoning).
 
-        The sync path used to trust whatever prefix its peer served,
-        which let a byzantine peer feed a recovering node a forged
-        chain (catch-up poisoning).  Now each block must prove that a
-        precommit quorum committed *exactly this block id*; the first
-        failure stops the walk (later heights cannot chain onto a
-        rejected block), records ``forged_catchup`` evidence against
-        the sender, and retries catch-up from a different live peer.
+        Each block must prove that a precommit quorum committed *exactly
+        this block id*; the first failure stops the walk (later heights
+        cannot chain onto a rejected block), records ``forged_catchup``
+        evidence against the sender, and retries from another live peer.
         """
         for item in sorted(items, key=lambda entry: entry["block"].height):
             block = item["block"]
-            if block.height != self.height or block.previous_id != self.last_block_id:
+            if block.height != self.state.h or block.previous_id != self.state.last_block_id:
                 continue
             if not self._verify_commit_cert(block, item.get("cert")):
                 self._record_evidence(
@@ -905,8 +583,7 @@ class Validator:
                 self._retry_catchup_elsewhere(sender)
                 break
             self._apply_block(block, cert=item["cert"])
-        self._schedule_round_timeout()
-        self.maybe_propose()
+        self._kick_proposer()
 
     def _retry_catchup_elsewhere(self, bad_peer: str | None) -> None:
         """Re-request missed blocks from the next live peer that is not
@@ -921,33 +598,19 @@ class Validator:
     # -- crash hooks ---------------------------------------------------------------
 
     def on_crash(self) -> None:
-        """Volatile state is lost; durable chain/app state survives.
-
-        The round lock (``_locked_block``/``_locked_round``) deliberately
-        survives: it is write-ahead consensus state, and forgetting it on
-        recovery would let this validator join a second quorum at its
-        locked height.
-        """
+        """Volatile state is lost; durable chain/app state survives — and
+        so does the round lock: it is write-ahead consensus state, and a
+        validator that forgot it could join a second quorum at its locked
+        height."""
         self.mempool.flush_volatile()
         self._check_memo.clear()
-        self._proposals.clear()
-        self._votes.clear()
-        self._first_votes.clear()
+        self.state.forget_volatile()
         self.evidence.clear()
-        self._prevoted.clear()
-        self._precommitted.clear()
-        self._proposed_rounds.clear()
-        self._precommit_sigs.clear()
         self._cancel_round_timeout()
 
     def on_recover(self) -> None:
         """Rejoin: ask a live peer for missed blocks."""
-        peers = [node for node in self.engine.validator_order if node != self.node_id]
-        for peer in peers:
-            if not self._network.is_crashed(peer):
-                self._catchup_requested_at = float("-inf")
-                self._request_catchup(peer)
-                break
+        self._retry_catchup_elsewhere(None)
         self._schedule_round_timeout()
 
     # -- durable-state checkpoint / restore -----------------------------------
@@ -959,14 +622,11 @@ class Validator:
         precommit this lock licenses is broadcast next, and a vote that
         outran its lock's durability is the height-fork race with a
         crash in the middle."""
+        locked_round, locked = self.state.locked_round, self.state.locked_value
         self.persistence.journal(
-            {"k": "lock", "r": self._locked_round, "b": block_record(self._locked_block)},
+            {"k": "lock", "r": locked_round, "b": block_record(locked)},
             body=splice_object(
-                {
-                    "k": b'"lock"',
-                    "r": b"%d" % self._locked_round,
-                    "b": self._block_body(self._locked_block),
-                }
+                {"k": b'"lock"', "r": b"%d" % locked_round, "b": self._block_body(locked)}
             ),
         )
         self.persistence.log.flush_now()
@@ -995,13 +655,9 @@ class Validator:
         block or certificate that was never journaled here (restored
         from disk) is encoded now."""
         lock = b"null"
-        if self._locked_block is not None:
-            lock = splice_object(
-                {
-                    "r": b"%d" % self._locked_round,
-                    "b": self._block_body(self._locked_block),
-                }
-            )
+        if self.state.locked_value is not None:
+            locked = self._block_body(self.state.locked_value)
+            lock = splice_object({"r": b"%d" % self.state.locked_round, "b": locked})
         return {
             "blocks": splice_array(self._block_body(block) for block in self.chain),
             "lock": lock,
@@ -1026,14 +682,17 @@ class Validator:
         half exactly as the WAL replay reconstructed it.
         """
         self.chain = list(blocks)
-        self.last_block_id = blocks[-1].block_id if blocks else GENESIS_ID
-        self.height = blocks[-1].height + 1 if blocks else 1
-        self.round = 0
+        self.state = RoundState(
+            self.node_id,
+            self.state.validators,
+            h=blocks[-1].height + 1 if blocks else 1,
+            last_block_id=blocks[-1].block_id if blocks else GENESIS_ID,
+            locked_value=locked_block,
+            locked_round=locked_round,
+        )
         self._committed_ids = {
             envelope.tx_id for block in blocks for envelope in block.transactions
         }
-        self._locked_block = locked_block
-        self._locked_round = locked_round
         self.commit_certs = dict(certs or {})
         self._block_bytes.clear()
         self._cert_bytes.clear()

@@ -6,10 +6,10 @@ The crash-fault half of the chaos harness (ISSUE 3/5) never made a node
 Validator` (``validator.byzantine = make_behavior(kind)``) intercepts
 the node's outbound consensus traffic and, for the stale-replica kind,
 its inbound traffic too.  The honest round machine keeps running
-underneath; the behavior only rewrites what leaves (or enters) the node,
-which keeps every attack expressible as a pure function of state the
-simulation already determines — no new randomness, so seeded replay
-stays byte-identical.
+underneath; the behavior only rewrites the ``Send`` actions that leave
+(or the messages that enter) the node, which keeps every attack a pure
+function of state the simulation already determines — no new
+randomness, so seeded replay stays byte-identical.
 
 The four kinds mirror the classic BFT adversary taxonomy:
 
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.consensus.round import RoundState, Send
 from repro.consensus.types import NIL, Block, Vote
 from repro.crypto.hashing import hash_document
 
@@ -58,18 +59,17 @@ BEHAVIOR_KINDS = ("equivocate", "double_vote", "withhold", "stale", "poison")
 
 
 class ByzantineBehavior:
-    """Hook surface the round machine consults; the base class is an
-    honest passthrough so subclasses override only what they corrupt."""
+    """Hook surface the validator consults; the base class is an honest
+    passthrough so subclasses override only what they corrupt."""
 
     kind = "honest"
 
-    def outgoing_votes(self, validator: "Validator", vote: Vote) -> list[Vote]:
-        """Votes to broadcast in place of ``vote`` (may be empty)."""
-        return [vote]
-
-    def publish_proposal(self, validator: "Validator", block: Block) -> bool:
-        """Take over proposal publication; True = the behavior sent it."""
-        return False
+    def outbound(self, state: RoundState, send: Send) -> list[Send]:
+        """What goes on the wire in place of the round machine's
+        ``send`` (a PROPOSAL or VOTE broadcast); may be empty.  The
+        node's own copy is always the honest original, so a lying node's
+        state machine stays coherent."""
+        return [send]
 
     def drop_inbound(self, validator: "Validator", message: "Message") -> bool:
         """True = silently swallow an inbound message."""
@@ -106,11 +106,11 @@ def sibling_block(block: Block) -> Block | None:
     )
 
 
-def conflicting_vote(validator: "Validator", vote: Vote) -> Vote:
+def conflicting_vote(state: RoundState, vote: Vote) -> Vote:
     """A vote by the same voter for a *different* block id in the same
     (phase, height, round) — a real rival proposal when one is known,
     else a deterministic fabricated id."""
-    slot = validator._proposals.get((vote.height, vote.round), {})
+    slot = state.proposals.get((vote.height, vote.round), {})
     rival = next((bid for bid in sorted(slot) if bid != vote.block_id), None)
     if rival is None:
         rival = hash_document({"byzantine-rival-of": vote.block_id})
@@ -127,12 +127,11 @@ class DoubleVoter(ByzantineBehavior):
 
     kind = "double_vote"
 
-    def outgoing_votes(self, validator: "Validator", vote: Vote) -> list[Vote]:
-        if vote.block_id == NIL:
-            return [vote]
-        rival = conflicting_vote(validator, vote)
-        copies = validator._quorum()
-        return [vote] * copies + [rival] * copies
+    def outbound(self, state: RoundState, send: Send) -> list[Send]:
+        if send.kind != "VOTE" or send.payload.block_id == NIL:
+            return [send]
+        rival = send._replace(payload=conflicting_vote(state, send.payload))
+        return [send] * state.quorum + [rival] * state.quorum
 
 
 class EquivocatingProposer(DoubleVoter):
@@ -143,35 +142,21 @@ class EquivocatingProposer(DoubleVoter):
 
     kind = "equivocate"
 
-    def publish_proposal(self, validator: "Validator", block: Block) -> bool:
-        network = validator.engine.network
-        peers = [
-            node
-            for node in validator.engine.validator_order
-            if node != validator.node_id
-        ]
+    def outbound(self, state: RoundState, send: Send) -> list[Send]:
+        if send.kind != "PROPOSAL":
+            return super().outbound(state, send)
+        block = send.payload
+        peers = [node for node in state.validators if node != state.me]
         sibling = sibling_block(block)
         if sibling is None:
             # Not enough transactions for a distinct sibling: fall back to
             # selective disclosure — only half the peers learn the
             # proposal exists at all.
-            kept = peers[: max(1, len(peers) // 2)]
-            for peer in kept:
-                network.send(
-                    validator.node_id, peer, "PROPOSAL", block, block.size_bytes
-                )
-        else:
-            mid = len(peers) // 2
-            for peer in peers[:mid]:
-                network.send(
-                    validator.node_id, peer, "PROPOSAL", block, block.size_bytes
-                )
-            for peer in peers[mid:]:
-                network.send(
-                    validator.node_id, peer, "PROPOSAL", sibling, sibling.size_bytes
-                )
-        validator._handle_proposal(block, validator.node_id)
-        return True
+            return [Send(peer, "PROPOSAL", block) for peer in peers[: max(1, len(peers) // 2)]]
+        mid = len(peers) // 2
+        return [Send(peer, "PROPOSAL", block) for peer in peers[:mid]] + [
+            Send(peer, "PROPOSAL", sibling) for peer in peers[mid:]
+        ]
 
 
 class VoteWithholder(ByzantineBehavior):
@@ -179,8 +164,8 @@ class VoteWithholder(ByzantineBehavior):
 
     kind = "withhold"
 
-    def outgoing_votes(self, validator: "Validator", vote: Vote) -> list[Vote]:
-        return []
+    def outbound(self, state: RoundState, send: Send) -> list[Send]:
+        return [] if send.kind == "VOTE" else [send]
 
 
 class StaleReplica(ByzantineBehavior):
@@ -193,8 +178,8 @@ class StaleReplica(ByzantineBehavior):
 
     kind = "stale"
 
-    def outgoing_votes(self, validator: "Validator", vote: Vote) -> list[Vote]:
-        return []
+    def outbound(self, state: RoundState, send: Send) -> list[Send]:
+        return [] if send.kind == "VOTE" else [send]
 
     def drop_inbound(self, validator: "Validator", message: "Message") -> bool:
         return message.kind in ("TX", "PROPOSAL", "VOTE", "CATCHUP_BLOCKS")

@@ -107,7 +107,7 @@ class AdmissionMemo:
     needed from receiver validation until the last replica commits the
     transaction, so the bound only has to cover what is in flight — the
     default is the window the consensus layer's own CheckTx memo assumes
-    (``BftConfig.check_memo_size``); an evicted payload simply
+    (``consensus.bft.CHECK_MEMO_LIMIT``); an evicted payload simply
     re-verifies, to the same verdict.  A resident entry costs its parse
     (measured 4.6 KB for a 1.4 KB payload, 2.6 KB of it the memoised
     signing payload and signed body) on top of the payload and the bytes

@@ -545,8 +545,8 @@ def wal_prefix_durability(plane: FaultPlane) -> list[str]:
                     f"!= live chain ({len(live_chain)} blocks)"
                 )
             live_lock = (
-                (validator._locked_round, validator._locked_block.block_id)
-                if validator._locked_block is not None
+                (validator.state.locked_round, validator.state.locked_value.block_id)
+                if validator.state.locked_value is not None
                 else (-1, None)
             )
             disk_round, disk_block = recovered.locked()

@@ -5,12 +5,14 @@ import hashlib
 import pytest
 
 from repro.consensus.abci import NullApplication, envelope_for
-from repro.consensus.bft import BftConfig, BftEngine
+from repro.consensus.bft import GENESIS_ID, BftConfig, BftEngine
+from repro.consensus.byzantine import make_behavior
 from repro.consensus.ibft import ibft_config
 from repro.consensus.tendermint import make_tendermint_cluster, tendermint_config
 from repro.sim.events import EventLoop
 from repro.sim.failures import FailureInjector
-from repro.sim.network import Network
+from repro.consensus.types import NIL, PREVOTE, Block
+from repro.sim.network import Message, Network
 from repro.sim.rng import SeededRng
 
 
@@ -230,3 +232,131 @@ class TestIbftConfig:
         same_proposer_times: dict[str, list[float]] = {}
         for record in engine.commits:
             same_proposer_times.setdefault(record.block.proposer, []).append(record.committed_at)
+
+
+def envelope(tag: str):
+    tx_id = hashlib.sha3_256(tag.encode()).hexdigest()
+    return envelope_for({"tag": tag}, tx_id, 100)
+
+
+def proposer_for(engine, height, round_number):
+    order = engine.validator_order
+    return order[(height + round_number) % len(order)]
+
+
+def deliver_proposal(engine, node_id, block):
+    """Hand ``block`` to ``node_id`` as if its proposer had sent it."""
+    message = Message(block.proposer, node_id, "PROPOSAL", block, block.size_bytes)
+    engine.validator(node_id).handle_message(message)
+
+
+class TestLockAcrossTheDriver:
+    def test_lock_clears_when_the_height_commits(self):
+        loop, _, engine, _, _ = build_cluster(seed=17)
+        submitted = envelope("commit-me")
+        for node_id in engine.validator_order:
+            engine.validator(node_id).submit_transaction(submitted, gossip=False)
+        loop.run(until=30.0)
+        assert len(engine.committed_envelopes()) == 1
+        for node_id in engine.validator_order:
+            assert engine.validator(node_id).state.locked_value is None
+
+    def test_competing_rounds_for_the_same_value_converge(self):
+        """The seed-606 shape: the same transaction proposed at round 0
+        and round 1 must commit as one block id everywhere."""
+        loop, _, engine, _, _ = build_cluster(seed=17)
+        shared = [envelope("contested")]
+        r0 = Block.build(1, 0, proposer_for(engine, 1, 0), shared, GENESIS_ID)
+        r1 = Block.build(1, 1, proposer_for(engine, 1, 1), shared, GENESIS_ID)
+        assert r0.block_id == r1.block_id
+        # Half the cluster sees round 0 first, half sees round 1 first.
+        order = engine.validator_order
+        for node_id in order[:2]:
+            deliver_proposal(engine, node_id, r0)
+            deliver_proposal(engine, node_id, r1)
+        for node_id in order[2:]:
+            deliver_proposal(engine, node_id, r1)
+            deliver_proposal(engine, node_id, r0)
+        loop.run(until=30.0)
+        chains = {
+            tuple(block.block_id for block in engine.validator(node_id).chain)
+            for node_id in order
+            if engine.validator(node_id).chain
+        }
+        assert chains, "nothing committed"
+        assert len(chains) == 1, chains
+
+    def test_wrong_parent_earns_a_nil_prevote(self):
+        """A proposal that does not extend this node's chain is invalid
+        whatever the application says about its transactions."""
+        loop, _, engine, _, _ = build_cluster(seed=23)
+        node_id, peer = engine.validator_order[0], engine.validator_order[2]
+        block = Block.build(1, 0, proposer_for(engine, 1, 0), [envelope("x")], "f" * 64)
+        deliver_proposal(engine, node_id, block)
+        loop.run(until=loop.clock.now + 0.05)
+        votes = engine.validator(peer).state.voters(PREVOTE, 0, NIL)
+        assert [vote.voter for vote in votes] == [node_id]
+
+
+class TestByzantineBehaviorsEndToEnd:
+    def submit_everywhere(self, engine, tags):
+        for tag in tags:
+            item = envelope(tag)
+            for node_id in engine.validator_order:
+                engine.validator(node_id).submit_transaction(item, gossip=False)
+
+    def honest_chains(self, engine, liar):
+        return {
+            node_id: tuple(
+                block.block_id for block in engine.validator(node_id).chain
+            )
+            for node_id in engine.validator_order
+            if node_id != liar
+        }
+
+    def test_equivocating_proposer_is_contained(self):
+        loop, _, engine, _, _ = build_cluster(seed=23)
+        liar = proposer_for(engine, 1, 0)
+        engine.validator(liar).byzantine = make_behavior("equivocate")
+        self.submit_everywhere(engine, ["m1", "m2"])
+        loop.run(until=60.0)
+        chains = self.honest_chains(engine, liar)
+        assert all(chains.values()), f"honest nodes never committed: {chains}"
+        assert len(set(chains.values())) == 1, chains
+        # The proposer's double-voting left evidence on honest nodes.
+        assert any(
+            item["kind"] in ("double_vote", "equivocation")
+            for node_id in chains
+            for item in engine.validator(node_id).evidence
+        )
+
+    def test_vote_withholder_does_not_stall_the_quorum(self):
+        loop, _, engine, _, _ = build_cluster(seed=23)
+        liar = next(
+            node
+            for node in engine.validator_order
+            if node != proposer_for(engine, 1, 0)
+        )
+        engine.validator(liar).byzantine = make_behavior("withhold")
+        self.submit_everywhere(engine, ["w1"])
+        loop.run(until=60.0)
+        chains = self.honest_chains(engine, liar)
+        assert all(chains.values())
+        assert len(set(chains.values())) == 1
+
+    def test_stale_replica_freezes_while_honest_nodes_advance(self):
+        loop, _, engine, _, _ = build_cluster(seed=23)
+        liar = next(
+            node
+            for node in engine.validator_order
+            if node != proposer_for(engine, 1, 0)
+        )
+        engine.validator(liar).byzantine = make_behavior("stale")
+        self.submit_everywhere(engine, ["s1"])
+        loop.run(until=60.0)
+        chains = self.honest_chains(engine, liar)
+        assert all(chains.values())
+        assert len(set(chains.values())) == 1
+        assert len(engine.validator(liar).chain) < len(
+            next(iter(chains.values()))
+        ) + 1  # the frozen replica fell behind the honest commit

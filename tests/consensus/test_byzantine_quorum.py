@@ -1,8 +1,9 @@
 """Quorum accounting under lying validators (ISSUE 6).
 
-The f<n/3 safety argument leans on four admission checks in the round
-machine, each pinned here at the unit level and then exercised end-to-end
-with real byzantine behaviors installed:
+The f<n/3 safety argument leans on admission checks in the round machine,
+each pinned here against ``repro.consensus.round.step`` itself — no event
+loop, no network.  (The parent check, the byzantine behaviors end to end
+and the round-race convergence run need the driver: ``test_bft.py``.)
 
 * **per-validator tallies** — a quorum is counted over distinct voters,
   never messages, so no flood of copies (or conflicting pairs) from one
@@ -11,34 +12,28 @@ with real byzantine behaviors installed:
   claiming another validator's identity is a forgery by the wire sender
   and counts for nothing;
 * **proposer legitimacy** — only the rotation's due proposer for a
-  (height, round) may propose, and the wire sender must be that proposer;
-* **parent check** — a proposal that does not extend this node's chain
-  earns a NIL prevote.
+  (height, round) may propose, and the wire sender must be that proposer.
 """
 
 import hashlib
 
-from repro.consensus.abci import NullApplication, envelope_for
-from repro.consensus.bft import GENESIS_ID
-from repro.consensus.byzantine import (
-    conflicting_vote,
-    make_behavior,
-    sibling_block,
+from repro.consensus.abci import envelope_for
+from repro.consensus.byzantine import conflicting_vote, make_behavior, sibling_block
+from repro.consensus.round import (
+    GENESIS_ID,
+    BlockChecked,
+    CheckBlock,
+    Evidence,
+    ProposalReceived,
+    RoundState,
+    Send,
+    VoteReceived,
+    step,
 )
-from repro.consensus.tendermint import make_tendermint_cluster
 from repro.consensus.types import NIL, PREVOTE, Block, Vote
-from repro.sim.events import EventLoop
-from repro.sim.network import Network
-from repro.sim.rng import SeededRng
 
-
-def build_cluster(n=4):
-    loop = EventLoop()
-    network = Network(loop, SeededRng(23))
-    engine = make_tendermint_cluster(
-        loop, network, lambda node_id: NullApplication(), n_validators=n
-    )
-    return loop, engine
+ORDER = ("n0", "n1", "n2", "n3")
+DUE = ORDER[1]  # proposer of (height 1, round 0)
 
 
 def envelope(tag: str):
@@ -46,263 +41,167 @@ def envelope(tag: str):
     return envelope_for({"tag": tag}, tx_id, 100)
 
 
-def proposer_for(engine, height, round_number):
-    order = engine.validator_order
-    return order[(height + round_number) % len(order)]
+def block_from(proposer, *tags, parent=GENESIS_ID):
+    return Block.build(1, 0, proposer, [envelope(tag) for tag in tags], parent)
 
 
-def evidence_kinds(validator):
-    return [item["kind"] for item in validator.evidence]
+def evidence_kinds(actions):
+    return [action.kind for action in actions if isinstance(action, Evidence)]
+
+
+def prevote(block_id, voter):
+    return Vote(PREVOTE, 1, 0, block_id, voter)
+
+
+def propose_and_prevote(state, block):
+    """Deliver ``block`` from its proposer, answer CheckBlock as valid and
+    tally the node's own prevote, as the driver does."""
+    [check] = [a for a in step(state, ProposalReceived(block, block.proposer)) if isinstance(a, CheckBlock)]
+    [send] = step(state, BlockChecked(check.block, True))
+    step(state, VoteReceived(send.payload, state.me))
 
 
 class TestPerValidatorTally:
     def test_duplicate_copies_add_nothing(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        voter = engine.validator_order[1]
-        vote = Vote(PREVOTE, 1, 0, "b" * 64, voter)
-        counts = [validator._tally_vote(vote) for _ in range(validator._quorum() + 2)]
-        assert counts == [1] * len(counts)
+        state = RoundState("n0", ORDER)
+        vote = prevote("b" * 64, "n1")
+        for _ in range(state.quorum + 2):
+            assert step(state, VoteReceived(vote, "n1")) == []
+        assert len(state.voters(PREVOTE, 0, "b" * 64)) == 1
 
     def test_conflicting_second_vote_counts_zero_with_evidence(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        voter = engine.validator_order[1]
-        assert validator._tally_vote(Vote(PREVOTE, 1, 0, "b" * 64, voter)) == 1
-        assert validator._tally_vote(Vote(PREVOTE, 1, 0, "c" * 64, voter)) == 0
-        assert "double_vote" in evidence_kinds(validator)
+        state = RoundState("n0", ORDER)
+        assert step(state, VoteReceived(prevote("b" * 64, "n1"), "n1")) == []
+        actions = step(state, VoteReceived(prevote("c" * 64, "n1"), "n1"))
+        assert evidence_kinds(actions) == ["double_vote"]
         # Neither bucket grew past the single first vote.
-        assert len(validator._votes.get((PREVOTE, 1, 0, "b" * 64), set())) == 1
-        assert len(validator._votes.get((PREVOTE, 1, 0, "c" * 64), set())) == 0 or (
-            (PREVOTE, 1, 0, "c" * 64) not in validator._votes
-        )
+        assert len(state.voters(PREVOTE, 0, "b" * 64)) == 1
+        assert state.voters(PREVOTE, 0, "c" * 64) == []
 
     def test_double_voter_alone_cannot_form_quorum(self):
         """The regression the per-validator dedupe exists for: one
         validator spamming quorum-many copies of two conflicting votes
         must not polka anything."""
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        block = Block.build(1, 0, proposer_for(engine, 1, 0), [envelope("x")], GENESIS_ID)
-        validator._handle_proposal(block)
-        loop.run(until=loop.clock.now + 0.01)  # own prevote tallies
-
-        liar = engine.validator_order[1]
-        vote = Vote(PREVOTE, 1, 0, block.block_id, liar)
-        rival = Vote(PREVOTE, 1, 0, "d" * 64, liar)
-        for _ in range(validator._quorum()):
-            validator._handle_vote(vote, liar)
-            validator._handle_vote(rival, liar)
-        loop.run(until=loop.clock.now + 0.01)
+        state = RoundState("n0", ORDER)
+        block = block_from(DUE, "x")
+        propose_and_prevote(state, block)
+        for _ in range(state.quorum):
+            step(state, VoteReceived(prevote(block.block_id, "n2"), "n2"))
+            step(state, VoteReceived(prevote("d" * 64, "n2"), "n2"))
         # Two distinct voters (self + liar's first vote) < quorum of 3.
-        assert validator._locked_block is None
-        assert len(validator._votes[(PREVOTE, 1, 0, block.block_id)]) == 2
+        assert state.locked_value is None
+        assert len(state.voters(PREVOTE, 0, block.block_id)) == 2
 
     def test_honest_votes_still_reach_quorum(self):
         """Sanity for the test above: two honest peers + own prevote lock."""
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        block = Block.build(1, 0, proposer_for(engine, 1, 0), [envelope("x")], GENESIS_ID)
-        validator._handle_proposal(block)
-        loop.run(until=loop.clock.now + 0.01)
-        for voter in engine.validator_order[1:3]:
-            validator._handle_vote(Vote(PREVOTE, 1, 0, block.block_id, voter), voter)
-        loop.run(until=loop.clock.now + 0.01)
-        assert validator._locked_block is not None
-        assert validator._locked_block.block_id == block.block_id
+        state = RoundState("n0", ORDER)
+        block = block_from(DUE, "x")
+        propose_and_prevote(state, block)
+        for voter in ORDER[1:3]:
+            step(state, VoteReceived(prevote(block.block_id, voter), voter))
+        assert state.locked_value is block
 
 
 class TestVoteSenderAuthentication:
     def test_forged_voter_identity_is_dropped(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        impersonated = engine.validator_order[2]
-        forger = engine.validator_order[1]
-        validator._handle_vote(Vote(PREVOTE, 1, 0, "b" * 64, impersonated), forger)
-        assert (PREVOTE, 1, 0, "b" * 64) not in validator._votes
-        assert "forged_vote" in evidence_kinds(validator)
+        state = RoundState("n0", ORDER)
+        actions = step(state, VoteReceived(prevote("b" * 64, "n2"), "n1"))
+        assert evidence_kinds(actions) == ["forged_vote"]
+        assert state.votes == {}
 
     def test_one_sender_cannot_mint_a_phantom_quorum(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        block = Block.build(1, 0, proposer_for(engine, 1, 0), [envelope("x")], GENESIS_ID)
-        validator._handle_proposal(block)
-        loop.run(until=loop.clock.now + 0.01)
-        forger = engine.validator_order[1]
-        for claimed in engine.validator_order:
-            if claimed == validator.node_id:
-                continue
-            validator._handle_vote(
-                Vote(PREVOTE, 1, 0, block.block_id, claimed), forger
-            )
-        loop.run(until=loop.clock.now + 0.01)
+        state = RoundState("n0", ORDER)
+        block = block_from(DUE, "x")
+        propose_and_prevote(state, block)
+        for claimed in ORDER[1:]:
+            step(state, VoteReceived(prevote(block.block_id, claimed), "n2"))
         # Only the forger's self-signed vote counted alongside our own.
-        assert len(validator._votes[(PREVOTE, 1, 0, block.block_id)]) == 2
-        assert validator._locked_block is None
+        assert len(state.voters(PREVOTE, 0, block.block_id)) == 2
+        assert state.locked_value is None
 
 
 class TestProposerLegitimacy:
     def test_undue_proposer_is_dropped_with_evidence(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        undue = next(
-            node for node in engine.validator_order if node != proposer_for(engine, 1, 0)
-        )
-        block = Block.build(1, 0, undue, [envelope("x")], GENESIS_ID)
-        validator._handle_proposal(block, undue)
-        assert (1, 0) not in validator._proposals
-        assert "forged_proposal" in evidence_kinds(validator)
+        state = RoundState("n0", ORDER)
+        actions = step(state, ProposalReceived(block_from("n2", "x"), "n2"))
+        assert evidence_kinds(actions) == ["forged_proposal"]
+        assert state.proposals == {}
 
     def test_impostor_sender_is_dropped_with_evidence(self):
         """A block *naming* the due proposer but arriving from another
         node is an impostor proposal — proposals are never relayed."""
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        due = proposer_for(engine, 1, 0)
-        impostor = next(
-            node
-            for node in engine.validator_order
-            if node not in (due, validator.node_id)
-        )
-        block = Block.build(1, 0, due, [envelope("x")], GENESIS_ID)
-        validator._handle_proposal(block, impostor)
-        assert (1, 0) not in validator._proposals
-        assert "forged_proposal" in evidence_kinds(validator)
+        state = RoundState("n0", ORDER)
+        actions = step(state, ProposalReceived(block_from(DUE, "x"), "n2"))
+        assert evidence_kinds(actions) == ["forged_proposal"]
+        assert state.proposals == {}
 
     def test_trusted_local_path_skips_only_the_sender_check(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        block = Block.build(1, 0, proposer_for(engine, 1, 0), [envelope("x")], GENESIS_ID)
-        validator._handle_proposal(block)  # sender=None: local/test path
-        assert validator._proposals[(1, 0)][block.block_id] is block
+        state = RoundState("n0", ORDER)
+        block = block_from(DUE, "x")
+        step(state, ProposalReceived(block, None))  # sender=None: local/test path
+        assert state.proposals[(1, 0)][block.block_id] is block
+        assert evidence_kinds(step(state, ProposalReceived(block_from("n2", "y"), None))) == [
+            "forged_proposal"
+        ]
 
 
 class TestEquivocationHandling:
-    def test_sibling_recorded_with_evidence_and_both_retained(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        due = proposer_for(engine, 1, 0)
-        block = Block.build(1, 0, due, [envelope("x"), envelope("y")], GENESIS_ID)
+    def siblings(self):
+        block = block_from(DUE, "x", "y")
         sibling = sibling_block(block)
         assert sibling is not None and sibling.block_id != block.block_id
-        validator._handle_proposal(block, due)
-        validator._handle_proposal(sibling, due)
-        slot = validator._proposals[(1, 0)]
-        assert set(slot) == {block.block_id, sibling.block_id}
-        assert "equivocation" in evidence_kinds(validator)
+        return block, sibling
+
+    def test_sibling_recorded_with_evidence_and_both_retained(self):
+        state = RoundState("n0", ORDER)
+        block, sibling = self.siblings()
+        assert evidence_kinds(step(state, ProposalReceived(block, DUE))) == []
+        assert evidence_kinds(step(state, ProposalReceived(sibling, DUE))) == ["equivocation"]
+        assert set(state.proposals[(1, 0)]) == {block.block_id, sibling.block_id}
 
     def test_single_prevote_despite_two_siblings(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        due = proposer_for(engine, 1, 0)
-        block = Block.build(1, 0, due, [envelope("x"), envelope("y")], GENESIS_ID)
-        sibling = sibling_block(block)
-        prevotes = []
-        original = validator._broadcast
-
-        def spy(kind, payload, size):
-            if kind == "VOTE" and payload.phase == PREVOTE:
-                prevotes.append(payload)
-            original(kind, payload, size)
-
-        validator._broadcast = spy
-        validator._handle_proposal(block, due)
-        validator._handle_proposal(sibling, due)
-        loop.run(until=loop.clock.now + 0.01)
-        assert len(prevotes) == 1, "one prevote per (height, round), not per sibling"
-        assert prevotes[0].block_id == block.block_id  # first-seen sibling
+        state = RoundState("n0", ORDER)
+        block, sibling = self.siblings()
+        actions = step(state, ProposalReceived(block, DUE))
+        actions += step(state, ProposalReceived(sibling, DUE))
+        checks = [action for action in actions if isinstance(action, CheckBlock)]
+        assert len(checks) == 1, "one prevote per (height, round), not per sibling"
+        assert checks[0].block is block  # first-seen sibling
 
     def test_conflicting_vote_prefers_a_real_rival(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        due = proposer_for(engine, 1, 0)
-        block = Block.build(1, 0, due, [envelope("x"), envelope("y")], GENESIS_ID)
-        sibling = sibling_block(block)
-        validator._handle_proposal(block, due)
-        validator._handle_proposal(sibling, due)
-        vote = Vote(PREVOTE, 1, 0, block.block_id, validator.node_id)
-        rival = conflicting_vote(validator, vote)
+        state = RoundState("n0", ORDER)
+        block, sibling = self.siblings()
+        step(state, ProposalReceived(block, DUE))
+        step(state, ProposalReceived(sibling, DUE))
+        rival = conflicting_vote(state, prevote(block.block_id, "n0"))
         assert rival.block_id == sibling.block_id
 
 
-class TestParentCheck:
-    def test_wrong_parent_earns_a_nil_prevote(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        block = Block.build(1, 0, proposer_for(engine, 1, 0), [envelope("x")], "f" * 64)
-        nil_votes = []
-        original = validator._broadcast
+class TestBehaviorsRewriteSends:
+    """The shipped behaviors are pure rewrites of the machine's sends."""
 
-        def spy(kind, payload, size):
-            if kind == "VOTE" and payload.phase == PREVOTE and payload.block_id == NIL:
-                nil_votes.append(payload)
-            original(kind, payload, size)
+    def test_double_voter_pairs_each_vote_with_a_rival_quorum_many_times(self):
+        state = RoundState("n3", ORDER)
+        send = Send(None, "VOTE", prevote("b" * 64, "n3"))
+        out = make_behavior("double_vote").outbound(state, send)
+        assert out[: state.quorum] == [send] * state.quorum
+        rivals = {item.payload.block_id for item in out[state.quorum :]}
+        assert len(out) == 2 * state.quorum and len(rivals) == 1 and "b" * 64 not in rivals
+        nil = Send(None, "VOTE", prevote(NIL, "n3"))
+        assert make_behavior("double_vote").outbound(state, nil) == [nil]
 
-        validator._broadcast = spy
-        validator._handle_proposal(block)
-        loop.run(until=loop.clock.now + 0.01)
-        assert nil_votes, "a proposal off our chain must be prevoted NIL"
+    def test_equivocator_splits_siblings_between_peer_halves(self):
+        state = RoundState(DUE, ORDER)
+        block = block_from(DUE, "x", "y")
+        out = make_behavior("equivocate").outbound(state, Send(None, "PROPOSAL", block))
+        assert [item.to for item in out] == ["n0", "n2", "n3"]
+        assert out[0].payload is block
+        assert {item.payload.block_id for item in out[1:]} == {sibling_block(block).block_id}
 
-
-class TestByzantineBehaviorsEndToEnd:
-    def submit_everywhere(self, engine, tags):
-        for tag in tags:
-            item = envelope(tag)
-            for node_id in engine.validator_order:
-                engine.validator(node_id).submit_transaction(item, gossip=False)
-
-    def honest_chains(self, engine, liar):
-        return {
-            node_id: tuple(
-                block.block_id for block in engine.validator(node_id).chain
-            )
-            for node_id in engine.validator_order
-            if node_id != liar
-        }
-
-    def test_equivocating_proposer_is_contained(self):
-        loop, engine = build_cluster()
-        liar = proposer_for(engine, 1, 0)
-        engine.validator(liar).byzantine = make_behavior("equivocate")
-        self.submit_everywhere(engine, ["m1", "m2"])
-        loop.run(until=60.0)
-        chains = self.honest_chains(engine, liar)
-        assert all(chains.values()), f"honest nodes never committed: {chains}"
-        assert len(set(chains.values())) == 1, chains
-        # The proposer's double-voting left evidence on honest nodes.
-        assert any(
-            item["kind"] in ("double_vote", "equivocation")
-            for node_id in chains
-            for item in engine.validator(node_id).evidence
-        )
-
-    def test_vote_withholder_does_not_stall_the_quorum(self):
-        loop, engine = build_cluster()
-        liar = next(
-            node
-            for node in engine.validator_order
-            if node != proposer_for(engine, 1, 0)
-        )
-        engine.validator(liar).byzantine = make_behavior("withhold")
-        self.submit_everywhere(engine, ["w1"])
-        loop.run(until=60.0)
-        chains = self.honest_chains(engine, liar)
-        assert all(chains.values())
-        assert len(set(chains.values())) == 1
-
-    def test_stale_replica_freezes_while_honest_nodes_advance(self):
-        loop, engine = build_cluster()
-        liar = next(
-            node
-            for node in engine.validator_order
-            if node != proposer_for(engine, 1, 0)
-        )
-        engine.validator(liar).byzantine = make_behavior("stale")
-        self.submit_everywhere(engine, ["s1"])
-        loop.run(until=60.0)
-        chains = self.honest_chains(engine, liar)
-        assert all(chains.values())
-        assert len(set(chains.values())) == 1
-        assert len(engine.validator(liar).chain) < len(
-            next(iter(chains.values()))
-        ) + 1  # the frozen replica fell behind the honest commit
+    def test_withholder_and_stale_replica_send_no_votes(self):
+        state = RoundState("n3", ORDER)
+        vote = Send(None, "VOTE", prevote("b" * 64, "n3"))
+        proposal = Send(None, "PROPOSAL", block_from(DUE, "x"))
+        for kind in ("withhold", "stale"):
+            assert make_behavior(kind).outbound(state, vote) == []
+            assert make_behavior(kind).outbound(state, proposal) == [proposal]

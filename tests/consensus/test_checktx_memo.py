@@ -88,9 +88,9 @@ class TestCheckTxMemo:
         assert validator.check_tx_cached(forged)
         assert app.check_calls == 2  # different object: full re-check
 
-    def test_memo_is_bounded(self):
-        config = BftConfig(check_memo_size=8)
-        loop, engine, apps = build_cluster(n=1, config=config)
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.consensus.bft.CHECK_MEMO_LIMIT", 8)
+        loop, engine, apps = build_cluster(n=1)
         validator = engine.validator(engine.validator_order[0])
         for index in range(40):
             envelope = envelope_for({"n": index}, f"{index:064d}", 100)

@@ -4,7 +4,9 @@ Found by the chaos harness (seed 606) once lane-parallel validation
 tightened the vote races: a round-0 proposal and a round-1 re-proposal of
 the same single transaction each gathered a quorum, and one replica
 committed the round-0 block while the rest committed the round-1 block —
-a height fork.  Three mechanisms close it, each pinned here:
+a height fork.  Three mechanisms close it, each pinned here against the
+pure round machine (``repro.consensus.round.step``; no event loop, no
+network — the driver-level convergence test lives in ``test_bft.py``):
 
 * **value identity** — a block's id hashes height/parent/transactions,
   not round or proposer, so cross-round re-proposals of one value cannot
@@ -19,22 +21,23 @@ a height fork.  Three mechanisms close it, each pinned here:
 
 import hashlib
 
-from repro.consensus.abci import NullApplication, envelope_for
-from repro.consensus.bft import GENESIS_ID
-from repro.consensus.tendermint import make_tendermint_cluster
-from repro.consensus.types import NIL, PREVOTE, Block, Vote
-from repro.sim.events import EventLoop
-from repro.sim.network import Network
-from repro.sim.rng import SeededRng
+from repro.consensus.abci import envelope_for
+from repro.consensus.round import (
+    GENESIS_ID,
+    BlockChecked,
+    CheckBlock,
+    Decided,
+    JournalLock,
+    ProposalReceived,
+    ProposeDue,
+    RoundState,
+    Send,
+    VoteReceived,
+    step,
+)
+from repro.consensus.types import NIL, PRECOMMIT, PREVOTE, Block, Vote
 
-
-def build_cluster(n=4):
-    loop = EventLoop()
-    network = Network(loop, SeededRng(17))
-    engine = make_tendermint_cluster(
-        loop, network, lambda node_id: NullApplication(), n_validators=n
-    )
-    return loop, engine
+ORDER = ("n0", "n1", "n2", "n3")
 
 
 def envelope(tag: str):
@@ -42,9 +45,39 @@ def envelope(tag: str):
     return envelope_for({"tag": tag}, tx_id, 100)
 
 
-def proposer_for(engine, height, round_number):
-    order = engine.validator_order
-    return order[(height + round_number) % len(order)]
+def proposer_for(height, round_number):
+    return ORDER[(height + round_number) % len(ORDER)]
+
+
+def block_at(round_number, tag="x", height=1):
+    return Block.build(
+        height, round_number, proposer_for(height, round_number), [envelope(tag)], GENESIS_ID
+    )
+
+
+def of_type(actions, kind):
+    return [action for action in actions if isinstance(action, kind)]
+
+
+def prevote_for(state, block):
+    """Deliver ``block`` and answer the machine's CheckBlock as a driver
+    that found it valid would; returns the prevote it decides on (None
+    if the machine does not prevote the proposal at all)."""
+    checks = of_type(step(state, ProposalReceived(block, None)), CheckBlock)
+    if not checks:
+        return None
+    [send] = step(state, BlockChecked(checks[0].block, True))
+    step(state, VoteReceived(send.payload, state.me))  # the node's own copy
+    return send.payload
+
+
+def polka(state, block, voters):
+    """Deliver prevotes for ``block`` from ``voters``; returns every action."""
+    actions = []
+    for voter in voters:
+        vote = Vote(PREVOTE, block.height, block.round, block.block_id, voter)
+        actions += step(state, VoteReceived(vote, voter))
+    return actions
 
 
 class TestValueIdentity:
@@ -64,142 +97,68 @@ class TestValueIdentity:
 
 class TestRoundDiscipline:
     def test_future_round_proposal_joins_the_round(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        block = Block.build(1, 2, proposer_for(engine, 1, 2), [envelope("x")], GENESIS_ID)
-        validator._handle_proposal(block)
-        assert validator.round == 2
-        assert (1, 2) in validator._prevoted
+        state = RoundState("n0", ORDER)
+        vote = prevote_for(state, block_at(2))
+        assert state.round == 2
+        assert (vote.round, vote.phase) == (2, PREVOTE)
 
     def test_stale_round_proposal_is_not_prevoted(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        validator.round = 1
-        block = Block.build(1, 0, proposer_for(engine, 1, 0), [envelope("x")], GENESIS_ID)
-        validator._handle_proposal(block)
-        assert (1, 0) not in validator._prevoted
+        state = RoundState("n0", ORDER, round=1)
+        block = block_at(0)
+        assert prevote_for(state, block) is None
         # The proposal is still stored so a late commit can apply it.
-        assert validator._proposals[(1, 0)][block.block_id] is block
+        assert state.proposals[(1, 0)][block.block_id] is block
 
     def test_stale_polka_earns_no_precommit_and_no_lock(self):
-        loop, engine = build_cluster()
-        validator = engine.validator(engine.validator_order[0])
-        block = Block.build(1, 0, proposer_for(engine, 1, 0), [envelope("x")], GENESIS_ID)
-        validator.round = 1  # this node has moved on before the proposal lands
-        validator._handle_proposal(block)
-        for voter in engine.validator_order[1:]:
-            validator._handle_vote(Vote(PREVOTE, 1, 0, block.block_id, voter), voter)
-        loop.run(until=loop.clock.now + 0.01)
-        assert validator._locked_block is None
-        assert (1, 0) not in validator._precommitted
+        state = RoundState("n0", ORDER, round=1)  # moved on before the proposal lands
+        block = block_at(0)
+        step(state, ProposalReceived(block, None))
+        assert polka(state, block, ORDER[1:]) == []
+        assert state.locked_value is None
 
 
 class TestLockRule:
-    def lock_via_polka(self, loop, engine, validator, block):
-        validator._handle_proposal(block)
-        loop.run(until=loop.clock.now + 0.01)
-        peers = [n for n in engine.validator_order if n != validator.node_id][:2]
-        for voter in peers:
-            validator._handle_vote(
-                Vote(PREVOTE, block.height, block.round, block.block_id, voter), voter
-            )
-        loop.run(until=loop.clock.now + 0.01)
+    def locked_on(self, me, block):
+        state = RoundState(me, ORDER)
+        assert prevote_for(state, block).block_id == block.block_id
+        peers = [node for node in ORDER if node != me][:2]
+        actions = polka(state, block, peers)
+        # Journal the lock, *then* precommit — in that order.
+        assert [type(action) for action in actions] == [JournalLock, Send]
+        assert actions[1].payload.phase == PRECOMMIT
+        assert state.locked_value is block and state.locked_round == block.round
+        return state
 
     def test_polka_locks_and_conflicting_proposal_gets_nil(self):
-        loop, engine = build_cluster()
-        node_id = engine.validator_order[0]
-        validator = engine.validator(node_id)
-        locked = Block.build(1, 0, proposer_for(engine, 1, 0), [envelope("x")], GENESIS_ID)
-        self.lock_via_polka(loop, engine, validator, locked)
-        assert validator._locked_block is not None
-        assert validator._locked_block.block_id == locked.block_id
-
+        state = self.locked_on("n0", block_at(0))
         # A different value at a later round: this node must prevote NIL.
-        rival = Block.build(1, 1, proposer_for(engine, 1, 1), [envelope("y")], GENESIS_ID)
-        nil_votes = []
-        original = validator._broadcast
+        assert prevote_for(state, block_at(1, tag="y")).block_id == NIL
 
-        def spy(kind, payload, size):
-            if kind == "VOTE" and payload.phase == PREVOTE and payload.block_id == NIL:
-                nil_votes.append(payload)
-            original(kind, payload, size)
-
-        validator._broadcast = spy
-        validator._handle_proposal(rival)
-        loop.run(until=loop.clock.now + 0.01)
-        assert nil_votes, "locked validator must prevote NIL against a rival value"
+    def test_prevotes_past_the_quorum_adopt_nothing_twice(self):
+        block = block_at(0)
+        state = self.locked_on("n0", block)
+        assert polka(state, block, ORDER[3:]) == []
 
     def test_locked_proposer_reproposes_the_locked_value(self):
-        loop, engine = build_cluster()
-        height = 1
-        # Find the validator that proposes (height, round=1).
-        node_id = proposer_for(engine, height, 1)
-        validator = engine.validator(node_id)
-        locked = Block.build(
-            height, 0, proposer_for(engine, height, 0), [envelope("x")], GENESIS_ID
-        )
-        self.lock_via_polka(loop, engine, validator, locked)
-        assert validator._locked_block is not None
-        proposals = []
-        original = validator._broadcast
-
-        def spy(kind, payload, size):
-            if kind == "PROPOSAL":
-                proposals.append(payload)
-            original(kind, payload, size)
-
-        validator._broadcast = spy
-        validator.round = 1
-        validator.maybe_propose()
-        loop.run(until=loop.clock.now + 0.01)
-        assert proposals, "locked proposer must re-propose"
+        locked = block_at(0)
+        state = self.locked_on(proposer_for(1, 1), locked)
+        state.round = 1
+        [send] = step(state, ProposeDue())
         # Same value id, fresh round: peers locked on it will prevote it.
-        assert proposals[-1].block_id == locked.block_id
-        assert proposals[-1].round == 1
+        assert send.kind == "PROPOSAL"
+        assert send.payload.block_id == locked.block_id
+        assert send.payload.round == 1
+        assert step(state, ProposeDue()) == [], "one proposal per round"
 
     def test_lock_survives_crash(self):
-        loop, engine = build_cluster()
-        node_id = engine.validator_order[0]
-        validator = engine.validator(node_id)
-        locked = Block.build(1, 0, proposer_for(engine, 1, 0), [envelope("x")], GENESIS_ID)
-        self.lock_via_polka(loop, engine, validator, locked)
-        assert validator._locked_block is not None
-        validator.on_crash()
-        assert validator._locked_block is not None, "the lock is consensus WAL state"
+        state = self.locked_on("n0", block_at(0))
+        state.forget_volatile()
+        assert state.locked_value is not None, "the lock is consensus WAL state"
+        assert not state.proposals and not state.votes and not state.acted
 
     def test_lock_clears_when_the_height_commits(self):
-        loop, engine = build_cluster()
-        submitted = envelope("commit-me")
-        for node_id in engine.validator_order:
-            engine.validator(node_id).submit_transaction(submitted, gossip=False)
-        loop.run(until=30.0)
-        assert len(engine.committed_envelopes()) == 1
-        for node_id in engine.validator_order:
-            assert engine.validator(node_id)._locked_block is None
-
-
-class TestNoForkUnderRoundRace:
-    def test_competing_rounds_for_the_same_value_converge(self):
-        """The seed-606 shape: the same transaction proposed at round 0
-        and round 1 must commit as one block id everywhere."""
-        loop, engine = build_cluster()
-        shared = [envelope("contested")]
-        r0 = Block.build(1, 0, proposer_for(engine, 1, 0), shared, GENESIS_ID)
-        r1 = Block.build(1, 1, proposer_for(engine, 1, 1), shared, GENESIS_ID)
-        assert r0.block_id == r1.block_id
-        # Half the cluster sees round 0 first, half sees round 1 first.
-        order = engine.validator_order
-        for node_id in order[:2]:
-            engine.validator(node_id)._handle_proposal(r0)
-            engine.validator(node_id)._handle_proposal(r1)
-        for node_id in order[2:]:
-            engine.validator(node_id)._handle_proposal(r1)
-            engine.validator(node_id)._handle_proposal(r0)
-        loop.run(until=30.0)
-        ids = {
-            node_id: [block.block_id for block in engine.validator(node_id).chain]
-            for node_id in order
-            if engine.validator(node_id).chain
-        }
-        assert ids, "nothing committed"
-        assert len({tuple(chain) for chain in ids.values()}) == 1, ids
+        block = block_at(0)
+        state = self.locked_on("n0", block)
+        step(state, Decided(block))
+        assert state.locked_value is None and state.locked_round == -1
+        assert (state.h, state.round, state.last_block_id) == (2, 0, block.block_id)

@@ -39,8 +39,8 @@ COLLECTIONS = ("rows", "ledger")
 def dict_state(database, validator) -> dict:
     """The checkpoint state as PR 14 built it, before the splice."""
     lock = None
-    if validator._locked_block is not None:
-        lock = {"r": validator._locked_round, "b": block_record(validator._locked_block)}
+    if validator.state.locked_value is not None:
+        lock = {"r": validator.state.locked_round, "b": block_record(validator.state.locked_value)}
     return {
         "collections": {
             name: database.collection(name).find({}, copy=True)
@@ -191,11 +191,11 @@ class SpliceMachine(RuleBasedStateMachine):
                 )
             )
         return Block.build(
-            self.validator.height,
+            self.validator.state.h,
             round_number,
             "n0",
             envelopes,
-            self.validator.last_block_id,
+            self.validator.state.last_block_id,
         )
 
     @rule(payloads=payload_lists, round_number=st.integers(0, 2), cert=certs)
@@ -204,14 +204,14 @@ class SpliceMachine(RuleBasedStateMachine):
 
     @rule(payloads=payload_lists, round_number=st.integers(0, 2))
     def lock(self, payloads, round_number):
-        self.validator._locked_block = self.block(payloads, round_number)
-        self.validator._locked_round = round_number
+        self.validator.state.locked_value = self.block(payloads, round_number)
+        self.validator.state.locked_round = round_number
         self.validator._journal_lock()
 
     @rule(cert=certs)
     def commit_locked_block(self, cert):
-        if self.validator._locked_block is not None:
-            self.validator._apply_block(self.validator._locked_block, cert=cert)
+        if self.validator.state.locked_value is not None:
+            self.validator._apply_block(self.validator.state.locked_value, cert=cert)
 
     # -- durability -------------------------------------------------------------
 

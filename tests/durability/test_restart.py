@@ -126,11 +126,11 @@ class TestLockForcedDurability:
         node = cluster.engine.validator_order[0]
         validator = cluster.engine.validator(node)
         envelope = TxEnvelope("tx-lock", {"id": "tx-lock"}, 64, 1, 0.0)
-        block = Block.build(1, 0, node, [envelope], validator.last_block_id)
-        validator._proposals[(1, 0)] = {block.block_id: block}
+        block = Block.build(1, 0, node, [envelope], validator.state.last_block_id)
+        validator.state.proposals[(1, 0)] = {block.block_id: block}
         for voter in cluster.engine.validator_order[:3]:
             validator._handle_vote(Vote(PREVOTE, 1, 0, block.block_id, voter), voter)
-        assert validator._locked_block is not None
+        assert validator.state.locked_value is not None
         # WITHOUT running the loop (the lazy flush never fired), the lock
         # must already be durable on the device.
         durability = cluster.node_durability[node]
@@ -138,7 +138,7 @@ class TestLockForcedDurability:
         assert records and records[-1]["b"]["id"] == block.block_id
 
     def test_prevotes_past_the_quorum_do_not_journal_the_lock_again(self):
-        """Regression: the fourth prevote reaches ``_on_prevote_quorum``
+        """Regression: the fourth prevote reaches the polka rule
         like the third and used to re-adopt the identical lock — a second
         ``lock`` frame carrying the whole block, a second forced sync and
         a doubled ``consensus_lock_adoptions``, at every height."""
@@ -164,8 +164,8 @@ class TestLockForcedDurability:
             ]
 
         envelope = TxEnvelope("tx-lock", {"id": "tx-lock"}, 64, 1, 0.0)
-        block = Block.build(1, 0, node, [envelope], validator.last_block_id)
-        validator._proposals[(1, 0)] = {block.block_id: block}
+        block = Block.build(1, 0, node, [envelope], validator.state.last_block_id)
+        validator.state.proposals[(1, 0)] = {block.block_id: block}
         for voter in order[:3]:
             validator._handle_vote(Vote(PREVOTE, 1, 0, block.block_id, voter), voter)
         assert lock_frames() == [(1, 0, block.block_id)]
@@ -174,17 +174,17 @@ class TestLockForcedDurability:
         assert lock_frames() == [(1, 0, block.block_id)]
         assert durability.log.stats["flushes"] == syncs
         assert adoptions.value == 1
-        assert (1, 0) in validator._precommitted
+        assert ("precommit", 0) in validator.state.acted
         # A polka for the same block in a later round *moves* the lock:
         # that is a new (height, round) and is journaled — once.
-        again = Block.build(1, 1, order[2], [envelope], validator.last_block_id)
+        again = Block.build(1, 1, order[2], [envelope], validator.state.last_block_id)
         assert again.block_id == block.block_id
-        validator._proposals[(1, 1)] = {again.block_id: again}
+        validator.state.proposals[(1, 1)] = {again.block_id: again}
         for voter in order:
             validator._handle_vote(Vote(PREVOTE, 1, 1, again.block_id, voter), voter)
         assert lock_frames() == [(1, 0, block.block_id), (1, 1, block.block_id)]
         assert adoptions.value == 2
-        assert validator._locked_round == 1
+        assert validator.state.locked_round == 1
 
     def test_a_run_leaves_one_lock_frame_per_height_and_round_locked(self):
         """Decode every validator's WAL after real traffic: one ``lock``

@@ -23,7 +23,8 @@ import repro.core.validation as validation_module
 import repro.crypto.conditions as conditions_module
 from repro.common.encoding import canonical_bytes
 from repro.consensus.abci import envelope_for
-from repro.consensus.bft import GENESIS_ID, Validator
+import repro.consensus.round as round_machine
+from repro.consensus.bft import GENESIS_ID
 from repro.consensus.byzantine import sibling_block
 from repro.consensus.types import PRECOMMIT, PREVOTE, Block, Vote
 from repro.core.cluster import ClusterConfig, SmartchainCluster
@@ -236,13 +237,12 @@ class TestPerValidatorDedupeMutation:
         return plane, validators, h1, h2, block, sibling
 
     def test_per_message_tally_forks_and_the_invariant_fires(self, monkeypatch):
-        def per_message(self, vote):
-            key = (vote.phase, vote.height, vote.round, vote.block_id)
-            bucket = self._votes.setdefault(key, set())
-            bucket.add((vote.voter, len(bucket)))
-            return len(bucket)
+        def per_message(state, vote, actions):
+            slot = state.votes.setdefault((vote.phase, vote.round), {})
+            slot[(vote.voter, len(slot))] = vote
+            return sum(1 for counted in slot.values() if counted.block_id == vote.block_id)
 
-        monkeypatch.setattr(Validator, "_tally_vote", per_message)
+        monkeypatch.setattr(round_machine, "_tally", per_message)
         plane, validators, h1, h2, block, sibling = self._drive(mutated=True)
         assert [b.block_id for b in validators[h1].chain] == [block.block_id]
         assert [b.block_id for b in validators[h2].chain] == [sibling.block_id]
@@ -295,14 +295,14 @@ class TestLockRuleMutation:
         # quorum.  Lockless, h2 prevotes B and commits it — locked, h2
         # prevotes NIL and the quorum dies at 2 of 3.
         nil_prevotes = []
-        original = validators[h2]._broadcast
+        original = validators[h2]._wire
 
-        def spy(kind, payload, size):
-            if kind == "VOTE" and payload.phase == PREVOTE:
-                nil_prevotes.append(payload.block_id)
-            original(kind, payload, size)
+        def spy(send):
+            if send.kind == "VOTE" and send.payload.phase == PREVOTE:
+                nil_prevotes.append(send.payload.block_id)
+            original(send)
 
-        validators[h2]._broadcast = spy
+        validators[h2]._wire = spy
         reproposal = Block.build(1, 2, h3, list(sibling.transactions), GENESIS_ID)
         assert reproposal.block_id == sibling.block_id  # value identity
         validators[h2]._handle_proposal(reproposal, h3)
@@ -320,17 +320,13 @@ class TestLockRuleMutation:
         return plane, validators, h1, h2, block, sibling, nil_prevotes
 
     def test_lockless_quorum_forks_and_the_invariant_fires(self, monkeypatch):
-        def lockless(self, vote):
-            if vote.height != self.height:
-                return
-            key = (vote.height, vote.round)
-            if key not in self._precommitted:
-                self._precommitted.add(key)
-                self._send_vote(
-                    Vote(PRECOMMIT, vote.height, vote.round, vote.block_id, self.node_id)
-                )
+        def lockless(state, vote, actions):
+            if (PRECOMMIT, vote.round) not in state.acted:
+                state.acted.add((PRECOMMIT, vote.round))
+                precommit = Vote(PRECOMMIT, vote.height, vote.round, vote.block_id, state.me)
+                actions.append(round_machine.Send(None, "VOTE", precommit))
 
-        monkeypatch.setattr(Validator, "_on_prevote_quorum", lockless)
+        monkeypatch.setattr(round_machine, "_on_polka", lockless)
         plane, validators, h1, h2, block, sibling, prevotes = self._drive()
         assert [b.block_id for b in validators[h1].chain] == [block.block_id]
         assert [b.block_id for b in validators[h2].chain] == [sibling.block_id]
