@@ -103,14 +103,20 @@ class ValidationContext:
         )
         return spender["id"] if spender else None
 
-    def require_unspent(self, ref: OutputRef) -> None:
+    def require_unspent(self, ref: OutputRef, by: str | None = None) -> None:
         """Raise if ``ref`` was already spent (double-spend protection).
+
+        At block delivery (spend guards off) the transaction ``by`` is
+        not its own double-spender: a replica that stored it earlier as a
+        cross-shard reference copy must deliver it like every replica
+        that did not, or the block's effect depends on import timing.
+        Admission still refuses a transaction the store already holds.
 
         Raises:
             DoubleSpendError: naming the conflicting spender.
         """
         spender = self.output_spender(ref)
-        if spender is not None:
+        if spender is not None and (self.use_spend_guards or spender != by):
             raise DoubleSpendError(
                 f"output {ref.transaction_id[:8]}..:{ref.output_index} already spent by {spender[:8]}"
             )

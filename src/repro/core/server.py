@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.common.encoding import deep_copy_json
-from repro.common.errors import ValidationError
+from repro.common.errors import DuplicateKeyError, ValidationError
 from repro.consensus.types import Block, TxEnvelope
 from repro.core.context import ValidationContext
 from repro.core.nested import NestedTransactionProcessor
@@ -274,7 +274,13 @@ class SmartchainServer:
         spent_in_block: set[tuple[str, int]] = set()
         for envelope in delivered:
             payload = envelope.payload
-            transactions.insert_one(payload, copy=False, encode=encoded_payload)
+            try:
+                transactions.insert_one(payload, copy=False, encode=encoded_payload)
+            except DuplicateKeyError:
+                # Already here as a cross-shard reference copy
+                # (``import_reference_payloads``): delivery adds the
+                # local effects below, the stored payload is the same.
+                pass
             asset = payload.get("asset") or {}
             if "data" in asset:
                 assets.insert_one({"id": payload["id"], "data": asset.get("data")})

@@ -14,12 +14,18 @@ of committed + staged state:
 * the 2PC participant's prepare vote refuses to lock an output some
   validator already has a pooled rival spend for (proposals assemble by
   non-destructive peek, so in-flight block contents are still pooled).
+
+The elastic chaos sweep (seeds 110 / 123 / 141) then caught the same
+disease from another side: a replica that had stored a transaction as a
+cross-shard *reference copy* before the block containing it arrived
+rejected it as its own double spend, or died re-inserting it.
 """
 
 import pytest
 
 from repro.common.errors import DoubleSpendError
 from repro.consensus.abci import envelope_for
+from repro.consensus.types import Block
 from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.core.transaction import OutputRef
 from repro.crypto.keys import keypair_from_string
@@ -78,6 +84,54 @@ class TestDeliverIgnoresTheLockOracle:
         cluster.add_spend_guard(lambda ref: "shard-lock:phantom")
         with pytest.raises(DoubleSpendError):
             cluster.any_server().receiver_validate(payload)
+
+
+class TestDeliveryOverReferenceCopies:
+    """``import_reference_payloads`` first, the block second: DeliverTx
+    and commit must do what they do on a replica that never saw the copy."""
+
+    def deliver_and_commit(self, cluster, payload):
+        assert cluster.import_reference_payloads([payload]) == len(cluster.servers)
+        server = cluster.any_server()
+        envelope = envelope_for(payload, payload["id"], 100)
+        assert server.deliver_tx(envelope) is True
+        height = server.database.collection("blocks").count({}) + 1
+        server.commit_block(Block.build(height, 0, "scdb-0", [envelope], "p" * 64), [envelope])
+        stored = server.database.collection("transactions").find({"id": payload["id"]})
+        assert len(stored) == 1, "the copy is the stored payload: no second insert"
+        return server.database.collection("utxos")
+
+    def test_create(self):
+        cluster = SmartchainCluster(ClusterConfig(seed=3))
+        owner = keypair_from_string("holder")
+        payload = cluster.driver.prepare_create(owner, {"capabilities": ["x"]}).to_dict()
+        utxos = self.deliver_and_commit(cluster, payload)
+        assert utxos.count({"transaction_id": payload["id"]}) == 1
+        assets = cluster.any_server().database.collection("assets")
+        assert assets.count({"id": payload["id"]}) == 1
+
+    def test_transfer_is_not_its_own_double_spender(self):
+        cluster = SmartchainCluster(ClusterConfig(seed=3))
+        owner, create = _committed_create(cluster)
+        payload = _transfer_payload(cluster, owner, create)
+        utxos = self.deliver_and_commit(cluster, payload)
+        assert utxos.count({"transaction_id": create.tx_id}) == 0
+        assert utxos.count({"transaction_id": payload["id"]}) == 1
+
+    def test_admission_still_refuses_what_the_store_already_holds(self):
+        cluster = SmartchainCluster(ClusterConfig(seed=3))
+        owner, create = _committed_create(cluster)
+        payload = _transfer_payload(cluster, owner, create)
+        cluster.import_reference_payloads([payload])
+        with pytest.raises(DoubleSpendError):
+            cluster.any_server().receiver_validate(payload)
+
+    def test_delivery_still_rejects_a_rival_of_the_copy(self):
+        cluster = SmartchainCluster(ClusterConfig(seed=3))
+        owner, create = _committed_create(cluster)
+        cluster.import_reference_payloads([_transfer_payload(cluster, owner, create, "r1")])
+        rival = _transfer_payload(cluster, owner, create, "r2")
+        assert cluster.any_server().deliver_tx(envelope_for(rival, rival["id"], 100)) is False
 
 
 class TestAdmissionHonorsTheLockOracle:
