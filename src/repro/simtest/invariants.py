@@ -589,10 +589,14 @@ def mv_consistency(plane: FaultPlane) -> list[str]:
     """Every materialized view equals a from-scratch recomputation.
 
     Rebuilds a fresh :class:`~repro.views.manager.ViewManager` from each
-    shard's reference chain (the longest one — chain agreement is its
-    own invariant) and compares canonical snapshots against the live,
-    incrementally-maintained manager.  Any drift means the WAL feed
-    dropped, duplicated or mis-ordered an update somewhere in the crash/
+    shard's reference replica (the one with the longest chain — chain
+    agreement is its own invariant) and compares canonical snapshots
+    against the live, incrementally-maintained manager.  The oracle reads
+    that replica's ``blocks`` and ``transactions`` collections — what
+    each block *delivered*, a source independent of the journal records
+    the live feed consumes — so a view that applies an envelope DeliverTx
+    rejected drifts from it.  Any drift means the WAL feed dropped,
+    duplicated, mis-ordered or invented an update somewhere in the crash/
     partition/byzantine history — the read path would be serving wrong
     answers while every write-path invariant still passed.
     """
@@ -601,18 +605,25 @@ def mv_consistency(plane: FaultPlane) -> list[str]:
     live = getattr(plane.cluster, "views", None)
     if live is None:
         return []
-    from repro.durability.recovery import block_record
     from repro.views import ViewManager
 
     rebuilt = ViewManager()
     for shard_id in plane.shard_ids:
         shard = plane.shard_cluster(shard_id)
-        chain = max(
-            (shard.engine.validator(n).chain for n in shard.engine.validator_order),
-            key=len,
+        reference = max(
+            shard.engine.validator_order, key=lambda n: len(shard.engine.validator(n).chain)
         )
-        for block in sorted(chain, key=lambda b: b.height):
-            rebuilt.apply_block_record(shard.view_shard_key, block_record(block))
+        database = shard.servers[reference].database
+        transactions = database.collection("transactions")
+        blocks = database.collection("blocks").find({}, copy=False)
+        for document in sorted(blocks, key=lambda doc: doc["height"]):
+            entries = [
+                [tx_id, transactions.find_one({"id": tx_id}, copy=False)]
+                for tx_id in document["transaction_ids"]
+            ]
+            rebuilt.apply_block_record(
+                shard.view_shard_key, {"h": document["height"], "txs": entries}
+            )
     expected = rebuilt.consistency_snapshot()
     actual = live.consistency_snapshot()
     violations = []

@@ -8,6 +8,12 @@ listeners, so view updates are driven exclusively by records that are
 *durable on disk*: a power failure can never leave the views ahead of
 what recovery will rebuild.
 
+A block record carries every envelope the block *contained*; the views
+must apply only what it *delivered* (a spend rejected at DeliverTx took
+no effect on any replica).  The delivered ids are in the same journal:
+the ``blocks`` collection's insert record, written just ahead of the
+block record, lists them — the feed remembers it and hands both on.
+
 One feed serves one shard (one log); a deployment-level
 :class:`~repro.views.manager.ViewManager` simply attaches one feed per
 node per shard — the manager's height cursor collapses the n-way
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.durability.recovery import is_blocks_insert, scan_delivered_blocks
 from repro.views.manager import ViewManager
 
 
@@ -36,6 +43,10 @@ class ChangeFeed:
         #: LSN of the newest record this feed has seen (feed cursor).
         self.last_lsn = 0
         self.stats = {"flushes": 0, "records": 0, "blocks": 0}
+        #: height -> transaction ids of the ``blocks`` document journaled
+        #: for it, until that height's block record arrives (the two may
+        #: land in different flushes).
+        self._delivered: dict[int, list[str]] = {}
         if log is not None:
             self.attach(log)
 
@@ -54,7 +65,10 @@ class ChangeFeed:
             self.last_lsn = lsn
             if record.get("k") == "block":
                 self.stats["blocks"] += 1
-                self.manager.apply_block_record(self.shard, record["b"])
+                delivered = self._delivered.pop(record["b"]["h"], None)
+                self.manager.apply_block_record(self.shard, record["b"], delivered)
+            elif is_blocks_insert(record):
+                self._delivered[record["d"]["height"]] = record["d"]["transaction_ids"]
 
     def bootstrap(self, durability, from_height: int = 0) -> int:
         """Replay block records already on disk; returns blocks applied.
@@ -65,10 +79,8 @@ class ChangeFeed:
         cursor the live listener uses, so a record arriving both ways is
         applied once.
         """
-        from repro.durability.recovery import scan_block_records
-
         applied = 0
-        for record in scan_block_records(durability, from_height=from_height):
-            if self.manager.apply_block_record(self.shard, record):
+        for record, delivered in scan_delivered_blocks(durability, from_height=from_height):
+            if self.manager.apply_block_record(self.shard, record, delivered):
                 applied += 1
         return applied

@@ -85,8 +85,9 @@ class ViewManager:
         self._accept_by_request: dict[str, str] = {}
         #: shard key -> highest contiguously applied height.
         self._heights: dict[str, int] = {}
-        #: shard key -> {height: block record} waiting for a gap to close.
-        self._pending: dict[str, dict[int, dict[str, Any]]] = {}
+        #: shard key -> {height: (block record, delivered ids)} waiting
+        #: for a gap to close.
+        self._pending: dict[str, dict[int, tuple]] = {}
         self.stats = {
             "blocks_applied": 0,
             "blocks_duplicate": 0,
@@ -96,8 +97,16 @@ class ViewManager:
 
     # -- ingestion -------------------------------------------------------------
 
-    def apply_block_record(self, shard: str, record: dict[str, Any]) -> bool:
+    def apply_block_record(
+        self, shard: str, record: dict[str, Any], delivered: list[str] | None = None
+    ) -> bool:
         """Apply one journal block record; returns True if it advanced.
+
+        ``delivered`` lists the ids of the transactions the block
+        *delivered* (the ``blocks`` collection's ``transaction_ids``):
+        only those envelopes are applied — a record also carries the ones
+        DeliverTx rejected, which changed no replica's state.  ``None``
+        applies every envelope (a journal without such documents).
 
         Records at or below the shard's applied height are duplicates
         (multi-node feeds, catch-up re-journaling) and are dropped;
@@ -109,21 +118,23 @@ class ViewManager:
             self.stats["blocks_duplicate"] += 1
             return False
         if height > applied + 1:
-            self._pending.setdefault(shard, {})[height] = record
+            self._pending.setdefault(shard, {})[height] = (record, delivered)
             self.stats["blocks_buffered"] += 1
             return False
-        self._apply(shard, record)
+        self._apply(shard, record, delivered)
         # Drain any buffered successors the gap was hiding.
         pending = self._pending.get(shard)
         while pending:
-            record = pending.pop(self._heights[shard] + 1, None)
-            if record is None:
+            successor = pending.pop(self._heights[shard] + 1, None)
+            if successor is None:
                 break
-            self._apply(shard, record)
+            self._apply(shard, *successor)
         return True
 
-    def _apply(self, shard: str, record: dict[str, Any]) -> None:
+    def _apply(self, shard: str, record: dict[str, Any], delivered: list[str] | None) -> None:
         txs = record.get("txs") or []
+        if delivered is not None:
+            txs = [entry for entry in txs if entry[0] in delivered]
         for entry in txs:
             self._apply_tx(shard, entry[0], entry[1])
         self._heights[shard] = record["h"]

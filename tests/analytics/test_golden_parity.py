@@ -69,6 +69,32 @@ def rich_history(cluster, restart_midway=False):
     return create_a, request
 
 
+def rejected_in_block_spend(cluster):
+    """Two rival spends of one output, both admitted before either
+    commits: the second reaches a block and fails DeliverTx there — a
+    committed block that *contains* a transaction it did not *deliver*."""
+    driver = cluster.driver
+    create = driver.prepare_create(ALICE, {"capabilities": ["cnc"]})
+    cluster.submit_and_settle(create)
+    rivals = [
+        driver.prepare_transfer(
+            ALICE, [(create.tx_id, 0, 1)], create.tx_id, [(party.public_key, 1)]
+        )
+        for party in (BOB, CAROL)
+    ]
+    for rival in rivals:
+        cluster.submit_payload(rival.to_dict())
+    cluster.run()
+    validator = cluster.engine.validator(cluster.engine.validator_order[0])
+    contained = {envelope.tx_id for block in validator.chain for envelope in block.transactions}
+    assert {rival.tx_id for rival in rivals} <= contained
+    server = cluster.any_server()
+    winner, loser = sorted(rivals, key=lambda rival: server.get_transaction(rival.tx_id) is None)
+    assert server.get_transaction(winner.tx_id) is not None
+    assert server.get_transaction(loser.tx_id) is None, "the rival must fail DeliverTx"
+    return create, winner, loser
+
+
 def assert_parity(cluster, create_a, request):
     server = cluster.any_server()
     assert server.views_current()
@@ -119,6 +145,20 @@ class TestGoldenParity:
         cluster = durable_cluster(seed=31)
         create_a, request = rich_history(cluster, restart_midway=True)
         assert_parity(cluster, create_a, request)
+
+    def test_a_spend_rejected_inside_a_block_changes_no_view(self):
+        """Views apply what a block delivered, not what it contained:
+        the losing rival is in a committed block's journal record, and
+        must not take the output, mint one for its recipient, or count."""
+        cluster = durable_cluster(seed=59)
+        create_a, request = rich_history(cluster)
+        create, winner, loser = rejected_in_block_spend(cluster)
+        assert_parity(cluster, create_a, request)
+        views = cluster.views
+        assert views.spender_of(create.tx_id, 0)["id"] == winner.tx_id
+        assert views.transaction(loser.tx_id) is None
+        minted = [doc["transaction_id"] for party in (BOB, CAROL) for doc in views.outputs_for(party.public_key)]
+        assert winner.tx_id in minted and loser.tx_id not in minted
 
     def test_auto_source_prefers_views_and_matches_scan(self):
         cluster = durable_cluster(seed=37)

@@ -13,6 +13,9 @@ from repro.simtest.schedule import (
 from repro.simtest.plane import FaultPlane
 from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.sim.rng import SeededRng
+from repro.views import ViewManager
+
+from tests.analytics.test_golden_parity import durable_cluster, rejected_in_block_spend
 
 
 def _run(seed=7, steps=50, **kwargs):
@@ -54,6 +57,29 @@ class TestHarnessRuns:
         # Corrupt: pretend one more block was applied with no content.
         views._heights[shard] = height + 1
         assert any("drifted" in v for v in mv_consistency(plane))
+
+
+class TestRejectedInBlockSpend:
+    """The defect the byzantine sweep kept finding (seeds 7231 / 7262 /
+    7324): a view that applies every envelope a block *contained*."""
+
+    def test_views_fed_only_what_was_delivered_match_the_oracle(self):
+        cluster = durable_cluster(seed=61)
+        rejected_in_block_spend(cluster)
+        assert mv_consistency(FaultPlane(cluster)) == []
+
+    def test_applying_every_envelope_is_caught(self, monkeypatch):
+        """Planted mutation: ignore the delivered ids.  The oracle reads
+        the ``blocks`` / ``transactions`` collections, not the journal
+        records the feed consumes, so it does not share the mistake."""
+        apply = ViewManager._apply
+        monkeypatch.setattr(
+            ViewManager, "_apply", lambda self, shard, record, delivered: apply(self, shard, record, None)
+        )
+        cluster = durable_cluster(seed=61)
+        rejected_in_block_spend(cluster)
+        drifted = mv_consistency(FaultPlane(cluster))
+        assert any("'spenders' drifted" in violation for violation in drifted), drifted
 
 
 class TestPoisonScheduling:

@@ -50,6 +50,68 @@ class TestPostSyncDelivery:
         assert list(durability.wal.scan()) == []
 
 
+def blocks_document(height, *tx_ids):
+    """The ``blocks`` collection's insert record a server journals just
+    ahead of the block record: what the block *delivered*."""
+    document = {"height": height, "block_id": f"block-{height}", "transaction_ids": list(tx_ids)}
+    return {"k": "db", "op": "insert", "c": "blocks", "d": document}
+
+
+def contested_block(height=2):
+    """Block 2 contains two rival spends of c1; DeliverTx accepted t1."""
+    winner = transfer("t1", [("c1", 0)], [("bob", 1)])
+    loser = transfer("t2", [("c1", 0)], [("mallory", 1)])
+    return blocks_document(height, "t1"), {"k": "block", "b": block(height, winner, loser)}
+
+
+def assert_only_the_delivered_spend_applied(views):
+    assert views.spender_of("c1", 0)["id"] == "t1"
+    assert views.transaction("t2") is None
+    assert views.outputs_for("mallory") == []
+    assert views.stats["txs_applied"] == 2
+
+
+class TestDeliveredNotContained:
+    def test_live_feed_applies_only_what_the_block_delivered(self):
+        loop, durability, views, feed = make_stack()
+        durability.journal(blocks_document(1, "c1"))
+        durability.journal({"k": "block", "b": block(1, create("c1", "alice"))})
+        for record in contested_block():
+            durability.journal(record)
+        loop.run_until_idle()
+        assert_only_the_delivered_spend_applied(views)
+
+    def test_document_and_record_may_land_in_different_flushes(self):
+        loop, durability, views, feed = make_stack()
+        durability.journal({"k": "block", "b": block(1, create("c1", "alice"))})
+        document, record = contested_block()
+        durability.journal(document)
+        loop.run_until_idle()
+        durability.journal(record)
+        loop.run_until_idle()
+        assert feed.stats["flushes"] == 2
+        assert_only_the_delivered_spend_applied(views)
+
+    def test_bootstrap_reads_delivered_ids_from_snapshot_and_wal_suffix(self):
+        loop, durability, views, feed = make_stack()
+        contested = block(1, create("c1", "alice"), create("c0", "mallory"))
+        durability.state_provider = lambda: [
+            canonical_bytes(
+                {"collections": {"blocks": [blocks_document(1, "c1")["d"]]}, "blocks": [contested]}
+            )
+        ]
+        durability.journal({"k": "block", "b": contested})
+        loop.run_until_idle()
+        durability.checkpoint()  # block 1 and its document now live in the snapshot only
+        for record in contested_block():
+            durability.journal(record)
+        loop.run_until_idle()
+        late = ViewManager()
+        assert ChangeFeed(late, "main").bootstrap(durability) == 2
+        assert late.transaction("c0") is None
+        assert_only_the_delivered_spend_applied(late)
+
+
 class TestBootstrap:
     def test_bootstrap_replays_existing_journal(self):
         loop, durability, views, feed = make_stack()
