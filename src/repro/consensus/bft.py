@@ -120,14 +120,17 @@ class Validator:
         self._timeout_handle: EventHandle | None = None
         self._last_propose_time = float("-inf")
         self._catchup_requested_at = float("-inf")
-        #: CheckTx verdict memo: tx_id -> (payload object, verdict).  A hit
-        #: requires the memoised payload to be the *same object* (``is``)
-        #: as the envelope's — the same identity guard the validation
-        #: cache uses, so a forged body reusing a known id re-validates
-        #: instead of riding a cached verdict.  Admission already ran
-        #: CheckTx on every transaction, so proposal assembly and block
-        #: validation become memo lookups.
-        self._check_memo: "OrderedDict[str, tuple[Any, bool]]" = OrderedDict()
+        #: CheckTx memo: tx_id -> payload object of what CheckTx accepted.
+        #: A hit requires the *same object* (``is``) as the envelope's —
+        #: the validation cache's identity guard, so a forged body reusing
+        #: a known id re-validates.  Admission already ran CheckTx on
+        #: every transaction, so proposal assembly and block validation
+        #: become memo lookups.  Refusals are never remembered: a stale
+        #: acceptance is caught by DeliverTx, but what refused a
+        #: transaction (a lock, a migration fence, a parent not yet
+        #: applied here) can go away, and a validator that kept prevoting
+        #: NIL on it would stall the height.
+        self._check_memo: "OrderedDict[str, Any]" = OrderedDict()
         self.check_stats = {"calls": 0, "memo_hits": 0, "app_checks": 0}
         #: Optional :class:`~repro.consensus.byzantine.ByzantineBehavior`
         #: (installed by the fault plane's mark-byzantine control): when
@@ -205,11 +208,10 @@ class Validator:
         verdicts: list[bool | None] = [None] * len(envelopes)
         misses: list[int] = []
         for index, envelope in enumerate(envelopes):
-            entry = memo.get(envelope.tx_id)
-            if entry is not None and entry[0] is envelope.payload:
+            if memo.get(envelope.tx_id) is envelope.payload:
                 memo.move_to_end(envelope.tx_id)
                 self.check_stats["memo_hits"] += 1
-                verdicts[index] = entry[1]
+                verdicts[index] = True
             else:
                 misses.append(index)
         if misses:
@@ -222,8 +224,9 @@ class Validator:
             for index, verdict in zip(misses, fresh):
                 envelope = envelopes[index]
                 verdicts[index] = verdict
-                memo[envelope.tx_id] = (envelope.payload, verdict)
-                memo.move_to_end(envelope.tx_id)
+                if verdict:
+                    memo[envelope.tx_id] = envelope.payload
+                    memo.move_to_end(envelope.tx_id)
             while len(memo) > CHECK_MEMO_LIMIT:
                 memo.popitem(last=False)
         return [bool(verdict) for verdict in verdicts]
@@ -389,10 +392,9 @@ class Validator:
         tel = self._tel
         if tel is not None:
             tel.counter("consensus_lock_adoptions", node=self.telemetry_label).inc()
-            block = action.block
             tel.flight_event(
-                self.telemetry_label, "lock_adopt",
-                height=block.height, round=action.round, block=block.block_id[:8],
+                self.telemetry_label, "lock_adopt", height=action.block.height,
+                round=action.round, block=action.block.block_id[:8],
             )
         if self.persistence is not None:
             self._journal_lock()
@@ -500,8 +502,7 @@ class Validator:
         """Is ``cert`` a valid quorum commit certificate for ``block``?"""
         if not isinstance(cert, dict) or cert.get("id") != block.block_id:
             return False
-        round_number = cert.get("r")
-        sigs = cert.get("sigs")
+        round_number, sigs = cert.get("r"), cert.get("sigs")
         if not isinstance(round_number, int) or not isinstance(sigs, dict):
             return False
         if not set(sigs) <= set(self.engine.validator_order):
@@ -519,8 +520,7 @@ class Validator:
         height, round_number = self.state.h, self.state.round
         timeout = self.engine.config.propose_timeout * machine.timeout_scale(round_number)
         self._timeout_handle = self._loop.schedule_in(
-            timeout,
-            lambda: self._on_round_timeout(height, round_number),
+            timeout, lambda: self._on_round_timeout(height, round_number)
         )
 
     def _cancel_round_timeout(self) -> None:
@@ -546,9 +546,8 @@ class Validator:
         self._network.send(self.node_id, peer, "CATCHUP_REQUEST", self.state.h, 64)
 
     def _handle_catchup_request(self, from_height: int, sender: str) -> None:
-        if self.byzantine is not None and self.byzantine.answer_catchup(
-            self, from_height, sender
-        ):
+        liar = self.byzantine
+        if liar is not None and liar.answer_catchup(self, from_height, sender):
             return
         items = [
             {"block": block, "cert": self.commit_certs.get(block.height)}

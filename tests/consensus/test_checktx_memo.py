@@ -11,7 +11,6 @@ application invocations to pin that down.
 import hashlib
 
 from repro.consensus.abci import NullApplication, envelope_for
-from repro.consensus.bft import BftConfig
 from repro.consensus.tendermint import make_tendermint_cluster
 from repro.core.builders import build_create
 from repro.core.cluster import ClusterConfig, SmartchainCluster
@@ -87,6 +86,26 @@ class TestCheckTxMemo:
         forged = envelope_for({"n": "forged"}, tx_id, 100)
         assert validator.check_tx_cached(forged)
         assert app.check_calls == 2  # different object: full re-check
+
+    def test_a_refusal_is_never_remembered(self):
+        """What refuses a transaction — a 2PC lock, a migration fence, a
+        parent this node has not applied yet — can go away.  Found by
+        elastic chaos seed 123: three validators had memoised ``False``
+        for a transfer that had since become valid, prevoted NIL on every
+        block carrying it, and the height spun rounds until the event
+        valve closed."""
+        loop, engine, apps = build_cluster(n=1)
+        validator = engine.validator(engine.validator_order[0])
+        app = apps[engine.validator_order[0]]
+        fenced = {"now": True}
+        app.check_tx = lambda envelope: not fenced["now"]
+        envelope = envelope_for({"n": 1}, "c" * 64, 100)
+        assert validator.check_tx_cached(envelope) is False
+        assert len(validator._check_memo) == 0
+        fenced["now"] = False
+        assert validator.check_tx_cached(envelope) is True
+        fenced["now"] = True  # an acceptance is remembered (DeliverTx re-judges it)
+        assert validator.check_tx_cached(envelope) is True
 
     def test_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr("repro.consensus.bft.CHECK_MEMO_LIMIT", 8)
