@@ -304,7 +304,11 @@ SCENARIOS = [
 
 
 class TestExplorer:
-    @pytest.mark.parametrize("byzantine,kind,budget,disturbances", SCENARIOS)
+    @pytest.mark.parametrize(
+        "byzantine,kind,budget,disturbances",
+        SCENARIOS,
+        ids=[f"{who}-{kind}-{budget}-{'+'.join(moves)}" for who, kind, budget, moves in SCENARIOS],
+    )
     def test_agreement_and_validity_hold_in_every_reachable_state(
         self, byzantine, kind, budget, disturbances
     ):
