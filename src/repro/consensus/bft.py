@@ -26,7 +26,7 @@ catch-up with commit certificates, telemetry, the ``evidence`` log.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.encoding import canonical_bytes, splice_array, splice_object
@@ -258,7 +258,8 @@ class Validator:
     def _kick_proposer(self) -> None:
         # New work arrived: arm the liveness timeout and, if due, propose.
         self._schedule_round_timeout()
-        self.maybe_propose()
+        if self.state.proposer(self.state.h, self.state.round) == self.node_id:
+            self.maybe_propose()
 
     # -- proposing ----------------------------------------------------------------
 
@@ -307,8 +308,8 @@ class Validator:
     def _send_vote(self, vote: Vote) -> None:
         """Broadcast one of this node's votes and tally it locally."""
         if vote.phase == PRECOMMIT:
-            message = precommit_message(vote.height, vote.round, vote.block_id)
-            vote = replace(vote, sig=self.keypair.sign(message))
+            sig = self.keypair.sign(precommit_message(vote.height, vote.round, vote.block_id))
+            vote = Vote(PRECOMMIT, vote.height, vote.round, vote.block_id, vote.voter, sig)
         self._wire(Send(None, "VOTE", vote))
         self._handle_vote(vote, self.node_id)
 

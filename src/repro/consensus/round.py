@@ -247,7 +247,7 @@ def _tally(state: RoundState, vote: Vote, actions: list) -> int:
         ids = sorted([first.block_id, vote.block_id])
         _evidence(actions, "double_vote", vote, phase=vote.phase, voter=vote.voter, block_ids=ids)
         return 0
-    return sum(1 for counted in slot.values() if counted.block_id == vote.block_id)
+    return [counted.block_id for counted in slot.values()].count(vote.block_id)
 
 
 def _on_vote(state: RoundState, event: VoteReceived) -> list:

@@ -134,7 +134,8 @@ class ViewManager:
     def _apply(self, shard: str, record: dict[str, Any], delivered: list[str] | None) -> None:
         txs = record.get("txs") or []
         if delivered is not None:
-            txs = [entry for entry in txs if entry[0] in delivered]
+            kept = set(delivered)
+            txs = [entry for entry in txs if entry[0] in kept]
         for entry in txs:
             self._apply_tx(shard, entry[0], entry[1])
         self._heights[shard] = record["h"]

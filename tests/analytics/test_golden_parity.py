@@ -157,7 +157,11 @@ class TestGoldenParity:
         views = cluster.views
         assert views.spender_of(create.tx_id, 0)["id"] == winner.tx_id
         assert views.transaction(loser.tx_id) is None
-        minted = [doc["transaction_id"] for party in (BOB, CAROL) for doc in views.outputs_for(party.public_key)]
+        minted = [
+            doc["transaction_id"]
+            for party in (BOB, CAROL)
+            for doc in views.outputs_for(party.public_key)
+        ]
         assert winner.tx_id in minted and loser.tx_id not in minted
 
     def test_auto_source_prefers_views_and_matches_scan(self):

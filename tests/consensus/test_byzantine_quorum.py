@@ -56,7 +56,8 @@ def prevote(block_id, voter):
 def propose_and_prevote(state, block):
     """Deliver ``block`` from its proposer, answer CheckBlock as valid and
     tally the node's own prevote, as the driver does."""
-    [check] = [a for a in step(state, ProposalReceived(block, block.proposer)) if isinstance(a, CheckBlock)]
+    actions = step(state, ProposalReceived(block, block.proposer))
+    [check] = [action for action in actions if isinstance(action, CheckBlock)]
     [send] = step(state, BlockChecked(check.block, True))
     step(state, VoteReceived(send.payload, state.me))
 

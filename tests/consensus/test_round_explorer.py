@@ -124,7 +124,8 @@ class World:
                     self.run(node, step(state, ProposeDue(value_of(node))))
             elif isinstance(action, CheckBlock):
                 block = action.block
-                valid = block.previous_id == state.last_block_id and block.block_id not in self.invalid
+                extends = block.previous_id == state.last_block_id
+                valid = extends and block.block_id not in self.invalid
                 if valid and node != self.byzantine:
                     self.checked_valid.add(block.block_id)
                 [prevote] = step(state, BlockChecked(block, valid))

@@ -73,9 +73,11 @@ class TestRejectedInBlockSpend:
         the ``blocks`` / ``transactions`` collections, not the journal
         records the feed consumes, so it does not share the mistake."""
         apply = ViewManager._apply
-        monkeypatch.setattr(
-            ViewManager, "_apply", lambda self, shard, record, delivered: apply(self, shard, record, None)
-        )
+
+        def apply_every_envelope(self, shard, record, delivered):
+            apply(self, shard, record, None)
+
+        monkeypatch.setattr(ViewManager, "_apply", apply_every_envelope)
         cluster = durable_cluster(seed=61)
         rejected_in_block_spend(cluster)
         drifted = mv_consistency(FaultPlane(cluster))
