@@ -1,4 +1,4 @@
-"""Crypto microbenchmark: Ed25519 fast path, batch verification, sig cache.
+"""Crypto microbenchmark: Ed25519 fast path and the signature cache.
 
 Measures the layers of the pipeline's crypto fast path:
 
@@ -15,13 +15,9 @@ Measures the layers of the pipeline's crypto fast path:
   expanded key comes from the memo) against a reference signer that
   re-derives the public key on every call and compresses with the RFC's
   Fermat inversion — what ``sign`` cost before ISSUE 14;
-* **batch verify** — :func:`repro.crypto.ed25519.verify_batch`'s single
-  random-linear-combination check (one shared doubling chain) against
-  one-at-a-time *cold* verifies on first-sight keys, and against *warm*
-  singles — what the pipeline actually runs for its ~20 recurring keys;
 * **signature cache** — the cluster-wide verdict cache under the
   replicated pipeline's access pattern: the proposer verifies a block's
-  signatures once (batch), then N-1 replicas check the same triples.
+  signatures once, then N-1 replicas check the same triples.
   Hits are counted from the cache's own stats: each replica pass performs
   ``len(triples)`` lookups, all of which must hit.
 
@@ -31,9 +27,9 @@ signatures equal the reference signer's bytes, the cache's hit and miss
 counts — and times are *reported*.  Run as a script (what CI's
 ``hotpath-smoke`` does) the wall-clock ratios are asserted as well: cold
 single verify >= 10x the naive affine baseline, warm >= 3x cold, sign >=
-2.5x the re-deriving reference, batch-32 >= 1.5x over cold singles, a
-replica's cache pass >= 5x cheaper than the proposer's batch; then the
-report goes to ``BENCH_crypto.json`` at the repo root.
+2.5x the re-deriving reference, a replica's cache pass >= 5x cheaper
+than the proposer's verifying pass; then the report goes to
+``BENCH_crypto.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ N_KEYS = 32
 N_FAST_VERIFIES = 24
 N_NAIVE_VERIFIES = 2
 N_SIGNS = 64
-BATCH_SIZES = (8, 32)
 N_CACHE_REPLICAS = 4
 
 
@@ -263,54 +258,20 @@ def measure_sign() -> dict[str, float]:
     }
 
 
-def measure_batch_verify() -> dict[str, object]:
-    triples = make_signatures(max(BATCH_SIZES))
-    forged = list(triples)
-    forged[3] = (forged[3][0], b"tampered", forged[3][2])
-    expected = [index != 3 for index in range(len(forged))]
-    assert ed25519.verify_batch(forged) == [ed25519.verify(*triple) for triple in forged] == expected
-
-    def cold_pass(thunk) -> float:
-        forget_public_keys()
-        return timed(thunk)
-
-    single_s = min(cold_pass(lambda: verify_all(triples)) for _ in range(3)) / len(triples)
-    verify_all(triples)  # second sight: tables built, untimed
-    warm_s = min(timed(lambda: verify_all(triples)) for _ in range(3)) / len(triples)
-    sizes = {}
-    for size in BATCH_SIZES:
-        batch = triples[:size]
-        best = min(cold_pass(lambda: ed25519.verify_batch(batch)) for _ in range(3))
-        per_sig = best / size
-        sizes[str(size)] = {
-            "batch_ms_per_sig": round(per_sig * 1000, 3),
-            "speedup_vs_cold_single": round(single_s / per_sig, 2),
-        }
-    # Below 1: a batch costs more per signature than the warm singles the
-    # pipeline runs for its recurring keys (ROADMAP item 5(b)).
-    batch32_ms = sizes["32"]["batch_ms_per_sig"]
-    return {
-        "single_verify_cold_key_ms": round(single_s * 1000, 3),
-        "single_verify_warm_key_ms": round(warm_s * 1000, 3),
-        "batch": sizes,
-        "batch32_vs_warm_single": round(warm_s * 1000 / batch32_ms, 2),
-    }
-
-
 def measure_signature_cache() -> dict[str, float]:
     raw_triples = make_signatures(N_KEYS)
     cache = SignatureCache(maxsize=4096)
     previous = set_shared_cache(cache)
     try:
         def proposer_pass() -> None:
-            # Mirror verify_signatures_batch: look up first (all misses on
-            # a cold cache), batch-verify, write the verdicts back.
+            # Mirror keys.verify_signature: look up (all misses on a cold
+            # cache), verify, write the verdict back.
             for public, message, signature in raw_triples:
-                assert cache.get(cache.key(public, message, signature)) is None
-            verdicts = ed25519.verify_batch(raw_triples)
-            assert all(verdicts)
-            for (public, message, signature), verdict in zip(raw_triples, verdicts):
-                cache.put(cache.key(public, message, signature), verdict)
+                key = cache.key(public, message, signature)
+                assert cache.get(key) is None
+                verdict = ed25519.verify(public, message, signature)
+                assert verdict
+                cache.put(key, verdict)
 
         def replica_pass() -> None:
             for public, message, signature in raw_triples:
@@ -332,7 +293,7 @@ def measure_signature_cache() -> dict[str, float]:
     return {
         "signatures": N_KEYS,
         "replicas": N_CACHE_REPLICAS,
-        "proposer_batch_ms": round(proposer_s * 1000, 3),
+        "proposer_pass_ms": round(proposer_s * 1000, 3),
         "replica_pass_ms": round(replica_per_pass * 1000, 3),
         "cache_lookups": hits + misses,
         "cache_hits": hits,
@@ -347,10 +308,9 @@ def run_report() -> dict[str, dict]:
     report = {
         "single_verify": measure_single_verify(),
         "sign": measure_sign(),
-        "batch_verify": measure_batch_verify(),
         "signature_cache": measure_signature_cache(),
     }
-    lines = ["crypto batching microbenchmark"]
+    lines = ["crypto microbenchmark"]
     for section, numbers in report.items():
         lines.append(f"  {section}: {json.dumps(numbers)}")
     print("\n".join(lines))
@@ -367,16 +327,12 @@ if __name__ == "__main__":
     # clears 10x the naive affine baseline (ISSUE 4); a key's own table,
     # the base table and R-by-encoding add >= 3x on top and signing over
     # the base table is >= 2.5x the re-deriving reference (ISSUE 17);
-    # batch-32 is >= 1.5x over single verifies of the same first-sight
-    # keys; cache hits are dramatically cheaper than verifying.
+    # cache hits are dramatically cheaper than verifying.
     # Gates first: a red run leaves the tracked file alone.
     single = report["single_verify"]
     assert single["cold_speedup_vs_naive"] >= 10.0, single
     assert single["warm_speedup_vs_cold"] >= 3.0, single
     assert report["sign"]["speedup"] >= 2.5, report["sign"]
-    assert (
-        report["batch_verify"]["batch"]["32"]["speedup_vs_cold_single"] >= 1.5
-    ), report["batch_verify"]
     assert report["signature_cache"]["replica_speedup"] >= 5.0, report["signature_cache"]
     with open(BENCH_PATH, "w") as handle:
         json.dump(report, handle, indent=2)

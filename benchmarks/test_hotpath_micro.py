@@ -255,7 +255,10 @@ def measure_commit_latency() -> dict[str, float]:
         database = make_smartchaindb_database("bench")
         reserved = ReservedAccounts(escrow=keypair_from_string("escrow"))
         ctx = ValidationContext(database, reserved)
-        validator = TransactionValidator(verification_cache=verification_cache)
+        validator = TransactionValidator()
+        if not verification_cache:
+            # The uncached reference: every stateless check on every call.
+            validator.verification_cache = None
         # The cluster-wide signature cache is process-global; pin it to a
         # known state per phase so neither the seed baseline nor earlier
         # tests in the session leak verdicts into the measurement.

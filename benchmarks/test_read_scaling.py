@@ -12,7 +12,8 @@ every hot read set incrementally, so a repeated query costs O(answer).
 Measured here, on one committed marketplace history:
 
 * **repeated-query speedup** — the analytics dashboard mix served from
-  views vs forced collection rescans (gate: >= 10x);
+  views vs forced collection rescans (gate: >= 2.5x; the scan side got
+  5-7x faster in ISSUE 18, see EXPERIMENTS.md for the measured band);
 * **reads off the commit path** — view-served reads touch the document
   store zero times (counted via instrumented collections);
 * **view freshness** — at idle the views have applied every committed
@@ -20,14 +21,14 @@ Measured here, on one committed marketplace history:
   staleness.
 
 Wallet reads (``outputs_for`` / ``open_requests``) are reported too but
-not gated at 10x: those scans were already index-served, so the views'
+not gated: those scans were already index-served, so the views'
 win there is bounded — the O(history) wins live on the analytics
 surface.
 
 Under pytest (tier-1) the file gates what repeats exactly — both read
 paths answer identically, view-served reads never touch the document
 store, lag is zero at idle — and only prints the speedups.  Run as a
-script (CI ``hotpath-smoke``) it also asserts the >= 10x bar and then
+script (CI ``hotpath-smoke``) it also asserts the >= 2.5x bar and then
 writes ``BENCH_reads.json`` at the repo root, so the read-path
 trajectory is visible across PRs.
 """
@@ -255,9 +256,11 @@ def test_read_scaling():
 
 if __name__ == "__main__":
     report = run_report()
-    # ISSUE 8's wall-clock bar: repeated analytics queries >= 10x faster
-    # from views.  Gate first: a red run leaves the tracked file alone.
-    assert report["analytics_dashboard"]["speedup"] >= 10.0, report["analytics_dashboard"]
+    # The wall-clock bar: repeated analytics queries >= 2.5x faster from
+    # views, a floor under the 3.3-4.7x band measured since probe-first
+    # reads made the scan side 5-7x faster (ISSUE 8 set 10x against the
+    # old scans).  Gate first: a red run leaves the tracked file alone.
+    assert report["analytics_dashboard"]["speedup"] >= 2.5, report["analytics_dashboard"]
     with open(BENCH_PATH, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

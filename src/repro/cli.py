@@ -83,7 +83,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_crypto(args: argparse.Namespace) -> int:
-    """Narrated demo of the batched signature-verification pipeline.
+    """Narrated demo of the signature-verification fast path.
 
     (No wall-clock timing here — the simulator bans wall-clock imports;
     run ``benchmarks/test_crypto_batching.py`` for measured speedups.)
@@ -92,7 +92,7 @@ def _cmd_crypto(args: argparse.Namespace) -> int:
     from repro.crypto.sigcache import SignatureCache, set_shared_cache
 
     size = args.batch
-    print(f"[1/4] sign {size} transactions ({size} distinct Ed25519 keys)")
+    print(f"[1/3] sign {size} transactions ({size} distinct Ed25519 keys)")
     triples = []
     for number in range(size):
         seed = number.to_bytes(4, "big") * 8
@@ -105,7 +105,7 @@ def _cmd_crypto(args: argparse.Namespace) -> int:
             )
         )
 
-    print("[2/4] recurring signers get cheaper: per-key state grows with each sight")
+    print("[2/3] recurring signers get cheaper: per-key state grows with each sight")
     print(
         f"  {ed25519.memo_stats()['expanded_seeds']} expanded seeds memoised by signing:"
         " a signature is one base multiplication, the public key is not re-derived"
@@ -122,18 +122,7 @@ def _cmd_crypto(args: argparse.Namespace) -> int:
             f" ({stats['public_keys']} keys memoised, {stats['public_key_tables']} tables)"
         )
 
-    print("[3/4] one RLC batch equation settles the whole batch")
-    verdicts = ed25519.verify_batch(triples)
-    print(f"  all {sum(verdicts)}/{size} valid via a single multi-scalar check")
-    forged = list(triples)
-    forged[0] = (forged[0][0], b"tampered payload", forged[0][2])
-    verdicts = ed25519.verify_batch(forged)
-    print(
-        f"  with one forgery injected: {sum(verdicts)}/{size} valid — the bad"
-        " signature falls back alone, batchmates unaffected"
-    )
-
-    print("[4/4] replica re-checks hit the cluster-wide signature cache")
+    print("[3/3] replica re-checks hit the cluster-wide signature cache")
     cache = SignatureCache()
     previous = set_shared_cache(cache)
     try:
@@ -147,9 +136,9 @@ def _cmd_crypto(args: argparse.Namespace) -> int:
     finally:
         set_shared_cache(previous)
     print(f"  cache stats after one replica pass: {cache.stats()}")
-    print("\nsame pipeline inside the cluster: blocks verify batch-first,")
-    print("CheckTx verdicts memoise per validator, conflict-free lanes")
-    print("validate in parallel (see benchmarks/EXPERIMENTS.md)")
+    print("\nsame pipeline inside the cluster: CheckTx verdicts memoise per")
+    print("validator, conflict-free lanes validate in parallel")
+    print("(see benchmarks/EXPERIMENTS.md)")
     return 0
 
 
@@ -713,9 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=_cmd_demo)
 
     crypto = subparsers.add_parser(
-        "crypto", help="demo the batched Ed25519 verification fast path"
+        "crypto", help="demo the Ed25519 verification fast path"
     )
-    crypto.add_argument("--batch", type=int, default=32, help="signatures per batch")
+    crypto.add_argument("--batch", type=int, default=32, help="signatures to make")
     crypto.set_defaults(func=_cmd_crypto)
 
     compare = subparsers.add_parser("compare", help="SCDB vs ETH-SC at one payload size")

@@ -136,25 +136,6 @@ def base58_decode(text: str) -> bytes:
     return b"\x00" * leading_ones + body
 
 
-def hex_encode(data: bytes) -> str:
-    """Lowercase hex string of ``data``."""
-    return data.hex()
-
-
-def hex_decode(text: str) -> bytes:
-    """Decode a hex string, accepting an optional ``0x`` prefix.
-
-    Raises:
-        EncodingError: on odd length or non-hex characters.
-    """
-    if text.startswith(("0x", "0X")):
-        text = text[2:]
-    try:
-        return bytes.fromhex(text)
-    except ValueError as exc:
-        raise EncodingError(f"invalid hex string: {exc}") from exc
-
-
 #: The JSON leaf types.  ``deep_copy_json`` tests them inline — saving a
 #: recursive call per leaf, which is most of a document.
 SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})

@@ -14,18 +14,13 @@ paper's Fig. 4 lifecycle maps onto it directly:
 Implementations must be deterministic: every honest validator processing
 the same block must reach the same state.
 
-Beyond the required five methods, the consensus engine probes two
-*optional* batching hooks with ``getattr`` (an application that omits them
-gets the per-transaction fallback):
-
-* ``check_block(envelopes) -> list[bool]`` — validate a whole block's
-  transactions at once.  SmartchainDB uses this to verify every signature
-  in the block through one batched random-linear-combination check before
-  the per-transaction conditions run.
-* ``block_validation_cost(envelopes) -> float`` — simulated seconds to
-  validate a block.  SmartchainDB partitions the block into conflict-free
-  lanes via the declarative access sets (:mod:`repro.core.parallel`), so
-  the block charge is ``max(lane sums)`` instead of ``sum(costs)``.
+Beyond the required five methods, the consensus engine probes one
+*optional* hook with ``getattr`` (an application that omits it gets the
+per-transaction sum): ``block_validation_cost(envelopes) -> float`` —
+simulated seconds to validate a block.  SmartchainDB partitions the block
+into conflict-free lanes via the declarative access sets
+(:mod:`repro.core.parallel`), so the block charge is ``max(lane sums)``
+instead of ``sum(costs)``.
 """
 
 from __future__ import annotations

@@ -197,12 +197,8 @@ class Validator:
         return self._check_batch([envelope])[0]
 
     def _check_batch(self, envelopes: list[TxEnvelope]) -> list[bool]:
-        """Memoised verdicts for many envelopes, batch-checking the misses.
-
-        Misses go through the application's optional ``check_block`` hook
-        (batched signature verification) when it exists, else through
-        per-envelope ``check_tx``.
-        """
+        """Memoised verdicts for many envelopes; misses go through
+        ``app.check_tx`` one envelope at a time."""
         self.check_stats["calls"] += len(envelopes)
         memo = self._check_memo
         verdicts: list[bool | None] = [None] * len(envelopes)
@@ -216,11 +212,7 @@ class Validator:
                 misses.append(index)
         if misses:
             self.check_stats["app_checks"] += len(misses)
-            check_block = getattr(self.app, "check_block", None)
-            if check_block is not None and len(misses) > 1:
-                fresh = check_block([envelopes[index] for index in misses])
-            else:
-                fresh = [self.app.check_tx(envelopes[index]) for index in misses]
+            fresh = [self.app.check_tx(envelopes[index]) for index in misses]
             for index, verdict in zip(misses, fresh):
                 envelope = envelopes[index]
                 verdicts[index] = verdict
@@ -744,18 +736,3 @@ class BftEngine:
         self.commits.append(record)
         for listener in self.commit_listeners:
             listener(record)
-
-    def committed_envelopes(self) -> list[tuple[TxEnvelope, float]]:
-        """All committed transactions with their cluster commit times."""
-        out: list[tuple[TxEnvelope, float]] = []
-        for record in self.commits:
-            for envelope in record.block.transactions:
-                out.append((envelope, record.committed_at))
-        return out
-
-    def online_power_fraction(self) -> float:
-        """Fraction of validators currently online."""
-        online = sum(
-            1 for node_id in self.validator_order if not self.network.is_crashed(node_id)
-        )
-        return online / len(self.validator_order)

@@ -2,7 +2,6 @@
 
 from repro.core.asset import (
     CAPABILITIES_KEY,
-    Asset,
     capabilities_satisfied,
     extract_capabilities,
 )
@@ -35,9 +34,7 @@ from repro.core.predicates import (
     DeclarativeType,
     Predicate,
     all_of,
-    any_of,
     declarative_type,
-    negate,
 )
 from repro.core.nested import (
     NestedTransactionProcessor,
@@ -70,7 +67,6 @@ from repro.core.workflow import (
 __all__ = [
     "ACCEPT_BID",
     "AccessSet",
-    "Asset",
     "ConflictScheduler",
     "Schedule",
     "access_set_of",
@@ -105,7 +101,6 @@ __all__ = [
     "WorkflowSpec",
     "WorkflowTrace",
     "all_of",
-    "any_of",
     "build_accept_bid",
     "build_bid",
     "build_create",
@@ -116,7 +111,6 @@ __all__ = [
     "build_transfer",
     "declarative_type",
     "interest_type",
-    "negate",
     "pre_request_type",
     "register_marketplace_extensions",
     "capabilities_satisfied",

@@ -9,36 +9,10 @@ against REQUEST requirements (CBID.7 / Algorithm 2 lines 8-11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
-
-from repro.common.errors import AmountError
 
 #: Conventional key under which capability lists live in asset data.
 CAPABILITIES_KEY = "capabilities"
-
-
-@dataclass(frozen=True)
-class Asset:
-    """An asset definition: arbitrary nested data + total shares."""
-
-    data: dict[str, Any] = field(default_factory=dict)
-    amount: int = 1
-
-    def __post_init__(self) -> None:
-        if self.amount < 1:
-            raise AmountError(f"asset amount must be >= 1, got {self.amount}")
-
-    def capabilities(self) -> list[str]:
-        """The asset's declared capability strings (possibly empty)."""
-        value = self.data.get(CAPABILITIES_KEY, [])
-        if isinstance(value, list):
-            return [item for item in value if isinstance(item, str)]
-        return []
-
-    def to_dict(self) -> dict[str, Any]:
-        """Inline-asset wire form (used by CREATE/REQUEST)."""
-        return {"data": dict(self.data)}
 
 
 def extract_capabilities(asset_section: dict[str, Any] | None) -> list[str]:

@@ -62,11 +62,6 @@ class ClusterConfig:
     consensus: BftConfig = field(default_factory=lambda: tendermint_config(max_block_txs=8))
     network: NetworkConfig = field(default_factory=NetworkConfig)
     cost_model: ServerCostModel = field(default_factory=ServerCostModel)
-    indexed_storage: bool = True
-    #: Parallel conflict-free validation lanes per node (1 = serial); the
-    #: declarative access sets make the partition exact, so lanes change
-    #: block-validation time, never verdicts.
-    validation_lanes: int = 4
     #: Register the INTEREST / PRE_REQUEST extension types on every node.
     enable_extensions: bool = False
     #: Delay before nested-transaction workers pick up queued RETURNs.
@@ -158,12 +153,6 @@ class SmartchainCluster:
                 self.reserved,
                 clock=self.loop.clock,
                 cost_model=self.config.cost_model,
-                indexed_storage=self.config.indexed_storage,
-                # One shared named stream: batch-verify coefficients are
-                # the only randomness crypto consumes, and routing it
-                # through the cluster seed keeps replays byte-identical.
-                rng=self.rng.stream("crypto-batch"),
-                validation_lanes=self.config.validation_lanes,
                 durability=durability,
             )
             if self.config.enable_extensions:
@@ -263,18 +252,6 @@ class SmartchainCluster:
     def view_shard_key(self) -> str:
         """Key this cluster's blocks apply under in a view manager."""
         return self.scope or "main"
-
-    def read_replica(self, label: str = "replica"):
-        """A follower read surface over the materialized views.
-
-        Raises:
-            RuntimeError: when views are disabled (volatile deployment).
-        """
-        if self.views is None:
-            raise RuntimeError("materialized views are disabled on this cluster")
-        from repro.views import ReadReplica
-
-        return ReadReplica(self.views, label=label)
 
     # -- submission path -----------------------------------------------------------
 
@@ -501,10 +478,7 @@ class SmartchainCluster:
         durability.power_fail(torn_bytes)
         recovered = recover(
             durability,
-            lambda: make_smartchaindb_database(
-                name=f"smartchaindb-{node_id}",
-                indexed=self.config.indexed_storage,
-            ),
+            lambda: make_smartchaindb_database(name=f"smartchaindb-{node_id}"),
         )
         recovered.database.attach_wal(durability.log)
         server = self.servers[node_id]
@@ -551,56 +525,6 @@ class SmartchainCluster:
         return [record for record in self.records.values() if record.committed_at is not None]
 
     # -- telemetry ------------------------------------------------------------------
-
-    def snapshot_metrics(self) -> dict:
-        """Harvest every component's counters into the telemetry registry
-        (gauges, since the sources are cumulative dicts) and return the
-        canonical snapshot.  Live histograms (latencies, batch sizes) are
-        recorded at their sites; this collects the stats surfaces that
-        predate the registry."""
-        tel = self.telemetry
-        if tel is None:
-            return {}
-        registry = tel.registry
-        for node_id, server in self.servers.items():
-            label = self.node_label(node_id)
-            for key, value in server.stats.items():
-                registry.gauge(f"server_{key}", node=label).set(value)
-            validator = self.engine.validator(node_id)
-            for key, value in validator.check_stats.items():
-                registry.gauge(f"checktx_{key}", node=label).set(value)
-            for key, value in validator.mempool.stats.items():
-                registry.gauge(f"mempool_{key}", node=label).set(value)
-            registry.gauge("mempool_depth", node=label).set(len(validator.mempool))
-            registry.gauge("mempool_seen", node=label).set(validator.mempool.seen_size())
-            server.database.publish_metrics(registry, node=label)
-        for node_id, durability in self.node_durability.items():
-            label = self.node_label(node_id)
-            for key, value in durability.log.stats.items():
-                registry.gauge(f"wal_{key}", node=label).set(value)
-            registry.gauge("wal_pending", node=label).set(durability.log.pending)
-        if self.views is not None:
-            shard = self.view_shard_key
-            view_height = self.views.height(shard)
-            chain_height = max(
-                (
-                    len(self.engine.validator(node_id).chain)
-                    for node_id in self.engine.validator_order
-                ),
-                default=0,
-            )
-            registry.gauge("view_height", shard=shard).set(view_height)
-            registry.gauge("view_lag_blocks", shard=shard).set(
-                max(0, chain_height - view_height)
-            )
-            for key, value in self.views.stats.items():
-                registry.gauge(f"view_{key}", shard=shard).set(value)
-        from repro.crypto.sigcache import shared_cache
-
-        cache = shared_cache()
-        if cache is not None:
-            cache.publish(registry)
-        return registry.to_dict()
 
     def latency_percentiles(self) -> dict[str, float]:
         """Commit-latency tails (ms) read from the registry's merged

@@ -175,23 +175,14 @@ class NestedTransactionProcessor:
 
     Wired into the server's block-commit hook: for every committed
     ACCEPT_BID it determines children, persists the recovery record and
-    enqueues the RETURN jobs.  ``submit`` is injected — in the cluster it
-    routes each RETURN to a randomly selected validator node.
+    enqueues the RETURN jobs; the cluster's workers drain the queue,
+    routing each RETURN to a randomly selected validator node.
     """
 
-    def __init__(
-        self,
-        escrow: KeyPair,
-        database: Database,
-        submit: Callable[[dict[str, Any]], None] | None = None,
-    ):
+    def __init__(self, escrow: KeyPair, database: Database):
         self.escrow = escrow
         self.queue = ReturnQueue()
         self.recovery = RecoveryLog(database)
-        self._submit = submit
-
-    def set_submitter(self, submit: Callable[[dict[str, Any]], None]) -> None:
-        self._submit = submit
 
     def on_accept_committed(
         self, accept_payload: dict[str, Any], locked_bids: list[dict[str, Any]]
@@ -215,23 +206,6 @@ class NestedTransactionProcessor:
             self.queue.put(job)
             jobs.append(job)
         return jobs
-
-    def drain(self, max_jobs: int | None = None) -> int:
-        """Run queued RETURN submissions through the injected submitter.
-
-        Returns the number of jobs dispatched.  Jobs stay "pending" in the
-        recovery log until :meth:`on_return_committed` confirms them.
-        """
-        if self._submit is None:
-            return 0
-        dispatched = 0
-        while max_jobs is None or dispatched < max_jobs:
-            job = self.queue.get()
-            if job is None:
-                break
-            self._submit(job.payload)
-            dispatched += 1
-        return dispatched
 
     def on_return_committed(self, return_payload: dict[str, Any]) -> None:
         """Commit confirmation for a RETURN child (closes recovery entry)."""

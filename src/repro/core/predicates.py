@@ -9,17 +9,12 @@ a predicate expression — no imperative validator class required.
 
 A predicate is evaluated against ``(ctx, transaction)`` and either
 passes or raises :class:`~repro.common.errors.ValidationError` with the
-condition label that failed.  Combinators::
-
-    all_of(p, q, ...)    every sub-predicate must hold (C_alpha sets)
-    any_of(p, q, ...)    at least one must hold
-    negate(p)            p must fail
-
-Primitive predicate factories cover the vocabulary the built-in types
-use (input/output shape, references, signatures, escrow ownership,
-capability subsets), so the six built-in types could be re-expressed in
-this DSL — and `declarative_type` lets users add new ones at runtime,
-which is exactly the extensibility story of Section 2.2.
+condition label that failed; ``all_of(p, q, ...)`` — every sub-predicate
+must hold — is the C_alpha set.  The primitive factories are the
+vocabulary the marketplace extension types (:mod:`repro.core.extensions`)
+are written in, and :func:`declarative_type` lets users add new types at
+runtime, which is exactly the extensibility story of Section 2.2; a type
+needing another condition writes it as a :class:`Predicate`.
 """
 
 from __future__ import annotations
@@ -28,14 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.common.errors import ValidationError
-from repro.core.asset import capabilities_satisfied, extract_capabilities
 from repro.core.context import ValidationContext
 from repro.core.transaction import Transaction
-from repro.core.types.common import (
-    validate_transfer_inputs,
-    verify_genesis_inputs,
-    verify_own_signatures,
-)
+from repro.core.types.common import verify_genesis_inputs, verify_own_signatures
 
 #: A predicate body: raises ValidationError on failure.
 PredicateFn = Callable[[ValidationContext, Transaction], None]
@@ -56,15 +46,6 @@ class Predicate:
                 raise ValidationError(str(error), self.label) from error
             raise
 
-    def holds(self, ctx: ValidationContext, transaction: Transaction) -> bool:
-        """Boolean view (used by combinators)."""
-        try:
-            self(ctx, transaction)
-        except ValidationError:
-            return False
-        return True
-
-
 # -- combinators ----------------------------------------------------------------
 
 
@@ -78,48 +59,7 @@ def all_of(*predicates: Predicate, label: str = "all") -> Predicate:
     return Predicate(label, check)
 
 
-def any_of(*predicates: Predicate, label: str = "any") -> Predicate:
-    """Disjunction: at least one predicate must hold."""
-
-    def check(ctx: ValidationContext, transaction: Transaction) -> None:
-        failures = []
-        for predicate in predicates:
-            try:
-                predicate(ctx, transaction)
-                return
-            except ValidationError as error:
-                failures.append(str(error))
-        raise ValidationError(
-            "no branch satisfied: " + " | ".join(failures), label
-        )
-
-    return Predicate(label, check)
-
-
-def negate(predicate: Predicate, label: str | None = None) -> Predicate:
-    """Negation: the wrapped predicate must fail."""
-
-    def check(ctx: ValidationContext, transaction: Transaction) -> None:
-        if predicate.holds(ctx, transaction):
-            raise ValidationError(
-                f"negated condition {predicate.label!r} unexpectedly holds",
-                label or f"not({predicate.label})",
-            )
-
-    return Predicate(label or f"not({predicate.label})", check)
-
-
 # -- primitive predicate factories -------------------------------------------------
-
-
-def min_inputs(count: int) -> Predicate:
-    """|I| >= count."""
-
-    def check(ctx: ValidationContext, transaction: Transaction) -> None:
-        if len(transaction.inputs) < count:
-            raise ValidationError(f"requires at least {count} input(s)")
-
-    return Predicate(f"min_inputs({count})", check)
 
 
 def min_references(count: int) -> Predicate:
@@ -171,70 +111,6 @@ def genesis_inputs() -> Predicate:
     return Predicate(
         "genesis-inputs", lambda ctx, transaction: verify_genesis_inputs(transaction)
     )
-
-
-def spends_committed_outputs(
-    check_conditions: bool = True, check_balance: bool = True
-) -> Predicate:
-    """The transfer-input rule set (committed, unspent, balanced)."""
-
-    def check(ctx: ValidationContext, transaction: Transaction) -> None:
-        validate_transfer_inputs(
-            ctx,
-            transaction,
-            check_conditions=check_conditions,
-            check_asset_lineage=False,
-            check_balance=check_balance,
-        )
-
-    return Predicate("transfer-inputs", check)
-
-
-def outputs_reserved_only() -> Predicate:
-    """Every output is held by a reserved (escrow/admin) account (CBID.6)."""
-
-    def check(ctx: ValidationContext, transaction: Transaction) -> None:
-        for index, output in enumerate(transaction.outputs):
-            for public_key in output.public_keys:
-                if not ctx.reserved.is_reserved(public_key):
-                    raise ValidationError(f"output {index} must be escrow-held")
-
-    return Predicate("outputs-reserved", check)
-
-
-def asset_covers_request_capabilities() -> Predicate:
-    """CBID.7 as a reusable predicate."""
-
-    def check(ctx: ValidationContext, transaction: Transaction) -> None:
-        request_payload = None
-        for reference in transaction.references:
-            payload = ctx.get_tx(reference)
-            if payload is not None and payload.get("operation") == "REQUEST":
-                request_payload = payload
-                break
-        if request_payload is None:
-            raise ValidationError("no committed REQUEST referenced")
-        asset_id = transaction.asset.get("id")
-        if asset_id is None:
-            raise ValidationError("transaction must link its backing asset")
-        asset_tx = ctx.require_committed(asset_id, "backing asset")
-        requested = extract_capabilities(request_payload.get("asset"))
-        offered = extract_capabilities(asset_tx.get("asset"))
-        if not capabilities_satisfied(requested, offered):
-            raise ValidationError("asset does not cover the requested capabilities")
-
-    return Predicate("capability-subset", check)
-
-
-def metadata_field_present(field: str) -> Predicate:
-    """Metadata must carry a non-null ``field``."""
-
-    def check(ctx: ValidationContext, transaction: Transaction) -> None:
-        metadata = transaction.metadata or {}
-        if metadata.get(field) is None:
-            raise ValidationError(f"metadata field {field!r} is required")
-
-    return Predicate(f"metadata({field})", check)
 
 
 def unique_per_reference(operation: str) -> Predicate:

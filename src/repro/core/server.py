@@ -32,6 +32,11 @@ from repro.crypto.keys import ReservedAccounts
 from repro.sim.clock import SimClock
 from repro.storage.database import Database, make_smartchaindb_database
 
+#: Parallel conflict-free validation lanes per node; the declarative
+#: access sets make the partition exact, so lanes change block-validation
+#: time, never verdicts.
+VALIDATION_LANES = 4
+
 
 @dataclass
 class ServerCostModel:
@@ -84,9 +89,6 @@ class SmartchainServer:
         reserved: ReservedAccounts,
         clock: SimClock | None = None,
         cost_model: ServerCostModel | None = None,
-        indexed_storage: bool = True,
-        rng: Any = None,
-        validation_lanes: int = 4,
         durability: Any = None,
     ):
         self.node_id = node_id
@@ -97,17 +99,10 @@ class SmartchainServer:
         #: set, every database mutation journals through its group-commit
         #: log and the node can be rebuilt purely from its disk.
         self.durability = durability
-        #: ``getrandbits`` provider for batched signature verification —
-        #: a named ``sim.rng`` stream in a cluster, so batch coefficients
-        #: replay byte-identically per seed (None = hash-derived).
-        self._crypto_rng = rng
-        #: Conflict-lane scheduler for block validation (None = serial).
-        self.scheduler: ConflictScheduler | None = (
-            ConflictScheduler(lanes=validation_lanes) if validation_lanes > 1 else None
-        )
+        #: Conflict-lane scheduler for block validation.
+        self.scheduler = ConflictScheduler(lanes=VALIDATION_LANES)
         self.database: Database = make_smartchaindb_database(
             name=f"smartchaindb-{node_id}",
-            indexed=indexed_storage,
             wal=durability.log if durability is not None else None,
         )
         self.validator = TransactionValidator()
@@ -207,18 +202,8 @@ class SmartchainServer:
         return False
 
     def check_block(self, envelopes: list[TxEnvelope]) -> list[bool]:
-        """Whole-block CheckTx: every signature in the block settles
-        through one batched verification before the per-transaction
-        checks run (the consensus engine's optional batching hook).
-        Verdict for verdict what :meth:`check_tx` returns one at a time,
-        lock oracle and ingress gates included."""
-        self.stats["checked"] += len(envelopes)
-        payloads = [envelope.payload for envelope in envelopes]
-        stateless = self.validator.check_block(payloads, rng=self._crypto_rng)
-        return [
-            ok and self._admissible(payload)
-            for ok, payload in zip(stateless, payloads)
-        ]
+        """:meth:`check_tx` over a block's envelopes, in block order."""
+        return [self.check_tx(envelope) for envelope in envelopes]
 
     def kept_payload(self, payload: dict[str, Any]) -> bytes | None:
         """The canonical bytes already held for a transaction payload, if
@@ -356,7 +341,7 @@ class SmartchainServer:
         lanes and the block charge is ``max(lane sums)``, not the serial
         sum — the paper's modelled speedup made real on the commit path.
         """
-        if self.scheduler is None or len(envelopes) <= 1:
+        if len(envelopes) <= 1:
             return sum(self.execution_cost(envelope) for envelope in envelopes)
         payloads = [envelope.payload for envelope in envelopes]
         cost_by_identity = {
@@ -433,9 +418,6 @@ class SmartchainServer:
                     continue
             open_requests.append(deep_copy_json(request))
         return open_requests
-
-    def bids_for(self, request_id: str) -> list[dict[str, Any]]:
-        return self.context.bids_for_request(request_id)
 
     def outputs_for(
         self, public_key: str, source: str = "auto"

@@ -360,21 +360,6 @@ class Transaction:
                 return False
         return True
 
-    def signature_items(self) -> list[tuple[str, bytes, str]]:
-        """Every ``(public_key, payload, signature)`` triple that
-        :meth:`verify_signatures` would check, in check order.
-
-        Block validation collects these across all transactions and
-        settles them through one batch verification, pre-seeding the
-        cluster-wide signature cache the per-input checks then hit.
-        """
-        payload = self.signing_payload()
-        triples: list[tuple[str, bytes, str]] = []
-        for item in self.inputs:
-            condition = Condition(public_keys=tuple(item.owners_before), threshold=1)
-            triples.extend(item.fulfillment.signature_items(condition, payload))
-        return triples
-
     def spent_refs(self) -> list[OutputRef]:
         """Output references consumed by this transaction's inputs."""
         return [item.fulfills for item in self.inputs if item.fulfills is not None]

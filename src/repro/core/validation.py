@@ -26,8 +26,6 @@ from repro.common.encoding import canonical_bytes
 from repro.common.errors import SchemaValidationError, ValidationError
 from repro.core.context import ValidationContext
 from repro.core.transaction import Transaction
-from repro.crypto import sigcache
-from repro.crypto.keys import verify_signatures_batch
 from repro.core.types import (
     AcceptBidValidator,
     BidValidator,
@@ -221,14 +219,12 @@ class TransactionValidator:
     time").
     """
 
-    def __init__(self, verification_cache: bool = True):
+    def __init__(self):
         self._schemas = default_registry()
         #: This validator's probe into the shared :class:`AdmissionMemo`;
-        #: None runs every stateless check on every call (the hot-path
-        #: benchmark's reference configuration).
-        self.verification_cache: AdmissionProbe | None = (
-            AdmissionProbe() if verification_cache else None
-        )
+        #: None (a benchmark's uncached reference) runs every stateless
+        #: check on every call.
+        self.verification_cache: AdmissionProbe | None = AdmissionProbe()
         self._validators: dict[str, TypeValidator] = {}
         for validator in (
             CreateValidator(),
@@ -243,10 +239,6 @@ class TransactionValidator:
     def register(self, validator: TypeValidator) -> None:
         """Register (or replace) the validator for an operation."""
         self._validators[validator.operation] = validator
-
-    def operations(self) -> list[str]:
-        """All operations with a registered semantic validator."""
-        return sorted(self._validators)
 
     # -- the stateless half, once per payload object ---------------------------
 
@@ -322,43 +314,9 @@ class TransactionValidator:
         """Both phases in order (receiver-node validation of Fig. 4)."""
         return self._validate(ctx, payload, schema=True)
 
-    def check_block(self, payloads: list[dict[str, Any]], rng: Any = None) -> list[bool]:
-        """Block-grade :meth:`check_tx`: verify signatures batch-first.
-
-        Every signature of every not yet admitted payload in the block is
-        settled through one random-linear-combination batch check (seeding
-        the cluster-wide signature cache), and only then do the
-        per-payload checks run — their per-signature verifications become
-        cache hits.  Verdicts match per-payload ``check_tx`` exactly; a
-        bad signature anywhere in the block falls back to independent
-        verification, so it can neither veto nor ride along with its
-        batchmates.
-
-        Args:
-            payloads: the block's transaction payloads, in block order.
-            rng: optional ``getrandbits`` provider for the batch
-                coefficients (a seeded ``sim.rng`` stream).
-        """
-        verdicts: list[bool] = [False] * len(payloads)
-        fresh: list[tuple[int, Transaction]] = []
-        triples: list[tuple[str, bytes, str]] = []
-        for index, payload in enumerate(payloads):
-            try:
-                transaction = self._parse(payload, schema=True)
-                if transaction.sealed:
-                    verdicts[index] = True
-                elif transaction.verify_id():  # a forged body stays out of the batch
-                    fresh.append((index, transaction))
-                    triples.extend(transaction.signature_items())
-            except (SchemaValidationError, ValidationError):
-                pass
-        # Batch pre-pass only pays off when the verdicts can be handed to
-        # the per-signature checks through the shared cache.
-        if triples and sigcache.shared_cache() is not None:
-            verify_signatures_batch(triples, rng=rng)
-        for index, transaction in fresh:
-            verdicts[index] = self._verify(payloads[index], transaction, admit=True)
-        return verdicts
+    def check_block(self, payloads: list[dict[str, Any]]) -> list[bool]:
+        """:meth:`check_tx` over a block's payloads, in block order."""
+        return [self.check_tx(payload) for payload in payloads]
 
     def check_tx(self, payload: dict[str, Any]) -> bool:
         """Mempool-grade stateless check (schema + id + signatures).

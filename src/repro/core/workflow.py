@@ -84,9 +84,6 @@ class WorkflowEngine:
         """Add a workflow shape."""
         self._specs.append(spec)
 
-    def specs(self) -> list[WorkflowSpec]:
-        return list(self._specs)
-
     def classify(self, payloads: Sequence[dict[str, Any]]) -> WorkflowSpec:
         """Match a concrete sequence to a workflow spec.
 

@@ -1,4 +1,4 @@
-"""Pure-Python Ed25519 (RFC 8032) with a batched fast path.
+"""Pure-Python Ed25519 (RFC 8032) with a fast path for recurring keys.
 
 BigchainDB signs transaction payloads with Ed25519 keys.  This module is a
 self-contained implementation of the signature scheme over the twisted
@@ -7,8 +7,7 @@ group arithmetic.  It is deliberately free of third-party dependencies;
 ``hashlib.sha512`` is the only primitive it borrows.
 
 The hot path is tuned for what the pipeline actually does — sign with a
-seed it has used before, verify against a public key it has seen before —
-and for the validation pipeline's batch pre-pass:
+seed it has used before, verify against a public key it has seen before:
 
 * the running point is in extended (projective) coordinates, so a scalar
   multiplication performs **zero** field inversions; the one inversion per
@@ -34,10 +33,7 @@ and for the validation pipeline's batch pre-pass:
   would: it computes ``Q = s*B - h*A`` and asks whether the 32 bytes of
   ``R`` *encode* ``Q`` up to a point of small order — one comparison and
   one inversion on an honest signature.  A warm verification is at most
-  86 adds, 15 doublings and that inversion;
-* :func:`verify_batch` checks many signatures at once through a single
-  random-linear-combination equation — the doubling chain is shared across
-  the whole batch.  It needs ``R`` as a point, so it does decompress it.
+  86 adds, 15 doublings and that inversion.
 
 ``R`` by its encoding, and why nothing changes: the cofactored check
 ``8*s*B == 8*R + 8*h*A`` over a *decodable* ``R`` holds iff ``T = Q - R``
@@ -64,7 +60,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, NamedTuple, Sequence
 
-from repro.common.errors import InvalidKeyError, InvalidSignatureError
+from repro.common.errors import InvalidKeyError
 
 # Curve constants for edwards25519 (RFC 8032, section 5.1).
 P = 2**255 - 19
@@ -243,24 +239,17 @@ def _windowed_sum(terms: Sequence[tuple[list, int]], width: int, cols: int, star
 
 
 #: Window width of the one-row table (8 entries) a point gets when it is
-#: multiplied once: the first sight of a public key, every term of a batch.
+#: multiplied once: the first sight of a public key.
 _ONE_SHOT_WIDTH = 4
-
-
-def _multi_scalar_mult(pairs: Sequence[tuple[int, Any]]):
-    """``sum(k_i * P_i)`` on one doubling chain shared by every term, so
-    the marginal cost of an extra point is its one-row table plus at most
-    one add per digit — the workhorse of :func:`verify_batch`."""
-    # Two bits of headroom over the widest scalar cover the signed digits.
-    cols = max(((k.bit_length() + 1) // _ONE_SHOT_WIDTH + 1 for k, _ in pairs), default=1)
-    terms = [(_affine_table(point, _ONE_SHOT_WIDTH, cols, 1), k) for k, point in pairs if k]
-    return _windowed_sum(terms, _ONE_SHOT_WIDTH, cols)
 
 
 def _scalar_mult(point, scalar: int):
     """``scalar * point`` for a point multiplied once: a one-row table,
     then four doublings and at most one add per digit."""
-    return _multi_scalar_mult([(scalar, point)])
+    # Two bits of headroom over the scalar cover the signed digits.
+    cols = (scalar.bit_length() + 1) // _ONE_SHOT_WIDTH + 1
+    table = _affine_table(point, _ONE_SHOT_WIDTH, cols, 1)
+    return _windowed_sum([(table, scalar)], _ONE_SHOT_WIDTH, cols)
 
 
 #: sqrt(-1) mod P, the p = 5 (mod 8) square-root fixup factor.
@@ -371,9 +360,8 @@ def _memo_put(memo: dict, cap: int, key: bytes, value: Any) -> None:
 #: (< 20 MB worst case; ``tests/crypto/test_ed25519_fastpath.py`` measures
 #: a table and holds the cap to that).  The first sight of a key
 #: decompresses it (an inversion and a square root) and multiplies over a
-#: one-row table made for the occasion.  The second sight — an entry
-#: exists, whether :func:`verify` or :func:`verify_batch` made it — builds
-#: the key's table, 5-bit signed windows in 13 rows of 4 digits (208
+#: one-row table made for the occasion.  The second sight builds the
+#: key's table, 5-bit signed windows in 13 rows of 4 digits (208
 #: entries), in ~2.4 ms, the price of six warm verifications; from then on
 #: ``h*A`` costs 15 doublings and at most 52 adds instead of ~250 and ~60.
 #: Every use moves the entry to the young end and eviction takes the
@@ -418,15 +406,6 @@ def _public_mult(public_key: bytes, scalar: int):
     if entry[1] is None:
         entry[1] = _affine_table(entry[0], _PUBKEY_WIDTH, _PUBKEY_COLS, _PUBKEY_ROWS)
     return _windowed_sum([(entry[1], scalar)], _PUBKEY_WIDTH, _PUBKEY_COLS)
-
-
-def _points_equal(a, b) -> bool:
-    """Projective equality: X1*Z2 == X2*Z1 and Y1*Z2 == Y2*Z1."""
-    ax, ay, az, _ = a
-    bx, by, bz, _ = b
-    if (ax * bz - bx * az) % P != 0:
-        return False
-    return (ay * bz - by * az) % P == 0
 
 
 def _sha512_int(*parts: bytes) -> int:
@@ -511,12 +490,7 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     validation pipeline can treat all failures uniformly.
 
     This is the *cofactored* check ``8*s*B == 8*R + 8*h*A`` (RFC 8032
-    sanctions either form) — deliberately the same acceptance set as
-    :func:`verify_batch`'s cofactored batch equation.  If the two forms
-    differed, a signature crafted with a small-order torsion component
-    would flip verdicts between the batch and single paths (and therefore
-    across cache evictions), making block validity state-dependent —
-    exactly what a replicated validation pipeline cannot tolerate.
+    sanctions either form).
 
     It is evaluated as "``R``'s bytes are the canonical encoding of
     ``s*B - h*A - T`` for a ``T`` of small order" (the module docstring
@@ -542,145 +516,3 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     return _encodes(r_y, r_sign, q) or any(
         _encodes(r_y, r_sign, _point_add(q, torsion)) for torsion in _SMALL_ORDER
     )
-
-
-def verify_strict(public_key: bytes, message: bytes, signature: bytes) -> None:
-    """Like :func:`verify` but raises on failure.
-
-    Raises:
-        InvalidSignatureError: if verification fails for any reason.
-    """
-    if not verify(public_key, message, signature):
-        raise InvalidSignatureError("Ed25519 signature verification failed")
-
-
-# -- batch verification ---------------------------------------------------------
-
-#: Bit width of the random linear-combination coefficients.  128 bits keeps
-#: the probability of a bad signature slipping through one batch equation
-#: at 2^-128 (the standard choice for Ed25519 batch verification).
-_BATCH_COEFF_BITS = 128
-
-
-def _batch_coefficient(rng: Any, index: int, parts: tuple[bytes, bytes, bytes]) -> int:
-    """One nonzero RLC coefficient.
-
-    ``rng`` is any object with ``getrandbits`` (a named ``sim.rng`` stream
-    in the simulator, keeping replays byte-identical per seed).  Without an
-    rng the coefficient is derived Fiat-Shamir style from the batch item
-    itself, which is equally deterministic and needs no plumbing.
-    """
-    if rng is not None:
-        return rng.getrandbits(_BATCH_COEFF_BITS) | 1
-    public_key, message, signature = parts
-    digest = hashlib.sha512(
-        b"ed25519-batch-coeff"
-        + index.to_bytes(4, "little")
-        + public_key
-        + signature
-        + hashlib.sha512(message).digest()
-    ).digest()
-    return int.from_bytes(digest[: _BATCH_COEFF_BITS // 8], "little") | 1
-
-
-def _batch_equation_holds(
-    candidates: list[tuple[int, bytes, _Point, _Point, int, int]], coefficients: list[int]
-) -> bool:
-    """The single RLC check ``sum(z_i*s_i)*B == sum(z_i*R_i) + sum(z_i*h_i*A_i)``.
-
-    Rearranged as ``(-sum(z_i*s_i))*B + sum(z_i*R_i) + sum((z_i*h_i)*A_i)
-    == identity`` so one interleaved multi-scalar multiplication plus one
-    table-driven base multiplication decides the whole batch.
-
-    The combined point is multiplied by the cofactor 8 before the
-    identity test (RFC 8032's cofactored batch form).  Without it, the
-    random linear combination is unsound for *crafted* signatures: a
-    defect living in the order-8 torsion (e.g. ``R + T`` for an order-2
-    point ``T``) contributes ``z_i * T``, and an attacker who can predict
-    the coefficients' parity can pair two such defects so they cancel.
-    Cofactoring annihilates every torsion contribution instead, at the
-    cost of three point doublings per batch.
-    """
-    base_scalar = 0
-    pairs: list[tuple[int, Any]] = []
-    # Scalars of one signer (the same key across a block) are summed per
-    # public-key *encoding*, so each distinct key pays for one window
-    # table whatever the decompression memo evicts mid-batch; ``R`` is
-    # unique per signature and stays a term of its own.  Summing mod L is
-    # sound under the cofactored check: any torsion discrepancy it
-    # introduces is annihilated by the final multiplication by 8.
-    merged: dict[bytes, list] = {}
-    for (_, public_key, a_point, r_point, s, challenge), z in zip(candidates, coefficients):
-        base_scalar = (base_scalar + z * s) % L
-        pairs.append((z, r_point))
-        entry = merged.setdefault(public_key, [0, a_point])
-        entry[0] = (entry[0] + z * challenge) % L
-    pairs.extend((scalar, point) for scalar, point in merged.values())
-    combined = _base_mult((-base_scalar) % L, _multi_scalar_mult(pairs))
-    combined = _point_double(_point_double(_point_double(combined)))
-    return _points_equal(combined, _IDENTITY)
-
-
-def verify_batch(
-    items: Sequence[tuple[bytes, bytes, bytes]], rng: Any = None
-) -> list[bool]:
-    """Verify many ``(public_key, message, signature)`` triples at once.
-
-    Structurally malformed items (bad lengths, off-curve points, scalar out
-    of range) are marked invalid up front without disturbing the rest.  The
-    well-formed remainder is checked through one *cofactored*
-    random-linear-combination equation; if that holds, every signature in
-    it is valid except with probability ~2^-128 per coefficient draw.  If
-    it fails — at least one bad signature hides in the batch — each
-    remaining item falls back to an independent :func:`verify`, so one
-    forgery can neither veto nor smuggle through its batchmates.
-
-    :func:`verify` uses the cofactored check too, so batch and single
-    paths share one acceptance set: a verdict can never depend on which
-    path (or cache state) happened to judge a signature first.
-
-    Args:
-        items: the triples to check.
-        rng: optional ``getrandbits`` provider for the RLC coefficients
-            (pass a seeded ``sim.rng`` stream inside the simulator);
-            ``None`` derives deterministic per-item coefficients by
-            hashing, so results never depend on process-global randomness.
-
-    Returns:
-        Per-item verdicts, aligned with ``items``.
-    """
-    results = [False] * len(items)
-    candidates: list[tuple[int, bytes, _Point, _Point, int, int]] = []
-    for index, (public_key, message, signature) in enumerate(items):
-        if len(public_key) != 32 or len(signature) != 64:
-            continue
-        try:
-            (a_point, _), _ = _public_entry(public_key)  # memoised, and a sight
-            r_point = _point_decompress(signature[:32])
-        except InvalidKeyError:
-            continue
-        s = int.from_bytes(signature[32:], "little")
-        if s >= L:
-            continue
-        challenge = _sha512_int(signature[:32], public_key, message) % L
-        candidates.append((index, public_key, a_point, r_point, s, challenge))
-    if not candidates:
-        return results
-    if len(candidates) == 1:
-        index = candidates[0][0]
-        public_key, message, signature = items[index]
-        results[index] = verify(public_key, message, signature)
-        return results
-    coefficients = [
-        _batch_coefficient(rng, position, items[candidate[0]])
-        for position, candidate in enumerate(candidates)
-    ]
-    if _batch_equation_holds(candidates, coefficients):
-        for index, *_ in candidates:
-            results[index] = True
-        return results
-    # At least one forgery in the batch: settle each signature on its own.
-    for index, *_ in candidates:
-        public_key, message, signature = items[index]
-        results[index] = verify(public_key, message, signature)
-    return results

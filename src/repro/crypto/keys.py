@@ -68,7 +68,7 @@ def verify_signature(public_key: str, message: bytes, signature: str) -> bool:
     Any decoding failure counts as an invalid signature (returns False).
     Verdicts flow through the cluster-wide :mod:`repro.crypto.sigcache`
     when one is installed — a replica never re-verifies a triple another
-    node (or a batch pre-pass) already settled.
+    node already settled.
     """
     cache = sigcache.shared_cache()
     if cache is None:
@@ -90,57 +90,10 @@ def _verify_signature_uncached(public_key: str, message: bytes, signature: str) 
     return ed25519.verify(public, message, sig)
 
 
-def verify_signatures_batch(
-    items: list[tuple[str, bytes, str]], rng=None
-) -> list[bool]:
-    """Batch-verify base58 ``(public_key, message, signature)`` triples.
-
-    The batch-first half of block validation: triples with a cached
-    verdict are answered from the cluster-wide signature cache, the rest
-    go through :func:`repro.crypto.ed25519.verify_batch` in one
-    random-linear-combination check, and every fresh verdict is written
-    back to the cache — so the per-signature checks that follow (condition
-    thresholds, semantic validators) hit instead of re-verifying.
-
-    Args:
-        items: the triples, in check order.
-        rng: optional ``getrandbits`` provider for the batch coefficients
-            (a seeded ``sim.rng`` stream in the simulator).
-
-    Returns:
-        Per-item verdicts, aligned with ``items``.
-    """
-    cache = sigcache.shared_cache()
-    results: list[bool | None] = [None] * len(items)
-    pending: list[int] = []
-    keys: list[tuple | None] = [None] * len(items)
-    for index, (public_key, message, signature) in enumerate(items):
-        if cache is not None:
-            key = cache.key(public_key, message, signature)
-            keys[index] = key
-            verdict = cache.get(key)
-            if verdict is not None:
-                results[index] = verdict
-                continue
-        pending.append(index)
-    decoded: list[tuple[bytes, bytes, bytes]] = []
-    decodable: list[int] = []
-    for index in pending:
-        public_key, message, signature = items[index]
-        try:
-            decoded.append((base58_decode(public_key), message, base58_decode(signature)))
-            decodable.append(index)
-        except Exception:
-            results[index] = False  # malformed encodings never verify
-    if decoded:
-        for index, verdict in zip(decodable, ed25519.verify_batch(decoded, rng=rng)):
-            results[index] = verdict
-    if cache is not None:
-        for index in pending:
-            key = keys[index]
-            if key is not None:
-                cache.put(key, bool(results[index]))
-    return [bool(verdict) for verdict in results]
+def verify_signatures_batch(items: list[tuple[str, bytes, str]]) -> list[bool]:
+    """:func:`verify_signature` over base58 ``(public_key, message,
+    signature)`` triples, in order (a bound name of the e2e span recorder)."""
+    return [verify_signature(*item) for item in items]
 
 
 @dataclass

@@ -90,16 +90,6 @@ class SignatureCache:
             "hit_rate": round(self.hit_rate(), 4),
         }
 
-    def publish(self, registry) -> None:
-        """Mirror the cache counters into a telemetry registry as gauges.
-
-        Gauges, not counters: the cache is process-global and may be
-        snapshotted many times per run, so absolute values are set rather
-        than incremented.
-        """
-        for key, value in self.stats().items():
-            registry.gauge(f"sigcache_{key}", cache="shared").set(value)
-
 
 _shared: SignatureCache | None = SignatureCache()
 

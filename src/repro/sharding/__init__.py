@@ -21,13 +21,12 @@ per-node hot path gets.  This package adds the first scale-out layer:
 """
 
 from repro.sharding.cluster import ShardedCluster, ShardedClusterConfig
-from repro.sharding.coordinator import CoordinatorConfig, TwoPhaseCoordinator
+from repro.sharding.coordinator import TwoPhaseCoordinator
 from repro.sharding.ring import ConsistentHashRing
 from repro.sharding.router import RoutingDecision, ShardRouter
 
 __all__ = [
     "ConsistentHashRing",
-    "CoordinatorConfig",
     "RoutingDecision",
     "ShardRouter",
     "ShardedCluster",

@@ -15,7 +15,7 @@ what they cost on one cluster.  Cross-shard transactions detour through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.common.encoding import canonical_bytes, deep_copy_json
@@ -25,21 +25,17 @@ from repro.core.cluster import ClusterConfig, SmartchainCluster, TxRecord
 from repro.core.driver import Driver, DriverCallback, SubmitResult
 from repro.durability.node import DurabilityConfig, NodeDurability
 from repro.metrics.collector import RunMetrics, collect_metrics
-from repro.sharding.coordinator import (
-    COORDINATOR_NODE,
-    CoordinatorConfig,
-    TwoPhaseCoordinator,
-)
-from repro.sharding.migration import (
-    MigrationConfig,
-    MigrationPolicy,
-    ReshardController,
-)
+from repro.sharding.coordinator import COORDINATOR_NODE, TwoPhaseCoordinator
+from repro.sharding.migration import MigrationPolicy, ReshardController
 from repro.sharding.ring import ConsistentHashRing
 from repro.sharding.router import RoutingDecision, ShardRouter
 from repro.sim.events import EventLoop
 from repro.sim.rng import SeededRng
 from repro.telemetry import DEFAULT_SAMPLE_RATE, Telemetry
+
+#: Retry cadence when a cross-shard submit meets a crashed coordinator.
+SUBMIT_RETRY_DELAY = 1.0
+SUBMIT_MAX_RETRIES = 20
 
 
 @dataclass
@@ -52,10 +48,6 @@ class ShardedClusterConfig:
     seed: int = 2024
     virtual_nodes: int = 64
     max_block_txs: int = 8
-    coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
-    #: Retry cadence when a cross-shard submit meets a crashed coordinator.
-    submit_retry_delay: float = 1.0
-    submit_max_retries: int = 20
     #: Durability stack for every validator node *and* every 2PC agent
     #: (None keeps the abstract always-durable model).
     durability: DurabilityConfig | None = None
@@ -67,9 +59,6 @@ class ShardedClusterConfig:
     #: :class:`~repro.views.ViewManager` merges every shard's change feed
     #: behind the facade.  None = auto (on whenever durability is on).
     views: bool | None = None
-    #: Elastic resharding state-machine tuning (always constructed; the
-    #: controller is inert until a migration starts).
-    migration: MigrationConfig = field(default_factory=MigrationConfig)
     #: Watch ``hot_shard_share`` and auto-split hot shards.
     auto_split: bool = False
     #: Auto-split policy (defaults when ``auto_split`` without one).
@@ -130,7 +119,6 @@ class ShardedCluster:
         self._next_shard_index = len(self.shard_ids)
         self.migrator = ReshardController(
             self,
-            config=self.config.migration,
             policy=(
                 (self.config.migration_policy or MigrationPolicy())
                 if self.config.auto_split
@@ -191,7 +179,6 @@ class ShardedCluster:
             self.loop,
             self.agent_for,
             self._cross_outcome,
-            self.config.coordinator,
             durability=(
                 NodeDurability(f"agent-{shard_id}", self.loop, self.config.durability)
                 if self.config.durability is not None
@@ -392,13 +379,13 @@ class ShardedCluster:
         if agent.crashed:
             # Mirrors the single-cluster crashed-receiver retry loop, but
             # bounded so an abandoned coordinator cannot spin the loop.
-            if attempt >= self.config.submit_max_retries:
+            if attempt >= SUBMIT_MAX_RETRIES:
                 record = self.cross_records[decision.tx_id]
                 record.rejected = f"coordinator for {decision.home} unavailable"
                 self._fire_cross(decision.tx_id, "rejected", record.rejected)
                 return
             self.loop.schedule_in(
-                self.config.submit_retry_delay,
+                SUBMIT_RETRY_DELAY,
                 lambda: self._begin_cross(payload, decision, attempt + 1),
             )
             return
@@ -498,15 +485,6 @@ class ShardedCluster:
 
     # -- deployment-wide reads (materialized views) ------------------------------
 
-    def read_replica(self, label: str = "replica"):
-        """A follower read surface over the merged deployment views —
-        the one place a query spans every shard without fan-out."""
-        if self.views is None:
-            raise ValidationError("materialized views are disabled on this deployment")
-        from repro.views import ReadReplica
-
-        return ReadReplica(self.views, label=label)
-
     def open_requests(self, capability: str | None = None) -> list[dict[str, Any]]:
         """Open RFQs across *all* shards, from the merged views."""
         if self.views is None:
@@ -548,22 +526,6 @@ class ShardedCluster:
     def latency_percentiles(self, **match_labels: str) -> dict[str, float]:
         """Commit-latency percentile summary from the shared registry."""
         return self.telemetry.latency_percentiles(**match_labels)
-
-    def snapshot_metrics(self) -> dict[str, Any]:
-        """Harvest every shard's counters into the shared registry and
-        return the canonical metrics dictionary."""
-        for cluster in self.shards.values():
-            cluster.snapshot_metrics()
-        registry = self.telemetry.registry
-        for shard_id, agent in self.agents.items():
-            for key, value in agent.stats.items():
-                registry.gauge(f"2pc_{key}", shard=shard_id).set(value)
-        for key, value in self.router.stats.items():
-            registry.gauge(f"router_{key}").set(value)
-        if self.migrator is not None:
-            for key, value in self.migrator.stats.items():
-                registry.gauge(f"reshard_{key}").set(value)
-        return registry.to_dict()
 
     def placement_stats(self) -> dict[str, Any]:
         """Routing + 2PC counters for benchmarks and the CLI."""

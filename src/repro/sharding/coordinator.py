@@ -49,7 +49,6 @@ side) resumes it — keeping the event loop finite for ``run_until_idle``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.encoding import deep_copy_json
@@ -78,20 +77,17 @@ OutcomeCallback = Callable[[str, str, "str | None"], None]
 PhaseListener = Callable[[str, str, str], None]
 
 
-@dataclass
-class CoordinatorConfig:
-    """Timing knobs of the cross-shard protocol (simulated seconds)."""
-
-    #: One-way latency of coordinator <-> participant messages.
-    inter_shard_delay: float = 0.005
-    #: How long the coordinator waits for prepare votes before aborting.
-    prepare_timeout: float = 1.0
-    #: How long a participant holds a prepared lock before inquiring.
-    lock_timeout: float = 2.0
-    #: Spacing between decision re-broadcasts / repeated inquiries.
-    retry_interval: float = 0.5
-    #: Bounded retries; beyond them the state parks until a recovery.
-    max_retries: int = 8
+# Timing of the cross-shard protocol (simulated seconds).
+#: One-way latency of coordinator <-> participant messages.
+INTER_SHARD_DELAY = 0.005
+#: How long the coordinator waits for prepare votes before aborting.
+PREPARE_TIMEOUT = 1.0
+#: How long a participant holds a prepared lock before inquiring.
+LOCK_TIMEOUT = 2.0
+#: Spacing between decision re-broadcasts / repeated inquiries.
+RETRY_INTERVAL = 0.5
+#: Bounded retries; beyond them the state parks until a recovery.
+MAX_RETRIES = 8
 
 
 class TwoPhaseCoordinator:
@@ -104,7 +100,6 @@ class TwoPhaseCoordinator:
         peer_lookup: resolves a shard id to its agent.
         on_outcome: facade callback fired exactly once per home
             cross-shard transaction with the final outcome.
-        config: protocol timings.
     """
 
     def __init__(
@@ -114,12 +109,10 @@ class TwoPhaseCoordinator:
         loop: EventLoop,
         peer_lookup: Callable[[str], "TwoPhaseCoordinator"],
         on_outcome: OutcomeCallback,
-        config: CoordinatorConfig | None = None,
         durability: NodeDurability | None = None,
     ):
         self.shard_id = shard_id
         self.cluster = cluster
-        self.config = config or CoordinatorConfig()
         self._loop = loop
         self._peer = peer_lookup
         self._on_outcome = on_outcome
@@ -290,7 +283,7 @@ class TwoPhaseCoordinator:
             return
         target = self._peer(target_shard)
         self._loop.schedule_in(
-            self.config.inter_shard_delay, lambda: target._deliver_batch(batch)
+            INTER_SHARD_DELAY, lambda: target._deliver_batch(batch)
         )
 
     def _deliver_batch(self, batch: list[tuple[str, tuple]]) -> None:
@@ -424,7 +417,7 @@ class TwoPhaseCoordinator:
         for shard, refs in participants.items():
             self._send(shard, "handle_prepare", self.shard_id, tx_id, refs)
         self._arm(
-            "prepare", tx_id, self.config.prepare_timeout,
+            "prepare", tx_id, PREPARE_TIMEOUT,
             lambda: self._prepare_timed_out(tx_id),
         )
 
@@ -524,9 +517,9 @@ class TwoPhaseCoordinator:
             return
         for shard in pending:
             self._send(shard, "handle_decision", self.shard_id, tx_id, outcome)
-        if attempt < self.config.max_retries:
+        if attempt < MAX_RETRIES:
             self._arm(
-                "retry", tx_id, self.config.retry_interval,
+                "retry", tx_id, RETRY_INTERVAL,
                 lambda: self._broadcast_decision(tx_id, outcome, attempt + 1),
             )
         # Retries exhausted: park; the participant's recovery inquiry or
@@ -641,7 +634,7 @@ class TwoPhaseCoordinator:
         self._force()  # the prepared lock must outlive any crash the YES vote outruns
         self._notify("prepared", tx_id)
         self._arm(
-            "lock", tx_id, self.config.lock_timeout,
+            "lock", tx_id, LOCK_TIMEOUT,
             lambda: self._inquire(tx_id, coordinator_shard, 0),
         )
         self._send(coordinator_shard, "handle_vote", tx_id, self.shard_id, True, payloads)
@@ -692,9 +685,9 @@ class TwoPhaseCoordinator:
         if still_held is None:
             return  # decision arrived meanwhile
         self._send(coordinator_shard, "handle_inquiry", self.shard_id, tx_id)
-        if attempt < self.config.max_retries:
+        if attempt < MAX_RETRIES:
             self._arm(
-                "lock", tx_id, self.config.retry_interval,
+                "lock", tx_id, RETRY_INTERVAL,
                 lambda: self._inquire(tx_id, coordinator_shard, attempt + 1),
             )
         # Else park: resolved when either side recovers.

@@ -127,28 +127,25 @@ MigrationPhaseListener = Callable[[str, str], None]
 _CLOCKED_PHASES = ("snapshot_ship", "wal_tail", "drain", "cutover")
 
 
-@dataclass
-class MigrationConfig:
-    """Tuning knobs of the migration state machine (simulated seconds)."""
-
-    #: Payloads shipped to the target per snapshot-ship tick.
-    chunk_size: int = 6
-    #: Spacing between state-machine ticks (ship chunks, tail rounds,
-    #: drain probes, stall retries).
-    tick_interval: float = 0.02
-    #: A tail round adding at most this many fresh transactions counts
-    #: as "lag bounded" and advances to drain.
-    tail_lag_target: int = 1
-    #: Tail rounds before advancing to drain regardless of lag.
-    max_tail_rounds: int = 10
-    #: Drain probes before the migration gives up and rolls back.
-    max_drain_rounds: int = 150
-    #: Ticks a pre-cutover phase may stall (no live node / crashed
-    #: agent) before presumed-abort rollback.  Cutover never stalls out:
-    #: once the commit point is journaled it only rolls forward.
-    max_stall_ticks: int = 600
-    #: Cap on the moving set (transactions per migration).
-    max_plan_txs: int = 48
+# Tuning of the migration state machine (simulated seconds).
+#: Payloads shipped to the target per snapshot-ship tick.
+CHUNK_SIZE = 6
+#: Spacing between state-machine ticks (ship chunks, tail rounds, drain
+#: probes, stall retries).
+TICK_INTERVAL = 0.02
+#: A tail round adding at most this many fresh transactions counts as
+#: "lag bounded" and advances to drain.
+TAIL_LAG_TARGET = 1
+#: Tail rounds before advancing to drain regardless of lag.
+MAX_TAIL_ROUNDS = 10
+#: Drain probes before the migration gives up and rolls back.
+MAX_DRAIN_ROUNDS = 150
+#: Ticks a pre-cutover phase may stall (no live node / crashed agent)
+#: before presumed-abort rollback.  Cutover never stalls out: once the
+#: commit point is journaled it only rolls forward.
+MAX_STALL_TICKS = 600
+#: Cap on the moving set (transactions per migration).
+MAX_PLAN_TXS = 48
 
 
 @dataclass
@@ -163,10 +160,8 @@ class MigrationPolicy:
     min_observations: int = 32
     #: Simulated seconds between auto-splits.
     cooldown: float = 4.0
-    #: Grow the ring with a fresh shard (a true split) instead of
-    #: rebalancing onto the coldest existing member.
-    grow: bool = True
-    #: Never grow past this many shards.
+    #: Grow the ring with a fresh shard (a true split) up to this many
+    #: shards; past it, rebalance onto the coldest existing member.
     max_shards: int = 12
 
 
@@ -209,7 +204,6 @@ class ReshardController:
     Args:
         deployment: the owning
             :class:`~repro.sharding.cluster.ShardedCluster`.
-        config: state-machine tuning.
         policy: hot-shard auto-split policy (None disables detection;
             explicit :meth:`start_migration` calls still work).
         durability: optional persistence stack for the migration
@@ -220,13 +214,11 @@ class ReshardController:
     def __init__(
         self,
         deployment,
-        config: MigrationConfig | None = None,
         policy: MigrationPolicy | None = None,
         durability=None,
         telemetry=None,
     ):
         self.deployment = deployment
-        self.config = config or MigrationConfig()
         self.policy = policy
         self.durability = durability
         self.telemetry = telemetry
@@ -396,14 +388,8 @@ class ReshardController:
             tel.counter("migrations_started", shard=source).inc()
         self._set_active_gauge()
         self._notify(migration_id, "planned")
-        self._schedule(self.config.tick_interval, lambda: self._tick(migration_id))
+        self._schedule(TICK_INTERVAL, lambda: self._tick(migration_id))
         return migration_id
-
-    def start_split(self, source: str) -> str:
-        """Split ``source``: grow the deployment by one shard and move a
-        lineage onto it."""
-        target = self.deployment.add_shard()
-        return self.start_migration(source, target)
 
     # -- the state machine --------------------------------------------------------
 
@@ -424,7 +410,7 @@ class ReshardController:
 
     def _reschedule(self, m: ShardMigration) -> None:
         self._schedule(
-            self.config.tick_interval, lambda: self._tick(m.migration_id)
+            TICK_INTERVAL, lambda: self._tick(m.migration_id)
         )
 
     def _stall(self, m: ShardMigration) -> None:
@@ -432,7 +418,7 @@ class ReshardController:
         Pre-cutover stalls are bounded by presumed abort; a journaled
         cutover only ever waits for its parties to come back."""
         m.stall_ticks += 1
-        if m.phase != "cutover" and m.stall_ticks > self.config.max_stall_ticks:
+        if m.phase != "cutover" and m.stall_ticks > MAX_STALL_TICKS:
             self._rollback(m, f"stalled in {m.phase} for {m.stall_ticks} ticks")
             return
         self._reschedule(m)
@@ -452,7 +438,7 @@ class ReshardController:
                 continue
             m.plan[tx_id] = deep_copy_json(payload)
             transactions_seen += 1
-            if transactions_seen >= self.config.max_plan_txs:
+            if transactions_seen >= MAX_PLAN_TXS:
                 break
         utxos = server.database.collection("utxos")
         for tx_id in sorted(m.plan):
@@ -493,14 +479,14 @@ class ReshardController:
             if router.home_of_tx(tx_id) != source:
                 continue
             candidates.append(tx_id)
-        return sorted(candidates)[: self.config.max_plan_txs]
+        return sorted(candidates)[: MAX_PLAN_TXS]
 
     def _tick_ship(self, m: ShardMigration) -> None:
         if not m.ship_queue:
             self._enter_phase(m, "wal_tail")
             return self._reschedule(m)
-        chunk = m.ship_queue[: self.config.chunk_size]
-        del m.ship_queue[: self.config.chunk_size]
+        chunk = m.ship_queue[: CHUNK_SIZE]
+        del m.ship_queue[: CHUNK_SIZE]
         payloads = [m.plan[tx_id] for tx_id in chunk]
         self.deployment.shards[m.target].import_reference_payloads(payloads)
         self.stats["payloads_shipped"] += len(payloads)
@@ -569,7 +555,7 @@ class ReshardController:
                     and spent_plan_output
                     and payload.get("operation") in MOVABLE_OPERATIONS
                     and self.deployment.router.home_of_tx(tx_id) == m.source
-                    and len(m.plan) < self.config.max_plan_txs
+                    and len(m.plan) < MAX_PLAN_TXS
                 ):
                     # A child kept the lineage on the source mid-flight:
                     # it joins the moving set so the asset moves whole.
@@ -595,8 +581,8 @@ class ReshardController:
             return self._stall(m)
         m.tail_rounds += 1
         if (
-            fresh <= self.config.tail_lag_target
-            or m.tail_rounds >= self.config.max_tail_rounds
+            fresh <= TAIL_LAG_TARGET
+            or m.tail_rounds >= MAX_TAIL_ROUNDS
         ):
             self._enter_phase(m, "drain")
         self._reschedule(m)
@@ -643,9 +629,9 @@ class ReshardController:
             return self._stall(m)
         if not m.live:
             return self._rollback(m, "moving set fully consumed before cutover")
-        if m.drain_rounds > self.config.max_drain_rounds:
+        if m.drain_rounds > MAX_DRAIN_ROUNDS:
             return self._rollback(
-                m, f"drain did not settle in {self.config.max_drain_rounds} rounds"
+                m, f"drain did not settle in {MAX_DRAIN_ROUNDS} rounds"
             )
         pending = self._pending_writer(m)
         if pending is not None:
@@ -1126,7 +1112,7 @@ class ReshardController:
         plan = self._hot_plan(hot)
         if not plan:
             return None
-        if policy.grow and len(deployment.shard_ids) < policy.max_shards:
+        if len(deployment.shard_ids) < policy.max_shards:
             target = deployment.add_shard()
         else:
             counts: dict[str, int] = {sid: 0 for sid in deployment.shard_ids}
@@ -1194,4 +1180,4 @@ class ReshardController:
             asset = (payload.get("asset") or {}).get("id") or tx_id
             if asset in hot_assets:
                 plan.append(tx_id)
-        return sorted(plan)[: self.config.max_plan_txs]
+        return sorted(plan)[: MAX_PLAN_TXS]

@@ -4,17 +4,16 @@ Keys (asset ids, RFQ ids, routing hints) and shards are both hashed onto
 a 64-bit circle; a key belongs to the first virtual node clockwise from
 its point.  Virtual nodes smooth placement so each shard owns many small
 arcs instead of one big one, which keeps the load spread tight and —
-the property resharding relies on — means adding or removing a shard
-only moves the keys that land on the changed arcs (~1/N of the keyspace)
-while every other key keeps its owner.
+the property resharding relies on — means adding a shard only moves the
+keys that land on the new arcs (~1/N of the keyspace) while every other
+key keeps its owner.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Default virtual nodes per shard — enough to keep the placement spread
 #: within a few percent of uniform at single-digit shard counts.
@@ -52,7 +51,7 @@ class ConsistentHashRing:
             raise ValueError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
         self.virtual_nodes = virtual_nodes
         #: Topology version: starts at 0 on an empty ring and increments
-        #: on every successful add/remove (including the constructor's).
+        #: on every add (including the constructor's).
         self.epoch = 0
         self._members: set[str] = set()
         self._points: list[int] = []
@@ -67,9 +66,6 @@ class ConsistentHashRing:
         """Current membership, sorted."""
         return sorted(self._members)
 
-    def __len__(self) -> int:
-        return len(self._members)
-
     def __contains__(self, shard_id: str) -> bool:
         return shard_id in self._members
 
@@ -78,17 +74,6 @@ class ConsistentHashRing:
         if shard_id in self._members:
             return
         self._members.add(shard_id)
-        self._rebuild()
-
-    def remove_shard(self, shard_id: str) -> None:
-        """Leave a shard; its keys redistribute to the survivors.
-
-        Raises:
-            KeyError: if the shard is not a member.
-        """
-        if shard_id not in self._members:
-            raise KeyError(f"shard {shard_id!r} is not on the ring")
-        self._members.remove(shard_id)
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -118,30 +103,6 @@ class ConsistentHashRing:
             position = 0  # wrap past the last virtual node
         return self._owners[position]
 
-    def shard_for_at(self, key: str, epoch: int) -> str:
-        """Owner of ``key``, valid only at the current :attr:`epoch`.
-
-        The epoch-stamped lookup migration-aware callers use: a caller
-        holding a routing decision from epoch ``e`` re-validates it here
-        before acting, and a ring that has since resized refuses rather
-        than silently returning an owner computed on fresh topology the
-        caller thinks is the old one (or worse: the caller caching a
-        retired owner).
-
-        Raises:
-            StaleEpochError: when ``epoch`` is not the ring's current
-                epoch — the caller must re-route against fresh topology.
-            LookupError: on an empty ring.
-        """
-        from repro.common.errors import StaleEpochError
-
-        if epoch != self.epoch:
-            raise StaleEpochError(
-                f"ring epoch is {self.epoch}, caller routed at {epoch}",
-                current_epoch=self.epoch,
-            )
-        return self.shard_for(key)
-
     def key_landing_on(
         self, shard_id: str, prefix: str = "key", attempts: int = 512
     ) -> str:
@@ -162,14 +123,3 @@ class ConsistentHashRing:
         raise LookupError(
             f"no key with prefix {prefix!r} landed on {shard_id!r} in {attempts} attempts"
         )
-
-    def assignment(self, keys: Sequence[str]) -> dict[str, str]:
-        """key -> shard mapping for a batch of keys."""
-        return {key: self.shard_for(key) for key in keys}
-
-    def spread(self, keys: Sequence[str]) -> Counter:
-        """shard -> key count placement histogram."""
-        counts: Counter = Counter({shard_id: 0 for shard_id in self._members})
-        for key in keys:
-            counts[self.shard_for(key)] += 1
-        return counts

@@ -2,12 +2,11 @@
 
 from repro.sim.clock import SimClock
 from repro.sim.events import EventHandle, EventLoop
-from repro.sim.failures import CrashEvent, FailureInjector
+from repro.sim.failures import FailureInjector
 from repro.sim.network import Message, Network, NetworkConfig
 from repro.sim.rng import SeededRng
 
 __all__ = [
-    "CrashEvent",
     "EventHandle",
     "EventLoop",
     "FailureInjector",

@@ -1,39 +1,22 @@
-"""Crash-fault injection schedules.
+"""Crash-fault injection.
 
 Section 4.2.1 of the paper analyses the non-locking nested transaction
 protocol under crashes at specific phases: while processing the parent
 transaction, while enqueueing RETURNs, and while processing RETURNs.  This
-module provides a small scheduler for scripting such scenarios against the
-simulated cluster.
+module crashes and recovers simulated nodes at the moment a caller (the
+chaos harness, a demo) picks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
 
-#: Event-loop priority of crash/recovery events.  Failures sort *before*
-#: message deliveries scheduled for the same simulated instant, so the
-#: outcome of a tick never depends on whether the fault schedule was
-#: installed before or after the message was sent — the stable tie-break
-#: deterministic replay relies on.
-FAILURE_PRIORITY = -1
-
-
-@dataclass(frozen=True)
-class CrashEvent:
-    """One scripted crash (and optional recovery)."""
-
-    node_id: str
-    crash_at: float
-    recover_at: float | None = None
-
 
 class FailureInjector:
-    """Applies :class:`CrashEvent` schedules to a :class:`Network`.
+    """Crashes and recovers nodes of a :class:`Network`.
 
     Nodes learn about their own crash through the ``on_crash`` /
     ``on_recover`` callbacks so they can drop volatile state (mempool)
@@ -59,23 +42,6 @@ class FailureInjector:
             self._on_crash[node_id] = on_crash
         if on_recover is not None:
             self._on_recover[node_id] = on_recover
-
-    def schedule(self, events: list[CrashEvent]) -> None:
-        """Script a set of crash/recovery events onto the loop."""
-        for event in events:
-            self._loop.schedule_at(
-                event.crash_at,
-                lambda nid=event.node_id: self._crash(nid),
-                priority=FAILURE_PRIORITY,
-            )
-            if event.recover_at is not None:
-                if event.recover_at <= event.crash_at:
-                    raise ValueError("recovery must happen after the crash")
-                self._loop.schedule_at(
-                    event.recover_at,
-                    lambda nid=event.node_id: self._recover(nid),
-                    priority=FAILURE_PRIORITY,
-                )
 
     def crash_now(self, node_id: str) -> None:
         """Immediately crash a node."""

@@ -47,8 +47,3 @@ class SeededRng:
         """Uniform int (inclusive) on the named stream."""
         return self.stream(name).randint(low, high)
 
-    def shuffle(self, name: str, items: list[T]) -> list[T]:
-        """Return a shuffled copy of ``items``."""
-        copy = list(items)
-        self.stream(name).shuffle(copy)
-        return copy

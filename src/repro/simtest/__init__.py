@@ -15,13 +15,7 @@ or from the shell::
     python -m repro simtest --seed 7 --steps 500
 """
 
-from repro.simtest.harness import (
-    ReproBundle,
-    SimHarness,
-    SimReport,
-    SimtestConfig,
-    run_simtest,
-)
+from repro.simtest.harness import ReproBundle, SimHarness, SimReport, SimtestConfig
 from repro.simtest.invariants import (
     DEFAULT_INVARIANTS,
     Invariant,
@@ -46,5 +40,4 @@ __all__ = [
     "SimtestConfig",
     "TraceWorkload",
     "Violation",
-    "run_simtest",
 ]

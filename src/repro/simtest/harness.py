@@ -468,6 +468,3 @@ class SimHarness:
         }
 
 
-def run_simtest(config: SimtestConfig | None = None) -> SimReport:
-    """Build a harness and run it once (the CLI entry point's core)."""
-    return SimHarness(config).run()

@@ -528,9 +528,7 @@ def wal_prefix_durability(plane: FaultPlane) -> list[str]:
                 )
             recovered = recover(
                 durability,
-                lambda nid=node_id, idx=shard.config.indexed_storage: (
-                    make_smartchaindb_database(name=f"smartchaindb-{nid}", indexed=idx)
-                ),
+                lambda nid=node_id: make_smartchaindb_database(name=f"smartchaindb-{nid}"),
                 repair=False,
             )
             server = shard.servers[node_id]
@@ -750,6 +748,73 @@ def no_key_duplicated(plane: FaultPlane) -> list[str]:
                     f"{ref[0][:8]}:{ref[1]} behind on target {target}"
                 )
     return violations
+
+
+#: Collection -> the fields one row is compared by in :func:`replay_determinism`.
+REPLAY_KEYS = {
+    "transactions": ("id",),
+    "utxos": ("transaction_id", "output_index", "public_keys", "amount"),
+    "blocks": ("height", "block_id", "transaction_ids"),
+}
+
+
+def replay_determinism(plane: FaultPlane) -> dict[str, dict[str, tuple[int, int]]]:
+    """How far each live replica's state is from a pure replay of its chain.
+
+    Report-only (not in :data:`DEFAULT_INVARIANTS`): for every shard the
+    reference replica's chain (the longest) is re-delivered, block by
+    block, through a fresh volatile :class:`~repro.core.server.SmartchainServer`'s
+    ``deliver_tx`` / ``commit_block`` — the path the consensus engine
+    drives, nothing else.  The chain carries no delivery time, so the
+    replay judges every deadline at simulated time 0.  Returns
+    ``{"shard/node": {collection: (missing, extra)}}`` for every live
+    replica: rows the replay has and the replica lacks, and the reverse,
+    compared by :data:`REPLAY_KEYS`.  Out-of-band writes (2PC consumes,
+    reference imports, migration moves) show up here; a replica whose
+    state is a function of its chain reads ``(0, 0)`` throughout.
+    """
+    from repro.core.server import SmartchainServer
+
+    def rows(database, name: str) -> set[tuple]:
+        fields = REPLAY_KEYS[name]
+        return {
+            tuple(
+                tuple(value) if isinstance(value, list) else value
+                for value in (document.get(field) for field in fields)
+            )
+            for document in database.collection(name).find({}, copy=False)
+        }
+
+    report: dict[str, dict[str, tuple[int, int]]] = {}
+    for shard_id in plane.shard_ids:
+        shard = plane.shard_cluster(shard_id)
+        engine = shard.engine
+        reference = max(engine.validator_order, key=lambda n: len(engine.validator(n).chain))
+        replay = SmartchainServer(f"replay-{shard_id}", shard.reserved)
+        if shard.config.enable_extensions:
+            from repro.core.extensions import register_marketplace_extensions
+
+            register_marketplace_extensions(replay.validator)
+        committed: set[str] = set()
+        for block in engine.validator(reference).chain:
+            delivered = [
+                envelope
+                for envelope in block.transactions
+                if envelope.tx_id not in committed and replay.deliver_tx(envelope)
+            ]
+            replay.commit_block(block, delivered)
+            committed.update(envelope.tx_id for envelope in block.transactions)
+        expected = {name: rows(replay.database, name) for name in REPLAY_KEYS}
+        for node_id in engine.validator_order:
+            if shard.network.is_crashed(node_id):
+                continue
+            database = shard.servers[node_id].database
+            report[f"{shard_id}/{node_id}"] = {
+                name: (len(want - got), len(got - want))
+                for name, want in expected.items()
+                for got in (rows(database, name),)
+            }
+    return report
 
 
 def all_cross_settled(plane: FaultPlane) -> list[str]:

@@ -369,32 +369,6 @@ class Collection:
             return len(self._documents)
         return sum(1 for _ in self._match_ids(query))
 
-    def distinct(self, path: str, query: dict[str, Any] | None = None) -> list[Any]:
-        """Distinct values at ``path`` over matching documents.
-
-        First-seen order is preserved.  Hashable values dedupe through a
-        set; unhashable values (dicts/lists) fall back to an ordered
-        linear scan and are copied before being returned.
-        """
-        seen_hashable: set[Any] = set()
-        seen_unhashable: list[Any] = []
-        distinct_values: list[Any] = []
-        for document in self.find(query or {}, copy=False):
-            for value in resolve_path(document, path):
-                candidates = value if isinstance(value, list) else [value]
-                for candidate in candidates:
-                    try:
-                        if candidate in seen_hashable:
-                            continue
-                        seen_hashable.add(candidate)
-                        distinct_values.append(candidate)
-                    except TypeError:
-                        if candidate in seen_unhashable:
-                            continue
-                        seen_unhashable.append(candidate)
-                        distinct_values.append(deep_copy_json(candidate))
-        return distinct_values
-
     def encoded_documents(self) -> bytes:
         """Canonical JSON array of every stored document, in insertion order.
 

@@ -127,18 +127,6 @@ class Database:
             for name, collection in self._collections.items()
         }
 
-    def publish_metrics(self, registry, node: str = "") -> None:
-        """Mirror per-collection counters into a telemetry registry.
-
-        Gauges, not counters: snapshots are idempotent — re-publishing
-        sets the same absolute values instead of double counting.
-        """
-        for name, stats in self.stats().items():
-            for key, value in stats.items():
-                registry.gauge(
-                    f"db_{key}", node=node, collection=name
-                ).set(value)
-
 
 def make_smartchaindb_database(
     name: str = "smartchaindb", indexed: bool = True, wal: Any = None

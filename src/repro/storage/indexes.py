@@ -17,7 +17,7 @@ under *every* key appearing in any output.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.common.errors import DuplicateKeyError
 from repro.storage.documents import resolve_path
@@ -44,7 +44,8 @@ class HashIndex:
 
     Most keys (a transaction id, an output reference, a block height) hold
     one document for life, so a bucket of one id is a 1-tuple and becomes
-    a ``set`` — four times the bytes — only when a second id arrives.
+    a ``set`` — four times the bytes — only when a second id arrives, and
+    a 1-tuple again when removals leave it one id.
     """
 
     def __init__(self, path: str, unique: bool = False):
@@ -86,8 +87,8 @@ class HashIndex:
             bucket = buckets.get(key)
             if type(bucket) is set:
                 bucket.discard(doc_id)
-                if not bucket:
-                    del buckets[key]
+                if len(bucket) == 1:
+                    buckets[key] = tuple(bucket)
             elif bucket is not None and bucket[0] == doc_id:
                 del buckets[key]
 
@@ -96,12 +97,12 @@ class HashIndex:
 
         The result is the index's live bucket (a 1-tuple or a set) or a
         shared empty tuple: sized and iterable, nothing more, and never to
-        be mutated.  A set stays a set when it shrinks, down to one id, so
-        a caller that may mutate the collection while iterating must copy
-        by *type*, not by size: ``Collection._match_ids`` sorts every set
-        into its own candidate list and walks a tuple as it stands (a
-        tuple cannot change under it).  No allocation happens on the probe
-        itself.
+        be mutated.  A removal shrinks a set in place before the bucket is
+        swapped for a 1-tuple, so a caller that may mutate the collection
+        while iterating must copy by *type*, not by size:
+        ``Collection._match_ids`` sorts every set into its own candidate
+        list and walks a tuple as it stands (a tuple cannot change under
+        it).  No allocation happens on the probe itself.
         """
         bucket = self._buckets.get(key)
         return bucket if bucket is not None else _EMPTY_IDS
@@ -251,9 +252,3 @@ class SortedIndex:
             position += 1
             offset = 0
 
-    def min_ids(self) -> Iterable[int]:
-        """Ids ordered ascending by key (full scan order)."""
-        result: list[int] = []
-        for ids in self._id_blocks:
-            result.extend(ids)
-        return result

@@ -10,8 +10,7 @@ metric state inside a repro bundle.
 Histograms keep two representations:
 
 * **log buckets** (powers of two) — the bounded, mergeable shape that
-  renders to Prometheus ``_bucket`` series and survives aggregation
-  across shards without losing its error bound;
+  survives aggregation across shards without losing its error bound;
 * **raw samples** — retained (bounded) so percentile extraction is
   *exact* nearest-rank over what was observed, not a bucket-midpoint
   estimate.  Simulated runs observe thousands of values, not billions,
@@ -21,7 +20,6 @@ Histograms keep two representations:
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Iterable
 
@@ -283,35 +281,3 @@ class MetricsRegistry:
                 **instrument.to_dict(),
             }
         return out
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys, no whitespace): byte-identical
-        across replays of one seed."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition of every series."""
-        lines: list[str] = []
-        typed: set[str] = set()
-        for name, labels, instrument in self.instruments():
-            if name not in typed:
-                typed.add(name)
-                lines.append(f"# TYPE {name} {instrument.kind}")
-            label_text = ",".join(
-                f'{k}="{v}"' for k, v in sorted(labels.items())
-            )
-            wrap = f"{{{label_text}}}" if label_text else ""
-            if isinstance(instrument, Histogram):
-                cumulative = 0
-                for exponent in sorted(instrument.buckets):
-                    cumulative += instrument.buckets[exponent]
-                    bound = 2.0**exponent
-                    le = ",".join(filter(None, [label_text, f'le="{bound}"']))
-                    lines.append(f"{name}_bucket{{{le}}} {cumulative}")
-                le = ",".join(filter(None, [label_text, 'le="+Inf"']))
-                lines.append(f"{name}_bucket{{{le}}} {instrument.count}")
-                lines.append(f"{name}_sum{wrap} {instrument.sum}")
-                lines.append(f"{name}_count{wrap} {instrument.count}")
-            else:
-                lines.append(f"{name}{wrap} {instrument.value}")
-        return "\n".join(lines) + ("\n" if lines else "")

@@ -1,4 +1,4 @@
-"""WAL-fed incremental materialized views and follower reads.
+"""WAL-fed incremental materialized views.
 
 The durability WAL (PR 5) already totally orders every committed block —
 :class:`~repro.views.feed.ChangeFeed` tails it (via the group-commit
@@ -8,15 +8,9 @@ the marketplace's hot read sets incrementally: open RFQs by capability,
 live bids per request, unspent outputs by owner, the exact
 ``(transaction_id, output_index)``-keyed spend graph that provenance
 walks, and operation-volume/settlement counters.
-
-:class:`~repro.views.replica.ReadReplica` wraps a manager into a
-snapshot-consistent follower with read-your-writes via chain-height
-tokens.  Reads served here never touch the validators' collections —
-they stop costing the commit path anything (ROADMAP item 2).
 """
 
 from repro.views.feed import ChangeFeed
 from repro.views.manager import ViewManager
-from repro.views.replica import ReadReplica, ReadToken
 
-__all__ = ["ChangeFeed", "ReadReplica", "ReadToken", "ViewManager"]
+__all__ = ["ChangeFeed", "ViewManager"]

@@ -32,20 +32,6 @@ from typing import Any
 
 from repro.core.asset import extract_capabilities
 
-#: Operation names the volume counters report (mirrors the analytics
-#: query's fixed vocabulary).
-OPERATIONS = (
-    "CREATE",
-    "TRANSFER",
-    "REQUEST",
-    "BID",
-    "ACCEPT_BID",
-    "RETURN",
-    "INTEREST",
-    "PRE_REQUEST",
-)
-
-
 class ViewManager:
     """Materialized views over the committed transaction stream."""
 
@@ -233,9 +219,6 @@ class ViewManager:
     def heights(self) -> dict[str, int]:
         return dict(self._heights)
 
-    def total_height(self) -> int:
-        return sum(self._heights.values())
-
     # -- marketplace views -----------------------------------------------------
 
     def open_requests(
@@ -326,19 +309,6 @@ class ViewManager:
 
     def capability_demand(self) -> dict[str, int]:
         return dict(self._capability_demand)
-
-    def operation_volume(self) -> dict[str, int]:
-        return {
-            operation: self._op_counts[operation]
-            for operation in OPERATIONS
-            if self._op_counts.get(operation)
-        }
-
-    def settlement_rate(self) -> float:
-        requests = self._op_counts.get("REQUEST", 0)
-        if requests == 0:
-            return 0.0
-        return self._op_counts.get("ACCEPT_BID", 0) / requests
 
     # -- consistency -----------------------------------------------------------
 

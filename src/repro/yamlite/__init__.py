@@ -1,5 +1,5 @@
 """Minimal YAML subset parser/dumper for transaction schemas."""
 
-from repro.yamlite.parser import dumps, loads, parse_scalar
+from repro.yamlite.parser import loads, parse_scalar
 
-__all__ = ["dumps", "loads", "parse_scalar"]
+__all__ = ["loads", "parse_scalar"]

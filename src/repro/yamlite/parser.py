@@ -1,4 +1,4 @@
-"""yamlite — a minimal YAML subset parser and dumper.
+"""yamlite — a minimal YAML subset parser.
 
 SmartchainDB defines every transaction type with a YAML schema (paper
 Fig. 5).  The execution environment has no PyYAML, so this module
@@ -281,71 +281,3 @@ def loads(source: str) -> Any:
     if leftover is not None:
         raise YamlParseError(f"trailing content: {leftover.content!r}", leftover.number)
     return result
-
-
-def _needs_quotes(text: str) -> bool:
-    if text == "" or text != text.strip():
-        return True
-    if text.lower() in ("null", "~", "true", "false"):
-        return True
-    if _INT_RE.match(text) or _FLOAT_RE.match(text):
-        return True
-    return any(char in text for char in ":#[]{}'\"\n-") or text[0] in "&*!|>"
-
-
-def _dump_scalar(value: Any) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    text = str(value)
-    if _needs_quotes(text):
-        return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
-    return text
-
-
-def dumps(value: Any, indent: int = 0) -> str:
-    """Serialise Python values back to yamlite text (round-trips loads)."""
-    pad = " " * indent
-    if isinstance(value, dict):
-        if not value:
-            return pad + "{}"
-        chunks = []
-        for key, item in value.items():
-            key_text = _dump_scalar(key)
-            if isinstance(item, (dict, list)) and item:
-                chunks.append(f"{pad}{key_text}:")
-                chunks.append(dumps(item, indent + 2))
-            else:
-                chunks.append(f"{pad}{key_text}: {_dump_inline(item)}")
-        return "\n".join(chunks)
-    if isinstance(value, list):
-        if not value:
-            return pad + "[]"
-        chunks = []
-        for item in value:
-            needs_block = (isinstance(item, dict) and item) or (
-                isinstance(item, list)
-                and any(isinstance(element, (dict, list)) and element for element in item)
-            )
-            if needs_block:
-                # Dash on its own line with the structure nested beneath it —
-                # safe for keys that need quoting and for nested containers.
-                chunks.append(f"{pad}-")
-                chunks.append(dumps(item, indent + 2))
-            else:
-                chunks.append(f"{pad}- {_dump_inline(item)}")
-        return "\n".join(chunks)
-    return pad + _dump_scalar(value)
-
-
-def _dump_inline(value: Any) -> str:
-    if isinstance(value, list):
-        return "[" + ", ".join(_dump_inline(item) for item in value) + "]"
-    if isinstance(value, dict) and not value:
-        return "{}"
-    return _dump_scalar(value)

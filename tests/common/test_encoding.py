@@ -10,8 +10,6 @@ from repro.common.encoding import (
     canonical_bytes,
     canonical_serialize,
     deep_copy_json,
-    hex_decode,
-    hex_encode,
     object_pieces,
     splice_array,
     splice_object,
@@ -116,22 +114,6 @@ class TestBase58:
     @given(st.binary(max_size=128))
     def test_roundtrip_property(self, data):
         assert base58_decode(base58_encode(data)) == data
-
-
-class TestHex:
-    def test_roundtrip(self):
-        assert hex_decode(hex_encode(b"\xde\xad")) == b"\xde\xad"
-
-    def test_0x_prefix_accepted(self):
-        assert hex_decode("0xdead") == b"\xde\xad"
-
-    def test_bad_hex_raises(self):
-        with pytest.raises(EncodingError):
-            hex_decode("zz")
-
-    @given(st.binary(max_size=64))
-    def test_roundtrip_property(self, data):
-        assert hex_decode(hex_encode(data)) == data
 
 
 class TestDeepCopyJson:

@@ -19,6 +19,8 @@ from repro.sim.events import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import SeededRng
 
+from test_bft import committed_envelopes
+
 
 class CountingApplication(NullApplication):
     def __init__(self):
@@ -58,7 +60,7 @@ class TestCheckTxMemo:
         loop, engine, apps = build_cluster()
         submit(loop, engine, n_txs)
         loop.run(until=60.0)
-        assert len(engine.committed_envelopes()) == n_txs
+        assert len(committed_envelopes(engine)) == n_txs
         for node_id, app in apps.items():
             assert app.check_calls == n_txs, (node_id, app.check_calls)
 

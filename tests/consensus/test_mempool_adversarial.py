@@ -21,6 +21,8 @@ from repro.sim.events import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import SeededRng
 
+from test_bft import committed_envelopes
+
 
 def envelope(tag: str):
     tx_id = hashlib.sha3_256(tag.encode()).hexdigest()
@@ -86,7 +88,7 @@ class TestCommittedIdBackstop:
         for node_id in engine.validator_order:
             engine.validator(node_id).submit_transaction(item, gossip=False)
         loop.run(until=30.0)
-        assert len(engine.committed_envelopes()) == 1
+        assert len(committed_envelopes(engine)) == 1
         validator = engine.validator(engine.validator_order[0])
         validator.mempool._seen.clear()  # the window eviction, forced
         assert validator.submit_transaction(item) is False
@@ -98,7 +100,7 @@ class TestCommittedIdBackstop:
         for node_id in engine.validator_order:
             engine.validator(node_id).submit_transaction(item, gossip=False)
         loop.run(until=30.0)
-        committed = len(engine.committed_envelopes())
+        committed = len(committed_envelopes(engine))
         assert committed == 1
         # Replay through the gossip entry point on every node at once.
         for node_id in engine.validator_order:
@@ -107,7 +109,7 @@ class TestCommittedIdBackstop:
             network = engine.network
             network.send(engine.validator_order[0], node_id, "TX", item, 100)
         loop.run(until=60.0)
-        assert len(engine.committed_envelopes()) == committed
+        assert len(committed_envelopes(engine)) == committed
         for node_id in engine.validator_order:
             assert item.tx_id not in engine.validator(node_id).mempool
 

@@ -8,6 +8,8 @@ from repro.sim.events import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import SeededRng
 
+from test_bft import committed_envelopes
+
 
 def build(n=4, seed=71):
     loop = EventLoop()
@@ -32,7 +34,7 @@ class TestPartitions:
         network.partition([set(nodes[:2]), set(nodes[2:])])
         submit(loop, engine, 8)
         loop.run(until=30.0)
-        assert len(engine.committed_envelopes()) == 0
+        assert len(committed_envelopes(engine)) == 0
 
     def test_majority_partition_commits(self):
         """A 3-1 split: the 3-node side has quorum and keeps committing."""
@@ -66,9 +68,9 @@ class TestPartitions:
         network.partition([set(nodes[:2]), set(nodes[2:])])
         submit(loop, engine, 4)
         loop.run(until=20.0)
-        committed_during = len(engine.committed_envelopes())
+        committed_during = len(committed_envelopes(engine))
         network.heal_partition()
         submit(loop, engine, 4, start=50)
         loop.run(until=300.0)
         assert committed_during == 0
-        assert len(engine.committed_envelopes()) >= 4
+        assert len(committed_envelopes(engine)) >= 4

@@ -170,18 +170,9 @@ class TestNestedProcessor:
         assert len(processor.queue) == 2
         assert not processor.recovery.is_fully_committed(accept.tx_id)
 
-    def test_drain_submits_jobs(self, settled_auction):
-        database, reserved, ctx, validator, request, bids, accept = settled_auction
-        submitted = []
-        processor = NestedTransactionProcessor(reserved.escrow, database, submit=submitted.append)
-        processor.on_accept_committed(accept.to_dict(), ctx.locked_bids(request.tx_id))
-        assert processor.drain() == 2
-        assert len(submitted) == 2
-        assert len(processor.queue) == 0
-
     def test_return_commit_closes_recovery(self, settled_auction):
         database, reserved, ctx, validator, request, bids, accept = settled_auction
-        processor = NestedTransactionProcessor(reserved.escrow, database, submit=lambda p: None)
+        processor = NestedTransactionProcessor(reserved.escrow, database)
         jobs = processor.on_accept_committed(accept.to_dict(), ctx.locked_bids(request.tx_id))
         for job in jobs:
             processor.on_return_committed(job.payload)

@@ -8,14 +8,10 @@ from repro.core.context import ValidationContext
 from repro.core.predicates import (
     Predicate,
     all_of,
-    any_of,
     declarative_type,
     genesis_inputs,
     id_integral,
-    metadata_field_present,
-    min_inputs,
     min_references,
-    negate,
     references_committed_operation,
     signatures_valid,
 )
@@ -56,35 +52,13 @@ class TestCombinators:
         with pytest.raises(ValidationError):
             all_of(always_passes(), always_fails())(ctx, signed_create)
 
-    def test_any_of_passes_when_one_passes(self, ctx, signed_create):
-        any_of(always_fails(), always_passes())(ctx, signed_create)
-
-    def test_any_of_fails_when_all_fail(self, ctx, signed_create):
-        with pytest.raises(ValidationError) as info:
-            any_of(always_fails("a"), always_fails("b"))(ctx, signed_create)
-        assert "no branch satisfied" in str(info.value)
-
-    def test_negate(self, ctx, signed_create):
-        negate(always_fails())(ctx, signed_create)
-        with pytest.raises(ValidationError):
-            negate(always_passes())(ctx, signed_create)
-
     def test_failure_carries_label(self, ctx, signed_create):
         with pytest.raises(ValidationError) as info:
             always_fails("my-label")(ctx, signed_create)
         assert "my-label" in str(info.value)
 
-    def test_holds_boolean_view(self, ctx, signed_create):
-        assert always_passes().holds(ctx, signed_create)
-        assert not always_fails().holds(ctx, signed_create)
-
 
 class TestPrimitives:
-    def test_min_inputs(self, ctx, signed_create):
-        min_inputs(1)(ctx, signed_create)
-        with pytest.raises(ValidationError):
-            min_inputs(2)(ctx, signed_create)
-
     def test_min_references(self, ctx, signed_create):
         with pytest.raises(ValidationError):
             min_references(1)(ctx, signed_create)
@@ -113,12 +87,6 @@ class TestPrimitives:
         references_committed_operation("REQUEST")(ctx, probe)
         with pytest.raises(ValidationError):
             references_committed_operation("BID")(ctx, probe)
-
-    def test_metadata_field_present(self, ctx):
-        probe = build_create(ALICE, {"n": 1}, metadata={"price": 10}).sign([ALICE])
-        metadata_field_present("price")(ctx, probe)
-        with pytest.raises(ValidationError):
-            metadata_field_present("deadline")(ctx, probe)
 
 
 class TestDeclarativeType:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import InvalidKeyError, InvalidSignatureError
+from repro.common.errors import InvalidKeyError
 from repro.crypto import ed25519
 
 # RFC 8032 section 7.1 test vectors (seed, public, message, signature).
@@ -85,11 +85,6 @@ class TestBehaviour:
             ed25519.sign(b"short", b"m")
         with pytest.raises(InvalidKeyError):
             ed25519.public_key_from_seed(b"x" * 33)
-
-    def test_verify_strict_raises(self):
-        public = ed25519.public_key_from_seed(self.SEED)
-        with pytest.raises(InvalidSignatureError):
-            ed25519.verify_strict(public, b"m", b"\x00" * 64)
 
     def test_signing_is_deterministic(self):
         assert ed25519.sign(self.SEED, b"m") == ed25519.sign(self.SEED, b"m")

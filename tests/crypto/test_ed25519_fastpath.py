@@ -2,10 +2,9 @@
 
 ``sign`` memoises the expanded key and ``verify`` builds a window table
 for a public key on its second sight, so one triple can now be judged by
-four routes — a one-row table (first sight of a key), the key's own table
-(warm key), the batch equation, and the signature-cache wrapper in
-``keys`` — and ``verify`` settles ``R`` by its encoding where the batch
-path decompresses it.  This module pins that signatures equal a textbook
+three routes — a one-row table (first sight of a key), the key's own table
+(warm key) and the signature-cache wrapper in ``keys`` — and ``verify``
+settles ``R`` by its encoding instead of decompressing it.  This module pins that signatures equal a textbook
 RFC 8032 signer byte for byte, that all routes return one verdict on
 valid, tampered, malformed and small-order inputs — the verdict of a
 textbook verifier that does take the square root — that every
@@ -230,15 +229,10 @@ def verdict_cases():
 
 
 class TestOneVerdictEverywhere:
-    FILLERS = [
-        (ed25519.public_key_from_seed(bytes([n]) * 32), b"filler", ref_sign(bytes([n]) * 32, b"filler"))
-        for n in (31, 32)
-    ]
-
     CASES = verdict_cases()
 
     @pytest.mark.parametrize("name,triple,expected", CASES, ids=[case[0] for case in CASES])
-    def test_generic_table_batch_and_cache_routes_agree(self, fresh_memos, name, triple, expected):
+    def test_generic_table_and_cache_routes_agree(self, fresh_memos, name, triple, expected):
         public, message, signature = triple
         generic = ed25519.verify(*triple)  # first sight of the key
         assert ed25519._PUBKEY_CACHE.get(public, [None, None])[1] is None
@@ -246,9 +240,6 @@ class TestOneVerdictEverywhere:
         third = ed25519.verify(*triple)  # uses it
         if public in ed25519._PUBKEY_CACHE:
             assert ed25519._PUBKEY_CACHE[public][1] is not None
-        batch_warm = ed25519.verify_batch([triple] + self.FILLERS)
-        ed25519._PUBKEY_CACHE.clear()
-        batch_cold = ed25519.verify_batch(self.FILLERS[:1] + [triple] + self.FILLERS[1:])
         cache = SignatureCache()
         previous = set_shared_cache(cache)
         try:
@@ -259,8 +250,7 @@ class TestOneVerdictEverywhere:
         finally:
             set_shared_cache(previous)
         assert (cache.hits, cache.misses) == (2, 1)
-        assert batch_warm[1:] == [True, True] and batch_cold[0] and batch_cold[2]
-        verdicts = [generic, second, third, batch_warm[0], batch_cold[1], wrapped_miss, wrapped_hit, wrapped_batch[0]]
+        verdicts = [generic, second, third, wrapped_miss, wrapped_hit, wrapped_batch[0]]
         assert len(set(verdicts)) == 1, (name, verdicts)
         assert generic is expected, name
 
@@ -363,7 +353,8 @@ class TestThePublicKeyMemoKeepsWhatIsHot:
             ed25519._public_mult(public, 1)
         ed25519._public_mult(publics[0], 1)  # the oldest becomes the youngest
         assert list(ed25519._PUBKEY_CACHE) == [publics[1], publics[2], publics[0]]
-        ed25519.verify_batch([(publics[1], b"", bytes(64)), (publics[3], b"", bytes(64))])
+        for public in (publics[1], publics[3]):
+            ed25519.verify(public, b"", bytes(64))
         assert list(ed25519._PUBKEY_CACHE) == [publics[0], publics[1], publics[3]]
 
     def test_a_malformed_key_is_not_remembered(self, fresh_memos):
@@ -401,8 +392,37 @@ def parity_scalars():
     return scalars + [rng.getrandbits(rng.choice((64, 128, 252, 253, 255))) for _ in range(500)]
 
 
+def points_equal(a, b) -> bool:
+    """Projective equality: X1*Z2 == X2*Z1 and Y1*Z2 == Y2*Z1."""
+    return (a[0] * b[2] - b[0] * a[2]) % P == 0 and (a[1] * b[2] - b[1] * a[2]) % P == 0
+
+
 class TestEveryRouteEqualsDoubleAndAdd:
     SCALARS = parity_scalars()
+
+    def test_scalar_mult_matches_repeated_addition(self):
+        accumulator = ed25519._IDENTITY
+        for scalar in range(0, 40):
+            assert points_equal(ed25519._scalar_mult(ed25519._BASE, scalar), accumulator), scalar
+            accumulator = ed25519._point_add(accumulator, ed25519._BASE)
+
+    def test_scalar_mult_matches_base_table(self):
+        for scalar in (1, 15, 16, 2**63 + 11, L - 1, L + 7):
+            assert points_equal(
+                ed25519._scalar_mult(ed25519._BASE, scalar), ed25519._base_mult(scalar)
+            ), scalar
+
+    def test_windowed_sum_of_several_terms_matches_sum_of_singles(self):
+        rng = random.Random(99)
+        points = [ed25519._scalar_mult(ed25519._BASE, rng.getrandbits(64) | 1) for _ in range(4)]
+        scalars = [rng.getrandbits(130) for _ in range(4)]
+        cols = 34  # four-bit digits covering 130 bits plus the sign headroom
+        terms = [(ed25519._affine_table(point, 4, cols, 1), k) for k, point in zip(scalars, points)]
+        expected = ed25519._IDENTITY
+        for scalar, point in zip(scalars, points):
+            expected = ed25519._point_add(expected, ed25519._scalar_mult(point, scalar))
+        assert points_equal(ed25519._windowed_sum(terms, 4, cols), expected)
+        assert points_equal(ed25519._windowed_sum([], 4, cols), ed25519._IDENTITY)
 
     def test_base_table(self):
         for scalar in self.SCALARS:
@@ -456,10 +476,42 @@ class TestEveryRouteEqualsDoubleAndAdd:
                 raised += 1
             else:
                 assert raised == 0, "a scalar fitted after a smaller one did not"
-                assert ed25519._points_equal(got, expected), scalar
+                assert points_equal(got, expected), scalar
                 fits += 1
             expected = ref_add(expected, point)
         assert fits > 1 << (bits - 2) and raised == (1 << bits) - fits > 0
+
+
+class TestMalformedKeyEdgeCases:
+    """Decoding edge cases the pipeline must reject cleanly."""
+
+    @staticmethod
+    def signed(number):
+        seed = bytes([number + 1]) * 32
+        message = f"edge-{number}".encode() * 4
+        return ed25519.public_key_from_seed(seed), message, ed25519.sign(seed, message)
+
+    def test_y_coordinate_out_of_range(self):
+        # y >= P with the sign bit clear: not a canonical encoding.
+        bad = int.to_bytes(P + 1, 32, "little")
+        with pytest.raises(Exception):
+            ed25519._point_decompress(bad)
+        _, message, signature = self.signed(0)
+        assert not ed25519.verify(bad, message, signature)
+
+    def test_sign_bit_with_zero_x_rejected(self):
+        # y = 1 gives x = 0; the sign bit then admits no valid x.
+        bad = int.to_bytes(1 | (1 << 255), 32, "little")
+        _, message, signature = self.signed(0)
+        assert not ed25519.verify(bad, message, signature)
+
+    def test_pubkey_cache_does_not_leak_wrong_points(self):
+        """Decompression caching is keyed by the exact encoding."""
+        (pub_a, msg_a, sig_a), (pub_b, msg_b, sig_b) = self.signed(0), self.signed(1)
+        assert ed25519.verify(pub_a, msg_a, sig_a)
+        assert ed25519.verify(pub_b, msg_b, sig_b)
+        assert not ed25519.verify(pub_a, msg_b, sig_b)
+        assert not ed25519.verify(pub_b, msg_a, sig_a)
 
 
 # -- (f) R judged by its encoding == R decompressed ----------------------------------------
@@ -528,27 +580,18 @@ def encoding_cases():
 
 ENCODING_CASES = encoding_cases()
 ORACLE = {name: ref_verify(*triple) for name, triple in ENCODING_CASES}
-FILLERS = [
-    (ed25519.public_key_from_seed(bytes([n]) * 32), b"filler", ref_sign(bytes([n]) * 32, b"filler"))
-    for n in (33, 34)
-]
+#: An honest signature every planted mutation below still accepts.
+HONEST = (ed25519.public_key_from_seed(bytes([33]) * 32), b"filler", ref_sign(bytes([33]) * 32, b"filler"))
 
 
 def verdicts_on_every_route(triple):
-    """Cold, table-building and warm ``verify``; ``verify_batch`` with the
-    key warm and cold; the ``keys`` wrapper missing and hitting its cache."""
+    """Cold, table-building and warm ``verify``; the ``keys`` wrapper
+    missing and hitting its cache."""
     public, message, signature = triple
     verdicts = {}
     ed25519._PUBKEY_CACHE.clear()
     for sight in ("cold", "table-building", "warm"):
         verdicts[sight] = ed25519.verify(*triple)
-    batch = ed25519.verify_batch([triple] + FILLERS)
-    assert batch[1:] == [True, True]
-    verdicts["batch, warm key"] = batch[0]
-    ed25519._PUBKEY_CACHE.clear()
-    batch = ed25519.verify_batch(FILLERS[:1] + [triple] + FILLERS[1:])
-    assert batch[0] and batch[2]
-    verdicts["batch, cold key"] = batch[1]
     previous = set_shared_cache(SignatureCache())
     try:
         encoded = (base58_encode(public), message, base58_encode(signature))
@@ -624,19 +667,19 @@ class TestRByItsEncodingEqualsRDecompressed:
             "            return _encodes(r_y, r_sign, point)\n"
             "    return False\n",
         )
-        assert ed25519.verify(*FILLERS[0]) and not ed25519.verify(FILLERS[0][0], b"other", FILLERS[0][2])
+        assert ed25519.verify(*HONEST) and not ed25519.verify(HONEST[0], b"other", HONEST[2])
         with pytest.raises(AssertionError):
             assert_every_route_agrees_with_the_oracle()
 
     def test_skipping_the_y_below_p_test_is_caught(self, fresh_memos, monkeypatch):
         planted(monkeypatch, "verify", "    if r_y >= P:\n", "    if False:\n")
-        assert ed25519.verify(*FILLERS[0])
+        assert ed25519.verify(*HONEST)
         with pytest.raises(AssertionError):
             assert_every_route_agrees_with_the_oracle()
 
     def test_trying_only_the_identity_is_caught(self, fresh_memos, monkeypatch):
         monkeypatch.setattr(ed25519, "_SMALL_ORDER", [])
-        assert ed25519.verify(*FILLERS[0])
+        assert ed25519.verify(*HONEST)
         with pytest.raises(AssertionError):
             assert_every_route_agrees_with_the_oracle()
 
@@ -644,7 +687,7 @@ class TestRByItsEncodingEqualsRDecompressed:
         planted(monkeypatch, "_windowed_sum", "                        xy2d = -xy2d\n", "                        pass\n")
         with pytest.raises(AssertionError):
             TestEveryRouteEqualsDoubleAndAdd().test_base_table()
-        assert not ed25519.verify(*FILLERS[0])
+        assert not ed25519.verify(*HONEST)
 
 
 # -- (g) import audit --------------------------------------------------------------------

@@ -140,6 +140,8 @@ class TestForgedSignatureBinding:
 
 
 class TestBatchSeeding:
+    """``verify_signatures_batch`` is ``verify_signature`` over a list."""
+
     def test_batch_seeds_the_cache_for_later_singles(self, fresh_cache):
         triples = [signed(f"signer-{i}", f"msg-{i}".encode()) for i in range(4)]
         assert verify_signatures_batch(triples) == [True] * 4
@@ -172,10 +174,3 @@ class TestBatchSeeding:
             assert verify_signatures_batch(triples) == [True] * 3
         finally:
             set_shared_cache(previous)
-
-    def test_batch_uses_rng_stream_when_provided(self, fresh_cache):
-        from repro.sim.rng import SeededRng
-
-        triples = [signed(f"signer-{i}", b"m") for i in range(3)]
-        stream = SeededRng(42).stream("crypto-batch")
-        assert verify_signatures_batch(triples, rng=stream) == [True] * 3

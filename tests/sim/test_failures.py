@@ -1,9 +1,9 @@
-"""Failure injection schedules."""
+"""Failure injection: crash and recover now, with node callbacks."""
 
 import pytest
 
 from repro.sim.events import EventLoop
-from repro.sim.failures import CrashEvent, FailureInjector
+from repro.sim.failures import FailureInjector
 from repro.sim.network import Network
 from repro.sim.rng import SeededRng
 
@@ -19,40 +19,16 @@ def harness():
 
 
 class TestFailureInjector:
-    def test_scheduled_crash_and_recovery(self, harness):
-        loop, network, injector = harness
-        injector.schedule([CrashEvent("n0", crash_at=1.0, recover_at=2.0)])
-        loop.run(until=1.5)
-        assert network.is_crashed("n0")
-        loop.run(until=2.5)
-        assert not network.is_crashed("n0")
-
-    def test_callbacks_invoked(self, harness):
+    def test_callbacks_invoked_and_logged(self, harness):
         loop, network, injector = harness
         events = []
         injector.register_callbacks(
             "n0", on_crash=lambda: events.append("crash"), on_recover=lambda: events.append("up")
         )
-        injector.schedule([CrashEvent("n0", crash_at=1.0, recover_at=2.0)])
-        loop.run_until_idle()
+        injector.crash_now("n0")
+        injector.recover_now("n0")
         assert events == ["crash", "up"]
-
-    def test_log_records_timeline(self, harness):
-        loop, network, injector = harness
-        injector.schedule([CrashEvent("n1", crash_at=0.5, recover_at=1.5)])
-        loop.run_until_idle()
-        assert injector.log == [(0.5, "crash", "n1"), (1.5, "recover", "n1")]
-
-    def test_crash_without_recovery(self, harness):
-        loop, network, injector = harness
-        injector.schedule([CrashEvent("n0", crash_at=1.0)])
-        loop.run_until_idle()
-        assert network.is_crashed("n0")
-
-    def test_recovery_before_crash_rejected(self, harness):
-        loop, network, injector = harness
-        with pytest.raises(ValueError):
-            injector.schedule([CrashEvent("n0", crash_at=2.0, recover_at=1.0)])
+        assert injector.log == [(0.0, "crash", "n0"), (0.0, "recover", "n0")]
 
     def test_immediate_crash_and_recover(self, harness):
         loop, network, injector = harness
@@ -60,63 +36,3 @@ class TestFailureInjector:
         assert network.is_crashed("n0")
         injector.recover_now("n0")
         assert not network.is_crashed("n0")
-
-
-class TestSameTickOrdering:
-    """Crash/delivery ties at one simulated instant must be deterministic
-    and independent of installation order (the replay tie-break)."""
-
-    def test_crash_scheduled_after_send_still_beats_delivery(self):
-        loop = EventLoop()
-        network = Network(loop, SeededRng(5))
-        delivered = []
-        network.register("n0", lambda m: delivered.append(m.kind))
-        network.register("n1", lambda m: None)
-        network.config.jitter = 0.0
-        network.config.base_latency = 1.0
-        # The message is scheduled first (earlier heap sequence)...
-        network.send("n1", "n0", "PING", None, size_bytes=0)
-        arrival = 1.0
-        # ...and the crash lands at exactly its arrival tick, afterwards.
-        injector = FailureInjector(loop, network)
-        injector.schedule([CrashEvent("n0", crash_at=arrival)])
-        loop.run_until_idle()
-        assert delivered == []  # failure priority wins the tie
-        assert network.stats["dropped"] == 1
-
-    def test_recovery_at_delivery_tick_lets_the_message_through(self):
-        loop = EventLoop()
-        network = Network(loop, SeededRng(5))
-        delivered = []
-        network.register("n0", lambda m: delivered.append(m.kind))
-        network.register("n1", lambda m: None)
-        network.config.jitter = 0.0
-        network.config.base_latency = 1.0
-        network.send("n1", "n0", "PING", None, size_bytes=0)
-        injector = FailureInjector(loop, network)
-        injector.schedule([CrashEvent("n0", crash_at=0.5, recover_at=1.0)])
-        loop.run_until_idle()
-        # Recovery (failure priority) applies before the same-tick
-        # delivery: the node is back up when the message lands.
-        assert delivered == ["PING"]
-
-    def test_installation_order_does_not_change_the_outcome(self):
-        outcomes = []
-        for install_first in (True, False):
-            loop = EventLoop()
-            network = Network(loop, SeededRng(5))
-            delivered = []
-            network.register("n0", lambda m: delivered.append(m.kind))
-            network.register("n1", lambda m: None)
-            network.config.jitter = 0.0
-            network.config.base_latency = 1.0
-            injector = FailureInjector(loop, network)
-            if install_first:
-                injector.schedule([CrashEvent("n0", crash_at=1.0)])
-                network.send("n1", "n0", "PING", None, size_bytes=0)
-            else:
-                network.send("n1", "n0", "PING", None, size_bytes=0)
-                injector.schedule([CrashEvent("n0", crash_at=1.0)])
-            loop.run_until_idle()
-            outcomes.append(list(delivered))
-        assert outcomes[0] == outcomes[1] == []

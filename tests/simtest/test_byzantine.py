@@ -19,7 +19,6 @@ Three layers of coverage:
 
 import pytest
 
-import repro.core.validation as validation_module
 import repro.crypto.conditions as conditions_module
 from repro.common.encoding import canonical_bytes
 from repro.consensus.abci import envelope_for
@@ -345,21 +344,15 @@ class TestLockRuleMutation:
 
 
 class TestSignatureMutation:
-    """Disable signature verification (both the single-verify path the
-    condition checks use and the batch path block validation uses) and
-    the adversarial workload's forged spends sail through semantic
-    validation into committed blocks — ``no_forged_admission`` goes red
-    on every probed seed."""
+    """Disable signature verification (the single-verify path every
+    condition check uses) and the adversarial workload's forged spends
+    sail through semantic validation into committed blocks —
+    ``no_forged_admission`` goes red on every probed seed."""
 
     @pytest.fixture()
     def signatures_disabled(self, monkeypatch):
         monkeypatch.setattr(
             conditions_module, "verify_signature", lambda *args, **kwargs: True
-        )
-        monkeypatch.setattr(
-            validation_module,
-            "verify_signatures_batch",
-            lambda triples, **kwargs: [True] * len(triples),
         )
         # The shared verdict cache must not leak forged-True entries into
         # other tests (nor serve honest verdicts that mask the mutation).

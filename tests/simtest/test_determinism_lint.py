@@ -127,26 +127,6 @@ class TestNoGlobalRandomness:
             assert "import random" not in source, rel
             assert "time.time(" not in source, rel
 
-    def test_batch_verify_randomness_is_injected_not_global(self):
-        """``verify_batch``'s coefficient draw only touches the rng it was
-        handed; with none, it derives coefficients by hashing the batch."""
-        tree = ast.parse((SRC / "crypto" / "ed25519.py").read_text())
-        coefficient_fn = next(
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "_batch_coefficient"
-        )
-        calls = [
-            node.func.value.id
-            for node in ast.walk(coefficient_fn)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.attr == "getrandbits"
-        ]
-        # Every getrandbits draw goes through the injected parameter.
-        assert calls == ["rng"], calls
-
 
 class TestDurabilityTimingIsLoopInjected:
     """ISSUE 5: group-commit flush timing comes only from the injected

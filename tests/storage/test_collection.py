@@ -90,11 +90,10 @@ class TestCrud:
         with pytest.raises(QueryError):
             txs.update_many({"id": "t1"}, {"$rename": {"a": "b"}})
 
-    def test_count_and_distinct(self, txs):
+    def test_count(self, txs):
         txs.insert_many([doc("t1"), doc("t2", "BID"), doc("t3", "BID")])
         assert txs.count() == 3
         assert txs.count({"operation": "BID"}) == 2
-        assert set(txs.distinct("operation")) == {"CREATE", "BID"}
 
     def test_find_limit(self, txs):
         txs.insert_many([doc(f"t{i}") for i in range(5)])

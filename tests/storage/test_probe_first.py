@@ -328,6 +328,18 @@ class TestKeyHazards:
 # -- writers iterate a live bucket ------------------------------------------------
 
 
+def _owned_collection(size: int) -> Collection:
+    """``size`` documents owned by alice (one index bucket) and one by bob."""
+    collection = Collection("utxos")
+    collection.create_index("owner")
+    collection.create_index("tx", unique=True)
+    collection.insert_many(
+        [{"tx": f"t{n}", "owner": "alice", "amount": n} for n in range(size)]
+        + [{"tx": "other", "owner": "bob", "amount": 7}]
+    )
+    return collection
+
+
 class TestWritersOverALiveBucket:
     """``update_many`` re-indexes each document while the match generator
     is still running, so the candidates must be fixed before the first
@@ -335,14 +347,7 @@ class TestWritersOverALiveBucket:
 
     @pytest.fixture(params=[1, 2, 3, 12])
     def owned(self, request):
-        collection = Collection("utxos")
-        collection.create_index("owner")
-        collection.create_index("tx", unique=True)
-        collection.insert_many(
-            [{"tx": f"t{n}", "owner": "alice", "amount": n} for n in range(request.param)]
-            + [{"tx": "other", "owner": "bob", "amount": 7}]
-        )
-        return collection, request.param
+        return _owned_collection(request.param), request.param
 
     def test_update_moving_documents_out_of_the_probed_bucket(self, owned):
         collection, size = owned
@@ -379,15 +384,23 @@ class TestWritersOverALiveBucket:
     )
     @pytest.mark.parametrize("start", [2, 3, 6])
     def test_update_over_a_set_that_shrank_to_one_id(self, query, start):
-        """A bucket that once held two ids stays a *set* when it shrinks to
-        one; re-indexing the lone document empties and re-creates it under
-        the running generator, so it is copied by type, not by size."""
+        """A bucket that once held two ids is a 1-tuple again once it
+        shrinks to one — the shape of a key that never had a second id —
+        and reads and writes over it answer as over such a key;
+        re-indexing the lone document empties and re-creates it under the
+        running generator."""
         collection = Collection("utxos")
         collection.create_index("owner")
         collection.insert_many([{"owner": "alice", "amount": n} for n in range(start)])
         assert collection.delete_many({"owner": "alice", "amount": {"$gte": 1}}) == start - 1
         bucket = collection._hash_indexes["owner"].lookup("alice")
-        assert type(bucket) is set and len(bucket) == 1
+        assert type(bucket) is tuple and len(bucket) == 1
+        never_shared = Collection("utxos")
+        never_shared.create_index("owner")
+        never_shared.insert_one({"owner": "alice", "amount": 0})
+        for probe in (query, {"owner": "alice", "amount": 0}, {"owner": "alice", "amount": 1}):
+            assert collection.find(probe) == never_shared.find(probe), probe
+            assert collection.count(probe) == never_shared.count(probe), probe
         assert collection.update_many(query, {"$set": {"n": 1}}) == 1
         assert collection.update_many(query, {"$set": {"owner": "carol"}}) == 1
         assert collection.find({}) == [{"owner": "carol", "amount": 0, "n": 1}]
@@ -563,17 +576,17 @@ class TestPlantedMutations:
         with pytest.raises(AssertionError):
             test_corpus_parity({"a": 1}, None, None, 0, False)
 
-    def test_copying_a_live_bucket_by_size_is_caught(self, monkeypatch):
+    def test_walking_a_live_set_bucket_is_caught(self, monkeypatch):
         plant(
             monkeypatch,
             Collection,
             "_match_ids",
             "        if type(candidates) is set:\n",
-            "        if len(candidates) > 1:\n",
+            "        if False:\n",
             collection_module,
         )
         test_corpus_parity({"a": 1}, "a", "a", 5, False)  # reads stay right
         with pytest.raises(RuntimeError, match="changed size"):
-            TestWritersOverALiveBucket().test_update_over_a_set_that_shrank_to_one_id(
-                {"owner": "alice"}, 2
+            TestWritersOverALiveBucket().test_update_moving_documents_out_of_the_probed_bucket(
+                (_owned_collection(2), 2)
             )

@@ -144,35 +144,18 @@ class TestMetricsRegistry:
         assert registry.merged_histogram("lat", operation="CREATE").count == 2
         assert registry.merged_histogram("lat", shard="b", operation="CREATE").count == 1
 
-    def test_to_json_is_canonical(self):
+    def test_to_dict_is_canonical(self):
         """Same observations in different insertion order export the
-        same bytes — the property repro bundles rely on."""
+        same snapshot — the property replay comparisons rely on."""
         first, second = MetricsRegistry(), MetricsRegistry()
         first.counter("a", node="n1").inc()
         first.histogram("h", node="n1").observe(2.0)
         second.histogram("h", node="n1").observe(2.0)
         second.counter("a", node="n1").inc()
-        assert first.to_json() == second.to_json()
-        payload = json.loads(first.to_json())
+        payload = first.to_dict()
+        assert json.dumps(payload) == json.dumps(second.to_dict())
         assert payload["a"]["node=n1"]["kind"] == "counter"
         assert payload["h"]["node=n1"]["count"] == 1
-
-    def test_render_prometheus_shapes(self):
-        registry = MetricsRegistry()
-        registry.counter("tx_total", shard="a").inc(3)
-        registry.gauge("depth").set(7)
-        histogram = registry.histogram("lat_ms", shard="a")
-        histogram.observe(1.5)
-        histogram.observe(3.0)
-        text = registry.render_prometheus()
-        assert "# TYPE tx_total counter" in text
-        assert 'tx_total{shard="a"} 3.0' in text
-        assert "depth 7.0" in text
-        assert "# TYPE lat_ms histogram" in text
-        # Cumulative buckets end at +Inf == count.
-        assert 'lat_ms_bucket{shard="a",le="+Inf"} 2' in text
-        assert 'lat_ms_sum{shard="a"} 4.5' in text
-        assert 'lat_ms_count{shard="a"} 2' in text
 
     def test_instruments_iterate_in_canonical_order(self):
         registry = MetricsRegistry()

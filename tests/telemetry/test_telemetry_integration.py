@@ -56,19 +56,15 @@ class TestSingleClusterTraces:
         names = [event["name"] for event in cluster.telemetry.tracer.timeline(create.tx_id)]
         assert "wal_group_commit" in names
 
-    def test_snapshot_metrics_families(self):
+    def test_metric_families_recorded_at_their_sites(self):
         cluster = _single()
         _commit_one(cluster)
-        snapshot = cluster.snapshot_metrics()
+        snapshot = cluster.telemetry.registry.to_dict()
         for family in (
             "tx_submitted",
             "tx_commit_latency_ms",
-            "mempool_depth",
             "consensus_block_txs",
             "consensus_height_ms",
-            "server_delivered",
-            "db_inserts",
-            "sigcache_hits",
         ):
             assert family in snapshot, f"missing {family}"
 
@@ -156,12 +152,11 @@ class TestShardedClusterTraces:
         aggregate = cluster.aggregate_metrics()
         assert aggregate.percentiles_ms["count"] == len(cluster.committed_records())
 
-    def test_snapshot_includes_2pc_and_router_families(self):
+    def test_registry_includes_2pc_families(self):
         cluster = _sharded()
         _cross_transfer(cluster)
-        snapshot = cluster.snapshot_metrics()
-        for family in ("2pc_coordinated", "2pc_prepare_ms", "2pc_total_ms",
-                       "2pc_fanout", "router_routed", "tx_cross_shard"):
+        snapshot = cluster.telemetry.registry.to_dict()
+        for family in ("2pc_prepare_ms", "2pc_total_ms", "2pc_fanout", "tx_cross_shard"):
             assert family in snapshot, f"missing {family}"
 
     def test_flight_recorder_sees_2pc_phases(self):
@@ -175,7 +170,7 @@ class TestShardedClusterTraces:
 class TestReplayDeterminism:
     def test_same_seed_runs_are_byte_identical(self):
         """The acceptance bar: two same-seed runs export identical
-        registry JSON, identical trace timelines, identical flight dumps.
+        registry snapshots, identical trace timelines, identical flight dumps.
         The process-global signature cache is swapped fresh per run — it
         is deliberately shared across clusters in one process, which is
         cross-run state, not nondeterminism."""
@@ -187,10 +182,9 @@ class TestReplayDeterminism:
             try:
                 cluster = _sharded(seed=23)
                 _, transfer, _, _, _ = _cross_transfer(cluster)
-                cluster.snapshot_metrics()
                 outputs.append(
                     (
-                        cluster.telemetry.registry.to_json(),
+                        cluster.telemetry.registry.to_dict(),
                         cluster.telemetry.tracer.timeline(transfer.tx_id),
                         cluster.telemetry.flight.dump(),
                     )

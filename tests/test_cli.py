@@ -49,7 +49,7 @@ class TestCommands:
         assert "first sight of each key" in out and "(4 keys memoised, 0 tables)" in out
         assert "second sight of each key" in out and "third sight of each key" in out
         assert out.count("(4 keys memoised, 4 tables)") == 2
-        assert "3/4 valid" in out
+        assert "'hits': 4, 'misses': 4" in out
 
     def test_simtest(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

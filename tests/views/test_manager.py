@@ -93,7 +93,6 @@ class TestHeightCursor:
         views.apply_block_record("shard-0", block(1, create("a", "alice")))
         views.apply_block_record("shard-1", block(1, create("b", "bob")))
         assert views.heights() == {"shard-0": 1, "shard-1": 1}
-        assert views.total_height() == 2
 
 
 class TestOrderRobustTables:
@@ -117,7 +116,7 @@ class TestOrderRobustTables:
         assert views.open_requests(capability="cap") == []
         # Demand still counts the request; settlement is complete.
         assert views.capability_demand() == {"cap": 1}
-        assert views.settlement_rate() == 1.0
+        assert views.operation_count("ACCEPT_BID") == views.operation_count("REQUEST") == 1
 
     def test_snapshots_agree_across_apply_orders(self):
         blocks = {

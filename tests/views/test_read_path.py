@@ -1,4 +1,4 @@
-"""Read path integration: server views, freshness fallback, replicas."""
+"""Read path integration: server views, freshness fallback, the facade."""
 
 import pytest
 
@@ -6,8 +6,7 @@ from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.crypto.keys import keypair_from_string
 from repro.durability.node import DurabilityConfig
 from repro.sharding.cluster import ShardedCluster, ShardedClusterConfig
-from repro.views import ReadToken, ViewManager
-from repro.views.replica import StaleReadError
+from repro.views import ViewManager
 
 ALICE = keypair_from_string("alice")
 BOB = keypair_from_string("bob")
@@ -108,41 +107,6 @@ class TestViewWiring:
             sorted(map(key, server.outputs_for(BOB.public_key, source="scan")))
 
 
-class TestReadReplica:
-    def test_token_grants_read_your_writes(self):
-        cluster = durable_cluster()
-        _, request, _ = marketplace_history(cluster)
-        replica = cluster.read_replica()
-        token = replica.token()
-        assert replica.caught_up_to(token)
-        assert [r["id"] for r in replica.open_requests(token=token)] == [request.tx_id]
-        assert replica.stats["reads"] == 1
-
-    def test_stale_replica_refuses_the_token(self):
-        cluster = durable_cluster()
-        marketplace_history(cluster)
-        replica = cluster.read_replica()
-        future = ReadToken.for_heights(
-            {shard: height + 1 for shard, height in cluster.views.heights().items()}
-        )
-        with pytest.raises(StaleReadError):
-            replica.open_requests(token=future)
-        assert replica.stats["stale_rejected"] == 1
-
-    def test_replica_queries_match_analytics(self):
-        cluster = durable_cluster()
-        marketplace_history(cluster)
-        replica = cluster.read_replica()
-        assert replica.operation_volume() == {"CREATE": 4, "REQUEST": 1, "TRANSFER": 1}
-        assert replica.capability_demand() == {"3d-print": 1}
-        assert replica.settlement_rate() == 0.0
-
-    def test_volatile_cluster_has_no_replicas(self):
-        cluster = SmartchainCluster(ClusterConfig(n_validators=4))
-        with pytest.raises(RuntimeError):
-            cluster.read_replica()
-
-
 class TestShardedFacade:
     def test_facade_reads_merge_all_shards(self):
         deployment = ShardedCluster(
@@ -176,6 +140,3 @@ class TestShardedFacade:
         assert facade_refs == scan_refs
         # One deployment-global manager, fed per shard.
         assert set(deployment.views.heights()) == set(deployment.shard_ids)
-        replica = deployment.read_replica()
-        token = replica.token()
-        assert len(replica.open_requests(token=token)) == 1

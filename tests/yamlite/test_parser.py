@@ -1,8 +1,6 @@
 """yamlite: the YAML subset the transaction schemas use."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro import yamlite
 from repro.common.errors import YamlParseError
@@ -91,49 +89,3 @@ class TestErrors:
         with pytest.raises(YamlParseError) as info:
             yamlite.loads("a: 1\na: 2")
         assert info.value.line == 2
-
-
-yaml_values = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(min_value=-999, max_value=999),
-        st.text(
-            alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")),
-            min_size=1,
-            max_size=10,
-        ),
-    ),
-    lambda children: st.one_of(
-        st.lists(children, min_size=1, max_size=3),
-        st.dictionaries(
-            st.text(
-                alphabet=st.characters(whitelist_categories=("Ll",)), min_size=1, max_size=6
-            ),
-            children,
-            min_size=1,
-            max_size=3,
-        ),
-    ),
-    max_leaves=10,
-)
-
-
-class TestRoundtrip:
-    def test_schema_like_roundtrip(self):
-        document = {
-            "type": "object",
-            "required": ["id", "operation"],
-            "properties": {
-                "id": {"pattern": "^[0-9a-f]{64}$"},
-                "operation": {"enum": ["CREATE", "TRANSFER"]},
-                "amount": {"type": "integer", "minimum": 1},
-            },
-        }
-        assert yamlite.loads(yamlite.dumps(document)) == document
-
-    @given(st.dictionaries(
-        st.text(alphabet=st.characters(whitelist_categories=("Ll",)), min_size=1, max_size=6),
-        yaml_values, min_size=1, max_size=4))
-    def test_dump_load_roundtrip_property(self, document):
-        assert yamlite.loads(yamlite.dumps(document)) == document
