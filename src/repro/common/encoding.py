@@ -51,13 +51,13 @@ def object_pieces(
     """Byte pieces that concatenate to the canonical encoding of an object
     whose member values are already encoded.
 
-    A value is the canonical bytes of that member, or a nested ``dict`` of
-    such values.  Joined, the pieces equal ``canonical_bytes`` of the
-    object byte for byte: canonical JSON has no context-dependent
-    whitespace or escaping, so a value's encoding is the same wherever it
-    is nested and only the key order has to be redone.  The values are in
-    the list by reference — a multi-megabyte member is not copied until
-    the caller joins, once, into its final buffer.
+    A value is the canonical bytes of that member, a list of pieces that
+    join to them, or a nested ``dict`` of such values.  Joined, the pieces
+    equal ``canonical_bytes`` of the object byte for byte: canonical JSON
+    has no context-dependent whitespace or escaping, so a value's encoding
+    is the same wherever it is nested and only the key order has to be
+    redone.  The values are in the list by reference — a member is never
+    copied here.
     """
     if pieces is None:
         pieces = []
@@ -68,12 +68,32 @@ def object_pieces(
         value = members[key]
         if isinstance(value, dict):
             object_pieces(value, pieces)
+        elif isinstance(value, list):
+            pieces.extend(value)
         else:
             pieces.append(value)
         pieces.append(b",")
     if members:
         pieces.pop()
     pieces.append(b"}")
+    return pieces
+
+
+def array_pieces(items: Iterable[bytes | list[bytes]]) -> list[bytes]:
+    """Byte pieces of the canonical array of already-encoded items (each
+    bytes, or a list of pieces), held by reference as in
+    :func:`object_pieces`."""
+    pieces = [b"["]
+    for item in items:
+        if isinstance(item, list):
+            pieces.extend(item)
+        else:
+            pieces.append(item)
+        pieces.append(b",")
+    if len(pieces) > 1:
+        pieces[-1] = b"]"
+    else:
+        pieces.append(b"]")
     return pieces
 
 

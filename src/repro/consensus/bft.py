@@ -29,7 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.common.encoding import canonical_bytes, splice_array, splice_object
+from repro.common.encoding import array_pieces, canonical_bytes, splice_object
 from repro.consensus.abci import Application
 from repro.consensus.mempool import Mempool
 from repro.consensus import round as machine
@@ -626,11 +626,20 @@ class Validator:
     def _block_body(self, block: Block) -> bytes:
         """Canonical bytes of ``block``'s record, made on first use per
         block — around the transactions' own bytes when the application
-        keeps them (its optional ``kept_payload`` hook)."""
-        entry = self._block_bytes.get(block.height)
+        keeps them (its optional ``kept_payload`` hook) — and shared with
+        every validator of the engine that journals the same ``Block``
+        object (checked by ``is``), so a height's replicas hold one copy."""
+        height = block.height
+        entry = self._block_bytes.get(height)
         if entry is None or entry[0] is not block:
-            encoded = encoded_block_record(block, getattr(self.app, "kept_payload", None))
-            entry = self._block_bytes[block.height] = (block, encoded)
+            for peer in self.engine.validators.values():
+                entry = peer._block_bytes.get(height)
+                if entry is not None and entry[0] is block:
+                    break
+            else:
+                kept = getattr(self.app, "kept_payload", None)
+                entry = (block, encoded_block_record(block, kept))
+            self._block_bytes[height] = entry
         return entry[1]
 
     def _cert_body(self, height: int, cert: dict) -> bytes:
@@ -640,22 +649,23 @@ class Validator:
             entry = self._cert_bytes[height] = (cert, canonical_bytes(cert))
         return entry[1]
 
-    def consensus_snapshot(self) -> dict[str, bytes]:
+    def consensus_snapshot(self) -> dict[str, Any]:
         """Durable consensus state (chain, lock, certificates) for the
-        node's checkpoint provider, each member canonically encoded —
-        spliced from the per-block / per-certificate bytes, so only a
-        block or certificate that was never journaled here (restored
-        from disk) is encoded now."""
-        lock = b"null"
+        node's checkpoint provider, each member canonically encoded as
+        :func:`~repro.common.encoding.object_pieces` values that hold the
+        per-block / per-certificate bytes by reference, so only a block
+        or certificate that was never journaled here (restored from
+        disk) is encoded now."""
+        lock: Any = b"null"
         if self.state.locked_value is not None:
             locked = self._block_body(self.state.locked_value)
-            lock = splice_object({"r": b"%d" % self.state.locked_round, "b": locked})
+            lock = {"r": b"%d" % self.state.locked_round, "b": locked}
         return {
-            "blocks": splice_array(self._block_body(block) for block in self.chain),
+            "blocks": array_pieces(self._block_body(block) for block in self.chain),
             "lock": lock,
             # [height, cert] pairs: canonical JSON requires string keys.
-            "certs": splice_array(
-                b"[%d,%s]" % (height, self._cert_body(height, cert))
+            "certs": array_pieces(
+                array_pieces((b"%d" % height, self._cert_body(height, cert)))
                 for height, cert in sorted(self.commit_certs.items())
             ),
         }

@@ -429,11 +429,6 @@ class SmartchainServer:
         if source != "scan" and self.views is not None:
             if source == "views" or self.views_current():
                 self._count_read("view_served")
-                return [
-                    deep_copy_json(document)
-                    for document in self.views.outputs_for(
-                        public_key, shard=self.views_shard
-                    )
-                ]
+                return self.views.owned_outputs_for(public_key, shard=self.views_shard)
         self._count_read("scan_fallback")
         return self.database.collection("utxos").find({"public_keys": public_key})

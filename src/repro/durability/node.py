@@ -18,8 +18,8 @@ deterministic, loop-driven, and always at a flush boundary so the
 checkpoint is consistent with the synced WAL prefix it claims to cover.
 
 A checkpoint does not walk the state through Python: the owner's
-``state_provider`` returns the state's canonical bytes (in pieces, joined
-once into the snapshot frame), spliced from the per-document / per-block
+``state_provider`` returns the state's canonical bytes (in pieces the
+snapshot frame holds by reference), spliced from the per-document / per-block
 bytes that were made when each journal record was built (see
 :mod:`repro.durability.snapshot`), and the snapshot file is
 byte-identical to encoding the dict state from scratch.

@@ -150,14 +150,14 @@ def apply_db_op(database: Database, op: dict[str, Any]) -> None:
         raise ValueError(f"unknown journaled db op {kind!r}")
 
 
-def checkpoint_state(database: Database, **members: bytes) -> list[bytes]:
+def checkpoint_state(database: Database, **members: Any) -> list[bytes]:
     """A checkpoint's state object, canonically encoded, as byte pieces.
 
     ``{"collections": {name: [documents in insertion order]}, **members}``
     where ``members`` (a validator's chain, lock and certificates) are
-    already encoded.  Nothing is copied or re-encoded: each collection
-    splices the bytes it kept per document, and the pieces are joined
-    only once, into the snapshot frame.  Joined they are byte-identical
+    already encoded, as :func:`object_pieces` values.  Nothing is copied,
+    joined or re-encoded: each collection contributes the bytes it kept
+    per document, by reference.  Joined the pieces are byte-identical
     to ``canonical_bytes`` of the equivalent dict state — the form
     :func:`recover` decodes and :func:`load_collections` loads.
     """

@@ -20,15 +20,16 @@ The state arrives **already encoded**, as byte pieces: the owner splices
 it from bytes made once per document, block and certificate when their
 journal records were built
 (:meth:`repro.storage.collection.Collection.encoded_documents`,
-``Validator.consensus_snapshot``), so a checkpoint costs the encoding of
-what changed since the last one plus a join per collection, one CRC pass
-and one copy into the frame — not a deep copy and a ``json.dumps`` of the
-whole state.  The contract is byte identity: the file equals
+``Validator.consensus_snapshot``), and the frame hands those pieces to
+the device by reference (:func:`~repro.durability.wal.frame_pieces`).
+A checkpoint costs the encoding of what changed since the last one and
+one CRC pass — not a deep copy, a ``json.dumps`` or a join of the whole
+state — and on a :class:`~repro.durability.wal.SimDisk` the file costs
+its skeleton and headers beyond the bytes the node keeps anyway.  The
+contract is byte identity: the file equals
 ``encode_frame({"lsn": n, "state": s})`` for the dict state ``s`` those
 bytes decode to, which is what :meth:`SnapshotManager.latest` and
-recovery read back.  The kept bytes cost each replica about one snapshot
-file's size in memory (3.5 MB per validator at the end of the e2e
-``market_reads`` run).
+recovery read back.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Any, Sequence
 
 from repro.durability.wal import (
     StorageBackend,
-    frame_payload,
+    frame_pieces,
     iter_frames,
     single_frame_body,
 )
@@ -70,7 +71,7 @@ class SnapshotManager:
         """Durably write a checkpoint of ``state`` covering ``upto_lsn``.
 
         ``state`` is the canonical JSON encoding of the state object, in
-        pieces that are joined here, straight into the frame.
+        pieces the device receives as they are.
         Older snapshots are deleted only after the new one is synced.
         Re-taking an LSN already covered by a *valid* snapshot is a
         no-op (state is a function of the journal, so the bytes would be
@@ -88,7 +89,7 @@ class SnapshotManager:
                 return name
             self.disk.delete(name)
         self.disk.append(
-            name, frame_payload(b'{"lsn":%d,"state":' % upto_lsn, *state, b"}")
+            name, *frame_pieces(b'{"lsn":%d,"state":' % upto_lsn, *state, b"}")
         )
         self.disk.sync(name)
         for _, old_name in existing:

@@ -40,19 +40,41 @@ from repro.common.encoding import canonical_bytes, canonical_serialize
 #: Bytes of frame header: 4-byte payload length + 4-byte CRC32.
 FRAME_HEADER = 8
 
+#: Consecutive parts smaller than this are checksummed through joins of
+#: about this many bytes: one ``crc32`` call per run, not one per part.
+CRC_RUN_BYTES = 1 << 16
 
-def frame_payload(*parts: bytes) -> bytes:
-    """One wire frame whose payload is the concatenation of ``parts``.
+
+def frame_pieces(*parts: bytes) -> list[bytes]:
+    """``[header, *parts]``: one wire frame, its payload left in pieces.
 
     The parts are already canonically encoded; length and checksum run
-    over them in place, so a multi-megabyte part (a checkpoint's state)
-    is copied once, into the frame.
+    over them in place and the list holds them by reference, so a
+    backend that takes pieces (:meth:`StorageBackend.append`) never
+    copies a checkpoint's state into one buffer.
     """
     length = checksum = 0
+    run: list[bytes] = []
+    run_bytes = 0
     for part in parts:
-        length += len(part)
-        checksum = zlib.crc32(part, checksum)
-    return b"".join((length.to_bytes(4, "big"), checksum.to_bytes(4, "big"), *parts))
+        size = len(part)
+        length += size
+        if size >= CRC_RUN_BYTES:
+            checksum = zlib.crc32(part, zlib.crc32(b"".join(run), checksum))
+            run, run_bytes = [], 0
+            continue
+        run.append(part)
+        run_bytes += size
+        if run_bytes >= CRC_RUN_BYTES:
+            checksum = zlib.crc32(b"".join(run), checksum)
+            run, run_bytes = [], 0
+    checksum = zlib.crc32(b"".join(run), checksum)
+    return [length.to_bytes(4, "big") + checksum.to_bytes(4, "big"), *parts]
+
+
+def frame_payload(*parts: bytes) -> bytes:
+    """:func:`frame_pieces` joined, for a caller that needs one ``bytes``."""
+    return b"".join(frame_pieces(*parts))
 
 
 def encode_frame(record: dict[str, Any]) -> bytes:
@@ -120,7 +142,8 @@ def valid_prefix_length(data: bytes) -> int:
 class StorageBackend:
     """Abstract append-only file namespace (the durability device)."""
 
-    def append(self, name: str, data: bytes) -> None:
+    def append(self, name: str, *pieces: bytes) -> None:
+        """Append the concatenation of ``pieces`` to ``name``."""
         raise NotImplementedError
 
     def sync(self, name: str) -> None:
@@ -152,35 +175,39 @@ class SimDisk(StorageBackend):
     volatile tail — the torn write (a partial sector made it to the
     platter before power was lost).
 
-    Everything is plain ``bytes`` bookkeeping: byte-identical across
-    runs, no wall clock, no randomness.
+    A file is the list of ``bytes`` objects appended to it, kept by
+    reference: an append copies nothing (a mutable buffer is copied, so
+    a later write to it cannot reach the device) and :meth:`read` joins.
+    A checkpoint's frame therefore shares the bytes its node already
+    keeps per document and block.  Byte-identical across runs, no wall
+    clock, no randomness.
     """
 
     def __init__(self) -> None:
-        self._durable: dict[str, bytearray] = {}
-        self._volatile: dict[str, bytearray] = {}
+        self._durable: dict[str, list[bytes]] = {}
+        self._volatile: dict[str, list[bytes]] = {}
         self._last_appended: str | None = None
         self.stats = {
             "appends": 0,
             "appended_bytes": 0,
             "syncs": 0,
-            "synced_bytes": 0,
             "power_failures": 0,
         }
 
-    def append(self, name: str, data: bytes) -> None:
-        self._durable.setdefault(name, bytearray())
-        self._volatile.setdefault(name, bytearray()).extend(data)
+    def append(self, name: str, *pieces: bytes) -> None:
+        self._durable.setdefault(name, [])
+        tail = self._volatile.setdefault(name, [])
+        for piece in pieces:
+            tail.append(piece if type(piece) is bytes else bytes(piece))
         self._last_appended = name
         self.stats["appends"] += 1
-        self.stats["appended_bytes"] += len(data)
+        self.stats["appended_bytes"] += sum(map(len, pieces))
 
     def sync(self, name: str) -> None:
         self.stats["syncs"] += 1
         tail = self._volatile.get(name)
         if tail:
-            self.stats["synced_bytes"] += len(tail)
-            self._durable.setdefault(name, bytearray()).extend(tail)
+            self._durable.setdefault(name, []).extend(tail)
             tail.clear()
 
     def sync_all(self) -> None:
@@ -189,7 +216,7 @@ class SimDisk(StorageBackend):
                 self.sync(name)
 
     def read(self, name: str) -> bytes:
-        return bytes(self._durable.get(name, b""))
+        return b"".join(self._durable.get(name, ()))
 
     def list(self) -> list[str]:
         return sorted(self._durable)
@@ -200,8 +227,8 @@ class SimDisk(StorageBackend):
 
     def truncate(self, name: str, size: int) -> None:
         durable = self._durable.get(name)
-        if durable is not None and len(durable) > size:
-            del durable[size:]
+        if durable is not None:
+            durable[:] = _head(durable, size)
         self._volatile.pop(name, None)
 
     # -- crash surface (driven by the chaos plane) ---------------------------
@@ -218,9 +245,8 @@ class SimDisk(StorageBackend):
         if torn_bytes > 0 and self._last_appended is not None:
             tail = self._volatile.get(self._last_appended)
             if tail:
-                survived = bytes(tail[:torn_bytes])
-                self._durable.setdefault(self._last_appended, bytearray()).extend(
-                    survived
+                self._durable.setdefault(self._last_appended, []).extend(
+                    _head(tail, torn_bytes)
                 )
         for tail in self._volatile.values():
             tail.clear()
@@ -228,22 +254,42 @@ class SimDisk(StorageBackend):
     def corrupt(self, name: str, offset: int) -> None:
         """Flip one durable byte (bit-rot / misdirected write)."""
         durable = self._durable.get(name)
-        if durable is not None and 0 <= offset < len(durable):
-            durable[offset] ^= 0xFF
+        if durable is None or offset < 0:
+            return
+        for index, piece in enumerate(durable):
+            if offset < len(piece):
+                flipped = bytearray(piece)
+                flipped[offset] ^= 0xFF
+                durable[index] = bytes(flipped)
+                return
+            offset -= len(piece)
 
     def clone(self) -> "SimDisk":
-        """Independent copy (property tests fork one baseline image)."""
+        """Independent copy (property tests fork one baseline image);
+        the pieces are immutable, so only the lists are copied."""
         twin = SimDisk()
-        twin._durable = {name: bytearray(data) for name, data in self._durable.items()}
-        twin._volatile = {
-            name: bytearray(data) for name, data in self._volatile.items()
-        }
+        twin._durable = {name: list(pieces) for name, pieces in self._durable.items()}
+        twin._volatile = {name: list(pieces) for name, pieces in self._volatile.items()}
         twin._last_appended = self._last_appended
         twin.stats = dict(self.stats)
         return twin
 
     def durable_size(self, name: str) -> int:
-        return len(self._durable.get(name, b""))
+        return sum(map(len, self._durable.get(name, ())))
+
+
+def _head(pieces: list[bytes], size: int) -> list[bytes]:
+    """The pieces holding the first ``size`` bytes of ``pieces``, the
+    last one cut where the byte budget runs out."""
+    head = []
+    for piece in pieces:
+        if size <= 0:
+            break
+        if len(piece) > size:
+            piece = piece[:size]
+        head.append(piece)
+        size -= len(piece)
+    return head
 
 
 class FileBackend(StorageBackend):
@@ -265,11 +311,10 @@ class FileBackend(StorageBackend):
             self._handles[name] = handle
         return handle
 
-    def append(self, name: str, data: bytes) -> None:
-        handle = self._handle(name)
-        handle.write(data)
+    def append(self, name: str, *pieces: bytes) -> None:
+        self._handle(name).writelines(pieces)
         self.stats["appends"] += 1
-        self.stats["appended_bytes"] += len(data)
+        self.stats["appended_bytes"] += sum(map(len, pieces))
 
     def sync(self, name: str) -> None:
         handle = self._handles.get(name)
@@ -393,7 +438,7 @@ class SegmentedWal:
         self.next_lsn += 1
         if body is None:
             body = canonical_bytes(record)
-        frame = frame_payload(b'{"lsn":%d,"rec":' % lsn, body, b"}")
+        frame = frame_pieces(b'{"lsn":%d,"rec":' % lsn, body, b"}")
         if not self._segments or self._active_size >= self.segment_max_bytes:
             name = self._segment_name(lsn)
             self._segments.append((lsn, name))
@@ -401,9 +446,9 @@ class SegmentedWal:
             if len(self._segments) > 1:
                 self.stats["rotations"] += 1
         name = self._segments[-1][1]
-        self.disk.append(name, frame)
+        self.disk.append(name, *frame)
         self._dirty.add(name)
-        self._active_size += len(frame)
+        self._active_size += sum(map(len, frame))
         self.stats["records"] += 1
         return lsn
 

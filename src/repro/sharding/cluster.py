@@ -495,7 +495,7 @@ class ShardedCluster:
         """One account's unspent outputs across all shards (wallet view)."""
         if self.views is None:
             raise ValidationError("materialized views are disabled on this deployment")
-        return [deep_copy_json(doc) for doc in self.views.outputs_for(public_key)]
+        return self.views.owned_outputs_for(public_key)
 
     # -- metrics ------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.common.encoding import canonical_bytes, deep_copy_json, splice_array
+from repro.common.encoding import array_pieces, canonical_bytes, deep_copy_json
 from repro.common.errors import DuplicateKeyError, QueryError, StorageError
 from repro.storage.compiler import compile_query
 from repro.storage.documents import resolve_path
@@ -49,12 +49,10 @@ class Collection:
     A *journaled* collection also keeps the canonical bytes of each
     frozen document, made once when its ``insert`` journal record is
     built: the WAL frame and every later checkpoint splice those bytes
-    in (:meth:`encoded_documents`) instead of re-encoding the document.
-    They cost what the collections part of one snapshot file does
-    (measured 1.8 MB per validator at 4 100 documents of the e2e
-    marketplace state; 3.5 MB with the validator's block and certificate
-    bytes) and exist only for live documents: an update or delete drops
-    them, a collection without a journal never makes any.
+    in (:meth:`encoded_documents`) instead of re-encoding the document,
+    and a snapshot file on the simulated disk holds them by reference
+    rather than a copy.  They exist only for live documents: an update or
+    delete drops them, a collection without a journal never makes any.
 
     Args:
         name: collection name (used in error messages / stats).
@@ -369,11 +367,12 @@ class Collection:
             return len(self._documents)
         return sum(1 for _ in self._match_ids(query))
 
-    def encoded_documents(self) -> bytes:
-        """Canonical JSON array of every stored document, in insertion order.
+    def encoded_documents(self) -> list[bytes]:
+        """Canonical JSON array of every stored document, in insertion
+        order, as byte pieces holding the kept per-document bytes.
 
-        Byte-identical to ``canonical_bytes(self.find({}))`` but spliced
-        from the kept per-document bytes; a document that has none (loaded
+        Joined, byte-identical to ``canonical_bytes(self.find({}))``; a
+        document that has no kept bytes (loaded
         by recovery replay, or swapped in by an update since the last
         call) is encoded here and kept.
         """
@@ -384,7 +383,7 @@ class Collection:
             for doc_id, document in self._documents.items():
                 if doc_id not in fragments:
                     fragments[doc_id] = canonical_bytes(document)
-        return splice_array(map(fragments.__getitem__, self._documents))
+        return array_pieces(map(fragments.__getitem__, self._documents))
 
     def explain(self, query: dict[str, Any]) -> QueryPlan:
         """Expose the access path the planner would pick (for ablations)."""

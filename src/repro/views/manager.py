@@ -22,8 +22,8 @@ Design points:
   settled.
 - **Internal references, copied at the serving edge.**  Like the
   zero-copy collection scans, the manager stores references to the
-  journaled payloads; the server/replica layer deep-copies what it
-  hands to callers.
+  journaled payloads; the server/replica layer copies what it hands to
+  callers (:meth:`ViewManager.owned_outputs_for` for wallet reads).
 """
 
 from __future__ import annotations
@@ -245,6 +245,22 @@ class ViewManager:
             self._utxos[ref]
             for ref in refs
             if self._shard_of(ref[0]) == shard
+        ]
+
+    def owned_outputs_for(
+        self, public_key: str, shard: str | None = None
+    ) -> list[dict[str, Any]]:
+        """:meth:`outputs_for` as documents the caller owns: each of the
+        four fields, with a fresh ``public_keys`` list (the other three
+        are scalars)."""
+        return [
+            {
+                "transaction_id": document["transaction_id"],
+                "output_index": document["output_index"],
+                "public_keys": list(document["public_keys"]),
+                "amount": document["amount"],
+            }
+            for document in self.outputs_for(public_key, shard)
         ]
 
     def _shard_of(self, tx_id: str) -> str | None:

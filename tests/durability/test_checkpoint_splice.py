@@ -59,9 +59,9 @@ class RecordingDisk(SimDisk):
         super().__init__()
         self.appended: list[tuple[str, bytes]] = []
 
-    def append(self, name, data):
-        self.appended.append((name, bytes(data)))
-        super().append(name, data)
+    def append(self, name, *pieces):
+        self.appended.append((name, b"".join(pieces)))
+        super().append(name, *pieces)
 
 
 def empty_database(wal=None) -> Database:
@@ -365,6 +365,42 @@ class TestCheckpointCost:
         assert all(
             validator._block_bytes[block.height][0] is block for block in validator.chain
         )
+
+    def test_a_block_is_encoded_once_per_engine_not_once_per_validator(self, monkeypatch):
+        import repro.consensus.bft as bft
+
+        encoded = []
+        real = bft.encoded_block_record
+        monkeypatch.setattr(
+            bft, "encoded_block_record", lambda block, kept=None: encoded.append(block) or real(block, kept)
+        )
+        cluster = durable_cluster()
+        first, *others = (cluster.engine.validator(n) for n in cluster.engine.validator_order)
+        assert first.chain and len({id(block) for block in encoded}) == len(encoded)
+        for validator in others:
+            for block in first.chain:
+                assert validator._block_bytes[block.height][1] is first._block_bytes[block.height][1]
+
+    def test_snapshot_pieces_are_the_kept_bytes_themselves(self):
+        """Identity, not timing: every piece of 64 B or more in the
+        snapshot file is a document's, block's or certificate's kept bytes."""
+        cluster = durable_cluster()
+        node_id = cluster.engine.validator_order[3]
+        durability = cluster.node_durability[node_id]
+        durability.checkpoint()
+        database = cluster.servers[node_id].database
+        validator = cluster.engine.validator(node_id)
+        kept = {
+            id(fragment)
+            for name in database.collection_names()
+            for fragment in database.collection(name)._fragments.values()
+        }
+        kept |= {id(body) for _, body in validator._block_bytes.values()}
+        kept |= {id(body) for _, body in validator._cert_bytes.values()}
+        (snap,) = [name for name in durability.disk.list() if name.endswith(".snap")]
+        big = [piece for piece in durability.disk._durable[snap] if len(piece) >= 64]
+        assert big and all(id(piece) in kept for piece in big)
+        assert sum(map(len, big)) > 0.9 * durability.disk.durable_size(snap)
 
     def test_volatile_cluster_keeps_no_bytes(self):
         cluster = SmartchainCluster(ClusterConfig(n_validators=4, seed=4))

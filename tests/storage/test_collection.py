@@ -215,5 +215,5 @@ class TestKeptBytes:
             else:
                 collection.delete_many({"n": n})
             assert set(collection._fragments) <= set(collection._documents)
-        assert collection.encoded_documents() == canonical_bytes(collection.find({}))
+        assert b"".join(collection.encoded_documents()) == canonical_bytes(collection.find({}))
         assert set(collection._fragments) == set(collection._documents)

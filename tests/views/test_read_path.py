@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.encoding import deep_copy_json
 from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.crypto.keys import keypair_from_string
 from repro.durability.node import DurabilityConfig
@@ -71,6 +72,18 @@ class TestViewWiring:
         served[0]["operation"] = "MUTATED"
         assert server.open_requests(source="views")[0]["operation"] == "REQUEST"
 
+    def test_wallet_reads_equal_deep_copies_and_own_their_lists(self):
+        cluster = durable_cluster()
+        marketplace_history(cluster)
+        server = cluster.any_server()
+        documents = server.views.outputs_for(ALICE.public_key, shard=server.views_shard)
+        served = server.outputs_for(ALICE.public_key, source="views")
+        assert served and served == deep_copy_json(documents)
+        served[0]["public_keys"].append(BOB.public_key)
+        served[0]["amount"] = 99
+        assert server.outputs_for(ALICE.public_key, source="views") == deep_copy_json(documents)
+        assert documents[0]["public_keys"] == [ALICE.public_key]
+
     def test_stale_views_fall_back_to_scans(self):
         cluster = durable_cluster()
         marketplace_history(cluster)
@@ -138,5 +151,9 @@ class TestShardedFacade:
             for doc in deployment.outputs_for(ALICE.public_key)
         )
         assert facade_refs == scan_refs
+        served = deployment.outputs_for(ALICE.public_key)
+        assert served == deep_copy_json(deployment.views.outputs_for(ALICE.public_key))
+        served[0]["public_keys"].clear()
+        assert deployment.outputs_for(ALICE.public_key)[0]["public_keys"] == [ALICE.public_key]
         # One deployment-global manager, fed per shard.
         assert set(deployment.views.heights()) == set(deployment.shard_ids)
