@@ -7,7 +7,9 @@ bid competition, settlement rate, provenance and wash-trade walks —
 re-derived its answer from the transactions collection, O(history) per
 query, on the same node that validates and commits blocks.  Now a
 :class:`~repro.views.ViewManager` fed from the durability WAL maintains
-every hot read set incrementally, so a repeated query costs O(answer).
+every hot read set incrementally, and keeps the wash-trade walk's
+findings per asset, re-walking only assets a block moved since the last
+call — so a repeated query costs O(answer), not O(history).
 
 Measured here, on one committed marketplace history:
 
@@ -18,7 +20,10 @@ Measured here, on one committed marketplace history:
   store zero times (counted via instrumented collections);
 * **view freshness** — at idle the views have applied every committed
   block on every node (lag 0), so the speedup is not bought with
-  staleness.
+  staleness;
+* **custody walks** — a dashboard refresh with no block applied since
+  the last one runs 0 custody walks, and one after k TRANSFERs of
+  distinct assets runs exactly k (``views.stats["custody_walks"]``).
 
 Wallet reads (``outputs_for`` / ``open_requests``) are reported too but
 not gated: those scans were already index-served, so the views'
@@ -27,7 +32,8 @@ surface.
 
 Under pytest (tier-1) the file gates what repeats exactly — both read
 paths answer identically, view-served reads never touch the document
-store, lag is zero at idle — and only prints the speedups.  Run as a
+store, lag is zero at idle, the custody-walk counts — and only prints
+the speedups.  Run as a
 script (CI ``hotpath-smoke``) it also asserts the >= 2.5x bar and then
 writes ``BENCH_reads.json`` at the repo root, so the read-path
 trajectory is visible across PRs.
@@ -53,9 +59,11 @@ DASHBOARD_ROUNDS = 15
 WALLET_ROUNDS = 150
 OWNERS = 6
 CAPABILITIES = 4
+#: Distinct assets the custody-walk count gate transfers.
+MOVED_ASSETS = 5
 
 
-def _build_history() -> tuple[SmartchainCluster, list[str]]:
+def _build_history() -> tuple[SmartchainCluster, list[str], list]:
     cluster = SmartchainCluster(
         ClusterConfig(
             n_validators=4,
@@ -89,7 +97,7 @@ def _build_history() -> tuple[SmartchainCluster, list[str]]:
         cluster.submit_payload(transfer.to_dict())
     cluster.run()
     sample_assets = [create.tx_id for _, create in creates[N_TRANSFERS : N_TRANSFERS + 3]]
-    return cluster, sample_assets
+    return cluster, sample_assets, creates
 
 
 def _dashboard_mix(server, source: str, sample_assets: list[str]) -> int:
@@ -167,6 +175,32 @@ def _count_store_reads(server, sample_assets) -> dict:
     return {"view_served_finds": view_finds, "scan_finds": scan_finds}
 
 
+def _custody_walks(cluster, server, sample_assets, creates) -> dict:
+    """Custody walks the view-served dashboard runs: none on a refresh
+    with no block applied in between, one per asset a new TRANSFER moved."""
+    stats = cluster.views.stats
+    _dashboard_mix(server, "views", sample_assets)
+    before = stats["custody_walks"]
+    _dashboard_mix(server, "views", sample_assets)
+    idle = stats["custody_walks"] - before
+    moved = creates[N_TRANSFERS + 3 : N_TRANSFERS + 3 + MOVED_ASSETS]
+    for number, (owner, create) in enumerate(moved):
+        recipient = keypair_from_string(f"owner-{number % OWNERS}")
+        cluster.submit_payload(
+            cluster.driver.prepare_transfer(
+                owner, [(create.tx_id, 0, 1)], create.tx_id, [(recipient.public_key, 1)]
+            ).to_dict()
+        )
+    cluster.run()
+    before = stats["custody_walks"]
+    _dashboard_mix(server, "views", sample_assets)
+    return {
+        "idle_refresh": idle,
+        "transfers": MOVED_ASSETS,
+        "after_transfers": stats["custody_walks"] - before,
+    }
+
+
 def _view_lag(cluster) -> int:
     views = cluster.views
     return max(
@@ -179,7 +213,7 @@ def _view_lag(cluster) -> int:
 def run_report() -> dict:
     """Build the history, measure both read paths (parity and count gates
     run here) and print the report; speedups are reported, not judged."""
-    cluster, sample_assets = _build_history()
+    cluster, sample_assets, creates = _build_history()
     server = cluster.any_server()
     assert server.views_current()
     owner_keys = [
@@ -234,6 +268,8 @@ def run_report() -> dict:
         },
         "read_stats": dict(server.read_stats),
     }
+    # Last: it commits more TRANSFERs.
+    walks = report["custody_walks"] = _custody_walks(cluster, server, sample_assets, creates)
     dashboard = report["analytics_dashboard"]
     print(
         f"read scaling: dashboard {dashboard['scan_ms']}ms scans vs "
@@ -247,6 +283,10 @@ def run_report() -> dict:
     assert store_reads["view_served_finds"] == 0, store_reads
     assert store_reads["scan_finds"] > 0, store_reads  # the counter works
     assert lag == 0, report["freshness"]
+    # Kept custody findings: an idle refresh walks nothing, and k
+    # TRANSFERs of distinct assets re-walk exactly those k.
+    assert walks["idle_refresh"] == 0, walks
+    assert walks["after_transfers"] == MOVED_ASSETS, walks
     return report
 
 

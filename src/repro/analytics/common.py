@@ -112,22 +112,22 @@ class ViewSource:
     """Read source backed by a :class:`repro.views.ViewManager`."""
 
     def __init__(self, views):
-        self._views = views
+        self.views = views
 
     def by_id(self, tx_id: str) -> dict[str, Any] | None:
-        return self._views.transaction(tx_id)
+        return self.views.transaction(tx_id)
 
     def by_operation(self, operation: str) -> list[dict[str, Any]]:
-        return self._views.transactions_by_operation(operation)
+        return self.views.transactions_by_operation(operation)
 
     def count(self, operation: str) -> int:
-        return self._views.operation_count(operation)
+        return self.views.operation_count(operation)
 
     def referencing(self, operation: str, reference: str) -> list[dict[str, Any]]:
-        return self._views.referencing(operation, reference)
+        return self.views.referencing(operation, reference)
 
     def spender_of(self, tx_id: str, output_index: int) -> dict[str, Any] | None:
-        return self._views.spender_of(tx_id, output_index)
+        return self.views.spender_of(tx_id, output_index)
 
 
 def follow_spend(source, payload: dict[str, Any], operation: str | None = None):

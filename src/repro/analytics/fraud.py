@@ -130,38 +130,10 @@ class FraudAnalyzer:
         """Assets cycling back to a previous owner within few transfers.
 
         Ownership loops (A -> B -> A) are classic wash-trading structure.
-        The walk follows the exact output each TRANSFER spends, and the
-        holder at each hop is the owner of that followed output — change
-        outputs returning to the sender never register as a flip.
+        See the module-level :func:`rapid_flips` for the walk and how
+        the views serve it.
         """
-        source = self._source()
-        findings = []
-        for create in source.by_operation("CREATE"):
-            chain: list[str] = []
-            walk = custody_walk(
-                source, create, operation="TRANSFER", max_hops=max_hops
-            )
-            for payload, followed in walk:
-                holder = tx_recipient(
-                    payload, followed if followed is not None else 0
-                )
-                if holder:
-                    chain.append(holder)
-            seen: dict[str, int] = {}
-            for position, holder in enumerate(chain):
-                if holder in seen and position - seen[holder] <= max_hops and position > seen[holder]:
-                    findings.append(
-                        Finding(
-                            kind="ownership-loop",
-                            subject=holder,
-                            detail=f"asset returned to a prior owner within "
-                                   f"{position - seen[holder]} hop(s)",
-                            transactions=(create["id"],),
-                        )
-                    )
-                    break
-                seen[holder] = position
-        return findings
+        return rapid_flips(self._source(), max_hops)
 
     def capability_overclaim(self) -> list[Finding]:
         """Assets whose capability list far exceeds the market norm.
@@ -200,3 +172,76 @@ class FraudAnalyzer:
         findings.extend(self.rapid_flips())
         findings.extend(self.capability_overclaim())
         return findings
+
+
+def flip_of(source, create: dict, max_hops: int) -> Finding | None:
+    """The ownership-loop finding of one asset, or ``None``.
+
+    The walk follows the exact output each TRANSFER spends, and the
+    holder at each hop is the owner of that followed output — change
+    outputs returning to the sender never register as a flip.
+    """
+    chain: list[str] = []
+    for payload, followed in custody_walk(
+        source, create, operation="TRANSFER", max_hops=max_hops
+    ):
+        holder = tx_recipient(payload, followed if followed is not None else 0)
+        if holder:
+            chain.append(holder)
+    seen: dict[str, int] = {}
+    for position, holder in enumerate(chain):
+        if holder in seen and position - seen[holder] <= max_hops and position > seen[holder]:
+            return Finding(
+                kind="ownership-loop",
+                subject=holder,
+                detail=f"asset returned to a prior owner within "
+                       f"{position - seen[holder]} hop(s)",
+                transactions=(create["id"],),
+            )
+        seen[holder] = position
+    return None
+
+
+def walk_flips(source, max_hops: int = 3) -> list[Finding]:
+    """:func:`flip_of` over every CREATE, in the source's CREATE order:
+    the reference computation, and the one a :class:`ScanSource` runs."""
+    findings = []
+    for create in source.by_operation("CREATE"):
+        finding = flip_of(source, create, max_hops)
+        if finding is not None:
+            findings.append(finding)
+    return findings
+
+
+def rapid_flips(source, max_hops: int = 3) -> list[Finding]:
+    """Ownership-loop findings, in CREATE order.
+
+    Over a :class:`ViewSource` the findings are kept on the view manager
+    (:meth:`repro.views.ViewManager.flip_memo`), and only the assets a
+    CREATE or TRANSFER applied to since the last call are re-walked; a
+    refresh with no block applied in between walks nothing.  A
+    :class:`ScanSource` walks every asset on every call (:func:`walk_flips`).
+    """
+    if not isinstance(source, ViewSource):
+        return walk_flips(source, max_hops)
+    views = source.views
+    memo = views.flip_memo(max_hops)
+    if memo.dirty:
+        kept = memo.kept
+        for asset in memo.dirty:
+            create = views.transaction(asset)
+            # A TRANSFER applied before its CREATE: the CREATE marks the
+            # asset again when it applies.
+            if create is None or create.get("operation") != "CREATE":
+                continue
+            views.stats["custody_walks"] += 1
+            finding = flip_of(source, create, max_hops)
+            if finding is None:
+                kept.pop(asset, None)
+            else:
+                kept[asset] = finding
+        memo.dirty.clear()
+        memo.ordered = [
+            kept[create["id"]] for create in source.by_operation("CREATE") if create["id"] in kept
+        ]
+    return list(memo.ordered)

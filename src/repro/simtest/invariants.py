@@ -596,13 +596,17 @@ def mv_consistency(plane: FaultPlane) -> list[str]:
     rejected drifts from it.  Any drift means the WAL feed dropped,
     duplicated, mis-ordered or invented an update somewhere in the crash/
     partition/byzantine history — the read path would be serving wrong
-    answers while every write-path invariant still passed.
+    answers while every write-path invariant still passed.  The live
+    manager's memoised ``rapid_flips`` findings must equal a fresh walk
+    over the rebuilt one, so a missed memo invalidation shows too.
     """
     if not plane.durable:
         return []
     live = getattr(plane.cluster, "views", None)
     if live is None:
         return []
+    from repro.analytics.common import ViewSource
+    from repro.analytics.fraud import rapid_flips, walk_flips
     from repro.views import ViewManager
 
     rebuilt = ViewManager()
@@ -635,7 +639,42 @@ def mv_consistency(plane: FaultPlane) -> list[str]:
             else:
                 detail = f"expected {str(want)[:120]} got {str(got)[:120]}"
             violations.append(f"materialized view {key!r} drifted: {detail}")
+    # Shards interleave CREATEs differently in the two managers, and an
+    # asset has at most one finding: compare them as sets.
+    memoised = set(rapid_flips(ViewSource(live)))
+    fresh = set(walk_flips(ViewSource(rebuilt)))
+    if memoised != fresh:
+        missing = sorted(f.transactions for f in fresh - memoised)[:3]
+        ghost = sorted(f.transactions for f in memoised - fresh)[:3]
+        violations.append(f"memoised rapid_flips drifted: missing={missing} ghost={ghost}")
     return violations
+
+
+def custody_memo(plane: FaultPlane) -> list[str]:
+    """The live view manager's memoised ``rapid_flips`` findings equal a
+    fresh walk over the same manager.
+
+    Checked every few steps, so the memo is refreshed between block
+    applications all through the run: its invalidation then meets the
+    crashes, catch-up and resharding the schedule injects, which the one
+    quiesce-time comparison in :func:`mv_consistency` alone would not.
+    """
+    if not plane.durable:
+        return []
+    live = getattr(plane.cluster, "views", None)
+    if live is None:
+        return []
+    from repro.analytics.common import ViewSource
+    from repro.analytics.fraud import rapid_flips, walk_flips
+
+    source = ViewSource(live)
+    kept, fresh = rapid_flips(source), walk_flips(source)
+    if kept == fresh:
+        return []
+    return [
+        f"memoised rapid_flips drifted: kept {[f.transactions for f in kept][:3]} "
+        f"fresh {[f.transactions for f in fresh][:3]}"
+    ]
 
 
 # -- elastic-resharding invariants ------------------------------------------------
@@ -857,6 +896,8 @@ DEFAULT_INVARIANTS: list[Invariant] = [
     Invariant("wal_prefix_durability", wal_prefix_durability, scope="quiesce"),
     # Incremental views == from-scratch recomputation (skips volatile runs).
     Invariant("mv_consistency", mv_consistency, scope="quiesce"),
+    # Full walks over the live views: the chain replayers' cadence.
+    Invariant("custody_memo", custody_memo, every=5),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.encoding import array_pieces, canonical_bytes, deep_copy_json
@@ -53,6 +54,15 @@ class Collection:
     and a snapshot file on the simulated disk holds them by reference
     rather than a copy.  They exist only for live documents: an update or
     delete drops them, a collection without a journal never makes any.
+
+    The same bytes make a journaled collection's caller-owned copies:
+    ``find(copy=True)`` decodes its whole answer with one ``json.loads``
+    over the spliced kept bytes (a document without them is encoded and
+    kept first, as in :meth:`encoded_documents`) instead of deep-copying
+    each document.  Values and JSON types are those of the stored
+    documents; keys come back in canonical (sorted) order — what a
+    replica recovered from its journal serves anyway.  A collection without a
+    journal has no kept bytes and copies with ``deep_copy_json``.
 
     Args:
         name: collection name (used in error messages / stats).
@@ -343,13 +353,13 @@ class Collection:
                 documents directly — the zero-copy fast path for internal
                 read-only consumers, which must not mutate them.
         """
-        query = query or {}
-        results: list[dict[str, Any]] = []
-        for _, document in self._match_ids(query):
-            results.append(deep_copy_json(document) if copy else document)
-            if limit is not None and len(results) >= limit:
-                break
-        return results
+        matches = itertools.islice(self._match_ids(query or {}), limit)
+        if not copy:
+            return [document for _, document in matches]
+        if self.journal is None:
+            return [deep_copy_json(document) for _, document in matches]
+        # One decode of the spliced kept bytes builds every copy at once.
+        return json.loads(b"".join(array_pieces(map(self._kept_bytes, matches))))
 
     def find_one(
         self,
@@ -380,10 +390,18 @@ class Collection:
         # Kept bytes belong to live documents only, so equal counts mean
         # every document has them and the fill pass can be skipped.
         if len(fragments) != len(self._documents):
-            for doc_id, document in self._documents.items():
-                if doc_id not in fragments:
-                    fragments[doc_id] = canonical_bytes(document)
+            for match in self._documents.items():
+                self._kept_bytes(match)
         return array_pieces(map(fragments.__getitem__, self._documents))
+
+    def _kept_bytes(self, match: tuple[int, dict[str, Any]]) -> bytes:
+        """The kept canonical bytes of one ``(doc id, stored document)``,
+        encoded and kept first if it has none."""
+        doc_id, document = match
+        fragment = self._fragments.get(doc_id)
+        if fragment is None:
+            fragment = self._fragments[doc_id] = canonical_bytes(document)
+        return fragment
 
     def explain(self, query: dict[str, Any]) -> QueryPlan:
         """Expose the access path the planner would pick (for ablations)."""

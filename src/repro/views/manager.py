@@ -28,9 +28,26 @@ Design points:
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.asset import extract_capabilities
+
+
+class FlipMemo:
+    """Kept ownership-loop findings for one ``max_hops``: the manager
+    marks assets dirty as blocks apply, and
+    :func:`repro.analytics.fraud.rapid_flips` re-walks them."""
+
+    __slots__ = ("dirty", "kept", "ordered")
+
+    def __init__(self, dirty: Iterable[str]):
+        #: CREATE ids to re-walk, as an ordered set.
+        self.dirty: dict[str, None] = dict.fromkeys(dirty)
+        #: CREATE id -> its finding.
+        self.kept: dict[str, Any] = {}
+        #: ``kept``'s values in CREATE order.
+        self.ordered: list[Any] = []
+
 
 class ViewManager:
     """Materialized views over the committed transaction stream."""
@@ -74,11 +91,16 @@ class ViewManager:
         #: shard key -> {height: (block record, delivered ids)} waiting
         #: for a gap to close.
         self._pending: dict[str, dict[int, tuple]] = {}
+        #: max_hops -> :class:`FlipMemo`, kept here because analyzers are
+        #: rebuilt per refresh.  Derived state, so not part of the
+        #: consistency snapshot.
+        self._flip_memos: dict[int, FlipMemo] = {}
         self.stats = {
             "blocks_applied": 0,
             "blocks_duplicate": 0,
             "blocks_buffered": 0,
             "txs_applied": 0,
+            "custody_walks": 0,
         }
 
     # -- ingestion -------------------------------------------------------------
@@ -142,6 +164,10 @@ class ViewManager:
         operation = payload.get("operation", "?")
         self._op_counts[operation] = self._op_counts.get(operation, 0) + 1
         self._by_operation.setdefault(operation, []).append(tx_id)
+        if self._flip_memos and operation in ("CREATE", "TRANSFER"):
+            asset = self._custody_root(tx_id)
+            for memo in self._flip_memos.values():
+                memo.dirty[asset] = None
 
         for item in payload.get("inputs") or []:
             fulfills = item.get("fulfills") if isinstance(item, dict) else None
@@ -239,7 +265,11 @@ class ViewManager:
     ) -> list[dict[str, Any]]:
         """Unspent output documents for an owner (references)."""
         refs = self._owner_index.get(public_key, {})
-        if shard is None:
+        # Every ref is served by ``shard`` when its blocks are the only
+        # ones applied and no migration re-homed anything: nothing to drop.
+        if shard is None or (
+            not self._shard_overrides and len(self._heights) == 1 and shard in self._heights
+        ):
             return [self._utxos[ref] for ref in refs]
         return [
             self._utxos[ref]
@@ -287,6 +317,33 @@ class ViewManager:
 
     def transaction(self, tx_id: str) -> dict[str, Any] | None:
         return self._txs.get(tx_id)
+
+    def flip_memo(self, max_hops: int) -> FlipMemo:
+        """The kept ``rapid_flips`` findings for ``max_hops``; a new memo
+        starts with every applied CREATE dirty."""
+        memo = self._flip_memos.get(max_hops)
+        if memo is None:
+            memo = self._flip_memos[max_hops] = FlipMemo(
+                self._by_operation.get("CREATE", ())
+            )
+        return memo
+
+    def _custody_root(self, tx_id: str) -> str:
+        """The CREATE whose custody walk an applied CREATE or TRANSFER
+        can change.
+
+        The lineage rule lets a TRANSFER declare as ``asset.id`` either
+        its asset or the transaction whose output it spends, so follow
+        applied TRANSFERs' declared ids down to the CREATE.  A link not
+        applied yet is returned as it is: no walk reaches past it before
+        it applies, and its own apply marks the root then.
+        """
+        asset = tx_id
+        payload = self._txs.get(asset)
+        while payload is not None and payload.get("operation") == "TRANSFER":
+            asset = (payload.get("asset") or {}).get("id")
+            payload = self._txs.get(asset)
+        return asset
 
     def transactions_by_operation(self, operation: str) -> list[dict[str, Any]]:
         return [self._txs[tx_id] for tx_id in self._by_operation.get(operation, [])]

@@ -4,7 +4,8 @@ Short runs only — the 25-seed × 300-step sweeps live in CI's chaos job.
 """
 
 from repro.simtest import SimHarness, SimtestConfig
-from repro.simtest.invariants import DEFAULT_INVARIANTS, mv_consistency
+from repro.analytics.fraud import Finding
+from repro.simtest.invariants import DEFAULT_INVARIANTS, custody_memo, mv_consistency
 from repro.simtest.schedule import (
     BYZANTINE_BEHAVIORS,
     BYZANTINE_KINDS,
@@ -57,6 +58,18 @@ class TestHarnessRuns:
         # Corrupt: pretend one more block was applied with no content.
         views._heights[shard] = height + 1
         assert any("drifted" in v for v in mv_consistency(plane))
+
+    def test_detects_a_stale_custody_memo(self):
+        """Mutation: a kept finding no walk would produce — both the
+        per-step self-check and the quiesce rebuild must flag it."""
+        harness = SimHarness(SimtestConfig(seed=9, steps=30))
+        plane = harness.plane
+        assert harness.run().ok
+        assert custody_memo(plane) == [] == mv_consistency(plane)
+        memo = plane.cluster.views.flip_memo(3)
+        memo.ordered = memo.ordered + [Finding("ownership-loop", "x", "planted", ("ghost",))]
+        assert any("rapid_flips drifted" in v for v in custody_memo(plane))
+        assert any("rapid_flips drifted" in v for v in mv_consistency(plane))
 
 
 class TestRejectedInBlockSpend:
