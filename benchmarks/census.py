@@ -103,6 +103,8 @@ KEPT_DEFS = {
     "repro.durability.wal.single_frame_body": "single-frame decoder the torn-write tests read with",
     "repro.durability.wal.valid_prefix_length": "torn-tail probe the WAL tests assert against",
     "repro.durability.wal.SegmentedWal": _TESTS,
+    "repro.durability.wal._head": "frame-header read of a torn tail; only torn-write power failures reach it",
+    "repro.durability.recovery.scan_delivered_blocks": "the replay ChangeFeed.bootstrap runs",
     "repro.storage.compiler": "MongoDB query operators: the ad-hoc query surface of the "
     "queryability claim; the workloads' reads use $eq / $gte / $lt only",
     "repro.storage.collection.Collection.explain": "query-plan introspection the probe tests use",
@@ -113,7 +115,6 @@ KEPT_DEFS = {
     "repro.schema.validator.SchemaValidator._check_any_of": "JSON-schema anyOf; no shipped schema uses it",
     "repro.yamlite.parser._Parser": "YAML-subset grammar no shipped schema exercises",
     "repro.consensus.byzantine": "catch-up refusal of a lagging lying replica; sweep seeds reach it",
-    "repro.consensus.mempool.Mempool.__contains__": _TESTS,
     "repro.views.feed.ChangeFeed.bootstrap": "replays snapshot + WAL into a feed on an existing log",
     "repro.views.manager.ViewManager._close_request": "an ACCEPT_BID applied before its REQUEST's block",
     "repro.views.manager.ViewManager.heights": _TESTS,
@@ -134,9 +135,7 @@ KEPT_DEFS = {
     "repro.sharding.cluster.ShardedCluster.crash_coordinator": "2PC-agent fault hook; sharding tests",
     "repro.sharding.cluster.ShardedCluster.recover_coordinator": "2PC-agent fault hook; sharding tests",
     "repro.sharding.cluster.ShardedCluster.any_server": "facade twin of SmartchainCluster.any_server",
-    "repro.sharding.coordinator.TwoPhaseCoordinator._checkpoint_state": "snapshot of an agent's journal",
     "repro.sharding.migration.ReshardController._checkpoint_state": "snapshot of the migration journal",
-    "repro.sharding.migration.ReshardController._stall": "a migration whose node or agent is down",
     "repro.sharding.migration.ReshardController.recover": "in-memory controller recovery; tests",
     "repro.sharding.ring.ConsistentHashRing.shards": _TESTS,
     "repro.sharding.ring.ConsistentHashRing.__contains__": "shard-hint check; no workload passes a hint",
@@ -153,7 +152,6 @@ KEPT_DEFS = {
     "repro.simtest.harness.SimHarness._flight_dump": _ON_VIOLATION,
     "repro.simtest.harness.SimReport.ok": "the caller-side verdict; tests and the sweep slice",
     "repro.simtest.invariants.Violation.describe": _ON_VIOLATION,
-    "repro.simtest.invariants.replay_determinism": "report-only oracle; the sweep-slice test computes it",
     "repro.simtest.invariants.InvariantChecker.register": "mutation tests plant an invariant",
     "repro.simtest.plane.FaultPlane.byzantine_kind": _TESTS,
     "repro.simtest.schedule": "schedule reload: replaying a repro bundle",

@@ -20,9 +20,10 @@ def main() -> None:
     engine = WorkflowEngine()
     trace = WorkflowTrace()
 
-    # Observe every commit on one node to build workflow traces.
-    observer = cluster.any_server()
-    observer.commit_hooks.append(trace.observe)
+    # Observe every committed block to build workflow traces.
+    cluster.engine.commit_listeners.append(
+        lambda record: [trace.observe(envelope.payload) for envelope in record.block.transactions]
+    )
 
     oem = keypair_from_string("oem-manufacturer")
     machinist = keypair_from_string("precision-machining-co")

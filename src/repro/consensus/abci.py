@@ -85,6 +85,7 @@ def envelope_for(
     weight: int = 1,
     now: float = 0.0,
     trace_flags: int = 0,
+    attachments: tuple = (),
 ) -> TxEnvelope:
     """Convenience constructor for a consensus envelope."""
     return TxEnvelope(
@@ -94,4 +95,5 @@ def envelope_for(
         weight=weight,
         submitted_at=now,
         trace_flags=trace_flags,
+        attachments=attachments,
     )

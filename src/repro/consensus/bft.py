@@ -49,6 +49,34 @@ EVIDENCE_LIMIT = 512
 CHECK_MEMO_LIMIT = 4096
 
 
+def certifies(cert: Any, block_id: str, height: int, public_keys: dict[str, str]) -> bool:
+    """Does ``cert`` hold valid precommits of ``block_id`` at ``height``,
+    from one round, by more than two thirds of ``public_keys`` (voter ->
+    key)?  The signature cache is keyed by the whole (key, message,
+    signature) triple, so the verdict never rests on what it holds."""
+    if not isinstance(cert, dict) or cert.get("id") != block_id:
+        return False
+    round_number, sigs = cert.get("r"), cert.get("sigs")
+    if not isinstance(round_number, int) or not isinstance(sigs, dict):
+        return False
+    if not set(sigs) <= set(public_keys):
+        return False
+    valid = signers(public_keys, precommit_message(height, round_number, block_id), sigs)
+    return len(valid) >= (2 * len(public_keys)) // 3 + 1
+
+
+def signers(public_keys: dict[str, str], message: bytes, sigs: dict) -> dict[str, str]:
+    """The entries of ``sigs`` (voter -> signature) that are a known
+    voter's valid signature of ``message``."""
+    return {
+        voter: sig
+        for voter, sig in sigs.items()
+        if voter in public_keys
+        and isinstance(sig, str)
+        and verify_signature(public_keys[voter], message, sig)
+    }
+
+
 @dataclass
 class BftConfig:
     """Protocol parameters.
@@ -467,25 +495,14 @@ class Validator:
             self.persistence.journal(record, body=splice_object(body))
         self.engine.record_commit(self.node_id, block)
 
-    def _signers(self, block: Block, round_number: int, sigs: dict[str, str]) -> dict[str, str]:
-        """The entries of ``sigs`` that are a validator's valid precommit
-        signature for ``block`` at ``round_number`` (verified through the
-        cluster's verdict cache)."""
-        message = precommit_message(block.height, round_number, block.block_id)
-        keys = self.engine.public_keys
-        return {
-            voter: sig
-            for voter, sig in sigs.items()
-            if voter in keys and verify_signature(keys[voter], message, sig)
-        }
-
     def _build_commit_cert(self, block: Block) -> dict | None:
         """Quorum of verified precommit signatures for a committed block:
         a lying voter cannot smuggle an invalid signature into the
         certificate and poison honest catch-up service."""
         counted = self.state.voters(PRECOMMIT, block.round, block.block_id)
-        sigs = self._signers(
-            block, block.round, {vote.voter: vote.sig for vote in counted if vote.sig}
+        message = precommit_message(block.height, block.round, block.block_id)
+        sigs = signers(
+            self.engine.public_keys, message, {vote.voter: vote.sig for vote in counted if vote.sig}
         )
         if len(sigs) < self.state.quorum:
             return None
@@ -493,14 +510,7 @@ class Validator:
 
     def _verify_commit_cert(self, block: Block, cert) -> bool:
         """Is ``cert`` a valid quorum commit certificate for ``block``?"""
-        if not isinstance(cert, dict) or cert.get("id") != block.block_id:
-            return False
-        round_number, sigs = cert.get("r"), cert.get("sigs")
-        if not isinstance(round_number, int) or not isinstance(sigs, dict):
-            return False
-        if not set(sigs) <= set(self.engine.validator_order):
-            return False
-        return len(self._signers(block, round_number, sigs)) >= self.state.quorum
+        return certifies(cert, block.block_id, block.height, self.engine.public_keys)
 
     # -- timeouts & liveness --------------------------------------------------------
 

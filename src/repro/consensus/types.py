@@ -28,6 +28,10 @@ class TxEnvelope:
     #: instead of a tracer lookup.  Excluded from block identity (block
     #: ids hash tx_ids only), so sampling config can never fork consensus.
     trace_flags: int = 0
+    #: A cross-shard spend's foreign input payloads with certified
+    #: evidence (:mod:`repro.core.entries`); outside block identity like
+    #: ``trace_flags``, but block records keep them for replay.
+    attachments: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,16 @@ class Block:
     def size_bytes(self) -> int:
         """Approximate wire size (header + payloads)."""
         return 512 + sum(envelope.size_bytes for envelope in self.transactions)
+
+    @property
+    def header(self) -> dict[str, Any]:
+        """The ``{height, previous, txs}`` document the block id hashes:
+        with a commit certificate, proof that a transaction was in it."""
+        return {
+            "height": self.height,
+            "previous": self.previous_id,
+            "txs": [envelope.tx_id for envelope in self.transactions],
+        }
 
 
 #: Vote phases.  Tendermint names them prevote/precommit; IBFT prepare/commit.

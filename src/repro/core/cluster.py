@@ -9,7 +9,6 @@ latency/throughput records the evaluation section measures.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -20,6 +19,7 @@ from repro.consensus.bft import BftConfig, BftEngine, CommitRecord
 from repro.consensus.tendermint import make_tendermint_cluster, tendermint_config
 from repro.core.context import ValidationContext
 from repro.core.driver import Driver, DriverCallback
+from repro.core.entries import SHARD_IMPORT
 from repro.core.nested import NestedTransactionProcessor
 from repro.core.server import ServerCostModel, SmartchainServer
 from repro.core.transaction import ACCEPT_BID
@@ -129,12 +129,6 @@ class SmartchainCluster:
         #: home-shard submissions of cross-shard transactions, whose
         #: end-to-end latency the facade records instead).
         self.latency_filter = None
-        #: Callables fired with the node id at the end of every
-        #: :meth:`resync_node` — the sharded facade hangs migration
-        #: scrubbing here, so a node restored from a pre-cutover disk
-        #: image gets its moved/received keys re-applied from the forced
-        #: migration journal before traffic reaches it.
-        self.resync_hooks: list = []
         self.network = Network(self.loop, self.rng, self.config.network)
         self.reserved = ReservedAccounts()
         self.servers: dict[str, SmartchainServer] = {}
@@ -161,6 +155,7 @@ class SmartchainCluster:
                 register_marketplace_extensions(server.validator)
             server.telemetry = self.telemetry
             server.telemetry_label = self.node_label(node_id)
+            server.shard_id = self.view_shard_key
             if durability is not None:
                 durability.log.telemetry = self.telemetry
                 durability.log.telemetry_label = self.node_label(node_id)
@@ -226,19 +221,9 @@ class SmartchainCluster:
 
         self.driver = Driver(self)
         self.records: dict[str, TxRecord] = {}
-        #: Outputs consumed by cross-shard commits (see consume_outputs):
-        #: kept so a node applying the *creating* block late — it was
-        #: crashed or partitioned when the 2PC decision landed — does not
-        #: resurrect an already-spent UTXO.  Found by the chaos harness.
-        #: Bounded FIFO window (like the mempool's dedup memory): a
-        #: laggard only needs the entry until it next catches up, which
-        #: is far sooner than the window takes to cycle.
-        self._foreign_spent: "OrderedDict[tuple[str, int], None]" = OrderedDict()
-        self._foreign_spent_capacity = 100_000
-        for server in self.servers.values():
-            server.commit_hooks.append(
-                lambda payload, srv=server: self._scrub_foreign_spent(srv, payload)
-            )
+        #: tx id -> height of the block that committed it (what
+        #: :meth:`commit_evidence` and :meth:`landed` read).
+        self._heights: dict[str, int] = {}
         self._callbacks: dict[str, DriverCallback] = {}
         #: accept_id -> receiver node responsible for its RETURN children.
         self._accept_receivers: dict[str, str] = {}
@@ -262,6 +247,7 @@ class SmartchainCluster:
         receiver: str | None = None,
         shard_hint: str | None = None,
         _retry: bool = False,
+        attachments: tuple = (),
     ):
         """Route a payload to a (random) receiver node — Fig. 4 lifecycle.
 
@@ -270,7 +256,8 @@ class SmartchainCluster:
 
         ``shard_hint`` exists for driver compatibility with sharded
         deployments; a single cluster is its own (only) shard and ignores
-        the hint.
+        the hint.  ``attachments`` ride in the envelope (a cross-shard
+        spend's certified foreign inputs, see :mod:`repro.core.entries`).
         """
         from repro.core.driver import SubmitResult  # local import to avoid cycle
 
@@ -292,6 +279,9 @@ class SmartchainCluster:
         # (once admitted) is what every durable replica journals.
         encoded = canonical_bytes(payload)
         size_bytes = len(encoded)
+        wire_bytes = size_bytes + (
+            len(canonical_bytes(list(attachments))) if attachments else 0
+        )
         now = self.loop.clock.now
         record = TxRecord(tx_id, operation, size_bytes, submitted_at=now)
         self.records[tx_id] = record
@@ -324,12 +314,15 @@ class SmartchainCluster:
                 self.loop.schedule_in(
                     1.0,
                     lambda: self.submit_payload(
-                        payload, self._callbacks.get(tx_id), _retry=True
+                        payload,
+                        self._callbacks.get(tx_id),
+                        _retry=True,
+                        attachments=attachments,
                     ),
                 )
                 return
             try:
-                server.receiver_validate(payload)
+                server.receiver_validate(payload, attachments)
             except (SchemaValidationError, ValidationError) as error:
                 # SchemaValidationError is a sibling of ValidationError in
                 # the hierarchy; a structurally broken payload must reject
@@ -353,22 +346,107 @@ class SmartchainCluster:
             envelope = envelope_for(
                 payload,
                 tx_id,
-                size_bytes,
+                wire_bytes,
                 now=self.loop.clock.now,
                 trace_flags=trace_flags,
+                attachments=attachments,
             )
             self.engine.validator(receiver_id).submit_transaction(envelope)
 
         self.loop.schedule_in(cost, receiver_step)
         return SubmitResult(tx_id, operation, accepted=True)
 
+    def submit_entry(self, entry: dict[str, Any], callback: DriverCallback | None = None) -> bool:
+        """Submit a cross-shard system entry (built by a shard agent or
+        the reshard controller) to this shard's chain.
+
+        The author is deployment machinery, not a client: the entry skips
+        the receiver's semantic validation (DeliverTx judges it on every
+        replica) and enters the first live node's mempool through CheckTx,
+        keeping no lifecycle record — it never counts as a committed
+        transaction — and drawing no random receiver.  ``callback`` fires
+        ("committed", entry) once a block carries it.  Returns False when
+        every node is down; the author re-drives the entry later.
+        """
+        for node_id in self.engine.validator_order:
+            if self.network.is_crashed(node_id):
+                continue
+            if callback is not None:
+                self._callbacks[entry["id"]] = callback
+            envelope = envelope_for(
+                entry, entry["id"], len(canonical_bytes(entry)), now=self.loop.clock.now
+            )
+            self.engine.validator(node_id).submit_transaction(envelope)
+            return True
+        return False
+
+    def landed(self, tx_id: str) -> int | None:
+        """Height of the committed block of this shard that carried
+        ``tx_id``, or None."""
+        return self._heights.get(tx_id)
+
+    def pooled(self, tx_id: str) -> bool:
+        """Is ``tx_id`` waiting in a live node's mempool?"""
+        return any(
+            tx_id in self.engine.validator(node_id).mempool
+            for node_id in self.engine.validator_order
+            if not self.network.is_crashed(node_id)
+        )
+
+    def commit_evidence(self, tx_id: str) -> dict[str, Any] | None:
+        """``tx_id``'s payload as this shard stores it (by reference: the
+        object validation already vouched for), with the header and
+        commit certificate of the block that committed it — or, for a
+        payload an import brought here, of the block that committed the
+        import (named as the carrier).  None while no live node holds
+        both."""
+        carrier = None
+        height = self._heights.get(tx_id)
+        if height is None:
+            imports = self.any_server().database.collection("transactions").find(
+                {"operation": SHARD_IMPORT}, copy=False
+            )
+            carrier = next(
+                (i for i in imports if tx_id in {p["id"] for p in i["payloads"]}), None
+            )
+            if carrier is None:
+                return None
+            height = self._heights[carrier["id"]]
+        for node_id in self.engine.validator_order:
+            validator = self.engine.validator(node_id)
+            if self.network.is_crashed(node_id) or len(validator.chain) < height:
+                continue
+            cert = validator.commit_certs.get(height)
+            transactions = self.servers[node_id].database.collection("transactions")
+            payload = transactions.find_one({"id": tx_id}, copy=False)
+            if cert is not None and payload is not None:
+                header = validator.chain[height - 1].header
+                evidence = {"shard": self.view_shard_key, "header": header, "cert": cert}
+                evidence["payload"] = payload
+                return evidence if carrier is None else dict(evidence, carrier=carrier)
+        return None
+
     # -- commit handling --------------------------------------------------------------
 
     def _on_block_commit(self, record: CommitRecord) -> None:
         tel = self.telemetry
         observing = tel is not None and tel.enabled
+        # A block can carry a transaction DeliverTx refuses (a certificate
+        # proves inclusion, not acceptance): that one is rejected, not
+        # committed — its callback must not tell a 2PC coordinator
+        # otherwise.
+        blocks = self.servers[record.node_id].database.collection("blocks")
+        delivered = set(
+            blocks.find_one({"height": record.block.height}, copy=False)["transaction_ids"]
+        )
         for envelope in record.block.transactions:
+            self._heights.setdefault(envelope.tx_id, record.block.height)
             tx_record = self.records.get(envelope.tx_id)
+            if envelope.tx_id not in delivered:
+                if tx_record is not None and tx_record.committed_at is None:
+                    tx_record.rejected = "refused at delivery"
+                    self._fire_callback(envelope.tx_id, "rejected", tx_record.rejected)
+                continue
             if tx_record is not None and tx_record.committed_at is None:
                 tx_record.committed_at = record.committed_at
                 if observing and (
@@ -440,8 +518,6 @@ class SmartchainCluster:
                     self.config.worker_poll_interval,
                     lambda: self._drain_one_return(node_id),
                 )
-        for hook in self.resync_hooks:
-            hook(node_id)
 
     # -- durability: checkpoints + restart-from-disk ---------------------------------
 
@@ -574,54 +650,3 @@ class SmartchainCluster:
                     ):
                         return envelope.tx_id
         return None
-
-    def import_reference_payloads(self, payloads: list[dict[str, Any]]) -> int:
-        """Replicate foreign transaction payloads into every node's store.
-
-        Cross-shard data shipping: before a transaction that spends
-        outputs held on another shard can validate here, the prior
-        transactions it references must be readable locally.  Imports are
-        idempotent (the unique ``id`` index is checked first) and count as
-        reference copies — they create no local UTXOs.
-        """
-        imported = 0
-        for server in self.servers.values():
-            transactions = server.database.collection("transactions")
-            for payload in payloads:
-                if transactions.find_one({"id": payload["id"]}, copy=False) is None:
-                    transactions.insert_one(payload)
-                    imported += 1
-        return imported
-
-    def consume_outputs(self, refs: list[tuple[str, int]]) -> None:
-        """Drop UTXO documents for outputs spent by a cross-shard commit.
-
-        The authoritative double-spend barrier is the coordinator's lock
-        tombstone; this keeps every node's wallet view (``utxos``) in
-        step with it.  Consumed refs are remembered so nodes that apply
-        the creating block *after* the decision (crash/partition lag)
-        scrub the output on arrival instead of resurrecting it.
-        """
-        for transaction_id, output_index in refs:
-            self._foreign_spent[(transaction_id, output_index)] = None
-            self._foreign_spent.move_to_end((transaction_id, output_index))
-        while len(self._foreign_spent) > self._foreign_spent_capacity:
-            self._foreign_spent.popitem(last=False)
-        for server in self.servers.values():
-            utxos = server.database.collection("utxos")
-            for transaction_id, output_index in refs:
-                utxos.delete_many(
-                    {"transaction_id": transaction_id, "output_index": output_index}
-                )
-
-    def _scrub_foreign_spent(self, server: SmartchainServer, payload: dict[str, Any]) -> None:
-        """Post-commit hook: drop outputs a cross-shard commit already
-        spent before this node got around to applying their creator."""
-        if not self._foreign_spent:
-            return
-        tx_id = payload.get("id")
-        for index in range(len(payload.get("outputs", []))):
-            if (tx_id, index) in self._foreign_spent:
-                server.database.collection("utxos").delete_many(
-                    {"transaction_id": tx_id, "output_index": index}
-                )

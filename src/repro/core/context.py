@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.common.errors import DoubleSpendError, InputDoesNotExistError
+from repro.core.entries import SHARD_EXPORT, SHARD_IMPORT, migration_order, refs_of
 from repro.core.transaction import CREATE, OutputRef, REQUEST
 from repro.crypto.keys import ReservedAccounts
 from repro.storage.database import Database
@@ -89,34 +90,43 @@ class ValidationContext:
                 holder = guard(ref)
                 if holder is not None:
                     return holder
-        spender = self._database.collection("transactions").find_one(
-            {
-                "inputs.fulfills.transaction_id": ref.transaction_id,
-                "inputs": {
-                    "$elemMatch": {
-                        "fulfills.transaction_id": ref.transaction_id,
-                        "fulfills.output_index": ref.output_index,
-                    }
-                },
+        query = {
+            "inputs.fulfills.transaction_id": ref.transaction_id,
+            "inputs": {
+                "$elemMatch": {
+                    "fulfills.transaction_id": ref.transaction_id,
+                    "fulfills.output_index": ref.output_index,
+                }
             },
-            copy=False,
-        )
-        return spender["id"] if spender else None
+        }
+        transactions = self._database.collection("transactions")
+        spender = transactions.find_one(query, copy=False)
+        if spender is None:
+            return None
+        if spender.get("operation") != SHARD_EXPORT:
+            return spender["id"]
+        # Exported: spent here unless a later migration brought it back
+        # (its import follows the last export of it in migration order).
+        spenders = transactions.find(query, copy=False)
+        for other in spenders:
+            if other.get("operation") != SHARD_EXPORT:
+                return other["id"]
+        last = max(spenders, key=migration_order)
+        key = (ref.transaction_id, ref.output_index)
+        for entry in transactions.find({"operation": SHARD_IMPORT}, copy=False):
+            export = entry["export"]
+            if migration_order(export) > migration_order(last) and key in refs_of(export):
+                return None
+        return last["id"]
 
-    def require_unspent(self, ref: OutputRef, by: str | None = None) -> None:
+    def require_unspent(self, ref: OutputRef) -> None:
         """Raise if ``ref`` was already spent (double-spend protection).
-
-        At block delivery (spend guards off) the transaction ``by`` is
-        not its own double-spender: a replica that stored it earlier as a
-        cross-shard reference copy must deliver it like every replica
-        that did not, or the block's effect depends on import timing.
-        Admission still refuses a transaction the store already holds.
 
         Raises:
             DoubleSpendError: naming the conflicting spender.
         """
         spender = self.output_spender(ref)
-        if spender is not None and (self.use_spend_guards or spender != by):
+        if spender is not None:
             raise DoubleSpendError(
                 f"output {ref.transaction_id[:8]}..:{ref.output_index} already spent by {spender[:8]}"
             )
@@ -196,6 +206,21 @@ class ValidationContext:
                 self._staged_spends.add(
                     (fulfills["transaction_id"], fulfills["output_index"])
                 )
+
+    def stage_references(self, payloads: list[dict[str, Any]]) -> list[str]:
+        """Make payloads that arrived with the transaction being validated
+        readable as committed; returns the ids it added (for
+        :meth:`unstage`)."""
+        added = []
+        for payload in payloads:
+            if self.get_tx(payload["id"]) is None:
+                self._staged_txs[payload["id"]] = payload
+                added.append(payload["id"])
+        return added
+
+    def unstage(self, tx_ids: list[str]) -> None:
+        for tx_id in tx_ids:
+            self._staged_txs.pop(tx_id, None)
 
     def clear_staged(self) -> None:
         """Forget the current block's staged state (post-commit)."""

@@ -24,6 +24,15 @@ from repro.common.encoding import deep_copy_json
 from repro.common.errors import DuplicateKeyError, ValidationError
 from repro.consensus.types import Block, TxEnvelope
 from repro.core.context import ValidationContext
+from repro.core.entries import (
+    SHARD_EXPORT,
+    SHARD_IMPORT,
+    attached_payload,
+    imported_utxos,
+    is_entry,
+    refs_of,
+    verify_entry,
+)
 from repro.core.nested import NestedTransactionProcessor
 from repro.core.parallel import ConflictScheduler
 from repro.core.transaction import ACCEPT_BID, RETURN, OutputRef
@@ -60,6 +69,11 @@ class ServerCostModel:
             "BID": 0.0065,
             "ACCEPT_BID": 0.009,
             "RETURN": 0.005,
+            # Cross-shard system entries read no ledger state beyond the
+            # outputs they name: the evidence check is their work.
+            "SHARD_CONSUME": 0.002,
+            "SHARD_EXPORT": 0.002,
+            "SHARD_IMPORT": 0.002,
         }
     )
     #: Hashing/serialisation: seconds per payload byte (tiny, flat-ish).
@@ -108,15 +122,11 @@ class SmartchainServer:
         self.validator = TransactionValidator()
         self.context = ValidationContext(self.database, reserved)
         self.nested = NestedTransactionProcessor(reserved.escrow, self.database)
-        #: Called for each committed payload (metrics, workflow tracing).
-        self.commit_hooks: list[Callable[[dict[str, Any]], None]] = []
-        #: Predicates ``(transaction_id, output_index) -> bool`` consulted
-        #: before inserting a block's fresh outputs; True suppresses the
-        #: insert.  A sharded deployment installs one that checks the
-        #: shard's migration registry, so a lagging replica catching up
-        #: past a shard split does not resurrect outputs the cutover
-        #: already shipped to another shard.
-        self.utxo_suppressors: list[Callable[[str, int], bool]] = []
+        #: The shard this node serves and every shard's validator keys
+        #: (set by a sharded deployment): what cross-shard evidence is
+        #: checked against (:mod:`repro.core.entries`).
+        self.shard_id = ""
+        self.shard_keys: dict[str, dict[str, str]] = {}
         #: Optional :class:`~repro.telemetry.Telemetry` (set by the
         #: cluster); every site guards on it so a bare server pays zero.
         self.telemetry = None
@@ -145,7 +155,7 @@ class SmartchainServer:
 
     # -- receiver-node validation (Fig. 4, "Validate Tx") ----------------------
 
-    def receiver_validate(self, payload: dict[str, Any]) -> None:
+    def receiver_validate(self, payload: dict[str, Any], attachments=()) -> None:
         """Full semantic validation at the randomly chosen receiver node.
 
         Raises:
@@ -153,7 +163,11 @@ class SmartchainServer:
             Driver surfaces these through its callback.
         """
         self.context.now = self.clock.now
-        self.validator.validate(self.context, payload)
+        staged = self._stage_attachments(attachments)
+        try:
+            self.validator.validate(self.context, payload)
+        finally:
+            self.context.unstage(staged)
         tel = self.telemetry
         if tel is not None and tel.enabled and tel.tracer.sampled(payload.get("id", "")):
             # Receiver-side semantic validation includes the Ed25519
@@ -174,18 +188,26 @@ class SmartchainServer:
         cross-shard spend.  Per-node and advisory, so the time-varying
         lock table is safe to consult here."""
         self.stats["checked"] += 1
-        return self.validator.check_tx(envelope.payload) and self._admissible(
-            envelope.payload
+        payload = envelope.payload
+        try:
+            if is_entry(payload):
+                # A system entry spends what the locks and fences guard:
+                # its evidence, not the guards, decides.
+                verify_entry(payload, self.shard_keys, self.validator.check_tx, self.shard_id)
+                return self._gated(payload)
+            for attachment in envelope.attachments:
+                attached_payload(attachment, self.shard_keys, self.validator.check_tx)
+        except ValidationError:
+            return False
+        return (
+            self.validator.check_tx(payload)
+            and not self._spends_guarded_output(payload)
+            and self._gated(payload)
         )
 
-    def _admissible(self, payload: dict[str, Any]) -> bool:
-        """The node-local half of CheckTx: lock oracle, then ingress gates."""
-        if self._spends_guarded_output(payload):
-            return False
-        for gate in self.context.ingress_gates:
-            if gate(payload) is not None:
-                return False
-        return True
+    def _gated(self, payload: dict[str, Any]) -> bool:
+        """No ingress gate refuses the payload."""
+        return all(gate(payload) is None for gate in self.context.ingress_gates)
 
     def _spends_guarded_output(self, payload: dict[str, Any]) -> bool:
         """True if any input ref is held by a 2PC lock or tombstone."""
@@ -223,21 +245,57 @@ class SmartchainServer:
         """
         self.context.now = self.clock.now
         self.context.use_spend_guards = False
+        payload = envelope.payload
+        staged: list[str] = []
         try:
-            self.validator.validate_semantics(self.context, envelope.payload)
+            if is_entry(payload):
+                self._validate_entry(payload)
+                if payload["operation"] == SHARD_IMPORT:
+                    staged = self.context.stage_references(payload["payloads"])
+            elif self.context.get_tx(payload["id"]) is not None:
+                # Stored already, as a reference copy: this ledger holds
+                # it but its outputs live where it committed.
+                raise ValidationError(f"{envelope.tx_id[:8]} is already on this ledger")
+            else:
+                staged = self._stage_attachments(envelope.attachments)
+                self.validator.validate_semantics(self.context, payload)
         except ValidationError:
+            self.context.unstage(staged)
             self.stats["rejected"] += 1
             return False
         finally:
             self.context.use_spend_guards = True
         # Frozen at the submit boundary: staged, stored and journaled by
         # reference from here on.
-        self.context.stage(envelope.payload)
+        self.context.stage(payload)
         self.stats["delivered"] += 1
         tel = self.telemetry
         if tel is not None and tel.enabled and envelope.trace_flags & 1:
             tel.tracer.event(envelope.tx_id, "delivered", node=self.telemetry_label)
         return True
+
+    def _stage_attachments(self, attachments) -> list[str]:
+        """Verify a cross-shard spend's attachments and stage their
+        payloads for its validation; returns the staged ids.
+
+        Raises:
+            ValidationError: if any attachment's evidence fails.
+        """
+        if not attachments:
+            return []
+        check = self.validator.check_tx
+        return self.context.stage_references(
+            [attached_payload(item, self.shard_keys, check) for item in attachments]
+        )
+
+    def _validate_entry(self, entry: dict[str, Any]) -> None:
+        """DeliverTx of a system entry: its evidence, then the one ledger
+        rule — an export names only outputs this chain holds unspent."""
+        verify_entry(entry, self.shard_keys, self.validator.check_tx, self.shard_id)
+        if entry["operation"] == SHARD_EXPORT:
+            for tx_id, index in refs_of(entry):
+                self.context.require_committed(tx_id, "exported")
+                self.context.require_unspent(OutputRef(tx_id, index))
 
     def commit_block(self, block: Block, delivered: list[TxEnvelope]) -> None:
         """Persist the block and its transactions; trigger nested children."""
@@ -257,15 +315,29 @@ class SmartchainServer:
         accepted_payloads: list[dict[str, Any]] = []
         fresh_utxos: list[dict[str, Any]] = []
         spent_in_block: set[tuple[str, int]] = set()
-        for envelope in delivered:
-            payload = envelope.payload
+        def store(payload: dict[str, Any]) -> None:
             try:
                 transactions.insert_one(payload, copy=False, encode=encoded_payload)
             except DuplicateKeyError:
-                # Already here as a cross-shard reference copy
-                # (``import_reference_payloads``): delivery adds the
-                # local effects below, the stored payload is the same.
+                # Already here as a cross-shard reference copy: delivery
+                # adds the local effects below, the stored payload is the
+                # same.
                 pass
+
+        for envelope in delivered:
+            payload = envelope.payload
+            for attachment in envelope.attachments:
+                store(attachment["payload"])
+            if is_entry(payload):
+                # The evidence did its work at delivery and is outside the
+                # entry's id; the block record keeps it for replay.
+                store({k: v for k, v in payload.items() if k != "evidence"})
+            else:
+                store(payload)
+            if payload.get("operation") == SHARD_IMPORT:
+                for carried in payload["payloads"]:
+                    store(carried)
+                fresh_utxos.extend(imported_utxos(payload))
             asset = payload.get("asset") or {}
             if "data" in asset:
                 assets.insert_one({"id": payload["id"], "data": asset.get("data")})
@@ -303,10 +375,6 @@ class SmartchainServer:
                 for document in fresh_utxos
                 if (document["transaction_id"], document["output_index"])
                 not in spent_in_block
-                and not any(
-                    suppress(document["transaction_id"], document["output_index"])
-                    for suppress in self.utxo_suppressors
-                )
             ]
         )
         self.context.clear_staged()
@@ -321,10 +389,6 @@ class SmartchainServer:
             locked = self.context.locked_bids(rfq_id)
             self.nested.on_accept_committed(payload, locked)
             self.stats["accepts_processed"] += 1
-
-        for envelope in delivered:
-            for hook in self.commit_hooks:
-                hook(envelope.payload)
 
     # -- cost model --------------------------------------------------------------
 

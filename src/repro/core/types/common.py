@@ -87,7 +87,7 @@ def validate_transfer_inputs(
                 "transfer.duplicate-input",
             )
         seen_refs.add(key)
-        ctx.require_unspent(ref, by=transaction.tx_id)
+        ctx.require_unspent(ref)
 
         if check_asset_lineage and asset_id is not None:
             lineage = ctx.asset_lineage_id(prior)

@@ -60,14 +60,18 @@ def _block_header(block: Block) -> dict[str, Any]:
 
 
 def _envelope_item(envelope: TxEnvelope) -> list[Any]:
-    """An envelope's entry in its block's record; slot 1 is the payload."""
-    return [
+    """An envelope's entry in its block's record; slot 1 is the payload,
+    slot 5 (present only when there are any) its attachments."""
+    item = [
         envelope.tx_id,
         envelope.payload,
         envelope.size_bytes,
         envelope.weight,
         envelope.submitted_at,
     ]
+    if envelope.attachments:
+        item.append(list(envelope.attachments))
+    return item
 
 
 def block_record(block: Block) -> dict[str, Any]:
@@ -122,6 +126,7 @@ def rebuild_block(record: dict[str, Any]) -> Block:
                 size_bytes=item[2],
                 weight=item[3],
                 submitted_at=item[4],
+                attachments=tuple(item[5]) if len(item) > 5 else (),
             )
             for item in record["txs"]
         ),
@@ -299,22 +304,17 @@ def recover(durability: Any, database_factory: Callable[[], Database], repair: b
     return state
 
 
-def scan_block_records(durability: Any, from_height: int = 0):
-    """Yield the journal's block records above ``from_height``, in order.
+def scan_delivered_blocks(durability: Any, from_height: int = 0):
+    """Yield the journal's block records above ``from_height``, in order,
+    each paired with the ids of the transactions its block *delivered* on
+    this node.
 
     Read-only replay-to-height for change-feed bootstrap: reads the
     newest snapshot's block list plus the WAL suffix through a fresh
     (unrepaired) scanner, touching none of the node's live recovery
     state.  Heights arrive ascending, so a consumer's height cursor can
-    tail straight from the last yielded record into live flushes.
-    """
-    for record, _ in scan_delivered_blocks(durability, from_height):
-        yield record
-
-
-def scan_delivered_blocks(durability: Any, from_height: int = 0):
-    """:func:`scan_block_records`, each record paired with the ids of
-    the transactions its block *delivered* on this node — a block record
+    tail straight from the last yielded record into live flushes.  A
+    block record
     carries every envelope the block contained, the ``blocks``
     collection's document (snapshotted, then journaled just ahead of the
     block record) lists the ones DeliverTx accepted.  ``None`` when the

@@ -23,6 +23,7 @@ from repro.common.errors import ValidationError
 from repro.consensus.tendermint import tendermint_config
 from repro.core.cluster import ClusterConfig, SmartchainCluster, TxRecord
 from repro.core.driver import Driver, DriverCallback, SubmitResult
+from repro.core.entries import is_entry
 from repro.durability.node import DurabilityConfig, NodeDurability
 from repro.metrics.collector import RunMetrics, collect_metrics
 from repro.sharding.coordinator import COORDINATOR_NODE, TwoPhaseCoordinator
@@ -106,6 +107,9 @@ class ShardedCluster:
         #: prepare phase, which is exactly the latency worth measuring).
         self.cross_records: dict[str, TxRecord] = {}
         self._cross_callbacks: dict[str, DriverCallback] = {}
+        #: shard id -> its validators' public keys, shared by every node:
+        #: what cross-shard evidence is verified against.
+        self.shard_keys: dict[str, dict[str, str]] = {}
         #: Elastic resharding controller; built after the initial shards
         #: so it can see them, consulted by commit/resync plumbing via
         #: getattr until then.
@@ -165,12 +169,9 @@ class ShardedCluster:
         cluster.add_ingress_gate(
             lambda payload, sid=shard_id: self._foreign_input_gate(sid, payload)
         )
-        # A node restored from a pre-cutover disk image must have its
-        # moved keys scrubbed back into migrated shape before traffic
-        # reaches it.
-        cluster.resync_hooks.append(
-            lambda node_id, sid=shard_id: self._scrub_after_resync(sid)
-        )
+        self.shard_keys[shard_id] = cluster.engine.public_keys
+        for server in cluster.servers.values():
+            server.shard_keys = self.shard_keys
 
     def _build_agent(self, shard_id: str) -> None:
         agent = TwoPhaseCoordinator(
@@ -189,39 +190,6 @@ class ShardedCluster:
         self.agents[shard_id] = agent
         if self.migrator is not None:
             self.migrator.attach_agent(shard_id, agent)
-        # A replica that commits a block late (post-heal catch-up, crash
-        # replay) must not re-mint outputs a shard migration has since
-        # shipped elsewhere: cutover deletes from every *current* source
-        # database, but a lagging node applies the minting block only
-        # after that deletion ran.  The registry row is the tombstone.
-        for server in self.shards[shard_id].servers.values():
-            server.utxo_suppressors.append(
-                lambda tx_id, index, sid=shard_id: self._migrated_out(
-                    sid, tx_id, index
-                )
-            )
-
-    def _migrated_out(self, shard_id: str, tx_id: str, index: int) -> bool:
-        """True when ``shard_id``'s migration registry says the ref's
-        latest hop moved it *off* this shard (latest row wins, so a
-        round-trip that came back home does not suppress)."""
-        agent = self.agents.get(shard_id)
-        if agent is None:
-            return False
-        latest_seq = -1
-        latest_direction = ""
-        for row in agent.durable.collection("shard_migrations").find(
-            {"transaction_id": tx_id, "output_index": index}, copy=False
-        ):
-            sequence = int(row["migration_id"].rsplit("-", 1)[1])
-            if sequence > latest_seq:
-                latest_seq = sequence
-                latest_direction = row["direction"]
-        return latest_direction == "out"
-
-    def _scrub_after_resync(self, shard_id: str) -> None:
-        if self.migrator is not None:
-            self.migrator.scrub_shard(shard_id)
 
     # -- topology ---------------------------------------------------------------
 
@@ -297,7 +265,19 @@ class ShardedCluster:
         receiver: str | None = None,
         shard_hint: str | None = None,
     ) -> SubmitResult:
-        """Route a payload to its home shard (2PC when inputs are remote)."""
+        """Route a payload to its home shard (2PC when inputs are remote).
+
+        The facade's ingress gate: cross-shard system entries
+        (``SHARD_*``) are written by the shard agents and the reshard
+        controller only — a client's is refused outright.
+        """
+        if is_entry(payload):
+            reason = f"{payload['operation']} is a system operation clients cannot submit"
+            if callback is not None:
+                callback("rejected", reason)
+            return SubmitResult(
+                payload.get("id", ""), payload["operation"], accepted=False, error=reason
+            )
         decision = self.router.route(payload, shard_hint)
         self.router.record_home(decision.tx_id, decision.home)
         if not decision.cross_shard:
@@ -340,15 +320,11 @@ class ShardedCluster:
 
         A cross-shard payload injected straight into a home-shard mempool
         (gossip from an adversarial client, or a double-submit replay)
-        would validate against locally imported reference payloads and
-        commit intra-shard — while the coordinator's 2PC round aborts and
-        the remote shard never consumes the input.  Worse, if the rogue
-        copy commits *first*, the coordinator's own home submission is
-        deduplicated and its settle callback never fires, parking the
-        round in ``commit_pending`` with the remote locks held forever.
-        The gate closes both doors: admission is per-node and advisory,
-        so consulting the live outbox here is safe — block delivery
-        never calls it."""
+        could validate against reference copies an earlier spend's
+        attachments left and commit intra-shard — while the coordinator's
+        2PC round aborts and the remote shard never consumes the input.
+        Admission is per-node and advisory, so consulting the live outbox
+        here is safe — block delivery never calls it."""
         verdict: str | None = None
         for item in payload.get("inputs") or []:
             fulfills = item.get("fulfills")

@@ -18,14 +18,19 @@ The protocol per cross-shard transaction ``T`` homed on ``H``:
 2. Each participant verifies the ref is committed, unspent and unlocked,
    writes a durable ``prepared`` row in its ``shard_locks`` table (from
    that instant local validation rejects competing spends), and votes
-   YES, shipping the referenced payloads so ``H`` can validate ``T``.
-3. On unanimous YES, ``H`` imports the shipped payloads, flips the
-   outbox to ``commit_pending`` and submits ``T`` to its own BFT group —
-   the home chain is the commit point.
-4. When ``T`` commits (or is rejected) there, ``H`` records the outcome
-   and broadcasts COMMIT/ABORT; participants turn prepared locks into
-   permanent ``committed`` tombstones and drop the spent UTXO, or delete
-   the locks, and acknowledge.
+   YES with an *attachment* per referenced payload: the payload and the
+   certified header of the block that committed it
+   (:mod:`repro.core.entries`).
+3. On unanimous YES, ``H`` flips the outbox to ``commit_pending``
+   (keeping the attachments for a resubmit) and submits ``T`` with them
+   in its envelope: DeliverTx stores them as reference copies in the
+   block that delivers ``T``.  The home chain is the commit point.
+4. When ``T`` is delivered (or refused) there, ``H`` records the outcome
+   and broadcasts COMMIT, with ``T``'s certified home block, or ABORT.
+   Participants delete aborted locks and acknowledge.  Committed locks
+   stay as tombstones and go on the participant's own chain in
+   ``SHARD_CONSUME`` entries (one in flight at a time, carrying every
+   decision queued meanwhile); a late replica gets them by catch-up.
 
 All messages and timers run on the shared simulated event loop, so
 :mod:`repro.sim.failures` schedules can kill either side mid-protocol.
@@ -51,9 +56,9 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.common.encoding import deep_copy_json
 from repro.common.errors import ValidationError
 from repro.core.cluster import SmartchainCluster
+from repro.core.entries import consume_entry
 from repro.core.transaction import OutputRef
 from repro.durability.node import NodeDurability
 from repro.durability.recovery import checkpoint_state, recover
@@ -72,7 +77,7 @@ OutcomeCallback = Callable[[str, str, "str | None"], None]
 #: in protocol order on the coordinator side — ``begin``,
 #: ``commit_pending``, ``decided:committed`` / ``decided:aborted``,
 #: ``done`` — and on the participant side — ``prepared``,
-#: ``vote_refused``, ``decision_applied``, ``inquiry``.  The chaos
+#: ``vote_refused``, ``decision_applied``, ``consumed``, ``inquiry``.  The chaos
 #: harness uses these to crash an agent at an exact protocol phase.
 PhaseListener = Callable[[str, str, str], None]
 
@@ -126,8 +131,14 @@ class TwoPhaseCoordinator:
         if durability is not None:
             durability.state_provider = self._checkpoint_state
         # Volatile protocol state (lost on crash, rebuilt from durable).
-        self._votes: dict[str, dict[str, bool]] = {}
-        self._vote_payloads: dict[str, list[dict[str, Any]]] = {}
+        #: tx_id -> {participant: its YES vote's attachments}.
+        self._votes: dict[str, dict[str, list]] = {}
+        #: Committed decisions (holder -> refs, evidence) waiting for the
+        #: next ``SHARD_CONSUME``, and the id of the one on its way to the
+        #: chain: one at a time, so decisions that arrive meanwhile share
+        #: the next entry.
+        self._consume_queue: dict[str, tuple[list, dict]] = {}
+        self._consume_in_flight: str | None = None
         self._acks: dict[str, set[str]] = {}
         self._timers: dict[tuple[str, str], Any] = {}
         self._epoch = 0
@@ -152,6 +163,7 @@ class TwoPhaseCoordinator:
             "locks_granted": 0,
             "locks_refused": 0,
             "inquiries": 0,
+            "consumes": 0,
         }
         #: Optional :class:`~repro.telemetry.Telemetry` (set by the facade).
         self.telemetry = None
@@ -291,21 +303,21 @@ class TwoPhaseCoordinator:
 
         Messages dispatch strictly in send order — a decision releasing a
         lock must land before a prepare contending for it, exactly as
-        with unbatched delivery.  Only the decisions' UTXO retirements
-        are deferred and group-committed in one pass at the end; that is
-        order-safe because a later prepare's conflict check consults the
-        lock table (already updated in order), not the UTXO documents.
+        with unbatched delivery.  Only the committed decisions' chain
+        entry is deferred, to the ``SHARD_CONSUME`` that carries the
+        batch.  That is order-safe because a later prepare's conflict
+        check consults the lock table (already updated in order), not
+        the UTXO documents.
         """
         if self.crashed:
             return  # the whole batch is lost at a crashed agent
-        committed_refs: list[tuple[str, int]] = []
+        consumed: list[tuple[str, list, dict]] = []
         for method, args in batch:
             if method == "handle_decision":
-                self._apply_decision(*args, committed_refs=committed_refs)
+                self._apply_decision(*args, consumed=consumed)
             else:
                 getattr(self, method)(*args)
-        if committed_refs:
-            self.cluster.consume_outputs(committed_refs)
+        self._submit_consume(consumed)
 
     def _arm(self, kind: str, tx_id: str, delay: float, callback: Callable[[], None]) -> None:
         """Volatile named timer: dies with the arming epoch and must be
@@ -332,9 +344,9 @@ class TwoPhaseCoordinator:
         """Local validation oracle: who holds/spent this output remotely.
 
         Verdict precedence: an active migration fence (the output is
-        draining toward a cutover), then the durable moved-out registry
-        (the output's ownership left this shard at a past cutover), then
-        the 2PC lock table.  Redirect verdicts start with the 8-char
+        draining toward a cutover), then the durable redirect registry
+        (the output's latest cutover moved it off this shard), then the
+        2PC lock table.  Redirect verdicts start with the 8-char
         ``redirect`` marker so even the truncated spender rendering of a
         DoubleSpendError keeps enough for the driver's retry path.
         """
@@ -342,20 +354,13 @@ class TwoPhaseCoordinator:
             verdict = guard(ref)
             if verdict is not None:
                 return verdict
-        moved = self.durable.collection("shard_migrations").find_one(
-            {
-                "transaction_id": ref.transaction_id,
-                "output_index": ref.output_index,
-                "direction": "out",
-            },
-            copy=False,
-        )
-        if moved is not None:
-            return f"redirect:moved:{moved['peer']}"
-        lock = self._locks.find_one(
-            {"transaction_id": ref.transaction_id, "output_index": ref.output_index},
-            copy=False,
-        )
+        query = {"transaction_id": ref.transaction_id, "output_index": ref.output_index}
+        hops = self.durable.collection("shard_migrations").find(query, copy=False)
+        if hops:
+            latest = max(hops, key=lambda row: int(row["migration_id"].rsplit("-", 1)[1]))
+            if latest["direction"] == "out":
+                return f"redirect:moved:{latest['peer']}"
+        lock = self._locks.find_one(query, copy=False)
         if lock is None:
             return None
         return f"shard-lock:{lock['holder']}"
@@ -413,7 +418,6 @@ class TwoPhaseCoordinator:
             )
         self._notify("begin", tx_id)
         self._votes[tx_id] = {}
-        self._vote_payloads[tx_id] = []
         for shard, refs in participants.items():
             self._send(shard, "handle_prepare", self.shard_id, tx_id, refs)
         self._arm(
@@ -434,31 +438,35 @@ class TwoPhaseCoordinator:
             # Decision already taken (e.g. timeout abort, broadcast to
             # every participant) — a straggling vote changes nothing.
             return
-        votes = self._votes.setdefault(tx_id, {})
-        votes[voter_shard] = ok
         if not ok:
             self._decide(tx_id, "aborted", f"participant {voter_shard}: {detail}")
             return
-        self._vote_payloads.setdefault(tx_id, []).extend(detail)
+        votes = self._votes.setdefault(tx_id, {})
+        votes[voter_shard] = detail
         if set(votes) == set(doc["participants"]):
-            # Unanimous YES: ship the foreign payloads so home validation
-            # can resolve the remote inputs, record intent durably, then
-            # let the home chain be the commit point.
-            self.cluster.import_reference_payloads(self._vote_payloads.pop(tx_id, []))
+            # Unanimous YES: record intent (with the certified foreign
+            # payloads a resubmit must carry again) durably, then let the
+            # home chain be the commit point.
+            attachments = [item for shipped in self._votes.pop(tx_id).values() for item in shipped]
             self._outbox.update_many(
-                {"tx_id": tx_id}, {"$set": {"state": "commit_pending"}}
+                {"tx_id": tx_id},
+                {"$set": {"state": "commit_pending", "attachments": attachments}},
             )
             # Forced: were the flip torn away after the home submit went
             # out, recovery would presume abort while the home chain
             # commits — the split-brain presumed abort cannot survive.
             self._force()
             self._notify("commit_pending", tx_id)
-            self._submit_home(tx_id, doc["payload"])
+            self._submit_home(tx_id, doc["payload"], attachments)
 
-    def _submit_home(self, tx_id: str, payload: dict[str, Any]) -> None:
+    def _submit_home(
+        self, tx_id: str, payload: dict[str, Any], attachments: list, retry: bool = False
+    ) -> None:
         result = self.cluster.submit_payload(
             payload,
             callback=lambda status, detail: self._home_settled(tx_id, status, detail),
+            _retry=retry,
+            attachments=tuple(attachments),
         )
         if not result.accepted:
             # Admission failed outright (e.g. every home validator is
@@ -488,7 +496,6 @@ class TwoPhaseCoordinator:
         self._force()  # decided-before-broadcast, the classic 2PC force point
         self._disarm("prepare", tx_id)
         self._votes.pop(tx_id, None)
-        self._vote_payloads.pop(tx_id, None)
         self._acks.setdefault(tx_id, set())
         self.stats["committed" if outcome == "committed" else "aborted"] += 1
         self._notify(f"decided:{outcome}", tx_id)
@@ -515,8 +522,9 @@ class TwoPhaseCoordinator:
             self._disarm("retry", tx_id)
             self._notify("done", tx_id)
             return
+        evidence = self._decision_evidence(doc)
         for shard in pending:
-            self._send(shard, "handle_decision", self.shard_id, tx_id, outcome)
+            self._send(shard, "handle_decision", self.shard_id, tx_id, outcome, evidence)
         if attempt < MAX_RETRIES:
             self._arm(
                 "retry", tx_id, RETRY_INTERVAL,
@@ -524,6 +532,13 @@ class TwoPhaseCoordinator:
             )
         # Retries exhausted: park; the participant's recovery inquiry or
         # this coordinator's own recovery re-broadcast finishes the job.
+
+    def _decision_evidence(self, doc: dict[str, Any]) -> dict | None:
+        """A committed spend with the certified home block holding it
+        (None for aborts, and while no live home node can show it)."""
+        if doc["outcome"] != "committed":
+            return None
+        return self.cluster.commit_evidence(doc["tx_id"])
 
     def handle_ack(self, tx_id: str, participant_shard: str) -> None:
         acked = self._acks.setdefault(tx_id, set())
@@ -549,9 +564,8 @@ class TwoPhaseCoordinator:
             self._send(participant_shard, "handle_decision", self.shard_id, tx_id, "aborted")
             return
         if doc["outcome"] is not None:
-            self._send(
-                participant_shard, "handle_decision", self.shard_id, tx_id, doc["outcome"]
-            )
+            evidence = self._decision_evidence(doc)
+            self._send(participant_shard, "handle_decision", self.shard_id, tx_id, doc["outcome"], evidence)
         # Still preparing / commit_pending: stay silent — the decision
         # broadcast will reach the participant when it is taken.
 
@@ -564,7 +578,7 @@ class TwoPhaseCoordinator:
         resolved = [OutputRef(item[0], int(item[1])) for item in refs]
         server = self._any_server()
         reason: str | None = None
-        payloads: list[dict[str, Any]] = []
+        attachments: dict[str, dict[str, Any]] = {}
         if server is None:
             reason = "no live node to read shard state"
         else:
@@ -574,10 +588,13 @@ class TwoPhaseCoordinator:
                 if holder is not None:
                     reason = f"{ref.transaction_id[:8]}:{ref.output_index} held by {holder}"
                     break
-                prior = server.get_transaction(ref.transaction_id)
-                if prior is None:
-                    reason = f"{ref.transaction_id[:8]} not committed on {self.shard_id}"
+                evidence = attachments.get(ref.transaction_id) or self.cluster.commit_evidence(
+                    ref.transaction_id
+                )
+                if evidence is None:
+                    reason = f"{ref.transaction_id[:8]} not committed (certified) on {self.shard_id}"
                     break
+                attachments[ref.transaction_id] = evidence
                 if (
                     utxos.find_one(
                         {
@@ -609,7 +626,6 @@ class TwoPhaseCoordinator:
                         f"by pooled rival {rival[:8]}"
                     )
                     break
-                payloads.append(deep_copy_json(prior))
         if reason is not None:
             self.stats["locks_refused"] += 1
             self._notify("vote_refused", tx_id)
@@ -637,53 +653,99 @@ class TwoPhaseCoordinator:
             "lock", tx_id, LOCK_TIMEOUT,
             lambda: self._inquire(tx_id, coordinator_shard, 0),
         )
-        self._send(coordinator_shard, "handle_vote", tx_id, self.shard_id, True, payloads)
+        self._send(
+            coordinator_shard, "handle_vote", tx_id, self.shard_id, True,
+            list(attachments.values()),
+        )
 
-    def handle_decision(self, coordinator_shard: str, tx_id: str, outcome: str) -> None:
+    def handle_decision(
+        self, coordinator_shard: str, tx_id: str, outcome: str, evidence: dict | None = None
+    ) -> None:
         """Apply a coordinator decision to this shard's locks (idempotent)."""
-        committed_refs: list[tuple[str, int]] = []
-        self._apply_decision(coordinator_shard, tx_id, outcome, committed_refs=committed_refs)
-        if committed_refs:
-            self.cluster.consume_outputs(committed_refs)
+        consumed: list[tuple[str, list, dict]] = []
+        self._apply_decision(coordinator_shard, tx_id, outcome, evidence, consumed=consumed)
+        self._submit_consume(consumed)
 
     def _apply_decision(
         self,
         coordinator_shard: str,
         tx_id: str,
         outcome: str,
-        committed_refs: list[tuple[str, int]],
+        evidence: dict | None,
+        consumed: list[tuple[str, list, dict]],
     ) -> None:
-        """Apply one decision to the lock table, deferring UTXO retirement.
-
-        Committed spends append their refs to ``committed_refs`` so the
-        caller can retire a whole wire batch's UTXOs in one
-        :meth:`~repro.core.cluster.SmartchainCluster.consume_outputs`
-        pass (the group-commit write); the acks ride one return delivery
-        per coordinator shard thanks to :meth:`_send`'s coalescing.
-        """
-        prepared = self._locks.find({"holder": tx_id, "status": "prepared"})
+        """Apply one decision to the lock table, deferring the chain entry:
+        a committed spend appends ``(tx_id, refs, evidence)`` to
+        ``consumed`` for :meth:`_submit_consume`.  A committed decision
+        without evidence (no live home node could show the block yet) is
+        not acknowledged: the coordinator's re-broadcast brings it."""
         if outcome == "committed":
-            refs = [(lock["transaction_id"], lock["output_index"]) for lock in prepared]
-            if refs:
-                # The spend is decided on the home chain: retire the
-                # UTXO and keep the lock as a permanent spent tombstone.
-                committed_refs.extend(refs)
-                self._locks.update_many(
-                    {"holder": tx_id, "status": "prepared"},
-                    {"$set": {"status": "committed"}},
-                )
+            held = [lock for lock in self._locks.find({"holder": tx_id}) if not lock.get("consumed")]
+            # Decided on the home chain: the locks stay as permanent
+            # spent tombstones.
+            self._locks.update_many(
+                {"holder": tx_id, "status": "prepared"}, {"$set": {"status": "committed"}}
+            )
+            if held:
+                # The prepare's inquiry timer stays armed until the
+                # consume lands, so a lost entry is re-driven.
+                if evidence is None:
+                    return
+                refs = [[lock["transaction_id"], lock["output_index"]] for lock in held]
+                consumed.append((tx_id, refs, evidence))
         else:
             self._locks.delete_many({"holder": tx_id, "status": "prepared"})
-        self._disarm("lock", tx_id)
+            self._disarm("lock", tx_id)
         self._notify("decision_applied", tx_id)
         self._send(coordinator_shard, "handle_ack", tx_id, self.shard_id)
 
-    def _inquire(self, tx_id: str, coordinator_shard: str, attempt: int) -> None:
-        still_held = self._locks.find_one(
-            {"holder": tx_id, "status": "prepared"}, copy=False
+    def _submit_consume(self, consumed: list[tuple[str, list, dict]]) -> None:
+        """Queue committed decisions for this shard's chain and, unless a
+        ``SHARD_CONSUME`` is still on its way there, put everything queued
+        on it as one entry; the tombstones are marked ``consumed`` once it
+        lands.  An entry lost with a crashed node is neither landed nor
+        pooled: the next call sends the queue, and the lost decisions
+        return through their inquiry timers."""
+        for holder, refs, evidence in consumed:
+            self._consume_queue[holder] = (refs, evidence)
+        flight = self._consume_in_flight
+        if flight is not None and self.cluster.landed(flight) is None and self.cluster.pooled(flight):
+            return
+        self._consume_in_flight = None
+        if not self._consume_queue:
+            return
+        batch, self._consume_queue = self._consume_queue, {}
+        entry = consume_entry(
+            (tuple(ref) for refs, _evidence in batch.values() for ref in refs),
+            [evidence for _refs, evidence in batch.values()],
         )
-        if still_held is None:
-            return  # decision arrived meanwhile
+        self.stats["consumes"] += 1
+        holders = list(batch)
+        if self.cluster.landed(entry["id"]) is not None:
+            return self._consumed(holders, "committed")
+        if self.cluster.submit_entry(
+            entry, callback=lambda status, _detail: self._consumed(holders, status)
+        ):
+            self._consume_in_flight = entry["id"]
+
+    def _consumed(self, holders: list[str], status: str) -> None:
+        if self.crashed or status != "committed":
+            return  # the inquiry timer (or recovery) re-drives it
+        self._consume_in_flight = None
+        for holder in holders:
+            self._locks.update_many(
+                {"holder": holder, "status": "committed"}, {"$set": {"consumed": True}}
+            )
+            self._disarm("lock", holder)
+            self._notify("consumed", holder)
+        self._submit_consume([])
+
+    def _inquire(self, tx_id: str, coordinator_shard: str, attempt: int) -> None:
+        held = self._locks.find({"holder": tx_id}, copy=False)
+        if not any(
+            lock["status"] == "prepared" or not lock.get("consumed") for lock in held
+        ):
+            return  # decision arrived (and its consume landed) meanwhile
         self._send(coordinator_shard, "handle_inquiry", self.shard_id, tx_id)
         if attempt < MAX_RETRIES:
             self._arm(
@@ -699,7 +761,8 @@ class TwoPhaseCoordinator:
         self.crashed = True
         self._epoch += 1
         self._votes.clear()
-        self._vote_payloads.clear()
+        self._consume_queue.clear()
+        self._consume_in_flight = None
         self._acks.clear()
         self._phase_started.clear()
         for handle in self._timers.values():
@@ -775,9 +838,10 @@ class TwoPhaseCoordinator:
                 self._resolve_commit_pending(tx_id, doc)
             elif state in ("committed", "aborted"):
                 self._broadcast_decision(tx_id, state, attempt=0)
-        # Participant side: chase a decision for every lock still prepared.
+        # Participant side: chase a decision for every lock still
+        # prepared, or committed with its consume not yet on the chain.
         chased: set[tuple[str, str]] = set()
-        for lock in self._locks.find({"status": "prepared"}, copy=False):
+        for lock in self.active_locks():
             chased.add((lock["holder"], lock["coordinator"]))
         for holder, coordinator_shard in sorted(chased):
             self._inquire(holder, coordinator_shard, 0)
@@ -785,10 +849,11 @@ class TwoPhaseCoordinator:
     def _resolve_commit_pending(self, tx_id: str, doc: dict[str, Any]) -> None:
         """The home chain is the truth for an interrupted commit phase."""
         record = self.cluster.records.get(tx_id)
+        attachments = doc.get("attachments") or []
         if record is None:
-            # Crashed between the outbox flip and the home submit; the
-            # shipped payloads are already imported, so just resubmit.
-            self._submit_home(tx_id, doc["payload"])
+            # Crashed between the outbox flip and the home submit: the
+            # row kept the attachments, so just resubmit.
+            self._submit_home(tx_id, doc["payload"], attachments)
         elif record.committed_at is not None:
             self._decide(tx_id, "committed", None)
         elif record.rejected is not None:
@@ -801,29 +866,20 @@ class TwoPhaseCoordinator:
             # stalls with the participants' locks held — found by the
             # crash-restart chaos family (seed 13).  Re-drive the home
             # submission; harmless if the transaction is still pooled
-            # (mempools dedup, the callback slot is simply refreshed).
-            result = self.cluster.submit_payload(
-                doc["payload"],
-                callback=lambda status, detail: self._home_settled(
-                    tx_id, status, detail
-                ),
-                _retry=True,
-            )
-            if not result.accepted:
-                # Same rule as _submit_home: a failed admission fires no
-                # callback, and with every home validator down (their
-                # mempools died with them) the transaction can never
-                # commit — abort now, or the participants' prepared
-                # locks park with no decision and no pending callback.
-                self._home_settled(
-                    tx_id, "rejected", result.error or "home admission failed"
-                )
+            # (mempools dedup, the callback slot is simply refreshed).  A
+            # failed admission aborts, as in _submit_home: with every home
+            # validator down (their mempools died with them) the
+            # transaction can never commit.
+            self._submit_home(tx_id, doc["payload"], attachments, retry=True)
 
     # -- introspection ----------------------------------------------------------
 
     def active_locks(self) -> list[dict[str, Any]]:
-        """Prepared (not yet decided) locks this shard currently holds."""
-        return self._locks.find({"status": "prepared"})
+        """Locks still in flight here: prepared (undecided), or committed
+        with their ``SHARD_CONSUME`` not yet on this shard's chain."""
+        return self._locks.find({"status": "prepared"}) + self._locks.find(
+            {"status": "committed", "consumed": {"$ne": True}}
+        )
 
     def outbox_record(self, tx_id: str) -> dict[str, Any] | None:
         """This coordinator's durable 2PC record for ``tx_id`` (or None).

@@ -5,30 +5,27 @@ resize is useless until the deployment can actually move state between
 BFT groups while traffic is running.  This module is that protocol: an
 epoch-versioned migration state machine driven by a deployment-level
 :class:`ReshardController`, built from parts that already exist —
-reference-payload shipping, the durability WAL, the 2PC fence, router
+certified chain entries, the durability WAL, the 2PC fence, router
 placement memory — composed so the migration can be killed at any byte
 and never loses, duplicates, or double-spends a key.
 
 Phases of one migration (``planned`` is the initial state)::
 
     planned -> snapshot_ship -> wal_tail -> drain -> cutover -> done
-           \\___________________________________/
-                     |  (crash / stall / drain failure)
-                     v
-                 rolled_back
+           \\___________________________________/       |
+                     |  (crash / stall / drain failure,   |
+                     v   or the source refuses the export)
+                 rolled_back <-----------------------------'
 
 * **snapshot_ship** — the moving set (a lineage of CREATE/TRANSFER
   transactions with live outputs, selected load-aware by the hot-shard
   policy or explicitly by the caller) is captured at a source chain
-  height ``h0`` and its payloads are shipped to the target shard in
-  chunks, as idempotent reference imports (imports create no UTXOs, so
-  nothing is spendable on the target yet).
-* **wal_tail** — the source's journal suffix above ``h0`` is re-scanned
-  each round (:func:`~repro.durability.recovery.scan_block_records` on a
-  durable deployment, a block-collection scan otherwise): consumed
-  outputs leave the moving set, children that kept the lineage on the
-  source join it and ship too.  Rounds repeat until the per-round delta
-  is bounded.
+  height ``h0``: its payloads are copied into the controller, nothing is
+  written anywhere yet.
+* **wal_tail** — the source chain above ``h0`` is re-read each round:
+  outputs its entries spend or consume leave the moving set, children
+  that kept the lineage on the source join it.  Rounds repeat until the
+  per-round delta is bounded.
 * **drain** — the source agent's spend guard starts fencing the moving
   set (``redirect:migrating:<id>`` verdicts refuse new admissions, pool
   entries, 2PC prepares *and* pending home commit-points), then the
@@ -37,34 +34,35 @@ Phases of one migration (``planned`` is the initial state)::
   rounds.  A drain that cannot settle within its round budget rolls the
   migration back (lifting the fence); nothing was moved yet, so rollback
   is trivially safe.
-* **cutover** — the commit point.  The controller journals a durable
-  ``cutover`` record (forced to disk) carrying the final moved set, then
-  applies it: durable ``shard_migrations`` registry rows on both agents
-  (forced), UTXO documents materialize on the target's nodes and vanish
-  from the source's, the view manager re-attributes the moved range, the
-  router learns the new homes and bumps its epoch so stale-epoch clients
-  re-route.  Every part of the apply is idempotent: a controller that
-  crashes after the force rolls *forward* on restart; one that crashes
-  before it rolls *back*.  Clients that raced the cutover see
-  ``redirect:*`` rejections and retry against the new owner (the
-  driver's bounded deterministic backoff).
+* **cutover** — a forced ``cutover`` journal record carries the final
+  moved set and payloads.  The move then happens on the two chains, in
+  order: a ``SHARD_EXPORT`` on the source (refused unless every moved
+  output is still unspent there — then the migration rolls back), and
+  once it is delivered a ``SHARD_IMPORT`` on the target, whose evidence
+  is the export block's commit certificate (:mod:`repro.core.entries`):
+  the target cannot own an output before the source let it go.  Then
+  both agents record ``shard_migrations`` redirect rows (forced) and the
+  router learns the new homes and bumps its epoch.  The entries have
+  content ids, so a controller that crashes after the forced record
+  rolls *forward* by re-submitting them; one that crashes before it
+  rolls *back*.  Clients that raced the cutover see ``redirect:*``
+  rejections and retry against the new owner (the driver's backoff).
 
 Crash matrix — who can die, and what recovery does:
 
 =============  ==========================================================
 crashed party  outcome
 =============  ==========================================================
-source node    restart-from-disk may lose unsynced deletions; the resync
-               hook re-runs the idempotent cutover apply from the agents'
-               forced registries (``scrub_shard``).
-target node    restart-from-disk may lose shipped payloads/UTXOs; same
-               scrub re-imports and re-inserts them.
-source/target  pre-cutover: shipping stalls and retries, bounded, then
-agent          rolls back.  Post-cutover registry rows are forced before
-               any node state moves, so agent restarts cannot lose them.
+source node    WAL replay + catch-up: the export is a block like any
+               other, so the node's outputs match its chain again.
+target node    WAL replay + catch-up, likewise for the import.
+source/target  pre-cutover: nothing to redo — a stalled migration
+agent          retries, bounded, then rolls back.  Post-cutover the
+               redirect rows are written (forced) once the import lands;
+               a crashed agent only delays that step.
 controller     pre-cutover crash: presumed abort — restart rolls the
                migration back from its journal.  Post-``cutover`` record:
-               roll forward — the apply re-runs idempotently.
+               roll forward — the entries re-submit under the same ids.
 =============  ==========================================================
 
 The :class:`ReshardController` also closes the detection loop: fed every
@@ -80,28 +78,18 @@ from typing import Any, Callable
 
 from repro.common.encoding import deep_copy_json
 from repro.common.errors import MigrationError
+from repro.core.entries import export_entry, import_entry
 from repro.core.transaction import OutputRef
-from repro.durability.recovery import checkpoint_state, recover, scan_block_records
+from repro.durability.recovery import checkpoint_state, recover
 from repro.storage.database import Database
-
-#: Every phase, in protocol order (terminal states last).
-MIGRATION_PHASES = (
-    "planned",
-    "snapshot_ship",
-    "wal_tail",
-    "drain",
-    "cutover",
-    "done",
-    "rolled_back",
-)
 
 TERMINAL_PHASES = ("done", "rolled_back")
 
 #: Phases the chaos harness arms ``migrate_trap`` actions on: a trap
-#: crashes its role *inside* the phase (each phase spans several loop
-#: ticks, so a zero-delay crash scheduled from the phase-entry
-#: notification lands mid-phase — mid-snapshot-ship between chunks,
-#: and on ``cutover`` between the forced journal record and the apply).
+#: crashes its role *inside* the phase (each phase spans at least one
+#: loop tick, so a zero-delay crash scheduled from the phase-entry
+#: notification lands mid-phase — on ``cutover`` between the forced
+#: journal record and the export).
 MIGRATE_TRAP_PHASES = ("snapshot_ship", "wal_tail", "drain", "cutover")
 
 #: Parties a ``migrate_trap`` can kill.
@@ -128,9 +116,7 @@ _CLOCKED_PHASES = ("snapshot_ship", "wal_tail", "drain", "cutover")
 
 
 # Tuning of the migration state machine (simulated seconds).
-#: Payloads shipped to the target per snapshot-ship tick.
-CHUNK_SIZE = 6
-#: Spacing between state-machine ticks (ship chunks, tail rounds, drain
+#: Spacing between state-machine ticks (tail rounds, drain
 #: probes, stall retries).
 TICK_INTERVAL = 0.02
 #: A tail round adding at most this many fresh transactions counts as
@@ -141,9 +127,11 @@ MAX_TAIL_ROUNDS = 10
 #: Drain probes before the migration gives up and rolls back.
 MAX_DRAIN_ROUNDS = 150
 #: Ticks a pre-cutover phase may stall (no live node / crashed agent)
-#: before presumed-abort rollback.  Cutover never stalls out: once the
-#: commit point is journaled it only rolls forward.
+#: before presumed-abort rollback.  A cutover waiting that long parks
+#: instead: once journaled it only rolls forward, on the next resume.
 MAX_STALL_TICKS = 600
+#: Cutover ticks between re-submissions of a chain entry not yet landed.
+RESUBMIT_TICKS = 25
 #: Cap on the moving set (transactions per migration).
 MAX_PLAN_TXS = 48
 
@@ -181,16 +169,20 @@ class ShardMigration:
         self.requested: list[str] | None = None
         #: Final moved set journaled at cutover: [tx_id, index, utxo doc].
         self.moved: list[list[Any]] = []
-        self.ship_queue: list[str] = []
         self.tailed_height = 0
         self.tail_rounds = 0
         self.drain_rounds = 0
         self.stall_ticks = 0
+        #: The cutover's two chain entries, built once each, and the id
+        #: of the one last submitted (see ``_await_entry``).
+        self.export: dict[str, Any] | None = None
+        self.import_: dict[str, Any] | None = None
+        self.awaiting: str | None = None
         #: phase -> entry time (telemetry clocks; lost on controller
         #: restart, where the rebuilt state only rolls forward/back).
         self.phase_started: dict[str, float] = {}
         #: True when rebuilt from the journal after a controller restart
-        #: (volatile shipping state is gone: presumed abort pre-cutover).
+        #: (volatile tail state is gone: presumed abort pre-cutover).
         self.rebuilt = False
 
     @property
@@ -242,6 +234,7 @@ class ReshardController:
             "auto_splits": 0,
             "refs_moved": 0,
             "payloads_shipped": 0,
+            "entries_submitted": 0,
         }
 
     # -- plumbing ---------------------------------------------------------------
@@ -414,13 +407,15 @@ class ReshardController:
         )
 
     def _stall(self, m: ShardMigration) -> None:
-        """A tick that could not progress (no live node, crashed agent).
-        Pre-cutover stalls are bounded by presumed abort; a journaled
-        cutover only ever waits for its parties to come back."""
+        """A tick that could not progress (no live node, crashed agent,
+        an entry not landed yet).  Pre-cutover stalls are bounded by
+        presumed abort; a journaled cutover waits for its parties, then
+        parks until :meth:`resume` (keeping the event loop finite)."""
         m.stall_ticks += 1
-        if m.phase != "cutover" and m.stall_ticks > MAX_STALL_TICKS:
-            self._rollback(m, f"stalled in {m.phase} for {m.stall_ticks} ticks")
-            return
+        if m.stall_ticks > MAX_STALL_TICKS:
+            if m.phase != "cutover":
+                self._rollback(m, f"stalled in {m.phase} for {m.stall_ticks} ticks")
+            return  # a cutover parks until the next resume
         self._reschedule(m)
 
     def _tick_plan(self, m: ShardMigration) -> None:
@@ -451,7 +446,6 @@ class ReshardController:
         m.tailed_height = max(
             (block["height"] for block in blocks.find({}, copy=False)), default=0
         )
-        m.ship_queue = sorted(m.plan)
         self._enter_phase(
             m,
             "snapshot_ship",
@@ -460,87 +454,51 @@ class ReshardController:
         )
         self._reschedule(m)
 
-    def _select_plan(self, source: str, server) -> list[str]:
-        """Default moving set: source-homed movable transactions with
-        live outputs, in deterministic (sorted) order."""
+    def _movable(self, source: str, server) -> dict[str, dict[str, Any]]:
+        """tx id -> payload of every source-homed movable transaction
+        with live outputs, in deterministic (sorted) order."""
         router = self.deployment.router
-        candidates: list[str] = []
-        seen: set[str] = set()
-        for doc in server.database.collection("utxos").find({}, copy=False):
-            tx_id = doc["transaction_id"]
-            if tx_id in seen:
-                continue
-            seen.add(tx_id)
-            payload = server.get_transaction(tx_id)
-            if payload is None:
-                continue
-            if payload.get("operation") not in MOVABLE_OPERATIONS:
-                continue
-            if router.home_of_tx(tx_id) != source:
-                continue
-            candidates.append(tx_id)
-        return sorted(candidates)[: MAX_PLAN_TXS]
+        transactions = server.database.collection("transactions")
+        movable: dict[str, dict[str, Any]] = {}
+        for tx_id in sorted(
+            {doc["transaction_id"] for doc in server.database.collection("utxos").find({}, copy=False)}
+        ):
+            payload = transactions.find_one({"id": tx_id}, copy=False)
+            if (
+                payload is not None
+                and payload.get("operation") in MOVABLE_OPERATIONS
+                and router.home_of_tx(tx_id) == source
+            ):
+                movable[tx_id] = payload
+        return movable
+
+    def _select_plan(self, source: str, server) -> list[str]:
+        """Default moving set: the first movable transactions."""
+        return list(self._movable(source, server))[:MAX_PLAN_TXS]
 
     def _tick_ship(self, m: ShardMigration) -> None:
-        if not m.ship_queue:
-            self._enter_phase(m, "wal_tail")
-            return self._reschedule(m)
-        chunk = m.ship_queue[: CHUNK_SIZE]
-        del m.ship_queue[: CHUNK_SIZE]
-        payloads = [m.plan[tx_id] for tx_id in chunk]
-        self.deployment.shards[m.target].import_reference_payloads(payloads)
-        self.stats["payloads_shipped"] += len(payloads)
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("migration_payloads_shipped", shard=m.source).inc(
-                len(payloads)
-            )
-            tel.flight.record(
-                self._loop.clock.now,
-                "reshard",
-                f"ship_chunk:{len(payloads)}",
-                tx_id=m.migration_id,
-            )
+        # The snapshot was captured at plan time; the payloads travel in
+        # the import entry at cutover, so there is nothing to write yet.
+        self._enter_phase(m, "wal_tail")
         self._reschedule(m)
 
-    def _records_above(self, shard_id: str, node_id: str, height: int):
-        """The source chain's suffix above ``height`` as journal block
-        records — from the node's WAL + snapshot when durable (the
-        literal WAL-suffix shipping of the protocol), rebuilt from the
-        blocks collection on a volatile deployment."""
-        cluster = self.deployment.shards[shard_id]
-        durability = cluster.node_durability.get(node_id)
-        if durability is not None:
-            return list(scan_block_records(durability, from_height=height))
-        server = cluster.servers[node_id]
-        transactions = server.database.collection("transactions")
-        records = []
-        for block in sorted(
-            server.database.collection("blocks").find({}, copy=False),
-            key=lambda doc: doc["height"],
-        ):
-            if block["height"] <= height:
-                continue
-            entries = []
-            for tx_id in block["transaction_ids"]:
-                payload = transactions.find_one({"id": tx_id}, copy=False)
-                if payload is not None:
-                    entries.append([tx_id, deep_copy_json(payload)])
-            records.append({"h": block["height"], "txs": entries})
-        return records
-
     def _tail_once(self, m: ShardMigration) -> int | None:
-        """One WAL-tail round: absorb the source suffix above the cursor
-        into the moving set.  Returns fresh-transaction count, or None
-        when no live source node could be read."""
+        """One tail round: absorb the source chain above the cursor into
+        the moving set — spends, consumes and exports drop the outputs
+        they name, lineage children join.  Returns fresh-transaction
+        count, or None when no live source node could be read."""
         live = self._live_node(m.source)
         if live is None:
             return None
-        node_id, _server = live
+        node_id, server = live
+        transactions = server.database.collection("transactions")
         fresh: list[dict[str, Any]] = []
-        for record in self._records_above(m.source, node_id, m.tailed_height):
-            for entry in record.get("txs") or []:
-                tx_id, payload = entry[0], entry[1]
+        chain = self.deployment.shards[m.source].engine.validator(node_id).chain
+        for block in chain[m.tailed_height:]:
+            for envelope in block.transactions:
+                tx_id, payload = envelope.tx_id, envelope.payload
+                if transactions.find_one({"id": tx_id}, copy=False) is None:
+                    continue  # not delivered: it changed nothing
                 spent_plan_output = False
                 for item in payload.get("inputs") or []:
                     fulfills = item.get("fulfills")
@@ -569,10 +527,7 @@ class ReshardController:
                             "public_keys": list(output.get("public_keys", [])),
                             "amount": output.get("amount"),
                         }
-            m.tailed_height = max(m.tailed_height, record["h"])
-        if fresh:
-            self.deployment.shards[m.target].import_reference_payloads(fresh)
-            self.stats["payloads_shipped"] += len(fresh)
+            m.tailed_height = max(m.tailed_height, block.height)
         return len(fresh)
 
     def _tick_tail(self, m: ShardMigration) -> None:
@@ -587,27 +542,10 @@ class ReshardController:
             self._enter_phase(m, "drain")
         self._reschedule(m)
 
-    def _refresh_live(self, m: ShardMigration) -> bool:
-        """Drop moving refs whose UTXO documents vanished on the source —
-        consumed by cross-shard decisions the source chain never shows."""
-        live = self._live_node(m.source)
-        if live is None:
-            return False
-        _node_id, server = live
-        utxos = server.database.collection("utxos")
-        for ref in sorted(m.live):
-            if (
-                utxos.find_one(
-                    {"transaction_id": ref[0], "output_index": ref[1]}, copy=False
-                )
-                is None
-            ):
-                del m.live[ref]
-        return True
-
     def _pending_writer(self, m: ShardMigration) -> str | None:
         """An in-flight spend of the moving set: a pooled rival on any
-        source node, or a prepared 2PC lock on a moving ref."""
+        source node, or a 2PC lock on a moving ref — prepared, or
+        decided with its consume entry not on the source chain yet."""
         source = self.deployment.shards[m.source]
         for ref in sorted(m.live):
             rival = source.inflight_spender(OutputRef(ref[0], ref[1]))
@@ -616,16 +554,13 @@ class ReshardController:
         agent = self.deployment.agents.get(m.source)
         if agent is not None:
             for lock in agent.active_locks():
-                if (
-                    lock.get("status") == "prepared"
-                    and (lock["transaction_id"], lock["output_index"]) in m.live
-                ):
-                    return f"prepared lock held by {lock['holder'][:8]}"
+                if (lock["transaction_id"], lock["output_index"]) in m.live:
+                    return f"{lock['status']} lock held by {lock['holder'][:8]}"
         return None
 
     def _tick_drain(self, m: ShardMigration) -> None:
         m.drain_rounds += 1
-        if self._tail_once(m) is None or not self._refresh_live(m):
+        if self._tail_once(m) is None:
             return self._stall(m)
         if not m.live:
             return self._rollback(m, "moving set fully consumed before cutover")
@@ -636,18 +571,13 @@ class ReshardController:
         pending = self._pending_writer(m)
         if pending is not None:
             return self._reschedule(m)
-        missing = self._verify_shipped(m)
-        if missing:
-            self.deployment.shards[m.target].import_reference_payloads(
-                [m.plan[tx_id] for tx_id in missing]
-            )
-            return self._reschedule(m)
         moved = [[ref[0], ref[1], m.live[ref]] for ref in sorted(m.live)]
         m.moved = moved
-        # The commit point: one forced journal record carrying everything
-        # roll-forward needs.  The apply runs on the next tick, so a
-        # crash scheduled from this notification lands exactly between
-        # the decision and its effects.
+        m.stall_ticks = 0
+        # One forced journal record carrying everything roll-forward
+        # needs.  The export goes out on the next tick, so a crash
+        # scheduled from this notification lands exactly between the
+        # decision and its effects.
         self._enter_phase(
             m,
             "cutover",
@@ -656,25 +586,34 @@ class ReshardController:
         )
         self._schedule(0.0, lambda: self._tick(m.migration_id))
 
-    def _verify_shipped(self, m: ShardMigration) -> list[str]:
-        """Plan payloads missing from any live target node (a target
-        restart may have torn away unsynced imports)."""
-        target = self.deployment.shards[m.target]
-        missing: set[str] = set()
-        for node_id in target.engine.validator_order:
-            if target.network.is_crashed(node_id):
-                continue
-            transactions = target.servers[node_id].database.collection("transactions")
-            for tx_id in sorted(m.plan):
-                if transactions.find_one({"id": tx_id}, copy=False) is None:
-                    missing.add(tx_id)
-        return sorted(missing)
-
     # -- cutover ------------------------------------------------------------------
 
     def _apply_cutover(self, m: ShardMigration) -> None:
-        source_agent = self.deployment.agents.get(m.source)
-        target_agent = self.deployment.agents.get(m.target)
+        """Drive a journaled cutover one step: the export onto the source
+        chain, then the import onto the target chain, then the redirect
+        rows and routing.  Every step re-derives where it stands from the
+        chains, so a restarted controller resumes anywhere."""
+        deployment = self.deployment
+        source, target = deployment.shards[m.source], deployment.shards[m.target]
+        if m.export is None:
+            m.export = export_entry(m.migration_id, m.target, [(r[0], r[1]) for r in m.moved])
+        landed = self._landed(source, m.export)
+        if landed is False:
+            return self._rollback(m, "the source chain refused the export", cutover=True)
+        if not landed:
+            return self._await_entry(m, source, m.export)
+        if m.import_ is None:
+            evidence = source.commit_evidence(m.export["id"])
+            if evidence is None:
+                return self._stall(m)
+            creators = sorted({row[0] for row in m.moved})
+            m.import_ = import_entry(
+                m.export, evidence, [deep_copy_json(m.plan[tx_id]) for tx_id in creators]
+            )
+        if not self._landed(target, m.import_):
+            return self._await_entry(m, target, m.import_)
+        source_agent = deployment.agents.get(m.source)
+        target_agent = deployment.agents.get(m.target)
         if (
             source_agent is None
             or target_agent is None
@@ -682,23 +621,23 @@ class ReshardController:
             or target_agent.crashed
         ):
             return self._stall(m)
-        # 1) Durable ownership registries on both agents, forced before
-        #    any node state moves: the replica invariant and the scrub
-        #    path read these, so they must never lag the move itself.
-        for tx_id, index, doc in m.moved:
-            self._ensure_registry_row(
-                source_agent, m.migration_id, tx_id, index, "out", m.target, doc
+        # Redirect rows (a re-run after a crash repeats them harmlessly:
+        # the guard reads the latest hop).
+        for agent, direction, peer in (
+            (source_agent, "out", m.target), (target_agent, "in", m.source)
+        ):
+            agent.durable.collection("shard_migrations").insert_many(
+                [
+                    {"migration_id": m.migration_id, "transaction_id": tx_id,
+                     "output_index": index, "direction": direction, "peer": peer}
+                    for tx_id, index, _doc in m.moved
+                ]
             )
-            self._ensure_registry_row(
-                target_agent, m.migration_id, tx_id, index, "in", m.source, doc
-            )
-        source_agent._force()
-        target_agent._force()
-        # 2) Apply the move to node state (idempotent, see _apply_moves).
-        payloads = [m.plan[tx_id] for tx_id in sorted(m.plan)]
-        self._apply_moves(m.source, m.target, payloads, m.moved, m.migration_id)
-        # 3) New routing epoch: in-flight clients re-route and retry.
-        self.deployment.router.bump_epoch()
+            agent._force()
+        for tx_id in sorted({row[0] for row in m.moved}):
+            deployment.router.record_home(tx_id, m.target)
+        # New routing epoch: in-flight clients re-route and retry.
+        deployment.router.bump_epoch()
         now = self._loop.clock.now
         tel = self.telemetry
         if tel is not None and tel.enabled:
@@ -715,11 +654,12 @@ class ReshardController:
                 )
         self.stats["done"] += 1
         self.stats["refs_moved"] += len(m.moved)
+        self.stats["payloads_shipped"] += len(m.import_["payloads"])
         self.reports[m.migration_id] = {
             "source": m.source,
             "target": m.target,
             "refs_moved": len(m.moved),
-            "txs_shipped": len(m.plan),
+            "txs_shipped": len(m.import_["payloads"]),
             "write_pause": (
                 now - m.phase_started["drain"] if "drain" in m.phase_started else None
             ),
@@ -728,192 +668,35 @@ class ReshardController:
         self._enter_phase(m, "done")
 
     @staticmethod
-    def _ensure_registry_row(
-        agent,
-        migration_id: str,
-        tx_id: str,
-        index: int,
-        direction: str,
-        peer: str,
-        utxo_doc: dict[str, Any],
-    ) -> None:
-        registry = agent.durable.collection("shard_migrations")
-        existing = registry.find_one(
-            {
-                "migration_id": migration_id,
-                "transaction_id": tx_id,
-                "output_index": index,
-                "direction": direction,
-            },
-            copy=False,
-        )
-        if existing is None:
-            registry.insert_one(
-                {
-                    "migration_id": migration_id,
-                    "transaction_id": tx_id,
-                    "output_index": index,
-                    "direction": direction,
-                    "peer": peer,
-                    "utxo": deep_copy_json(utxo_doc),
-                }
-            )
+    def _landed(cluster, entry: dict[str, Any]) -> bool | None:
+        """Once a block of ``cluster`` carried ``entry``: whether DeliverTx
+        accepted it, read on a live node that applied the block (every
+        replica judges alike).  None while it is in flight."""
+        height = cluster.landed(entry["id"])
+        if height is None:
+            return None
+        for node_id in cluster.engine.validator_order:
+            if cluster.network.is_crashed(node_id):
+                continue
+            if len(cluster.engine.validator(node_id).chain) >= height:
+                transactions = cluster.servers[node_id].database.collection("transactions")
+                return transactions.find_one({"id": entry["id"]}, copy=False) is not None
+        return None
 
-    def _apply_moves(
-        self,
-        source: str,
-        target: str,
-        payloads: list[dict[str, Any]],
-        moved: list[list[Any]],
-        migration_id: str | None = None,
-    ) -> None:
-        """The idempotent physical move: payload imports + UTXO documents
-        materialize on the target, disappear from the source, the views
-        re-attribute, the router learns the new homes.  Safe to re-run —
-        roll-forward, quiesce repair and the node-restart scrub all do.
+    def _await_entry(self, m: ShardMigration, cluster, entry: dict[str, Any]) -> None:
+        """Submit a cutover entry, and again every :data:`RESUBMIT_TICKS`
+        while it has not landed — its content id makes a duplicate
+        harmless."""
+        if m.awaiting != entry["id"] or m.stall_ticks % RESUBMIT_TICKS == 0:
+            m.awaiting = entry["id"]
+            self.stats["entries_submitted"] += 1
+            cluster.submit_entry(entry)
+        self._stall(m)
 
-        Re-running an *old* migration must not undo newer history: refs
-        the target has since spent (chain spender or cross-shard 2PC
-        tombstone) stay dead, refs a *later* migration moved off the
-        target again are neither re-inserted nor re-homed — the scrub of
-        a shard only touched by the earlier hop would otherwise
-        resurrect them where they no longer live — and refs a later
-        migration moved *back onto the source* are not deleted from it
-        (a round trip leaves the source holding them legitimately).
-
-        The spent check is per-replica: each node's utxo view must match
-        *its own* chain, so a ref is re-inserted on a replica that has
-        not yet applied the spender block (the block's apply deletes it
-        again) but never on one whose chain already consumed it.  A
-        single cluster-wide probe through one reference node gets this
-        wrong in both directions whenever that node lags its peers."""
-        deployment = self.deployment
-        target_cluster = deployment.shards[target]
-        source_cluster = deployment.shards[source]
-        target_cluster.import_reference_payloads(payloads)
-        spent_on_target = self._spent_on_target(target_cluster, moved)
-        moved_on: set[tuple[str, int]] = set()
-        target_agent = deployment.agents.get(target)
-        if target_agent is not None:
-            # Cross-shard spends leave no spender in the target's
-            # transactions, only a committed 2PC tombstone on its agent.
-            locks = target_agent.durable.collection("shard_locks")
-            registry = target_agent.durable.collection("shard_migrations")
-            sequence = (
-                int(migration_id.rsplit("-", 1)[1]) if migration_id else -1
-            )
-            for tx_id, index, _doc in moved:
-                tombstone = locks.find_one(
-                    {
-                        "transaction_id": tx_id,
-                        "output_index": index,
-                        "status": "committed",
-                    },
-                    copy=False,
-                )
-                if tombstone is not None:
-                    spent_on_target.add((tx_id, index))
-                for row in registry.find(
-                    {
-                        "transaction_id": tx_id,
-                        "output_index": index,
-                        "direction": "out",
-                    },
-                    copy=False,
-                ):
-                    if int(row["migration_id"].rsplit("-", 1)[1]) > sequence:
-                        moved_on.add((tx_id, index))
-                        break
-        returned_to_source: set[tuple[str, int]] = set()
-        source_agent = deployment.agents.get(source)
-        if source_agent is not None:
-            sequence = (
-                int(migration_id.rsplit("-", 1)[1]) if migration_id else -1
-            )
-            registry = source_agent.durable.collection("shard_migrations")
-            for tx_id, index, _doc in moved:
-                latest_seq, latest_direction = -1, ""
-                for row in registry.find(
-                    {"transaction_id": tx_id, "output_index": index}, copy=False
-                ):
-                    row_seq = int(row["migration_id"].rsplit("-", 1)[1])
-                    if row_seq > latest_seq:
-                        latest_seq = row_seq
-                        latest_direction = row["direction"]
-                if latest_seq > sequence and latest_direction == "in":
-                    returned_to_source.add((tx_id, index))
-        for server in target_cluster.servers.values():
-            utxos = server.database.collection("utxos")
-            spent_here = self._spent_on_replica(server, moved)
-            for tx_id, index, doc in moved:
-                if (
-                    (tx_id, index) in spent_on_target
-                    or (tx_id, index) in moved_on
-                    or (tx_id, index) in spent_here
-                ):
-                    continue
-                if (
-                    utxos.find_one(
-                        {"transaction_id": tx_id, "output_index": index}, copy=False
-                    )
-                    is None
-                ):
-                    utxos.insert_one(deep_copy_json(doc))
-        for server in source_cluster.servers.values():
-            utxos = server.database.collection("utxos")
-            for tx_id, index, _doc in moved:
-                if (tx_id, index) in returned_to_source:
-                    continue
-                utxos.delete_many(
-                    {"transaction_id": tx_id, "output_index": index}
-                )
-        rehomed = sorted(
-            {row[0] for row in moved if (row[0], row[1]) not in moved_on}
-        )
-        views = getattr(deployment, "views", None)
-        if views is not None:
-            views.note_migration(rehomed, target)
-        for tx_id in rehomed:
-            deployment.router.record_home(tx_id, target)
-
-    @staticmethod
-    def _spent_on_target(target_cluster, moved: list[list[Any]]) -> set[tuple[str, int]]:
-        """Moved refs the *target* has since consumed — a repair pass
-        must not resurrect an output the new owner already spent.
-
-        Probes one reference node only, so it can miss spends that node
-        has not caught up to; :meth:`_spent_on_replica` re-checks against
-        each replica's own chain before any insert."""
-        try:
-            server = target_cluster.any_server()
-        except Exception:
-            return set()
-        return ReshardController._spent_on_replica(server, moved)
-
-    @staticmethod
-    def _spent_on_replica(server, moved: list[list[Any]]) -> set[tuple[str, int]]:
-        """Moved refs this replica's own transaction log has consumed."""
-        spent: set[tuple[str, int]] = set()
-        transactions = server.database.collection("transactions")
-        for tx_id, index, *_rest in moved:
-            spender = transactions.find_one(
-                {
-                    "inputs.fulfills.transaction_id": tx_id,
-                    "inputs": {
-                        "$elemMatch": {
-                            "fulfills.transaction_id": tx_id,
-                            "fulfills.output_index": index,
-                        }
-                    },
-                },
-                copy=False,
-            )
-            if spender is not None:
-                spent.add((tx_id, index))
-        return spent
-
-    def _rollback(self, m: ShardMigration, reason: str) -> None:
-        if m.terminal or m.phase == "cutover":
+    def _rollback(self, m: ShardMigration, reason: str, cutover: bool = False) -> None:
+        """Presumed abort; a cutover rolls back only when its export was
+        refused (``cutover``): nothing moved on either chain."""
+        if m.terminal or (m.phase == "cutover" and not cutover):
             return
         self.stats["rolled_back"] += 1
         tel = self.telemetry
@@ -925,8 +708,6 @@ class ReshardController:
             "rolled_back": reason,
             "completed_at": self._loop.clock.now,
         }
-        # Shipped reference payloads stay behind on the target: imports
-        # are idempotent and create no UTXOs, so they are inert.
         self._enter_phase(m, "rolled_back", reason=reason)
 
     # -- the spend-guard fence ----------------------------------------------------
@@ -995,19 +776,17 @@ class ReshardController:
     def resume(self) -> None:
         """Drive every recorded migration toward a terminal state:
         journaled cutovers roll forward, live pre-cutover migrations get
-        a fresh tick budget, orphans (memory lost to a restart) roll
-        back, and done migrations re-verify their applied state (the
-        idempotent repair that heals node restarts)."""
+        a fresh tick budget, and orphans (memory lost to a restart) roll
+        back."""
         if self.crashed:
             return
+        self._epoch += 1  # one tick chain per migration from here on
         for doc in sorted(
             self._journal.find({}, copy=False), key=lambda d: d["migration_id"]
         ):
             migration_id = doc["migration_id"]
             phase = doc["phase"]
             if phase in TERMINAL_PHASES:
-                if phase == "done":
-                    self._repair_done(doc)
                 continue
             m = self.migrations.get(migration_id)
             if m is None:
@@ -1029,30 +808,6 @@ class ReshardController:
             else:
                 self._reschedule(m)
         self._set_active_gauge()
-
-    def _repair_done(self, doc: dict[str, Any]) -> None:
-        moved = [list(row) for row in doc.get("moved") or []]
-        if not moved:
-            return
-        self._apply_moves(
-            doc["source"],
-            doc["target"],
-            [deep_copy_json(p) for p in doc.get("payloads") or []],
-            moved,
-            doc["migration_id"],
-        )
-
-    def scrub_shard(self, shard_id: str) -> None:
-        """Re-apply every done migration touching ``shard_id`` — the
-        node-recovery hook: a restart-from-disk may have torn away
-        unsynced imports, UTXO inserts or deletions, and the forced
-        journal/registry records are the truth to restore from."""
-        for doc in sorted(
-            self._journal.find({"phase": "done"}, copy=False),
-            key=lambda d: d["migration_id"],
-        ):
-            if shard_id in (doc["source"], doc["target"]):
-                self._repair_done(doc)
 
     def unfinished(self) -> list[str]:
         """Ids of journal migrations not yet terminal (quiesce drives
@@ -1161,23 +916,9 @@ class ReshardController:
         live = self._live_node(source)
         if live is None:
             return []
-        _node_id, server = live
-        router = self.deployment.router
-        plan: list[str] = []
-        seen: set[str] = set()
-        for doc in server.database.collection("utxos").find({}, copy=False):
-            tx_id = doc["transaction_id"]
-            if tx_id in seen:
-                continue
-            seen.add(tx_id)
-            payload = server.get_transaction(tx_id)
-            if payload is None:
-                continue
-            if payload.get("operation") not in MOVABLE_OPERATIONS:
-                continue
-            if router.home_of_tx(tx_id) != source:
-                continue
-            asset = (payload.get("asset") or {}).get("id") or tx_id
-            if asset in hot_assets:
-                plan.append(tx_id)
-        return sorted(plan)[: MAX_PLAN_TXS]
+        plan = [
+            tx_id
+            for tx_id, payload in self._movable(source, live[1]).items()
+            if ((payload.get("asset") or {}).get("id") or tx_id) in hot_assets
+        ]
+        return plan[:MAX_PLAN_TXS]

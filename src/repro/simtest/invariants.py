@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.core.entries import SHARD_IMPORT, imported_utxos, is_entry
 from repro.simtest.plane import FaultPlane
 
 #: An invariant body: plane -> violation strings (empty = holds).
@@ -111,6 +112,11 @@ def applied_transactions(plane: FaultPlane) -> dict[str, tuple[str, dict[str, An
 
 
 def _spent_refs(payload: dict[str, Any]):
+    """Outputs a transaction spends.  System entries name outputs too —
+    a consume the ones its certified spend took, an export the ones
+    leaving — but spend nothing of their own."""
+    if is_entry(payload):
+        return
     for item in payload.get("inputs", []):
         fulfills = item.get("fulfills")
         if fulfills:
@@ -222,58 +228,36 @@ def conservation(plane: FaultPlane) -> list[str]:
 
 
 def replica_utxo_consistency(plane: FaultPlane) -> list[str]:
-    """Each node's ``utxos`` view equals what replaying its own chain
-    (adjusted for cross-shard committed tombstones and migrated keys)
-    predicts.
-
-    Migrations re-home outputs without committing anything on either
-    chain, so the chain-replay prediction is corrected from the 2PC
-    agent's durable ``shard_migrations`` registry: refs whose *latest*
-    row migrated them in seed the expected set (their creating
-    transaction lives on another shard's chain), refs whose latest row
-    migrated them out are subtracted (the chain minted them here, the
-    cutover deleted them).  Latest-row-wins handles round trips — a ref
-    that left and came back is in-shape again, not absent."""
+    """Each node's ``utxos`` view equals what replaying its own chain, in
+    height order, predicts: every delivered transaction's outputs minus
+    what later inputs (spends, consumes, exports) name, plus what imports
+    mint."""
     violations = []
     for shard_id in plane.shard_ids:
         shard = plane.shard_cluster(shard_id)
-        tombstoned: set[tuple[str, int]] = set()
-        migrated_in: set[tuple[str, int]] = set()
-        migrated_out: set[tuple[str, int]] = set()
-        agent = plane.agents.get(shard_id)
-        if agent is not None:
-            for lock in agent.durable.collection("shard_locks").find(
-                {"status": "committed"}, copy=False
-            ):
-                tombstoned.add((lock["transaction_id"], lock["output_index"]))
-            latest: dict[tuple[str, int], tuple[int, str]] = {}
-            for row in agent.durable.collection("shard_migrations").find(
-                {}, copy=False
-            ):
-                ref = (row["transaction_id"], row["output_index"])
-                sequence = int(row["migration_id"].rsplit("-", 1)[1])
-                if ref not in latest or sequence > latest[ref][0]:
-                    latest[ref] = (sequence, row["direction"])
-            for ref, (_seq, direction) in latest.items():
-                if direction == "in":
-                    migrated_in.add(ref)
-                else:
-                    migrated_out.add(ref)
         for node_id in shard.engine.validator_order:
             server = shard.servers[node_id]
             transactions = server.database.collection("transactions")
-            expected: set[tuple[str, int]] = set(migrated_in)
-            for block in server.database.collection("blocks").find({}, copy=False):
+            expected: set[tuple[str, int]] = set()
+            blocks = server.database.collection("blocks").find({}, copy=False)
+            for block in sorted(blocks, key=lambda doc: doc["height"]):
                 for tx_id in block["transaction_ids"]:
                     payload = transactions.find_one({"id": tx_id}, copy=False)
                     if payload is None:
                         continue
                     for index in range(len(payload.get("outputs", []))):
                         expected.add((tx_id, index))
-                    for ref in _spent_refs(payload):
-                        expected.discard(ref)
-            expected -= migrated_out
-            expected -= tombstoned
+                    if payload.get("operation") == SHARD_IMPORT:
+                        expected.update(
+                            (doc["transaction_id"], doc["output_index"])
+                            for doc in imported_utxos(payload)
+                        )
+                    for item in payload.get("inputs", []):
+                        fulfills = item.get("fulfills")
+                        if fulfills:
+                            expected.discard(
+                                (fulfills["transaction_id"], fulfills["output_index"])
+                            )
             actual = {
                 (doc["transaction_id"], doc["output_index"])
                 for doc in server.database.collection("utxos").find({}, copy=False)
@@ -732,12 +716,13 @@ def no_key_lost(plane: FaultPlane) -> list[str]:
 
 
 def no_key_duplicated(plane: FaultPlane) -> list[str]:
-    """No migrated output is spendable on two shards, and nothing a
-    rolled-back migration staged survives on its target.
+    """No migrated output is spendable on two shards, or on any shard
+    but its final owner.
 
-    The double-spend enabler this catches: a cutover (or its repair)
-    that materialized the target copy without deleting the source copy —
-    both shards would accept a spend of the same output."""
+    The double-spend enabler this catches: an import that materialized
+    the target copy while the source kept its own — both shards would
+    accept a spend of the same output.  (A rolled-back migration wrote
+    nothing to its target: imports follow only a delivered export.)"""
     migrator = _migrator(plane)
     if migrator is None:
         return []
@@ -762,30 +747,6 @@ def no_key_duplicated(plane: FaultPlane) -> list[str]:
                 f"migrated output {tx_id[:8]}:{index} lives on {holders[0]} "
                 f"but the migration journal homes it on {owner}"
             )
-    # Presumed abort leaves no residue: a rolled-back migration never
-    # reached cutover, so none of its planned refs may have a UTXO
-    # document on its target (unless a *later* done migration moved the
-    # ref there legitimately).
-    for doc in sorted(
-        migrator._journal.find({"phase": "rolled_back"}, copy=False),
-        key=lambda d: d["migration_id"],
-    ):
-        target = doc["target"]
-        if target not in plane.shard_ids:
-            continue
-        server = _reference_server(plane.shard_cluster(target))
-        utxos = server.database.collection("utxos")
-        for row in doc.get("planned_refs") or []:
-            ref = (row[0], row[1])
-            if final_home.get(ref) == target:
-                continue
-            if utxos.find_one(
-                {"transaction_id": ref[0], "output_index": ref[1]}, copy=False
-            ) is not None:
-                violations.append(
-                    f"rolled-back migration {doc['migration_id']} left "
-                    f"{ref[0][:8]}:{ref[1]} behind on target {target}"
-                )
     return violations
 
 
@@ -800,17 +761,20 @@ REPLAY_KEYS = {
 def replay_determinism(plane: FaultPlane) -> dict[str, dict[str, tuple[int, int]]]:
     """How far each live replica's state is from a pure replay of its chain.
 
-    Report-only (not in :data:`DEFAULT_INVARIANTS`): for every shard the
-    reference replica's chain (the longest) is re-delivered, block by
-    block, through a fresh volatile :class:`~repro.core.server.SmartchainServer`'s
-    ``deliver_tx`` / ``commit_block`` — the path the consensus engine
-    drives, nothing else.  The chain carries no delivery time, so the
-    replay judges every deadline at simulated time 0.  Returns
-    ``{"shard/node": {collection: (missing, extra)}}`` for every live
-    replica: rows the replay has and the replica lacks, and the reverse,
-    compared by :data:`REPLAY_KEYS`.  Out-of-band writes (2PC consumes,
-    reference imports, migration moves) show up here; a replica whose
-    state is a function of its chain reads ``(0, 0)`` throughout.
+    For every shard the reference replica's chain (the longest) is
+    re-delivered, block by block, through a fresh volatile
+    :class:`~repro.core.server.SmartchainServer`'s ``deliver_tx`` /
+    ``commit_block`` — the path the consensus engine drives, nothing
+    else; the replay server knows only what every node knows (the shard
+    it serves and every shard's validator keys, to check cross-shard
+    evidence).  The chain carries no delivery time, so the replay judges
+    every deadline at simulated time 0.  Each live replica is compared
+    with the replay at its own chain height.  Returns ``{"shard/node":
+    {collection: (missing, extra)}}``: rows the replay has and the
+    replica lacks, and the reverse, compared by :data:`REPLAY_KEYS`.  An
+    out-of-band write shows up here; a replica whose state is a function
+    of its chain reads ``(0, 0)`` throughout (enforced by
+    :func:`replay_divergence`).
     """
     from repro.core.server import SmartchainServer
 
@@ -829,31 +793,49 @@ def replay_determinism(plane: FaultPlane) -> dict[str, dict[str, tuple[int, int]
         shard = plane.shard_cluster(shard_id)
         engine = shard.engine
         reference = max(engine.validator_order, key=lambda n: len(engine.validator(n).chain))
+        template = shard.servers[reference]
         replay = SmartchainServer(f"replay-{shard_id}", shard.reserved)
+        replay.shard_id, replay.shard_keys = template.shard_id, template.shard_keys
         if shard.config.enable_extensions:
             from repro.core.extensions import register_marketplace_extensions
 
             register_marketplace_extensions(replay.validator)
-        committed: set[str] = set()
-        for block in engine.validator(reference).chain:
-            delivered = [
-                envelope
-                for envelope in block.transactions
-                if envelope.tx_id not in committed and replay.deliver_tx(envelope)
-            ]
-            replay.commit_block(block, delivered)
-            committed.update(envelope.tx_id for envelope in block.transactions)
-        expected = {name: rows(replay.database, name) for name in REPLAY_KEYS}
+        live: dict[int, list[str]] = {}
         for node_id in engine.validator_order:
-            if shard.network.is_crashed(node_id):
+            if not shard.network.is_crashed(node_id):
+                live.setdefault(len(engine.validator(node_id).chain), []).append(node_id)
+        committed: set[str] = set()
+        for height in range(len(engine.validator(reference).chain) + 1):
+            if height:
+                block = engine.validator(reference).chain[height - 1]
+                delivered = [
+                    envelope
+                    for envelope in block.transactions
+                    if envelope.tx_id not in committed and replay.deliver_tx(envelope)
+                ]
+                replay.commit_block(block, delivered)
+                committed.update(envelope.tx_id for envelope in block.transactions)
+            if height not in live:
                 continue
-            database = shard.servers[node_id].database
-            report[f"{shard_id}/{node_id}"] = {
-                name: (len(want - got), len(got - want))
-                for name, want in expected.items()
-                for got in (rows(database, name),)
-            }
-    return report
+            expected = {name: rows(replay.database, name) for name in REPLAY_KEYS}
+            for node_id in live[height]:
+                database = shard.servers[node_id].database
+                report[f"{shard_id}/{node_id}"] = {
+                    name: (len(want - got), len(got - want))
+                    for name, want in expected.items()
+                    for got in (rows(database, name),)
+                }
+    return dict(sorted(report.items()))
+
+
+def replay_divergence(plane: FaultPlane) -> list[str]:
+    """:func:`replay_determinism` enforced: every cell reads ``(0, 0)``."""
+    return [
+        f"{replica}: state is not a replay of its chain "
+        + " ".join(f"{name}={cells}" for name, cells in diff.items() if cells != (0, 0))
+        for replica, diff in replay_determinism(plane).items()
+        if any(cells != (0, 0) for cells in diff.values())
+    ]
 
 
 def all_cross_settled(plane: FaultPlane) -> list[str]:
@@ -898,6 +880,9 @@ DEFAULT_INVARIANTS: list[Invariant] = [
     Invariant("mv_consistency", mv_consistency, scope="quiesce"),
     # Full walks over the live views: the chain replayers' cadence.
     Invariant("custody_memo", custody_memo, every=5),
+    # Every live replica == a fresh replay of its chain: cross-shard
+    # state moves only through certified chain entries.
+    Invariant("replay_determinism", replay_divergence, every=25),
 ]
 
 

@@ -35,8 +35,8 @@ SMARTCHAINDB_LAYOUT: dict[str, list[tuple[str, bool]]] = {
     "shard_outbox": [("tx_id", True), ("state", False)],
     # Elastic resharding: per-shard durable registry of outputs whose
     # ownership moved in (target side) or out (source side) of this
-    # shard by a migration cutover — the replica-consistency invariant
-    # and crash recovery both read it.
+    # shard by a migration cutover — the spend guard's redirect verdicts
+    # read it.
     "shard_migrations": [
         ("migration_id", False),
         ("transaction_id", False),

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.core.asset import extract_capabilities
+from repro.core.entries import SHARD_IMPORT, is_entry, refs_of
 
 
 class FlipMemo:
@@ -59,11 +60,12 @@ class ViewManager:
         self._txs: dict[str, dict[str, Any]] = {}
         #: tx_id -> shard key that committed it (for per-shard serving).
         self._tx_shard: dict[str, str] = {}
-        #: tx_id -> shard key a migration cutover re-homed it to.  Kept
-        #: apart from ``_tx_shard`` (and from the consistency snapshot):
-        #: a transaction's outputs can change owner shard long after its
-        #: committing feed record was applied, and may even re-attribute
-        #: *before* that record arrives — the override wins either way.
+        #: tx_id -> shard key whose ``SHARD_IMPORT`` last took its
+        #: outputs.  Kept apart from ``_tx_shard`` (and from the
+        #: consistency snapshot): a transaction's outputs can change owner
+        #: shard long after its committing feed record was applied, and
+        #: may even re-attribute *before* that record arrives — the
+        #: override wins either way.
         self._shard_overrides: dict[str, str] = {}
         #: operation -> tx ids in application order.
         self._by_operation: dict[str, list[str]] = {}
@@ -157,7 +159,14 @@ class ViewManager:
             )
 
     def _apply_tx(self, shard: str, tx_id: str, payload: dict[str, Any]) -> None:
-        if tx_id in self._txs:
+        if tx_id in self._txs or is_entry(payload):
+            # Cross-shard system entries move outputs between shards'
+            # ledgers; the deployment-wide views already saw the spend
+            # (or, for a migration, the outputs) where it committed, and
+            # an import only re-attributes the outputs it takes.
+            if payload.get("operation") == SHARD_IMPORT:
+                for moved, _index in refs_of(payload["export"]):
+                    self._shard_overrides[moved] = shard
             return
         self._txs[tx_id] = payload
         self._tx_shard[tx_id] = shard
@@ -300,20 +309,6 @@ class ViewManager:
         if override is not None:
             return override
         return self._tx_shard.get(tx_id)
-
-    def note_migration(self, tx_ids: list[str], shard: str) -> None:
-        """Re-attribute moved transactions to their new owner shard.
-
-        Called at every migration cutover (and by its idempotent repair
-        passes): the per-shard serving feeds re-bootstrap so reads for
-        the moved range resolve against the new owner immediately, even
-        for feed records still in flight.  The override map is not part
-        of the consistency snapshot — ``mv_consistency`` compares the
-        committed stream's deterministic state, and ownership moves are
-        a routing overlay on top of it.
-        """
-        for tx_id in tx_ids:
-            self._shard_overrides[tx_id] = shard
 
     def transaction(self, tx_id: str) -> dict[str, Any] | None:
         return self._txs.get(tx_id)

@@ -18,7 +18,9 @@ of committed + staged state:
 The elastic chaos sweep (seeds 110 / 123 / 141) then caught the same
 disease from another side: a replica that had stored a transaction as a
 cross-shard *reference copy* before the block containing it arrived
-rejected it as its own double spend, or died re-inserting it.
+rejected it as its own double spend, or died re-inserting it.  Since
+reference copies arrive only inside blocks, every replica stores a copy
+at the same height, and a copy's own later delivery is refused alike.
 """
 
 import pytest
@@ -86,17 +88,25 @@ class TestDeliverIgnoresTheLockOracle:
             cluster.any_server().receiver_validate(payload)
 
 
-class TestDeliveryOverReferenceCopies:
-    """``import_reference_payloads`` first, the block second: DeliverTx
-    and commit must do what they do on a replica that never saw the copy."""
+def _store_reference_copy(cluster, payload):
+    """What an earlier block's attachment leaves on every replica: the
+    payload in ``transactions``, no UTXO."""
+    for server in cluster.servers.values():
+        server.database.collection("transactions").insert_one(payload)
 
-    def deliver_and_commit(self, cluster, payload):
-        assert cluster.import_reference_payloads([payload]) == len(cluster.servers)
+
+class TestDeliveryOverReferenceCopies:
+    """A reference copy first (an earlier cross-shard spend's attachment,
+    or an import), the same transaction in a block second: the ledger
+    already holds it, while its outputs live where it committed, so
+    DeliverTx refuses it — delivering it again would mint them twice."""
+
+    def refused_over_copy(self, cluster, payload):
+        _store_reference_copy(cluster, payload)
         server = cluster.any_server()
         envelope = envelope_for(payload, payload["id"], 100)
-        assert server.deliver_tx(envelope) is True
-        height = server.database.collection("blocks").count({}) + 1
-        server.commit_block(Block.build(height, 0, "scdb-0", [envelope], "p" * 64), [envelope])
+        assert server.deliver_tx(envelope) is False
+        server.commit_block(Block.build(99, 0, "scdb-0", [envelope], "p" * 64), [])
         stored = server.database.collection("transactions").find({"id": payload["id"]})
         assert len(stored) == 1, "the copy is the stored payload: no second insert"
         return server.database.collection("utxos")
@@ -105,31 +115,29 @@ class TestDeliveryOverReferenceCopies:
         cluster = SmartchainCluster(ClusterConfig(seed=3))
         owner = keypair_from_string("holder")
         payload = cluster.driver.prepare_create(owner, {"capabilities": ["x"]}).to_dict()
-        utxos = self.deliver_and_commit(cluster, payload)
-        assert utxos.count({"transaction_id": payload["id"]}) == 1
-        assets = cluster.any_server().database.collection("assets")
-        assert assets.count({"id": payload["id"]}) == 1
+        utxos = self.refused_over_copy(cluster, payload)
+        assert utxos.count({"transaction_id": payload["id"]}) == 0
 
-    def test_transfer_is_not_its_own_double_spender(self):
+    def test_transfer_is_refused_over_its_own_copy(self):
         cluster = SmartchainCluster(ClusterConfig(seed=3))
         owner, create = _committed_create(cluster)
         payload = _transfer_payload(cluster, owner, create)
-        utxos = self.deliver_and_commit(cluster, payload)
-        assert utxos.count({"transaction_id": create.tx_id}) == 0
-        assert utxos.count({"transaction_id": payload["id"]}) == 1
+        utxos = self.refused_over_copy(cluster, payload)
+        assert utxos.count({"transaction_id": create.tx_id}) == 1
+        assert utxos.count({"transaction_id": payload["id"]}) == 0
 
     def test_admission_still_refuses_what_the_store_already_holds(self):
         cluster = SmartchainCluster(ClusterConfig(seed=3))
         owner, create = _committed_create(cluster)
         payload = _transfer_payload(cluster, owner, create)
-        cluster.import_reference_payloads([payload])
+        _store_reference_copy(cluster, payload)
         with pytest.raises(DoubleSpendError):
             cluster.any_server().receiver_validate(payload)
 
     def test_delivery_still_rejects_a_rival_of_the_copy(self):
         cluster = SmartchainCluster(ClusterConfig(seed=3))
         owner, create = _committed_create(cluster)
-        cluster.import_reference_payloads([_transfer_payload(cluster, owner, create, "r1")])
+        _store_reference_copy(cluster, _transfer_payload(cluster, owner, create, "r1"))
         rival = _transfer_payload(cluster, owner, create, "r2")
         assert cluster.any_server().deliver_tx(envelope_for(rival, rival["id"], 100)) is False
 

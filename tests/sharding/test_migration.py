@@ -188,8 +188,11 @@ class TestNodeCrashDuringMigration:
                 assert not utxo_on(cluster, doc["source"], tx_id, index)
 
 
-class TestScrubIdempotence:
-    def test_scrub_after_done_changes_nothing(self):
+class TestResumeIdempotence:
+    def test_resume_after_done_changes_nothing(self):
+        """A done migration is history on two chains: resuming the
+        controller (recovery, the harness's quiesce kick) re-applies
+        nothing."""
         cluster = build(seed=16)
         mint(cluster, keypair_from_string("alice"), 8)
         migration_id = cluster.reshard("shard-0")
@@ -197,26 +200,22 @@ class TestScrubIdempotence:
         doc = cluster.migrator.journal_record(migration_id)
         assert doc["phase"] == "done"
         for _ in range(2):
-            cluster.migrator.scrub_shard(doc["source"])
-            cluster.migrator.scrub_shard(doc["target"])
+            cluster.migrator.resume()
+            cluster.run()
         for tx_id, index, _d in doc["moved"]:
-            assert utxo_on(cluster, doc["target"], tx_id, index)
-            assert not utxo_on(cluster, doc["source"], tx_id, index)
             holders = [
                 sid for sid in cluster.shard_ids if utxo_on(cluster, sid, tx_id, index)
             ]
             assert holders == [doc["target"]]
 
 
-class TestScrubAgainstNewerHistory:
-    """Re-running an *old* done migration (the node-recovery scrub path)
-    must not undo what later migrations or later spends did."""
+class TestOwnershipIsOnTheChains:
+    """What the old repair passes restored by hand now follows from each
+    shard's chain: exports and imports are blocks like any other."""
 
-    def test_scrub_of_old_hop_keeps_round_tripped_refs_on_source(self):
-        """Regression (chaos seed 808): refs that left shard-0 and later
-        migrated back were deleted from every shard-0 replica when the
-        scrub re-ran the *first* hop — its source-side delete loop had no
-        newer-history guard, unlike the target-side insert."""
+    def test_round_tripped_refs_are_owned_and_spendable_at_home(self):
+        """Refs that left shard-0 and came back (an export and an import
+        on each chain) are live on shard-0 only, and spendable there."""
         cluster = build(seed=21)
         alice = keypair_from_string("alice")
         creates = mint(cluster, alice, 8)
@@ -239,57 +238,45 @@ class TestScrubAgainstNewerHistory:
             if any(t == tx_id and i == index for t, i, _x in back_doc["moved"])
         ]
         assert round_tripped, "second hop moved none of the first hop's refs"
-        # The recovery scrub replays both hops in order; the first hop's
-        # delete must see the refs came back.
-        cluster.migrator.scrub_shard("shard-0")
         for tx_id, index in round_tripped:
             assert utxo_on(cluster, "shard-0", tx_id, index)
             assert not utxo_on(cluster, "shard-1", tx_id, index)
             assert cluster.router.home_of_tx(tx_id) == "shard-0"
+        tx_id, index = round_tripped[0]
+        transfer = cluster.driver.prepare_transfer(
+            alice, [(tx_id, index, 1)], tx_id, [(keypair_from_string("bob").public_key, 1)]
+        )
+        record = cluster.submit_and_settle(transfer)
+        assert record.committed_at is not None, record.rejected
 
-    def test_scrub_spend_check_is_per_replica(self):
-        """Regression (chaos seed 505): the spent-on-target probe asked
-        one reference node only.  When that node lags the spender block,
-        a scrub re-run re-inserted the spent output on every *up-to-date*
-        replica — ghosts on exactly the nodes whose own chains had
-        consumed it."""
+    def test_restarted_target_replica_keeps_a_spent_move_spent(self):
+        """A target replica restarted from a torn disk after a moved
+        output was spent replays its WAL and catches up: the output is
+        gone on every replica, with no repair pass to run."""
         cluster = build(seed=22)
         alice = keypair_from_string("alice")
-        creates = mint(cluster, alice, 8)
+        mint(cluster, alice, 8)
         migration_id = cluster.reshard("shard-0")
         cluster.run()
         doc = cluster.migrator.journal_record(migration_id)
         assert doc["phase"] == "done" and doc["moved"]
         target = doc["target"]
         moved_tx, moved_index = doc["moved"][0][0], doc["moved"][0][1]
-        create = next(c for c in creates if c.tx_id == moved_tx)
-        bob = keypair_from_string("bob")
         transfer = cluster.driver.prepare_transfer(
-            alice, [(moved_tx, moved_index, 1)], moved_tx, [(bob.public_key, 1)]
+            alice, [(moved_tx, moved_index, 1)], moved_tx,
+            [(keypair_from_string("bob").public_key, 1)],
         )
         record = cluster.submit_and_settle(transfer)
         assert record.committed_at is not None, record.rejected
-        del create
         shard = cluster.shards[target]
-        # Simulate the reference node lagging the spend: any_server is
-        # the first live node in validator order; tear the spender out of
-        # its transaction log so the cluster-wide probe misses it.
-        laggard = shard.any_server()
-        laggard.database.collection("transactions").delete_many(
-            {"id": transfer.tx_id}
-        )
-        cluster.migrator.scrub_shard(target)
+        node = shard.engine.validator_order[0]
+        shard.restart_node_from_disk(node, torn_bytes=8)
+        cluster.run()
         for node_id in shard.engine.validator_order:
-            server = shard.servers[node_id]
-            if server is laggard:
-                continue
-            assert (
-                server.database.collection("utxos").find_one(
-                    {"transaction_id": moved_tx, "output_index": moved_index},
-                    copy=False,
-                )
-                is None
-            ), f"spent output resurrected on up-to-date replica {node_id}"
+            utxos = shard.servers[node_id].database.collection("utxos")
+            assert utxos.find_one(
+                {"transaction_id": moved_tx, "output_index": moved_index}, copy=False
+            ) is None, f"spent output resurrected on {node_id}"
 
 
 class TestCatchupSuppressor:

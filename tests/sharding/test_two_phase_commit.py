@@ -342,42 +342,49 @@ class TestHomeShardDown:
 
 
 class TestLateApplyingReplica:
-    def test_node_down_during_cross_commit_scrubs_utxo_on_catchup(self, staged):
-        """Found by the chaos harness (ISSUE 3): ``consume_outputs``
-        deletes the spent UTXO on every replica at decision time, but a
-        node that had not yet applied the *creating* block re-inserted
-        the UTXO when it caught up — a ghost spendable output on one
-        replica.  The catch-up path must scrub foreign-spent outputs."""
-        cluster, _, create_tx, transfer_tx, origin, target = staged
-        lagging = cluster.shards[origin].engine.validator_order[-1]
-        # Crash one origin replica first, then mint and migrate a fresh
-        # asset: the crashed node sees neither the CREATE nor the spend.
+    def test_late_participant_replica_converges_by_catchup_alone(self):
+        """A participant replica is down when the commit decision lands
+        and comes back from disk with a torn WAL tail.  The decision is a
+        ``SHARD_CONSUME`` entry on the participant's own chain, so WAL
+        replay plus ordinary catch-up bring the replica to exactly the
+        replay of its chain — spent output gone, no scrub window to
+        outlive."""
+        from repro.durability.node import DurabilityConfig
+        from repro.simtest.invariants import REPLAY_KEYS, replay_determinism
+        from repro.simtest.plane import FaultPlane
+
+        cluster = _sharded(durability=DurabilityConfig(snapshot_interval=40))
         owner = keypair_from_string("late-owner")
-        recipient = keypair_from_string("late-recipient")
-        cluster.shards[origin].failures.crash_now(lagging)
-        fresh = cluster.driver.prepare_create(
-            owner,
-            {"capabilities": ["late"]},
-            metadata={SHARD_KEY_METADATA: _migration_key(cluster, origin)},
-        )
+        fresh = cluster.driver.prepare_create(owner, {"capabilities": ["late"]})
         cluster.submit_and_settle(fresh.to_dict())
-        migrate = cluster.driver.prepare_transfer(
+        origin = cluster.router.home_of_tx(fresh.tx_id)
+        target = next(shard for shard in cluster.shard_ids if shard != origin)
+        shard = cluster.shards[origin]
+        lagging = shard.engine.validator_order[-1]
+        shard.failures.crash_now(lagging)
+        spend = cluster.driver.prepare_transfer(
             owner,
             [(fresh.tx_id, 0, 1)],
             fresh.tx_id,
-            [(recipient.public_key, 1)],
+            [(keypair_from_string("late-recipient").public_key, 1)],
             metadata={SHARD_KEY_METADATA: _migration_key(cluster, target)},
         )
-        record = cluster.submit_and_settle(migrate.to_dict())
-        assert record.committed_at is not None
-        # Recovery applies the missed blocks — including the CREATE whose
-        # output the 2PC commit already spent.
-        cluster.shards[origin].failures.recover_now(lagging)
+        assert cluster.submit_and_settle(spend.to_dict()).committed_at is not None
+        assert cluster.agents[origin].active_locks() == []
+        cluster.restart_node_from_disk(origin, lagging, torn_bytes=8)
         cluster.run()
-        utxos = cluster.shards[origin].servers[lagging].database.collection("utxos")
-        assert (
-            utxos.find_one({"transaction_id": fresh.tx_id, "output_index": 0}) is None
-        ), "catch-up resurrected a UTXO a cross-shard commit had spent"
+
+        server = shard.servers[lagging]
+        chain = shard.engine.validator(lagging).chain
+        assert len(chain) == max(len(shard.engine.validator(n).chain) for n in shard.servers)
+        report = replay_determinism(FaultPlane(cluster))
+        assert report[f"{origin}/{lagging}"] == {name: (0, 0) for name in REPLAY_KEYS}
+        consumes = server.database.collection("transactions").find(
+            {"operation": "SHARD_CONSUME"}, copy=False
+        )
+        assert [c["inputs"][0]["fulfills"]["transaction_id"] for c in consumes] == [fresh.tx_id]
+        utxos = server.database.collection("utxos")
+        assert utxos.find_one({"transaction_id": fresh.tx_id, "output_index": 0}) is None
 
 
 class TestValidatorNodeCrash:

@@ -128,26 +128,22 @@ class TestElasticHarness:
 class TestLostKeyMutation:
     @pytest.fixture()
     def dropped_imports(self, monkeypatch):
-        """Break the cutover's target materialization: every moved ref is
-        (falsely) classified as already spent on the target, so the
-        source deletion runs but the target insert never does — a lost
-        key.  The registry "in" trace is dropped with it, so the
-        per-step replica check stays blind and only the journal-driven
-        ``no_key_lost`` sweep can see the hole."""
+        """Break the cutover's target half: the controller takes every
+        import as landed without ever submitting one, so the export lets
+        the outputs go on the source chain, the migration completes, and
+        the target never mints them — a lost key.  Both chains stay
+        self-consistent (each replica is still the replay of its chain),
+        so the per-step replica checks stay blind and only the
+        journal-driven ``no_key_lost`` sweep can see the hole."""
+        landed = ReshardController._landed
         monkeypatch.setattr(
             ReshardController,
-            "_spent_on_target",
-            lambda self, cluster, moved: {(t, i) for t, i, _d in moved},
-        )
-        real_row = ReshardController._ensure_registry_row
-        monkeypatch.setattr(
-            ReshardController,
-            "_ensure_registry_row",
+            "_landed",
             staticmethod(
-                lambda agent, mid, tx_id, index, direction, peer, doc: (
-                    None
-                    if direction == "in"
-                    else real_row(agent, mid, tx_id, index, direction, peer, doc)
+                lambda cluster, entry: (
+                    True
+                    if entry["operation"] == "SHARD_IMPORT"
+                    else landed(cluster, entry)
                 )
             ),
         )

@@ -2,7 +2,8 @@
 
 The harness's value is falsifiability — if a deliberately broken
 protocol survives the checker, the invariants are decorative.  Each test
-monkeypatches one safety mechanism out of the coordinator and asserts
+monkeypatches one safety mechanism out of the coordinator (or the
+reshard controller's chain entries) and asserts
 the registry catches the resulting corruption deterministically, with a
 bundle that replays to the identical failure.
 """
@@ -15,6 +16,8 @@ from repro.simtest import SimHarness, SimtestConfig
 
 #: A conflict-heavy configuration so rival spends happen early.
 _ADVERSARIAL = dict(steps=80, conflict_rate=0.3, cross_rate=0.6, fault_rate=0.05)
+#: Live shard migrations from the first steps on.
+_ELASTIC = dict(steps=80, elastic_rate=0.3, fault_rate=0.05)
 
 
 class TestDoubleSpendMutation:
@@ -51,19 +54,37 @@ class TestDoubleSpendMutation:
 
 class TestReplicaDriftMutation:
     def test_unretired_utxo_is_caught(self, monkeypatch):
-        """Commit decisions that stop retiring the spent UTXO leave every
-        origin replica with a ghost spendable output — the replica
-        consistency check (or the double-spend check, once something
-        spends the ghost) must go red."""
+        """A participant that stops putting its commit decisions on its
+        own chain (no ``SHARD_CONSUME``) leaves the spent output live in
+        its ledger.  Every replica still equals the replay of its chain,
+        so the replica checks stay green — but the decided locks never
+        read consumed, and ``no_stuck_locks`` goes red at quiesce."""
         monkeypatch.setattr(
-            SmartchainCluster, "consume_outputs", lambda self, refs: None
+            TwoPhaseCoordinator, "_submit_consume", lambda self, consumed: None
         )
         report = SimHarness(SimtestConfig(seed=7, **_ADVERSARIAL)).run()
         assert not report.ok
-        assert report.violations[0].invariant in (
-            "replica_utxo_consistency",
-            "no_double_spend",
+        assert report.violations[0].invariant == "no_stuck_locks"
+
+
+class TestDroppedExportMutation:
+    def test_dropped_export_is_caught(self, monkeypatch):
+        """Cutovers whose ``SHARD_EXPORT`` never reaches the source chain
+        must not finish: the import needs the export block's certificate,
+        so the migration parks in ``cutover`` with its fence up, and
+        ``migration_terminal`` goes red at quiesce."""
+        submit_entry = SmartchainCluster.submit_entry
+        monkeypatch.setattr(
+            SmartchainCluster,
+            "submit_entry",
+            lambda self, entry, callback=None: (
+                entry["operation"] == "SHARD_EXPORT" or submit_entry(self, entry, callback)
+            ),
         )
+        report = SimHarness(SimtestConfig(seed=7, **_ELASTIC)).run()
+        assert not report.ok
+        assert report.violations[0].invariant == "migration_terminal"
+        assert "parked in phase=cutover" in report.violations[0].detail
 
 
 class TestHealthyBaseline:

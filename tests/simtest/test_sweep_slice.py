@@ -13,10 +13,10 @@ contained but did not deliver) while each PR certified its logs
 "identical to the parent, known failures included".  With the slice in
 tier-1 a known failure is a red build.
 
-Each seed also computes the report-only ``replay_determinism`` diff (how
-far every live replica is from a pure replay of its shard's chain); it
-is not asserted to be zero yet, only to be a deterministic read: a
-second computation over the same deployment gives the same report.
+Each seed also reads the ``replay_determinism`` report (how far every
+live replica is from a pure replay of its shard's chain) and asserts
+every cell of every replica is ``(0, 0)``: cross-shard imports, consumes
+and migration cutovers reach a replica only as entries of its own chain.
 """
 
 import pytest
@@ -45,4 +45,6 @@ def test_every_invariant_holds(family, seed):
     assert harness.checker.checks_run.get("mv_consistency", 0) >= 1
     assert harness.checker.checks_run.get("chain_consistency", 0) >= 1
     replay = replay_determinism(harness.plane)
-    assert replay and replay == replay_determinism(harness.plane)
+    assert len(replay) == sum(len(harness.plane.nodes(s)) for s in harness.plane.shard_ids)
+    dirty = {replica: cells for replica, cells in replay.items() if set(cells.values()) != {(0, 0)}}
+    assert not dirty, dirty

@@ -65,4 +65,4 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "policy tripped" in out
         assert "rolls FORWARD" in out
-        assert "all 19 invariants held" in out
+        assert "all 20 invariants held" in out

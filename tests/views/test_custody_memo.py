@@ -208,6 +208,9 @@ class TestWalletShardFilter:
     def test_a_migration_override_still_filters(self):
         views = ViewManager()
         views.apply_block_record("a", block(1, create("c1", "alice"), create("c2", "alice")))
-        views.note_migration(["c2"], "b")
+        export = {"inputs": [{"fulfills": {"transaction_id": "c2", "output_index": 0}}]}
+        views.apply_block_record(
+            "b", block(1, {"id": "i1", "operation": "SHARD_IMPORT", "export": export})
+        )
         assert [d["transaction_id"] for d in views.outputs_for("alice", shard="a")] == ["c1"]
         assert [d["transaction_id"] for d in views.outputs_for("alice", shard="b")] == ["c2"]

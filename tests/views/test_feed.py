@@ -2,7 +2,7 @@
 
 from repro.common.encoding import canonical_bytes
 from repro.durability.node import DurabilityConfig, NodeDurability
-from repro.durability.recovery import scan_block_records
+from repro.durability.recovery import scan_delivered_blocks
 from repro.sim.events import EventLoop
 from repro.views import ChangeFeed, ViewManager
 
@@ -140,7 +140,7 @@ class TestBootstrap:
         assert late.stats["blocks_applied"] == 2
         assert late.consistency_snapshot() == views.consistency_snapshot()
 
-    def test_scan_block_records_covers_snapshot_and_wal_suffix(self):
+    def test_scan_delivered_blocks_covers_snapshot_and_wal_suffix(self):
         loop, durability, views, feed = make_stack()
         durability.state_provider = lambda: [
             canonical_bytes({"blocks": [block(1, create("c1", "alice"))]})
@@ -150,6 +150,6 @@ class TestBootstrap:
         durability.checkpoint()  # block 1 now lives in the snapshot only
         durability.journal({"k": "block", "b": block(2, create("c2", "bob"))})
         loop.run_until_idle()
-        heights = [record["h"] for record in scan_block_records(durability)]
+        heights = [record["h"] for record, _ in scan_delivered_blocks(durability)]
         assert heights == [1, 2]
-        assert [r["h"] for r in scan_block_records(durability, from_height=1)] == [2]
+        assert [r["h"] for r, _ in scan_delivered_blocks(durability, from_height=1)] == [2]
