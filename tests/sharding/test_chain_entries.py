@@ -159,3 +159,40 @@ class TestIngressGate:
             assert shard.landed(entry["id"]) is None
             for node in shard.engine.validator_order:
                 assert entry["id"] not in shard.engine.validator(node).mempool
+
+
+class TestCarriedPayloads:
+    def test_a_migrated_output_spends_cross_shard_with_its_import_as_carrier(self):
+        """A payload that reached its shard by import was never delivered
+        there: the participant proves it with the certified import block
+        (the carrier), and the spend commits on another shard's chain."""
+        from repro.durability.node import DurabilityConfig
+
+        cluster = ShardedCluster(
+            ShardedClusterConfig(
+                n_shards=3, seed=21, durability=DurabilityConfig(snapshot_interval=60)
+            )
+        )
+        owner, create = _mint(cluster, "carried")
+        source = cluster.router.home_of_tx(create.tx_id)
+        target, home = [shard for shard in cluster.shard_ids if shard != source]
+        migration_id = cluster.reshard(source, target=target, plan_txs=[create.tx_id])
+        cluster.run()
+        assert cluster.migrator.journal_record(migration_id)["phase"] == "done"
+        evidence = cluster.shards[target].commit_evidence(create.tx_id)
+        assert evidence["carrier"]["operation"] == "SHARD_IMPORT"
+        assert attached_payload(evidence, cluster.shard_keys, _check(cluster))["id"] == create.tx_id
+        key = next(
+            f"k-{index}" for index in range(512) if cluster.ring.shard_for(f"k-{index}") == home
+        )
+        spend = cluster.driver.prepare_transfer(
+            owner, [(create.tx_id, 0, 1)], create.tx_id,
+            [(keypair_from_string("payee").public_key, 1)],
+            metadata={SHARD_KEY_METADATA: key},
+        )
+        record = cluster.submit_and_settle(spend.to_dict())
+        assert record.committed_at is not None, record.rejected
+        assert cluster.router.home_of_tx(spend.tx_id) == home
+        assert cluster.shards[target].any_server().database.collection("utxos").find_one(
+            {"transaction_id": create.tx_id, "output_index": 0}
+        ) is None
