@@ -221,9 +221,12 @@ class SmartchainCluster:
 
         self.driver = Driver(self)
         self.records: dict[str, TxRecord] = {}
-        #: tx id -> height of the block that committed it (what
-        #: :meth:`commit_evidence` and :meth:`landed` read).
+        #: tx id -> height of the block that delivered it, and the ids a
+        #: block carried but DeliverTx refused (what :meth:`landed` and
+        #: :meth:`commit_evidence` read).  One int per committed tx, like
+        #: ``records``: any committed payload may later be a foreign input.
         self._heights: dict[str, int] = {}
+        self._refused: set[str] = set()
         self._callbacks: dict[str, DriverCallback] = {}
         #: accept_id -> receiver node responsible for its RETURN children.
         self._accept_receivers: dict[str, str] = {}
@@ -365,7 +368,8 @@ class SmartchainCluster:
         replica) and enters the first live node's mempool through CheckTx,
         keeping no lifecycle record — it never counts as a committed
         transaction — and drawing no random receiver.  ``callback`` fires
-        ("committed", entry) once a block carries it.  Returns False when
+        ("committed", entry) once a block delivers it, ("rejected", ...)
+        if one carries it and DeliverTx refuses it.  Returns False when
         every node is down; the author re-drives the entry later.
         """
         for node_id in self.engine.validator_order:
@@ -380,10 +384,14 @@ class SmartchainCluster:
             return True
         return False
 
-    def landed(self, tx_id: str) -> int | None:
-        """Height of the committed block of this shard that carried
-        ``tx_id``, or None."""
-        return self._heights.get(tx_id)
+    def landed(self, tx_id: str) -> bool | None:
+        """True once a block of this shard delivered ``tx_id``, False once
+        one carried it and DeliverTx refused it (every replica judges
+        alike, and a chain never delivers an id it already carried), None
+        before."""
+        if tx_id in self._heights:
+            return True
+        return False if tx_id in self._refused else None
 
     def pooled(self, tx_id: str) -> bool:
         """Is ``tx_id`` waiting in a live node's mempool?"""
@@ -440,13 +448,15 @@ class SmartchainCluster:
             blocks.find_one({"height": record.block.height}, copy=False)["transaction_ids"]
         )
         for envelope in record.block.transactions:
-            self._heights.setdefault(envelope.tx_id, record.block.height)
             tx_record = self.records.get(envelope.tx_id)
             if envelope.tx_id not in delivered:
-                if tx_record is not None and tx_record.committed_at is None:
-                    tx_record.rejected = "refused at delivery"
-                    self._fire_callback(envelope.tx_id, "rejected", tx_record.rejected)
+                self._refused.add(envelope.tx_id)
+                if tx_record is None or tx_record.committed_at is None:
+                    if tx_record is not None:
+                        tx_record.rejected = "refused at delivery"
+                    self._fire_callback(envelope.tx_id, "rejected", "refused at delivery")
                 continue
+            self._heights.setdefault(envelope.tx_id, record.block.height)
             if tx_record is not None and tx_record.committed_at is None:
                 tx_record.committed_at = record.committed_at
                 if observing and (

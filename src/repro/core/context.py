@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.common.errors import DoubleSpendError, InputDoesNotExistError
-from repro.core.entries import SHARD_EXPORT, SHARD_IMPORT, migration_order, refs_of
+from repro.core.entries import SHARD_EXPORT
 from repro.core.transaction import CREATE, OutputRef, REQUEST
 from repro.crypto.keys import ReservedAccounts
 from repro.storage.database import Database
@@ -99,25 +99,19 @@ class ValidationContext:
                 }
             },
         }
-        transactions = self._database.collection("transactions")
-        spender = transactions.find_one(query, copy=False)
+        spender = self._database.collection("transactions").find_one(query, copy=False)
         if spender is None:
             return None
-        if spender.get("operation") != SHARD_EXPORT:
-            return spender["id"]
-        # Exported: spent here unless a later migration brought it back
-        # (its import follows the last export of it in migration order).
-        spenders = transactions.find(query, copy=False)
-        for other in spenders:
-            if other.get("operation") != SHARD_EXPORT:
-                return other["id"]
-        last = max(spenders, key=migration_order)
-        key = (ref.transaction_id, ref.output_index)
-        for entry in transactions.find({"operation": SHARD_IMPORT}, copy=False):
-            export = entry["export"]
-            if migration_order(export) > migration_order(last) and key in refs_of(export):
+        if spender.get("operation") == SHARD_EXPORT:
+            # Exported, unless a later migration imported it back: then
+            # the utxo row the import minted says it is live here again.
+            live = self._database.collection("utxos").find_one(
+                {"transaction_id": ref.transaction_id, "output_index": ref.output_index},
+                copy=False,
+            )
+            if live is not None:
                 return None
-        return last["id"]
+        return spender["id"]
 
     def require_unspent(self, ref: OutputRef) -> None:
         """Raise if ``ref`` was already spent (double-spend protection).

@@ -2,18 +2,20 @@
 
 Every change to a shard's state is ordered by that shard's own
 consensus, cross-shard changes included (the design of AHL, SIGMOD 2019,
-and ByShard, PVLDB 2021).  Three system operations do it, authored only
-by the shard agents and the reshard controller:
+and ByShard, PVLDB 2021).  Three system operations do it, each signed by
+its one author (:data:`Authors`):
 
-* ``SHARD_CONSUME`` (a 2PC participant's chain) lists as ``inputs`` the
-  outputs committed cross-shard spends took; ``evidence`` holds each
-  spend with the home block that committed it.
-* ``SHARD_EXPORT`` (a migration's source chain) lists the outputs leaving
-  for ``target``; delivery refuses it unless every one is on this chain,
-  unspent.
-* ``SHARD_IMPORT`` (the target chain) carries the export, the evidence
-  of the source block that committed it, and the payloads that created
-  the exported outputs; delivery stores them and mints the outputs.
+* ``SHARD_CONSUME`` (a 2PC participant's chain, signed by that shard's
+  agent) lists as ``inputs`` the outputs committed cross-shard spends
+  took; ``evidence`` holds each spend with the home block that committed
+  it.
+* ``SHARD_EXPORT`` (a migration's ``source`` chain, signed by the reshard
+  controller) lists the outputs leaving for ``target``; delivery refuses
+  it unless every one is on this chain, unspent.
+* ``SHARD_IMPORT`` (the target chain, signed by the controller) carries
+  the export, the evidence of the source block that committed it, and
+  the payloads that created the exported outputs; delivery stores them
+  and mints the outputs.
 
 A cross-shard spend also carries its foreign inputs' payloads as envelope
 *attachments*, each with the evidence of the block that committed it —
@@ -24,13 +26,19 @@ Evidence is ``{"shard", "header", "cert"}``: the ``{height, previous,
 txs}`` header recomputes the id :meth:`Block.build` derives, and the
 certificate holds valid precommits of it from a quorum of the named
 shard's validators.  A certificate proves a transaction was *in* the
-block, not that DeliverTx accepted it.  So an import rests on the
-export's delivery rule as well (a source quorum ran it before the export
-could be certified), a consume on its spend's home commit, and clients
-never author these operations (the sharded facade's ingress gate refuses
-them).  Likewise an attachment proves its payload exists, not that the
-output is reserved: that is the participant's 2PC lock, and the home
-shard admits a spend of foreign outputs only at its commit point.
+block, not that DeliverTx accepted it.  What a block holds passed CheckTx
+at an honest quorum (validators prevote only blocks whose every
+transaction does), so a certified entry bears its author's signature;
+acceptance is the author's part: the controller imports only an export
+its source chain delivered, and an agent consumes only for a spend its
+home chain delivered.  The signature is what lets a replica take that
+on trust — an entry injected into a mempool or a byzantine proposal
+without it is refused at CheckTx and at DeliverTx.  Likewise an
+attachment proves its payload exists, not that the output is reserved:
+that is the participant's 2PC lock, and the home shard admits a spend of
+foreign outputs only at its commit point.  No verdict rests on the
+shared signature cache: it is keyed by the whole (key, message,
+signature) triple.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from typing import Any, Callable, Iterable
 from repro.common.errors import ValidationError
 from repro.consensus.bft import certifies
 from repro.crypto.hashing import hash_document
+from repro.crypto.keys import KeyPair, verify_signature
 
 SHARD_CONSUME = "SHARD_CONSUME"
 SHARD_EXPORT = "SHARD_EXPORT"
@@ -49,19 +58,27 @@ SYSTEM_OPERATIONS = frozenset({SHARD_CONSUME, SHARD_EXPORT, SHARD_IMPORT})
 #: shard id -> that shard's validator public keys (voter -> key).
 Keyring = dict[str, dict[str, str]]
 
+#: Entry author -> public key: each shard's 2PC agent under its shard id,
+#: the reshard controller under :data:`CONTROLLER`.
+Authors = dict[str, str]
+CONTROLLER = "reshard-controller"
+
 
 def is_entry(payload: dict[str, Any]) -> bool:
     return payload.get("operation") in SYSTEM_OPERATIONS
 
 
 def entry_id(entry: dict[str, Any]) -> str:
-    """Hash of everything but the id and the evidence: resubmitting the
-    same move with a fresher certificate is the same entry."""
-    return hash_document({k: v for k, v in entry.items() if k not in ("id", "evidence")})
+    """Hash of the body (not the id, evidence or signature): resubmitting
+    the same move with a fresher certificate is the same entry."""
+    return hash_document(
+        {k: v for k, v in entry.items() if k not in ("id", "evidence", "signature")}
+    )
 
 
-def _sealed(entry: dict[str, Any]) -> dict[str, Any]:
+def _sealed(entry: dict[str, Any], author: KeyPair) -> dict[str, Any]:
     entry["id"] = entry_id(entry)
+    entry["signature"] = author.sign(entry["id"].encode())
     return entry
 
 
@@ -80,28 +97,43 @@ def refs_of(entry: dict[str, Any]) -> list[tuple[str, int]]:
     ]
 
 
-def consume_entry(refs: Iterable[tuple[str, int]], spends: list[dict]) -> dict[str, Any]:
+def consume_entry(
+    refs: Iterable[tuple[str, int]], spends: list[dict], author: KeyPair
+) -> dict[str, Any]:
     """``spends``: one attachment (payload + evidence) per spending tx."""
-    return _sealed({"operation": SHARD_CONSUME, "inputs": _inputs(refs), "evidence": spends})
-
-
-def export_entry(migration_id: str, target: str, refs: Iterable[tuple[str, int]]) -> dict:
     return _sealed(
-        {"operation": SHARD_EXPORT, "migration": migration_id, "target": target, "inputs": _inputs(refs)}
+        {"operation": SHARD_CONSUME, "inputs": _inputs(refs), "evidence": spends}, author
     )
 
 
-def import_entry(export: dict, evidence: dict, payloads: list[dict]) -> dict[str, Any]:
+def export_entry(
+    migration_id: str, source: str, target: str, refs: Iterable[tuple[str, int]], author: KeyPair
+) -> dict[str, Any]:
+    """Names both shards, so that no other chain takes it."""
+    return _sealed(
+        {
+            "operation": SHARD_EXPORT,
+            "migration": migration_id,
+            "source": source,
+            "target": target,
+            "inputs": _inputs(refs),
+        },
+        author,
+    )
+
+
+def import_entry(export: dict, evidence: dict, payloads: list[dict], author: KeyPair) -> dict:
     payloads = sorted(payloads, key=lambda payload: payload["id"])
     return _sealed(
-        {"operation": SHARD_IMPORT, "export": export, "payloads": payloads, "evidence": evidence}
+        {"operation": SHARD_IMPORT, "export": export, "payloads": payloads, "evidence": evidence},
+        author,
     )
 
 
-def migration_order(export: dict[str, Any]) -> int:
-    """Sequence number of the migration an export belongs to (ids are
-    ``m-NNNN``, assigned in start order by the controller)."""
-    return int(export["migration"].rsplit("-", 1)[1])
+def migration_order(migration_id: str) -> int:
+    """Sequence number of a migration (ids are ``m-NNNN``, assigned in
+    start order by the controller): later hops of a ref sort later."""
+    return int(migration_id.rsplit("-", 1)[1])
 
 
 def imported_utxos(entry: dict[str, Any]) -> list[dict[str, Any]]:
@@ -161,9 +193,17 @@ def attached_payload(attachment: Any, keyring: Keyring, check: Callable[[dict], 
     return payload
 
 
-def verify_entry(entry: dict, keyring: Keyring, check: Callable[[dict], bool], shard_id: str) -> None:
-    """Everything about a system entry that needs no ledger: its id, and
-    that its evidence proves what it claims.
+def verify_entry(
+    entry: dict,
+    keyring: Keyring,
+    authors: Authors,
+    check: Callable[[dict], bool],
+    shard_id: str,
+) -> None:
+    """Everything about a system entry that needs no ledger: its id, its
+    author's signature of it, and that its evidence proves what it
+    claims.  A consume on ``shard_id``'s chain is authored by that
+    shard's agent, a cutover entry by the controller.
 
     Raises:
         ValidationError: naming the first failed check.
@@ -171,6 +211,14 @@ def verify_entry(entry: dict, keyring: Keyring, check: Callable[[dict], bool], s
     if entry.get("id") != entry_id(entry):
         raise ValidationError("entry id does not match its body", "evidence")
     operation = entry["operation"]
+    author = authors.get(shard_id if operation == SHARD_CONSUME else CONTROLLER)
+    signature = entry.get("signature")
+    if not (
+        author is not None
+        and isinstance(signature, str)
+        and verify_signature(author, entry["id"].encode(), signature)
+    ):
+        raise ValidationError(f"{operation} is not signed by its author", "evidence")
     if operation == SHARD_CONSUME:
         spent: set[tuple[str, int]] = set()
         for attachment in entry.get("evidence") or []:
@@ -180,6 +228,8 @@ def verify_entry(entry: dict, keyring: Keyring, check: Callable[[dict], bool], s
                 spent.add((fulfills.get("transaction_id"), fulfills.get("output_index")))
         if not refs_of(entry) or not set(refs_of(entry)) <= spent:
             raise ValidationError("consume names an output no certified spend took", "evidence")
+    elif operation == SHARD_EXPORT and entry.get("source") != shard_id:
+        raise ValidationError("export from another shard", "evidence")
     elif operation == SHARD_IMPORT:
         export = entry.get("export")
         if not (

@@ -70,7 +70,10 @@ class ServerCostModel:
             "ACCEPT_BID": 0.009,
             "RETURN": 0.005,
             # Cross-shard system entries read no ledger state beyond the
-            # outputs they name: the evidence check is their work.
+            # outputs they name.  Carried evidence (an entry's, or a
+            # spend's attachments) is charged by its bytes only, not by
+            # its certificates' precommit checks (benchmarks/EXPERIMENTS.md
+            # § Replay determinism has what charging them would cost).
             "SHARD_CONSUME": 0.002,
             "SHARD_EXPORT": 0.002,
             "SHARD_IMPORT": 0.002,
@@ -122,11 +125,13 @@ class SmartchainServer:
         self.validator = TransactionValidator()
         self.context = ValidationContext(self.database, reserved)
         self.nested = NestedTransactionProcessor(reserved.escrow, self.database)
-        #: The shard this node serves and every shard's validator keys
-        #: (set by a sharded deployment): what cross-shard evidence is
+        #: The shard this node serves, every shard's validator keys and
+        #: the system entries' authors' keys (set by a sharded
+        #: deployment): what cross-shard evidence and entry signatures are
         #: checked against (:mod:`repro.core.entries`).
         self.shard_id = ""
         self.shard_keys: dict[str, dict[str, str]] = {}
+        self.entry_authors: dict[str, str] = {}
         #: Optional :class:`~repro.telemetry.Telemetry` (set by the
         #: cluster); every site guards on it so a bare server pays zero.
         self.telemetry = None
@@ -192,9 +197,9 @@ class SmartchainServer:
         try:
             if is_entry(payload):
                 # A system entry spends what the locks and fences guard,
-                # by agents' decision: its evidence, not the guards or the
-                # client gates, decides.
-                verify_entry(payload, self.shard_keys, self.validator.check_tx, self.shard_id)
+                # by its author's decision: its signature and evidence,
+                # not the guards or the client gates, decide.
+                self._verify_entry(payload)
                 return True
             for attachment in envelope.attachments:
                 attached_payload(attachment, self.shard_keys, self.validator.check_tx)
@@ -285,10 +290,16 @@ class SmartchainServer:
             [attached_payload(item, self.shard_keys, check) for item in attachments]
         )
 
+    def _verify_entry(self, entry: dict[str, Any]) -> None:
+        verify_entry(
+            entry, self.shard_keys, self.entry_authors, self.validator.check_tx, self.shard_id
+        )
+
     def _validate_entry(self, entry: dict[str, Any]) -> None:
-        """DeliverTx of a system entry: its evidence, then the one ledger
-        rule — an export names only outputs this chain holds unspent."""
-        verify_entry(entry, self.shard_keys, self.validator.check_tx, self.shard_id)
+        """DeliverTx of a system entry: its signature and evidence, then
+        the one ledger rule — an export names only outputs this chain
+        holds unspent."""
+        self._verify_entry(entry)
         if entry["operation"] == SHARD_EXPORT:
             for tx_id, index in refs_of(entry):
                 self.context.require_committed(tx_id, "exported")

@@ -23,7 +23,7 @@ from repro.common.errors import ValidationError
 from repro.consensus.tendermint import tendermint_config
 from repro.core.cluster import ClusterConfig, SmartchainCluster, TxRecord
 from repro.core.driver import Driver, DriverCallback, SubmitResult
-from repro.core.entries import is_entry
+from repro.core.entries import CONTROLLER, is_entry
 from repro.durability.node import DurabilityConfig, NodeDurability
 from repro.metrics.collector import RunMetrics, collect_metrics
 from repro.sharding.coordinator import COORDINATOR_NODE, TwoPhaseCoordinator
@@ -108,8 +108,10 @@ class ShardedCluster:
         self.cross_records: dict[str, TxRecord] = {}
         self._cross_callbacks: dict[str, DriverCallback] = {}
         #: shard id -> its validators' public keys, shared by every node:
-        #: what cross-shard evidence is verified against.
+        #: what cross-shard evidence is verified against; and the system
+        #: entries' authors' keys (each shard's agent, the controller).
         self.shard_keys: dict[str, dict[str, str]] = {}
+        self.entry_authors: dict[str, str] = {}
         #: Elastic resharding controller; built after the initial shards
         #: so it can see them, consulted by commit/resync plumbing via
         #: getattr until then.
@@ -135,6 +137,7 @@ class ShardedCluster:
             ),
             telemetry=self.telemetry,
         )
+        self.entry_authors[CONTROLLER] = self.migrator.keypair.public_key
         for shard_id, agent in self.agents.items():
             self.migrator.attach_agent(shard_id, agent)
         # All shards derive the same reserved (escrow) accounts.
@@ -172,6 +175,7 @@ class ShardedCluster:
         self.shard_keys[shard_id] = cluster.engine.public_keys
         for server in cluster.servers.values():
             server.shard_keys = self.shard_keys
+            server.entry_authors = self.entry_authors
 
     def _build_agent(self, shard_id: str) -> None:
         agent = TwoPhaseCoordinator(
@@ -188,6 +192,7 @@ class ShardedCluster:
         )
         agent.telemetry = self.telemetry
         self.agents[shard_id] = agent
+        self.entry_authors[shard_id] = agent.keypair.public_key
         if self.migrator is not None:
             self.migrator.attach_agent(shard_id, agent)
 

@@ -29,8 +29,9 @@ The protocol per cross-shard transaction ``T`` homed on ``H``:
    and broadcasts COMMIT, with ``T``'s certified home block, or ABORT.
    Participants delete aborted locks and acknowledge.  Committed locks
    stay as tombstones and go on the participant's own chain in
-   ``SHARD_CONSUME`` entries (one in flight at a time, carrying every
-   decision queued meanwhile); a late replica gets them by catch-up.
+   ``SHARD_CONSUME`` entries its agent signs (one in flight at a time,
+   carrying every decision queued meanwhile); a late replica gets them
+   by catch-up.
 
 All messages and timers run on the shared simulated event loop, so
 :mod:`repro.sim.failures` schedules can kill either side mid-protocol.
@@ -58,8 +59,9 @@ from typing import Any, Callable
 
 from repro.common.errors import ValidationError
 from repro.core.cluster import SmartchainCluster
-from repro.core.entries import consume_entry
+from repro.core.entries import consume_entry, migration_order
 from repro.core.transaction import OutputRef
+from repro.crypto.keys import keypair_from_string
 from repro.durability.node import NodeDurability
 from repro.durability.recovery import checkpoint_state, recover
 from repro.sharding.router import RoutingDecision
@@ -122,6 +124,9 @@ class TwoPhaseCoordinator:
         self._peer = peer_lookup
         self._on_outcome = on_outcome
         self.crashed = False
+        #: Signs this shard's ``SHARD_CONSUME`` entries; replicas take
+        #: consumes only under this key (``ShardedCluster.entry_authors``).
+        self.keypair = keypair_from_string(f"shard-agent:{shard_id}")
         #: Optional persistence stack: when set, the outbox/locks tables
         #: journal through its group-commit WAL and the agent can be
         #: rebuilt purely from disk (:meth:`restart_from_disk`).
@@ -357,7 +362,7 @@ class TwoPhaseCoordinator:
         query = {"transaction_id": ref.transaction_id, "output_index": ref.output_index}
         hops = self.durable.collection("shard_migrations").find(query, copy=False)
         if hops:
-            latest = max(hops, key=lambda row: int(row["migration_id"].rsplit("-", 1)[1]))
+            latest = max(hops, key=lambda row: migration_order(row["migration_id"]))
             if latest["direction"] == "out":
                 return f"redirect:moved:{latest['peer']}"
         lock = self._locks.find_one(query, copy=False)
@@ -718,10 +723,11 @@ class TwoPhaseCoordinator:
         entry = consume_entry(
             (tuple(ref) for refs, _evidence in batch.values() for ref in refs),
             [evidence for _refs, evidence in batch.values()],
+            self.keypair,
         )
         self.stats["consumes"] += 1
         holders = list(batch)
-        if self.cluster.landed(entry["id"]) is not None:
+        if self.cluster.landed(entry["id"]):
             return self._consumed(holders, "committed")
         if self.cluster.submit_entry(
             entry, callback=lambda status, _detail: self._consumed(holders, status)

@@ -36,9 +36,10 @@ Phases of one migration (``planned`` is the initial state)::
   is trivially safe.
 * **cutover** — a forced ``cutover`` journal record carries the final
   moved set and payloads.  The move then happens on the two chains, in
-  order: a ``SHARD_EXPORT`` on the source (refused unless every moved
-  output is still unspent there — then the migration rolls back), and
-  once it is delivered a ``SHARD_IMPORT`` on the target, whose evidence
+  order, as entries the controller signs: a ``SHARD_EXPORT`` on the
+  source (refused unless every moved output is still unspent there —
+  then the migration rolls back), and once it is delivered a
+  ``SHARD_IMPORT`` on the target, whose evidence
   is the export block's commit certificate (:mod:`repro.core.entries`):
   the target cannot own an output before the source let it go.  Then
   both agents record ``shard_migrations`` redirect rows (forced) and the
@@ -78,8 +79,9 @@ from typing import Any, Callable
 
 from repro.common.encoding import deep_copy_json
 from repro.common.errors import MigrationError
-from repro.core.entries import export_entry, import_entry
+from repro.core.entries import CONTROLLER, export_entry, import_entry
 from repro.core.transaction import OutputRef
+from repro.crypto.keys import keypair_from_string
 from repro.durability.recovery import checkpoint_state, recover
 from repro.storage.database import Database
 
@@ -215,6 +217,9 @@ class ReshardController:
         self.durability = durability
         self.telemetry = telemetry
         self.crashed = False
+        #: Signs the cutovers' ``SHARD_EXPORT`` / ``SHARD_IMPORT`` entries
+        #: (replicas take them only under this key).
+        self.keypair = keypair_from_string(CONTROLLER)
         self._loop = deployment.loop
         self._epoch = 0
         self.migrations: dict[str, ShardMigration] = {}
@@ -596,7 +601,9 @@ class ReshardController:
         deployment = self.deployment
         source, target = deployment.shards[m.source], deployment.shards[m.target]
         if m.export is None:
-            m.export = export_entry(m.migration_id, m.target, [(r[0], r[1]) for r in m.moved])
+            m.export = export_entry(
+                m.migration_id, m.source, m.target, [(r[0], r[1]) for r in m.moved], self.keypair
+            )
         landed = self._landed(source, m.export)
         if landed is False:
             return self._rollback(m, "the source chain refused the export", cutover=True)
@@ -608,7 +615,10 @@ class ReshardController:
                 return self._stall(m)
             creators = sorted({row[0] for row in m.moved})
             m.import_ = import_entry(
-                m.export, evidence, [deep_copy_json(m.plan[tx_id]) for tx_id in creators]
+                m.export,
+                evidence,
+                [deep_copy_json(m.plan[tx_id]) for tx_id in creators],
+                self.keypair,
             )
         if not self._landed(target, m.import_):
             return self._await_entry(m, target, m.import_)
@@ -669,19 +679,9 @@ class ReshardController:
 
     @staticmethod
     def _landed(cluster, entry: dict[str, Any]) -> bool | None:
-        """Once a block of ``cluster`` carried ``entry``: whether DeliverTx
-        accepted it, read on a live node that applied the block (every
-        replica judges alike).  None while it is in flight."""
-        height = cluster.landed(entry["id"])
-        if height is None:
-            return None
-        for node_id in cluster.engine.validator_order:
-            if cluster.network.is_crashed(node_id):
-                continue
-            if len(cluster.engine.validator(node_id).chain) >= height:
-                transactions = cluster.servers[node_id].database.collection("transactions")
-                return transactions.find_one({"id": entry["id"]}, copy=False) is not None
-        return None
+        """Whether ``cluster``'s chain delivered ``entry`` (True) or
+        refused it (False); None while it is in flight."""
+        return cluster.landed(entry["id"])
 
     def _await_entry(self, m: ShardMigration, cluster, entry: dict[str, Any]) -> None:
         """Submit a cutover entry, and again every :data:`RESUBMIT_TICKS`

@@ -717,12 +717,12 @@ def no_key_lost(plane: FaultPlane) -> list[str]:
 
 def no_key_duplicated(plane: FaultPlane) -> list[str]:
     """No migrated output is spendable on two shards, or on any shard
-    but its final owner.
+    but its final owner, and nothing a rolled-back migration planned
+    surfaces on its target.
 
     The double-spend enabler this catches: an import that materialized
     the target copy while the source kept its own — both shards would
-    accept a spend of the same output.  (A rolled-back migration wrote
-    nothing to its target: imports follow only a delivered export.)"""
+    accept a spend of the same output."""
     migrator = _migrator(plane)
     if migrator is None:
         return []
@@ -747,6 +747,30 @@ def no_key_duplicated(plane: FaultPlane) -> list[str]:
                 f"migrated output {tx_id[:8]}:{index} lives on {holders[0]} "
                 f"but the migration journal homes it on {owner}"
             )
+    # Presumed abort leaves no residue: a rolled-back migration never
+    # reached cutover, so none of its planned refs may have a UTXO
+    # document on its target (unless a *later* done migration moved the
+    # ref there legitimately).
+    for doc in sorted(
+        migrator._journal.find({"phase": "rolled_back"}, copy=False),
+        key=lambda d: d["migration_id"],
+    ):
+        target = doc["target"]
+        if target not in plane.shard_ids:
+            continue
+        server = _reference_server(plane.shard_cluster(target))
+        utxos = server.database.collection("utxos")
+        for row in doc.get("planned_refs") or []:
+            ref = (row[0], row[1])
+            if final_home.get(ref) == target:
+                continue
+            if utxos.find_one(
+                {"transaction_id": ref[0], "output_index": ref[1]}, copy=False
+            ) is not None:
+                violations.append(
+                    f"rolled-back migration {doc['migration_id']} left "
+                    f"{ref[0][:8]}:{ref[1]} behind on target {target}"
+                )
     return violations
 
 
@@ -796,6 +820,7 @@ def replay_determinism(plane: FaultPlane) -> dict[str, dict[str, tuple[int, int]
         template = shard.servers[reference]
         replay = SmartchainServer(f"replay-{shard_id}", shard.reserved)
         replay.shard_id, replay.shard_keys = template.shard_id, template.shard_keys
+        replay.entry_authors = template.entry_authors
         if shard.config.enable_extensions:
             from repro.core.extensions import register_marketplace_extensions
 

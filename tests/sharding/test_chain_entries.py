@@ -3,9 +3,10 @@
 A cross-shard spend's attachments and the ``SHARD_*`` system entries are
 trusted only for what their evidence proves: a payload inside a block
 whose ``{height, previous, txs}`` header recomputes the certified id,
-under a quorum of valid precommits from the named shard.  These tests
-forge each part and expect a refusal — at CheckTx, at DeliverTx, and, for
-a client posing as an agent, at the sharded facade's ingress gate.
+under a quorum of valid precommits from the named shard; and a system
+entry only under its author's signature.  These tests forge each part and
+expect a refusal — at CheckTx, at DeliverTx, and, for a client posing as
+an agent, at the sharded facade's ingress gate.
 """
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from repro.common.encoding import canonical_bytes, deep_copy_json
 from repro.common.errors import ValidationError
 from repro.consensus.abci import envelope_for
-from repro.core.entries import attached_payload, consume_entry
+from repro.core.entries import attached_payload, consume_entry, export_entry
 from repro.crypto import sigcache
 from repro.crypto.keys import keypair_from_string
 from repro.sharding import ShardedCluster, ShardedClusterConfig
@@ -148,7 +149,9 @@ class TestIngressGate:
         DeliverTx accepted the spend, so only the agents may cite one)."""
         cluster = _cluster()
         _, create = _mint(cluster, "gate")
-        entry = consume_entry([(create.tx_id, 0)], [_attachment(cluster, create)])
+        entry = consume_entry(
+            [(create.tx_id, 0)], [_attachment(cluster, create)], keypair_from_string("client")
+        )
         outcomes = []
         result = cluster.submit_payload(entry, callback=lambda s, d: outcomes.append((s, d)))
         cluster.run()
@@ -196,3 +199,136 @@ class TestCarriedPayloads:
         assert cluster.shards[target].any_server().database.collection("utxos").find_one(
             {"transaction_id": create.tx_id, "output_index": 0}
         ) is None
+
+    def test_an_export_is_taken_only_by_its_source_chain(self):
+        """The controller's genuine export, replayed onto another shard
+        that holds the outputs it names, is refused there."""
+        cluster = ShardedCluster(ShardedClusterConfig(n_shards=3, seed=21))
+        _, create = _mint(cluster, "replayed")
+        source = cluster.router.home_of_tx(create.tx_id)
+        other = next(shard for shard in cluster.shard_ids if shard != source)
+        refs = [(create.tx_id, 0)]
+        keypair = cluster.migrator.keypair
+        for shard, expected in ((source, True), (other, False)):
+            export = export_entry("m-0001", source, other, refs, keypair)
+            server = cluster.shards[shard].any_server()
+            assert server.check_tx(envelope_for(export, export["id"], 1)) is expected
+
+
+class TestEntryAuthors:
+    """Only an entry's author may write it: a shard's agent its consumes,
+    the reshard controller the cutovers.  Entries injected straight into
+    a validator's intake — past the facade, as the adversarial workload
+    does — are refused at CheckTx and at DeliverTx, and the output they
+    name stays spendable."""
+
+    def _refused_spend(self, cluster):
+        """A cross-shard spend a home block carried but DeliverTx refused:
+        ``spend`` takes ``create:0`` (on ``origin``) and ``local:0`` (on
+        ``home``), and a rival spend of ``local:0`` enters the home
+        mempools just ahead of it."""
+        owner = keypair_from_string("refused-owner")
+        create = cluster.driver.prepare_create(
+            owner, {"n": 1}, recipients=[(owner.public_key, 1), (owner.public_key, 1)]
+        )
+        assert cluster.submit_and_settle(create.to_dict()).committed_at is not None
+        origin = cluster.router.home_of_tx(create.tx_id)
+        home = next(shard for shard in cluster.shard_ids if shard != origin)
+        key = next(
+            f"k-{index}" for index in range(512) if cluster.ring.shard_for(f"k-{index}") == home
+        )
+
+        def transfer(spent, tag):
+            return cluster.driver.prepare_transfer(
+                owner, spent, create.tx_id, [(keypair_from_string(tag).public_key, 1)]
+                if tag != "owner" else [(owner.public_key, sum(s[2] for s in spent))],
+                metadata={SHARD_KEY_METADATA: key, "tag": tag},
+            )
+
+        local = transfer([(create.tx_id, 1, 1)], "owner")
+        assert cluster.submit_and_settle(local.to_dict()).committed_at is not None
+        assert cluster.router.home_of_tx(local.tx_id) == home
+        spend = transfer([(create.tx_id, 0, 1), (local.tx_id, 0, 1)], "owner")
+        rival = transfer([(local.tx_id, 0, 1)], "rival")
+        rival_payload = rival.to_dict()
+        rival_envelope = envelope_for(rival_payload, rival.tx_id, len(canonical_bytes(rival_payload)))
+        home_cluster = cluster.shards[home]
+        validators = [home_cluster.engine.validator(n) for n in home_cluster.engine.validator_order]
+        intakes = {validator.node_id: validator.submit_transaction for validator in validators}
+
+        def submit(envelope, gossip, receiver):
+            # The spend reaches its receiver: the rival is in every home
+            # mempool first, so whichever node proposes puts it ahead.
+            for node_id, intake in intakes.items():
+                assert intake(rival_envelope, gossip=False)
+            for validator in validators:
+                del validator.submit_transaction
+            return intakes[receiver.node_id](envelope, gossip)
+
+        for receiver in validators:
+            receiver.submit_transaction = lambda envelope, gossip=True, receiver=receiver: (
+                submit(envelope, gossip, receiver)
+            )
+        record = cluster.submit_and_settle(spend.to_dict())
+        assert record.committed_at is None and record.rejected
+        validator = validators[0]
+        height = next(
+            block.height
+            for block in validator.chain
+            if spend.tx_id in [envelope.tx_id for envelope in block.transactions]
+        )
+        assert home_cluster.landed(spend.tx_id) is False
+        evidence = {
+            "shard": home,
+            "header": validator.chain[height - 1].header,
+            "cert": validator.commit_certs[height],
+            "payload": spend.to_dict(),
+        }
+        return owner, create, origin, home, evidence
+
+    def test_forged_export_and_consume_are_refused_and_the_output_stays_spendable(self):
+        cluster = _cluster()
+        owner, create, origin, home, evidence = self._refused_spend(cluster)
+        # The evidence is genuine: a quorum certified the block holding
+        # the spend.  Only DeliverTx refused it.
+        assert attached_payload(evidence, cluster.shard_keys, _check(cluster))["id"] == evidence["payload"]["id"]
+        mallory = keypair_from_string("mallory")
+        consume = consume_entry([(create.tx_id, 0)], [evidence], mallory)
+        export = export_entry("m-0099", origin, home, [(create.tx_id, 0)], mallory)
+        unsigned = {k: v for k, v in consume_entry(
+            [(create.tx_id, 0)], [evidence], cluster.agents[origin].keypair
+        ).items() if k != "signature"}
+        shard = cluster.shards[origin]
+        for entry in (consume, export, unsigned):
+            envelope = envelope_for(entry, entry["id"], len(canonical_bytes(entry)))
+            for node_id in shard.engine.validator_order:
+                assert shard.servers[node_id].check_tx(envelope) is False
+                assert shard.servers[node_id].deliver_tx(envelope) is False
+                assert shard.engine.validator(node_id).submit_transaction(envelope) is False
+        cluster.run()
+        for entry in (consume, export):
+            assert shard.landed(entry["id"]) is None
+        for server in shard.servers.values():
+            assert server.database.collection("utxos").find_one(
+                {"transaction_id": create.tx_id, "output_index": 0}
+            ) is not None
+        payee = keypair_from_string("payee").public_key
+        spend = cluster.driver.prepare_transfer(owner, [(create.tx_id, 0, 1)], create.tx_id, [(payee, 1)])
+        record = cluster.submit_and_settle(spend.to_dict())
+        assert record.committed_at is not None, record.rejected
+
+    def test_a_consume_is_authored_by_its_own_shards_agent(self):
+        """Another shard's agent cannot sign for this shard; this shard's
+        agent gets past the signature check to the evidence check."""
+        cluster = _cluster()
+        _, create = _mint(cluster, "authored")
+        origin = cluster.router.home_of_tx(create.tx_id)
+        other = next(shard for shard in cluster.shard_ids if shard != origin)
+        server = cluster.shards[other].any_server()
+        attachment = _attachment(cluster, create)
+        foreign = consume_entry([(create.tx_id, 0)], [attachment], cluster.agents[origin].keypair)
+        with pytest.raises(ValidationError, match="not signed by its author"):
+            server._verify_entry(foreign)
+        own = consume_entry([(create.tx_id, 0)], [attachment], cluster.agents[other].keypair)
+        with pytest.raises(ValidationError, match="no certified spend took"):
+            server._verify_entry(own)
