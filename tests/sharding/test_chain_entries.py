@@ -319,7 +319,8 @@ class TestEntryAuthors:
 
     def test_a_consume_is_authored_by_its_own_shards_agent(self):
         """Another shard's agent cannot sign for this shard; this shard's
-        agent gets past the signature check to the evidence check."""
+        agent gets past the signature check to the evidence check — with
+        the signature cache off and with a cold one."""
         cluster = _cluster()
         _, create = _mint(cluster, "authored")
         origin = cluster.router.home_of_tx(create.tx_id)
@@ -327,8 +328,13 @@ class TestEntryAuthors:
         server = cluster.shards[other].any_server()
         attachment = _attachment(cluster, create)
         foreign = consume_entry([(create.tx_id, 0)], [attachment], cluster.agents[origin].keypair)
-        with pytest.raises(ValidationError, match="not signed by its author"):
-            server._verify_entry(foreign)
         own = consume_entry([(create.tx_id, 0)], [attachment], cluster.agents[other].keypair)
-        with pytest.raises(ValidationError, match="no certified spend took"):
-            server._verify_entry(own)
+        for cache in (None, sigcache.SignatureCache()):
+            previous = sigcache.set_shared_cache(cache)
+            try:
+                with pytest.raises(ValidationError, match="not signed by its author"):
+                    server._verify_entry(foreign)
+                with pytest.raises(ValidationError, match="no certified spend took"):
+                    server._verify_entry(own)
+            finally:
+                sigcache.set_shared_cache(previous)
