@@ -90,19 +90,19 @@ class ValidationContext:
                 holder = guard(ref)
                 if holder is not None:
                     return holder
-        query = {
-            "inputs.fulfills.transaction_id": ref.transaction_id,
-            "inputs": {
-                "$elemMatch": {
-                    "fulfills.transaction_id": ref.transaction_id,
-                    "fulfills.output_index": ref.output_index,
-                }
+        spender = self._database.collection("transactions").find_one(
+            {
+                "inputs.fulfills.transaction_id": ref.transaction_id,
+                "inputs": {
+                    "$elemMatch": {
+                        "fulfills.transaction_id": ref.transaction_id,
+                        "fulfills.output_index": ref.output_index,
+                    }
+                },
             },
-        }
-        spender = self._database.collection("transactions").find_one(query, copy=False)
-        if spender is None:
-            return None
-        if spender.get("operation") == SHARD_EXPORT:
+            copy=False,
+        )
+        if spender is not None and spender.get("operation") == SHARD_EXPORT:
             # Exported, unless a later migration imported it back: then
             # the utxo row the import minted says it is live here again.
             live = self._database.collection("utxos").find_one(
@@ -111,7 +111,7 @@ class ValidationContext:
             )
             if live is not None:
                 return None
-        return spender["id"]
+        return spender["id"] if spender else None
 
     def require_unspent(self, ref: OutputRef) -> None:
         """Raise if ``ref`` was already spent (double-spend protection).
