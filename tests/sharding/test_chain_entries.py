@@ -238,37 +238,37 @@ class TestEntryAuthors:
             f"k-{index}" for index in range(512) if cluster.ring.shard_for(f"k-{index}") == home
         )
 
-        def transfer(spent, tag):
+        def transfer(spent, recipient):
+            amount = sum(share for _tx_id, _index, share in spent)
             return cluster.driver.prepare_transfer(
-                owner, spent, create.tx_id, [(keypair_from_string(tag).public_key, 1)]
-                if tag != "owner" else [(owner.public_key, sum(s[2] for s in spent))],
-                metadata={SHARD_KEY_METADATA: key, "tag": tag},
+                owner, spent, create.tx_id, [(recipient, amount)],
+                metadata={SHARD_KEY_METADATA: key},
             )
 
-        local = transfer([(create.tx_id, 1, 1)], "owner")
+        local = transfer([(create.tx_id, 1, 1)], owner.public_key)
         assert cluster.submit_and_settle(local.to_dict()).committed_at is not None
         assert cluster.router.home_of_tx(local.tx_id) == home
-        spend = transfer([(create.tx_id, 0, 1), (local.tx_id, 0, 1)], "owner")
-        rival = transfer([(local.tx_id, 0, 1)], "rival")
+        spend = transfer([(create.tx_id, 0, 1), (local.tx_id, 0, 1)], owner.public_key)
+        rival = transfer([(local.tx_id, 0, 1)], keypair_from_string("rival").public_key)
         rival_payload = rival.to_dict()
         rival_envelope = envelope_for(rival_payload, rival.tx_id, len(canonical_bytes(rival_payload)))
         home_cluster = cluster.shards[home]
         validators = [home_cluster.engine.validator(n) for n in home_cluster.engine.validator_order]
-        intakes = {validator.node_id: validator.submit_transaction for validator in validators}
+        intakes = [validator.submit_transaction for validator in validators]
 
-        def submit(envelope, gossip, receiver):
-            # The spend reaches its receiver: the rival is in every home
-            # mempool first, so whichever node proposes puts it ahead.
-            for node_id, intake in intakes.items():
-                assert intake(rival_envelope, gossip=False)
-            for validator in validators:
-                del validator.submit_transaction
-            return intakes[receiver.node_id](envelope, gossip)
+        def rival_first(intake):
+            def submit(envelope, gossip=True):
+                # The spend reaches its receiver: the rival goes into every
+                # home mempool first, so it is delivered ahead of the spend.
+                for validator, own in zip(validators, intakes):
+                    del validator.submit_transaction
+                    assert own(rival_envelope, gossip=False)
+                return intake(envelope, gossip)
 
-        for receiver in validators:
-            receiver.submit_transaction = lambda envelope, gossip=True, receiver=receiver: (
-                submit(envelope, gossip, receiver)
-            )
+            return submit
+
+        for validator, intake in zip(validators, intakes):
+            validator.submit_transaction = rival_first(intake)
         record = cluster.submit_and_settle(spend.to_dict())
         assert record.committed_at is None and record.rejected
         validator = validators[0]
