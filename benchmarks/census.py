@@ -104,7 +104,6 @@ KEPT_DEFS = {
     "repro.durability.wal.valid_prefix_length": "torn-tail probe the WAL tests assert against",
     "repro.durability.wal.SegmentedWal": _TESTS,
     "repro.durability.wal._head": "frame-header read of a torn tail; only torn-write power failures reach it",
-    "repro.durability.recovery.scan_delivered_blocks": "the replay ChangeFeed.bootstrap runs",
     "repro.storage.compiler": "MongoDB query operators: the ad-hoc query surface of the "
     "queryability claim; the workloads' reads use $eq / $gte / $lt only",
     "repro.storage.collection.Collection.explain": "query-plan introspection the probe tests use",
@@ -115,9 +114,7 @@ KEPT_DEFS = {
     "repro.schema.validator.SchemaValidator._check_any_of": "JSON-schema anyOf; no shipped schema uses it",
     "repro.yamlite.parser._Parser": "YAML-subset grammar no shipped schema exercises",
     "repro.consensus.byzantine": "catch-up refusal of a lagging lying replica; sweep seeds reach it",
-    "repro.views.feed.ChangeFeed.bootstrap": "replays snapshot + WAL into a feed on an existing log",
     "repro.views.manager.ViewManager._close_request": "an ACCEPT_BID applied before its REQUEST's block",
-    "repro.views.manager.ViewManager.heights": _TESTS,
     "repro.views.manager.ViewManager.referencing": "views side of the analytics per-request lookups",
     "repro.analytics.common.ViewSource.referencing": "views side of the analytics per-request lookups",
     "repro.analytics.queries.MarketplaceAnalytics.holdings": "wallet holdings; golden-parity tests",
@@ -173,7 +170,6 @@ KEPT_OPTIONS = {
     "QuorumChainConfig.initial_balance": "the Ethereum baseline's model (the paper's comparison system)",
     "ShardedClusterConfig.virtual_nodes": "handed to ConsistentHashRing, whose ring tests vary it",
     "ShardedClusterConfig.telemetry_enabled": "the facade's twin of ClusterConfig.telemetry_enabled",
-    "ShardedClusterConfig.views": "the facade's twin of ClusterConfig.views; read-path tests set it",
     "SimtestConfig.max_block_txs": _BUNDLED,
     "SimtestConfig.step_duration": _BUNDLED,
     "SimtestConfig.transfer_rate": _BUNDLED,

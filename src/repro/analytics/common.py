@@ -15,7 +15,7 @@ Two things live here, both extracted from near-identical inline code in
 2. **The read-source abstraction.**  Analytics queries are phrased
    against a :class:`ReadSource` — either a :class:`ScanSource` over the
    transactions collection (the original per-call rescan) or a
-   :class:`ViewSource` over the WAL-fed materialized views
+   :class:`ViewSource` over the commit-fed materialized views
    (:mod:`repro.views`).  Crucially, the spend-graph walk matches
    spenders on the exact ``(transaction_id, output_index)`` pair — the
    same rule validation applies in

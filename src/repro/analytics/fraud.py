@@ -54,12 +54,9 @@ class FraudAnalyzer:
         self._mode = source
 
     def _source(self):
-        if self._mode != "scan":
-            views = getattr(self._server, "views", None)
-            if views is not None and (
-                self._mode == "views" or self._server.views_current()
-            ):
-                return ViewSource(views)
+        views = getattr(self._server, "views", None) if self._mode != "scan" else None
+        if views is not None:
+            return ViewSource(views)
         return ScanSource(self._transactions)
 
     def self_dealing(self) -> list[Finding]:

@@ -9,11 +9,10 @@ analysis or other business decision-making tasks."
 
 With the declarative model all of that is plain data in indexed
 collections.  This module answers those queries against a node's
-:class:`~repro.core.server.SmartchainServer` state — from the WAL-fed
-materialized views (:mod:`repro.views`) when the node has them and they
-are current, falling back to collection scans otherwise.  The
-``source`` argument forces one path (``"views"`` / ``"scan"``), which is
-how the golden parity suite asserts both answer identically.
+:class:`~repro.core.server.SmartchainServer` state — from the commit-fed
+materialized views (:mod:`repro.views`) when the node has them, from
+collection scans otherwise.  ``source="scan"`` forces the scans, which
+is how the golden parity suite asserts both answer identically.
 
 Custody walks (``provenance``) follow the **exact**
 ``(transaction_id, output_index)`` spend reference — the same rule
@@ -78,12 +77,7 @@ class MarketplaceAnalytics:
         """The ViewManager, when this query run may serve from views."""
         if self._mode == "scan":
             return None
-        views = getattr(self._server, "views", None)
-        if views is None:
-            return None
-        if self._mode == "views" or self._server.views_current():
-            return views
-        return None
+        return getattr(self._server, "views", None)
 
     def _source(self):
         views = self._active_views()

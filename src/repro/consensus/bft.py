@@ -108,6 +108,9 @@ class CommitRecord:
     block: Block
     committed_at: float
     node_id: str
+    #: The envelopes DeliverTx accepted, in block order (a block can carry
+    #: transactions it then refuses; every replica refuses the same ones).
+    delivered: list[TxEnvelope]
 
 
 class Validator:
@@ -493,7 +496,7 @@ class Validator:
                 record["cert"] = cert
                 body["cert"] = self._cert_body(block.height, cert)
             self.persistence.journal(record, body=splice_object(body))
-        self.engine.record_commit(self.node_id, block)
+        self.engine.record_commit(self.node_id, block, delivered)
 
     def _build_commit_cert(self, block: Block) -> dict | None:
         """Quorum of verified precommit signatures for a committed block:
@@ -747,12 +750,14 @@ class BftEngine:
     def validator(self, node_id: str) -> Validator:
         return self.validators[node_id]
 
-    def record_commit(self, node_id: str, block: Block) -> None:
+    def record_commit(self, node_id: str, block: Block, delivered: list[TxEnvelope]) -> None:
         """Record the first commit of each height (cluster-level event)."""
         if block.height in self._first_commit_heights:
             return
         self._first_commit_heights.add(block.height)
-        record = CommitRecord(block=block, committed_at=self.loop.clock.now, node_id=node_id)
+        record = CommitRecord(
+            block=block, committed_at=self.loop.clock.now, node_id=node_id, delivered=delivered
+        )
         self.commits.append(record)
         for listener in self.commit_listeners:
             listener(record)

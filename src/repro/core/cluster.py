@@ -71,16 +71,12 @@ class ClusterConfig:
     #: Per-node durability stack (WAL + group commit + snapshots).  None
     #: keeps the abstract always-durable storage model; set to a
     #: :class:`~repro.durability.node.DurabilityConfig` to journal every
-    #: mutation and enable :meth:`SmartchainCluster.restart_node_from_disk`.
+    #: mutation, enable :meth:`SmartchainCluster.restart_node_from_disk`
+    #: and serve reads from the commit-fed views (:mod:`repro.views`).
     durability: DurabilityConfig | None = None
     #: Master telemetry switch: False keeps the registry/tracer/flight
     #: recorder constructed but dormant (one attribute read per hot site).
     telemetry_enabled: bool = True
-    #: WAL-fed materialized views (:mod:`repro.views`).  None = auto:
-    #: enabled whenever durability is on (the feed tails the WAL, so a
-    #: volatile deployment has nothing to tail).  False disables even on
-    #: durable deployments.
-    views: bool | None = None
     #: Fraction of transactions whose lifecycle timeline is traced.
     #: Metrics (histograms/counters/gauges) are never sampled.
     trace_sample_rate: float = DEFAULT_SAMPLE_RATE
@@ -190,34 +186,21 @@ class SmartchainCluster:
 
         #: Deployment-level :class:`~repro.views.ViewManager` (shared by
         #: a sharded facade, owned by a standalone durable cluster, None
-        #: when disabled or volatile) and the live feeds tailing each
-        #: node's group-commit log into it.
-        self.views = views
-        self.view_feeds: list = []
-        views_enabled = (
-            self.config.views if self.config.views is not None else True
-        ) and self.config.durability is not None
-        if views_enabled:
+        #: when volatile), fed once per height by this shard's commits.
+        self.views = None
+        if self.config.durability is not None:
             from repro.views import ChangeFeed, ViewManager
 
-            if self.views is None:
-                self.views = ViewManager(
-                    telemetry=self.telemetry, telemetry_label=self.view_shard_key
-                )
-            for node_id, durability in self.node_durability.items():
-                # One feed per node: every replica journals every block,
-                # and the manager's per-shard height cursor collapses the
-                # n-way duplication.  reopen() keeps the log object across
-                # restart-from-disk, so these subscriptions are permanent.
-                self.view_feeds.append(
-                    ChangeFeed(self.views, self.view_shard_key, durability.log)
-                )
-            for node_id, server in self.servers.items():
+            self.views = views if views is not None else ViewManager(
+                telemetry=self.telemetry, telemetry_label=self.view_shard_key
+            )
+            # Ahead of _on_block_commit: the views apply a block before
+            # any commit callback fires.
+            feed = ChangeFeed(self.views, self.view_shard_key)
+            self.engine.commit_listeners.append(feed._on_flush)
+            for server in self.servers.values():
                 server.views = self.views
                 server.views_shard = self.view_shard_key
-                server.chain_height_provider = (
-                    lambda nid=node_id: len(self.engine.validator(nid).chain)
-                )
 
         self.driver = Driver(self)
         self.records: dict[str, TxRecord] = {}
@@ -443,10 +426,7 @@ class SmartchainCluster:
         # proves inclusion, not acceptance): that one is rejected, not
         # committed — its callback must not tell a 2PC coordinator
         # otherwise.
-        blocks = self.servers[record.node_id].database.collection("blocks")
-        delivered = set(
-            blocks.find_one({"height": record.block.height}, copy=False)["transaction_ids"]
-        )
+        delivered = {envelope.tx_id for envelope in record.delivered}
         for envelope in record.block.transactions:
             tx_record = self.records.get(envelope.tx_id)
             if envelope.tx_id not in delivered:

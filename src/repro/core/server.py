@@ -18,7 +18,7 @@ validation set, stateful), ``commit_block`` (persist + trigger children).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.encoding import deep_copy_json
 from repro.common.errors import DuplicateKeyError, ValidationError
@@ -138,15 +138,11 @@ class SmartchainServer:
         self.telemetry_label = node_id
         #: Optional :class:`~repro.views.ViewManager` + the shard key this
         #: node's blocks apply under (set by the cluster in durable
-        #: deployments).  When the views have applied every block this
-        #: node has committed, reads serve from them instead of scanning
-        #: collections; otherwise they fall back to the scan path.
+        #: deployments).  Reads serve from them instead of scanning
+        #: collections: they apply each block at its first commit, so no
+        #: node's chain is ahead of them.
         self.views = None
         self.views_shard = ""
-        #: Callable returning this node's committed chain height — the
-        #: freshness bar a view must clear before it may answer for the
-        #: scan (wired to the consensus validator by the cluster).
-        self.chain_height_provider: Callable[[], int] | None = None
         #: Which side served each read (always counted, unlike telemetry).
         self.read_stats = {"view_served": 0, "scan_fallback": 0}
         self.stats = {
@@ -433,17 +429,6 @@ class SmartchainServer:
     def get_transaction(self, tx_id: str) -> dict[str, Any] | None:
         return self.database.collection("transactions").find_one({"id": tx_id})
 
-    def views_current(self) -> bool:
-        """May the materialized views answer for this node right now?
-
-        True when the view layer has applied at least as many of this
-        shard's blocks as this node has committed — a view answer is then
-        a superset-in-time of the node's own state, never stale.
-        """
-        if self.views is None or self.chain_height_provider is None:
-            return False
-        return self.views.height(self.views_shard) >= self.chain_height_provider()
-
     def _count_read(self, served_from: str) -> None:
         self.read_stats[served_from] += 1
         tel = self.telemetry
@@ -457,20 +442,17 @@ class SmartchainServer:
         the query the paper's Section 2.1 laments smart contracts cannot
         answer ("finding open service requests for 3-D printing").
 
-        ``source`` selects the read path: ``"auto"`` serves from the
-        WAL-fed materialized views whenever they are at least as fresh as
-        this node's chain (falling back to the collection scan), while
-        ``"views"`` / ``"scan"`` force one side (golden parity tests).
+        ``source`` selects the read path: ``"auto"`` and ``"views"``
+        serve from the commit-fed materialized views when they are
+        attached, ``"scan"`` scans the collections (the reference path of
+        the golden parity tests).
         """
         if source != "scan" and self.views is not None:
-            if source == "views" or self.views_current():
-                self._count_read("view_served")
-                return [
-                    deep_copy_json(request)
-                    for request in self.views.open_requests(
-                        capability, shard=self.views_shard
-                    )
-                ]
+            self._count_read("view_served")
+            return [
+                deep_copy_json(request)
+                for request in self.views.open_requests(capability, shard=self.views_shard)
+            ]
         self._count_read("scan_fallback")
         # Scan zero-copy; only the surviving open requests are copied for
         # the caller, instead of every committed REQUEST.
@@ -499,8 +481,7 @@ class SmartchainServer:
         Same ``source`` contract as :meth:`open_requests`.
         """
         if source != "scan" and self.views is not None:
-            if source == "views" or self.views_current():
-                self._count_read("view_served")
-                return self.views.owned_outputs_for(public_key, shard=self.views_shard)
+            self._count_read("view_served")
+            return self.views.owned_outputs_for(public_key, shard=self.views_shard)
         self._count_read("scan_fallback")
         return self.database.collection("utxos").find({"public_keys": public_key})

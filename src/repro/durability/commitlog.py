@@ -61,11 +61,6 @@ class GroupCommitLog:
         self._flush_handle: EventHandle | None = None
         #: Hook run after every flush (the snapshot cadence check).
         self.after_flush: Callable[[], None] | None = None
-        #: Durable-record subscribers (change feeds).  Each is called with
-        #: the flushed batch as ``[(lsn, record), ...]`` *after* the
-        #: backend sync — a listener only ever observes records that will
-        #: survive a power failure.
-        self.listeners: list[Callable[[list[tuple[int, dict[str, Any]]]], None]] = []
         self.stats = {"appends": 0, "flushes": 0, "flushed_records": 0}
         #: Optional :class:`~repro.telemetry.Telemetry` (set by the cluster).
         self.telemetry = None
@@ -115,10 +110,8 @@ class GroupCommitLog:
             return
         batch, self._queue = self._queue, []
         last_lsn = 0
-        flushed: list[tuple[int, dict[str, Any]]] = []
         for record, _, body in batch:
             last_lsn = self.wal.append(record, body)
-            flushed.append((last_lsn, record))
         self.wal.sync()
         self.stats["flushes"] += 1
         self.stats["flushed_records"] += len(batch)
@@ -148,8 +141,6 @@ class GroupCommitLog:
                                     batch=len(batch),
                                 )
         self._batch_opened_at = None
-        for listener in self.listeners:
-            listener(flushed)
         for _, on_durable, _ in batch:
             if on_durable is not None:
                 on_durable(last_lsn)

@@ -37,7 +37,6 @@ from typing import Any, Callable
 from repro.common.encoding import (
     canonical_bytes,
     canonical_serialize,
-    deep_copy_json,
     object_pieces,
     splice_array,
 )
@@ -302,50 +301,3 @@ def recover(durability: Any, database_factory: Callable[[], Database], repair: b
         wal.snapshot_lsn = state.snapshot_lsn
         durability.reopen(wal)
     return state
-
-
-def scan_delivered_blocks(durability: Any, from_height: int = 0):
-    """Yield the journal's block records above ``from_height``, in order,
-    each paired with the ids of the transactions its block *delivered* on
-    this node.
-
-    Read-only replay-to-height for change-feed bootstrap: reads the
-    newest snapshot's block list plus the WAL suffix through a fresh
-    (unrepaired) scanner, touching none of the node's live recovery
-    state.  Heights arrive ascending, so a consumer's height cursor can
-    tail straight from the last yielded record into live flushes.  A
-    block record
-    carries every envelope the block contained, the ``blocks``
-    collection's document (snapshotted, then journaled just ahead of the
-    block record) lists the ones DeliverTx accepted.  ``None`` when the
-    journal holds no such document (a consensus-only journal)."""
-    snapshot_lsn = 0
-    delivered: dict[int, list[str]] = {}
-    snapshot = durability.snapshots.latest()
-    if snapshot is not None:
-        snapshot_lsn, snap_state = snapshot
-        for document in snap_state.get("collections", {}).get("blocks", []):
-            delivered[document["height"]] = document["transaction_ids"]
-        for record in snap_state.get("blocks", []):
-            if record["h"] > from_height:
-                yield deep_copy_json(record), delivered.get(record["h"])
-    wal = SegmentedWal(
-        durability.disk,
-        prefix=durability.wal.prefix,
-        segment_max_bytes=durability.wal.segment_max_bytes,
-    )
-    for lsn, record in wal.scan():
-        if lsn <= snapshot_lsn:
-            continue
-        if is_blocks_insert(record):
-            delivered[record["d"]["height"]] = record["d"]["transaction_ids"]
-        elif record.get("k") == "block" and record["b"]["h"] > from_height:
-            yield deep_copy_json(record["b"]), delivered.get(record["b"]["h"])
-
-
-def is_blocks_insert(record: dict[str, Any]) -> bool:
-    """Is this journal record the ``blocks`` collection's document for a
-    committed block (height, block id, delivered ``transaction_ids``)?"""
-    return (
-        record.get("k") == "db" and record.get("c") == "blocks" and record.get("op") == "insert"
-    )

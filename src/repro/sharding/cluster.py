@@ -56,10 +56,6 @@ class ShardedClusterConfig:
     #: recorder) is shared by every shard so cross-shard traces stitch.
     telemetry_enabled: bool = True
     trace_sample_rate: float = DEFAULT_SAMPLE_RATE
-    #: WAL-fed materialized views, deployment-global: one
-    #: :class:`~repro.views.ViewManager` merges every shard's change feed
-    #: behind the facade.  None = auto (on whenever durability is on).
-    views: bool | None = None
     #: Watch ``hot_shard_share`` and auto-split hot shards.
     auto_split: bool = False
     #: Auto-split policy (defaults when ``auto_split`` without one).
@@ -87,21 +83,17 @@ class ShardedCluster:
             sample_rate=self.config.trace_sample_rate,
             enabled=self.config.telemetry_enabled,
         )
-        #: Deployment-global materialized views: every shard's feeds
-        #: apply into this one manager (keyed by shard scope), so facade
-        #: reads merge the whole deployment while per-shard serving
-        #: filters on the transaction's home shard.
-        views_enabled = (
-            self.config.views if self.config.views is not None else True
-        ) and self.config.durability is not None
+        #: Deployment-global materialized views (durable deployments
+        #: only): every shard's feed applies into this one manager (keyed
+        #: by shard scope), so facade reads merge the whole deployment
+        #: while per-shard serving filters on the transaction's home shard.
         self.views = None
-        if views_enabled:
+        if self.config.durability is not None:
             from repro.views import ViewManager
 
             self.views = ViewManager(
                 telemetry=self.telemetry, telemetry_label="deployment"
             )
-        self._views_enabled = views_enabled
         #: Facade-level lifecycle records for cross-shard transactions
         #: (their submit time predates the home-shard submit by the whole
         #: prepare phase, which is exactly the latency worth measuring).
@@ -152,7 +144,6 @@ class ShardedCluster:
             seed=self.config.seed + 7919 * index,
             consensus=tendermint_config(max_block_txs=self.config.max_block_txs),
             durability=self.config.durability,
-            views=self._views_enabled,
         )
         cluster = SmartchainCluster(
             shard_config,

@@ -575,9 +575,9 @@ def mv_consistency(plane: FaultPlane) -> list[str]:
     agreement is its own invariant) and compares canonical snapshots
     against the live, incrementally-maintained manager.  The oracle reads
     that replica's ``blocks`` and ``transactions`` collections — what
-    each block *delivered*, a source independent of the journal records
+    each block *delivered*, a source independent of the commit records
     the live feed consumes — so a view that applies an envelope DeliverTx
-    rejected drifts from it.  Any drift means the WAL feed dropped,
+    rejected drifts from it.  Any drift means the commit feed dropped,
     duplicated, mis-ordered or invented an update somewhere in the crash/
     partition/byzantine history — the read path would be serving wrong
     answers while every write-path invariant still passed.  The live
@@ -604,12 +604,10 @@ def mv_consistency(plane: FaultPlane) -> list[str]:
         blocks = database.collection("blocks").find({}, copy=False)
         for document in sorted(blocks, key=lambda doc: doc["height"]):
             entries = [
-                [tx_id, transactions.find_one({"id": tx_id}, copy=False)]
+                (tx_id, transactions.find_one({"id": tx_id}, copy=False))
                 for tx_id in document["transaction_ids"]
             ]
-            rebuilt.apply_block_record(
-                shard.view_shard_key, {"h": document["height"], "txs": entries}
-            )
+            rebuilt.apply_block_record(shard.view_shard_key, document["height"], entries)
     expected = rebuilt.consistency_snapshot()
     actual = live.consistency_snapshot()
     violations = []

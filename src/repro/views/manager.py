@@ -1,19 +1,17 @@
 """Incrementally maintained materialized views over committed blocks.
 
-The :class:`ViewManager` consumes the durability journal's block
-records (``{"k": "block", "b": {...}}`` payloads — the vocabulary of
-:mod:`repro.durability.recovery`) and maintains every hot read set the
-marketplace queries need, so analytics and wallet reads stop re-scanning
-the transactions collection per call.
+The :class:`ViewManager` applies each shard's committed blocks, as the
+``(tx_id, payload)`` pairs DeliverTx accepted, and maintains every hot
+read set the marketplace queries need, so analytics and wallet reads
+stop re-scanning the transactions collection per call.
 
 Design points:
 
-- **Block-fed, height-deduplicated.**  Views apply *block* records only,
-  keyed by per-shard chain height.  Every node of a shard journals the
-  same block at the same height (chain consistency), and catch-up after
-  a crash re-journals already-seen blocks — both collapse into one
-  application per height.  Out-of-order arrivals (a lagging node's feed
-  draining late) buffer until the gap closes.
+- **Commit-fed, once per height.**  Each shard's
+  :class:`~repro.views.feed.ChangeFeed` hands over every height once,
+  in height order, at its first quorum-certified commit.  A height that
+  is not the shard's applied height + 1 means a broken feed: it raises
+  instead of being buffered or dropped.
 - **Order-robust across shards.**  A deployment-level manager merges
   per-shard feeds whose interleaving is nondeterministic.  Every table
   is defined so the *final* state is independent of cross-shard apply
@@ -22,7 +20,7 @@ Design points:
   settled.
 - **Internal references, copied at the serving edge.**  Like the
   zero-copy collection scans, the manager stores references to the
-  journaled payloads; the server/replica layer copies what it hands to
+  committed payloads; the server/replica layer copies what it hands to
   callers (:meth:`ViewManager.owned_outputs_for` for wallet reads).
 """
 
@@ -88,75 +86,44 @@ class ViewManager:
         self._interest_by_request: dict[str, list[str]] = {}
         #: request id -> accepting tx id.
         self._accept_by_request: dict[str, str] = {}
-        #: shard key -> highest contiguously applied height.
+        #: shard key -> highest applied height.
         self._heights: dict[str, int] = {}
-        #: shard key -> {height: (block record, delivered ids)} waiting
-        #: for a gap to close.
-        self._pending: dict[str, dict[int, tuple]] = {}
         #: max_hops -> :class:`FlipMemo`, kept here because analyzers are
         #: rebuilt per refresh.  Derived state, so not part of the
         #: consistency snapshot.
         self._flip_memos: dict[int, FlipMemo] = {}
         self.stats = {
             "blocks_applied": 0,
+            #: Always 0 (each height arrives once); the e2e harness reports it.
             "blocks_duplicate": 0,
-            "blocks_buffered": 0,
             "txs_applied": 0,
             "custody_walks": 0,
         }
 
     # -- ingestion -------------------------------------------------------------
 
+    # Named for the journal records it once took: benchmarks/e2e/spans.py binds it.
     def apply_block_record(
-        self, shard: str, record: dict[str, Any], delivered: list[str] | None = None
-    ) -> bool:
-        """Apply one journal block record; returns True if it advanced.
+        self, shard: str, height: int, txs: list[tuple[str, dict[str, Any]]]
+    ) -> None:
+        """Apply the ``(tx_id, payload)`` pairs block ``height`` of
+        ``shard`` delivered (never the ones DeliverTx refused).
 
-        ``delivered`` lists the ids of the transactions the block
-        *delivered* (the ``blocks`` collection's ``transaction_ids``):
-        only those envelopes are applied — a record also carries the ones
-        DeliverTx rejected, which changed no replica's state.  ``None``
-        applies every envelope (a journal without such documents).
-
-        Records at or below the shard's applied height are duplicates
-        (multi-node feeds, catch-up re-journaling) and are dropped;
-        records above ``height + 1`` buffer until the gap closes.
+        Raises ValueError unless ``height`` is the shard's applied height
+        + 1: the commit feed delivers each height once and in order.
         """
-        height = record["h"]
         applied = self._heights.get(shard, 0)
-        if height <= applied:
-            self.stats["blocks_duplicate"] += 1
-            return False
-        if height > applied + 1:
-            self._pending.setdefault(shard, {})[height] = (record, delivered)
-            self.stats["blocks_buffered"] += 1
-            return False
-        self._apply(shard, record, delivered)
-        # Drain any buffered successors the gap was hiding.
-        pending = self._pending.get(shard)
-        while pending:
-            successor = pending.pop(self._heights[shard] + 1, None)
-            if successor is None:
-                break
-            self._apply(shard, *successor)
-        return True
-
-    def _apply(self, shard: str, record: dict[str, Any], delivered: list[str] | None) -> None:
-        txs = record.get("txs") or []
-        if delivered is not None:
-            kept = set(delivered)
-            txs = [entry for entry in txs if entry[0] in kept]
-        for entry in txs:
-            self._apply_tx(shard, entry[0], entry[1])
-        self._heights[shard] = record["h"]
+        if height != applied + 1:
+            raise ValueError(f"views of {shard} at height {applied} got block {height}")
+        for tx_id, payload in txs:
+            self._apply_tx(shard, tx_id, payload)
+        self._heights[shard] = height
         self.stats["blocks_applied"] += 1
         self.stats["txs_applied"] += len(txs)
         tel = self.telemetry
         if tel is not None and tel.enabled:
             tel.counter("view_blocks_applied", node=self.telemetry_label).inc()
-            tel.histogram("view_apply_txs", node=self.telemetry_label).observe(
-                float(len(txs))
-            )
+            tel.histogram("view_apply_txs", node=self.telemetry_label).observe(float(len(txs)))
 
     def _apply_tx(self, shard: str, tx_id: str, payload: dict[str, Any]) -> None:
         if tx_id in self._txs or is_entry(payload):
@@ -248,11 +215,8 @@ class ViewManager:
     # -- cursors ---------------------------------------------------------------
 
     def height(self, shard: str) -> int:
-        """Highest contiguously applied block height for one shard."""
+        """Highest applied block height for one shard."""
         return self._heights.get(shard, 0)
-
-    def heights(self) -> dict[str, int]:
-        return dict(self._heights)
 
     # -- marketplace views -----------------------------------------------------
 

@@ -12,6 +12,7 @@ collection-scan semantics have drifted apart.
 import pytest
 
 from repro.analytics import FraudAnalyzer, MarketplaceAnalytics
+from repro.analytics.common import ScanSource, ViewSource
 from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.crypto.keys import keypair_from_string
 from repro.durability.node import DurabilityConfig
@@ -97,7 +98,6 @@ def rejected_in_block_spend(cluster):
 
 def assert_parity(cluster, create_a, request):
     server = cluster.any_server()
-    assert server.views_current()
     scan = MarketplaceAnalytics(server, source="scan")
     views = MarketplaceAnalytics(server, source="views")
 
@@ -174,6 +174,15 @@ class TestGoldenParity:
         assert auto.open_requests() == scan.open_requests()
         assert server.read_stats["view_served"] > before
         assert auto.operation_volume() == scan.operation_volume()
+
+    @pytest.mark.parametrize("analyzer", [MarketplaceAnalytics, FraudAnalyzer])
+    def test_auto_source_reads_views_when_attached_and_scans_otherwise(self, analyzer):
+        durable = durable_cluster(seed=43).any_server()
+        volatile = SmartchainCluster(ClusterConfig(n_validators=4, seed=43)).any_server()
+        assert isinstance(analyzer(durable)._source(), ViewSource)
+        assert isinstance(analyzer(durable, source="scan")._source(), ScanSource)
+        assert isinstance(analyzer(volatile)._source(), ScanSource)
+        assert isinstance(analyzer(volatile, source="views")._source(), ScanSource)
 
     def test_unknown_source_is_rejected(self):
         cluster = durable_cluster(seed=41)

@@ -119,8 +119,8 @@ class SpliceMachine(RuleBasedStateMachine):
         self.durability.state_provider = lambda: checkpoint_state(
             self.database, **self.validator.consensus_snapshot()
         )
-        self.durability.log.listeners.append(self.check_flushed_frames)
         self.cursor = 0  # appends of self.disk already compared
+        self.capture_flushed_frames()
         self.next_key = 0
         self.tx_serial = 0
 
@@ -130,6 +130,26 @@ class SpliceMachine(RuleBasedStateMachine):
         fresh = self.disk.appended[self.cursor :]
         self.cursor = len(self.disk.appended)
         return fresh
+
+    def capture_flushed_frames(self) -> None:
+        """Wrap the WAL's append so every flushed record is captured as
+        ``(lsn, record)`` and its frame compared once the batch is synced.
+        Recovery hands the log a new WAL, so a restart re-installs this."""
+        wal = self.durability.wal
+        append, sync = wal.append, wal.sync
+        batch = []
+
+        def capture(record, body=None):
+            lsn = append(record, body)
+            batch.append((lsn, record))
+            return lsn
+
+        def check():
+            sync()
+            self.check_flushed_frames(batch)
+            batch.clear()
+
+        wal.append, wal.sync = capture, check
 
     def check_flushed_frames(self, batch) -> None:
         """Every frame of a flushed batch == encode_frame of its record."""
@@ -249,6 +269,7 @@ class SpliceMachine(RuleBasedStateMachine):
             recovered.blocks(), locked_round, locked_block, certs=recovered.certs
         )
         self.cursor = len(self.disk.appended)
+        self.capture_flushed_frames()
 
     @invariant()
     def kept_bytes_only_for_live_documents(self):

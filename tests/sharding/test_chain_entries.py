@@ -215,6 +215,71 @@ class TestCarriedPayloads:
             assert server.check_tx(envelope_for(export, export["id"], 1)) is expected
 
 
+def refused_spend(cluster):
+    """A cross-shard spend a home block carried but DeliverTx refused:
+    ``spend`` takes ``create:0`` (on ``origin``) and ``local:0`` (on
+    ``home``), and a rival spend of ``local:0`` enters the home
+    mempools just ahead of it."""
+    owner = keypair_from_string("refused-owner")
+    create = cluster.driver.prepare_create(
+        owner, {"n": 1}, recipients=[(owner.public_key, 1), (owner.public_key, 1)]
+    )
+    assert cluster.submit_and_settle(create.to_dict()).committed_at is not None
+    origin = cluster.router.home_of_tx(create.tx_id)
+    home = next(shard for shard in cluster.shard_ids if shard != origin)
+    key = next(
+        f"k-{index}" for index in range(512) if cluster.ring.shard_for(f"k-{index}") == home
+    )
+
+    def transfer(spent, recipient):
+        amount = sum(share for _tx_id, _index, share in spent)
+        return cluster.driver.prepare_transfer(
+            owner, spent, create.tx_id, [(recipient, amount)],
+            metadata={SHARD_KEY_METADATA: key},
+        )
+
+    local = transfer([(create.tx_id, 1, 1)], owner.public_key)
+    assert cluster.submit_and_settle(local.to_dict()).committed_at is not None
+    assert cluster.router.home_of_tx(local.tx_id) == home
+    spend = transfer([(create.tx_id, 0, 1), (local.tx_id, 0, 1)], owner.public_key)
+    rival = transfer([(local.tx_id, 0, 1)], keypair_from_string("rival").public_key)
+    rival_payload = rival.to_dict()
+    rival_envelope = envelope_for(rival_payload, rival.tx_id, len(canonical_bytes(rival_payload)))
+    home_cluster = cluster.shards[home]
+    validators = [home_cluster.engine.validator(n) for n in home_cluster.engine.validator_order]
+    intakes = [validator.submit_transaction for validator in validators]
+
+    def rival_first(intake):
+        def submit(envelope, gossip=True):
+            # The spend reaches its receiver: the rival goes into every
+            # home mempool first, so it is delivered ahead of the spend.
+            for validator, own in zip(validators, intakes):
+                del validator.submit_transaction
+                assert own(rival_envelope, gossip=False)
+            return intake(envelope, gossip)
+
+        return submit
+
+    for validator, intake in zip(validators, intakes):
+        validator.submit_transaction = rival_first(intake)
+    record = cluster.submit_and_settle(spend.to_dict())
+    assert record.committed_at is None and record.rejected
+    validator = validators[0]
+    height = next(
+        block.height
+        for block in validator.chain
+        if spend.tx_id in [envelope.tx_id for envelope in block.transactions]
+    )
+    assert home_cluster.landed(spend.tx_id) is False
+    evidence = {
+        "shard": home,
+        "header": validator.chain[height - 1].header,
+        "cert": validator.commit_certs[height],
+        "payload": spend.to_dict(),
+    }
+    return owner, create, origin, home, evidence
+
+
 class TestEntryAuthors:
     """Only an entry's author may write it: a shard's agent its consumes,
     the reshard controller the cutovers.  Entries injected straight into
@@ -222,73 +287,9 @@ class TestEntryAuthors:
     does — are refused at CheckTx and at DeliverTx, and the output they
     name stays spendable."""
 
-    def _refused_spend(self, cluster):
-        """A cross-shard spend a home block carried but DeliverTx refused:
-        ``spend`` takes ``create:0`` (on ``origin``) and ``local:0`` (on
-        ``home``), and a rival spend of ``local:0`` enters the home
-        mempools just ahead of it."""
-        owner = keypair_from_string("refused-owner")
-        create = cluster.driver.prepare_create(
-            owner, {"n": 1}, recipients=[(owner.public_key, 1), (owner.public_key, 1)]
-        )
-        assert cluster.submit_and_settle(create.to_dict()).committed_at is not None
-        origin = cluster.router.home_of_tx(create.tx_id)
-        home = next(shard for shard in cluster.shard_ids if shard != origin)
-        key = next(
-            f"k-{index}" for index in range(512) if cluster.ring.shard_for(f"k-{index}") == home
-        )
-
-        def transfer(spent, recipient):
-            amount = sum(share for _tx_id, _index, share in spent)
-            return cluster.driver.prepare_transfer(
-                owner, spent, create.tx_id, [(recipient, amount)],
-                metadata={SHARD_KEY_METADATA: key},
-            )
-
-        local = transfer([(create.tx_id, 1, 1)], owner.public_key)
-        assert cluster.submit_and_settle(local.to_dict()).committed_at is not None
-        assert cluster.router.home_of_tx(local.tx_id) == home
-        spend = transfer([(create.tx_id, 0, 1), (local.tx_id, 0, 1)], owner.public_key)
-        rival = transfer([(local.tx_id, 0, 1)], keypair_from_string("rival").public_key)
-        rival_payload = rival.to_dict()
-        rival_envelope = envelope_for(rival_payload, rival.tx_id, len(canonical_bytes(rival_payload)))
-        home_cluster = cluster.shards[home]
-        validators = [home_cluster.engine.validator(n) for n in home_cluster.engine.validator_order]
-        intakes = [validator.submit_transaction for validator in validators]
-
-        def rival_first(intake):
-            def submit(envelope, gossip=True):
-                # The spend reaches its receiver: the rival goes into every
-                # home mempool first, so it is delivered ahead of the spend.
-                for validator, own in zip(validators, intakes):
-                    del validator.submit_transaction
-                    assert own(rival_envelope, gossip=False)
-                return intake(envelope, gossip)
-
-            return submit
-
-        for validator, intake in zip(validators, intakes):
-            validator.submit_transaction = rival_first(intake)
-        record = cluster.submit_and_settle(spend.to_dict())
-        assert record.committed_at is None and record.rejected
-        validator = validators[0]
-        height = next(
-            block.height
-            for block in validator.chain
-            if spend.tx_id in [envelope.tx_id for envelope in block.transactions]
-        )
-        assert home_cluster.landed(spend.tx_id) is False
-        evidence = {
-            "shard": home,
-            "header": validator.chain[height - 1].header,
-            "cert": validator.commit_certs[height],
-            "payload": spend.to_dict(),
-        }
-        return owner, create, origin, home, evidence
-
     def test_forged_export_and_consume_are_refused_and_the_output_stays_spendable(self):
         cluster = _cluster()
-        owner, create, origin, home, evidence = self._refused_spend(cluster)
+        owner, create, origin, home, evidence = refused_spend(cluster)
         # The evidence is genuine: a quorum certified the block holding
         # the spend.  Only DeliverTx refused it.
         assert attached_payload(evidence, cluster.shard_keys, _check(cluster))["id"] == evidence["payload"]["id"]

@@ -14,7 +14,7 @@ from repro.simtest.schedule import (
 from repro.simtest.plane import FaultPlane
 from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.sim.rng import SeededRng
-from repro.views import ViewManager
+from repro.views import ChangeFeed
 
 from tests.analytics.test_golden_parity import durable_cluster, rejected_in_block_spend
 
@@ -54,7 +54,7 @@ class TestHarnessRuns:
         report = harness.run()
         assert report.ok
         views = plane.cluster.views
-        shard, height = next(iter(views.heights().items()))
+        shard, height = next(iter(views._heights.items()))
         # Corrupt: pretend one more block was applied with no content.
         views._heights[shard] = height + 1
         assert any("drifted" in v for v in mv_consistency(plane))
@@ -82,15 +82,17 @@ class TestRejectedInBlockSpend:
         assert mv_consistency(FaultPlane(cluster)) == []
 
     def test_applying_every_envelope_is_caught(self, monkeypatch):
-        """Planted mutation: ignore the delivered ids.  The oracle reads
-        the ``blocks`` / ``transactions`` collections, not the journal
-        records the feed consumes, so it does not share the mistake."""
-        apply = ViewManager._apply
+        """Planted mutation: feed every envelope the block carried.  The
+        oracle reads the ``blocks`` / ``transactions`` collections, not
+        the commit records the feed consumes, so it does not share the
+        mistake."""
 
-        def apply_every_envelope(self, shard, record, delivered):
-            apply(self, shard, record, None)
+        def apply_every_envelope(self, record):
+            transactions = record.block.transactions
+            pairs = [(envelope.tx_id, envelope.payload) for envelope in transactions]
+            self.manager.apply_block_record(self.shard, record.block.height, pairs)
 
-        monkeypatch.setattr(ViewManager, "_apply", apply_every_envelope)
+        monkeypatch.setattr(ChangeFeed, "_on_flush", apply_every_envelope)
         cluster = durable_cluster(seed=61)
         rejected_in_block_spend(cluster)
         drifted = mv_consistency(FaultPlane(cluster))

@@ -15,7 +15,7 @@ from repro.views import ViewManager
 
 
 def block(height, *txs):
-    return {"h": height, "txs": [[payload["id"], payload] for payload in txs]}
+    return height, [(payload["id"], payload) for payload in txs]
 
 
 def create(tx_id, *owners):
@@ -56,12 +56,12 @@ def kept_and_fresh(views):
 class TestInvalidation:
     def test_idle_refresh_walks_nothing(self):
         views = ViewManager()
-        views.apply_block_record("main", block(1, create("c1", "alice"), create("c2", "bob")))
+        views.apply_block_record("main", *block(1, create("c1", "alice"), create("c2", "bob")))
         rapid_flips(ViewSource(views))
         assert views.stats["custody_walks"] == 2
         rapid_flips(ViewSource(views))
         assert views.stats["custody_walks"] == 2
-        views.apply_block_record("main", block(2, transfer("t1", "c1", ("c1", 0), "bob")))
+        views.apply_block_record("main", *block(2, transfer("t1", "c1", ("c1", 0), "bob")))
         rapid_flips(ViewSource(views))
         assert views.stats["custody_walks"] == 3
 
@@ -78,7 +78,7 @@ class TestInvalidation:
         ]
         found = []
         for height, payload in enumerate(history, start=1):
-            views.apply_block_record("main", block(height, payload))
+            views.apply_block_record("main", *block(height, payload))
             kept, fresh = kept_and_fresh(views)
             assert kept == fresh
             found.append(len(kept))
@@ -89,7 +89,7 @@ class TestInvalidation:
         assert rapid_flips(ViewSource(views)) == []
         views.apply_block_record(
             "b",
-            block(
+            *block(
                 1,
                 transfer("t1", "c", ("c", 0), "bob"),
                 transfer("t2", "c", ("t1", 0), "alice"),
@@ -97,7 +97,7 @@ class TestInvalidation:
         )
         assert rapid_flips(ViewSource(views)) == []
         assert views.stats["custody_walks"] == 0
-        views.apply_block_record("a", block(1, create("c", "alice")))
+        views.apply_block_record("a", *block(1, create("c", "alice")))
         kept, fresh = kept_and_fresh(views)
         assert kept == fresh and [finding.subject for finding in kept] == ["alice"]
         assert views.stats["custody_walks"] == 1
@@ -118,7 +118,7 @@ class TestInvalidation:
         views = ViewManager()
         found = []
         for height, payload in enumerate(self.chain_declaring_predecessors(), start=1):
-            views.apply_block_record("main", block(height, payload))
+            views.apply_block_record("main", *block(height, payload))
             kept, fresh = kept_and_fresh(views)
             assert kept == fresh
             found.append([finding.subject for finding in kept])
@@ -135,7 +135,7 @@ class TestInvalidation:
             for slot in range(4):
                 shard = "b" if slot in b_slots else "a"
                 heights[shard] += 1
-                views.apply_block_record(shard, block(heights[shard], next(feeds[shard])))
+                views.apply_block_record(shard, *block(heights[shard], next(feeds[shard])))
                 kept, fresh = kept_and_fresh(views)
                 assert kept == fresh, b_slots
             assert [finding.subject for finding in kept] == ["alice"], b_slots
@@ -144,7 +144,7 @@ class TestInvalidation:
         views = ViewManager()
         views.apply_block_record(
             "main",
-            block(
+            *block(
                 1,
                 create("c", "alice"),
                 transfer("t1", "c", ("c", 0), "bob"),
@@ -183,7 +183,7 @@ class TestInvalidation:
         while any(heights[shard] < len(feed) for shard, feed in feeds.items()):
             shard = rng.choice([s for s, feed in feeds.items() if heights[s] < len(feed)])
             heights[shard] += 1
-            views.apply_block_record(shard, block(heights[shard], feeds[shard][heights[shard] - 1]))
+            views.apply_block_record(shard, *block(heights[shard], feeds[shard][heights[shard] - 1]))
             if rng.random() < 0.5:
                 kept, fresh = kept_and_fresh(views)
                 assert kept == fresh
@@ -194,23 +194,23 @@ class TestInvalidation:
 class TestWalletShardFilter:
     def test_one_shard_serves_every_ref(self):
         views = ViewManager()
-        views.apply_block_record("a", block(1, create("c1", "alice"), create("c2", "alice")))
+        views.apply_block_record("a", *block(1, create("c1", "alice"), create("c2", "alice")))
         assert len(views.outputs_for("alice", shard="a")) == 2
         assert views.outputs_for("alice", shard="b") == []
 
     def test_a_two_shard_manager_still_filters(self):
         views = ViewManager()
-        views.apply_block_record("a", block(1, create("c1", "alice")))
-        views.apply_block_record("b", block(1, create("c2", "alice")))
+        views.apply_block_record("a", *block(1, create("c1", "alice")))
+        views.apply_block_record("b", *block(1, create("c2", "alice")))
         assert [d["transaction_id"] for d in views.outputs_for("alice", shard="a")] == ["c1"]
         assert [d["transaction_id"] for d in views.outputs_for("alice", shard="b")] == ["c2"]
 
     def test_a_migration_override_still_filters(self):
         views = ViewManager()
-        views.apply_block_record("a", block(1, create("c1", "alice"), create("c2", "alice")))
+        views.apply_block_record("a", *block(1, create("c1", "alice"), create("c2", "alice")))
         export = {"inputs": [{"fulfills": {"transaction_id": "c2", "output_index": 0}}]}
         views.apply_block_record(
-            "b", block(1, {"id": "i1", "operation": "SHARD_IMPORT", "export": export})
+            "b", *block(1, {"id": "i1", "operation": "SHARD_IMPORT", "export": export})
         )
         assert [d["transaction_id"] for d in views.outputs_for("alice", shard="a")] == ["c1"]
         assert [d["transaction_id"] for d in views.outputs_for("alice", shard="b")] == ["c2"]

@@ -1,4 +1,4 @@
-"""ViewManager: dedupe, ordering, and order-robust table semantics."""
+"""ViewManager: the height check and order-robust table semantics."""
 
 import pytest
 
@@ -6,15 +6,8 @@ from repro.views import ViewManager
 
 
 def block(height, *txs):
-    """A minimal journal block record: the fields ``_apply`` reads."""
-    return {
-        "h": height,
-        "r": 0,
-        "p": "scdb-0",
-        "prev": "x" * 64,
-        "id": f"block-{height}",
-        "txs": [[payload["id"], payload, 100, 1, 0.0] for payload in txs],
-    }
+    """``apply_block_record``'s height and delivered ``(tx_id, payload)`` pairs."""
+    return height, [(payload["id"], payload) for payload in txs]
 
 
 def create(tx_id, owner, capabilities=("cap",), amount=1):
@@ -61,38 +54,29 @@ def accept(tx_id, request_id, win_bid_id="bid-x"):
     }
 
 
-class TestHeightCursor:
-    def test_duplicate_heights_apply_once(self):
-        """Every node of a shard journals the same block; n feeds must
-        collapse into one application."""
+class TestHeightCheck:
+    def test_a_height_that_skips_ahead_raises(self):
         views = ViewManager()
-        record = block(1, create("c1", "alice"))
-        assert views.apply_block_record("main", record)
-        for _ in range(3):
-            assert not views.apply_block_record("main", record)
+        views.apply_block_record("main", *block(1, create("c1", "alice")))
+        with pytest.raises(ValueError, match="height 1 got block 3"):
+            views.apply_block_record("main", *block(3, create("c3", "carol")))
+        assert views.height("main") == 1
+        assert views.transaction("c3") is None
+
+    def test_a_repeated_height_raises(self):
+        views = ViewManager()
+        views.apply_block_record("main", *block(1, create("c1", "alice")))
+        with pytest.raises(ValueError):
+            views.apply_block_record("main", *block(1, create("c1", "alice")))
         assert views.stats["blocks_applied"] == 1
-        assert views.stats["blocks_duplicate"] == 3
-        assert views.operation_count("CREATE") == 1
+        assert views.stats["blocks_duplicate"] == 0
 
-    def test_out_of_order_blocks_buffer_until_the_gap_closes(self):
+    def test_per_shard_heights_are_independent(self):
         views = ViewManager()
-        b1 = block(1, create("c1", "alice"))
-        b2 = block(2, transfer("t1", [("c1", 0)], [("bob", 1)]))
-        b3 = block(3, create("c2", "carol"))
-        assert not views.apply_block_record("main", b3)
-        assert not views.apply_block_record("main", b2)
-        assert views.height("main") == 0
-        assert views.stats["blocks_buffered"] == 2
-        assert views.apply_block_record("main", b1)  # drains 2 and 3
-        assert views.height("main") == 3
-        assert views.operation_count("CREATE") == 2
-        assert views.spender_of("c1", 0)["id"] == "t1"
-
-    def test_per_shard_cursors_are_independent(self):
-        views = ViewManager()
-        views.apply_block_record("shard-0", block(1, create("a", "alice")))
-        views.apply_block_record("shard-1", block(1, create("b", "bob")))
-        assert views.heights() == {"shard-0": 1, "shard-1": 1}
+        views.apply_block_record("shard-0", *block(1, create("a", "alice")))
+        views.apply_block_record("shard-1", *block(1, create("b", "bob")))
+        views.apply_block_record("shard-1", *block(2, create("c", "carol")))
+        assert (views.height("shard-0"), views.height("shard-1")) == (1, 2)
 
 
 class TestOrderRobustTables:
@@ -101,17 +85,17 @@ class TestOrderRobustTables:
         the creating block — the utxo must not reappear."""
         views = ViewManager()
         views.apply_block_record(
-            "shard-1", block(1, transfer("t1", [("c1", 0)], [("bob", 1)]))
+            "shard-1", *block(1, transfer("t1", [("c1", 0)], [("bob", 1)]))
         )
-        views.apply_block_record("shard-0", block(1, create("c1", "alice")))
+        views.apply_block_record("shard-0", *block(1, create("c1", "alice")))
         assert views.outputs_for("alice") == []
         refs = [(d["transaction_id"], d["output_index"]) for d in views.outputs_for("bob")]
         assert refs == [("t1", 0)]
 
     def test_request_accepted_on_another_shard_is_born_settled(self):
         views = ViewManager()
-        views.apply_block_record("shard-1", block(1, accept("a1", "r1")))
-        views.apply_block_record("shard-0", block(1, request("r1", "sally")))
+        views.apply_block_record("shard-1", *block(1, accept("a1", "r1")))
+        views.apply_block_record("shard-0", *block(1, request("r1", "sally")))
         assert views.open_requests() == []
         assert views.open_requests(capability="cap") == []
         # Demand still counts the request; settlement is complete.
@@ -132,22 +116,22 @@ class TestOrderRobustTables:
         forward = ViewManager()
         for shard in ("shard-0", "shard-1"):
             for record in blocks[shard]:
-                forward.apply_block_record(shard, record)
+                forward.apply_block_record(shard, *record)
         interleaved = ViewManager()
-        interleaved.apply_block_record("shard-1", blocks["shard-1"][0])
-        interleaved.apply_block_record("shard-0", blocks["shard-0"][0])
-        interleaved.apply_block_record("shard-1", blocks["shard-1"][1])
-        interleaved.apply_block_record("shard-0", blocks["shard-0"][1])
+        interleaved.apply_block_record("shard-1", *blocks["shard-1"][0])
+        interleaved.apply_block_record("shard-0", *blocks["shard-0"][0])
+        interleaved.apply_block_record("shard-1", *blocks["shard-1"][1])
+        interleaved.apply_block_record("shard-0", *blocks["shard-0"][1])
         assert forward.consistency_snapshot() == interleaved.consistency_snapshot()
 
 
 class TestMarketplaceViews:
     def test_multi_output_transfer_indexes_every_output(self):
         views = ViewManager()
-        views.apply_block_record("main", block(1, create("c1", "alice", amount=3)))
+        views.apply_block_record("main", *block(1, create("c1", "alice", amount=3)))
         views.apply_block_record(
             "main",
-            block(2, transfer("t1", [("c1", 0)], [("bob", 2), ("alice", 1)])),
+            *block(2, transfer("t1", [("c1", 0)], [("bob", 2), ("alice", 1)])),
         )
         assert [(d["transaction_id"], d["output_index"], d["amount"])
                 for d in views.outputs_for("bob")] == [("t1", 0, 2)]
@@ -165,10 +149,10 @@ class TestMarketplaceViews:
             "outputs": [{"public_keys": ["bob"], "amount": 1}],
         }
         views = ViewManager()
-        views.apply_block_record("main", block(1, request("r1", "sally"), bid))
+        views.apply_block_record("main", *block(1, request("r1", "sally"), bid))
         assert [t["id"] for t in views.referencing("BID", "r1")] == ["b1"]
         assert views.referencing("ACCEPT_BID", "r1") == []
         assert views.bid_competition() == {"r1": 1}
-        views.apply_block_record("main", block(2, accept("a1", "r1", "b1")))
+        views.apply_block_record("main", *block(2, accept("a1", "r1", "b1")))
         assert [t["id"] for t in views.referencing("ACCEPT_BID", "r1")] == ["a1"]
         assert views.open_requests() == []
