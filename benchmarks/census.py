@@ -114,9 +114,8 @@ KEPT_DEFS = {
     "repro.schema.validator.SchemaValidator._check_any_of": "JSON-schema anyOf; no shipped schema uses it",
     "repro.yamlite.parser._Parser": "YAML-subset grammar no shipped schema exercises",
     "repro.consensus.byzantine": "catch-up refusal of a lagging lying replica; sweep seeds reach it",
-    "repro.views.manager.ViewManager._close_request": "an ACCEPT_BID applied before its REQUEST's block",
-    "repro.views.manager.ViewManager.referencing": "views side of the analytics per-request lookups",
-    "repro.analytics.common.ViewSource.referencing": "views side of the analytics per-request lookups",
+    "repro.analytics.common.ScanSource.referencing": "scan side of the analytics per-request "
+    "lookups; golden-parity tests",
     "repro.analytics.queries.MarketplaceAnalytics.holdings": "wallet holdings; golden-parity tests",
     "repro.metrics.report.format_series": "series formatter; metrics tests",
     "repro.workloads.generator.ZipfSampler.choice": "Zipf draw over a population; generator tests",

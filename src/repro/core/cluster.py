@@ -33,6 +33,7 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import SeededRng
 from repro.storage.database import make_smartchaindb_database
 from repro.telemetry import DEFAULT_SAMPLE_RATE, TRACE_SAMPLED, Telemetry
+from repro.views import ChangeFeed, ViewManager
 
 
 @dataclass
@@ -71,8 +72,8 @@ class ClusterConfig:
     #: Per-node durability stack (WAL + group commit + snapshots).  None
     #: keeps the abstract always-durable storage model; set to a
     #: :class:`~repro.durability.node.DurabilityConfig` to journal every
-    #: mutation, enable :meth:`SmartchainCluster.restart_node_from_disk`
-    #: and serve reads from the commit-fed views (:mod:`repro.views`).
+    #: mutation and enable :meth:`SmartchainCluster.restart_node_from_disk`.
+    #: Reads serve from the commit-fed views (:mod:`repro.views`) either way.
     durability: DurabilityConfig | None = None
     #: Master telemetry switch: False keeps the registry/tracer/flight
     #: recorder constructed but dormant (one attribute read per hot site).
@@ -185,22 +186,19 @@ class SmartchainCluster:
                 )
 
         #: Deployment-level :class:`~repro.views.ViewManager` (shared by
-        #: a sharded facade, owned by a standalone durable cluster, None
-        #: when volatile), fed once per height by this shard's commits.
-        self.views = None
-        if self.config.durability is not None:
-            from repro.views import ChangeFeed, ViewManager
-
-            self.views = views if views is not None else ViewManager(
-                telemetry=self.telemetry, telemetry_label=self.view_shard_key
-            )
-            # Ahead of _on_block_commit: the views apply a block before
-            # any commit callback fires.
-            feed = ChangeFeed(self.views, self.view_shard_key)
-            self.engine.commit_listeners.append(feed._on_flush)
-            for server in self.servers.values():
-                server.views = self.views
-                server.views_shard = self.view_shard_key
+        #: a sharded facade, owned by a standalone cluster), fed once per
+        #: height by this shard's commits.
+        self.views = views if views is not None else ViewManager(
+            telemetry=self.telemetry, telemetry_label=self.view_shard_key
+        )
+        # Ahead of _on_block_commit: the views apply a block before any
+        # commit callback fires.
+        self.engine.commit_listeners.append(
+            ChangeFeed(self.views, self.view_shard_key)._on_flush
+        )
+        for server in self.servers.values():
+            server.views = self.views
+            server.views_shard = self.view_shard_key
 
         self.driver = Driver(self)
         self.records: dict[str, TxRecord] = {}

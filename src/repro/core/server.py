@@ -136,14 +136,15 @@ class SmartchainServer:
         #: cluster); every site guards on it so a bare server pays zero.
         self.telemetry = None
         self.telemetry_label = node_id
-        #: Optional :class:`~repro.views.ViewManager` + the shard key this
-        #: node's blocks apply under (set by the cluster in durable
-        #: deployments).  Reads serve from them instead of scanning
+        #: The deployment's :class:`~repro.views.ViewManager` + the shard
+        #: key this node's blocks apply under (set by every cluster; None
+        #: on a bare server).  Reads serve from them instead of scanning
         #: collections: they apply each block at its first commit, so no
         #: node's chain is ahead of them.
         self.views = None
         self.views_shard = ""
-        #: Which side served each read (always counted, unlike telemetry).
+        #: Which side served each read: the one read counter (the harness
+        #: and the tests read it; reads add no telemetry series).
         self.read_stats = {"view_served": 0, "scan_fallback": 0}
         self.stats = {
             "checked": 0,
@@ -429,12 +430,6 @@ class SmartchainServer:
     def get_transaction(self, tx_id: str) -> dict[str, Any] | None:
         return self.database.collection("transactions").find_one({"id": tx_id})
 
-    def _count_read(self, served_from: str) -> None:
-        self.read_stats[served_from] += 1
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter(f"reads_{served_from}", node=self.telemetry_label).inc()
-
     def open_requests(
         self, capability: str | None = None, source: str = "auto"
     ) -> list[dict[str, Any]]:
@@ -448,12 +443,12 @@ class SmartchainServer:
         the golden parity tests).
         """
         if source != "scan" and self.views is not None:
-            self._count_read("view_served")
+            self.read_stats["view_served"] += 1
             return [
                 deep_copy_json(request)
                 for request in self.views.open_requests(capability, shard=self.views_shard)
             ]
-        self._count_read("scan_fallback")
+        self.read_stats["scan_fallback"] += 1
         # Scan zero-copy; only the surviving open requests are copied for
         # the caller, instead of every committed REQUEST.
         requests = self.database.collection("transactions").find(
@@ -481,7 +476,7 @@ class SmartchainServer:
         Same ``source`` contract as :meth:`open_requests`.
         """
         if source != "scan" and self.views is not None:
-            self._count_read("view_served")
+            self.read_stats["view_served"] += 1
             return self.views.owned_outputs_for(public_key, shard=self.views_shard)
-        self._count_read("scan_fallback")
+        self.read_stats["scan_fallback"] += 1
         return self.database.collection("utxos").find({"public_keys": public_key})

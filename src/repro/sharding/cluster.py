@@ -33,6 +33,7 @@ from repro.sharding.router import RoutingDecision, ShardRouter
 from repro.sim.events import EventLoop
 from repro.sim.rng import SeededRng
 from repro.telemetry import DEFAULT_SAMPLE_RATE, Telemetry
+from repro.views import ViewManager
 
 #: Retry cadence when a cross-shard submit meets a crashed coordinator.
 SUBMIT_RETRY_DELAY = 1.0
@@ -83,17 +84,11 @@ class ShardedCluster:
             sample_rate=self.config.trace_sample_rate,
             enabled=self.config.telemetry_enabled,
         )
-        #: Deployment-global materialized views (durable deployments
-        #: only): every shard's feed applies into this one manager (keyed
-        #: by shard scope), so facade reads merge the whole deployment
-        #: while per-shard serving filters on the transaction's home shard.
-        self.views = None
-        if self.config.durability is not None:
-            from repro.views import ViewManager
-
-            self.views = ViewManager(
-                telemetry=self.telemetry, telemetry_label="deployment"
-            )
+        #: Deployment-global materialized views: every shard's feed
+        #: applies into this one manager (keyed by shard scope), so facade
+        #: reads merge the whole deployment while per-shard serving
+        #: filters on the transaction's home shard.
+        self.views = ViewManager(telemetry=self.telemetry, telemetry_label="deployment")
         #: Facade-level lifecycle records for cross-shard transactions
         #: (their submit time predates the home-shard submit by the whole
         #: prepare phase, which is exactly the latency worth measuring).
@@ -459,14 +454,10 @@ class ShardedCluster:
 
     def open_requests(self, capability: str | None = None) -> list[dict[str, Any]]:
         """Open RFQs across *all* shards, from the merged views."""
-        if self.views is None:
-            raise ValidationError("materialized views are disabled on this deployment")
         return [deep_copy_json(r) for r in self.views.open_requests(capability)]
 
     def outputs_for(self, public_key: str) -> list[dict[str, Any]]:
         """One account's unspent outputs across all shards (wallet view)."""
-        if self.views is None:
-            raise ValidationError("materialized views are disabled on this deployment")
         return self.views.owned_outputs_for(public_key)
 
     # -- metrics ------------------------------------------------------------------

@@ -584,15 +584,11 @@ def mv_consistency(plane: FaultPlane) -> list[str]:
     manager's memoised ``rapid_flips`` findings must equal a fresh walk
     over the rebuilt one, so a missed memo invalidation shows too.
     """
-    if not plane.durable:
-        return []
-    live = getattr(plane.cluster, "views", None)
-    if live is None:
-        return []
     from repro.analytics.common import ViewSource
     from repro.analytics.fraud import rapid_flips, walk_flips
     from repro.views import ViewManager
 
+    live = plane.cluster.views
     rebuilt = ViewManager()
     for shard_id in plane.shard_ids:
         shard = plane.shard_cluster(shard_id)
@@ -641,15 +637,10 @@ def custody_memo(plane: FaultPlane) -> list[str]:
     crashes, catch-up and resharding the schedule injects, which the one
     quiesce-time comparison in :func:`mv_consistency` alone would not.
     """
-    if not plane.durable:
-        return []
-    live = getattr(plane.cluster, "views", None)
-    if live is None:
-        return []
     from repro.analytics.common import ViewSource
     from repro.analytics.fraud import rapid_flips, walk_flips
 
-    source = ViewSource(live)
+    source = ViewSource(plane.cluster.views)
     kept, fresh = rapid_flips(source), walk_flips(source)
     if kept == fresh:
         return []
@@ -899,7 +890,7 @@ DEFAULT_INVARIANTS: list[Invariant] = [
     Invariant("no_key_duplicated", no_key_duplicated, scope="quiesce", sharded_only=True),
     # Disk == memory for every durable node/agent (skips volatile runs).
     Invariant("wal_prefix_durability", wal_prefix_durability, scope="quiesce"),
-    # Incremental views == from-scratch recomputation (skips volatile runs).
+    # Incremental views == from-scratch recomputation.
     Invariant("mv_consistency", mv_consistency, scope="quiesce"),
     # Full walks over the live views: the chain replayers' cadence.
     Invariant("custody_memo", custody_memo, every=5),

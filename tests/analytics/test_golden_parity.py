@@ -14,6 +14,7 @@ import pytest
 from repro.analytics import FraudAnalyzer, MarketplaceAnalytics
 from repro.analytics.common import ScanSource, ViewSource
 from repro.core.cluster import ClusterConfig, SmartchainCluster
+from repro.core.server import SmartchainServer
 from repro.crypto.keys import keypair_from_string
 from repro.durability.node import DurabilityConfig
 
@@ -176,13 +177,15 @@ class TestGoldenParity:
         assert auto.operation_volume() == scan.operation_volume()
 
     @pytest.mark.parametrize("analyzer", [MarketplaceAnalytics, FraudAnalyzer])
-    def test_auto_source_reads_views_when_attached_and_scans_otherwise(self, analyzer):
+    def test_auto_source_reads_views_on_every_deployment_and_scan_scans(self, analyzer):
         durable = durable_cluster(seed=43).any_server()
         volatile = SmartchainCluster(ClusterConfig(n_validators=4, seed=43)).any_server()
-        assert isinstance(analyzer(durable)._source(), ViewSource)
-        assert isinstance(analyzer(durable, source="scan")._source(), ScanSource)
-        assert isinstance(analyzer(volatile)._source(), ScanSource)
-        assert isinstance(analyzer(volatile, source="views")._source(), ScanSource)
+        bare = SmartchainServer("bare", volatile.reserved)
+        for server in (durable, volatile):
+            assert isinstance(analyzer(server)._source(), ViewSource)
+            assert isinstance(analyzer(server, source="views")._source(), ViewSource)
+            assert isinstance(analyzer(server, source="scan")._source(), ScanSource)
+        assert isinstance(analyzer(bare)._source(), ScanSource)
 
     def test_unknown_source_is_rejected(self):
         cluster = durable_cluster(seed=41)

@@ -12,7 +12,6 @@ from repro.simtest.schedule import (
     ScheduleGenerator,
 )
 from repro.simtest.plane import FaultPlane
-from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.sim.rng import SeededRng
 from repro.views import ChangeFeed
 
@@ -30,9 +29,17 @@ class TestRegistration:
         assert registered["mv_consistency"].scope == "quiesce"
         assert not registered["mv_consistency"].sharded_only
 
-    def test_volatile_deployments_skip(self):
-        plane = FaultPlane(SmartchainCluster(ClusterConfig(seed=5)))
-        assert mv_consistency(plane) == []
+    def test_volatile_deployments_are_checked(self):
+        """Volatile deployments have views too: both oracles run on them
+        and flag a drift there as well."""
+        harness, report = _run(seed=12, steps=40, durable=False, fault_rate=0.2)
+        assert report.ok
+        assert harness.checker.checks_run.get("mv_consistency", 0) >= 1
+        assert harness.checker.checks_run.get("custody_memo", 0) >= 1
+        views = harness.plane.cluster.views
+        shard, height = next(iter(views._heights.items()))
+        views._heights[shard] = height + 1
+        assert any("drifted" in v for v in mv_consistency(harness.plane))
 
 
 class TestHarnessRuns:

@@ -46,10 +46,20 @@ def marketplace_history(cluster):
 
 
 class TestViewWiring:
-    def test_views_auto_enable_with_durability_only(self):
-        assert durable_cluster().views is not None
-        assert SmartchainCluster(ClusterConfig(n_validators=4)).views is None
-        assert ShardedCluster(ShardedClusterConfig(n_shards=2)).views is None
+    def test_every_deployment_has_views_and_scan_still_scans(self):
+        deployments = [
+            durable_cluster(),
+            SmartchainCluster(ClusterConfig(n_validators=4)),
+            ShardedCluster(ShardedClusterConfig(n_shards=2)),
+        ]
+        for deployment in deployments:
+            assert isinstance(deployment.views, ViewManager)
+            shards = getattr(deployment, "shards", {"": deployment}).values()
+            for server in (s for shard in shards for s in shard.servers.values()):
+                assert server.views is deployment.views
+                server.open_requests(source="scan")
+                server.outputs_for(ALICE.public_key, source="scan")
+                assert server.read_stats == {"view_served": 0, "scan_fallback": 2}
 
     def test_view_served_reads_equal_scans(self):
         cluster = durable_cluster()
@@ -159,3 +169,86 @@ class TestShardedFacade:
         assert deployment.outputs_for(ALICE.public_key)[0]["public_keys"] == [ALICE.public_key]
         # One deployment-global manager, fed per shard.
         assert all(deployment.views.height(shard_id) > 0 for shard_id in deployment.shard_ids)
+
+
+def wallet(documents):
+    return sorted(documents, key=lambda doc: (doc["transaction_id"], doc["output_index"]))
+
+
+def by_id(documents):
+    return sorted(documents, key=lambda doc: doc["id"])
+
+
+def scramble(value):
+    """Mutate every dict and list nested in ``value`` in place."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            scramble(item)
+        value["scrambled"] = True
+    elif isinstance(value, list):
+        for item in value:
+            scramble(item)
+        value.append("scrambled")
+
+
+class TestVolatileDeployments:
+    """Deployments without durability read from the same commit-fed views;
+    the scan is the reference they must equal."""
+
+    def test_one_shard_auto_reads_equal_scans(self):
+        cluster = SmartchainCluster(ClusterConfig(n_validators=4, seed=29))
+        _, request, _ = marketplace_history(cluster)
+        for server in cluster.servers.values():
+            for capability in (None, "3d-print", "weld"):
+                assert by_id(server.open_requests(capability)) == by_id(
+                    server.open_requests(capability, source="scan")
+                )
+            assert [r["id"] for r in server.open_requests()] == [request.tx_id]
+            for account in (ALICE, BOB, SALLY):
+                assert wallet(server.outputs_for(account.public_key)) == wallet(
+                    server.outputs_for(account.public_key, source="scan")
+                )
+            assert server.read_stats == {"view_served": 7, "scan_fallback": 6}
+
+    def test_two_shard_facade_and_server_reads_equal_scans(self):
+        deployment = ShardedCluster(ShardedClusterConfig(n_shards=2, n_validators=4, seed=31))
+        _, request, _ = marketplace_history(deployment)
+        servers = [shard.any_server() for shard in deployment.shards.values()]
+        scanned = [r for server in servers for r in server.open_requests(source="scan")]
+        assert by_id(deployment.open_requests()) == by_id(scanned)
+        assert [r["id"] for r in deployment.open_requests("3d-print")] == [request.tx_id]
+        for account in (ALICE, BOB, SALLY):
+            key = account.public_key
+            scanned = [d for server in servers for d in server.outputs_for(key, source="scan")]
+            assert wallet(deployment.outputs_for(key)) == wallet(scanned)
+            for server in servers:
+                assert wallet(server.outputs_for(key)) == wallet(
+                    server.outputs_for(key, source="scan")
+                )
+        assert all(deployment.views.height(shard_id) > 0 for shard_id in deployment.shard_ids)
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_mutating_a_read_leaves_the_views_alone(self, sharded):
+        if sharded:
+            deployment = ShardedCluster(ShardedClusterConfig(n_shards=2, seed=37))
+        else:
+            deployment = SmartchainCluster(ClusterConfig(n_validators=4, seed=37))
+        marketplace_history(deployment)
+        server = (
+            next(iter(deployment.shards.values())) if sharded else deployment
+        ).any_server()
+
+        def reads():
+            served = [server.open_requests()]
+            served += [server.outputs_for(k.public_key) for k in (ALICE, BOB, SALLY)]
+            if sharded:
+                served.append(deployment.open_requests())
+                served += [deployment.outputs_for(k.public_key) for k in (ALICE, BOB, SALLY)]
+            return served
+
+        served, snapshot = reads(), deployment.views.consistency_snapshot()
+        expected = deep_copy_json(served)
+        assert any(served)
+        scramble(served)
+        assert reads() == expected
+        assert deployment.views.consistency_snapshot() == snapshot
