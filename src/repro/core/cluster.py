@@ -67,7 +67,9 @@ class ClusterConfig:
     enable_extensions: bool = False
     #: Delay before nested-transaction workers pick up queued RETURNs.
     worker_poll_interval: float = 0.002
-    #: Parallel RETURN workers per receiver node.
+    #: Parallel RETURN workers per receiver node.  An ACCEPT_BID's
+    #: receiver alone determines its RETURN children, and its enqueue
+    #: starts this many workers on that node.
     worker_parallelism: int = 4
     #: Per-node durability stack (WAL + group commit + snapshots).  None
     #: keeps the abstract always-durable storage model; set to a
@@ -178,6 +180,7 @@ class SmartchainCluster:
                 on_crash=validator.on_crash,
                 on_recover=lambda nid=node_id: self.resync_node(nid),
             )
+            self._wire_nested(node_id)
             durability = self.node_durability.get(node_id)
             if durability is not None:
                 validator.persistence = durability
@@ -249,8 +252,8 @@ class SmartchainCluster:
         operation = payload.get("operation", "?")
         existing = self.records.get(tx_id)
         if existing is not None and existing.rejected is None and not _retry:
-            # Already in flight or committed (e.g. the same RETURN child
-            # determined by several nodes): keep the original record.
+            # Already in flight or committed (e.g. a RETURN child that
+            # recovery re-enqueued): keep the original record.
             return SubmitResult(tx_id, operation, accepted=True)
         if not _retry:
             # The driver-to-cluster trust boundary: one deep copy here
@@ -454,8 +457,6 @@ class SmartchainCluster:
                     height=record.block.height,
                 )
             self._fire_callback(envelope.tx_id, "committed", envelope.payload)
-            if envelope.payload.get("operation") == ACCEPT_BID:
-                self._schedule_return_workers(envelope.tx_id)
 
     def _fire_callback(self, tx_id: str, status: str, detail: Any) -> None:
         callback = self._callbacks.pop(tx_id, None)
@@ -464,18 +465,18 @@ class SmartchainCluster:
 
     # -- nested transaction workers -----------------------------------------------------
 
-    def _schedule_return_workers(self, accept_id: str) -> None:
-        receiver_id = self._accept_receivers.get(accept_id)
-        if receiver_id is None:
-            receiver_id = self.engine.validator_order[0]
-        if self.network.is_crashed(receiver_id):
-            # Crash while enqueueing: recovery (case 2) re-enqueues later.
-            return
+    def _wire_nested(self, node_id: str) -> None:
+        """``node_id`` determines the RETURNs of the accepts it received
+        (unknown ones: the first validator's) and wakes its own workers."""
+        nested = self.servers[node_id].nested
+        nested.is_receiver = lambda accept_id: node_id == self._accept_receivers.get(
+            accept_id, self.engine.validator_order[0]
+        )
+        nested.wake = lambda: self._start_return_workers(node_id)
+
+    def _start_return_workers(self, node_id: str) -> None:
         for _ in range(self.config.worker_parallelism):
-            self.loop.schedule_in(
-                self.config.worker_poll_interval,
-                lambda nid=receiver_id: self._drain_one_return(nid),
-            )
+            self.loop.schedule_in(self.config.worker_poll_interval, lambda: self._drain_one_return(node_id))
 
     def _drain_one_return(self, node_id: str) -> None:
         if self.network.is_crashed(node_id):
@@ -499,13 +500,7 @@ class SmartchainCluster:
         chaos harness calls it after every heal."""
         self.engine.validator(node_id).on_recover()
         server = self.servers[node_id]
-        reenqueued = server.nested.recover(server.context.locked_bids)
-        if reenqueued:
-            for _ in range(self.config.worker_parallelism):
-                self.loop.schedule_in(
-                    self.config.worker_poll_interval,
-                    lambda: self._drain_one_return(node_id),
-                )
+        server.nested.recover(server.context.locked_bids)
 
     # -- durability: checkpoints + restart-from-disk ---------------------------------
 
@@ -556,6 +551,7 @@ class SmartchainCluster:
         server.context.spend_guards.extend(guards)
         server.context.ingress_gates.extend(gates)
         server.nested = NestedTransactionProcessor(self.reserved.escrow, server.database)
+        self._wire_nested(node_id)
         locked_round, locked_block = recovered.locked()
         self.engine.validator(node_id).restore_durable(
             recovered.blocks(), locked_round, locked_block, certs=recovered.certs

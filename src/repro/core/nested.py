@@ -5,11 +5,12 @@ cause one TRANSFER-equivalent (its own output to the requester) and n-1
 RETURNs of losing bids.  The *non-locking* approach commits the parent
 first, then:
 
-* at block commit, the receiver node determines the RETURN children
-  (``deterRtrnTxs``) and enqueues them into a :class:`ReturnQueue`
-  (Algorithm 3, Commit part);
-* parallel workers drain the queue asynchronously, submitting each
-  RETURN to a randomly selected validator and retrying on failure;
+* at block commit, the ACCEPT_BID's receiver node alone determines the
+  RETURN children (``deterRtrnTxs``) and enqueues them into its
+  :class:`ReturnQueue` (Algorithm 3, Commit part);
+* that enqueue starts the receiver's parallel workers, which drain the
+  queue asynchronously, submitting each RETURN to a randomly selected
+  validator and retrying on failure;
 * a durable ``accept_tx_recovery`` collection logs the parent and every
   child's status, so a crashed receiver node re-enqueues pending RETURNs
   on recovery (crash case 2 of Section 4.2.1).
@@ -111,24 +112,23 @@ class RecoveryLog:
 
     def mark_child_committed(self, accept_id: str, bid_id: str, return_id: str) -> None:
         """Record a RETURN child's commit; closes the parent when all done."""
-        record = self._collection.find_one({"accept_id": accept_id})
+        record = self._collection.find_one({"accept_id": accept_id}, copy=False)
         if record is None:
             return
-        changed = False
-        for child in record["children"]:
-            if child["bid_id"] == bid_id and child["status"] != COMMITTED:
-                child["status"] = COMMITTED
-                child["return_id"] = return_id
-                changed = True
-        if not changed:
+        children = [
+            dict(child, status=COMMITTED, return_id=return_id)
+            if child["bid_id"] == bid_id and child["status"] != COMMITTED else child
+            for child in record["children"]
+        ]
+        if children == record["children"]:
             return
-        if all(child["status"] == COMMITTED for child in record["children"]):
-            record["status"] = COMMITTED
-        self._collection.update_many({"accept_id": accept_id}, lambda _: record)
+        status = COMMITTED if all(c["status"] == COMMITTED for c in children) else PENDING
+        replacement = dict(record, status=status, children=children)
+        self._collection.update_many({"accept_id": accept_id}, lambda _: replacement)
 
     def is_fully_committed(self, accept_id: str) -> bool:
         """Definition 2: parent committed iff all children committed."""
-        record = self._collection.find_one({"accept_id": accept_id})
+        record = self._collection.find_one({"accept_id": accept_id}, copy=False)
         return bool(record) and record["status"] == COMMITTED
 
     def status(self, accept_id: str) -> dict[str, Any] | None:
@@ -137,6 +137,15 @@ class RecoveryLog:
     def pending_jobs(self) -> list[dict[str, Any]]:
         """Recovery (crash case 2): parents with uncommitted children."""
         return self._collection.find({"status": PENDING})
+
+
+def losing_bids(
+    accept_payload: dict[str, Any], locked_bids: list[dict[str, Any]]
+) -> list[dict[str, Any]]:
+    """The locked bids an ACCEPT_BID did not pick: one RETURN child each."""
+    metadata = accept_payload.get("metadata") or {}
+    win_bid_id = metadata.get("win_bid_id") or accept_payload.get("asset", {}).get("id")
+    return [bid for bid in locked_bids if bid["id"] != win_bid_id]
 
 
 def determine_return_txs(
@@ -154,12 +163,8 @@ def determine_return_txs(
     Returns:
         Signed RETURN transactions, one per losing bid.
     """
-    metadata = accept_payload.get("metadata") or {}
-    win_bid_id = metadata.get("win_bid_id") or accept_payload.get("asset", {}).get("id")
     returns: list[Transaction] = []
-    for bid in locked_bids:
-        if bid["id"] == win_bid_id:
-            continue
+    for bid in losing_bids(accept_payload, locked_bids):
         transaction = build_return(
             escrow=escrow,
             losing_bid_payload=bid,
@@ -171,40 +176,43 @@ def determine_return_txs(
 
 
 class NestedTransactionProcessor:
-    """Receiver-node side of the non-locking protocol.
+    """One replica's side of the non-locking protocol.
 
-    Wired into the server's block-commit hook: for every committed
-    ACCEPT_BID it determines children, persists the recovery record and
-    enqueues the RETURN jobs; the cluster's workers drain the queue,
-    routing each RETURN to a randomly selected validator node.
+    Wired into the server's block-commit hook: every replica persists
+    each committed ACCEPT_BID's recovery record; its receiver alone
+    (``is_receiver``) determines and enqueues the RETURN jobs, and
+    ``wake`` starts that node's workers, which drain the queue.
     """
 
     def __init__(self, escrow: KeyPair, database: Database):
         self.escrow = escrow
         self.queue = ReturnQueue()
         self.recovery = RecoveryLog(database)
+        #: accept id -> did this node receive that ACCEPT_BID?
+        self.is_receiver: Callable[[str], bool] = lambda accept_id: True
+        self.wake: Callable[[], None] = lambda: None
 
     def on_accept_committed(
         self, accept_payload: dict[str, Any], locked_bids: list[dict[str, Any]]
     ) -> list[ReturnJob]:
-        """Algorithm 3 Commit part: log, build and enqueue RETURNs."""
-        returns = determine_return_txs(self.escrow, accept_payload, locked_bids)
+        """Algorithm 3 Commit part: log on every replica; build and
+        enqueue RETURNs on the receiver."""
+        losers = losing_bids(accept_payload, locked_bids)
         metadata = accept_payload.get("metadata") or {}
         rfq_id = metadata.get("rfq_id") or (accept_payload.get("references") or [""])[0]
-        self.recovery.log_accept(
-            accept_payload["id"],
-            rfq_id,
-            [transaction.references[0] for transaction in returns],
+        self.recovery.log_accept(accept_payload["id"], rfq_id, [bid["id"] for bid in losers])
+        if not self.is_receiver(accept_payload["id"]):
+            return []
+        return self._enqueue(
+            accept_payload["id"], determine_return_txs(self.escrow, accept_payload, losers)
         )
-        jobs = []
-        for transaction in returns:
-            job = ReturnJob(
-                accept_id=accept_payload["id"],
-                bid_id=transaction.references[0],
-                payload=transaction.to_dict(),
-            )
+
+    def _enqueue(self, accept_id: str, returns: list[Transaction]) -> list[ReturnJob]:
+        jobs = [ReturnJob(accept_id, tx.references[0], tx.to_dict()) for tx in returns]
+        for job in jobs:
             self.queue.put(job)
-            jobs.append(job)
+        if jobs:
+            self.wake()
         return jobs
 
     def on_return_committed(self, return_payload: dict[str, Any]) -> None:
@@ -217,7 +225,8 @@ class NestedTransactionProcessor:
         self.queue.mark_done()
 
     def recover(self, locked_bids_lookup: Callable[[str], list[dict[str, Any]]]) -> int:
-        """Crash case 2 ("while enqueueing RETURNs"): re-enqueue from the log.
+        """Crash case 2 ("while enqueueing RETURNs"): re-enqueue from the
+        log the pending children of the accepts this node received.
 
         Args:
             locked_bids_lookup: rfq_id -> currently locked bids.
@@ -227,23 +236,10 @@ class NestedTransactionProcessor:
         """
         reenqueued = 0
         for record in self.recovery.pending_jobs():
-            accept_payload = {"id": record["accept_id"], "metadata": {"rfq_id": record["rfq_id"]},
-                              "references": [record["rfq_id"]]}
-            pending_bids = {
-                child["bid_id"]
-                for child in record["children"]
-                if child["status"] != COMMITTED
-            }
-            locked = [
-                bid for bid in locked_bids_lookup(record["rfq_id"]) if bid["id"] in pending_bids
-            ]
-            for transaction in determine_return_txs(self.escrow, accept_payload, locked):
-                self.queue.put(
-                    ReturnJob(
-                        accept_id=record["accept_id"],
-                        bid_id=transaction.references[0],
-                        payload=transaction.to_dict(),
-                    )
-                )
-                reenqueued += 1
+            if not self.is_receiver(record["accept_id"]):
+                continue
+            pending = {c["bid_id"] for c in record["children"] if c["status"] != COMMITTED}
+            locked = [bid for bid in locked_bids_lookup(record["rfq_id"]) if bid["id"] in pending]
+            returns = determine_return_txs(self.escrow, {"id": record["accept_id"]}, locked)
+            reenqueued += len(self._enqueue(record["accept_id"], returns))
         return reenqueued

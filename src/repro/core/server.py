@@ -384,8 +384,8 @@ class SmartchainServer:
         )
         self.context.clear_staged()
 
-        # Non-locking nested processing: children are determined *after*
-        # the parent is durably committed (Algorithm 3, Commit part).
+        # Non-locking nested processing (Algorithm 3, Commit part): every
+        # replica logs the committed parent; its receiver builds the children.
         for payload in accepted_payloads:
             metadata = payload.get("metadata") or {}
             rfq_id = metadata.get("rfq_id") or (payload.get("references") or [None])[0]

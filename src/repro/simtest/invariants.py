@@ -852,6 +852,31 @@ def replay_divergence(plane: FaultPlane) -> list[str]:
     ]
 
 
+def nested_eventual_commit(plane: FaultPlane) -> list[str]:
+    """Definition 2 at quiesce: every applied ACCEPT_BID whose receiver is
+    up is fully committed in that receiver's recovery log, with exactly
+    one applied RETURN per losing bid."""
+    applied = applied_transactions(plane)
+    returns: dict[str, list[str]] = {}
+    for _, payload in applied.values():
+        if payload.get("operation") == "RETURN":
+            returns.setdefault(payload["references"][1], []).append(payload["references"][0])
+    violations = []
+    for tx_id, (shard_id, payload) in sorted(applied.items()):
+        if payload.get("operation") != "ACCEPT_BID":
+            continue
+        shard = plane.shard_cluster(shard_id)
+        nodes = shard.engine.validator_order
+        receiver = next(n for n in nodes if shard.servers[n].nested.is_receiver(tx_id))
+        record = shard.servers[receiver].nested.recovery.status(tx_id) or {"status": None}
+        bids = sorted(child["bid_id"] for child in record.get("children", []))
+        got = sorted(returns.get(tx_id, []))
+        if (record["status"], got) != ("committed", bids) and not shard.network.is_crashed(receiver):
+            violations.append(f"accept {tx_id[:8]} is not fully committed on its receiver "
+                              f"{receiver}: {len(got)} RETURNs for {len(bids)} losing bids")
+    return violations
+
+
 def all_cross_settled(plane: FaultPlane) -> list[str]:
     """Every cross-shard submission has a final outcome at quiesce."""
     if not plane.sharded:
@@ -897,6 +922,7 @@ DEFAULT_INVARIANTS: list[Invariant] = [
     # Every live replica == a fresh replay of its chain: cross-shard
     # state moves only through certified chain entries.
     Invariant("replay_determinism", replay_divergence, every=25),
+    Invariant("nested_eventual_commit", nested_eventual_commit, scope="quiesce"),
 ]
 
 

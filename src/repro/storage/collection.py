@@ -205,7 +205,8 @@ class Collection:
         """Update all matching documents.
 
         ``update`` is either a ``{"$set": {...}}`` document (dotted paths
-        supported) or a callable returning the replacement document.
+        supported) or a callable mapping the frozen stored document (which
+        it must not mutate) to a fresh replacement the collection keeps.
         Stored documents are frozen: updates build a fresh replacement and
         swap it in, re-indexing the document.
 
@@ -216,7 +217,7 @@ class Collection:
         replacements: list[dict[str, Any]] = []
         for doc_id, document in self._match_ids(query):
             if callable(update):
-                replacement = deep_copy_json(update(deep_copy_json(document)))
+                replacement = update(document)
             else:
                 replacement = self._apply_update(document, update)
             for index in self._hash_indexes.values():

@@ -14,6 +14,9 @@ from repro.core.nested import (
 )
 from repro.core.validation import TransactionValidator
 from repro.crypto.keys import ReservedAccounts, keypair_from_string
+from repro.durability.node import DurabilityConfig, NodeDurability
+from repro.durability.recovery import diff_databases, recover
+from repro.sim.events import EventLoop
 from repro.storage.database import make_smartchaindb_database
 
 ALICE = keypair_from_string("alice")
@@ -78,6 +81,25 @@ class TestRecoveryLog:
         log.mark_child_committed("acc", "ghost", "ret")
         assert not log.is_fully_committed("acc")
 
+    def test_marks_leave_read_records_alone_and_replay_from_the_journal(self):
+        loop = EventLoop()
+        durability = NodeDurability("n", loop, DurabilityConfig())
+        database = make_smartchaindb_database(name="n", wal=durability.log)
+        log = RecoveryLog(database)
+        log.log_accept("acc", "rfq", ["bid1", "bid2"])
+        stored = database.collection("accept_tx_recovery")
+        before = stored.find_one({"accept_id": "acc"}, copy=False)  # frozen, shared
+        log.mark_child_committed("acc", "bid1", "ret1")
+        log.mark_child_committed("acc", "bid1", "ret1")
+        assert log.status("acc")["children"][0]["return_id"] == "ret1"
+        assert before["children"][0] == {"bid_id": "bid1", "return_id": None, "status": "pending"}
+        log.mark_child_committed("acc", "bid2", "ret2")
+        durability.log.flush_now()
+        loop.run_until_idle()
+        recovered = recover(durability, make_smartchaindb_database, repair=False)
+        assert diff_databases(database, recovered.database) == []
+        assert RecoveryLog(recovered.database).is_fully_committed("acc")
+
 
 @pytest.fixture()
 def settled_auction():
@@ -129,7 +151,7 @@ class TestDetermineReturnTxs:
         assert recipients == {BOB.public_key, CAROL.public_key}
 
     def test_deterministic_across_nodes(self, settled_auction):
-        """Every node must derive identical RETURNs (dedup relies on it)."""
+        """A recovered receiver re-derives identical RETURNs (dedup relies on it)."""
         database, reserved, ctx, validator, request, bids, accept = settled_auction
         locked = ctx.locked_bids(request.tx_id)
         first = determine_return_txs(reserved.escrow, accept.to_dict(), locked)
