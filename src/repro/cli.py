@@ -500,6 +500,9 @@ def _cmd_simtest(args: argparse.Namespace) -> int:
         f"workload: submitted={stats['submitted']} committed={stats['committed']} "
         f"rejected={stats['rejected']} conflicts={stats['conflicts']} cross={stats['cross']}"
     )
+    if report.stats["rejections"]:
+        causes = ", ".join(f"{count} {cause}" for cause, count in report.stats["rejections"].items())
+        print(f"rejected by cause: {causes}")
     if config.adversarial_rate > 0:
         print(
             f"adversary: double_submits={stats['double_submits']} "

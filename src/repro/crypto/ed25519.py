@@ -49,6 +49,15 @@ Both memos are module-level, evict one entry at a fixed cap (the oldest
 seed; the least recently used public key), and hold pure functions of
 their keys: no verdict and no signature byte depends on them.
 
+Where this module runs: it is the whole of Ed25519 when no native
+library is bound, and with one bound (:mod:`repro.crypto.native`) it
+still derives every public key, signs whenever native signing fails and
+decides every verdict libcrypto does not accept — libcrypto's accept is
+cofactorless and is asked only on canonical inputs, so it implies this
+module's (the argument is in :mod:`repro.crypto.keys`).  Its functions
+never call the native path: calling them directly, as the tests and the
+microbenchmark do, always measures and checks the pure kernel.
+
 The implementation favours clarity over constant-time guarantees — it is a
 research reproduction, not a hardened production signer — but it is fully
 interoperable: signatures verify against the RFC 8032 test vectors (see

@@ -4,6 +4,23 @@ The formal model (Section 3.1) is built on a set ``PBPK`` of public/private
 key pairs, with a reserved subset ``PBPK-Res`` of system accounts (escrow,
 admin).  Keys are Ed25519; both halves are rendered in base58 like
 BigchainDB renders them.
+
+Two Ed25519 paths run here.  Where :func:`repro.crypto.native.available`
+(the libcrypto ``hashlib`` links exposes Ed25519), :meth:`KeyPair.sign`
+signs natively and verification asks libcrypto first; elsewhere both run
+the pure kernel, :mod:`repro.crypto.ed25519`, alone.  Neither signature
+bytes nor verdicts depend on which path ran:
+
+* RFC 8032 signing is deterministic, so a native signature equals
+  :func:`ed25519.sign`'s byte for byte; any native failure signs in pure
+  Python.
+* libcrypto verifies *cofactorless* (``[s]B = R + [h]A``), the pure kernel
+  *cofactored* (``[8s]B = [8]R + [8h]A``).  Native is asked only when
+  ``s < L`` and ``A`` and ``R`` are canonical encodings, where the two
+  decode to the same points; a cofactorless accept is then an equation
+  that, multiplied by 8, is the cofactored one.  So a native accept is
+  final, and every other verdict — the cofactored-only accepts,
+  malformed inputs, every native reject — comes from the pure kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.common.encoding import base58_decode, base58_encode
 from repro.common.errors import InvalidKeyError
-from repro.crypto import ed25519, sigcache
+from repro.crypto import ed25519, native, sigcache
 
 
 @dataclass(frozen=True)
@@ -27,7 +44,7 @@ class KeyPair:
     def sign(self, message: bytes) -> str:
         """Sign ``message``; returns the base58 signature string."""
         seed = base58_decode(self.private_key)
-        return base58_encode(ed25519.sign(seed, message))
+        return base58_encode(native.sign(seed, message) or ed25519.sign(seed, message))
 
     def verify(self, message: bytes, signature: str) -> bool:
         """Verify a base58 signature made by this key pair."""
@@ -87,7 +104,7 @@ def _verify_signature_uncached(public_key: str, message: bytes, signature: str) 
         sig = base58_decode(signature)
     except Exception:
         return False
-    return ed25519.verify(public, message, sig)
+    return native.accepts(public, message, sig) or ed25519.verify(public, message, sig)
 
 
 def verify_signatures_batch(items: list[tuple[str, bytes, str]]) -> list[bool]:

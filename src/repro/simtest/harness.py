@@ -426,6 +426,7 @@ class SimHarness:
             )
         report.stats = {
             "workload": dict(self.workload.stats),
+            "rejections": dict(self.workload.rejections.most_common()),
             "sim_time": round(self.plane.now, 6),
             "events": self.plane.loop.processed,
             "invariants_registered": len(self.checker.applicable("step"))

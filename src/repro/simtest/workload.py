@@ -31,6 +31,8 @@ byte-for-byte.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,6 +47,17 @@ from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
 #: Recent-payload window the adversarial ops replay from.
 RECENT_WINDOW = 32
+
+_WHERE = re.compile(r"^((home rejection|participant [\w-]+): )+")
+_REF = re.compile(r"\b[0-9a-f]{8,}(\.{2,3})?(:\d+)?")
+
+
+def rejection_cause(detail: str) -> str:
+    """A rejection detail without where it was refused, the references it
+    names and what follows its first ``": "`` (the offending values):
+    ``"home rejection: bid asset transaction 40dc1b64... is not committed"``
+    becomes ``"bid asset transaction <ref> is not committed"``."""
+    return _REF.sub("<ref>", _WHERE.sub("", detail)).split(": ")[0]
 
 
 @dataclass
@@ -141,6 +154,8 @@ class TraceWorkload:
             "forged": 0,
             "forged_admitted": 0,
         }
+        #: Rejections by :func:`rejection_cause` of their detail.
+        self.rejections: Counter[str] = Counter()
 
     # -- helpers ---------------------------------------------------------------
 
@@ -189,6 +204,7 @@ class TraceWorkload:
                 self._on_committed(tx_id, kind, detail)
             else:
                 self.stats["rejected"] += 1
+                self.rejections[rejection_cause(record.rejected)] += 1
                 self._on_rejected(tx_id, kind, detail)
 
     def _on_committed(self, tx_id: str, kind: str, detail: Any) -> None:

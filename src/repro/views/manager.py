@@ -253,18 +253,15 @@ class ViewManager:
     def owned_outputs_for(
         self, public_key: str, shard: str | None = None
     ) -> list[dict[str, Any]]:
-        """:meth:`outputs_for` as documents the caller owns: each of the
-        four fields, with a fresh ``public_keys`` list (the other three
-        are scalars)."""
-        return [
-            {
-                "transaction_id": document["transaction_id"],
-                "output_index": document["output_index"],
-                "public_keys": list(document["public_keys"]),
-                "amount": document["amount"],
-            }
-            for document in self.outputs_for(public_key, shard)
-        ]
+        """:meth:`outputs_for` as documents the caller owns: a shallow copy
+        of each (``_apply_tx`` makes every view UTXO with exactly four
+        fields, three of them scalars) with a fresh ``public_keys`` list."""
+        owned = []
+        for document in self.outputs_for(public_key, shard):
+            copy = document.copy()
+            copy["public_keys"] = list(copy["public_keys"])
+            owned.append(copy)
+        return owned
 
     def _shard_of(self, tx_id: str) -> str | None:
         """Serving shard of a transaction's outputs: migration override

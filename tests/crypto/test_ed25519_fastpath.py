@@ -4,8 +4,11 @@
 for a public key on its second sight, so one triple can now be judged by
 three routes — a one-row table (first sight of a key), the key's own table
 (warm key) and the signature-cache wrapper in ``keys`` — and ``verify``
-settles ``R`` by its encoding instead of decompressing it.  This module pins that signatures equal a textbook
-RFC 8032 signer byte for byte, that all routes return one verdict on
+settles ``R`` by its encoding instead of decompressing it; ``keys`` also
+asks native libcrypto first, when one is bound, and lets only its accepts
+stand.  This module pins that signatures equal a textbook
+RFC 8032 signer byte for byte on the pure and the native route, that all
+routes, native loaded or forced off, return one verdict on
 valid, tampered, malformed and small-order inputs — the verdict of a
 textbook verifier that does take the square root — that every
 multiplication route equals double-and-add whatever the table shapes,
@@ -15,6 +18,7 @@ different acceptance set.
 """
 
 import ast
+import contextlib
 import hashlib
 import inspect
 import pathlib
@@ -24,7 +28,7 @@ import sys
 import pytest
 
 from repro.common.encoding import base58_encode
-from repro.crypto import ed25519, keys
+from repro.crypto import ed25519, keys, native
 from repro.crypto.sigcache import SignatureCache, set_shared_cache
 
 from test_ed25519 import RFC8032_VECTORS
@@ -137,6 +141,17 @@ def small_order_encodings():
 SMALL_ORDER = small_order_encodings()
 
 
+@contextlib.contextmanager
+def native_off():
+    """Run the block as an interpreter without native Ed25519 would."""
+    native.available()  # bind now, so no first use inside the block rebinds
+    bound, native._LIB = native._LIB, None
+    try:
+        yield
+    finally:
+        native._LIB = bound
+
+
 @pytest.fixture
 def fresh_memos(monkeypatch):
     """Empty key memos for one test, restored afterwards."""
@@ -172,6 +187,19 @@ class TestSignIsByteIdenticalToTheTextbook:
                 seed, message = bytes.fromhex(seed_hex), bytes.fromhex(message_hex)
                 assert ed25519.public_key_from_seed(seed).hex() == public_hex
                 assert ed25519.sign(seed, message).hex() == signature_hex
+
+    def test_keypair_sign_is_the_pure_signature_with_native_loaded_and_off(self, fresh_memos):
+        for seed_hex, public_hex, message_hex, signature_hex in RFC8032_VECTORS:
+            seed, message = bytes.fromhex(seed_hex), bytes.fromhex(message_hex)
+            pair = keys.KeyPair(base58_encode(bytes.fromhex(public_hex)), base58_encode(seed))
+            expected = base58_encode(ed25519.sign(seed, message))
+            assert ed25519.sign(seed, message).hex() == signature_hex
+            if native.available():
+                assert native.sign(seed, message).hex() == signature_hex
+            assert pair.sign(message) == expected
+            with native_off():
+                assert native.sign(seed, message) is None
+                assert pair.sign(message) == expected
 
 
 # -- (b) one verdict everywhere -------------------------------------------------------
@@ -225,6 +253,12 @@ def verdict_cases():
         crafted = torsion + int.to_bytes(s, 32, "little")
         cases.append((f"small-order R #{number}, crafted", (public, message, crafted), True))
         cases.append((f"small-order R #{number}, honest s", (public, message, torsion + signature[32:]), False))
+    # The identity as A, spelled non-canonically: libcrypto decodes both
+    # spellings and accepts (r*B, r), so only the canonical-encoding guard
+    # in front of it keeps these rejected.
+    crafted = r_bytes + int.to_bytes(r, 32, "little")
+    for spelling, encoding in (("y = P + 1", P + 1), ("y = 1, sign bit set", 1 | (1 << 255))):
+        cases.append((f"identity A as {spelling}, crafted", (int.to_bytes(encoding, 32, "little"), message, crafted), False))
     return cases
 
 
@@ -586,7 +620,8 @@ HONEST = (ed25519.public_key_from_seed(bytes([33]) * 32), b"filler", ref_sign(by
 
 def verdicts_on_every_route(triple):
     """Cold, table-building and warm ``verify``; the ``keys`` wrapper
-    missing and hitting its cache."""
+    missing and hitting its cache; the uncached ``keys`` verifier with
+    native Ed25519 as loaded and forced off."""
     public, message, signature = triple
     verdicts = {}
     ed25519._PUBKEY_CACHE.clear()
@@ -599,6 +634,9 @@ def verdicts_on_every_route(triple):
         verdicts["wrapper, hit"] = keys.verify_signature(*encoded)
     finally:
         set_shared_cache(previous)
+    verdicts["keys, native loaded"] = keys._verify_signature_uncached(*encoded)
+    with native_off():
+        verdicts["keys, native off"] = keys._verify_signature_uncached(*encoded)
     return verdicts
 
 
@@ -608,13 +646,13 @@ def assert_every_route_agrees_with_the_oracle(cases=ENCODING_CASES):
             assert verdict is ORACLE[name], (name, route, verdict)
 
 
-def planted(monkeypatch, function, old, new):
-    """Swap ``function`` of ``ed25519`` for a copy with ``old`` -> ``new``."""
-    source = inspect.getsource(getattr(ed25519, function))
+def planted(monkeypatch, function, old, new, module=ed25519):
+    """Swap ``function`` of ``module`` for a copy with ``old`` -> ``new``."""
+    source = inspect.getsource(getattr(module, function))
     assert source.count(old) == 1, f"{function} no longer contains {old!r}"
-    namespace = dict(vars(ed25519))
+    namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(ed25519, function, namespace[function])
+    monkeypatch.setattr(module, function, namespace[function])
 
 
 class TestRByItsEncodingEqualsRDecompressed:
@@ -689,8 +727,84 @@ class TestRByItsEncodingEqualsRDecompressed:
             TestEveryRouteEqualsDoubleAndAdd().test_base_table()
         assert not ed25519.verify(*HONEST)
 
+    @pytest.mark.skipif(not native.available(), reason="no native Ed25519 in this interpreter")
+    def test_a_final_native_reject_is_caught(self, monkeypatch):
+        planted(
+            monkeypatch,
+            "_verify_signature_uncached",
+            "    return native.accepts(public, message, sig) or ed25519.verify(public, message, sig)\n",
+            "    return native.accepts(public, message, sig)\n",
+            module=keys,
+        )
+        encoded = (base58_encode(HONEST[0]), HONEST[1], base58_encode(HONEST[2]))
+        assert keys._verify_signature_uncached(*encoded)
+        with pytest.raises(AssertionError):
+            self.test_every_route_agrees_with_the_oracle(None)
 
-# -- (g) import audit --------------------------------------------------------------------
+
+# -- (g) native libcrypto: its accepts are oracle accepts ---------------------------------
+
+
+def differential_cases():
+    """Random valid signatures, each tampered, shifted by ``L``, with
+    ``A`` moved by the order-2 point and with ``R``'s sign bit flipped."""
+    rng = random.Random(32)
+    order_2 = SMALL_ORDER[4]
+    for number in range(40):
+        seed, message = rng.randbytes(32), rng.randbytes(rng.randrange(96))
+        public, signature = ed25519.public_key_from_seed(seed), ed25519.sign(seed, message)
+        s_int = int.from_bytes(signature[32:], "little")
+        torsioned_a = ref_compress(ref_add(ref_decompress(public), ref_decompress(order_2)))
+        yield f"valid #{number}", (public, message, signature)
+        yield f"tampered #{number}", (public, message, flip(signature, rng.randrange(512)))
+        yield f"s + L #{number}", (public, message, signature[:32] + int.to_bytes(s_int + L, 32, "little"))
+        yield f"A + order-2 #{number}", (torsioned_a, message, signature)
+        yield f"R sign flipped #{number}", (public, message, flip(signature, 255))
+
+
+class TestNativeAcceptsOnlyWhatThePureKernelAccepts:
+    CASES = (
+        [(name, triple, ORACLE[name]) for name, triple in ENCODING_CASES]
+        + verdict_cases()
+        + [(name, triple, ed25519.verify(*triple)) for name, triple in differential_cases()]
+    )
+
+    def test_libcrypto_mapped_means_native_bound(self):
+        if native._mapped_libcrypto() is not None:
+            assert native.available()
+
+    def test_a_native_accept_is_an_accept_and_native_takes_the_honest_ones(self):
+        accepted = 0
+        for name, triple, expected in self.CASES:
+            if native.accepts(*triple):
+                assert expected, name
+                accepted += 1
+        honest = sum(name.startswith("valid") for name, _, _ in self.CASES)
+        assert accepted >= honest if native.available() else accepted == 0
+        assert any(expected and not native.accepts(*triple) for _, triple, expected in self.CASES)
+
+    def test_native_memo_stays_bounded_and_frees_what_it_evicts(self, monkeypatch):
+        if not native.available():
+            pytest.skip("no native Ed25519 in this interpreter")
+        freed = []
+        free = native._LIB.EVP_PKEY_free
+        monkeypatch.setattr(native._LIB, "EVP_PKEY_free", lambda handle: (freed.append(handle), free(handle)))
+        monkeypatch.setattr(native, "_KEYS", {})
+        monkeypatch.setattr(native, "_KEYS_MAX", 4)
+        for lap in range(2):
+            for number in range(6):
+                seed = bytes([number + 40]) * 32
+                message = b"lap %d" % lap
+                signature = native.sign(seed, message)
+                assert signature == ed25519.sign(seed, message)
+                assert native.accepts(ed25519.public_key_from_seed(seed), message, signature)
+                assert len(native._KEYS) <= 4
+        # Every key made was freed on eviction but the four still held
+        # (a freed address may come back for a later key).
+        assert len(freed) == 2 * 2 * 6 - 4
+
+
+# -- (h) import audit --------------------------------------------------------------------
 
 
 def test_crypto_package_imports_only_stdlib_and_repro():

@@ -60,6 +60,17 @@ class TestCommands:
         assert (tmp_path / "SIMTEST_invariants.log").exists()
         assert not (tmp_path / "SIMTEST_repro.json").exists()
 
+    def test_simtest_prints_rejections_by_cause(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["simtest", "--seed", "3", "--steps", "30", "--shards", "2", "--adversarial-rate", "0.3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "rejected=7 " in out
+        assert (
+            "rejected by cause: 4 [signatures] input signature verification failed, "
+            "1 presumed abort, 1 output <ref> already spent by shard-lo, 1 <ref> already spent\n"
+        ) in out
+
     def test_reshard(self, capsys):
         assert main(["reshard"]) == 0
         out = capsys.readouterr().out
