@@ -13,19 +13,23 @@ Four measurements of the persistence stack:
   journal-only logs of growing length on a :class:`SimDisk`; shows the
   linear replay cost snapshots exist to bound.
 * **snapshot-amortised replay** — the same 8 000-record history
-  recovered with and without checkpoints every 1 000 records.  The
+  recovered with and without checkpoints every 996 records (a
+  journal-only owner's 83 blocks of ``RECORDS_PER_BLOCK``).  The
   replayed-record ratio is deterministic (>= 4x fewer with snapshots);
   wall speedup is reported alongside.
-* **checkpoint cost vs state size** — one steady-state checkpoint (a
-  few inserts and updates since the last one) of a 1 k / 4 k / 16 k
-  document state: a checkpoint splices the bytes kept per document, so
-  the gate is on counts — it encodes exactly the documents updated
-  since the last checkpoint, whatever the state size, and a checkpoint
-  with nothing new encodes none; and the snapshot file holds the kept
-  bytes by reference, so ``copied_bytes`` (what it holds beyond them) is
-  its skeleton and headers only.  Milliseconds are reported beside what
-  the same state costs to deep-copy and encode whole (the checkpoint
-  before the splice), whose bytes must be identical.
+* **checkpoint cost vs state size** — one steady-state delta
+  checkpoint (a few inserts and updates since the last one) on a 1 k /
+  4 k / 16 k document base, median of five: a delta writes the documents
+  changed since the last checkpoint, splicing the bytes kept per
+  document, so the gates are on counts — it encodes exactly the
+  documents updated since, whatever the state size, and a checkpoint
+  with nothing new encodes none; the delta holds the kept bytes by
+  reference, so ``copied_bytes`` (what it holds beyond them) is its
+  skeleton and headers only; base + deltas, decoded and folded as
+  recovery folds them, equal the whole state encoded from scratch — and
+  on time: the delta at 16 k documents costs at most twice the 1 k one.
+  Milliseconds are reported beside what the same state costs to
+  deep-copy and encode whole.
 
 Run as a script (CI's hot-path smoke job does) the report goes to
 ``BENCH_durability.json`` at the repo root; a pytest run enforces the
@@ -34,16 +38,18 @@ same gates and leaves the tracked file alone.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
+import statistics
 import tempfile
 import time
 
 import repro.common.encoding as encoding
-from repro.durability.node import DurabilityConfig, NodeDurability
-from repro.durability.recovery import checkpoint_state, diff_databases, recover
-from repro.durability.wal import FileBackend, SegmentedWal, encode_frame
+from repro.durability.node import RECORDS_PER_BLOCK, DurabilityConfig, NodeDurability
+from repro.durability.recovery import checkpoint_state, diff_databases, load_collections, recover
+from repro.durability.wal import FileBackend, SegmentedWal, encode_frame, iter_frames
 from repro.sim.events import EventLoop
 from repro.storage.database import Database
 
@@ -58,6 +64,8 @@ CHECKPOINT_SWEEP = (1_000, 4_000, 16_000)
 #: Work between two checkpoints of the scaling sweep.
 CHECKPOINT_INSERTS = 32
 CHECKPOINT_UPDATES = 8
+#: Measured deltas per state size (the median is reported).
+CHECKPOINT_ROUNDS = 5
 
 
 def _record(index: int) -> dict:
@@ -115,13 +123,14 @@ def _build_history(n_records: int, snapshot_interval: int | None) -> NodeDurabil
     """A journaled insert history on a SimDisk, optionally checkpointed."""
     loop = EventLoop()
     config = DurabilityConfig(
-        snapshot_interval=snapshot_interval or (n_records * 2),
+        # A journal-only owner counts RECORDS_PER_BLOCK records as a block.
+        snapshot_interval=(snapshot_interval or n_records * 2) // RECORDS_PER_BLOCK,
         segment_max_bytes=1 << 16,
     )
     durability = NodeDurability("bench", loop, config)
     database = Database("bench", wal=durability.log)
     if snapshot_interval is not None:
-        durability.state_provider = lambda: checkpoint_state(database)
+        durability.state_provider = lambda full: checkpoint_state(database, full)
     transactions = database.create_collection("transactions")
     for index in range(n_records):
         transactions.insert_one(
@@ -196,15 +205,32 @@ def _counting_encodes(work) -> tuple[int, float]:
     return calls, elapsed
 
 
+def _whole_state(lsn: int, collection) -> bytes:
+    """A base checkpoint of ``collection`` encoded from scratch: the
+    checkpoint the way it was built before the splice."""
+    return encode_frame(
+        {
+            "lsn": lsn,
+            "state": {
+                "collections": {
+                    collection.name: {
+                        "docs": collection.find({}),
+                        "gone": [],
+                        "ids": list(collection._documents),
+                    }
+                }
+            },
+        }
+    )
+
+
 def measure_checkpoint_scaling() -> dict:
     sweep = {}
     for n_documents in CHECKPOINT_SWEEP:
         loop = EventLoop()
-        durability = NodeDurability(
-            "bench", loop, DurabilityConfig(snapshot_interval=n_documents * 4)
-        )
+        durability = NodeDurability("bench", loop, DurabilityConfig(snapshot_interval=10**9))
         database = Database("bench", wal=durability.log)
-        durability.state_provider = lambda: checkpoint_state(database)
+        durability.state_provider = lambda full: checkpoint_state(database, full)
         transactions = database.create_collection("transactions")
         transactions.create_index("id", unique=True)
 
@@ -221,43 +247,56 @@ def measure_checkpoint_scaling() -> dict:
         for index in range(n_documents):
             insert(index)
         loop.run_until_idle()
-        durability.checkpoint()
-        # Steady state: a little work, then the measured checkpoint.
-        for index in range(n_documents, n_documents + CHECKPOINT_INSERTS):
-            insert(index)
-        for index in range(CHECKPOINT_UPDATES):
-            transactions.update_many(
-                {"id": f"tx-{index:06d}"}, {"$set": {"amount": -index}}
-            )
-        loop.run_until_idle()
-        encodes, spliced_s = _counting_encodes(durability.checkpoint)
-        (snap_name,) = [n for n in durability.disk.list() if n.endswith(".snap")]
-        snapshot = durability.disk.read(snap_name)
-        # The same checkpoint the way it was built before the splice.
+        durability.checkpoint()  # the base
+        # Steady state: a little work, then the measured delta; the
+        # median of CHECKPOINT_ROUNDS is reported.
+        rounds = []
+        for round_index in range(CHECKPOINT_ROUNDS):
+            first = n_documents + round_index * CHECKPOINT_INSERTS
+            for index in range(first, first + CHECKPOINT_INSERTS):
+                insert(index)
+            for index in range(CHECKPOINT_UPDATES):
+                transactions.update_many(
+                    {"id": f"tx-{index:06d}"}, {"$set": {"amount": -index - round_index}}
+                )
+            loop.run_until_idle()
+            gc.collect()  # a collector pass over the whole state is not the delta's cost
+            rounds.append(_counting_encodes(durability.checkpoint))
+        assert durability.snapshots.stats["bases"] == 1
+        encodes = {count for count, _ in rounds}
+        spliced_s = statistics.median(seconds for _, seconds in rounds)
+        delta_name = durability.snapshots._name(durability.snapshots.head)
+        delta = durability.disk.read(delta_name)
+        (frame,) = iter_frames(delta)
+        assert delta == encode_frame(frame), "spliced delta differs from its encoding"
+        # Base + deltas, decoded and folded as recovery folds them, equal
+        # the whole state encoded from scratch.
         start = time.perf_counter()
-        whole = encode_frame(
-            {
-                "lsn": durability.wal.last_lsn,
-                "state": {"collections": {"transactions": transactions.find({})}},
-            }
-        )
+        whole = _whole_state(durability.wal.last_lsn, transactions)
         whole_s = time.perf_counter() - start
-        assert snapshot == whole, "spliced snapshot differs from the whole-state encoding"
+        folded = Database("folded")
+        for _, state, _ in durability.snapshots.chain():
+            load_collections(folded, state["collections"])
+        assert _whole_state(durability.wal.last_lsn, folded.collection("transactions")) == whole, (
+            "base + deltas differ from the whole-state encoding"
+        )
         kept = {id(fragment) for fragment in transactions._fragments.values()}
         copied = sum(
-            len(piece) for piece in durability.disk._durable[snap_name] if id(piece) not in kept
+            len(piece) for piece in durability.disk._durable[delta_name] if id(piece) not in kept
         )
-        idle_encodes, _ = _counting_encodes(durability.state_provider)
+        idle_encodes, _ = _counting_encodes(lambda: durability.state_provider(False))
         sweep[str(n_documents)] = {
             "documents": len(transactions),
-            "snapshot_bytes": len(snapshot),
+            "base_bytes": durability.snapshots.base_bytes,
+            "delta_bytes": len(delta),
             "copied_bytes": copied,
-            "encodes": encodes,
+            "encodes": max(encodes),
             "encodes_with_nothing_new": idle_encodes,
             "checkpoint_ms": round(spliced_s * 1000, 3),
             "copy_and_encode_whole_ms": round(whole_s * 1000, 3),
             "speedup": round(whole_s / spliced_s, 2),
         }
+        assert len(encodes) == 1, rounds
     return sweep
 
 
@@ -293,10 +332,15 @@ def run_report() -> dict:
     # else, at every state size (counts; the times are reported only).
     # The snapshot file shares the kept document bytes: all it adds is
     # its skeleton (one comma per document) and headers.
-    for row in report["checkpoint_scaling"].values():
+    scaling = report["checkpoint_scaling"]
+    for row in scaling.values():
         assert row["encodes"] == CHECKPOINT_UPDATES, row
         assert row["encodes_with_nothing_new"] == 0, row
         assert row["copied_bytes"] <= row["documents"] + 128, row
+    # A delta's cost follows the change, not the state: 16x the
+    # documents may cost at most 2x the time.
+    small, large = scaling[str(CHECKPOINT_SWEEP[0])], scaling[str(CHECKPOINT_SWEEP[-1])]
+    assert large["checkpoint_ms"] <= 2 * small["checkpoint_ms"], scaling
     return report
 
 

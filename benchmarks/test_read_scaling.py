@@ -68,7 +68,7 @@ def _build_history() -> tuple[SmartchainCluster, list[str], list]:
         ClusterConfig(
             n_validators=4,
             seed=47,
-            durability=DurabilityConfig(snapshot_interval=400),
+            durability=DurabilityConfig(snapshot_interval=34),
         )
     )
     driver = cluster.driver

@@ -47,7 +47,7 @@ def run_split(seed: int, hot_txs: int, torn_bytes: int = 17, crash: bool = True)
         ShardedClusterConfig(
             n_shards=2,
             seed=seed,
-            durability=DurabilityConfig(snapshot_interval=80),
+            durability=DurabilityConfig(snapshot_interval=8),
             auto_split=True,
             migration_policy=MigrationPolicy(
                 hot_share_threshold=0.55, window=24, min_observations=12, cooldown=1.0

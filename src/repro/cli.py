@@ -256,7 +256,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     cluster = ShardedCluster(
         ShardedClusterConfig(
             n_shards=args.shards,
-            durability=DurabilityConfig(snapshot_interval=80),
+            durability=DurabilityConfig(snapshot_interval=8),
         )
     )
     driver = cluster.driver
@@ -302,8 +302,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
           f"each disk loses its unsynced tail keeping {torn} torn bytes mid-frame")
     blocks_before = shard.servers[node].database.collection("blocks").count({})
 
-    print("[3/4] restore both purely from their SimDisks "
-          "(newest valid snapshot + scan-to-torn-tail WAL replay)")
+    print("[3/4] restore both purely from their SimDisks (newest whole checkpoint "
+          "chain + scan-to-torn-tail WAL; the node re-delivers the blocks above it)")
     cluster.restart_node_from_disk(home, node, torn_bytes=torn)
     cluster.restart_coordinator_from_disk(home, torn_bytes=torn)
     cluster.run()
@@ -347,7 +347,7 @@ def _cmd_reshard(args: argparse.Namespace) -> int:
         ShardedClusterConfig(
             n_shards=args.shards,
             seed=args.seed,
-            durability=DurabilityConfig(snapshot_interval=80),
+            durability=DurabilityConfig(snapshot_interval=8),
             auto_split=True,
             migration_policy=MigrationPolicy(
                 hot_share_threshold=args.hot_share,

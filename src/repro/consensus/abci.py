@@ -54,6 +54,20 @@ class Application(Protocol):
         ...
 
 
+def deliver_block(app: Application, block: Block, committed: set[str]) -> list[TxEnvelope]:
+    """DeliverTx over ``block``'s envelopes not in ``committed`` (the ids
+    of earlier blocks), then ``commit_block``; returns what was delivered.
+    The one path from a block to application state, live and in replay."""
+    delivered = [
+        envelope
+        for envelope in block.transactions
+        if envelope.tx_id not in committed and app.deliver_tx(envelope)
+    ]
+    app.commit_block(block, delivered)
+    committed.update(envelope.tx_id for envelope in block.transactions)
+    return delivered
+
+
 class NullApplication:
     """Accept-everything application; useful for consensus-only tests."""
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.encoding import array_pieces, canonical_bytes, splice_object
-from repro.consensus.abci import Application
+from repro.consensus.abci import Application, deliver_block
 from repro.consensus.mempool import Mempool
 from repro.consensus import round as machine
 from repro.consensus.round import GENESIS_ID, RoundState, Send
@@ -144,10 +144,16 @@ class Validator:
         #: ``block`` frame and every checkpoint splice those bytes.  One
         #: entry per height (a different block or certificate at a height
         #: replaces it), so they hold about what the ``blocks`` and
-        #: ``certs`` parts of one snapshot file do; never filled while
+        #: ``certs`` parts of a base checkpoint do; never filled while
         #: ``persistence`` is None.
         self._block_bytes: dict[int, tuple[Block, bytes]] = {}
         self._cert_bytes: dict[int, tuple[dict, bytes]] = {}
+        #: Chain blocks the checkpoints hold, and id -> block of the blocks
+        #: a ``lock`` frame since the last checkpoint (or its lock) carries
+        #: (a block id excludes round and proposer: only that very block
+        #: may leave its body to the lock frame).
+        self._checkpointed = 0
+        self._lock_frames: dict[str, Block] = {}
         self._timeout_handle: EventHandle | None = None
         self._last_propose_time = float("-inf")
         self._catchup_requested_at = float("-inf")
@@ -471,31 +477,16 @@ class Validator:
                 height=block.height, round=block.round,
                 block=block.block_id[:8], txs=len(block.transactions),
             )
-        delivered = [
-            envelope
-            for envelope in block.transactions
-            if envelope.tx_id not in self._committed_ids and self.app.deliver_tx(envelope)
-        ]
-        self.app.commit_block(block, delivered)
+        delivered = deliver_block(self.app, block, self._committed_ids)
         self.chain.append(block)
         machine.step(self.state, machine.Decided(block))
-        self._committed_ids.update(envelope.tx_id for envelope in block.transactions)
         self.mempool.remove([envelope.tx_id for envelope in block.transactions])
         if tel is not None and len(self.mempool) > 0:
             # Backlogged height: the next height's work window opens now,
             # not at the next submit.
             self._height_started_at = self._loop.clock.now
         if self.persistence is not None:
-            # Full envelopes ride the record so a restarted node rebuilds
-            # the exact chain (same value-based block ids) and can serve
-            # catch-up; a decided lock needs no explicit clear — recovery
-            # drops any lock at or below the recovered chain height.
-            record = {"k": "block", "b": block_record(block)}
-            body = {"k": b'"block"', "b": self._block_body(block)}
-            if cert is not None:
-                record["cert"] = cert
-                body["cert"] = self._cert_body(block.height, cert)
-            self.persistence.journal(record, body=splice_object(body))
+            self._journal_block(block, cert)
         self.engine.record_commit(self.node_id, block, delivered)
 
     def _build_commit_cert(self, block: Block) -> dict | None:
@@ -626,7 +617,8 @@ class Validator:
         quorum form at this height.  Forced past the group cadence — the
         precommit this lock licenses is broadcast next, and a vote that
         outran its lock's durability is the height-fork race with a
-        crash in the middle."""
+        crash in the middle.  The frame carries the locked block, so its
+        ``block`` frame need not."""
         locked_round, locked = self.state.locked_round, self.state.locked_value
         self.persistence.journal(
             {"k": "lock", "r": locked_round, "b": block_record(locked)},
@@ -634,7 +626,26 @@ class Validator:
                 {"k": b'"lock"', "r": b"%d" % locked_round, "b": self._block_body(locked)}
             ),
         )
+        self._lock_frames[locked.block_id] = locked
         self.persistence.log.flush_now()
+
+    def _journal_block(self, block: Block, cert: dict | None) -> None:
+        """An applied block's frame (see :mod:`repro.durability.recovery`);
+        a decided lock needs no explicit clear — recovery drops any lock
+        at or below the recovered chain height."""
+        now = self._loop.clock.now
+        record = {"h": block.height, "id": block.block_id, "k": "block", "t": now}
+        parts = []  # a block id is a hex digest and ``repr`` is JSON's float form
+        if self._lock_frames.pop(block.block_id, None) is not block:
+            record["b"] = block_record(block)
+            parts.append(b'"b":%s,' % self._block_body(block))
+        if cert is not None:
+            record["cert"] = cert
+            parts.append(b'"cert":%s,' % self._cert_body(block.height, cert))
+        body = b'{%s"h":%d,"id":"%s","k":"block","t":%r}' % (
+            b"".join(parts), block.height, block.block_id.encode(), now
+        )
+        self.persistence.journal(record, body=body, block=True)
 
     def _block_body(self, block: Block) -> bytes:
         """Canonical bytes of ``block``'s record, made on first use per
@@ -662,24 +673,30 @@ class Validator:
             entry = self._cert_bytes[height] = (cert, canonical_bytes(cert))
         return entry[1]
 
-    def consensus_snapshot(self) -> dict[str, Any]:
-        """Durable consensus state (chain, lock, certificates) for the
-        node's checkpoint provider, each member canonically encoded as
-        :func:`~repro.common.encoding.object_pieces` values that hold the
+    def checkpoint_members(self, full: bool) -> dict[str, Any]:
+        """Durable consensus state for the node's checkpoint provider —
+        the chain's blocks and certificates (all, or those applied since
+        the last checkpoint) and the lock — as
+        :func:`~repro.common.encoding.object_pieces` values holding the
         per-block / per-certificate bytes by reference, so only a block
-        or certificate that was never journaled here (restored from
-        disk) is encoded now."""
+        or certificate never journaled here is encoded now."""
+        fresh = self.chain if full else self.chain[self._checkpointed :]
+        self._checkpointed = len(self.chain)
         lock: Any = b"null"
-        if self.state.locked_value is not None:
-            locked = self._block_body(self.state.locked_value)
-            lock = {"r": b"%d" % self.state.locked_round, "b": locked}
+        locked = self.state.locked_value
+        self._lock_frames = {}
+        if locked is not None:
+            lock = {"r": b"%d" % self.state.locked_round, "b": self._block_body(locked)}
+            self._lock_frames[locked.block_id] = locked
+        certs = [(block.height, self.commit_certs.get(block.height)) for block in fresh]
         return {
-            "blocks": array_pieces(self._block_body(block) for block in self.chain),
+            "blocks": array_pieces(self._block_body(block) for block in fresh),
             "lock": lock,
             # [height, cert] pairs: canonical JSON requires string keys.
             "certs": array_pieces(
                 array_pieces((b"%d" % height, self._cert_body(height, cert)))
-                for height, cert in sorted(self.commit_certs.items())
+                for height, cert in certs
+                if cert is not None
             ),
         }
 
@@ -689,8 +706,10 @@ class Validator:
         locked_round: int = -1,
         locked_block: Block | None = None,
         certs: dict[int, dict] | None = None,
+        checkpointed: int = 0,
     ) -> None:
-        """Adopt disk-recovered chain and lock state after a restart.
+        """Adopt disk-recovered chain and lock state after a restart
+        (``checkpointed``: the leading blocks the checkpoints held).
 
         Volatile state (mempool, votes, proposals, memo) is assumed
         already cleared by :meth:`on_crash`; this resets the durable
@@ -711,6 +730,8 @@ class Validator:
         self.commit_certs = dict(certs or {})
         self._block_bytes.clear()
         self._cert_bytes.clear()
+        self._checkpointed = checkpointed
+        self._lock_frames = {locked_block.block_id: locked_block} if locked_block else {}
         self._last_propose_time = float("-inf")
         self._catchup_requested_at = float("-inf")
 

@@ -14,19 +14,18 @@ from typing import Any
 
 from repro.common.encoding import canonical_bytes, deep_copy_json
 from repro.common.errors import SchemaValidationError, ValidationError
-from repro.consensus.abci import envelope_for
+from repro.consensus.abci import deliver_block, envelope_for
 from repro.consensus.bft import BftConfig, BftEngine, CommitRecord
+from repro.consensus.types import Block
 from repro.consensus.tendermint import make_tendermint_cluster, tendermint_config
-from repro.core.context import ValidationContext
 from repro.core.driver import Driver, DriverCallback
 from repro.core.entries import SHARD_IMPORT
-from repro.core.nested import NestedTransactionProcessor
 from repro.core.server import ServerCostModel, SmartchainServer
 from repro.core.transaction import ACCEPT_BID
 from repro.core.validation import shared_memo
 from repro.crypto.keys import ReservedAccounts
 from repro.durability.node import DurabilityConfig, NodeDurability
-from repro.durability.recovery import checkpoint_state, recover
+from repro.durability.recovery import RecoveredState, checkpoint_state, recover
 from repro.sim.events import EventLoop
 from repro.sim.failures import FailureInjector
 from repro.sim.network import Network, NetworkConfig
@@ -71,10 +70,10 @@ class ClusterConfig:
     #: receiver alone determines its RETURN children, and its enqueue
     #: starts this many workers on that node.
     worker_parallelism: int = 4
-    #: Per-node durability stack (WAL + group commit + snapshots).  None
+    #: Per-node durability stack (WAL + group commit + checkpoints).  None
     #: keeps the abstract always-durable storage model; set to a
     #: :class:`~repro.durability.node.DurabilityConfig` to journal every
-    #: mutation and enable :meth:`SmartchainCluster.restart_node_from_disk`.
+    #: block and enable :meth:`SmartchainCluster.restart_node_from_disk`.
     #: Reads serve from the commit-fed views (:mod:`repro.views`) either way.
     durability: DurabilityConfig | None = None
     #: Master telemetry switch: False keeps the registry/tracer/flight
@@ -185,7 +184,7 @@ class SmartchainCluster:
             if durability is not None:
                 validator.persistence = durability
                 durability.state_provider = (
-                    lambda nid=node_id: self._node_checkpoint_state(nid)
+                    lambda full, nid=node_id: self._node_checkpoint_state(nid, full)
                 )
 
         #: Deployment-level :class:`~repro.views.ViewManager` (shared by
@@ -504,13 +503,49 @@ class SmartchainCluster:
 
     # -- durability: checkpoints + restart-from-disk ---------------------------------
 
-    def _node_checkpoint_state(self, node_id: str) -> list[bytes]:
-        """Full snapshot state of one node, canonically encoded:
-        collections + chain + lock + certificates."""
+    def _node_checkpoint_state(self, node_id: str, full: bool) -> list[bytes]:
+        """One node's checkpoint state, canonically encoded."""
         return checkpoint_state(
             self.servers[node_id].database,
-            **self.engine.validator(node_id).consensus_snapshot(),
+            full,
+            **self.engine.validator(node_id).checkpoint_members(full),
         )
+
+    def replay_server(self, database=None) -> SmartchainServer:
+        """A volatile server knowing only what every node of this shard
+        knows, serving ``database`` if given; it determines no RETURNs
+        (replaying a chain rebuilds state, it re-triggers nothing)."""
+        template = self.servers[self.engine.validator_order[0]]
+        replay = SmartchainServer(f"replay-{self.view_shard_key}", self.reserved)
+        replay.shard_id, replay.shard_keys = template.shard_id, template.shard_keys
+        replay.entry_authors = template.entry_authors
+        if self.config.enable_extensions:
+            from repro.core.extensions import register_marketplace_extensions
+
+            register_marketplace_extensions(replay.validator)
+        if database is not None:
+            replay.adopt_database(database)
+        replay.nested.is_receiver = lambda accept_id: False
+        return replay
+
+    def recover_node(self, node_id: str, repair: bool = True) -> tuple[RecoveredState, list[Block]]:
+        """``node_id``'s state rebuilt from its disk (``repair`` as in
+        :func:`~repro.durability.recovery.recover`), every block above its
+        checkpoints re-delivered at its delivery time; returns it with
+        the chain's blocks."""
+        recovered = recover(
+            self.node_durability[node_id],
+            lambda: make_smartchaindb_database(name=f"smartchaindb-{node_id}"),
+            repair=repair,
+        )
+        replay = self.replay_server(recovered.database)
+        blocks = recovered.blocks()
+        done = recovered.checkpointed
+        committed = {envelope.tx_id for block in blocks[:done] for envelope in block.transactions}
+        for block, delivered_at in zip(blocks[done:], recovered.times):
+            replay.clock.advance_to(delivered_at)
+            deliver_block(replay, block, committed)
+        return recovered, blocks
 
     def restart_node_from_disk(self, node_id: str, torn_bytes: int = 0) -> None:
         """Kill a node, discard its memory, restore it purely from disk.
@@ -518,8 +553,8 @@ class SmartchainCluster:
         This is the real crash-restart the abstract model only mimed:
         the in-memory database, validation context, nested-transaction
         processor and consensus chain are all rebuilt from the node's
-        :class:`~repro.durability.wal.SimDisk` (snapshot + WAL suffix,
-        scan-to-torn-tail), after the device loses its unsynced tail —
+        :class:`~repro.durability.wal.SimDisk` (:meth:`recover_node`),
+        after the device loses its unsynced tail —
         optionally keeping ``torn_bytes`` of it as a torn write.  The
         node then rejoins through the normal recovery path (catch-up
         from peers, RETURN re-enqueue).
@@ -535,26 +570,12 @@ class SmartchainCluster:
         if not self.network.is_crashed(node_id):
             self.failures.crash_now(node_id)
         durability.power_fail(torn_bytes)
-        recovered = recover(
-            durability,
-            lambda: make_smartchaindb_database(name=f"smartchaindb-{node_id}"),
-        )
-        recovered.database.attach_wal(durability.log)
-        server = self.servers[node_id]
-        # Spend guards (the 2PC lock oracle) are deployment wiring, not
-        # node state: they must survive the context rebuild or remote
-        # locks would stop being visible to local validation.
-        guards = list(server.context.spend_guards)
-        gates = list(server.context.ingress_gates)
-        server.database = recovered.database
-        server.context = ValidationContext(server.database, self.reserved)
-        server.context.spend_guards.extend(guards)
-        server.context.ingress_gates.extend(gates)
-        server.nested = NestedTransactionProcessor(self.reserved.escrow, server.database)
+        recovered, blocks = self.recover_node(node_id)
+        self.servers[node_id].adopt_database(recovered.database)
         self._wire_nested(node_id)
         locked_round, locked_block = recovered.locked()
         self.engine.validator(node_id).restore_durable(
-            recovered.blocks(), locked_round, locked_block, certs=recovered.certs
+            blocks, locked_round, locked_block, recovered.certs, recovered.checkpointed
         )
         self.failures.recover_now(node_id)
 

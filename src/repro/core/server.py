@@ -113,15 +113,15 @@ class SmartchainServer:
         self.clock = clock or SimClock()
         self.costs = cost_model or ServerCostModel()
         #: Optional :class:`~repro.durability.node.NodeDurability`: when
-        #: set, every database mutation journals through its group-commit
-        #: log and the node can be rebuilt purely from its disk.
+        #: set, the database keeps the bytes its checkpoints splice and
+        #: the node can be rebuilt purely from its disk (its chain is the
+        #: log of its collections).
         self.durability = durability
         #: Conflict-lane scheduler for block validation.
         self.scheduler = ConflictScheduler(lanes=VALIDATION_LANES)
-        self.database: Database = make_smartchaindb_database(
-            name=f"smartchaindb-{node_id}",
-            wal=durability.log if durability is not None else None,
-        )
+        self.database: Database = make_smartchaindb_database(name=f"smartchaindb-{node_id}")
+        if durability is not None:
+            self.database.make_durable()
         self.validator = TransactionValidator()
         self.context = ValidationContext(self.database, reserved)
         self.nested = NestedTransactionProcessor(reserved.escrow, self.database)
@@ -156,6 +156,19 @@ class SmartchainServer:
         }
 
     # -- receiver-node validation (Fig. 4, "Validate Tx") ----------------------
+
+    def adopt_database(self, database: Database) -> None:
+        """Serve ``database`` (a restart's rebuilt store) with a fresh
+        validation context and nested-transaction processor.  Spend
+        guards and ingress gates are deployment wiring, not node state:
+        they carry over, or remote 2PC locks would stop being visible to
+        local validation."""
+        guards, gates = self.context.spend_guards, self.context.ingress_gates
+        self.database = database
+        self.context = ValidationContext(database, self.reserved)
+        self.context.spend_guards.extend(guards)
+        self.context.ingress_gates.extend(gates)
+        self.nested = NestedTransactionProcessor(self.reserved.escrow, database)
 
     def receiver_validate(self, payload: dict[str, Any], attachments=()) -> None:
         """Full semantic validation at the randomly chosen receiver node.

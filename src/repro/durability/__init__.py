@@ -4,9 +4,11 @@ Everything a node needs to survive process death: an append-only log of
 checksummed frames over a pluggable storage device (a deterministic
 :class:`~repro.durability.wal.SimDisk` in simulation, real files
 outside), group-commit batching so a tick's records share one sync,
-periodic snapshots bounding replay, and scan-to-torn-tail recovery that
-rebuilds collections, the applied chain, consensus lock state and 2PC
-outbox/locks from disk alone.
+incremental checkpoints (a base plus deltas) bounding replay, and
+scan-to-torn-tail recovery that rebuilds the applied chain, consensus
+lock state and 2PC outbox/locks from disk alone — and a validator's
+collections by re-delivering the blocks above its checkpoints: the chain
+is their log.
 """
 
 from repro.durability.commitlog import GroupCommitLog

@@ -123,15 +123,16 @@ class GroupCommitLog:
                 handles[3].observe(
                     (self._loop.clock.now - self._batch_opened_at) * 1000.0
                 )
-            # Sampled transactions get a WAL-sync lifecycle event: block
-            # records carry their envelope ids, and sampled() is an O(1)
-            # membership probe, so unsampled runs pay one dict miss per
-            # journaled block.  With no live traces the scan is skipped
-            # entirely.
+            # Sampled transactions get a WAL-sync lifecycle event when
+            # their block's body reaches the device (in its ``lock``
+            # frame, or its ``block`` frame if it was never locked here):
+            # sampled() is an O(1) membership probe, so unsampled runs pay
+            # one dict miss per journaled body.  With no live traces the
+            # scan is skipped entirely.
             tracer = tel.tracer
             if tracer.started:
                 for record, _, _ in batch:
-                    if record.get("k") == "block":
+                    if "b" in record:
                         for tx in record["b"]["txs"]:
                             if tracer.sampled(tx[0]):
                                 tracer.event(

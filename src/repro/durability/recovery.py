@@ -1,30 +1,37 @@
-"""Crash-restart recovery: snapshot + WAL suffix -> rebuilt node state.
+"""Crash-restart recovery: checkpoint chain + WAL suffix -> rebuilt node state.
 
-The journal vocabulary (every record is a small canonical-JSON dict):
+The chain is the log of what it determines: a validator journals its
+consensus state and blocks, never the collections DeliverTx derives from
+them, and a restart re-delivers the blocks above its checkpoints, as
+Tendermint's handshake replays its block store (arXiv:1807.04938).  The
+journal vocabulary (every record is a small canonical-JSON dict):
 
 * ``{"k": "db", "op": ..., "c": <collection>, ...}`` — one logical
-  mutation of a journaled :class:`~repro.storage.database.Database`:
+  mutation of a journaled agent table (2PC, migrations):
   ``insert`` (the frozen stored document), ``delete`` / ``update``
   (query + update document, replayed through the same code path), or
   ``replace`` (the computed replacement documents of a callable update,
   in match order — callables cannot be serialised, their *effects* can).
-* ``{"k": "block", "b": <block record>}`` — one committed block with
-  its full envelopes, so a restarted validator can rebuild its chain
-  (and serve catch-up) with byte-identical block ids.
 * ``{"k": "lock", "r": <round>, "b": <block record>}`` — the Tendermint
-  lock the consensus engine must not forget across a crash
-  (arXiv:1807.04938's write-ahead consensus state); cleared implicitly
-  once a block at or past the locked height commits.
+  lock the consensus engine must not forget across a crash (the
+  write-ahead consensus state), with the locked block; cleared
+  implicitly once a block at or past the locked height commits.
+* ``{"k": "block", "h": ..., "id": ..., "t": <delivery time>, "cert":
+  ...}`` — one committed block (``cert`` absent if none was assembled);
+  its record rides along as ``"b"`` only if no ``lock`` frame recovery
+  reads has it (a block got by catch-up, or whose lock frame a checkpoint
+  retired — the head checkpoint's lock counts).  Replay judges deadlines
+  at ``t``, as the live node did.
 
 Recovery is *scan to torn tail*: repair the WAL (truncate the torn
-suffix), load the newest valid snapshot, then replay every journal
-record with an LSN past the snapshot.  The result is exactly the state
-whose journal records were durably synced — the longest valid prefix of
+suffix), load the newest whole checkpoint chain, then replay every
+journal record with an LSN past its head.  The result is exactly the
+state whose records were durably synced — the longest valid prefix of
 the node's history, never a partial frame.
 
 Writers splice frames from bytes encoded once (an ``insert``'s document,
 a ``lock`` / ``block`` record's block and certificate, a checkpoint's
-whole state — :func:`checkpoint_state`); every frame on the device is
+documents — :func:`checkpoint_state`); every frame on the device is
 byte-identical to ``encode_frame`` of the record dict, so this module
 reads them back with plain ``json.loads`` and knows nothing of it.
 """
@@ -154,32 +161,30 @@ def apply_db_op(database: Database, op: dict[str, Any]) -> None:
         raise ValueError(f"unknown journaled db op {kind!r}")
 
 
-def checkpoint_state(database: Database, **members: Any) -> list[bytes]:
+def checkpoint_state(database: Database, full: bool = True, **members: Any) -> list[bytes]:
     """A checkpoint's state object, canonically encoded, as byte pieces.
 
-    ``{"collections": {name: [documents in insertion order]}, **members}``
-    where ``members`` (a validator's chain, lock and certificates) are
-    already encoded, as :func:`object_pieces` values.  Nothing is copied,
-    joined or re-encoded: each collection contributes the bytes it kept
-    per document, by reference.  Joined the pieces are byte-identical
-    to ``canonical_bytes`` of the equivalent dict state — the form
-    :func:`recover` decodes and :func:`load_collections` loads.
+    ``{"collections": {name: entry}, **members}``: every collection's
+    :meth:`~repro.storage.collection.Collection.checkpoint_entry` if
+    ``full``, else those of the collections that changed since the last
+    checkpoint; ``members`` (a validator's new blocks, certificates and
+    lock) are already encoded, as :func:`object_pieces` values.  Nothing
+    is copied or re-encoded: each collection contributes the bytes it
+    kept per document, by reference.  Joined the pieces are
+    byte-identical to ``canonical_bytes`` of the equivalent dict state.
     """
-    collections = {
-        name: database.collection(name).encoded_documents()
-        for name in database.collection_names()
-    }
+    collections = {}
+    for name in database.collection_names():
+        collection = database.collection(name)
+        if full or collection.changed:
+            collections[name] = collection.checkpoint_entry(full)
     return object_pieces({"collections": collections, **members})
 
 
-def load_collections(
-    database: Database, state: dict[str, list[dict[str, Any]]]
-) -> None:
-    """Insert a snapshot dump back, preserving insertion order."""
-    for name, documents in state.items():
-        collection = database.create_collection(name)
-        for document in documents:
-            collection.insert_one(document)
+def load_collections(database: Database, state: dict[str, dict[str, Any]]) -> None:
+    """Apply one checkpoint's collection entries, in id order."""
+    for name, entry in state.items():
+        database.create_collection(name).load_checkpoint(entry)
 
 
 def diff_databases(live: Database, recovered: Database) -> list[str]:
@@ -221,11 +226,16 @@ class RecoveredState:
     lock: dict[str, Any] | None = None
     last_lsn: int = 0
     snapshot_lsn: int = 0
+    #: WAL records read past the checkpoint chain's head.
     replayed: int = 0
     #: height -> commit certificate (quorum precommit signatures) for
     #: every recovered block that journaled one; a restarted node must
     #: be able to *serve* verifiable catch-up, not just follow it.
     certs: dict[int, dict[str, Any]] = field(default_factory=dict)
+    #: Leading blocks the checkpoint chain held (their effects are in
+    #: ``database``), and the delivery time of each later block.
+    checkpointed: int = 0
+    times: list[float] = field(default_factory=list)
 
     def blocks(self) -> list[Block]:
         return [rebuild_block(record) for record in self.block_records]
@@ -251,14 +261,16 @@ def recover(durability: Any, database_factory: Callable[[], Database], repair: b
         database_factory: builds the empty, *journal-free* database with
             the right collection layout/indexes; the journal reattaches
             only after replay (replaying must not re-journal).
-        repair: truncate the torn tail and rebind the live WAL so that
-            post-recovery appends extend the valid prefix.  Pass False
-            for pure-read verification (the durability invariant).
+        repair: truncate the torn tail and rebind the live WAL (and
+            checkpoint chain) so that post-recovery writes extend them.
+            Pass False for pure-read verification.
 
     Returns:
-        The rebuilt state; when ``repair`` is True the ``durability``
-        handle's WAL is reopened on the repaired device and its append
-        counter continues after the last surviving record.
+        The rebuilt state — a validator's collections as of the chain's
+        checkpoints: the caller re-delivers the later blocks.  When
+        ``repair`` is True the ``durability`` handle's WAL is reopened on
+        the repaired device and its append counter continues after the
+        last surviving record.
     """
     wal = SegmentedWal(
         durability.disk,
@@ -268,19 +280,20 @@ def recover(durability: Any, database_factory: Callable[[], Database], repair: b
     if repair:
         wal.repair()
     database = database_factory()
+    database.make_durable()  # what replay changes goes in the next checkpoint
     state = RecoveredState(database=database)
-    snapshot = durability.snapshots.latest()
-    if snapshot is not None:
-        state.snapshot_lsn, snap_state = snapshot
-        # ``latest`` decoded the frame for this call alone, so its parts
-        # are taken by reference.
+    chain = durability.snapshots.chain()
+    for lsn, snap_state, _ in chain:  # decoded for this call: by reference
+        state.snapshot_lsn = lsn
         load_collections(database, snap_state.get("collections", {}))
-        state.block_records = snap_state.get("blocks", [])
+        state.block_records.extend(snap_state.get("blocks", []))
         state.lock = snap_state.get("lock")
         # Certificates snapshot as [height, cert] pairs (canonical JSON
         # keys must be strings; heights are ints).
         for height, cert in snap_state.get("certs", []):
             state.certs[height] = cert
+    state.checkpointed = len(state.block_records)
+    bodies = {state.lock["b"]["id"]: state.lock["b"]} if state.lock else {}
     for lsn, record in wal.scan():
         if lsn <= state.snapshot_lsn:
             continue
@@ -288,11 +301,14 @@ def recover(durability: Any, database_factory: Callable[[], Database], repair: b
         if kind == "db":
             apply_db_op(database, record)
         elif kind == "block":
-            state.block_records.append(record["b"])
+            body = record.get("b") or bodies[record["id"]]
+            state.block_records.append(body)
+            state.times.append(record.get("t", 0.0))
             if record.get("cert") is not None:
-                state.certs[record["b"]["h"]] = record["cert"]
+                state.certs[body["h"]] = record["cert"]
         elif kind == "lock":
             state.lock = {"r": record["r"], "b": record["b"]}
+            bodies[record["b"]["id"]] = record["b"]
         state.last_lsn = max(state.last_lsn, lsn)
         state.replayed += 1
     state.last_lsn = max(state.last_lsn, state.snapshot_lsn)
@@ -300,4 +316,7 @@ def recover(durability: Any, database_factory: Callable[[], Database], repair: b
         wal.next_lsn = state.last_lsn + 1
         wal.snapshot_lsn = state.snapshot_lsn
         durability.reopen(wal)
+        durability.snapshots.adopt(chain)
+        if durability.blocks_since_checkpoint is not None or state.times:
+            durability.blocks_since_checkpoint = len(state.times)
     return state

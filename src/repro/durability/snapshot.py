@@ -1,35 +1,33 @@
-"""Checkpoints: bound recovery replay and let the WAL compact.
+"""Incremental checkpoints: bound recovery replay and let the WAL compact.
 
-A snapshot is one frame — the same length-prefixed CRC-checksummed
-canonical-JSON format the WAL uses — holding a full dump of a node's
-durable state (collections, applied chain, consensus lock) plus the LSN
-it covers.  The write protocol is crash-safe without any atomic-rename
-machinery:
+A checkpoint is one file holding one frame — the same length-prefixed
+CRC-checksummed canonical-JSON format the WAL uses: a **base**
+(``{"lsn": n, "state": s}``, a node's whole durable state) or a
+**delta** (``{"lsn": n, "prev": p, "state": s}``, what changed since the
+checkpoint at ``p``), as ARIES-style incremental checkpoints.  Both have
+one state shape (:func:`repro.durability.recovery.checkpoint_state`), so
+recovery folds a chain base-first with one loader.  A new base is
+written when the deltas since the current one outweigh it twice over, so
+a chain is at most three times its base and rewrites of the whole state
+stay geometrically rare as it grows.
 
-1. write + sync the new snapshot file ``snap-<lsn>``;
-2. only then delete older snapshots;
+The write protocol is crash-safe without any atomic-rename machinery:
+
+1. write + sync the new checkpoint file ``snap-<lsn>``;
+2. only then, for a base, delete the older files;
 3. only then retire WAL segments wholly covered by ``lsn``.
 
-A power failure between any two steps leaves either the old snapshot or
-both; :meth:`SnapshotManager.latest` walks candidates newest-first and
-skips any whose frame fails its checksum (a torn snapshot write), so
-recovery always finds the newest *valid* checkpoint and replays the WAL
-suffix from there.
+A power failure between any two steps leaves the old chain or both;
+:meth:`SnapshotManager.chain` skips any file whose frame fails its
+checksum (a torn write) and follows ``prev`` links down to a base, so
+recovery always finds the newest *whole* chain.
 
-The state arrives **already encoded**, as byte pieces: the owner splices
-it from bytes made once per document, block and certificate when their
-journal records were built
-(:meth:`repro.storage.collection.Collection.encoded_documents`,
-``Validator.consensus_snapshot``), and the frame hands those pieces to
-the device by reference (:func:`~repro.durability.wal.frame_pieces`).
-A checkpoint costs the encoding of what changed since the last one and
-one CRC pass — not a deep copy, a ``json.dumps`` or a join of the whole
-state — and on a :class:`~repro.durability.wal.SimDisk` the file costs
-its skeleton and headers beyond the bytes the node keeps anyway.  The
-contract is byte identity: the file equals
-``encode_frame({"lsn": n, "state": s})`` for the dict state ``s`` those
-bytes decode to, which is what :meth:`SnapshotManager.latest` and
-recovery read back.
+The state arrives **already encoded**, as byte pieces spliced from bytes
+made once per document, block and certificate, which the frame hands to
+the device by reference (:func:`~repro.durability.wal.frame_pieces`): a
+delta costs the encoding of what changed and one CRC pass over it,
+whatever the size of the state.  The file equals ``encode_frame`` of the
+dict frame it decodes to.
 """
 
 from __future__ import annotations
@@ -45,12 +43,17 @@ from repro.durability.wal import (
 
 
 class SnapshotManager:
-    """Snapshot files on the same device as the WAL they compact."""
+    """Checkpoint files on the same device as the WAL they compact."""
 
     def __init__(self, disk: StorageBackend, prefix: str = "snap"):
         self.disk = disk
         self.prefix = prefix
-        self.stats = {"taken": 0, "skipped_invalid": 0}
+        self.stats = {"taken": 0, "bases": 0, "skipped_invalid": 0}
+        #: LSN of the chain's newest checkpoint (None: the next is a
+        #: base), and the bytes of its base and of the deltas since.
+        self.head: int | None = None
+        self.base_bytes = 0
+        self.delta_bytes = 0
 
     def _name(self, lsn: int) -> str:
         return f"{self.prefix}-{lsn:012d}.snap"
@@ -67,46 +70,76 @@ class SnapshotManager:
                 found.append((lsn, name))
         return sorted(found)
 
-    def take(self, state: Sequence[bytes], upto_lsn: int) -> str:
-        """Durably write a checkpoint of ``state`` covering ``upto_lsn``.
+    def base_due(self) -> bool:
+        """Must the next checkpoint be a base?"""
+        return self.head is None or self.delta_bytes > 2 * self.base_bytes
 
-        ``state`` is the canonical JSON encoding of the state object, in
-        pieces the device receives as they are.
-        Older snapshots are deleted only after the new one is synced.
-        Re-taking an LSN already covered by a *valid* snapshot is a
-        no-op (state is a function of the journal, so the bytes would be
-        equivalent); appending to it instead would grow a multi-frame
-        file :meth:`latest` rejects — losing the only checkpoint after
-        its WAL segments were retired.  A torn same-LSN snapshot is
-        deleted and rewritten.  The existing file is judged by frame
-        length, checksum and its ``{"lsn":N,`` opening, not decoded.
-        """
+    def covers(self, lsn: int) -> bool:
+        """Is the chain's head a whole checkpoint at ``lsn`` (nothing to
+        take again)?  A torn head is deleted and forgotten, so the next
+        checkpoint is a base.  The file is judged by frame length,
+        checksum and its ``{"lsn":N,`` opening, not decoded."""
+        if self.head != lsn:
+            return False
+        name = self._name(lsn)
+        if name in self.disk.list():
+            body = single_frame_body(self.disk.read(name))
+            if body is not None and body.startswith(b'{"lsn":%d,' % lsn):
+                return True
+            self.disk.delete(name)
+        self.head = None
+        return False
+
+    def take(self, state: Sequence[bytes], upto_lsn: int, base: bool = True) -> str:
+        """Durably write ``state`` (canonical JSON, in pieces the device
+        receives as they are) as a base or as a delta on the chain's head
+        covering ``upto_lsn``, replacing any file of that name; a synced
+        base deletes the older files."""
         name = self._name(upto_lsn)
         existing = self._candidates()
         if any(found_name == name for _, found_name in existing):
-            body = single_frame_body(self.disk.read(name))
-            if body is not None and body.startswith(b'{"lsn":%d,' % upto_lsn):
-                return name
             self.disk.delete(name)
-        self.disk.append(
-            name, *frame_pieces(b'{"lsn":%d,"state":' % upto_lsn, *state, b"}")
-        )
+        link = b"" if base else b'"prev":%d,' % self.head
+        pieces = frame_pieces(b'{"lsn":%d,%s"state":' % (upto_lsn, link), *state, b"}")
+        self.disk.append(name, *pieces)
         self.disk.sync(name)
-        for _, old_name in existing:
-            if old_name != name:
-                self.disk.delete(old_name)
+        size = sum(map(len, pieces))
+        if base:
+            for _, old_name in existing:
+                if old_name != name:
+                    self.disk.delete(old_name)
+            self.base_bytes, self.delta_bytes = size, 0
+            self.stats["bases"] += 1
+        else:
+            self.delta_bytes += size
+        self.head = upto_lsn
         self.stats["taken"] += 1
         return name
 
-    def latest(self) -> tuple[int, dict[str, Any]] | None:
-        """Newest snapshot whose frame validates, or None.
+    def chain(self) -> list[tuple[int, dict[str, Any], int]]:
+        """The newest whole checkpoint chain, base first, as ``(lsn,
+        state, file bytes)`` per file.  Torn or corrupt files are skipped
+        (never deleted here — recovery is a read path)."""
+        frames: dict[int, tuple[dict[str, Any], int]] = {}
+        for lsn, name in self._candidates():
+            data = self.disk.read(name)
+            found = list(iter_frames(data))
+            if len(found) == 1 and found[0].get("lsn") == lsn:
+                frames[lsn] = (found[0], len(data))
+            else:
+                self.stats["skipped_invalid"] += 1
+        for head in sorted(frames, reverse=True):
+            chain, lsn = [], head
+            while lsn in frames:
+                frame, size = frames[lsn]
+                chain.append((lsn, frame["state"], size))
+                if "prev" not in frame:
+                    return chain[::-1]
+                lsn = frame["prev"]
+        return []
 
-        Torn or corrupt snapshot files are skipped (never deleted here —
-        recovery is a read path), falling back to the next older one.
-        """
-        for lsn, name in reversed(self._candidates()):
-            frames = list(iter_frames(self.disk.read(name)))
-            if len(frames) == 1 and frames[0].get("lsn") == lsn:
-                return lsn, frames[0]["state"]
-            self.stats["skipped_invalid"] += 1
-        return None
+    def adopt(self, chain: list[tuple[int, dict[str, Any], int]]) -> None:
+        """Extend ``chain`` (what recovery loaded) from now on."""
+        self.head = chain[-1][0] if chain else None
+        self.base_bytes = chain[0][2] if chain else 0
+        self.delta_bytes = sum(size for _, _, size in chain[1:])

@@ -201,8 +201,8 @@ class TwoPhaseCoordinator:
                 collection.create_index(path, unique=unique)
         return database
 
-    def _checkpoint_state(self) -> list[bytes]:
-        return checkpoint_state(self.durable)
+    def _checkpoint_state(self, full: bool) -> list[bytes]:
+        return checkpoint_state(self.durable, full)
 
     def _force(self) -> None:
         """2PC force-write point: flush the journal *now*.

@@ -256,8 +256,8 @@ class ReshardController:
         collection.create_index("phase")
         return database
 
-    def _checkpoint_state(self) -> list[bytes]:
-        return checkpoint_state(self.journal_db)
+    def _checkpoint_state(self, full: bool) -> list[bytes]:
+        return checkpoint_state(self.journal_db, full)
 
     def _force(self) -> None:
         """Migration force-write point: the ``cutover`` record must hit

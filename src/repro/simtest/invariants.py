@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.consensus.abci import deliver_block
 from repro.core.entries import SHARD_IMPORT, imported_utxos, is_entry
 from repro.simtest.plane import FaultPlane
 
@@ -486,19 +487,21 @@ def outbox_terminal(plane: FaultPlane) -> list[str]:
 def wal_prefix_durability(plane: FaultPlane) -> list[str]:
     """Disk tells the same story as memory once the loop has drained.
 
-    For every durable node and 2PC agent: replaying its device (newest
-    valid snapshot + WAL scan-to-torn-tail, **read-only** — no repair)
-    must reconstruct exactly the live collections, the applied chain
-    (same heights and value-based block ids) and the consensus lock.
-    Mid-run the disk legitimately trails memory by one group-commit
-    batch; at quiesce every flush has fired, so any divergence means a
-    mutation escaped the journal, replay is wrong, or a torn tail ate
-    acknowledged state — the prefix-durability contract in one check.
+    For every durable node and 2PC agent: recovering from its device
+    (newest whole checkpoint chain + WAL scan-to-torn-tail, **read-only**
+    — no repair) and, for a node, re-delivering the blocks above the
+    checkpoints (:meth:`~repro.core.cluster.SmartchainCluster.recover_node`,
+    the restart path itself) must reconstruct exactly the live
+    collections, the applied chain (same heights and value-based block
+    ids) and the consensus lock.  Mid-run the disk legitimately trails
+    memory by one group-commit batch; at quiesce every flush has fired,
+    so any divergence means a mutation escaped the log (the chain, or an
+    agent's journal), replay is wrong, or a torn tail ate acknowledged
+    state — the prefix-durability contract in one check.
     """
     if not plane.durable:
         return []
     from repro.durability.recovery import diff_databases, recover
-    from repro.storage.database import make_smartchaindb_database
 
     violations = []
     for shard_id in plane.shard_ids:
@@ -510,11 +513,7 @@ def wal_prefix_durability(plane: FaultPlane) -> list[str]:
                     f"{shard_id}/{node_id}: {durability.log.pending} journal "
                     "records still unflushed at quiesce"
                 )
-            recovered = recover(
-                durability,
-                lambda nid=node_id: make_smartchaindb_database(name=f"smartchaindb-{nid}"),
-                repair=False,
-            )
+            recovered, _ = shard.recover_node(node_id, repair=False)
             server = shard.servers[node_id]
             for problem in diff_databases(server.database, recovered.database):
                 violations.append(f"{shard_id}/{node_id}: {problem}")
@@ -775,13 +774,14 @@ def replay_determinism(plane: FaultPlane) -> dict[str, dict[str, tuple[int, int]
     """How far each live replica's state is from a pure replay of its chain.
 
     For every shard the reference replica's chain (the longest) is
-    re-delivered, block by block, through a fresh volatile
-    :class:`~repro.core.server.SmartchainServer`'s ``deliver_tx`` /
-    ``commit_block`` — the path the consensus engine drives, nothing
-    else; the replay server knows only what every node knows (the shard
-    it serves and every shard's validator keys, to check cross-shard
-    evidence).  The chain carries no delivery time, so the replay judges
-    every deadline at simulated time 0.  Each live replica is compared
+    re-delivered, block by block, through a fresh volatile server
+    (:meth:`~repro.core.cluster.SmartchainCluster.replay_server`) by
+    :func:`~repro.consensus.abci.deliver_block` — the path the consensus
+    engine drives, nothing else; the replay server knows only what every
+    node knows (the shard it serves and every shard's validator keys, to
+    check cross-shard evidence).  The in-memory chain carries no delivery
+    time (a node's ``block`` frames do), so the replay judges every
+    deadline at simulated time 0.  Each live replica is compared
     with the replay at its own chain height.  Returns ``{"shard/node":
     {collection: (missing, extra)}}``: rows the replay has and the
     replica lacks, and the reverse, compared by :data:`REPLAY_KEYS`.  An
@@ -789,7 +789,6 @@ def replay_determinism(plane: FaultPlane) -> dict[str, dict[str, tuple[int, int]
     of its chain reads ``(0, 0)`` throughout (enforced by
     :func:`replay_divergence`).
     """
-    from repro.core.server import SmartchainServer
 
     def rows(database, name: str) -> set[tuple]:
         fields = REPLAY_KEYS[name]
@@ -806,14 +805,7 @@ def replay_determinism(plane: FaultPlane) -> dict[str, dict[str, tuple[int, int]
         shard = plane.shard_cluster(shard_id)
         engine = shard.engine
         reference = max(engine.validator_order, key=lambda n: len(engine.validator(n).chain))
-        template = shard.servers[reference]
-        replay = SmartchainServer(f"replay-{shard_id}", shard.reserved)
-        replay.shard_id, replay.shard_keys = template.shard_id, template.shard_keys
-        replay.entry_authors = template.entry_authors
-        if shard.config.enable_extensions:
-            from repro.core.extensions import register_marketplace_extensions
-
-            register_marketplace_extensions(replay.validator)
+        replay = shard.replay_server()
         live: dict[int, list[str]] = {}
         for node_id in engine.validator_order:
             if not shard.network.is_crashed(node_id):
@@ -821,14 +813,7 @@ def replay_determinism(plane: FaultPlane) -> dict[str, dict[str, tuple[int, int]
         committed: set[str] = set()
         for height in range(len(engine.validator(reference).chain) + 1):
             if height:
-                block = engine.validator(reference).chain[height - 1]
-                delivered = [
-                    envelope
-                    for envelope in block.transactions
-                    if envelope.tx_id not in committed and replay.deliver_tx(envelope)
-                ]
-                replay.commit_block(block, delivered)
-                committed.update(envelope.tx_id for envelope in block.transactions)
+                deliver_block(replay, engine.validator(reference).chain[height - 1], committed)
             if height not in live:
                 continue
             expected = {name: rows(replay.database, name) for name in REPLAY_KEYS}

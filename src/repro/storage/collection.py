@@ -6,7 +6,7 @@ import itertools
 import json
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.common.encoding import array_pieces, canonical_bytes, deep_copy_json
+from repro.common.encoding import array_pieces, canonical_bytes, deep_copy_json, object_pieces
 from repro.common.errors import DuplicateKeyError, QueryError, StorageError
 from repro.storage.compiler import compile_query
 from repro.storage.documents import resolve_path
@@ -47,22 +47,23 @@ class Collection:
     raising :class:`QueryError`; with a candidate or on a scan it is
     rejected eagerly, before any document is touched.
 
-    A *journaled* collection also keeps the canonical bytes of each
-    frozen document, made once when its ``insert`` journal record is
-    built: the WAL frame and every later checkpoint splice those bytes
-    in (:meth:`encoded_documents`) instead of re-encoding the document,
-    and a snapshot file on the simulated disk holds them by reference
-    rather than a copy.  They exist only for live documents: an update or
-    delete drops them, a collection without a journal never makes any.
+    A *durable* collection (journaled, or derived from a durable chain)
+    also keeps the canonical bytes of each frozen document, made once at
+    insert: the ``insert`` journal record and every later checkpoint
+    splice those bytes in (:meth:`checkpoint_entry`) instead of
+    re-encoding the document, and a checkpoint on the simulated disk
+    holds them by reference rather than a copy.  They exist only for live
+    documents: an update or delete drops them, a volatile collection
+    never makes any.  It also tracks what changed since its last
+    checkpoint, so a checkpoint writes only that.
 
-    The same bytes make a journaled collection's caller-owned copies:
+    The same bytes make a durable collection's caller-owned copies:
     ``find(copy=True)`` decodes its whole answer with one ``json.loads``
     over the spliced kept bytes (a document without them is encoded and
-    kept first, as in :meth:`encoded_documents`) instead of deep-copying
-    each document.  Values and JSON types are those of the stored
-    documents; keys come back in canonical (sorted) order — what a
-    replica recovered from its journal serves anyway.  A collection without a
-    journal has no kept bytes and copies with ``deep_copy_json``.
+    kept first) instead of deep-copying each document.  Values and JSON
+    types are those of the stored documents; keys come back in canonical
+    (sorted) order — what a replica recovered from its disk serves
+    anyway.  A volatile collection copies with ``deep_copy_json``.
 
     Args:
         name: collection name (used in error messages / stats).
@@ -78,10 +79,17 @@ class Collection:
         #: An ``insert`` record comes with the document's canonical bytes
         #: as second argument.
         self.journal: Callable[..., None] | None = None
+        #: Durable without a journal (see the class docstring).
+        self.durable = False
         self._documents: dict[int, dict[str, Any]] = {}
         #: doc id -> canonical bytes of the stored document (see class doc).
         self._fragments: dict[int, bytes] = {}
-        self._next_id = itertools.count(1)
+        self._last_id = 0
+        #: Since the last checkpoint: ids inserted or replaced, ids it
+        #: held that are deleted, and the last id it knew.
+        self._changed: set[int] = set()
+        self._gone: set[int] = set()
+        self._checkpointed_id = 0
         self._hash_indexes: dict[str, HashIndex] = {}
         self._sorted_indexes: dict[str, SortedIndex] = {}
         self._planner = QueryPlanner(self._hash_indexes, self._sorted_indexes)
@@ -98,6 +106,10 @@ class Collection:
 
     def __len__(self) -> int:
         return len(self._documents)
+
+    @property
+    def keeps_bytes(self) -> bool:
+        return self.durable or self.journal is not None
 
     # -- index management ----------------------------------------------------
 
@@ -155,7 +167,8 @@ class Collection:
         if not isinstance(document, dict):
             raise StorageError(f"{self.name}: documents must be mappings")
         stored = deep_copy_json(document) if copy else document
-        doc_id = next(self._next_id)
+        self._last_id += 1
+        doc_id = self._last_id
         added: list[HashIndex] = []
         try:
             for index in self._hash_indexes.values():
@@ -169,11 +182,13 @@ class Collection:
             sorted_index.add(doc_id, stored)
         self._documents[doc_id] = stored
         self.stats["inserts"] += 1
-        if self.journal is not None:
+        if self.keeps_bytes:
             # ``stored`` is frozen from here on, so the journal record
             # may hold it by reference and its encoding never goes stale.
             fragment = self._fragments[doc_id] = encode(stored)
-            self.journal({"op": "insert", "c": self.name, "d": stored}, fragment)
+            self._changed.add(doc_id)
+            if self.journal is not None:
+                self.journal({"op": "insert", "c": self.name, "d": stored}, fragment)
         return doc_id
 
     def insert_many(self, documents: list[dict[str, Any]]) -> list[int]:
@@ -184,12 +199,11 @@ class Collection:
         """Delete all matching documents; returns the count removed."""
         doomed = [doc_id for doc_id, _ in self._match_ids(query)]
         for doc_id in doomed:
-            document = self._documents.pop(doc_id)
+            self._unindex(doc_id, self._documents.pop(doc_id))
             self._fragments.pop(doc_id, None)
-            for index in self._hash_indexes.values():
-                index.remove(doc_id, document)
-            for sorted_index in self._sorted_indexes.values():
-                sorted_index.remove(doc_id, document)
+            self._changed.discard(doc_id)
+            if doc_id <= self._checkpointed_id:
+                self._gone.add(doc_id)
         self.stats["deletes"] += len(doomed)
         if doomed and self.journal is not None:
             self.journal(
@@ -215,21 +229,16 @@ class Collection:
         """
         updated = 0
         replacements: list[dict[str, Any]] = []
+        tracking = self.keeps_bytes
         for doc_id, document in self._match_ids(query):
             if callable(update):
                 replacement = update(document)
             else:
                 replacement = self._apply_update(document, update)
-            for index in self._hash_indexes.values():
-                index.remove(doc_id, document)
-            for sorted_index in self._sorted_indexes.values():
-                sorted_index.remove(doc_id, document)
-            self._documents[doc_id] = replacement
+            self._replace(doc_id, document, replacement)
             self._fragments.pop(doc_id, None)
-            for index in self._hash_indexes.values():
-                index.add(doc_id, replacement)
-            for sorted_index in self._sorted_indexes.values():
-                sorted_index.add(doc_id, replacement)
+            if tracking:
+                self._changed.add(doc_id)
             replacements.append(replacement)
             updated += 1
         self.stats["updates"] += updated
@@ -255,6 +264,22 @@ class Collection:
                     }
                 )
         return updated
+
+    def _unindex(self, doc_id: int, document: dict[str, Any]) -> None:
+        for index in self._hash_indexes.values():
+            index.remove(doc_id, document)
+        for sorted_index in self._sorted_indexes.values():
+            sorted_index.remove(doc_id, document)
+
+    def _replace(self, doc_id: int, document: dict | None, replacement: dict[str, Any]) -> None:
+        """Swap ``replacement`` in for ``document`` (None: a new id)."""
+        if document is not None:
+            self._unindex(doc_id, document)
+        self._documents[doc_id] = replacement
+        for index in self._hash_indexes.values():
+            index.add(doc_id, replacement)
+        for sorted_index in self._sorted_indexes.values():
+            sorted_index.add(doc_id, replacement)
 
     @staticmethod
     def _apply_update(document: dict[str, Any], update: dict[str, Any]) -> dict[str, Any]:
@@ -357,7 +382,7 @@ class Collection:
         matches = itertools.islice(self._match_ids(query or {}), limit)
         if not copy:
             return [document for _, document in matches]
-        if self.journal is None:
+        if not self.keeps_bytes:
             return [deep_copy_json(document) for _, document in matches]
         # One decode of the spliced kept bytes builds every copy at once.
         return json.loads(b"".join(array_pieces(map(self._kept_bytes, matches))))
@@ -378,15 +403,27 @@ class Collection:
             return len(self._documents)
         return sum(1 for _ in self._match_ids(query))
 
+    def checkpoint_entry(self, full: bool) -> list[bytes]:
+        """This collection's part of a checkpoint, ``{"docs": [...],
+        "gone": [ids], "ids": [ids]}``, as canonical byte pieces holding
+        the kept per-document bytes by reference: every live document
+        (``full``), or those inserted or replaced since the last
+        checkpoint and the ids it held that are deleted.  A document
+        without kept bytes is encoded here and kept."""
+        documents = self._documents
+        if full:
+            ids, gone, docs = list(documents), [], self.encoded_documents()
+        else:
+            ids, gone = sorted(self._changed), sorted(self._gone)
+            docs = array_pieces(self._kept_bytes((i, documents[i])) for i in ids)
+        self._changed, self._gone = set(), set()
+        self._checkpointed_id = self._last_id
+        return object_pieces({"docs": docs, "gone": _id_array(gone), "ids": _id_array(ids)})
+
     def encoded_documents(self) -> list[bytes]:
         """Canonical JSON array of every stored document, in insertion
-        order, as byte pieces holding the kept per-document bytes.
-
-        Joined, byte-identical to ``canonical_bytes(self.find({}))``; a
-        document that has no kept bytes (loaded
-        by recovery replay, or swapped in by an update since the last
-        call) is encoded here and kept.
-        """
+        order, as byte pieces holding the kept per-document bytes (joined,
+        ``canonical_bytes(self.find({}))``)."""
         fragments = self._fragments
         # Kept bytes belong to live documents only, so equal counts mean
         # every document has them and the fill pass can be skipped.
@@ -394,6 +431,22 @@ class Collection:
             for match in self._documents.items():
                 self._kept_bytes(match)
         return array_pieces(map(fragments.__getitem__, self._documents))
+
+    @property
+    def changed(self) -> bool:
+        return bool(self._changed or self._gone)
+
+    def load_checkpoint(self, entry: dict[str, Any]) -> None:
+        """Apply one decoded :meth:`checkpoint_entry` (recovery), keeping
+        document ids; nothing loaded counts as changed."""
+        for doc_id in entry["gone"]:
+            self._unindex(doc_id, self._documents.pop(doc_id))
+            self._fragments.pop(doc_id, None)
+        for doc_id, document in zip(entry["ids"], entry["docs"]):
+            self._fragments.pop(doc_id, None)
+            self._replace(doc_id, self._documents.get(doc_id), document)
+        self._last_id = max([self._last_id, *entry["ids"], *entry["gone"]])
+        self._checkpointed_id = self._last_id
 
     def _kept_bytes(self, match: tuple[int, dict[str, Any]]) -> bytes:
         """The kept canonical bytes of one ``(doc id, stored document)``,
@@ -407,3 +460,8 @@ class Collection:
     def explain(self, query: dict[str, Any]) -> QueryPlan:
         """Expose the access path the planner would pick (for ablations)."""
         return self._planner.plan(query, len(self._documents))
+
+
+def _id_array(ids: list[int]) -> bytes:
+    """Canonical bytes of a list of ints (no JSON encoder call)."""
+    return b"[%s]" % b",".join(b"%d" % doc_id for doc_id in ids)

@@ -55,13 +55,16 @@ class Database:
             :class:`~repro.durability.commitlog.GroupCommitLog`.  When
             set, every collection mutation (insert/delete/update) emits
             one logical-op record, so the database can be rebuilt from
-            snapshot + journal after a crash
-            (:mod:`repro.durability.recovery`).
+            checkpoints + journal after a crash
+            (:mod:`repro.durability.recovery`).  Agent tables (2PC,
+            migrations) journal; a validator's collections do not —
+            its chain is their log (:meth:`make_durable`).
     """
 
     def __init__(self, name: str = "smartchaindb", wal: Any = None):
         self.name = name
         self.wal = wal
+        self.durable = False
         self._collections: dict[str, Collection] = {}
         #: Collection name -> its canonical bytes (insert record bodies).
         self._encoded_names: dict[str, bytes] = {}
@@ -73,6 +76,7 @@ class Database:
             collection = Collection(name)
             self._collections[name] = collection
             self._encoded_names[name] = canonical_bytes(name)
+            collection.durable = self.durable
             if self.wal is not None:
                 collection.journal = self._journal
         return collection
@@ -87,6 +91,14 @@ class Database:
         self.wal = wal
         for collection in self._collections.values():
             collection.journal = self._journal if wal is not None else None
+
+    def make_durable(self) -> None:
+        """Keep per-document bytes and track changes for incremental
+        checkpoints, journaled or not (see
+        :class:`~repro.storage.collection.Collection`)."""
+        self.durable = True
+        for collection in self._collections.values():
+            collection.durable = True
 
     def _journal(self, op: dict[str, Any], document: bytes | None = None) -> None:
         """Emit one ``db`` record; an insert arrives with the stored

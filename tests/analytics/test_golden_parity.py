@@ -131,7 +131,7 @@ def durable_cluster(seed):
             n_validators=4,
             seed=seed,
             enable_extensions=True,
-            durability=DurabilityConfig(snapshot_interval=60),
+            durability=DurabilityConfig(snapshot_interval=6),
         )
     )
 

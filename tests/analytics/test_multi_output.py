@@ -62,7 +62,7 @@ class TestMultiOutputProvenance:
     def test_view_served_provenance_matches(self):
         cluster = SmartchainCluster(
             ClusterConfig(
-                n_validators=4, seed=17, durability=DurabilityConfig(snapshot_interval=60)
+                n_validators=4, seed=17, durability=DurabilityConfig(snapshot_interval=6)
             )
         )
         create, *_ = multi_output_history(cluster)

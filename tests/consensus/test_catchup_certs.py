@@ -21,7 +21,7 @@ def durable_cluster(seed=7):
         ClusterConfig(
             n_validators=4,
             seed=seed,
-            durability=DurabilityConfig(snapshot_interval=60),
+            durability=DurabilityConfig(snapshot_interval=6),
         )
     )
 

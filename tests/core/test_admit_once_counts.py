@@ -165,7 +165,7 @@ def test_volatile_cluster_admits_each_record_once(monkeypatch):
 
 
 def test_durable_cluster_encodes_each_payload_once_per_process(monkeypatch):
-    cluster = cluster_of_four(DurabilityConfig(snapshot_interval=16))
+    cluster = cluster_of_four(DurabilityConfig(snapshot_interval=2))
     with counting(monkeypatch) as counts:
         committed = commit_fixed_mix(cluster)
         for durability in cluster.node_durability.values():

@@ -140,7 +140,7 @@ class TestAgainstARealMigration:
             ShardedClusterConfig(
                 n_shards=2,
                 seed=23,
-                durability=DurabilityConfig(snapshot_interval=60),
+                durability=DurabilityConfig(snapshot_interval=6),
             )
         )
         alice = keypair_from_string("alice")

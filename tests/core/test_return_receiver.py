@@ -82,7 +82,7 @@ def auction_in_crash_window(receiver_index: int):
             seed=11,
             consensus=tendermint_config(max_block_txs=8, propose_timeout=0.5),
             worker_poll_interval=5.0,
-            durability=DurabilityConfig(snapshot_interval=60),
+            durability=DurabilityConfig(snapshot_interval=6),
         )
     )
     driver = cluster.driver

@@ -2,15 +2,18 @@
 
 A durable node encodes each document, block and certificate once and
 splices every ``insert`` / ``lock`` / ``block`` WAL frame and every
-snapshot from those bytes.  The oracle is the encoding the splice
-replaced, kept here only: :func:`dict_state` builds the checkpoint state
-as dicts (``find({}, copy=True)`` dumps, a fresh ``block_record`` per
-block) and ``encode_frame`` encodes it whole.  The state machine drives
-random storage mutations, committed blocks, locks, certificates, flushes,
-checkpoints and restarts from disk, and compares every byte the device
-receives.  The count gates at the bottom pin what a checkpoint may cost.
+checkpoint from those bytes.  The oracle is the encoding the splice
+replaced, kept here only: every frame the device receives must equal
+``encode_frame`` of what it decodes to, and the checkpoint chain on the
+device — a base and the deltas since it, folded as recovery folds them —
+must equal :func:`dict_state`, the whole state built as dicts
+(``find({}, copy=True)`` dumps under their ids, a fresh ``block_record``
+per block).  The state machine drives random storage mutations,
+committed blocks, locks, certificates, flushes, checkpoints and restarts
+from disk.  The count gates at the bottom pin what a checkpoint may cost.
 """
 
+import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -26,8 +29,9 @@ from repro.consensus.types import Block, TxEnvelope
 from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.crypto import keypair_from_string
 from repro.durability.node import DurabilityConfig, NodeDurability
-from repro.durability.recovery import block_record, checkpoint_state, recover
-from repro.durability.wal import SimDisk, encode_frame
+from repro.common.encoding import canonical_bytes
+from repro.durability.recovery import block_record, checkpoint_state, load_collections, recover
+from repro.durability.wal import SimDisk, encode_frame, iter_frames
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import SeededRng
@@ -37,18 +41,46 @@ COLLECTIONS = ("rows", "ledger")
 
 
 def dict_state(database, validator) -> dict:
-    """The checkpoint state as PR 14 built it, before the splice."""
+    """The whole checkpoint state, as dicts: each collection's documents
+    under their ids, in insertion order."""
     lock = None
     if validator.state.locked_value is not None:
         lock = {"r": validator.state.locked_round, "b": block_record(validator.state.locked_value)}
     return {
         "collections": {
-            name: database.collection(name).find({}, copy=True)
+            name: [
+                [doc_id, document]
+                for doc_id, document in zip(
+                    database.collection(name)._documents,
+                    database.collection(name).find({}, copy=True),
+                )
+            ]
             for name in database.collection_names()
         },
         "blocks": [block_record(block) for block in validator.chain],
         "lock": lock,
         "certs": [list(item) for item in sorted(validator.commit_certs.items())],
+    }
+
+
+def folded_state(durability) -> dict:
+    """The device's checkpoint chain folded base-first, as recovery
+    loads it, in :func:`dict_state`'s shape."""
+    database = empty_database()
+    blocks, certs, lock = [], {}, None
+    for _, state, _ in durability.snapshots.chain():
+        load_collections(database, state["collections"])
+        blocks += state["blocks"]
+        certs.update((height, cert) for height, cert in state["certs"])
+        lock = state["lock"]
+    return {
+        "collections": {
+            name: [[doc_id, doc] for doc_id, doc in database.collection(name)._documents.items()]
+            for name in database.collection_names()
+        },
+        "blocks": blocks,
+        "lock": lock,
+        "certs": [list(item) for item in sorted(certs.items())],
     }
 
 
@@ -116,8 +148,8 @@ class SpliceMachine(RuleBasedStateMachine):
         )
         self.validator = engine.validator("n0")
         self.validator.persistence = self.durability
-        self.durability.state_provider = lambda: checkpoint_state(
-            self.database, **self.validator.consensus_snapshot()
+        self.durability.state_provider = lambda full: checkpoint_state(
+            self.database, full, **self.validator.checkpoint_members(full)
         )
         self.cursor = 0  # appends of self.disk already compared
         self.capture_flushed_frames()
@@ -249,12 +281,15 @@ class SpliceMachine(RuleBasedStateMachine):
             return
         ((name, data),) = fresh
         assert name.endswith(".snap")
-        assert data == encode_frame(
-            {"lsn": cutoff, "state": dict_state(self.database, self.validator)}
+        (frame,) = iter_frames(data)
+        assert frame["lsn"] == cutoff and data == encode_frame(frame)
+        assert canonical_bytes(folded_state(self.durability)) == canonical_bytes(
+            dict_state(self.database, self.validator)
         )
-        for collection_name in COLLECTIONS:
-            collection = self.database.collection(collection_name)
-            assert set(collection._fragments) == set(collection._documents)
+        if "prev" not in frame:  # a base: every live document's bytes are kept
+            for collection_name in COLLECTIONS:
+                collection = self.database.collection(collection_name)
+                assert set(collection._fragments) == set(collection._documents)
 
     @rule(torn_bytes=st.integers(0, 9))
     def restart_from_disk(self, torn_bytes):
@@ -266,7 +301,11 @@ class SpliceMachine(RuleBasedStateMachine):
         self.database = recovered.database
         locked_round, locked_block = recovered.locked()
         self.validator.restore_durable(
-            recovered.blocks(), locked_round, locked_block, certs=recovered.certs
+            recovered.blocks(),
+            locked_round,
+            locked_block,
+            certs=recovered.certs,
+            checkpointed=recovered.checkpointed,
         )
         self.cursor = len(self.disk.appended)
         self.capture_flushed_frames()
@@ -358,6 +397,10 @@ class TestCheckpointCost:
             {"operation": "CREATE"}, {"$set": {"reviewed": True}}
         )
         assert touched == 24
+        # A new block moves the cutoff: with no record since the last
+        # checkpoint, taking one again is a no-op.
+        create = cluster.driver.prepare_create(keypair_from_string("bob"), {"rank": -1})
+        cluster.submit_payload(create.to_dict())
         cluster.run()
         with counted("deep_copy_json", "canonical_serialize") as counts:
             durability.checkpoint()
@@ -375,7 +418,7 @@ class TestCheckpointCost:
         assert counts["deep_copy_json"] == 0
         assert 0 < counts["canonical_serialize"] <= state_items(cluster, node_id)
         with counted("deep_copy_json", "canonical_serialize") as counts:
-            durability.state_provider()  # nothing new since: pure splice
+            durability.state_provider(False)  # nothing new since: pure splice
         assert sum(counts.values()) == 0
 
     def test_a_block_is_encoded_once_for_lock_commit_and_snapshots(self):
@@ -404,7 +447,8 @@ class TestCheckpointCost:
 
     def test_snapshot_pieces_are_the_kept_bytes_themselves(self):
         """Identity, not timing: every piece of 64 B or more in the
-        snapshot file is a document's, block's or certificate's kept bytes."""
+        base checkpoint is a document's, block's or certificate's kept
+        bytes, or a collection's list of document ids."""
         cluster = durable_cluster()
         node_id = cluster.engine.validator_order[3]
         durability = cluster.node_durability[node_id]
@@ -420,7 +464,8 @@ class TestCheckpointCost:
         kept |= {id(body) for _, body in validator._cert_bytes.values()}
         (snap,) = [name for name in durability.disk.list() if name.endswith(".snap")]
         big = [piece for piece in durability.disk._durable[snap] if len(piece) >= 64]
-        assert big and all(id(piece) in kept for piece in big)
+        ids = [piece for piece in big if re.fullmatch(rb"\[[0-9,]*\]", piece)]
+        assert big and all(id(piece) in kept for piece in big if piece not in ids)
         assert sum(map(len, big)) > 0.9 * durability.disk.durable_size(snap)
 
     def test_volatile_cluster_keeps_no_bytes(self):

@@ -1,7 +1,7 @@
 """The on-disk bytes of a fixed durable run are pinned.
 
-Checkpoints and the ``insert`` / ``lock`` / ``block`` WAL frames are
-spliced from bytes encoded once per document, block and certificate.
+Checkpoints and the ``lock`` / ``block`` WAL frames are spliced from
+bytes encoded once per document, block and certificate.
 The contract is that nothing on the device changes: this 200-transaction
 run on four durable validators — several checkpoints each, one validator
 rebuilt from its disk half way (its documents and chain then have no kept
@@ -9,7 +9,7 @@ bytes and are encoded at the next checkpoint) — must leave exactly the
 ``*.seg`` and ``snap-*`` bytes that encoding every record and every state
 dict from scratch left at the commit before the splice (PR 14, e430423).
 
-The digest has moved once since, on purpose (PR 18): a validator used to
+The digest first moved on purpose in PR 18: a validator used to
 journal and force-sync its ``lock`` frame twice per height — the fourth
 prevote re-adopted the lock the third had just made durable — and no
 longer does.  Measured on this run with a spy on ``SegmentedWal.append``:
@@ -22,6 +22,20 @@ records per validator, 105 repeats of ~1.9 kB), forced syncs go
 no record's bytes change (LSNs are smaller, so 4 bytes of digits go).
 The read-path reorder of the same PR passed this test with the PR 14
 digest before the lock fix was applied.
+
+It moved again, on purpose, when the chain became the log of a
+validator's collections.  Measured on this run with the same spy: each
+validator's WAL receives 210 records instead of 915 — its 105 ``lock``
+and 105 ``block`` frames; the 705 ``db`` records (``transactions`` /
+``utxos`` / ``blocks`` / ``assets`` inserts and deletes) are gone, since
+recovery re-delivers the blocks above the checkpoints.  A ``block``
+frame carries its body only when no ``lock`` frame does, and names its
+delivery time.  Checkpoints are incremental: with the cadence re-stated
+in blocks (15 here, the 150 records it was) each validator takes 7
+instead of 6, 2 of them bases, and every checkpoint lists document ids.
+Bytes appended per validator fall from 2.34 MB to 0.98 MB; the final
+image (a base, two deltas and the active segment, where it was one
+snapshot and the segment) grows from 457.6 kB to 478.1 kB.
 """
 
 import hashlib
@@ -30,9 +44,10 @@ from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.crypto import keypair_from_string
 from repro.durability.node import DurabilityConfig
 
-#: sha256 over every validator's durable files: the PR 14 image
-#: (``97ec4ecc...5223``) without its repeated ``lock`` frames.
-PINNED_DIGEST = "faa23127ab78bef7cad6e18dad6067c651bb47a4004dc74b89468fa3731d1da3"
+#: sha256 over every validator's durable files: the image with the chain
+#: as its collections' log (before: ``faa23127...1da3``, the PR 14 image
+#: without its repeated ``lock`` frames).
+PINNED_DIGEST = "c23c29b4478fd4c8f603f941d2cdf308393451c318bb845de196cdd6a7432f43"
 
 
 def disk_image_digest(cluster) -> str:
@@ -51,7 +66,7 @@ def run_fixed_history() -> SmartchainCluster:
         ClusterConfig(
             n_validators=4,
             seed=15,
-            durability=DurabilityConfig(snapshot_interval=150, segment_max_bytes=8192),
+            durability=DurabilityConfig(snapshot_interval=15, segment_max_bytes=8192),
         )
     )
     driver = cluster.driver

@@ -72,13 +72,13 @@ class TestDbOpReplay:
 class TestSnapshots:
     def test_snapshot_bounds_replay(self):
         loop = EventLoop()
-        durability, database = make_durable_db(loop, snapshot_interval=10)
-        durability.state_provider = lambda: checkpoint_state(database)
+        durability, database = make_durable_db(loop, snapshot_interval=1)
+        durability.state_provider = lambda full: checkpoint_state(database, full)
         items = database.create_collection("items")
         for i in range(35):
             items.insert_one({"n": i})
             loop.run_until_idle()  # one record per flush: cadence is exact
-        assert durability.snapshots.latest() is not None
+        assert durability.snapshots.chain()
         recovered = recover(durability, factory, repair=False)
         assert recovered.replayed < 35
         assert diff_databases(database, recovered.database) == []
@@ -86,9 +86,9 @@ class TestSnapshots:
     def test_snapshot_retires_covered_segments(self):
         loop = EventLoop()
         durability, database = make_durable_db(
-            loop, snapshot_interval=20, segment_max_bytes=512
+            loop, snapshot_interval=2, segment_max_bytes=512
         )
-        durability.state_provider = lambda: checkpoint_state(database)
+        durability.state_provider = lambda full: checkpoint_state(database, full)
         items = database.create_collection("items")
         for i in range(120):
             items.insert_one({"n": i, "pad": "x" * 40})
@@ -103,16 +103,16 @@ class TestSnapshots:
         destroying the only checkpoint after its segments retired)."""
         loop = EventLoop()
         durability, database = make_durable_db(
-            loop, snapshot_interval=50, segment_max_bytes=256
+            loop, snapshot_interval=5, segment_max_bytes=256
         )
-        durability.state_provider = lambda: checkpoint_state(database)
+        durability.state_provider = lambda full: checkpoint_state(database, full)
         items = database.create_collection("items")
         for i in range(100):
             items.insert_one({"n": i, "pad": "x" * 16})
             loop.run_until_idle()
         durability.checkpoint()
         durability.checkpoint()  # no records in between: same cutoff
-        assert durability.snapshots.latest() is not None
+        assert durability.snapshots.chain()
         durability.power_fail()
         recovered = recover(durability, factory, repair=False)
         assert recovered.database.collection("items").count({}) == 100
@@ -121,7 +121,7 @@ class TestSnapshots:
     def test_torn_same_lsn_snapshot_is_rewritten(self):
         loop = EventLoop()
         durability, database = make_durable_db(loop)
-        durability.state_provider = lambda: checkpoint_state(database)
+        durability.state_provider = lambda full: checkpoint_state(database, full)
         items = database.create_collection("items")
         for i in range(8):
             items.insert_one({"n": i})
@@ -129,10 +129,9 @@ class TestSnapshots:
         cutoff = durability.checkpoint()
         snap_name = next(n for n in durability.disk.list() if n.endswith(".snap"))
         durability.disk.corrupt(snap_name, 12)
-        assert durability.snapshots.latest() is None
+        assert durability.snapshots.chain() == []
         durability.checkpoint()  # same cutoff, but the torn file must be rewritten
-        latest = durability.snapshots.latest()
-        assert latest is not None and latest[0] == cutoff
+        assert durability.snapshots.chain()[-1][0] == cutoff
 
     def test_same_name_snapshot_of_another_lsn_is_rewritten(self):
         """The guard reads the ``{"lsn":N,`` opening: a whole frame whose
@@ -143,7 +142,7 @@ class TestSnapshots:
         durability.disk.append(snapshots._name(5), encode_frame({"lsn": 50, "state": {}}))
         durability.disk.sync(snapshots._name(5))
         snapshots.take([b'{"blocks":[]}'], 5)
-        assert snapshots.latest() == (5, {"blocks": []})
+        assert snapshots.chain()[-1][:2] == (5, {"blocks": []})
 
     def test_torn_snapshot_falls_back_to_wal(self):
         loop = EventLoop()

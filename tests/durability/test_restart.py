@@ -9,14 +9,13 @@ from repro.durability.node import DurabilityConfig
 from repro.durability.recovery import diff_databases, recover
 from repro.sharding.cluster import ShardedCluster, ShardedClusterConfig
 from repro.sharding.router import SHARD_KEY_METADATA
-from repro.storage.database import make_smartchaindb_database
 
 
 def durable_cluster(**kwargs):
     return SmartchainCluster(
         ClusterConfig(
             n_validators=4,
-            durability=DurabilityConfig(snapshot_interval=60),
+            durability=DurabilityConfig(snapshot_interval=6),
             **kwargs,
         )
     )
@@ -95,12 +94,7 @@ class TestNodeRestart:
         node = cluster.engine.validator_order[0]
         cluster.restart_node_from_disk(node)
         run_traffic(cluster, n_creates=4, n_transfers=2)
-        durability = cluster.node_durability[node]
-        recovered = recover(
-            durability,
-            lambda: make_smartchaindb_database(name="verify"),
-            repair=False,
-        )
+        recovered, _ = cluster.recover_node(node, repair=False)
         assert diff_databases(cluster.servers[node].database, recovered.database) == []
 
     def test_restart_without_durability_raises(self):
@@ -220,7 +214,7 @@ class TestShardedRestart:
     def test_participant_agent_restart_between_prepare_and_decision(self):
         cluster = ShardedCluster(
             ShardedClusterConfig(
-                n_shards=2, seed=11, durability=DurabilityConfig(snapshot_interval=60)
+                n_shards=2, seed=11, durability=DurabilityConfig(snapshot_interval=6)
             )
         )
         driver = cluster.driver
@@ -270,7 +264,7 @@ class TestShardedRestart:
     def test_node_restart_in_sharded_deployment(self):
         cluster = ShardedCluster(
             ShardedClusterConfig(
-                n_shards=2, seed=5, durability=DurabilityConfig(snapshot_interval=60)
+                n_shards=2, seed=5, durability=DurabilityConfig(snapshot_interval=6)
             )
         )
         driver = cluster.driver

@@ -173,7 +173,7 @@ class TestCarriedPayloads:
 
         cluster = ShardedCluster(
             ShardedClusterConfig(
-                n_shards=3, seed=21, durability=DurabilityConfig(snapshot_interval=60)
+                n_shards=3, seed=21, durability=DurabilityConfig(snapshot_interval=6)
             )
         )
         owner, create = _mint(cluster, "carried")

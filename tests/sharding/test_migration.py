@@ -20,7 +20,7 @@ def build(seed: int = 11, **kwargs) -> ShardedCluster:
         ShardedClusterConfig(
             n_shards=2,
             seed=seed,
-            durability=DurabilityConfig(snapshot_interval=60),
+            durability=DurabilityConfig(snapshot_interval=6),
             **kwargs,
         )
     )

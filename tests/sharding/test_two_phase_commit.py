@@ -353,7 +353,7 @@ class TestLateApplyingReplica:
         from repro.simtest.invariants import REPLAY_KEYS, replay_determinism
         from repro.simtest.plane import FaultPlane
 
-        cluster = _sharded(durability=DurabilityConfig(snapshot_interval=40))
+        cluster = _sharded(durability=DurabilityConfig(snapshot_interval=4))
         owner = keypair_from_string("late-owner")
         fresh = cluster.driver.prepare_create(owner, {"capabilities": ["late"]})
         cluster.submit_and_settle(fresh.to_dict())

@@ -30,7 +30,7 @@ def _durable_plane(n_shards: int = 2) -> FaultPlane:
             ShardedClusterConfig(
                 n_shards=n_shards,
                 seed=9,
-                durability=DurabilityConfig(snapshot_interval=60),
+                durability=DurabilityConfig(snapshot_interval=6),
             )
         )
     )

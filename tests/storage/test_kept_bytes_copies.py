@@ -1,6 +1,6 @@
-"""Caller-owned copies decoded from a journaled collection's kept bytes.
+"""Caller-owned copies decoded from a durable collection's kept bytes.
 
-``find(copy=True)`` on a journaled collection builds its answer with one
+``find(copy=True)`` on a durable collection builds its answer with one
 ``json.loads`` over the kept canonical bytes.  It must hand back exactly
 what a deep copy of the stored documents is — same values, same types —
 on a live replica and on one restarted from disk, and the copy must not
@@ -56,7 +56,7 @@ def journaled_collections(cluster):
         database = server.database
         for name in database.collection_names():
             collection = database.collection(name)
-            assert collection.journal is not None, name
+            assert collection.keeps_bytes, name
             yield collection
 
 
@@ -84,7 +84,7 @@ def assert_copies_match_the_store(cluster):
 def cluster():
     cluster = SmartchainCluster(
         ClusterConfig(
-            n_validators=4, seed=23, durability=DurabilityConfig(snapshot_interval=12)
+            n_validators=4, seed=23, durability=DurabilityConfig(snapshot_interval=1)
         )
     )
     driver = cluster.driver

@@ -21,7 +21,7 @@ ALICE = keypair_from_string("alice")
 BOB = keypair_from_string("bob")
 
 
-def durable_cluster(seed=23, snapshot_interval=60, flush_interval=0.0):
+def durable_cluster(seed=23, snapshot_interval=6, flush_interval=0.0):
     return SmartchainCluster(
         ClusterConfig(
             n_validators=4,

@@ -19,7 +19,7 @@ def durable_cluster():
         ClusterConfig(
             n_validators=4,
             seed=23,
-            durability=DurabilityConfig(snapshot_interval=60),
+            durability=DurabilityConfig(snapshot_interval=6),
         )
     )
 
@@ -138,7 +138,7 @@ class TestShardedFacade:
             ShardedClusterConfig(
                 n_shards=2,
                 n_validators=4,
-                durability=DurabilityConfig(snapshot_interval=60),
+                durability=DurabilityConfig(snapshot_interval=6),
             )
         )
         driver = deployment.driver
