@@ -17,8 +17,10 @@ Prints two lists:
 
 Every entry that survives carries a one-line reason in :data:`KEPT_DEFS`
 or :data:`KEPT_OPTIONS`; ``--check`` exits 1 if one does not, if a
-reason outlives its entry, if an entry point fails or if a name
-``benchmarks/e2e/spans.py`` binds no longer resolves.  Usage::
+reason outlives its entry, if an entry point fails, if a name
+``benchmarks/e2e/spans.py`` binds no longer resolves, or if either list
+outgrows its ratchet (:data:`MAX_UNREACHED_LINES`,
+:data:`MAX_ONE_VALUE_OPTIONS`).  Usage::
 
     python benchmarks/census.py [--options-only] [--check]
 
@@ -44,6 +46,11 @@ PACKAGE = os.path.join(SRC, "repro")
 
 #: Entry points profiled at once (each child holds a whole cluster in memory).
 JOBS = 2
+
+#: The ratchet: ``--check`` fails once the census grows past these counts.
+#: Lower them when a change shrinks the census; never raise them.
+MAX_UNREACHED_LINES = 774
+MAX_ONE_VALUE_OPTIONS = 21
 
 #: (label, argv after ``python``).  ``{out}`` is a scratch directory.
 ENTRY_POINTS = (
@@ -449,6 +456,9 @@ def main(argv: list[str] | None = None) -> int:
     for name in sorted(set(KEPT_OPTIONS) - {name for name, _ in options}):
         print(f"  stale reason (option is settable or gone): {name}")
         findings += 1
+    if len(options) > MAX_ONE_VALUE_OPTIONS:
+        print(f"  one-value options exceed the ratchet ({MAX_ONE_VALUE_OPTIONS})")
+        findings += 1
     for name in unbound_harness_names():
         print(f"  harness-bound name missing: {name}")
         findings += 1
@@ -462,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
         for dotted, count, reason in unreached:
             print(f"  {dotted:<72} {count:>4}  {reason or 'NO REASON'}")
             findings += reason is None
+        if lines > MAX_UNREACHED_LINES:
+            print(f"  unreached lines exceed the ratchet ({MAX_UNREACHED_LINES})")
+            findings += 1
         for label in failed:
             print(f"  entry point failed: {label}")
             findings += 1

@@ -33,11 +33,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print("sharding (consistent-hash partitioning + cross-shard 2PC —")
     print("try `python -m repro shard`), simtest (deterministic chaos")
     print("harness — try `python -m repro simtest --seed 7 --steps 200`)")
-    print("\ncrypto fast path: windowed Ed25519 + RLC batch verification +")
-    print("cluster-wide signature cache — try `python -m repro crypto`")
+    print("\ncrypto fast path: native Ed25519 through libcrypto (pure kernel")
+    print("fallback) + cluster-wide signature cache — try `python -m repro crypto`")
     print("\ndurability: per-node segmented WAL with group commit, snapshots")
     print("and crash-restart recovery from disk — try `python -m repro recover`")
-    print("\nsee DESIGN.md for the full inventory, EXPERIMENTS.md for results")
+    print("\nsee benchmarks/EXPERIMENTS.md for results")
     return 0
 
 

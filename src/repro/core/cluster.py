@@ -617,24 +617,17 @@ class SmartchainCluster:
 
     # -- cross-shard hooks (used by repro.sharding) --------------------------------
 
-    def add_spend_guard(self, guard) -> None:
-        """Install an external spend oracle on every node's validation
-        context.  The sharding coordinator uses this to make a remote
-        2PC lock on a local UTXO visible to local double-spend checks."""
+    def set_spend_guard(self, guard) -> None:
+        """Install the admission spend oracle (a shard agent's locks and
+        migration fence) on every node."""
         for server in self.servers.values():
-            server.context.spend_guards.append(guard)
+            server.spend_guard = guard
 
     def add_ingress_gate(self, gate) -> None:
-        """Install an admission gatekeeper ``payload -> reason | None``
-        on every node.  The sharded deployment uses one to keep
-        transactions spending foreign-homed outputs out of this shard's
-        mempools unless they arrive via their own 2PC commit-point
-        submission — a directly injected copy would otherwise commit
-        intra-shard while the coordinator aborts, leaving the remote
-        input unconsumed (a cross-shard double-spend door found by the
-        adversarial double-submit client)."""
+        """Install an admission gatekeeper ``payload -> reason | None`` on
+        every node (the sharded facade's foreign-input gate)."""
         for server in self.servers.values():
-            server.context.ingress_gates.append(gate)
+            server.ingress_gates.append(gate)
 
     def inflight_spender(self, ref) -> str | None:
         """Id of an admitted-but-uncommitted transaction spending ``ref``,

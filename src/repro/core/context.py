@@ -6,11 +6,16 @@ algorithms call (``getTxFromDB``, ``getLockedBids``,
 *currently staged* transactions of the block being validated so that
 intra-block double spends are caught (the ``CurrentTxs`` parameter of
 Algorithms 2-3).
+
+It holds committed state only — a redirect for an output exported off
+this chain included — so DeliverTx, which reads nothing else, is a pure
+function of the chain.  Admission-only oracles (2PC locks, migration
+fences, ingress gates) sit on the server.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.errors import DoubleSpendError, InputDoesNotExistError
 from repro.core.entries import SHARD_EXPORT
@@ -18,10 +23,10 @@ from repro.core.transaction import CREATE, OutputRef, REQUEST
 from repro.crypto.keys import ReservedAccounts
 from repro.storage.database import Database
 
-#: External double-spend oracle: returns the id of whatever holds/spends
-#: the output, or None.  Installed by cross-shard machinery so that a
-#: remote 2PC lock on a local UTXO is visible to local validation.
-SpendGuard = Callable[[OutputRef], "str | None"]
+#: Verdicts for migrating/moved outputs start with this marker — 8
+#: characters, so a DoubleSpendError's truncated spender keeps it for the
+#: driver's retry path.
+REDIRECT_MARKER = "redirect"
 
 
 class ValidationContext:
@@ -35,23 +40,6 @@ class ValidationContext:
         self._staged_spends: set[tuple[str, int]] = set()
         #: Payloads staged in the current block, by id.
         self._staged_txs: dict[str, dict[str, Any]] = {}
-        #: Extra spend oracles consulted by :meth:`output_spender` —
-        #: the lock hook the sharding coordinator installs.
-        self.spend_guards: list[SpendGuard] = []
-        #: Admission-only gatekeepers ``payload -> reason | None`` —
-        #: the sharding layer uses one to refuse transactions spending
-        #: foreign-homed outputs unless they arrive through their 2PC
-        #: commit-point submission.  Never consulted by block delivery.
-        self.ingress_gates: list[Any] = []
-        #: Whether :meth:`output_spender` consults the guards.  Admission
-        #: paths leave this True; block delivery turns it off, because
-        #: the guards read the shard agent's *live* lock table — replicas
-        #: deliver the same block at different simulated instants, and a
-        #: lock released in between would make them disagree on the
-        #: block's valid transactions (found by the byzantine chaos
-        #: sweep, seed 7).  DeliverTx must be a pure function of
-        #: committed + staged state.
-        self.use_spend_guards = True
 
     # -- committed-state queries (Algorithm 2/3 helpers) -----------------------
 
@@ -82,15 +70,16 @@ class ValidationContext:
         return payload
 
     def output_spender(self, ref: OutputRef) -> str | None:
-        """Id of the committed transaction spending ``ref``, or None."""
+        """Id of the committed transaction spending ``ref``, or None.
+
+        An output whose latest spender here is a ``SHARD_EXPORT`` moved
+        to the export's target shard: the verdict is
+        ``redirect:moved:<target>`` until an import brings it back (the
+        utxo row the import mints says it is live here again).
+        """
         if (ref.transaction_id, ref.output_index) in self._staged_spends:
             return "<staged>"
-        if self.use_spend_guards:
-            for guard in self.spend_guards:
-                holder = guard(ref)
-                if holder is not None:
-                    return holder
-        spender = self._database.collection("transactions").find_one(
+        spenders = self._database.collection("transactions").find(
             {
                 "inputs.fulfills.transaction_id": ref.transaction_id,
                 "inputs": {
@@ -102,16 +91,17 @@ class ValidationContext:
             },
             copy=False,
         )
-        if spender is not None and spender.get("operation") == SHARD_EXPORT:
-            # Exported, unless a later migration imported it back: then
-            # the utxo row the import minted says it is live here again.
-            live = self._database.collection("utxos").find_one(
-                {"transaction_id": ref.transaction_id, "output_index": ref.output_index},
-                copy=False,
-            )
-            if live is not None:
-                return None
-        return spender["id"] if spender else None
+        if not spenders:
+            return None
+        # Stored in chain order: the last is the latest spender.
+        spender = spenders[-1]
+        if spender.get("operation") != SHARD_EXPORT:
+            return spender["id"]
+        live = self._database.collection("utxos").find_one(
+            {"transaction_id": ref.transaction_id, "output_index": ref.output_index},
+            copy=False,
+        )
+        return None if live is not None else f"{REDIRECT_MARKER}:moved:{spender['target']}"
 
     def require_unspent(self, ref: OutputRef) -> None:
         """Raise if ``ref`` was already spent (double-spend protection).

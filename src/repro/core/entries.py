@@ -130,12 +130,6 @@ def import_entry(export: dict, evidence: dict, payloads: list[dict], author: Key
     )
 
 
-def migration_order(migration_id: str) -> int:
-    """Sequence number of a migration (ids are ``m-NNNN``, assigned in
-    start order by the controller): later hops of a ref sort later."""
-    return int(migration_id.rsplit("-", 1)[1])
-
-
 def imported_utxos(entry: dict[str, Any]) -> list[dict[str, Any]]:
     """The UTXO documents an import mints, read from its own payloads."""
     outputs = {payload["id"]: payload.get("outputs") or [] for payload in entry["payloads"]}

@@ -18,12 +18,12 @@ validation set, stateful), ``commit_block`` (persist + trigger children).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.encoding import deep_copy_json
-from repro.common.errors import DuplicateKeyError, ValidationError
+from repro.common.errors import DoubleSpendError, DuplicateKeyError, ValidationError
 from repro.consensus.types import Block, TxEnvelope
-from repro.core.context import ValidationContext
+from repro.core.context import REDIRECT_MARKER, ValidationContext
 from repro.core.entries import (
     SHARD_EXPORT,
     SHARD_IMPORT,
@@ -132,6 +132,11 @@ class SmartchainServer:
         self.shard_id = ""
         self.shard_keys: dict[str, dict[str, str]] = {}
         self.entry_authors: dict[str, str] = {}
+        #: Admission-only oracles a sharded deployment installs (DeliverTx
+        #: never reads them): who holds an output off the chain, and
+        #: ``payload -> refusal reason | None`` gates.
+        self.spend_guard: Callable[[OutputRef], str | None] | None = None
+        self.ingress_gates: list[Callable[[dict[str, Any]], str | None]] = []
         #: Optional :class:`~repro.telemetry.Telemetry` (set by the
         #: cluster); every site guards on it so a bare server pays zero.
         self.telemetry = None
@@ -159,19 +164,14 @@ class SmartchainServer:
 
     def adopt_database(self, database: Database) -> None:
         """Serve ``database`` (a restart's rebuilt store) with a fresh
-        validation context and nested-transaction processor.  Spend
-        guards and ingress gates are deployment wiring, not node state:
-        they carry over, or remote 2PC locks would stop being visible to
-        local validation."""
-        guards, gates = self.context.spend_guards, self.context.ingress_gates
+        validation context and nested-transaction processor."""
         self.database = database
         self.context = ValidationContext(database, self.reserved)
-        self.context.spend_guards.extend(guards)
-        self.context.ingress_gates.extend(gates)
         self.nested = NestedTransactionProcessor(self.reserved.escrow, database)
 
     def receiver_validate(self, payload: dict[str, Any], attachments=()) -> None:
-        """Full semantic validation at the randomly chosen receiver node.
+        """Full semantic validation at the randomly chosen receiver node,
+        then the spend guard.
 
         Raises:
             ValidationError / SchemaValidationError on rejection — the
@@ -183,6 +183,12 @@ class SmartchainServer:
             self.validator.validate(self.context, payload)
         finally:
             self.context.unstage(staged)
+        guarded = self._guarded_spender(payload)
+        if guarded is not None:
+            ref, holder = guarded
+            raise DoubleSpendError(
+                f"output {ref.transaction_id[:8]}..:{ref.output_index} already spent by {holder[:8]}"
+            )
         tel = self.telemetry
         if tel is not None and tel.enabled and tel.tracer.sampled(payload.get("id", "")):
             # Receiver-side semantic validation includes the Ed25519
@@ -195,11 +201,11 @@ class SmartchainServer:
 
     def check_tx(self, envelope: TxEnvelope) -> bool:
         """CheckTx: stateless re-validation before mempool admission —
-        plus the 2PC lock oracle.  Admission (not delivery) is where
-        remote locks must bite: an envelope gossiped or injected
-        directly into a node's mempool never passed the facade's
-        receiver validation, and once it is pooled nothing before
-        delivery would notice its inputs are locked or tombstoned by a
+        plus the spend guard and the ingress gates.  Admission (not
+        delivery) is where remote locks must bite: an envelope gossiped
+        or injected directly into a node's mempool never passed the
+        facade's receiver validation, and once it is pooled nothing
+        before delivery would notice its inputs are locked by a
         cross-shard spend.  Per-node and advisory, so the time-varying
         lock table is safe to consult here."""
         self.stats["checked"] += 1
@@ -217,23 +223,30 @@ class SmartchainServer:
             return False
         return (
             self.validator.check_tx(payload)
-            and not self._spends_guarded_output(payload)
-            and all(gate(payload) is None for gate in self.context.ingress_gates)
+            and self._guarded_spender(payload) is None
+            and all(gate(payload) is None for gate in self.ingress_gates)
         )
 
-    def _spends_guarded_output(self, payload: dict[str, Any]) -> bool:
-        """True if any input ref is held by a 2PC lock or tombstone."""
-        if not self.context.spend_guards:
-            return False
+    def _guarded_spender(self, payload: dict[str, Any]) -> tuple[OutputRef, str] | None:
+        """The first input the spend guard holds, or that an export on this
+        chain moved away (only sharded deployments install a guard or take
+        exports), with its holder."""
+        guard = self.spend_guard
+        if guard is None:
+            return None
         for item in payload.get("inputs", []):
             fulfills = item.get("fulfills")
             if not fulfills:
                 continue
             ref = OutputRef(fulfills["transaction_id"], fulfills["output_index"])
-            for guard in self.context.spend_guards:
-                if guard(ref) is not None:
-                    return True
-        return False
+            holder = guard(ref)
+            if holder is None:
+                spender = self.context.output_spender(ref)
+                if spender is not None and spender.startswith(REDIRECT_MARKER):
+                    holder = spender
+            if holder is not None:
+                return ref, holder
+        return None
 
     def check_block(self, envelopes: list[TxEnvelope]) -> list[bool]:
         """:meth:`check_tx` over a block's envelopes, in block order."""
@@ -248,15 +261,10 @@ class SmartchainServer:
     def deliver_tx(self, envelope: TxEnvelope) -> bool:
         """DeliverTx: the final stateful validation before mutating state.
 
-        Runs with the 2PC spend guards disabled: every replica must reach
-        the same verdict for the same block, and the guards consult the
-        shard agent's live lock table — time-varying state outside the
-        chain.  Locks gate *admission* (receiver validation and the
-        participant's prepare vote); a transaction that made it into a
-        committed block is judged on committed + staged state alone.
+        Reads the validation context alone — committed + staged state —
+        so every replica reaches the same verdict for the same block.
         """
         self.context.now = self.clock.now
-        self.context.use_spend_guards = False
         payload = envelope.payload
         staged: list[str] = []
         try:
@@ -275,8 +283,6 @@ class SmartchainServer:
             self.context.unstage(staged)
             self.stats["rejected"] += 1
             return False
-        finally:
-            self.context.use_spend_guards = True
         # Frozen at the submit boundary: staged, stored and journaled by
         # reference from here on.
         self.context.stage(payload)

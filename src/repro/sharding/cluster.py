@@ -125,8 +125,6 @@ class ShardedCluster:
             telemetry=self.telemetry,
         )
         self.entry_authors[CONTROLLER] = self.migrator.keypair.public_key
-        for shard_id, agent in self.agents.items():
-            self.migrator.attach_agent(shard_id, agent)
         # All shards derive the same reserved (escrow) accounts.
         self.reserved = self.shards[self.shard_ids[0]].reserved
         self.driver = Driver(self)
@@ -177,10 +175,9 @@ class ShardedCluster:
             ),
         )
         agent.telemetry = self.telemetry
+        agent.migration_fence = lambda ref: self.migrator.fence(shard_id, ref)
         self.agents[shard_id] = agent
         self.entry_authors[shard_id] = agent.keypair.public_key
-        if self.migrator is not None:
-            self.migrator.attach_agent(shard_id, agent)
 
     # -- topology ---------------------------------------------------------------
 

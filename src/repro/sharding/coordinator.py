@@ -7,20 +7,21 @@ roles:
   it prepares remote input locks, drives the home BFT commit, then
   broadcasts the commit/abort decision;
 * **participant** (resource manager) for remote coordinators — it locks
-  locally-held UTXOs at prepare, makes the lock visible to local
-  validation through the cluster's spend guard, and consumes or releases
-  the lock when the decision arrives.
+  locally-held UTXOs at prepare, makes the lock visible to admission
+  through the servers' spend guard, and consumes or releases the lock
+  when the decision arrives.
 
 The protocol per cross-shard transaction ``T`` homed on ``H``:
 
 1. ``H`` durably records intent in its ``shard_outbox`` (state
    ``preparing``) and sends PREPARE for the refs each remote shard holds.
-2. Each participant verifies the ref is committed, unspent and unlocked,
-   writes a durable ``prepared`` row in its ``shard_locks`` table (from
-   that instant local validation rejects competing spends), and votes
-   YES with an *attachment* per referenced payload: the payload and the
-   certified header of the block that committed it
-   (:mod:`repro.core.entries`).
+2. Each participant verifies the ref is unfenced, unlocked, committed
+   and unspent — a ref its chain exported votes no with the chain's
+   ``redirect:moved`` verdict, which the driver retries on — writes a
+   durable ``prepared`` row in its ``shard_locks`` table (from that
+   instant admission refuses competing spends), and votes YES with an
+   *attachment* per referenced payload: the payload and the certified
+   header of the block that committed it (:mod:`repro.core.entries`).
 3. On unanimous YES, ``H`` flips the outbox to ``commit_pending``
    (keeping the attachments for a resubmit) and submits ``T`` with them
    in its envelope: DeliverTx stores them as reference copies in the
@@ -59,17 +60,24 @@ from typing import Any, Callable
 
 from repro.common.errors import ValidationError
 from repro.core.cluster import SmartchainCluster
-from repro.core.entries import consume_entry, migration_order
+from repro.core.context import REDIRECT_MARKER
+from repro.core.entries import consume_entry
 from repro.core.transaction import OutputRef
 from repro.crypto.keys import keypair_from_string
 from repro.durability.node import NodeDurability
 from repro.durability.recovery import checkpoint_state, recover
 from repro.sharding.router import RoutingDecision
 from repro.sim.events import EventLoop
-from repro.storage.database import SMARTCHAINDB_LAYOUT, Database
+from repro.storage.database import Database
 
 #: Pseudo-node id the coordinator occupies in its shard's failure domain.
 COORDINATOR_NODE = "coordinator"
+
+#: The agent's tables and their hash indexes: 2PC locks and the outbox.
+AGENT_LAYOUT: dict[str, list[tuple[str, bool]]] = {
+    "shard_locks": [("transaction_id", False), ("holder", False), ("status", False)],
+    "shard_outbox": [("tx_id", True), ("state", False)],
+}
 
 #: Outcome callback the owning facade registers:
 #: (tx_id, "committed" | "aborted", reason_or_None).
@@ -155,12 +163,12 @@ class TwoPhaseCoordinator:
         #: Listeners must not mutate the agent synchronously; schedule
         #: faults through the event loop instead.
         self.phase_listeners: list[PhaseListener] = []
-        #: Migration fences (installed by the reshard controller): each
-        #: maps an OutputRef to a ``redirect:*`` verdict while the ref's
-        #: key range is draining toward a cutover, or None.  Consulted
-        #: before the lock table so migrating outputs refuse new spends
-        #: — admissions, pool entries and 2PC prepares alike.
-        self.migration_guards: list[Callable[[OutputRef], str | None]] = []
+        #: The reshard controller's migration fence: maps an OutputRef to
+        #: a ``redirect:migrating`` verdict while the ref is draining
+        #: toward a cutover, or None.  Consulted before the lock table so
+        #: migrating outputs refuse new spends — admissions, pool entries
+        #: and 2PC prepares alike.
+        self.migration_fence: Callable[[OutputRef], str | None] = lambda ref: None
         self.stats = {
             "coordinated": 0,
             "committed": 0,
@@ -175,8 +183,8 @@ class TwoPhaseCoordinator:
         #: Coordinator-side phase clocks: tx_id -> {phase: started_at}.
         self._phase_started: dict[str, dict[str, float]] = {}
         # Remote prepared locks must be visible to this shard's own
-        # validation path — the commit/lock hook the cluster exposes.
-        cluster.add_spend_guard(self._spend_guard)
+        # admission path — the lock hook the cluster exposes.
+        cluster.set_spend_guard(self._spend_guard)
         cluster.failures.register_callbacks(
             COORDINATOR_NODE, on_crash=self.on_crash, on_recover=self.on_recover
         )
@@ -195,9 +203,9 @@ class TwoPhaseCoordinator:
             else None
         )
         database = Database(f"shard-agent-{self.shard_id}", wal=wal)
-        for name in ("shard_locks", "shard_outbox", "shard_migrations"):
+        for name, indexes in AGENT_LAYOUT.items():
             collection = database.create_collection(name)
-            for path, unique in SMARTCHAINDB_LAYOUT[name]:
+            for path, unique in indexes:
                 collection.create_index(path, unique=unique)
         return database
 
@@ -346,35 +354,31 @@ class TwoPhaseCoordinator:
             handle.cancel()
 
     def _spend_guard(self, ref: OutputRef) -> str | None:
-        """Local validation oracle: who holds/spent this output remotely.
+        """Admission oracle: who holds this output off the chain.
 
         Verdict precedence: an active migration fence (the output is
-        draining toward a cutover), then the durable redirect registry
-        (the output's latest cutover moved it off this shard), then the
-        2PC lock table.  Redirect verdicts start with the 8-char
-        ``redirect`` marker so even the truncated spender rendering of a
-        DoubleSpendError keeps enough for the driver's retry path.
+        draining toward a cutover, a ``redirect`` verdict), then the 2PC
+        lock table.  An output a cutover already moved is the chain's
+        to refuse (:meth:`~repro.core.context.ValidationContext.output_spender`).
         """
-        for guard in self.migration_guards:
-            verdict = guard(ref)
-            if verdict is not None:
-                return verdict
-        query = {"transaction_id": ref.transaction_id, "output_index": ref.output_index}
-        hops = self.durable.collection("shard_migrations").find(query, copy=False)
-        if hops:
-            latest = max(hops, key=lambda row: migration_order(row["migration_id"]))
-            if latest["direction"] == "out":
-                return f"redirect:moved:{latest['peer']}"
-        lock = self._locks.find_one(query, copy=False)
-        if lock is None:
-            return None
-        return f"shard-lock:{lock['holder']}"
+        verdict = self.migration_fence(ref)
+        if verdict is not None:
+            return verdict
+        lock = self._locks.find_one(
+            {"transaction_id": ref.transaction_id, "output_index": ref.output_index},
+            copy=False,
+        )
+        return None if lock is None else f"shard-lock:{lock['holder']}"
 
-    def _any_server(self):
-        try:
-            return self.cluster.any_server()
-        except ValidationError:
+    def _freshest_server(self):
+        """The live server furthest along this shard's chain, or None: a
+        replica behind it may still hold an output a later block spent
+        or exported."""
+        engine, network = self.cluster.engine, self.cluster.network
+        live = [node for node in engine.validator_order if not network.is_crashed(node)]
+        if not live:
             return None
+        return self.cluster.servers[max(live, key=lambda node: engine.validator(node).state.h)]
 
     # -- coordinator role -------------------------------------------------------
 
@@ -581,7 +585,7 @@ class TwoPhaseCoordinator:
     ) -> None:
         """Lock locally-held UTXOs for a remote transaction, or vote no."""
         resolved = [OutputRef(item[0], int(item[1])) for item in refs]
-        server = self._any_server()
+        server = self._freshest_server()
         reason: str | None = None
         attachments: dict[str, dict[str, Any]] = {}
         if server is None:
@@ -610,7 +614,12 @@ class TwoPhaseCoordinator:
                     )
                     is None
                 ):
-                    reason = f"{ref.transaction_id[:8]}:{ref.output_index} already spent"
+                    # An exported ref votes no with its redirect (retried).
+                    spender = server.context.output_spender(ref) or ""
+                    moved = spender.startswith(REDIRECT_MARKER)
+                    reason = f"{ref.transaction_id[:8]}:{ref.output_index} " + (
+                        f"held by {spender}" if moved else "already spent"
+                    )
                     break
                 rival = self.cluster.inflight_spender(ref)
                 if rival == tx_id:

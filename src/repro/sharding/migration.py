@@ -41,9 +41,9 @@ Phases of one migration (``planned`` is the initial state)::
   then the migration rolls back), and once it is delivered a
   ``SHARD_IMPORT`` on the target, whose evidence
   is the export block's commit certificate (:mod:`repro.core.entries`):
-  the target cannot own an output before the source let it go.  Then
-  both agents record ``shard_migrations`` redirect rows (forced) and the
-  router learns the new homes and bumps its epoch.  The entries have
+  the target cannot own an output before the source let it go (from the
+  export on, the source chain answers its spends ``redirect:moved``).  Then
+  the router learns the new homes and bumps its epoch.  The entries have
   content ids, so a controller that crashes after the forced record
   rolls *forward* by re-submitting them; one that crashes before it
   rolls *back*.  Clients that raced the cutover see ``redirect:*``
@@ -59,8 +59,8 @@ source node    WAL replay + catch-up: the export is a block like any
 target node    WAL replay + catch-up, likewise for the import.
 source/target  pre-cutover: nothing to redo — a stalled migration
 agent          retries, bounded, then rolls back.  Post-cutover the
-               redirect rows are written (forced) once the import lands;
-               a crashed agent only delays that step.
+               agents hold no migration state: the redirect is the
+               export on the source chain.
 controller     pre-cutover crash: presumed abort — restart rolls the
                migration back from its journal.  Post-``cutover`` record:
                roll forward — the entries re-submit under the same ids.
@@ -79,6 +79,7 @@ from typing import Any, Callable
 
 from repro.common.encoding import deep_copy_json
 from repro.common.errors import MigrationError
+from repro.core.context import REDIRECT_MARKER
 from repro.core.entries import CONTROLLER, export_entry, import_entry
 from repro.core.transaction import OutputRef
 from repro.crypto.keys import keypair_from_string
@@ -101,12 +102,6 @@ MIGRATE_TRAP_ROLES = ("source", "target", "controller")
 #: BID / ACCEPT_BID / RETURN) routes by its RFQ and stays put; spends
 #: that cross into a moved asset go through ordinary 2PC.
 MOVABLE_OPERATIONS = frozenset({"CREATE", "TRANSFER"})
-
-#: Spend-guard verdicts and rejection reasons for migrating/moved keys
-#: start with this marker (exactly 8 characters, so even the
-#: truncated-spender form of a DoubleSpendError keeps it intact) — the
-#: driver's retry path keys off it.
-REDIRECT_MARKER = "redirect"
 
 #: Observer of migration phase transitions: ``(migration_id, phase)``.
 #: Like 2PC phase listeners, a listener must not mutate the deployment
@@ -595,16 +590,16 @@ class ReshardController:
 
     def _apply_cutover(self, m: ShardMigration) -> None:
         """Drive a journaled cutover one step: the export onto the source
-        chain, then the import onto the target chain, then the redirect
-        rows and routing.  Every step re-derives where it stands from the
-        chains, so a restarted controller resumes anywhere."""
+        chain, then the import onto the target chain, then routing.  Every
+        step re-derives where it stands from the chains, so a restarted
+        controller resumes anywhere."""
         deployment = self.deployment
         source, target = deployment.shards[m.source], deployment.shards[m.target]
         if m.export is None:
             m.export = export_entry(
                 m.migration_id, m.source, m.target, [(r[0], r[1]) for r in m.moved], self.keypair
             )
-        landed = self._landed(source, m.export)
+        landed = source.landed(m.export["id"])
         if landed is False:
             return self._rollback(m, "the source chain refused the export", cutover=True)
         if not landed:
@@ -620,30 +615,8 @@ class ReshardController:
                 [deep_copy_json(m.plan[tx_id]) for tx_id in creators],
                 self.keypair,
             )
-        if not self._landed(target, m.import_):
+        if not target.landed(m.import_["id"]):
             return self._await_entry(m, target, m.import_)
-        source_agent = deployment.agents.get(m.source)
-        target_agent = deployment.agents.get(m.target)
-        if (
-            source_agent is None
-            or target_agent is None
-            or source_agent.crashed
-            or target_agent.crashed
-        ):
-            return self._stall(m)
-        # Redirect rows (a re-run after a crash repeats them harmlessly:
-        # the guard reads the latest hop).
-        for agent, direction, peer in (
-            (source_agent, "out", m.target), (target_agent, "in", m.source)
-        ):
-            agent.durable.collection("shard_migrations").insert_many(
-                [
-                    {"migration_id": m.migration_id, "transaction_id": tx_id,
-                     "output_index": index, "direction": direction, "peer": peer}
-                    for tx_id, index, _doc in m.moved
-                ]
-            )
-            agent._force()
         for tx_id in sorted({row[0] for row in m.moved}):
             deployment.router.record_home(tx_id, m.target)
         # New routing epoch: in-flight clients re-route and retry.
@@ -677,12 +650,6 @@ class ReshardController:
         }
         self._enter_phase(m, "done")
 
-    @staticmethod
-    def _landed(cluster, entry: dict[str, Any]) -> bool | None:
-        """Whether ``cluster``'s chain delivered ``entry`` (True) or
-        refused it (False); None while it is in flight."""
-        return cluster.landed(entry["id"])
-
     def _await_entry(self, m: ShardMigration, cluster, entry: dict[str, Any]) -> None:
         """Submit a cutover entry, and again every :data:`RESUBMIT_TICKS`
         while it has not landed — its content id makes a duplicate
@@ -712,16 +679,10 @@ class ReshardController:
 
     # -- the spend-guard fence ----------------------------------------------------
 
-    def attach_agent(self, shard_id: str, agent) -> None:
-        """Install this controller's migration fence on a shard's agent
-        (the facade calls this for every shard, including grown ones)."""
-        agent.migration_guards.append(
-            lambda ref, sid=shard_id: self._guard(sid, ref)
-        )
-
-    def _guard(self, shard_id: str, ref) -> str | None:
+    def fence(self, shard_id: str, ref) -> str | None:
         """Fence verdict for one output ref on one shard: refuse spends
-        of the moving set from drain until the cutover lands."""
+        of the moving set from drain until the cutover lands (every
+        shard's agent consults it before its lock table)."""
         for migration_id in sorted(self.migrations):
             m = self.migrations[migration_id]
             if m.source != shard_id or m.phase not in ("drain", "cutover"):

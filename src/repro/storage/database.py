@@ -29,19 +29,6 @@ SMARTCHAINDB_LAYOUT: dict[str, list[tuple[str, bool]]] = {
     "blocks": [("height", True)],
     "utxos": [("transaction_id", False), ("public_keys", False)],
     "accept_tx_recovery": [("accept_id", True), ("rfq_id", False), ("status", False)],
-    # Sharded deployments: 2PC lock table (prepared/committed cross-shard
-    # spends of local UTXOs) and the coordinator's write-ahead outbox.
-    "shard_locks": [("transaction_id", False), ("holder", False), ("status", False)],
-    "shard_outbox": [("tx_id", True), ("state", False)],
-    # Elastic resharding: per-shard durable registry of outputs whose
-    # ownership moved in (target side) or out (source side) of this
-    # shard by a migration cutover — the spend guard's redirect verdicts
-    # read it.
-    "shard_migrations": [
-        ("migration_id", False),
-        ("transaction_id", False),
-        ("direction", False),
-    ],
 }
 
 
@@ -56,9 +43,9 @@ class Database:
             set, every collection mutation (insert/delete/update) emits
             one logical-op record, so the database can be rebuilt from
             checkpoints + journal after a crash
-            (:mod:`repro.durability.recovery`).  Agent tables (2PC,
-            migrations) journal; a validator's collections do not —
-            its chain is their log (:meth:`make_durable`).
+            (:mod:`repro.durability.recovery`).  The 2PC agent's tables
+            journal; a validator's collections do not — its chain is
+            their log (:meth:`make_durable`).
     """
 
     def __init__(self, name: str = "smartchaindb", wal: Any = None):

@@ -12,9 +12,11 @@ an agent, at the sharded facade's ingress gate.
 import pytest
 
 from repro.common.encoding import canonical_bytes, deep_copy_json
-from repro.common.errors import ValidationError
+from repro.common.errors import DoubleSpendError, ValidationError
 from repro.consensus.abci import envelope_for
-from repro.core.entries import attached_payload, consume_entry, export_entry
+from repro.core.driver import is_redirect_rejection
+from repro.core.entries import attached_payload, consume_entry, export_entry, import_entry
+from repro.core.transaction import OutputRef
 from repro.crypto import sigcache
 from repro.crypto.keys import keypair_from_string
 from repro.sharding import ShardedCluster, ShardedClusterConfig
@@ -213,6 +215,124 @@ class TestCarriedPayloads:
             export = export_entry("m-0001", source, other, refs, keypair)
             server = cluster.shards[shard].any_server()
             assert server.check_tx(envelope_for(export, export["id"], 1)) is expected
+
+
+def _move(cluster, create, source, target):
+    """Export ``create:0`` off ``source`` (the controller's entry) and
+    return the export once its block is delivered; nothing is imported."""
+    export = export_entry("m-0001", source, target, [(create.tx_id, 0)], cluster.migrator.keypair)
+    cluster.shards[source].submit_entry(export)
+    cluster.run()
+    assert cluster.shards[source].landed(export["id"]) is True
+    return export
+
+
+def _import(cluster, export, create, target):
+    source = export["source"]
+    evidence = cluster.shards[source].commit_evidence(export["id"])
+    entry = import_entry(export, evidence, [deep_copy_json(create.to_dict())], cluster.migrator.keypair)
+    cluster.shards[target].submit_entry(entry)
+    cluster.run()
+    assert cluster.shards[target].landed(entry["id"]) is True
+
+
+def _prepare_vote(agent, ref):
+    """A remote prepare's refusal reason at ``agent`` (None: it voted
+    yes, and the lock is released again)."""
+    votes = []
+    send, agent._send = agent._send, lambda *message: votes.append(message)
+    try:
+        agent.handle_prepare("remote", "remote-tx", [[ref.transaction_id, ref.output_index]])
+        (_, method, _, _, granted, reason), = votes
+        assert method == "handle_vote"
+        if granted:
+            agent.handle_decision("remote", "remote-tx", "aborted")
+    finally:
+        agent._send = send
+    return None if granted else reason
+
+
+class TestExportedOutputsRedirect:
+    """The chain is the redirect: from the export's delivery on, a spend
+    of an exported output is refused on its source with a
+    ``redirect:moved:<target>`` verdict — by every admission path, by
+    DeliverTx and by the 2PC participant's prepare — and an import that
+    brings the output back makes it spendable there again."""
+
+    def refusals(self, cluster, source, spend, ref):
+        """Each path's verdict on ``spend`` (of ``ref``) at ``source``."""
+        payload = spend.to_dict()
+        envelope = envelope_for(payload, spend.tx_id, len(canonical_bytes(payload)))
+        shard = cluster.shards[source]
+        verdicts = {"spender": set(), "receiver": set(), "check_tx": set(), "deliver_tx": set()}
+        for server in shard.servers.values():
+            verdicts["spender"].add(server.context.output_spender(ref))
+            try:
+                server.receiver_validate(deep_copy_json(payload))
+                verdicts["receiver"].add(None)
+            except DoubleSpendError as error:
+                verdicts["receiver"].add(is_redirect_rejection(error) and "redirect")
+            verdicts["check_tx"].add(server.check_tx(envelope))
+            verdicts["deliver_tx"].add(server.deliver_tx(envelope))
+            server.context.clear_staged()  # a probe, not a block
+        verdicts["prepare"] = _prepare_vote(cluster.agents[source], ref)
+        return verdicts
+
+    def test_an_exported_output_redirects_until_it_is_imported_back(self):
+        cluster = _cluster()
+        owner, create = _mint(cluster, "exported")
+        source = cluster.router.home_of_tx(create.tx_id)
+        target = next(shard for shard in cluster.shard_ids if shard != source)
+        payee = keypair_from_string("payee").public_key
+        spend = cluster.driver.prepare_transfer(owner, [(create.tx_id, 0, 1)], create.tx_id, [(payee, 1)])
+        ref = OutputRef(create.tx_id, 0)
+
+        export = _move(cluster, create, source, target)
+        moved = f"redirect:moved:{target}"
+        verdicts = self.refusals(cluster, source, spend, ref)
+        assert verdicts["spender"] == {moved}
+        assert verdicts["receiver"] == {"redirect"}
+        assert verdicts["check_tx"] == {False}
+        assert verdicts["deliver_tx"] == {False}
+        assert verdicts["prepare"].endswith(f"held by {moved}")
+        assert is_redirect_rejection(verdicts["prepare"])
+
+        # Moved to the target and back: the source's latest spender is
+        # still the first export, but the import minted the output again.
+        _import(cluster, export, create, target)
+        back = export_entry("m-0002", target, source, [(create.tx_id, 0)], cluster.migrator.keypair)
+        cluster.shards[target].submit_entry(back)
+        cluster.run()
+        assert cluster.shards[target].any_server().context.output_spender(ref) == (
+            f"redirect:moved:{source}"
+        )
+        _import(cluster, back, create, source)
+        verdicts = self.refusals(cluster, source, spend, ref)
+        assert verdicts["spender"] == {None}
+        assert verdicts["receiver"] == {None}
+        assert verdicts["check_tx"] == {True}
+        assert verdicts["deliver_tx"] == {True}
+        assert verdicts["prepare"] is None
+        record = cluster.submit_and_settle(spend.to_dict())
+        assert record.committed_at is not None, record.rejected
+
+    def test_the_prepare_reads_the_freshest_replica(self):
+        """A validator that missed the export's block (down while it
+        committed, back but not caught up) still holds the output: the
+        participant must not promise it on that replica's word."""
+        cluster = _cluster()
+        _, create = _mint(cluster, "lagging")
+        source = cluster.router.home_of_tx(create.tx_id)
+        target = next(shard for shard in cluster.shard_ids if shard != source)
+        shard = cluster.shards[source]
+        first = shard.engine.validator_order[0]
+        shard.failures.crash_now(first)
+        _move(cluster, create, source, target)
+        shard.failures.recover_now(first)
+        ref = OutputRef(create.tx_id, 0)
+        assert shard.servers[first].context.output_spender(ref) is None
+        reason = _prepare_vote(cluster.agents[source], ref)
+        assert reason is not None and reason.endswith(f"held by redirect:moved:{target}")
 
 
 def refused_spend(cluster):

@@ -8,8 +8,10 @@ divergence with identical block ids.  The fix relocates lock
 enforcement to the admission edges and makes DeliverTx a pure function
 of committed + staged state:
 
-* ``deliver_tx`` ignores spend guards entirely;
-* ``check_tx`` (gossip / direct mempool injection) consults them, so a
+* the spend guard sits on the server, beside the ingress gates, and
+  ``deliver_tx`` reads only the validation context, which holds committed
+  state alone;
+* ``check_tx`` (gossip / direct mempool injection) consults it, so a
   locked or tombstoned ref can never enter a pool once the lock exists;
 * the 2PC participant's prepare vote refuses to lock an output some
   validator already has a pooled rival spend for (proposals assemble by
@@ -60,11 +62,10 @@ class TestDeliverIgnoresTheLockOracle:
         cluster = SmartchainCluster(ClusterConfig(seed=3))
         owner, create = _committed_create(cluster)
         payload = _transfer_payload(cluster, owner, create)
-        cluster.add_spend_guard(lambda ref: "shard-lock:phantom")
+        cluster.set_spend_guard(lambda ref: "shard-lock:phantom")
         server = cluster.any_server()
         envelope = envelope_for(payload, payload["id"], 100)
         assert server.deliver_tx(envelope) is True
-        assert server.context.use_spend_guards is True  # restored after
 
     def test_deliver_still_rejects_a_committed_double_spend(self):
         """Determinism must not weaken the committed-state check."""
@@ -83,7 +84,7 @@ class TestDeliverIgnoresTheLockOracle:
         cluster = SmartchainCluster(ClusterConfig(seed=3))
         owner, create = _committed_create(cluster)
         payload = _transfer_payload(cluster, owner, create)
-        cluster.add_spend_guard(lambda ref: "shard-lock:phantom")
+        cluster.set_spend_guard(lambda ref: "shard-lock:phantom")
         with pytest.raises(DoubleSpendError):
             cluster.any_server().receiver_validate(payload)
 
@@ -153,7 +154,7 @@ class TestAdmissionHonorsTheLockOracle:
         envelope = envelope_for(payload, payload["id"], 100)
         server = cluster.any_server()
         assert server.check_tx(envelope) is True
-        cluster.add_spend_guard(
+        cluster.set_spend_guard(
             lambda ref: "shard-lock:t1" if ref.transaction_id == create.tx_id else None
         )
         assert server.check_tx(envelope) is False
@@ -175,7 +176,7 @@ class TestAdmissionHonorsTheLockOracle:
         node_id = cluster.engine.validator_order[0]
         server = cluster.servers[node_id]
         assert server.check_block(envelopes) == [True, True]
-        cluster.add_spend_guard(lambda ref: "shard-lock:phantom")
+        cluster.set_spend_guard(lambda ref: "shard-lock:phantom")
         assert [server.check_tx(envelope) for envelope in envelopes] == [False, False]
         assert server.check_block(envelopes) == [False, False]
         validator = cluster.engine.validator(node_id)
@@ -199,7 +200,7 @@ class TestAdmissionHonorsTheLockOracle:
 
     def test_inputless_operations_are_unaffected(self):
         cluster = SmartchainCluster(ClusterConfig(seed=3))
-        cluster.add_spend_guard(lambda ref: "shard-lock:anything")
+        cluster.set_spend_guard(lambda ref: "shard-lock:anything")
         create = cluster.driver.prepare_create(
             keypair_from_string("fresh"), {"capabilities": ["x"]}
         ).to_dict()

@@ -9,13 +9,11 @@ a bundle that replays to the identical failure.
 
 import pytest
 
+from repro.core.cluster import SmartchainCluster
 from repro.durability.node import DurabilityConfig
+from repro.sharding import migration
 from repro.sharding.cluster import ShardedCluster, ShardedClusterConfig
-from repro.sharding.migration import (
-    MIGRATE_TRAP_PHASES,
-    MIGRATE_TRAP_ROLES,
-    ReshardController,
-)
+from repro.sharding.migration import MIGRATE_TRAP_PHASES, MIGRATE_TRAP_ROLES
 from repro.sim.rng import SeededRng
 from repro.simtest import SimHarness, SimtestConfig
 from repro.simtest.plane import FaultPlane
@@ -135,17 +133,20 @@ class TestLostKeyMutation:
         self-consistent (each replica is still the replay of its chain),
         so the per-step replica checks stay blind and only the
         journal-driven ``no_key_lost`` sweep can see the hole."""
-        landed = ReshardController._landed
+        imports: set[str] = set()
+        make_import = migration.import_entry
+
+        def recorded_import(*args, **kwargs):
+            entry = make_import(*args, **kwargs)
+            imports.add(entry["id"])
+            return entry
+
+        landed = SmartchainCluster.landed
+        monkeypatch.setattr(migration, "import_entry", recorded_import)
         monkeypatch.setattr(
-            ReshardController,
-            "_landed",
-            staticmethod(
-                lambda cluster, entry: (
-                    True
-                    if entry["operation"] == "SHARD_IMPORT"
-                    else landed(cluster, entry)
-                )
-            ),
+            SmartchainCluster,
+            "landed",
+            lambda cluster, tx_id: True if tx_id in imports else landed(cluster, tx_id),
         )
 
     def test_checker_catches_the_lost_key(self, dropped_imports):

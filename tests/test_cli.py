@@ -1,8 +1,13 @@
 """CLI surface."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -25,6 +30,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ACCEPT_BID" in out
         assert "EDBT 2025" in out
+        named = re.findall(r"[\w/.-]+\.(?:md|json|py)\b", out)
+        assert named and all((ROOT / name).exists() for name in named), named
 
     def test_workload(self, capsys):
         assert main(["workload", "--total", "220"]) == 0

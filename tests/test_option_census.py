@@ -29,6 +29,10 @@ def test_every_one_value_option_has_a_reason():
     assert unexplained == []
 
 
+def test_one_value_options_stay_within_the_ratchet():
+    assert len(census.one_value_options()) <= census.MAX_ONE_VALUE_OPTIONS <= 21
+
+
 def test_no_reason_outlives_its_option():
     one_valued = {name for name, _ in census.one_value_options()}
     assert sorted(set(census.KEPT_OPTIONS) - one_valued) == []
