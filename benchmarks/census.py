@@ -50,7 +50,7 @@ JOBS = 2
 #: The ratchet: ``--check`` fails once the census grows past these counts.
 #: Lower them when a change shrinks the census; never raise them.
 MAX_UNREACHED_LINES = 774
-MAX_ONE_VALUE_OPTIONS = 21
+MAX_ONE_VALUE_OPTIONS = 20
 
 #: (label, argv after ``python``).  ``{out}`` is a scratch directory.
 ENTRY_POINTS = (
@@ -175,7 +175,6 @@ KEPT_OPTIONS = {
     "QuorumChainConfig.network": "the Ethereum baseline's model (the paper's comparison system)",
     "QuorumChainConfig.initial_balance": "the Ethereum baseline's model (the paper's comparison system)",
     "ShardedClusterConfig.virtual_nodes": "handed to ConsistentHashRing, whose ring tests vary it",
-    "ShardedClusterConfig.telemetry_enabled": "the facade's twin of ClusterConfig.telemetry_enabled",
     "SimtestConfig.max_block_txs": _BUNDLED,
     "SimtestConfig.step_duration": _BUNDLED,
     "SimtestConfig.transfer_rate": _BUNDLED,

@@ -585,11 +585,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"      outcome: {outcome}\n")
     print(cluster.telemetry.tracer.render_tree(transfer.tx_id))
 
-    print("\n[3/3] registry percentiles (exact, from the shared histogram)")
-    summary = cluster.latency_percentiles()
-    if summary.get("count"):
+    print("\n[3/3] commit-latency percentiles (exact, from the lifecycle records)")
+    summary = cluster.aggregate_metrics().percentiles_ms
+    if summary:
         print(
-            "      tx_commit_latency_ms: "
+            "      commit latency: "
             + "  ".join(
                 f"{key}={summary[key]:.3f}"
                 for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms")

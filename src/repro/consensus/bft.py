@@ -39,6 +39,7 @@ from repro.crypto.keys import keypair_from_string, verify_signature
 from repro.durability.recovery import block_record, encoded_block_record
 from repro.sim.events import EventHandle, EventLoop
 from repro.sim.network import Message, Network
+from repro.telemetry import INERT
 
 #: Cap on the per-validator misbehavior evidence log: a vote-spamming
 #: byzantine peer must not grow honest memory without bound.
@@ -188,10 +189,9 @@ class Validator:
         #: catch-up); journaled with the block record, so a restarted
         #: node can keep serving verifiable catch-up.
         self.commit_certs: dict[int, dict] = {}
-        #: Optional :class:`~repro.telemetry.Telemetry` (set by the
-        #: cluster); None on bare engines, so consensus-only tests pay
-        #: nothing.
-        self.telemetry = None
+        #: The deployment's :class:`~repro.telemetry.Telemetry` (set by
+        #: the cluster; a bare engine records into the inert one).
+        self.telemetry = INERT
         self.telemetry_label = node_id
         #: Sim time this height's work window opened (first pending work
         #: after the previous commit) — the height-duration histogram's
@@ -209,12 +209,6 @@ class Validator:
         }
 
     # -- helpers ---------------------------------------------------------------
-
-    @property
-    def _tel(self):
-        """The telemetry sink, when one is attached and switched on."""
-        tel = self.telemetry
-        return tel if tel is not None and tel.enabled else None
 
     def _step(self, event) -> None:
         self._execute(machine.step(self.state, event))
@@ -353,7 +347,8 @@ class Validator:
             if to is not None:
                 self._network.send(self.node_id, to, kind, payload, size)
                 continue
-            if kind == "PROPOSAL" and (tel := self._tel) is not None:
+            if kind == "PROPOSAL":
+                tel = self.telemetry
                 block_txs = tel.histogram("consensus_block_txs", node=self.telemetry_label)
                 block_txs.observe(len(payload.transactions))
                 for envelope in payload.transactions:
@@ -419,13 +414,12 @@ class Validator:
         self._later(validation_cost, lambda: self._execute(prevote))
 
     def _adopt_lock(self, action: machine.JournalLock) -> None:
-        tel = self._tel
-        if tel is not None:
-            tel.counter("consensus_lock_adoptions", node=self.telemetry_label).inc()
-            tel.flight_event(
-                self.telemetry_label, "lock_adopt", height=action.block.height,
-                round=action.round, block=action.block.block_id[:8],
-            )
+        tel = self.telemetry
+        tel.counter("consensus_lock_adoptions", node=self.telemetry_label).inc()
+        tel.flight_event(
+            self.telemetry_label, "lock_adopt", height=action.block.height,
+            round=action.round, block=action.block.block_id[:8],
+        )
         if self.persistence is not None:
             self._journal_lock()
 
@@ -464,24 +458,22 @@ class Validator:
             cert = self._build_commit_cert(block)
         if cert is not None:
             self.commit_certs[block.height] = cert
-        tel = self._tel
-        if tel is not None:
-            now = self._loop.clock.now
-            if self._height_started_at is not None:
-                height_s = now - self._height_started_at
-                tel.observe_ms("consensus_height_ms", height_s, node=self.telemetry_label)
-            self._height_started_at = None
-            tel.counter("consensus_rounds_used", node=self.telemetry_label).inc(block.round + 1)
-            tel.flight_event(
-                self.telemetry_label, "block_commit",
-                height=block.height, round=block.round,
-                block=block.block_id[:8], txs=len(block.transactions),
-            )
+        tel = self.telemetry
+        if self._height_started_at is not None:
+            height_s = self._loop.clock.now - self._height_started_at
+            tel.observe_ms("consensus_height_ms", height_s, node=self.telemetry_label)
+        self._height_started_at = None
+        tel.counter("consensus_rounds_used", node=self.telemetry_label).inc(block.round + 1)
+        tel.flight_event(
+            self.telemetry_label, "block_commit",
+            height=block.height, round=block.round,
+            block=block.block_id[:8], txs=len(block.transactions),
+        )
         delivered = deliver_block(self.app, block, self._committed_ids)
         self.chain.append(block)
         machine.step(self.state, machine.Decided(block))
         self.mempool.remove([envelope.tx_id for envelope in block.transactions])
-        if tel is not None and len(self.mempool) > 0:
+        if len(self.mempool) > 0:
             # Backlogged height: the next height's work window opens now,
             # not at the next submit.
             self._height_started_at = self._loop.clock.now

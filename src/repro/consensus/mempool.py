@@ -6,6 +6,7 @@ from collections import OrderedDict
 
 from repro.common.errors import MempoolFullError
 from repro.consensus.types import TxEnvelope
+from repro.telemetry import INERT
 
 
 class Mempool:
@@ -33,8 +34,9 @@ class Mempool:
         #: ``_pool``); insertion-ordered so eviction drops the oldest.
         self._seen: "OrderedDict[str, None]" = OrderedDict()
         self.stats = {"added": 0, "duplicates": 0, "rejected_full": 0, "reaped": 0}
-        #: Optional :class:`~repro.telemetry.Telemetry` (set by the cluster).
-        self.telemetry = None
+        #: The deployment's :class:`~repro.telemetry.Telemetry` (set by
+        #: the cluster; a bare pool records into the inert one).
+        self.telemetry = INERT
         self.telemetry_label = ""
         self._tel_handles: tuple | None = None
 
@@ -85,23 +87,18 @@ class Mempool:
             MempoolFullError: at capacity.
         """
         tel = self.telemetry
-        observing = tel is not None and tel.enabled
         if envelope.tx_id in self._pool or envelope.tx_id in self._seen:
             self.stats["duplicates"] += 1
-            if observing:
-                self._instruments(tel)[3].inc()
+            self._instruments(tel)[3].inc()
             return False
         if len(self._pool) >= self.capacity:
             self.stats["rejected_full"] += 1
             raise MempoolFullError(f"mempool at capacity ({self.capacity})")
         self._pool[envelope.tx_id] = envelope
         self.stats["added"] += 1
-        if observing:
-            self._instruments(tel)[2].set(len(self._pool))
-            if envelope.trace_flags & 1:
-                tel.tracer.event(
-                    envelope.tx_id, "mempool_admit", node=self.telemetry_label
-                )
+        self._instruments(tel)[2].set(len(self._pool))
+        if envelope.trace_flags & 1:
+            tel.tracer.event(envelope.tx_id, "mempool_admit", node=self.telemetry_label)
         return True
 
     def reap(self, max_txs: int | None = None, max_weight: int | None = None) -> list[TxEnvelope]:
@@ -140,9 +137,8 @@ class Mempool:
             pool[envelope.tx_id] = envelope
         self._remember(envelope.tx_id for envelope in batch)
         self.stats["reaped"] += len(batch)
-        tel = self.telemetry
-        if tel is not None and tel.enabled and batch:
-            handles = self._instruments(tel)
+        if batch:
+            handles = self._instruments(self.telemetry)
             handles[2].set(len(pool))
             handles[4].observe(len(batch))
         return batch

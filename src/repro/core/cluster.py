@@ -76,9 +76,6 @@ class ClusterConfig:
     #: block and enable :meth:`SmartchainCluster.restart_node_from_disk`.
     #: Reads serve from the commit-fed views (:mod:`repro.views`) either way.
     durability: DurabilityConfig | None = None
-    #: Master telemetry switch: False keeps the registry/tracer/flight
-    #: recorder constructed but dormant (one attribute read per hot site).
-    telemetry_enabled: bool = True
     #: Fraction of transactions whose lifecycle timeline is traced.
     #: Metrics (histograms/counters/gauges) are never sampled.
     trace_sample_rate: float = DEFAULT_SAMPLE_RATE
@@ -94,7 +91,8 @@ class SmartchainCluster:
             together and cross-shard protocols interleave with consensus.
         telemetry: optional shared :class:`~repro.telemetry.Telemetry` —
             a sharded deployment hands every shard one instance so
-            cross-shard traces stitch and histograms merge in one place.
+            cross-shard traces stitch in one tracer; pass
+            :data:`~repro.telemetry.INERT` to record nothing.
         scope: label prefix for this cluster's metric series ("shard-0")
             so node ids stay unique across shards in one registry.
     """
@@ -120,13 +118,7 @@ class SmartchainCluster:
                 # byte-identically and consume no other stream's draws.
                 sample_salt=self.rng.stream("telemetry").getrandbits(64),
                 sample_rate=self.config.trace_sample_rate,
-                enabled=self.config.telemetry_enabled,
             )
-        #: Predicate deciding whether a commit observes into the latency
-        #: histograms (the sharded facade filters out its own internal
-        #: home-shard submissions of cross-shard transactions, whose
-        #: end-to-end latency the facade records instead).
-        self.latency_filter = None
         self.network = Network(self.loop, self.rng, self.config.network)
         self.reserved = ReservedAccounts()
         self.servers: dict[str, SmartchainServer] = {}
@@ -275,10 +267,9 @@ class SmartchainCluster:
             self._callbacks[tx_id] = callback
         trace_flags = 0
         tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("tx_submitted", shard=self.scope or "main").inc()
-            if tel.tracer.begin(tx_id, "submit", operation=operation, size=size_bytes):
-                trace_flags = TRACE_SAMPLED
+        tel.counter("tx_submitted", shard=self.scope or "main").inc()
+        if tel.tracer.begin(tx_id, "submit", operation=operation, size=size_bytes):
+            trace_flags = TRACE_SAMPLED
 
         receiver_id = receiver or self.rng.choice("receiver", self.engine.validator_order)
         if self.network.is_crashed(receiver_id):
@@ -420,8 +411,7 @@ class SmartchainCluster:
     # -- commit handling --------------------------------------------------------------
 
     def _on_block_commit(self, record: CommitRecord) -> None:
-        tel = self.telemetry
-        observing = tel is not None and tel.enabled
+        tracer = self.telemetry.tracer
         # A block can carry a transaction DeliverTx refuses (a certificate
         # proves inclusion, not acceptance): that one is rejected, not
         # committed — its callback must not tell a 2PC coordinator
@@ -439,17 +429,8 @@ class SmartchainCluster:
             self._heights.setdefault(envelope.tx_id, record.block.height)
             if tx_record is not None and tx_record.committed_at is None:
                 tx_record.committed_at = record.committed_at
-                if observing and (
-                    self.latency_filter is None or self.latency_filter(envelope.tx_id)
-                ):
-                    tel.observe_ms(
-                        "tx_commit_latency_ms",
-                        record.committed_at - tx_record.submitted_at,
-                        shard=self.scope or "main",
-                        operation=tx_record.operation,
-                    )
-            if observing and envelope.trace_flags & TRACE_SAMPLED:
-                tel.tracer.event(
+            if envelope.trace_flags & TRACE_SAMPLED:
+                tracer.event(
                     envelope.tx_id,
                     "applied",
                     node=self.node_label(record.node_id),
@@ -604,16 +585,6 @@ class SmartchainCluster:
 
     def committed_records(self) -> list[TxRecord]:
         return [record for record in self.records.values() if record.committed_at is not None]
-
-    # -- telemetry ------------------------------------------------------------------
-
-    def latency_percentiles(self) -> dict[str, float]:
-        """Commit-latency tails (ms) read from the registry's merged
-        ``tx_commit_latency_ms`` histograms — the single percentile
-        source benchmarks and reports share."""
-        if self.telemetry is None:
-            return {"count": 0}
-        return self.telemetry.latency_percentiles()
 
     # -- cross-shard hooks (used by repro.sharding) --------------------------------
 

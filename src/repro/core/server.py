@@ -40,6 +40,7 @@ from repro.core.validation import TransactionValidator, encoded_payload, kept_pa
 from repro.crypto.keys import ReservedAccounts
 from repro.sim.clock import SimClock
 from repro.storage.database import Database, make_smartchaindb_database
+from repro.telemetry import INERT
 
 #: Parallel conflict-free validation lanes per node; the declarative
 #: access sets make the partition exact, so lanes change block-validation
@@ -137,9 +138,9 @@ class SmartchainServer:
         #: ``payload -> refusal reason | None`` gates.
         self.spend_guard: Callable[[OutputRef], str | None] | None = None
         self.ingress_gates: list[Callable[[dict[str, Any]], str | None]] = []
-        #: Optional :class:`~repro.telemetry.Telemetry` (set by the
-        #: cluster); every site guards on it so a bare server pays zero.
-        self.telemetry = None
+        #: The deployment's :class:`~repro.telemetry.Telemetry` (set by
+        #: the cluster; a bare server records into the inert one).
+        self.telemetry = INERT
         self.telemetry_label = node_id
         #: The deployment's :class:`~repro.views.ViewManager` + the shard
         #: key this node's blocks apply under (set by every cluster; None
@@ -189,13 +190,11 @@ class SmartchainServer:
             raise DoubleSpendError(
                 f"output {ref.transaction_id[:8]}..:{ref.output_index} already spent by {holder[:8]}"
             )
-        tel = self.telemetry
-        if tel is not None and tel.enabled and tel.tracer.sampled(payload.get("id", "")):
+        tracer = self.telemetry.tracer
+        if tracer.sampled(payload.get("id", "")):
             # Receiver-side semantic validation includes the Ed25519
             # check — the "signature verify" stage of the lifecycle.
-            tel.tracer.event(
-                payload["id"], "signature_verified", node=self.telemetry_label
-            )
+            tracer.event(payload["id"], "signature_verified", node=self.telemetry_label)
 
     # -- Application protocol ----------------------------------------------------
 
@@ -287,9 +286,8 @@ class SmartchainServer:
         # reference from here on.
         self.context.stage(payload)
         self.stats["delivered"] += 1
-        tel = self.telemetry
-        if tel is not None and tel.enabled and envelope.trace_flags & 1:
-            tel.tracer.event(envelope.tx_id, "delivered", node=self.telemetry_label)
+        if envelope.trace_flags & 1:
+            self.telemetry.tracer.event(envelope.tx_id, "delivered", node=self.telemetry_label)
         return True
 
     def _stage_attachments(self, attachments) -> list[str]:

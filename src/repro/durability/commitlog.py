@@ -25,6 +25,7 @@ from typing import Any, Callable
 
 from repro.durability.wal import SegmentedWal
 from repro.sim.events import EventHandle, EventLoop
+from repro.telemetry import INERT
 
 #: Callback fired once a record's frame is durably synced.
 DurableCallback = Callable[[int], None]
@@ -62,8 +63,9 @@ class GroupCommitLog:
         #: Hook run after every flush (the snapshot cadence check).
         self.after_flush: Callable[[], None] | None = None
         self.stats = {"appends": 0, "flushes": 0, "flushed_records": 0}
-        #: Optional :class:`~repro.telemetry.Telemetry` (set by the cluster).
-        self.telemetry = None
+        #: The deployment's :class:`~repro.telemetry.Telemetry` (set by
+        #: the cluster; a bare log records into the inert one).
+        self.telemetry = INERT
         self.telemetry_label = ""
         self._batch_opened_at: float | None = None
         self._tel_handles: tuple | None = None
@@ -116,31 +118,30 @@ class GroupCommitLog:
         self.stats["flushes"] += 1
         self.stats["flushed_records"] += len(batch)
         tel = self.telemetry
-        if tel is not None and tel.enabled:
-            handles = self._instruments(tel)
-            handles[2].observe(len(batch))
-            if self._batch_opened_at is not None:
-                handles[3].observe(
-                    (self._loop.clock.now - self._batch_opened_at) * 1000.0
-                )
-            # Sampled transactions get a WAL-sync lifecycle event when
-            # their block's body reaches the device (in its ``lock``
-            # frame, or its ``block`` frame if it was never locked here):
-            # sampled() is an O(1) membership probe, so unsampled runs pay
-            # one dict miss per journaled body.  With no live traces the
-            # scan is skipped entirely.
-            tracer = tel.tracer
-            if tracer.started:
-                for record, _, _ in batch:
-                    if "b" in record:
-                        for tx in record["b"]["txs"]:
-                            if tracer.sampled(tx[0]):
-                                tracer.event(
-                                    tx[0],
-                                    "wal_group_commit",
-                                    node=self.telemetry_label,
-                                    batch=len(batch),
-                                )
+        handles = self._instruments(tel)
+        handles[2].observe(len(batch))
+        if self._batch_opened_at is not None:
+            handles[3].observe(
+                (self._loop.clock.now - self._batch_opened_at) * 1000.0
+            )
+        # Sampled transactions get a WAL-sync lifecycle event when
+        # their block's body reaches the device (in its ``lock``
+        # frame, or its ``block`` frame if it was never locked here):
+        # sampled() is an O(1) membership probe, so unsampled runs pay
+        # one dict miss per journaled body.  With no live traces the
+        # scan is skipped entirely.
+        tracer = tel.tracer
+        if tracer.started:
+            for record, _, _ in batch:
+                if "b" in record:
+                    for tx in record["b"]["txs"]:
+                        if tracer.sampled(tx[0]):
+                            tracer.event(
+                                tx[0],
+                                "wal_group_commit",
+                                node=self.telemetry_label,
+                                batch=len(batch),
+                            )
         self._batch_opened_at = None
         for _, on_durable, _ in batch:
             if on_durable is not None:

@@ -73,16 +73,28 @@ class RunMetrics:
     committed: int = 0
     submitted: int = 0
     span_seconds: float = 0.0
-    #: Deployment-wide commit-latency tails (p50/p95/p99/p999, in ms) —
-    #: filled from the telemetry registry's merged histograms when the
-    #: run came from an instrumented cluster, so every surface reports
-    #: the same numbers the registry exports.
+    #: Commit-latency tails over every committed record, in ms: count,
+    #: mean, nearest-rank p50/p95/p99/p999 and max (empty when nothing
+    #: committed).
     percentiles_ms: dict[str, float] = field(default_factory=dict)
 
     def latency(self, operation: str) -> float:
         """Mean latency for an operation (inf when none committed)."""
         stats = self.per_operation.get(operation)
         return stats.mean_latency if stats else float("inf")
+
+
+def _tails_ms(values: list[float]) -> dict[str, float]:
+    ordered = sorted(values)
+    return {
+        "count": len(ordered),
+        "mean_ms": sum(values) / len(values),
+        "p50_ms": exact_percentile(ordered, 0.50),
+        "p95_ms": exact_percentile(ordered, 0.95),
+        "p99_ms": exact_percentile(ordered, 0.99),
+        "p999_ms": exact_percentile(ordered, 0.999),
+        "max_ms": ordered[-1],
+    }
 
 
 def collect_metrics(
@@ -121,6 +133,10 @@ def collect_metrics(
     metrics = RunMetrics(system=system, submitted=submitted, committed=committed)
     for operation, values in latencies.items():
         metrics.per_operation[operation] = OperationStats.from_latencies(operation, values)
+    if committed:
+        metrics.percentiles_ms = _tails_ms(
+            [value * 1000.0 for values in latencies.values() for value in values]
+        )
     if first_reception is not None and last_commit is not None and committed:
         # Clamp the span: commits sharing one simulated timestamp used to
         # report throughput_tps=0.0 (span 0 failed the strict > check).

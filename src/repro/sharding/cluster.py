@@ -53,9 +53,8 @@ class ShardedClusterConfig:
     #: Durability stack for every validator node *and* every 2PC agent
     #: (None keeps the abstract always-durable model).
     durability: DurabilityConfig | None = None
-    #: One deployment-wide telemetry instance (registry + tracer + flight
-    #: recorder) is shared by every shard so cross-shard traces stitch.
-    telemetry_enabled: bool = True
+    #: Fraction of transactions traced by the one deployment-wide
+    #: telemetry instance every shard shares.
     trace_sample_rate: float = DEFAULT_SAMPLE_RATE
     #: Watch ``hot_shard_share`` and auto-split hot shards.
     auto_split: bool = False
@@ -82,7 +81,6 @@ class ShardedCluster:
             self.loop.clock,
             sample_salt=SeededRng(self.config.seed).stream("telemetry").getrandbits(64),
             sample_rate=self.config.trace_sample_rate,
-            enabled=self.config.telemetry_enabled,
         )
         #: Deployment-global materialized views: every shard's feed
         #: applies into this one manager (keyed by shard scope), so facade
@@ -145,10 +143,6 @@ class ShardedCluster:
             scope=shard_id,
             views=self.views,
         )
-        # A cross-shard transaction's home commit is not its end-to-end
-        # latency (the prepare phase predates the home submit); the
-        # facade records those in _cross_outcome instead.
-        cluster.latency_filter = lambda tx_id: tx_id not in self.cross_records
         self.shards[shard_id] = cluster
         cluster.engine.commit_listeners.append(
             lambda record, sid=shard_id: self._on_shard_commit(sid, record)
@@ -198,10 +192,8 @@ class ShardedCluster:
         self._build_shard(shard_id, index)
         self._build_agent(shard_id)
         self.ring.add_shard(shard_id)
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("shards_added").inc()
-            tel.flight.record(self.loop.clock.now, "reshard", f"add_shard:{shard_id}")
+        self.telemetry.counter("shards_added").inc()
+        self.telemetry.flight.record(self.loop.clock.now, "reshard", f"add_shard:{shard_id}")
         return shard_id
 
     def reshard(
@@ -288,17 +280,16 @@ class ShardedCluster:
         if callback is not None:
             self._cross_callbacks[tx_id] = callback
         tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("tx_submitted", shard="facade").inc()
-            tel.counter("tx_cross_shard", shard="facade").inc()
-            tel.tracer.begin(
-                tx_id,
-                "submit",
-                node="facade",
-                operation=operation,
-                home=decision.home,
-                cross=True,
-            )
+        tel.counter("tx_submitted", shard="facade").inc()
+        tel.counter("tx_cross_shard", shard="facade").inc()
+        tel.tracer.begin(
+            tx_id,
+            "submit",
+            node="facade",
+            operation=operation,
+            home=decision.home,
+            cross=True,
+        )
         self._begin_cross(payload, decision, attempt=0)
         return SubmitResult(tx_id, operation, accepted=True)
 
@@ -362,16 +353,6 @@ class ShardedCluster:
         if outcome == "committed":
             if record.committed_at is None:
                 record.committed_at = self.loop.clock.now
-                tel = self.telemetry
-                if tel is not None and tel.enabled:
-                    # End-to-end cross-shard latency: facade submit (before
-                    # the prepare phase) to final 2PC outcome.
-                    tel.observe_ms(
-                        "tx_commit_latency_ms",
-                        record.committed_at - record.submitted_at,
-                        shard="facade",
-                        operation=record.operation,
-                    )
             self._fire_cross(tx_id, "committed", detail)
         else:
             record.rejected = str(detail)
@@ -461,31 +442,15 @@ class ShardedCluster:
 
     def per_shard_metrics(self) -> dict[str, RunMetrics]:
         """Independent RunMetrics per shard (home-shard view)."""
-        metrics = {
+        return {
             shard_id: collect_metrics(shard_id, cluster.records.values())
             for shard_id, cluster in self.shards.items()
         }
-        if self.telemetry.enabled:
-            for shard_id, shard_metrics in metrics.items():
-                shard_metrics.percentiles_ms = self.telemetry.latency_percentiles(
-                    shard=shard_id
-                )
-        return metrics
 
     def aggregate_metrics(self) -> RunMetrics:
-        """Deployment-wide metrics over the merged record set."""
-        metrics = collect_metrics("SHARDED", self.records.values())
-        if self.telemetry.enabled:
-            # Merging every labelled series is double-count-safe: the
-            # latency_filter keeps cross-shard home commits out of the
-            # per-shard histograms, so facade + per-shard partitions the
-            # committed set.
-            metrics.percentiles_ms = self.telemetry.latency_percentiles()
-        return metrics
-
-    def latency_percentiles(self, **match_labels: str) -> dict[str, float]:
-        """Commit-latency percentile summary from the shared registry."""
-        return self.telemetry.latency_percentiles(**match_labels)
+        """Deployment-wide metrics over the merged record set (each
+        cross-shard transaction once, at its facade latency)."""
+        return collect_metrics("SHARDED", self.records.values())
 
     def placement_stats(self) -> dict[str, Any]:
         """Routing + 2PC counters for benchmarks and the CLI."""

@@ -69,6 +69,7 @@ from repro.durability.recovery import checkpoint_state, recover
 from repro.sharding.router import RoutingDecision
 from repro.sim.events import EventLoop
 from repro.storage.database import Database
+from repro.telemetry import INERT
 
 #: Pseudo-node id the coordinator occupies in its shard's failure domain.
 COORDINATOR_NODE = "coordinator"
@@ -178,8 +179,9 @@ class TwoPhaseCoordinator:
             "inquiries": 0,
             "consumes": 0,
         }
-        #: Optional :class:`~repro.telemetry.Telemetry` (set by the facade).
-        self.telemetry = None
+        #: The deployment's :class:`~repro.telemetry.Telemetry` (set by
+        #: the facade; a bare agent records into the inert one).
+        self.telemetry = INERT
         #: Coordinator-side phase clocks: tx_id -> {phase: started_at}.
         self._phase_started: dict[str, dict[str, float]] = {}
         # Remote prepared locks must be visible to this shard's own
@@ -235,9 +237,7 @@ class TwoPhaseCoordinator:
         return self.durable.collection("shard_locks")
 
     def _notify(self, phase: str, tx_id: str) -> None:
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            self._observe_phase(tel, phase, tx_id)
+        self._observe_phase(self.telemetry, phase, tx_id)
         for listener in self.phase_listeners:
             listener(self.shard_id, phase, tx_id)
 
@@ -291,11 +291,9 @@ class TwoPhaseCoordinator:
         """
         queue = self._outgoing.setdefault(target_shard, [])
         queue.append((method, args))
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.gauge(
-                "2pc_outbox_depth", shard=self.shard_id, peer=target_shard
-            ).set(len(queue))
+        self.telemetry.gauge(
+            "2pc_outbox_depth", shard=self.shard_id, peer=target_shard
+        ).set(len(queue))
         if len(queue) == 1:
             # First message this tick: close the batch once the current
             # event cascade (same simulated instant) has drained.
@@ -420,11 +418,8 @@ class TwoPhaseCoordinator:
         )
         self.stats["coordinated"] += 1
         tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("2pc_begun", shard=self.shard_id).inc()
-            tel.histogram("2pc_fanout", shard=self.shard_id).observe(
-                len(participants)
-            )
+        tel.counter("2pc_begun", shard=self.shard_id).inc()
+        tel.histogram("2pc_fanout", shard=self.shard_id).observe(len(participants))
         self._notify("begin", tx_id)
         self._votes[tx_id] = {}
         for shard, refs in participants.items():

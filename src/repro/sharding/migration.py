@@ -85,6 +85,7 @@ from repro.core.transaction import OutputRef
 from repro.crypto.keys import keypair_from_string
 from repro.durability.recovery import checkpoint_state, recover
 from repro.storage.database import Database
+from repro.telemetry import INERT, Telemetry
 
 TERMINAL_PHASES = ("done", "rolled_back")
 
@@ -205,7 +206,7 @@ class ReshardController:
         deployment,
         policy: MigrationPolicy | None = None,
         durability=None,
-        telemetry=None,
+        telemetry: Telemetry = INERT,
     ):
         self.deployment = deployment
         self.policy = policy
@@ -278,19 +279,13 @@ class ReshardController:
         self._loop.schedule_in(delay, fire)
 
     def _notify(self, migration_id: str, phase: str) -> None:
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.flight.record(
-                self._loop.clock.now, "reshard", phase, tx_id=migration_id
-            )
+        self.telemetry.flight.record(self._loop.clock.now, "reshard", phase, tx_id=migration_id)
         for listener in self.phase_listeners:
             listener(migration_id, phase)
 
     def _set_active_gauge(self) -> None:
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            active = sum(1 for m in self.migrations.values() if not m.terminal)
-            tel.registry.gauge("migrations_active").set(active)
+        active = sum(1 for m in self.migrations.values() if not m.terminal)
+        self.telemetry.gauge("migrations_active").set(active)
 
     def _live_node(self, shard_id: str):
         cluster = self.deployment.shards[shard_id]
@@ -301,13 +296,9 @@ class ReshardController:
 
     def _enter_phase(self, m: ShardMigration, phase: str, **journal_fields: Any) -> None:
         now = self._loop.clock.now
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            started = m.phase_started.get(m.phase)
-            if started is not None and m.phase in _CLOCKED_PHASES:
-                tel.observe_ms(
-                    f"migration_{m.phase}_ms", now - started, shard=m.source
-                )
+        started = m.phase_started.get(m.phase)
+        if started is not None and m.phase in _CLOCKED_PHASES:
+            self.telemetry.observe_ms(f"migration_{m.phase}_ms", now - started, shard=m.source)
         m.phase = phase
         m.phase_started[phase] = now
         updates: dict[str, Any] = {"phase": phase}
@@ -376,9 +367,7 @@ class ReshardController:
             }
         )
         self.stats["started"] += 1
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("migrations_started", shard=source).inc()
+        self.telemetry.counter("migrations_started", shard=source).inc()
         self._set_active_gauge()
         self._notify(migration_id, "planned")
         self._schedule(TICK_INTERVAL, lambda: self._tick(migration_id))
@@ -623,18 +612,13 @@ class ReshardController:
         deployment.router.bump_epoch()
         now = self._loop.clock.now
         tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("migration_refs_moved", shard=m.source).inc(len(m.moved))
-            drained_at = m.phase_started.get("drain")
-            if drained_at is not None:
-                tel.observe_ms(
-                    "migration_write_pause_ms", now - drained_at, shard=m.source
-                )
-            planned_at = m.phase_started.get("planned")
-            if planned_at is not None:
-                tel.observe_ms(
-                    "migration_total_ms", now - planned_at, shard=m.source
-                )
+        tel.counter("migration_refs_moved", shard=m.source).inc(len(m.moved))
+        drained_at = m.phase_started.get("drain")
+        if drained_at is not None:
+            tel.observe_ms("migration_write_pause_ms", now - drained_at, shard=m.source)
+        planned_at = m.phase_started.get("planned")
+        if planned_at is not None:
+            tel.observe_ms("migration_total_ms", now - planned_at, shard=m.source)
         self.stats["done"] += 1
         self.stats["refs_moved"] += len(m.moved)
         self.stats["payloads_shipped"] += len(m.import_["payloads"])
@@ -666,9 +650,7 @@ class ReshardController:
         if m.terminal or (m.phase == "cutover" and not cutover):
             return
         self.stats["rolled_back"] += 1
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("migrations_rolled_back", shard=m.source).inc()
+        self.telemetry.counter("migrations_rolled_back", shard=m.source).inc()
         self.reports[m.migration_id] = {
             "source": m.source,
             "target": m.target,
@@ -699,9 +681,7 @@ class ReshardController:
             return
         self.crashed = True
         self._epoch += 1
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.flight.record(self._loop.clock.now, "reshard", "crash")
+        self.telemetry.flight.record(self._loop.clock.now, "reshard", "crash")
 
     def recover(self) -> None:
         if not self.crashed:
@@ -849,9 +829,7 @@ class ReshardController:
             return None
         self._last_split_at = now
         self.stats["auto_splits"] += 1
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("migrations_auto_split", shard=hot).inc()
+        self.telemetry.counter("migrations_auto_split", shard=hot).inc()
         return migration_id
 
     def _hot_plan(self, source: str) -> list[str]:

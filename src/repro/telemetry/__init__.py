@@ -2,10 +2,14 @@
 
 One :class:`Telemetry` object per deployment (shared by every shard of a
 :class:`~repro.sharding.cluster.ShardedCluster`, so cross-shard traces
-stitch on the globally stable ``tx_id``).  Instrumented components hold
-an optional ``telemetry`` attribute defaulting to ``None``; every hot
-site guards with ``tel is not None and tel.enabled``, so the disabled
-cost is one attribute read and the absent cost is zero.
+stitch on the globally stable ``tx_id``).  Every instrumented component
+holds a ``Telemetry`` and records through it unconditionally; one built
+outside a deployment holds :data:`INERT`, whose instruments, tracer and
+flight recorder keep nothing.  Turning telemetry off means handing a
+deployment :data:`INERT`; there is no switch to test at each site.
+
+Commit-latency tails are not kept here: they come from the lifecycle
+records (:func:`repro.metrics.collector.collect_metrics`).
 
 Nothing in this package reads a wall clock or draws global randomness:
 timestamps come from the injected sim clock and the trace-sampling salt
@@ -37,6 +41,7 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
+    "INERT",
     "MetricsRegistry",
     "TRACE_SAMPLED",
     "Telemetry",
@@ -45,20 +50,15 @@ __all__ = [
     "sample_decision",
 ]
 
-#: The tail-percentile set every latency surface reports.
-PERCENTILE_KEYS = ("p50", "p95", "p99", "p999")
-
 
 class Telemetry:
-    """Registry + tracer + flight recorder behind one enabled flag.
+    """Registry + tracer + flight recorder for one deployment.
 
     Args:
         clock: the deployment's sim clock (``.now`` attribute).
         sample_salt: trace-sampling salt — draw from a seeded rng stream
             (``rng.stream("telemetry").getrandbits(64)``).
         sample_rate: fraction of transactions whose timeline is traced.
-        enabled: master switch; when False every instrumentation site
-            short-circuits after one attribute read.
         flight_capacity: flight-recorder ring size.
     """
 
@@ -67,11 +67,9 @@ class Telemetry:
         clock: Any,
         sample_salt: int = 0,
         sample_rate: float = DEFAULT_SAMPLE_RATE,
-        enabled: bool = True,
         flight_capacity: int = 1024,
     ):
         self.clock = clock
-        self.enabled = enabled
         self.registry = MetricsRegistry()
         self.tracer = Tracer(clock, sample_rate=sample_rate, salt=sample_salt)
         self.flight = FlightRecorder(flight_capacity)
@@ -94,19 +92,61 @@ class Telemetry:
     def flight_event(self, node: str, kind: str, tx_id: str = "", **detail: Any) -> None:
         self.flight.record(self.clock.now, node, kind, tx_id, **detail)
 
-    def latency_percentiles(self, name: str = "tx_commit_latency_ms", **match_labels: str) -> dict[str, float]:
-        """Merged-percentile summary for a histogram family — the single
-        source benchmarks and facades read p50/p99/p999 from."""
-        merged = self.registry.merged_histogram(name, **match_labels)
-        if merged.count == 0:
-            return {"count": 0}
-        summary = merged.percentiles()
-        return {
-            "count": summary["count"],
-            "mean_ms": summary["mean"],
-            "p50_ms": summary["p50"],
-            "p95_ms": summary["p95"],
-            "p99_ms": summary["p99"],
-            "p999_ms": summary["p999"],
-            "max_ms": summary["max"],
-        }
+
+# -- the inert instance ---------------------------------------------------------
+
+
+class _Discard:
+    """Every instrument the inert registry hands out: writes are dropped."""
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    dec = inc
+
+    def set(self, value: float) -> None:
+        pass
+
+    def observe(self, value: float) -> None:
+        pass
+
+
+class _InertRegistry(MetricsRegistry):
+    """Registers nothing, so every export and iteration stays empty."""
+
+    _discard = _Discard()
+
+    def _get(self, name: str, labels: dict[str, str], factory: type) -> Any:
+        return self._discard
+
+
+class _InertTracer(Tracer):
+    """Samples nothing: every event and read finds no timeline."""
+
+    def begin(self, trace_id: str, name: str = "submit", node: str = "", **attrs: Any) -> bool:
+        return False
+
+
+class _InertFlight(FlightRecorder):
+    """Keeps no event and counts none."""
+
+    def record(self, ts: float, node: str, kind: str, tx_id: str = "", **detail: Any) -> None:
+        pass
+
+
+class _StoppedClock:
+    now = 0.0
+
+
+def _inert() -> Telemetry:
+    telemetry = Telemetry(_StoppedClock())
+    telemetry.registry = _InertRegistry()
+    telemetry.tracer = _InertTracer(telemetry.clock, sample_rate=0.0)
+    telemetry.flight = _InertFlight(capacity=0)
+    return telemetry
+
+
+#: The shared telemetry of every component built outside a deployment,
+#: and the off-switch a deployment is handed instead of its own.  It is
+#: stateless, so one instance serves the whole process.
+INERT = _inert()

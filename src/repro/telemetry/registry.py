@@ -4,13 +4,12 @@ Every number in here is a pure function of the simulation: timestamps
 come from the injected :class:`~repro.sim.events.SimClock` (the callers'
 responsibility — this module never reads a clock itself), and nothing in
 the registry draws randomness.  Two replays of one seed therefore export
-byte-identical snapshots, which is what lets the chaos harness ship
-metric state inside a repro bundle.
+byte-identical snapshots (``TestReplayDeterminism`` compares them).
 
 Histograms keep two representations:
 
-* **log buckets** (powers of two) — the bounded, mergeable shape that
-  survives aggregation across shards without losing its error bound;
+* **log buckets** (powers of two) — the bounded shape that still answers
+  percentile queries once the raw samples overflow;
 * **raw samples** — retained (bounded) so percentile extraction is
   *exact* nearest-rank over what was observed, not a bucket-midpoint
   estimate.  Simulated runs observe thousands of values, not billions,
@@ -162,42 +161,6 @@ class Histogram:
                 return float(2.0**exponent)
         return float(self.max or 0.0)
 
-    def percentiles(self) -> dict[str, float]:
-        """The standard tail set (p50/p95/p99/p999) plus count and mean."""
-        if self.count == 0:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean": self.sum / self.count,
-            "min": self.min or 0.0,
-            "max": self.max or 0.0,
-            "p50": self.percentile(0.50),
-            "p95": self.percentile(0.95),
-            "p99": self.percentile(0.99),
-            "p999": self.percentile(0.999),
-        }
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Combined histogram (shard aggregation).  Exactness survives as
-        long as the merged samples fit the (larger) sample bound."""
-        merged = Histogram(sample_limit=max(self.sample_limit, other.sample_limit))
-        merged.count = self.count + other.count
-        merged.sum = self.sum + other.sum
-        mins = [value for value in (self.min, other.min) if value is not None]
-        maxs = [value for value in (self.max, other.max) if value is not None]
-        merged.min = min(mins) if mins else None
-        merged.max = max(maxs) if maxs else None
-        for source in (self.buckets, other.buckets):
-            for exponent, count in source.items():
-                merged.buckets[exponent] = merged.buckets.get(exponent, 0) + count
-        combined = self._samples + other._samples
-        if self.exact and other.exact and len(combined) <= merged.sample_limit:
-            merged._samples = sorted(combined)
-        else:
-            merged._samples = sorted(combined)[: merged.sample_limit]
-        merged._sorted = True
-        return merged
-
     def to_dict(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
             "count": self.count,
@@ -256,18 +219,6 @@ class MetricsRegistry:
             self._metrics.items(), key=lambda item: item[0]
         ):
             yield name, dict(label_key), instrument
-
-    def merged_histogram(self, name: str, **match_labels: str) -> Histogram:
-        """Every histogram series of ``name`` whose labels include
-        ``match_labels``, merged into one (the cross-shard aggregate)."""
-        merged = Histogram()
-        for metric_name, labels, instrument in self.instruments():
-            if metric_name != name or not isinstance(instrument, Histogram):
-                continue
-            if any(labels.get(k) != str(v) for k, v in match_labels.items()):
-                continue
-            merged = merged.merge(instrument)
-        return merged
 
     # -- exports ------------------------------------------------------------
 

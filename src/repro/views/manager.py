@@ -30,6 +30,7 @@ from typing import Any, Iterable
 
 from repro.core.asset import extract_capabilities
 from repro.core.entries import SHARD_IMPORT, is_entry, refs_of
+from repro.telemetry import INERT, Telemetry
 
 
 class FlipMemo:
@@ -51,7 +52,7 @@ class FlipMemo:
 class ViewManager:
     """Materialized views over the committed transaction stream."""
 
-    def __init__(self, telemetry=None, telemetry_label: str = "views"):
+    def __init__(self, telemetry: Telemetry = INERT, telemetry_label: str = "views"):
         self.telemetry = telemetry
         self.telemetry_label = telemetry_label
         #: tx_id -> committed payload (reference, not a copy).
@@ -121,9 +122,8 @@ class ViewManager:
         self.stats["blocks_applied"] += 1
         self.stats["txs_applied"] += len(txs)
         tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.counter("view_blocks_applied", node=self.telemetry_label).inc()
-            tel.histogram("view_apply_txs", node=self.telemetry_label).observe(float(len(txs)))
+        tel.counter("view_blocks_applied", node=self.telemetry_label).inc()
+        tel.histogram("view_apply_txs", node=self.telemetry_label).observe(float(len(txs)))
 
     def _apply_tx(self, shard: str, tx_id: str, payload: dict[str, Any]) -> None:
         if tx_id in self._txs or is_entry(payload):

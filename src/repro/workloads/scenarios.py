@@ -175,7 +175,6 @@ def run_scdb_scenario(spec: ScenarioSpec) -> ScenarioResult:
                 cluster.run()
 
     metrics = collect_metrics("SCDB", cluster.records.values())
-    metrics.percentiles_ms = cluster.latency_percentiles()
     return ScenarioResult(metrics=metrics, detail={"sim_time": cluster.loop.clock.now})
 
 
@@ -281,7 +280,6 @@ def run_sharded_scenario(spec: ShardedScenarioSpec) -> ScenarioResult:
                 holdings[asset_index] = holding
 
     metrics = collect_metrics("SCDB-SHARDED", cluster.records.values())
-    metrics.percentiles_ms = cluster.latency_percentiles()
     per_shard = {
         shard_id: sum(
             1 for record in shard.records.values() if record.committed_at is not None
@@ -301,9 +299,6 @@ def run_sharded_scenario(spec: ShardedScenarioSpec) -> ScenarioResult:
         "cross_submitted": float(cross_submitted),
         "hot_shard_share": hot_share,
     }
-    for key, value in cluster.latency_percentiles().items():
-        if key != "count":
-            detail[f"latency_{key}"] = value
     for shard_id, committed in sorted(per_shard.items()):
         detail[f"committed_{shard_id}"] = float(committed)
     return ScenarioResult(metrics=metrics, detail=detail)

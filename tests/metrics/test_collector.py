@@ -77,9 +77,27 @@ class TestCollectMetrics:
         assert metrics.span_seconds == 1e-6
         assert metrics.throughput_tps == 2 / 1e-6
 
-    def test_percentiles_ms_defaults_empty(self):
-        metrics = collect_metrics("SCDB", [FakeRecord("CREATE", 0.0, 1.0)])
-        assert metrics.percentiles_ms == {}
+    def test_percentiles_ms_from_record_latencies(self):
+        """Tails over every committed record, across operations, in ms:
+        nearest-rank over ``(committed_at - submitted_at) * 1000.0``;
+        empty when nothing committed."""
+        records = [
+            FakeRecord("CREATE", 0.0, 0.25),
+            FakeRecord("BID", 0.5, 0.625),
+            FakeRecord("CREATE", 1.0, 1.5),
+            FakeRecord("BID", 2.0, None),
+        ]
+        tails = collect_metrics("SCDB", records).percentiles_ms
+        assert tails == {
+            "count": 3,
+            "mean_ms": 875.0 / 3,
+            "p50_ms": 250.0,
+            "p95_ms": 500.0,
+            "p99_ms": 500.0,
+            "p999_ms": 500.0,
+            "max_ms": 500.0,
+        }
+        assert collect_metrics("SCDB", records[3:]).percentiles_ms == {}
 
 
 class TestReport:

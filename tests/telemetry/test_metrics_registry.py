@@ -1,4 +1,4 @@
-"""Registry semantics: exact percentiles, merge, canonical exports."""
+"""Registry semantics: exact percentiles, canonical exports."""
 
 import json
 
@@ -64,10 +64,11 @@ class TestHistogram:
         assert histogram.exact
         assert histogram.percentile(0.50) == 3.0
         assert histogram.percentile(1.0) == 5.0
-        summary = histogram.percentiles()
+        summary = histogram.to_dict()
         assert summary["count"] == 5
-        assert summary["mean"] == 3.0
+        assert summary["sum"] == 15.0
         assert summary["min"] == 1.0 and summary["max"] == 5.0
+        assert summary["p50"] == 3.0 and summary["p999"] == 5.0
 
     def test_degrades_past_sample_limit(self):
         """Beyond the retention bound, percentiles become conservative
@@ -82,35 +83,7 @@ class TestHistogram:
 
     def test_empty_percentile_is_zero(self):
         assert Histogram().percentile(0.95) == 0.0
-        assert Histogram().percentiles() == {"count": 0}
-
-    def test_merge_preserves_exactness(self):
-        """Merging shard histograms keeps exact percentiles when the
-        combined samples fit — percentiles of the merge equal percentiles
-        of the pooled observations."""
-        left, right = Histogram(), Histogram()
-        left_values = [1.0, 5.0, 9.0]
-        right_values = [2.0, 4.0, 100.0]
-        for value in left_values:
-            left.observe(value)
-        for value in right_values:
-            right.observe(value)
-        merged = left.merge(right)
-        pooled = sorted(left_values + right_values)
-        assert merged.exact
-        assert merged.count == 6
-        assert merged.sum == sum(pooled)
-        for quantile in (0.5, 0.95, 0.99, 0.999):
-            assert merged.percentile(quantile) == exact_percentile(pooled, quantile)
-
-    def test_merge_accumulates_buckets(self):
-        left, right = Histogram(), Histogram()
-        left.observe(3.0)  # bucket 2**2
-        right.observe(3.5)  # same bucket
-        right.observe(100.0)  # bucket 2**7
-        merged = left.merge(right)
-        assert merged.buckets[2] == 2
-        assert merged.buckets[7] == 1
+        assert Histogram().to_dict() == {"count": 0, "sum": 0.0, "exact": True, "buckets": {}}
 
     def test_nonpositive_values_clamp_to_first_bucket(self):
         histogram = Histogram()
@@ -133,16 +106,6 @@ class TestMetricsRegistry:
         registry.counter("x")
         with pytest.raises(TypeError):
             registry.gauge("x")
-
-    def test_merged_histogram_filters_on_labels(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat", shard="a", operation="CREATE").observe(1.0)
-        registry.histogram("lat", shard="a", operation="TRANSFER").observe(2.0)
-        registry.histogram("lat", shard="b", operation="CREATE").observe(3.0)
-        assert registry.merged_histogram("lat").count == 3
-        assert registry.merged_histogram("lat", shard="a").count == 2
-        assert registry.merged_histogram("lat", operation="CREATE").count == 2
-        assert registry.merged_histogram("lat", shard="b", operation="CREATE").count == 1
 
     def test_to_dict_is_canonical(self):
         """Same observations in different insertion order export the

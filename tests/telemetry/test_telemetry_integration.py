@@ -1,10 +1,14 @@
-"""Telemetry wired through real deployments: lifecycle traces, latency
-histograms, metric snapshots, and byte-identical same-seed replays."""
+"""Telemetry wired through real deployments: lifecycle traces, metric
+snapshots, commit-latency tails from the lifecycle records, and
+byte-identical same-seed replays."""
 
 from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.crypto.keys import keypair_from_string
+from repro.crypto.sigcache import SignatureCache, set_shared_cache
+from repro.metrics.collector import collect_metrics
 from repro.sharding import ShardedCluster, ShardedClusterConfig
 from repro.sharding.router import SHARD_KEY_METADATA
+from repro.telemetry import INERT
 
 
 def _single(**kwargs) -> SmartchainCluster:
@@ -39,13 +43,13 @@ class TestSingleClusterTraces:
             assert stage in names, f"missing {stage} in {names}"
         assert names.index("submit") < names.index("mempool_admit") < names.index("applied")
 
-    def test_commit_latency_histogram_matches_records(self):
+    def test_commit_latency_tails_match_records(self):
         cluster = _single()
         create, record = _commit_one(cluster)
-        summary = cluster.latency_percentiles()
+        summary = collect_metrics("SCDB", cluster.records.values()).percentiles_ms
         assert summary["count"] == 1
         expected_ms = (record.committed_at - record.submitted_at) * 1000.0
-        assert abs(summary["p50_ms"] - expected_ms) < 1e-9
+        assert summary["p50_ms"] == summary["p999_ms"] == expected_ms
 
     def test_wal_group_commit_event_when_durable(self):
         from repro.durability.node import DurabilityConfig
@@ -62,28 +66,44 @@ class TestSingleClusterTraces:
         snapshot = cluster.telemetry.registry.to_dict()
         for family in (
             "tx_submitted",
-            "tx_commit_latency_ms",
             "consensus_block_txs",
             "consensus_height_ms",
         ):
             assert family in snapshot, f"missing {family}"
 
-    def test_disabled_telemetry_records_nothing(self):
-        cluster = SmartchainCluster(
-            ClusterConfig(seed=11, telemetry_enabled=False, trace_sample_rate=1.0)
-        )
-        create, record = _commit_one(cluster)
-        assert record.committed_at is not None  # pipeline unaffected
-        assert cluster.telemetry.registry.to_dict() == {}
-        assert cluster.telemetry.tracer.trace_ids() == []
-        assert len(cluster.telemetry.flight) == 0
+    def test_inert_telemetry_records_nothing(self):
+        """A deployment handed the inert instance reaches the same chain
+        heights at the same sim time, and every telemetry read is empty."""
+        outcomes = []
+        for telemetry in (None, INERT):
+            previous = set_shared_cache(SignatureCache())
+            try:
+                cluster = SmartchainCluster(
+                    ClusterConfig(seed=11, trace_sample_rate=1.0), telemetry=telemetry
+                )
+                _, record = _commit_one(cluster)
+            finally:
+                set_shared_cache(previous)
+            assert record.committed_at is not None
+            heights = [
+                len(cluster.engine.validator(node_id).chain)
+                for node_id in cluster.engine.validator_order
+            ]
+            outcomes.append((heights, cluster.loop.clock.now))
+        assert outcomes[0] == outcomes[1]
+        assert cluster.telemetry is INERT
+        assert INERT.registry.to_dict() == {}
+        assert list(INERT.registry.instruments()) == []
+        assert INERT.tracer.trace_ids() == []
+        assert INERT.flight.dump() == [] and INERT.flight.recorded == 0
 
     def test_sampling_rate_zero_skips_traces_but_not_metrics(self):
         cluster = _single(trace_sample_rate=0.0)
         create, record = _commit_one(cluster)
         assert record.committed_at is not None
         assert cluster.telemetry.tracer.trace_ids() == []
-        assert cluster.latency_percentiles()["count"] == 1
+        snapshot = cluster.telemetry.registry.to_dict()
+        assert snapshot["tx_submitted"]["shard=main"]["value"] == 1
 
 
 def _sharded(seed: int = 7) -> ShardedCluster:
@@ -131,17 +151,20 @@ class TestShardedClusterTraces:
         assert any(node.startswith(f"{target}/") for node in nodes)
 
     def test_no_latency_double_count(self):
-        """The facade records a cross-shard commit once (end-to-end); the
-        home shard's block commit of the same tx is filtered out."""
+        """A cross-shard transfer enters the tails once, at its facade
+        latency; its home shard's later-submitted record is shadowed."""
         cluster = _sharded()
-        _, transfer, record, _, _ = _cross_transfer(cluster)
+        create, transfer, record, _, target = _cross_transfer(cluster)
         assert record.committed_at is not None
-        committed = len(cluster.committed_records())
-        assert cluster.latency_percentiles()["count"] == committed
-        facade = cluster.latency_percentiles(shard="facade")
-        assert facade["count"] == 1
-        expected_ms = (record.committed_at - record.submitted_at) * 1000.0
-        assert abs(facade["p50_ms"] - expected_ms) < 1e-9
+        home = cluster.shards[target].records[transfer.tx_id]
+        assert home.committed_at is not None and home.latency < record.latency
+        minted = cluster.record_for(create.tx_id)
+        summary = cluster.aggregate_metrics().percentiles_ms
+        assert summary["count"] == len(cluster.committed_records()) == 2
+        assert {summary["p50_ms"], summary["max_ms"]} == {
+            minted.latency * 1000.0,
+            record.latency * 1000.0,
+        }
 
     def test_per_shard_and_aggregate_percentiles(self):
         cluster = _sharded()
@@ -174,8 +197,6 @@ class TestReplayDeterminism:
         The process-global signature cache is swapped fresh per run — it
         is deliberately shared across clusters in one process, which is
         cross-run state, not nondeterminism."""
-        from repro.crypto.sigcache import SignatureCache, set_shared_cache
-
         outputs = []
         for _ in range(2):
             previous = set_shared_cache(SignatureCache())

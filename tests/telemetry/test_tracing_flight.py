@@ -130,19 +130,6 @@ class TestTelemetryFacade:
         assert histogram.count == 1
         assert abs(histogram.sum - 2.5) < 1e-12
 
-    def test_latency_percentiles_summary(self):
-        telemetry = Telemetry(FakeClock(), sample_rate=1.0)
-        assert telemetry.latency_percentiles() == {"count": 0}
-        for value in (10.0, 20.0, 30.0):
-            telemetry.registry.histogram(
-                "tx_commit_latency_ms", shard="a"
-            ).observe(value)
-        summary = telemetry.latency_percentiles()
-        assert summary["count"] == 3
-        assert summary["p50_ms"] == 20.0
-        assert summary["p999_ms"] == 30.0
-        assert summary["max_ms"] == 30.0
-
     def test_flight_event_stamps_clock(self):
         clock = FakeClock()
         telemetry = Telemetry(clock, sample_rate=1.0)
