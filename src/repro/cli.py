@@ -21,6 +21,7 @@ import sys
 
 def _cmd_info(args: argparse.Namespace) -> int:
     import repro
+    from repro.crypto import native
     from repro.schema import OPERATION_SCHEMAS
 
     print(f"repro {repro.__version__} — SmartchainDB reproduction (EDBT 2025)")
@@ -33,8 +34,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print("sharding (consistent-hash partitioning + cross-shard 2PC —")
     print("try `python -m repro shard`), simtest (deterministic chaos")
     print("harness — try `python -m repro simtest --seed 7 --steps 200`)")
-    print("\ncrypto fast path: native Ed25519 through libcrypto (pure kernel")
-    print("fallback) + cluster-wide signature cache — try `python -m repro crypto`")
+    print(f"\ncrypto fast path: native Ed25519 through {native.library() or 'nothing (pure kernel)'}")
+    print("+ cluster-wide signature cache — try `python -m repro crypto`")
     print("\ndurability: per-node segmented WAL with group commit, snapshots")
     print("and crash-restart recovery from disk — try `python -m repro recover`")
     print("\nsee benchmarks/EXPERIMENTS.md for results")

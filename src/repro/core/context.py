@@ -15,6 +15,7 @@ fences, ingress gates) sit on the server.
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
 from repro.common.errors import DoubleSpendError, InputDoesNotExistError
@@ -23,10 +24,17 @@ from repro.core.transaction import CREATE, OutputRef, REQUEST
 from repro.crypto.keys import ReservedAccounts
 from repro.storage.database import Database
 
-#: Verdicts for migrating/moved outputs start with this marker — 8
-#: characters, so a DoubleSpendError's truncated spender keeps it for the
-#: driver's retry path.
+#: Verdicts for migrating/moved outputs start with this marker, which a
+#: DoubleSpendError keeps whole for the driver's retry path.
 REDIRECT_MARKER = "redirect"
+_LONG_HEX = re.compile(r"[0-9a-f]{9,}")
+
+
+def spent_error(ref: OutputRef, holder: str) -> DoubleSpendError:
+    """Refuse a spend of ``ref``: ids cut to 8 hex characters, the holder's
+    kind (``shard-lock:``, ``redirect:moved:``) kept whole."""
+    holder = _LONG_HEX.sub(lambda match: match.group()[:8], holder)
+    return DoubleSpendError(f"output {ref.transaction_id[:8]}..:{ref.output_index} already spent by {holder}")
 
 
 class ValidationContext:
@@ -111,9 +119,7 @@ class ValidationContext:
         """
         spender = self.output_spender(ref)
         if spender is not None:
-            raise DoubleSpendError(
-                f"output {ref.transaction_id[:8]}..:{ref.output_index} already spent by {spender[:8]}"
-            )
+            raise spent_error(ref, spender)
 
     def bids_for_request(self, request_id: str, *, copy: bool = True) -> list[dict[str, Any]]:
         """All committed BIDs referencing ``request_id``.

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.common.encoding import deep_copy_json
-from repro.common.errors import DoubleSpendError, DuplicateKeyError, ValidationError
+from repro.common.errors import DuplicateKeyError, ValidationError
 from repro.consensus.types import Block, TxEnvelope
-from repro.core.context import REDIRECT_MARKER, ValidationContext
+from repro.core.context import REDIRECT_MARKER, ValidationContext, spent_error
 from repro.core.entries import (
     SHARD_EXPORT,
     SHARD_IMPORT,
@@ -187,9 +187,7 @@ class SmartchainServer:
         guarded = self._guarded_spender(payload)
         if guarded is not None:
             ref, holder = guarded
-            raise DoubleSpendError(
-                f"output {ref.transaction_id[:8]}..:{ref.output_index} already spent by {holder[:8]}"
-            )
+            raise spent_error(ref, holder)
         tracer = self.telemetry.tracer
         if tracer.sampled(payload.get("id", "")):
             # Receiver-side semantic validation includes the Ed25519

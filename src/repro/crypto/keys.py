@@ -6,21 +6,23 @@ admin).  Keys are Ed25519; both halves are rendered in base58 like
 BigchainDB renders them.
 
 Two Ed25519 paths run here.  Where :func:`repro.crypto.native.available`
-(the libcrypto ``hashlib`` links exposes Ed25519), :meth:`KeyPair.sign`
-signs natively and verification asks libcrypto first; elsewhere both run
-the pure kernel, :mod:`repro.crypto.ed25519`, alone.  Neither signature
-bytes nor verdicts depend on which path ran:
+(libsodium, else the libcrypto ``hashlib`` links), :meth:`KeyPair.sign`
+signs natively and verification asks the library first; elsewhere both
+run the pure kernel, :mod:`repro.crypto.ed25519`, alone.  Neither
+signature bytes nor verdicts depend on which path ran:
 
 * RFC 8032 signing is deterministic, so a native signature equals
   :func:`ed25519.sign`'s byte for byte; any native failure signs in pure
   Python.
-* libcrypto verifies *cofactorless* (``[s]B = R + [h]A``), the pure kernel
-  *cofactored* (``[8s]B = [8]R + [8h]A``).  Native is asked only when
-  ``s < L`` and ``A`` and ``R`` are canonical encodings, where the two
-  decode to the same points; a cofactorless accept is then an equation
-  that, multiplied by 8, is the cofactored one.  So a native accept is
-  final, and every other verdict — the cofactored-only accepts,
-  malformed inputs, every native reject — comes from the pure kernel.
+* libsodium and libcrypto verify *cofactorless* (``[s]B = R + [h]A``),
+  the pure kernel *cofactored* (``[8s]B = [8]R + [8h]A``).  Native is
+  asked only when ``s < L`` and ``A`` and ``R`` are canonical encodings,
+  where the two decode to the same points; a cofactorless accept is then
+  an equation that, multiplied by 8, is the cofactored one.  So a native
+  accept is final, and every other verdict — the cofactored-only
+  accepts, malformed inputs, every native reject, libsodium's own
+  refusals of small-order and non-canonical points among them — comes
+  from the pure kernel.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ for a public key on its second sight, so one triple can now be judged by
 three routes — a one-row table (first sight of a key), the key's own table
 (warm key) and the signature-cache wrapper in ``keys`` — and ``verify``
 settles ``R`` by its encoding instead of decompressing it; ``keys`` also
-asks native libcrypto first, when one is bound, and lets only its accepts
-stand.  This module pins that signatures equal a textbook
+asks native Ed25519 (libsodium or libcrypto) first, when one is bound, and
+lets only its accepts stand.  This module pins that signatures equal a textbook
 RFC 8032 signer byte for byte on the pure and the native route, that all
 routes, native loaded or forced off, return one verdict on
 valid, tampered, malformed and small-order inputs — the verdict of a
@@ -742,7 +742,7 @@ class TestRByItsEncodingEqualsRDecompressed:
             self.test_every_route_agrees_with_the_oracle(None)
 
 
-# -- (g) native libcrypto: its accepts are oracle accepts ---------------------------------
+# -- (g) native libsodium and libcrypto: their accepts are oracle accepts -----------------
 
 
 def differential_cases():
@@ -762,6 +762,29 @@ def differential_cases():
         yield f"R sign flipped #{number}", (public, message, flip(signature, 255))
 
 
+@pytest.fixture(params=[route.name for route in native._ROUTES])
+def route(request, monkeypatch):
+    """Bind one library through the module's own selection: libsodium as
+    found, libcrypto with no libsodium file name to try; skip a library
+    that does not bind in this interpreter."""
+    if request.param == "libcrypto":
+        monkeypatch.setattr(native, "_SODIUM_NAMES", ())
+    monkeypatch.setattr(native, "_LIB", native._UNBOUND)
+    if native.library() != request.param:
+        pytest.skip(f"{request.param} does not bind in this interpreter")
+    return native._LIB
+
+
+def pre_checked(public, message, signature):
+    """``s < L``, and ``A`` and ``R`` canonical: ``y < P``, no sign bit on ``x = 0``."""
+
+    def canonical(encoding):
+        y = int.from_bytes(encoding, "little") & ((1 << 255) - 1)
+        return y < P and not (encoding[31] >> 7 and y in (1, P - 1))
+
+    return int.from_bytes(signature[32:], "little") < L and canonical(public) and canonical(signature[:32])
+
+
 class TestNativeAcceptsOnlyWhatThePureKernelAccepts:
     CASES = (
         [(name, triple, ORACLE[name]) for name, triple in ENCODING_CASES]
@@ -769,28 +792,95 @@ class TestNativeAcceptsOnlyWhatThePureKernelAccepts:
         + [(name, triple, ed25519.verify(*triple)) for name, triple in differential_cases()]
     )
 
-    def test_libcrypto_mapped_means_native_bound(self):
+    def test_a_loadable_library_means_native_bound(self):
         if native._mapped_libcrypto() is not None:
             assert native.available()
+        assert native.available() is (native.library() is not None)
 
-    def test_a_native_accept_is_an_accept_and_native_takes_the_honest_ones(self):
+    def test_without_libsodium_the_mapped_libcrypto_binds(self, monkeypatch):
+        monkeypatch.setattr(native, "_SODIUM_NAMES", ())
+        monkeypatch.setattr(native, "_LIB", native._UNBOUND)
+        assert native.library() == ("libcrypto" if native._mapped_libcrypto() else None)
+
+    def test_a_native_accept_is_an_accept_and_native_takes_the_honest_ones(self, route):
         accepted = 0
         for name, triple, expected in self.CASES:
             if native.accepts(*triple):
-                assert expected, name
+                assert expected, (route.name, name)
                 accepted += 1
-        honest = sum(name.startswith("valid") for name, _, _ in self.CASES)
-        assert accepted >= honest if native.available() else accepted == 0
+        assert accepted >= sum(name.startswith("valid") for name, _, _ in self.CASES)
         assert any(expected and not native.accepts(*triple) for _, triple, expected in self.CASES)
 
-    def test_native_memo_stays_bounded_and_frees_what_it_evicts(self, monkeypatch):
-        if not native.available():
-            pytest.skip("no native Ed25519 in this interpreter")
-        freed = []
-        free = native._LIB.EVP_PKEY_free
-        monkeypatch.setattr(native._LIB, "EVP_PKEY_free", lambda handle: (freed.append(handle), free(handle)))
-        monkeypatch.setattr(native, "_KEYS", {})
+    def test_rfc_vectors_and_keypair_sign(self, route, fresh_memos):
+        for seed_hex, public_hex, message_hex, signature_hex in RFC8032_VECTORS:
+            seed, public = bytes.fromhex(seed_hex), bytes.fromhex(public_hex)
+            message, signature = bytes.fromhex(message_hex), bytes.fromhex(signature_hex)
+            assert native.sign(seed, message) == signature, route.name
+            assert native.accepts(public, message, signature), route.name
+            pair = keys.KeyPair(base58_encode(public), base58_encode(seed))
+            assert pair.sign(message) == base58_encode(ed25519.sign(seed, message))
+            assert keys._verify_signature_uncached(pair.public_key, message, pair.sign(message))
+
+    def test_the_pre_checks_hold_whatever_the_library_accepts(self, route, monkeypatch):
+        # A build that accepts whatever it is asked (libsodium built with
+        # ED25519_COMPAT checks little more than the top bits of s).
+        monkeypatch.setattr(route, "verify", lambda public, message, signature: True)
+        refused = 0
+        for name, triple, _ in self.CASES:
+            if not pre_checked(*triple):
+                assert not native.accepts(*triple), (route.name, name)
+                refused += 1
+        assert refused >= 50
+
+    def test_a_libsodium_accept_without_the_canonical_pre_checks_is_caught(self, monkeypatch):
+        route = native._self_tested(native._Libsodium)
+        if route is None:
+            pytest.skip("no libsodium in this interpreter")
+        monkeypatch.setattr(native, "_LIB", route)
+        planted(
+            monkeypatch,
+            "accepts",
+            "    route = _bound()\n",
+            "    route = _bound()\n"
+            "    if route is not None and route.name == \"libsodium\" and (\n"
+            "        len(public_key) == 32 and len(signature) == 64\n"
+            "    ):\n"
+            "        return route.verify(public_key, message, signature)\n",
+            module=native,
+        )
+        # This build's own checks hide the bypass from every verdict ...
+        self.test_a_native_accept_is_an_accept_and_native_takes_the_honest_ones(route)
+        # ... but not from a build that skips them.
+        with pytest.raises(AssertionError):
+            self.test_the_pre_checks_hold_whatever_the_library_accepts(route, monkeypatch)
+
+    def test_libsodium_secret_key_memo_stays_bounded_and_evicts_oldest_first(self, monkeypatch):
+        route = native._self_tested(native._Libsodium)
+        if route is None:
+            pytest.skip("no libsodium in this interpreter")
+        monkeypatch.setattr(native, "_LIB", route)
         monkeypatch.setattr(native, "_KEYS_MAX", 4)
+        route.keys.clear()
+        seeds = [bytes([number + 60]) * 32 for number in range(7)]
+        for order in (range(6), [2], [6]):
+            for number in order:
+                assert native.sign(seeds[number], b"memo") == ed25519.sign(seeds[number], b"memo")
+                assert len(route.keys) <= 4
+        # Six seeds left the newest four; signing with seed 2 again moved
+        # nothing, so seed 6 evicted it.
+        assert list(route.keys) == seeds[3:7]
+        assert all(route.keys[seed] == seed + ed25519.public_key_from_seed(seed) for seed in seeds[3:7])
+
+    def test_native_memo_stays_bounded_and_frees_what_it_evicts(self, monkeypatch):
+        monkeypatch.setattr(native, "_SODIUM_NAMES", ())
+        monkeypatch.setattr(native, "_LIB", native._UNBOUND)
+        if native.library() != "libcrypto":
+            pytest.skip("no libcrypto route in this interpreter")
+        route, freed = native._LIB, []
+        free = route.lib.EVP_PKEY_free
+        monkeypatch.setattr(route.lib, "EVP_PKEY_free", lambda handle: (freed.append(handle), free(handle)))
+        monkeypatch.setattr(native, "_KEYS_MAX", 4)
+        held = len(route.keys)  # the self-test's seed and public key
         for lap in range(2):
             for number in range(6):
                 seed = bytes([number + 40]) * 32
@@ -798,10 +888,10 @@ class TestNativeAcceptsOnlyWhatThePureKernelAccepts:
                 signature = native.sign(seed, message)
                 assert signature == ed25519.sign(seed, message)
                 assert native.accepts(ed25519.public_key_from_seed(seed), message, signature)
-                assert len(native._KEYS) <= 4
+                assert len(route.keys) <= 4
         # Every key made was freed on eviction but the four still held
         # (a freed address may come back for a later key).
-        assert len(freed) == 2 * 2 * 6 - 4
+        assert len(freed) == held + 2 * 2 * 6 - 4
 
 
 # -- (h) import audit --------------------------------------------------------------------

@@ -75,7 +75,7 @@ class TestCommands:
         assert "rejected=7 " in out
         assert (
             "rejected by cause: 4 [signatures] input signature verification failed, "
-            "1 presumed abort, 1 output <ref> already spent by shard-lo, 1 <ref> already spent\n"
+            "1 presumed abort, 1 output <ref> already spent by shard-lock:<ref>, 1 <ref> already spent\n"
         ) in out
 
     def test_reshard(self, capsys):
