@@ -31,9 +31,10 @@ Four measurements of the persistence stack:
   Milliseconds are reported beside what the same state costs to
   deep-copy and encode whole.
 
-Run as a script (CI's hot-path smoke job does) the report goes to
-``BENCH_durability.json`` at the repo root; a pytest run enforces the
-same gates and leaves the tracked file alone.
+Under pytest the file gates only counts and writes nothing.  Run as a
+script (CI's hot-path smoke job does) it also asserts the wall-clock
+bars, then writes the report to ``BENCH_durability.json`` at the repo
+root.
 """
 
 from __future__ import annotations
@@ -313,34 +314,22 @@ def run_report() -> dict:
         lines.append(f"  {section}: {json.dumps(numbers)}")
     print("\n".join(lines))
 
-    # Acceptance gates (ISSUE 5): group commit >= 3x a per-record flush,
-    # with the structural sync amortisation to match; snapshots cut the
-    # replayed suffix by >= 4x on an evenly checkpointed history.
+    # Count gates: group commit amortises syncs structurally;
+    # snapshots cut the replayed suffix by >= 4x on an evenly
+    # checkpointed history.
     group = report["group_commit"]
-    assert group["speedup"] >= 3.0, group
     assert group["sync_amortisation"] >= 8.0, group
     snap = report["snapshot_amortisation"]
     assert snap["replay_ratio"] >= 4.0, snap
     assert snap["snapshot_replayed"] <= SNAPSHOT_INTERVAL + GROUP_BATCH, snap
-    # Replay cost grows with log length (the curve snapshots flatten) —
-    # compare the sweep's endpoints with generous slack to stay unflaky.
-    sweep = report["recovery_scaling"]
-    assert sweep[str(RECOVERY_SWEEP[-1])]["recover_ms"] >= sweep[
-        str(RECOVERY_SWEEP[0])
-    ]["recover_ms"], sweep
     # A checkpoint encodes what changed since the last one and nothing
-    # else, at every state size (counts; the times are reported only).
-    # The snapshot file shares the kept document bytes: all it adds is
-    # its skeleton (one comma per document) and headers.
-    scaling = report["checkpoint_scaling"]
-    for row in scaling.values():
+    # else, at every state size.  The snapshot file shares the kept
+    # document bytes: all it adds is its skeleton (one comma per
+    # document) and headers.
+    for row in report["checkpoint_scaling"].values():
         assert row["encodes"] == CHECKPOINT_UPDATES, row
         assert row["encodes_with_nothing_new"] == 0, row
         assert row["copied_bytes"] <= row["documents"] + 128, row
-    # A delta's cost follows the change, not the state: 16x the
-    # documents may cost at most 2x the time.
-    small, large = scaling[str(CHECKPOINT_SWEEP[0])], scaling[str(CHECKPOINT_SWEEP[-1])]
-    assert large["checkpoint_ms"] <= 2 * small["checkpoint_ms"], scaling
     return report
 
 
@@ -349,7 +338,21 @@ def test_durability():
 
 
 if __name__ == "__main__":
-    report = run_report()  # gates first: a red run leaves the tracked file alone
+    report = run_report()
+    # Wall-clock gates, asserted only here.  Group commit >= 3x a
+    # per-record flush.  Replay cost grows with log length
+    # (the curve snapshots flatten).  A delta's cost follows the change,
+    # not the state: 16x the documents may cost at most 2x the time.
+    # Gates first: a red run leaves the tracked file alone.
+    group = report["group_commit"]
+    assert group["speedup"] >= 3.0, group
+    sweep = report["recovery_scaling"]
+    assert sweep[str(RECOVERY_SWEEP[-1])]["recover_ms"] >= sweep[
+        str(RECOVERY_SWEEP[0])
+    ]["recover_ms"], sweep
+    scaling = report["checkpoint_scaling"]
+    small, large = scaling[str(CHECKPOINT_SWEEP[0])], scaling[str(CHECKPOINT_SWEEP[-1])]
+    assert large["checkpoint_ms"] <= 2 * small["checkpoint_ms"], scaling
     with open(BENCH_PATH, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.common.encoding import base58_decode, base58_encode
 from repro.common.errors import InvalidKeyError
@@ -43,9 +44,14 @@ class KeyPair:
     public_key: str
     private_key: str
 
+    @cached_property
+    def _seed(self) -> bytes:
+        """The private seed's bytes, decoded on first use."""
+        return base58_decode(self.private_key)
+
     def sign(self, message: bytes) -> str:
         """Sign ``message``; returns the base58 signature string."""
-        seed = base58_decode(self.private_key)
+        seed = self._seed
         return base58_encode(native.sign(seed, message) or ed25519.sign(seed, message))
 
     def verify(self, message: bytes, signature: str) -> bool:

@@ -73,23 +73,6 @@ class SignatureCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate(), 4),
-        }
-
 
 _shared: SignatureCache | None = SignatureCache()
 

@@ -206,35 +206,15 @@ class ShardedCluster:
             target = self.add_shard()
         return self.migrator.start_migration(source, target, plan_txs=plan_txs)
 
-    def shard(self, shard: str | int) -> SmartchainCluster:
-        """A shard's BFT cluster, by id or index."""
-        if isinstance(shard, int):
-            shard = self.shard_ids[shard]
-        return self.shards[shard]
-
     def agent_for(self, shard_id: str) -> TwoPhaseCoordinator:
         return self.agents[shard_id]
 
-    def crash_coordinator(self, shard: str | int) -> None:
+    def crash_coordinator(self, shard_id: str) -> None:
         """Kill a shard's 2PC agent (its BFT nodes keep running)."""
-        self.shard(shard).failures.crash_now(COORDINATOR_NODE)
+        self.shards[shard_id].failures.crash_now(COORDINATOR_NODE)
 
-    def recover_coordinator(self, shard: str | int) -> None:
-        self.shard(shard).failures.recover_now(COORDINATOR_NODE)
-
-    def restart_node_from_disk(
-        self, shard: str | int, node_id: str, torn_bytes: int = 0
-    ) -> None:
-        """Crash-restart one validator node purely from its SimDisk."""
-        self.shard(shard).restart_node_from_disk(node_id, torn_bytes=torn_bytes)
-
-    def restart_coordinator_from_disk(
-        self, shard: str | int, torn_bytes: int = 0
-    ) -> None:
-        """Crash-restart one shard's 2PC agent purely from its SimDisk."""
-        if isinstance(shard, int):
-            shard = self.shard_ids[shard]
-        self.agents[shard].restart_from_disk(torn_bytes=torn_bytes)
+    def recover_coordinator(self, shard_id: str) -> None:
+        self.shards[shard_id].failures.recover_now(COORDINATOR_NODE)
 
     # -- submission --------------------------------------------------------------
 
@@ -413,11 +393,6 @@ class ShardedCluster:
         self.loop.run_until_idle(max_events=max_events)
         return self.record_for(payload["id"])
 
-    def committed_records(self) -> list[TxRecord]:
-        return [
-            record for record in self.records.values() if record.committed_at is not None
-        ]
-
     def any_server(self):
         """A live server from any shard (queries that span the keyspace
         still need per-shard fan-out; this is for schema-level reads)."""
@@ -451,19 +426,3 @@ class ShardedCluster:
         """Deployment-wide metrics over the merged record set (each
         cross-shard transaction once, at its facade latency)."""
         return collect_metrics("SHARDED", self.records.values())
-
-    def placement_stats(self) -> dict[str, Any]:
-        """Routing + 2PC counters for benchmarks and the CLI."""
-        per_shard = {
-            shard_id: {
-                "committed": sum(
-                    1
-                    for record in cluster.records.values()
-                    if record.committed_at is not None
-                ),
-                "locks_granted": self.agents[shard_id].stats["locks_granted"],
-                "coordinated": self.agents[shard_id].stats["coordinated"],
-            }
-            for shard_id, cluster in self.shards.items()
-        }
-        return {"router": dict(self.router.stats), "shards": per_shard}

@@ -220,7 +220,7 @@ class ReshardController:
         self._epoch = 0
         self.migrations: dict[str, ShardMigration] = {}
         self.phase_listeners: list[MigrationPhaseListener] = []
-        #: Per-migration outcome reports for benchmarks and the CLI.
+        #: Per-migration outcome reports (write pause, refs moved) for benchmarks.
         self.reports: dict[str, dict[str, Any]] = {}
         self.journal_db = self._make_journal_database()
         if durability is not None:

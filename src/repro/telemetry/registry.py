@@ -191,14 +191,21 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], Any] = {}
+        #: The same instruments keyed as a call site spells them (labels
+        #: in keyword order, unconverted), so a repeat lookup neither
+        #: stringifies nor sorts; the canonical key is built once per spelling.
+        self._handles: dict[tuple[Any, ...], Any] = {}
 
     def _get(self, name: str, labels: dict[str, str], factory: type) -> Any:
-        key = (name, _label_key(labels))
-        instrument = self._metrics.get(key)
+        handle = (name, *labels.items())
+        instrument = self._handles.get(handle)
         if instrument is None:
-            instrument = factory()
-            self._metrics[key] = instrument
-        elif not isinstance(instrument, factory):
+            key = (name, _label_key(labels))
+            instrument = self._metrics.get(key)
+            if instrument is None:
+                instrument = self._metrics[key] = factory()
+            self._handles[handle] = instrument
+        if not isinstance(instrument, factory):
             raise TypeError(
                 f"metric {name!r} already registered as {instrument.kind}"
             )

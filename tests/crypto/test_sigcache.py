@@ -34,7 +34,7 @@ class TestCacheMechanics:
         assert cache.get(key) is None
         cache.put(key, True)
         assert cache.get(key) is True
-        assert cache.stats()["hits"] == 1
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_negative_verdicts_are_cached_too(self):
         cache = SignatureCache(maxsize=4)

@@ -232,7 +232,7 @@ class TestShardedRestart:
                 restarted.append(shard_id)
                 cluster.loop.schedule_in(
                     0.0,
-                    lambda: cluster.restart_coordinator_from_disk(shard_id, 9),
+                    lambda: cluster.agents[shard_id].restart_from_disk(torn_bytes=9),
                 )
 
         for agent in cluster.agents.values():
@@ -274,7 +274,7 @@ class TestShardedRestart:
         home = cluster.router.home_of_tx(create.tx_id)
         shard = cluster.shards[home]
         node = shard.engine.validator_order[0]
-        cluster.restart_node_from_disk(home, node, torn_bytes=5)
+        shard.restart_node_from_disk(node, torn_bytes=5)
         cluster.run()
         reference = shard.servers[shard.engine.validator_order[1]]
         restarted = shard.servers[node]

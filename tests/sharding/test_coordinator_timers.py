@@ -139,7 +139,7 @@ class TestRestartFromDiskRearmsInquiryTimers:
                 )
                 cluster.loop.schedule_in(
                     0.0,
-                    lambda: cluster.restart_coordinator_from_disk(shard_id, 3),
+                    lambda: cluster.agents[shard_id].restart_from_disk(torn_bytes=3),
                 )
                 # Shortly after the restart, the recovered lock must have
                 # a re-armed inquiry timer — the regression under test.

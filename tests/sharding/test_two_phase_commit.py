@@ -371,7 +371,7 @@ class TestLateApplyingReplica:
         )
         assert cluster.submit_and_settle(spend.to_dict()).committed_at is not None
         assert cluster.agents[origin].active_locks() == []
-        cluster.restart_node_from_disk(origin, lagging, torn_bytes=8)
+        shard.restart_node_from_disk(lagging, torn_bytes=8)
         cluster.run()
 
         server = shard.servers[lagging]

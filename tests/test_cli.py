@@ -1,4 +1,4 @@
-"""CLI surface."""
+"""CLI surface: ``info`` and the three tools."""
 
 import pathlib
 import re
@@ -15,13 +15,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_known_commands(self):
+    def test_exactly_the_tools(self):
         parser = build_parser()
-        for command in (
-            "info", "demo", "compare", "workload", "shard", "simtest", "reshard"
-        ):
-            args = parser.parse_args([command])
-            assert callable(args.func)
+        assert "{info,simtest,trace,byzantine}" in parser.format_help()
+        for command in ("info", "simtest", "trace", "byzantine"):
+            assert callable(parser.parse_args([command]).func)
 
 
 class TestCommands:
@@ -32,31 +30,27 @@ class TestCommands:
         assert "EDBT 2025" in out
         named = re.findall(r"[\w/.-]+\.(?:md|json|py)\b", out)
         assert named and all((ROOT / name).exists() for name in named), named
+        examples = {f"examples/{path.name}" for path in (ROOT / "examples").glob("*.py")}
+        assert examples and examples <= set(named), examples - set(named)
+        for tool in ("simtest", "trace", "byzantine"):
+            assert f"  {tool} " in out
 
-    def test_workload(self, capsys):
-        assert main(["workload", "--total", "220"]) == 0
+    def test_trace_renders_route_and_span_tree(self, capsys):
+        assert main(["trace"]) == 0
         out = capsys.readouterr().out
-        assert "REQUEST" in out
-        assert "110k" in out
+        assert "routed cross-shard (2PC): home=shard-1 inputs on ['shard-0']" in out
+        assert "outcome: committed" in out
+        tree = [line for line in out.splitlines() if line.startswith(("trace ", "├─", "└─"))]
+        assert tree[0].startswith("trace ") and len(tree) > 10, out
+        for stage in ("submit", "2pc_prepared", "consensus_propose", "wal_group_commit"):
+            assert any(f"  {stage}  " in line for line in tree), stage
+        assert "commit latency: mean_ms=" in out
 
-    def test_demo(self, capsys):
-        assert main(["demo"]) == 0
+    def test_byzantine(self, capsys):
+        assert main(["byzantine", "--steps", "40"]) == 0
         out = capsys.readouterr().out
-        assert "RETURN" in out
-        assert "eventual commit holds: True" in out
-
-    def test_crypto_narrates_per_key_state_in_counts(self, capsys, monkeypatch):
-        from repro.crypto import ed25519
-
-        monkeypatch.setattr(ed25519, "_PUBKEY_CACHE", {})
-        monkeypatch.setattr(ed25519, "_EXPANDED_KEY_CACHE", {})
-        assert main(["crypto", "--batch", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "4 expanded seeds memoised" in out
-        assert "first sight of each key" in out and "(4 keys memoised, 0 tables)" in out
-        assert "second sight of each key" in out and "third sight of each key" in out
-        assert out.count("(4 keys memoised, 4 tables)") == 2
-        assert "'hits': 4, 'misses': 4" in out
+        assert "forged-signature txs admitted to a block: 0" in out
+        assert "all invariants held across" in out
 
     def test_simtest(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -77,10 +71,3 @@ class TestCommands:
             "rejected by cause: 4 [signatures] input signature verification failed, "
             "1 presumed abort, 1 output <ref> already spent by shard-lock:<ref>, 1 <ref> already spent\n"
         ) in out
-
-    def test_reshard(self, capsys):
-        assert main(["reshard"]) == 0
-        out = capsys.readouterr().out
-        assert "policy tripped" in out
-        assert "rolls FORWARD" in out
-        assert "all 21 invariants held" in out
