@@ -50,6 +50,10 @@ Deliberate divergences, documented and unchanged here:
   ``BftConfig.pipelining`` the next height is proposed the moment this
   one commits; lagging nodes adopt certified blocks through catch-up
   instead of line 49, so a message above ``h`` only asks for catch-up.
+* **Catch-up on timeout**: a round timeout that moves to the next round
+  also asks that round's proposer for catch-up (when it is another
+  node), so a node behind idle peers, which send it nothing above
+  ``h``, still learns the blocks it missed.
 """
 
 from __future__ import annotations
@@ -309,7 +313,12 @@ def _on_timeout(state: RoundState, event: TimeoutFired) -> list:
     if not (event.mempool_work or state.undecided()):
         return []
     state.round += 1
-    return [ArmTimeout(), *_propose(state)]
+    proposer = state.proposer(state.h, state.round)
+    if proposer == state.me:
+        return [ArmTimeout(), *_propose(state)]
+    # Idle peers send nothing above ``h``, so a node left behind would time
+    # out alone forever: each round it skips, it asks the next proposer.
+    return [ArmTimeout(), RequestCatchup(proposer)]
 
 
 def _on_decided(state: RoundState, event: Decided) -> list:

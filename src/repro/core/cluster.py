@@ -583,9 +583,6 @@ class SmartchainCluster:
                 return self.servers[node_id]
         raise ValidationError("all nodes are down")
 
-    def committed_records(self) -> list[TxRecord]:
-        return [record for record in self.records.values() if record.committed_at is not None]
-
     # -- cross-shard hooks (used by repro.sharding) --------------------------------
 
     def set_spend_guard(self, guard) -> None:

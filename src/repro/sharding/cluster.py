@@ -26,7 +26,7 @@ from repro.core.driver import Driver, DriverCallback, SubmitResult
 from repro.core.entries import CONTROLLER, is_entry
 from repro.durability.node import DurabilityConfig, NodeDurability
 from repro.metrics.collector import RunMetrics, collect_metrics
-from repro.sharding.coordinator import COORDINATOR_NODE, TwoPhaseCoordinator
+from repro.sharding.coordinator import TwoPhaseCoordinator
 from repro.sharding.migration import MigrationPolicy, ReshardController
 from repro.sharding.ring import ConsistentHashRing
 from repro.sharding.router import RoutingDecision, ShardRouter
@@ -208,13 +208,6 @@ class ShardedCluster:
 
     def agent_for(self, shard_id: str) -> TwoPhaseCoordinator:
         return self.agents[shard_id]
-
-    def crash_coordinator(self, shard_id: str) -> None:
-        """Kill a shard's 2PC agent (its BFT nodes keep running)."""
-        self.shards[shard_id].failures.crash_now(COORDINATOR_NODE)
-
-    def recover_coordinator(self, shard_id: str) -> None:
-        self.shards[shard_id].failures.recover_now(COORDINATOR_NODE)
 
     # -- submission --------------------------------------------------------------
 
@@ -414,13 +407,6 @@ class ShardedCluster:
         return self.views.owned_outputs_for(public_key)
 
     # -- metrics ------------------------------------------------------------------
-
-    def per_shard_metrics(self) -> dict[str, RunMetrics]:
-        """Independent RunMetrics per shard (home-shard view)."""
-        return {
-            shard_id: collect_metrics(shard_id, cluster.records.values())
-            for shard_id, cluster in self.shards.items()
-        }
 
     def aggregate_metrics(self) -> RunMetrics:
         """Deployment-wide metrics over the merged record set (each

@@ -19,7 +19,8 @@ A run is ``steps`` harness steps.  Each step
 After the last step the harness *quiesces* — repairs every fault,
 drains the loop to a fixpoint — and runs the full registry including
 the quiesce-only invariants (no stuck locks, all 2PC terminal, every
-cross-shard submission settled).
+cross-shard submission settled).  A loop that does not drain within the
+quiesce event cap is itself a ``quiesce_drained`` violation.
 """
 
 from __future__ import annotations
@@ -413,9 +414,17 @@ class SimHarness:
         self._armed_migrate = None
         self._trap_crashed.clear()
         if not (report.violations and cfg.fail_fast):
-            self.plane.quiesce()
+            drained = self.plane.quiesce()
             self.workload.poll()
-            quiesce_violations = self.checker.check_quiesce(quiesce_step)
+            quiesce_violations = [] if drained else [
+                Violation(
+                    "quiesce_drained",
+                    f"{self.plane.loop.pending} events still queued at the quiesce cap",
+                    quiesce_step,
+                    self.plane.now,
+                )
+            ]
+            quiesce_violations += self.checker.check_quiesce(quiesce_step)
             for violation in quiesce_violations:
                 report.invariant_log.append("VIOLATION " + violation.describe())
             report.violations.extend(quiesce_violations)

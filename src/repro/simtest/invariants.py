@@ -1,11 +1,22 @@
 """Global invariants over a (possibly sharded) deployment.
 
-Each invariant is a pure read of durable cluster state — node databases,
-chains, 2PC lock/outbox tables, facade records — returning a list of
-violation strings.  Per-``step`` invariants hold in *every* reachable
-state, including mid-crash and mid-partition; ``quiesce`` invariants
-hold only once everything is healed and the loop has drained (no stuck
-locks, every submission settled).
+Each invariant reads cluster state — node databases, chains, 2PC
+lock/outbox tables, facade records — and returns a list of violation
+strings.  Per-``step`` invariants hold in *every* reachable state,
+including mid-crash and mid-partition; ``quiesce`` invariants hold only
+once everything is healed and the loop has drained (no stuck locks,
+every submission settled).
+
+One oracle is kept state, not a pure read: each shard's
+:class:`ChainReplay`, held on the plane and extended as its reference
+chain grows, so each committed block is delivered into it once per run.
+It owns "replica state is a function of the chain":
+:func:`replica_utxo_consistency` compares every live replica with it at
+the replica's height (per-height agreement included), and the shard's
+committed history — :func:`applied_transactions`, :func:`mv_consistency`'s
+rebuild, the migration sweeps — is read from it, never from a chosen
+replica.  :func:`wal_prefix_durability` owns "disk equals memory" (every
+collection, field and the lock); the byzantine family owns f<n/3 safety.
 
 The registry is the Jepsen-style half of the harness: schedules make
 histories, these make verdicts.
@@ -17,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.consensus.abci import deliver_block
-from repro.core.entries import SHARD_IMPORT, imported_utxos, is_entry
+from repro.core.entries import is_entry
 from repro.simtest.plane import FaultPlane
 
 #: An invariant body: plane -> violation strings (empty = holds).
@@ -61,54 +72,133 @@ class Violation:
         )
 
 
-# -- shared state readers ---------------------------------------------------------
+# -- the chain replay -------------------------------------------------------------
+
+#: Collection -> the fields one row is compared by in the replay comparison.
+REPLAY_KEYS = {
+    "transactions": ("id",),
+    "utxos": ("transaction_id", "output_index", "public_keys", "amount"),
+    "blocks": ("height", "block_id", "transaction_ids"),
+}
 
 
-def _reference_server(shard):
-    """The node with the longest applied chain (ties: validator order).
+def _frozen(value: Any) -> Any:
+    return tuple(value) if type(value) is list else value
 
-    Chain-agreement is itself an invariant, so any maximal node is a
-    faithful read of the shard's committed history — including nodes
-    currently crashed, whose durable storage survives.
+
+def _rows(documents, name: str) -> set[tuple]:
+    fields = REPLAY_KEYS[name]
+    return {tuple(map(_frozen, map(document.get, fields))) for document in documents}
+
+
+class _Writes(list):
+    """The replay database's journal sink: the logical ops of one block."""
+
+    def append(self, record: dict[str, Any], body: bytes | None = None) -> None:
+        super().append(record)
+
+
+class ChainReplay:
+    """One shard's committed chain, delivered once into a volatile server.
+
+    The reference chain is the longest in-memory chain of the shard's
+    validators (ties: validator order; a crashed node's chain counts).
+    :meth:`extend` delivers only the blocks it gained since the last
+    call, through :func:`~repro.consensus.abci.deliver_block` on
+    :meth:`~repro.core.cluster.SmartchainCluster.replay_server` — the
+    path the consensus engine drives, nothing else.  The in-memory chain
+    carries no delivery time, so every deadline is judged at simulated
+    time 0.  Per height it keeps the :data:`REPLAY_KEYS` rows the block
+    added and removed (inserts read from the database's journal, other
+    writes by re-reading the collection): any lower height's state is the
+    tip's with the deltas above it rewound.
     """
-    best = None
-    best_len = -1
-    for node_id in shard.engine.validator_order:
-        server = shard.servers[node_id]
-        chain_len = server.database.collection("blocks").count({})
-        if chain_len > best_len:
-            best, best_len = server, chain_len
-    return best
+
+    def __init__(self, shard_id: str, shard):
+        self.shard = shard
+        self.shard_id = shard_id
+        self.server = shard.replay_server()
+        self.database = self.server.database
+        self._writes = _Writes()
+        self.database.attach_wal(self._writes)
+        self._committed: set[str] = set()
+        self.block_ids: list[str] = []
+        #: tx id -> (shard id, stored payload) of every delivered transaction.
+        self.applied: dict[str, tuple[str, dict[str, Any]]] = {}
+        #: Collection -> rows at the tip.
+        self.rows: dict[str, set[tuple]] = {name: set() for name in REPLAY_KEYS}
+        #: ``deltas[h - 1]``: collection -> (rows added, rows removed) at height ``h``.
+        self.deltas: list[dict[str, tuple[set[tuple], set[tuple]]]] = []
+        #: Why the reference chain stopped extending the replayed prefix.
+        self.broken: str | None = None
+
+    def extend(self) -> None:
+        """Deliver what the reference chain gained since the last call."""
+        engine = self.shard.engine
+        chain = max((engine.validator(n).chain for n in engine.validator_order), key=len)
+        height = len(self.block_ids)
+        # A block id hashes its parent's, so the tip id vouches for the prefix.
+        if self.broken is None and height and (
+            len(chain) < height or chain[height - 1].block_id != self.block_ids[-1]
+        ):
+            self.broken = f"reference chain no longer extends the {height} replayed blocks"
+        if self.broken is not None:
+            return
+        transactions = self.database.collection("transactions")
+        for block in chain[height:]:
+            self._writes.clear()
+            for envelope in deliver_block(self.server, block, self._committed):
+                payload = transactions.find_one({"id": envelope.tx_id}, copy=False)
+                if payload is not None:
+                    self.applied[envelope.tx_id] = (self.shard_id, payload)
+            self.block_ids.append(block.block_id)
+            self.deltas.append({name: self._advance(name) for name in REPLAY_KEYS})
+
+    def _advance(self, name: str) -> tuple[set[tuple], set[tuple]]:
+        """Move collection ``name``'s tip rows past the block just delivered."""
+        writes = [record for record in self._writes if record["c"] == name]
+        tip = self.rows[name]
+        if all(record["op"] == "insert" for record in writes):
+            added = _rows((record["d"] for record in writes), name) - tip
+            removed: set[tuple] = set()
+        else:
+            after = _rows(self.database.collection(name).find({}, copy=False), name)
+            added, removed = after - tip, tip - after
+        tip -= removed
+        tip |= added
+        return added, removed
+
+    def states(self, heights):
+        """``(height, rows)`` for each of ``heights`` (at most the tip),
+        highest first.  ``rows`` is rewound in place for the next one."""
+        rows = {name: set(tip) for name, tip in self.rows.items()}
+        height = len(self.deltas)
+        for target in sorted(heights, reverse=True):
+            while height > target:
+                height -= 1
+                for name, (added, removed) in self.deltas[height].items():
+                    rows[name] -= added
+                    rows[name] |= removed
+            yield target, rows
+
+
+def chain_replay(plane: FaultPlane, shard_id: str) -> ChainReplay:
+    """``shard_id``'s replay, kept on the plane and extended to its reference chain."""
+    replay = plane.replays.get(shard_id)
+    if replay is None:
+        replay = plane.replays[shard_id] = ChainReplay(shard_id, plane.shard_cluster(shard_id))
+    replay.extend()
+    return replay
 
 
 def applied_transactions(plane: FaultPlane) -> dict[str, tuple[str, dict[str, Any]]]:
-    """tx_id -> (shard_id, payload) over every shard's applied history.
-
-    "Applied" means listed in a committed block's ``transaction_ids`` —
-    the authoritative per-shard state, as opposed to facade records
-    (which include rejections) or the ``transactions`` collection (which
-    also holds cross-shard reference imports).
-
-    Memoised per loop position: invariant checks run back-to-back with
-    no events in between, so one scan serves the whole check round
-    instead of every chain-reading invariant repeating it (which made
-    runs quadratic in step count).
-    """
-    cache = getattr(plane, "_applied_cache", None)
-    position = plane.loop.processed
-    if cache is not None and cache[0] == position:
-        return cache[1]
+    """tx_id -> (shard_id, payload) over every shard's applied history:
+    what the committed blocks of its chain replay delivered — not facade
+    records (which include rejections) nor the ``transactions`` collection
+    (which also holds cross-shard reference imports)."""
     out: dict[str, tuple[str, dict[str, Any]]] = {}
     for shard_id in plane.shard_ids:
-        shard = plane.shard_cluster(shard_id)
-        server = _reference_server(shard)
-        transactions = server.database.collection("transactions")
-        for block in server.database.collection("blocks").find({}, copy=False):
-            for tx_id in block["transaction_ids"]:
-                payload = transactions.find_one({"id": tx_id}, copy=False)
-                if payload is not None:
-                    out[tx_id] = (shard_id, payload)
-    plane._applied_cache = (position, out)
+        out.update(chain_replay(plane, shard_id).applied)
     return out
 
 
@@ -124,9 +214,11 @@ def _spent_refs(payload: dict[str, Any]):
             yield (fulfills["transaction_id"], fulfills["output_index"])
 
 
-def _migrator(plane: FaultPlane):
-    """The deployment's reshard controller, if elastic resharding is wired."""
-    return getattr(plane.cluster, "migrator", None)
+def _utxo_live(plane: FaultPlane, shard_id: str, ref: tuple[str, int]) -> bool:
+    """Does ``ref`` sit in ``shard_id``'s UTXO set, as its chain replay has it?"""
+    utxos = chain_replay(plane, shard_id).database.collection("utxos")
+    query = {"transaction_id": ref[0], "output_index": ref[1]}
+    return utxos.find_one(query, copy=False) is not None
 
 
 def _migrated_final_home(migrator) -> dict[tuple[str, int], str]:
@@ -166,34 +258,18 @@ def no_double_spend(plane: FaultPlane) -> list[str]:
 
 
 def chain_consistency(plane: FaultPlane) -> list[str]:
-    """Per shard: every node's chain is height-contiguous and all nodes
-    agree at every height they share — on the block id *and* on the set
-    of transactions the block delivered (``deliver_tx`` divergence hides
-    behind identical block ids, which are fixed at proposal time)."""
+    """Per shard: every node's stored chain is height-contiguous.  (That
+    the nodes agree at every height is the ``blocks`` half of
+    :func:`replica_utxo_consistency`.)"""
     violations = []
     for shard_id in plane.shard_ids:
         shard = plane.shard_cluster(shard_id)
-        by_height: dict[int, dict[str, tuple[str, tuple[str, ...]]]] = {}
         for node_id in shard.engine.validator_order:
             blocks = shard.servers[node_id].database.collection("blocks").find({}, copy=False)
             heights = sorted(block["height"] for block in blocks)
             if heights != list(range(1, len(heights) + 1)):
                 violations.append(
                     f"{shard_id}/{node_id}: non-contiguous heights {heights[:6]}..."
-                )
-            for block in blocks:
-                by_height.setdefault(block["height"], {})[node_id] = (
-                    block["block_id"],
-                    tuple(sorted(block["transaction_ids"])),
-                )
-        for height, views in sorted(by_height.items()):
-            if len(set(views.values())) > 1:
-                detail = " ".join(
-                    f"{node}={bid[:8]}/{len(txs)}tx"
-                    for node, (bid, txs) in sorted(views.items())
-                )
-                violations.append(
-                    f"{shard_id}: replicas disagree at height {height}: {detail}"
                 )
     return violations
 
@@ -228,49 +304,54 @@ def conservation(plane: FaultPlane) -> list[str]:
     return violations
 
 
+def replay_determinism(plane: FaultPlane) -> dict[str, dict[str, tuple[int, int]]]:
+    """How far each live replica's state is from :func:`chain_replay` at
+    the replica's own chain height: ``{"shard/node": {collection:
+    (missing, extra)}}``, rows the replay has and the replica lacks and
+    the reverse, compared by :data:`REPLAY_KEYS`.  An out-of-band write
+    shows up here; a replica whose state is a function of its chain reads
+    ``(0, 0)`` throughout.  A shard whose replay is broken has no rows.
+    """
+    report: dict[str, dict[str, tuple[int, int]]] = {}
+    for shard_id in plane.shard_ids:
+        replay = chain_replay(plane, shard_id)
+        if replay.broken:
+            continue
+        shard = replay.shard
+        live: dict[int, list[str]] = {}
+        for node_id in shard.engine.validator_order:
+            if not shard.network.is_crashed(node_id):
+                live.setdefault(len(shard.engine.validator(node_id).chain), []).append(node_id)
+        for height, expected in replay.states(live):
+            for node_id in live[height]:
+                database = shard.servers[node_id].database
+                report[f"{shard_id}/{node_id}"] = {
+                    name: (len(want - got), len(got - want))
+                    for name, want in expected.items()
+                    for got in (_rows(database.collection(name).find({}, copy=False), name),)
+                }
+    return dict(sorted(report.items()))
+
+
 def replica_utxo_consistency(plane: FaultPlane) -> list[str]:
-    """Each node's ``utxos`` view equals what replaying its own chain, in
-    height order, predicts: every delivered transaction's outputs minus
-    what later inputs (spends, consumes, exports) name, plus what imports
-    mint."""
+    """Every live replica's ``transactions``, ``utxos`` and ``blocks``
+    equal its shard's chain replay at the replica's height
+    (:func:`replay_determinism` reads ``(0, 0)`` everywhere), and each
+    shard's reference chain still extends what was replayed.  Agreement
+    on the ``blocks`` rows is per-height chain agreement, block ids and
+    delivered transactions alike (``deliver_tx`` divergence hides behind
+    identical block ids, which are fixed at proposal time)."""
     violations = []
     for shard_id in plane.shard_ids:
-        shard = plane.shard_cluster(shard_id)
-        for node_id in shard.engine.validator_order:
-            server = shard.servers[node_id]
-            transactions = server.database.collection("transactions")
-            expected: set[tuple[str, int]] = set()
-            blocks = server.database.collection("blocks").find({}, copy=False)
-            for block in sorted(blocks, key=lambda doc: doc["height"]):
-                for tx_id in block["transaction_ids"]:
-                    payload = transactions.find_one({"id": tx_id}, copy=False)
-                    if payload is None:
-                        continue
-                    for index in range(len(payload.get("outputs", []))):
-                        expected.add((tx_id, index))
-                    if payload.get("operation") == SHARD_IMPORT:
-                        expected.update(
-                            (doc["transaction_id"], doc["output_index"])
-                            for doc in imported_utxos(payload)
-                        )
-                    for item in payload.get("inputs", []):
-                        fulfills = item.get("fulfills")
-                        if fulfills:
-                            expected.discard(
-                                (fulfills["transaction_id"], fulfills["output_index"])
-                            )
-            actual = {
-                (doc["transaction_id"], doc["output_index"])
-                for doc in server.database.collection("utxos").find({}, copy=False)
-            }
-            if expected != actual:
-                ghost = sorted(actual - expected)[:3]
-                missing = sorted(expected - actual)[:3]
-                violations.append(
-                    f"{shard_id}/{node_id}: utxo view drifted "
-                    f"(ghost={[(t[:8], i) for t, i in ghost]} "
-                    f"missing={[(t[:8], i) for t, i in missing]})"
-                )
+        broken = chain_replay(plane, shard_id).broken
+        if broken:
+            violations.append(f"{shard_id}: {broken}")
+    for replica, diff in replay_determinism(plane).items():
+        if any(cells != (0, 0) for cells in diff.values()):
+            violations.append(
+                f"{replica}: state is not a replay of its chain "
+                + " ".join(f"{name}={cells}" for name, cells in diff.items() if cells != (0, 0))
+            )
     return violations
 
 
@@ -304,41 +385,18 @@ def lock_outbox_consistency(plane: FaultPlane) -> list[str]:
 
 
 def metrics_consistency(plane: FaultPlane) -> list[str]:
-    """Aggregate metrics equal the sum of their per-shard parts."""
-    violations = []
-    cluster = plane.cluster
-    if plane.sharded:
-        merged = cluster.records
-        committed_ids = {
-            tx_id for tx_id, record in merged.items() if record.committed_at is not None
-        }
-        aggregate = cluster.aggregate_metrics()
-        if aggregate.committed != len(committed_ids):
-            violations.append(
-                f"aggregate committed={aggregate.committed} but merged records "
-                f"show {len(committed_ids)}"
-            )
-        per_shard_total = sum(
-            metrics.committed for metrics in cluster.per_shard_metrics().values()
-        )
-        shard_committed_ids = {
-            tx_id
-            for shard in cluster.shards.values()
-            for tx_id, record in shard.records.items()
-            if record.committed_at is not None
-        }
-        if per_shard_total != len(shard_committed_ids):
-            violations.append(
-                f"per-shard committed totals {per_shard_total} != "
-                f"{len(shard_committed_ids)} distinct shard-level commits"
-            )
-    else:
-        committed = sum(
-            1 for record in cluster.records.values() if record.committed_at is not None
-        )
-        if committed != len(cluster.committed_records()):
-            violations.append("committed_records() disagrees with record flags")
-    return violations
+    """No transaction id is committed on two shards' records — the
+    per-shard metrics would count it twice."""
+    homes: dict[str, list[str]] = {}
+    for shard_id, shard in sorted(plane.cluster.shards.items()):
+        for tx_id, record in shard.records.items():
+            if record.committed_at is not None:
+                homes.setdefault(tx_id, []).append(shard_id)
+    return [
+        f"tx {tx_id[:8]} committed on {len(shards)} shards: " + ",".join(shards)
+        for tx_id, shards in sorted(homes.items())
+        if len(shards) > 1
+    ]
 
 
 def mempool_discipline(plane: FaultPlane) -> list[str]:
@@ -354,11 +412,9 @@ def mempool_discipline(plane: FaultPlane) -> list[str]:
                     f"{shard_id}/{node_id}: seen window {mempool.seen_size()} "
                     f"exceeds bound {mempool.seen_capacity}"
                 )
-            applied_here: set[str] = set()
-            blocks = shard.servers[node_id].database.collection("blocks")
-            for block in blocks.find({}, copy=False):
-                applied_here.update(block["transaction_ids"])
-            resident = set(mempool.pending_ids()) & applied_here
+            blocks = shard.servers[node_id].database.collection("blocks").find({}, copy=False)
+            pooled = set(mempool.pending_ids())
+            resident = {tx for block in blocks for tx in block["transaction_ids"] if tx in pooled}
             if resident:
                 violations.append(
                     f"{shard_id}/{node_id}: committed txs still pooled: "
@@ -416,15 +472,11 @@ def no_forged_admission(plane: FaultPlane) -> list[str]:
     mutated signature in ``plane.forged_tx_ids``; signature verification
     (and the identity-guarded verdict memos in front of it) must reject
     every one of them before a block carries it."""
-    if not plane.forged_tx_ids:
-        return []
-    applied = applied_transactions(plane)
-    violations = []
-    for tx_id in sorted(plane.forged_tx_ids & set(applied)):
-        violations.append(
-            f"forged-signature tx {tx_id[:8]} applied on {applied[tx_id][0]}"
-        )
-    return violations
+    applied = applied_transactions(plane) if plane.forged_tx_ids else {}
+    return [
+        f"forged-signature tx {tx_id[:8]} applied on {applied[tx_id][0]}"
+        for tx_id in sorted(plane.forged_tx_ids & set(applied))
+    ]
 
 
 def equivocation_contained(plane: FaultPlane) -> list[str]:
@@ -474,14 +526,11 @@ def no_stuck_locks(plane: FaultPlane) -> list[str]:
 
 def outbox_terminal(plane: FaultPlane) -> list[str]:
     """Every 2PC instance reached a fully-acknowledged terminal state."""
-    violations = []
-    for shard_id, agent in sorted(plane.agents.items()):
-        for doc in agent.unfinished():
-            violations.append(
-                f"{shard_id}: outbox record {doc['tx_id'][:8]} parked in "
-                f"state={doc['state']}"
-            )
-    return violations
+    return [
+        f"{shard_id}: outbox record {doc['tx_id'][:8]} parked in state={doc['state']}"
+        for shard_id, agent in sorted(plane.agents.items())
+        for doc in agent.unfinished()
+    ]
 
 
 def wal_prefix_durability(plane: FaultPlane) -> list[str]:
@@ -550,7 +599,7 @@ def wal_prefix_durability(plane: FaultPlane) -> list[str]:
         )
         for problem in diff_databases(agent.durable, recovered.database):
             violations.append(f"{shard_id}/agent: {problem}")
-    migrator = _migrator(plane)
+    migrator = plane.migrator
     if migrator is not None and migrator.durability is not None:
         if migrator.durability.log.pending:
             violations.append(
@@ -570,11 +619,10 @@ def mv_consistency(plane: FaultPlane) -> list[str]:
     """Every materialized view equals a from-scratch recomputation.
 
     Rebuilds a fresh :class:`~repro.views.manager.ViewManager` from each
-    shard's reference replica (the one with the longest chain — chain
-    agreement is its own invariant) and compares canonical snapshots
-    against the live, incrementally-maintained manager.  The oracle reads
-    that replica's ``blocks`` and ``transactions`` collections — what
-    each block *delivered*, a source independent of the commit records
+    shard's :func:`chain_replay` and compares canonical snapshots against
+    the live, incrementally-maintained manager.  The oracle reads the
+    replay's ``blocks`` and ``transactions`` collections — what each
+    block *delivered*, a source independent of the commit records
     the live feed consumes — so a view that applies an envelope DeliverTx
     rejected drifts from it.  Any drift means the commit feed dropped,
     duplicated, mis-ordered or invented an update somewhere in the crash/
@@ -590,19 +638,16 @@ def mv_consistency(plane: FaultPlane) -> list[str]:
     live = plane.cluster.views
     rebuilt = ViewManager()
     for shard_id in plane.shard_ids:
-        shard = plane.shard_cluster(shard_id)
-        reference = max(
-            shard.engine.validator_order, key=lambda n: len(shard.engine.validator(n).chain)
-        )
-        database = shard.servers[reference].database
-        transactions = database.collection("transactions")
-        blocks = database.collection("blocks").find({}, copy=False)
-        for document in sorted(blocks, key=lambda doc: doc["height"]):
+        replay = chain_replay(plane, shard_id)
+        transactions = replay.database.collection("transactions")
+        for document in replay.database.collection("blocks").find({}, copy=False):
             entries = [
                 (tx_id, transactions.find_one({"id": tx_id}, copy=False))
                 for tx_id in document["transaction_ids"]
             ]
-            rebuilt.apply_block_record(shard.view_shard_key, document["height"], entries)
+            rebuilt.apply_block_record(
+                replay.shard.view_shard_key, document["height"], entries
+            )
     expected = rebuilt.consistency_snapshot()
     actual = live.consistency_snapshot()
     violations = []
@@ -657,21 +702,17 @@ def migration_terminal(plane: FaultPlane) -> list[str]:
     phase — ``done`` (cutover rolled forward) or ``rolled_back``
     (presumed abort).  A migration parked anywhere else means recovery
     lost track of it: its fences would block the moving keys forever."""
-    migrator = _migrator(plane)
+    migrator = plane.migrator
     if migrator is None:
         return []
     from repro.sharding.migration import TERMINAL_PHASES
 
-    violations = []
-    for doc in sorted(
-        migrator._journal.find({}, copy=False), key=lambda d: d["migration_id"]
-    ):
-        if doc["phase"] not in TERMINAL_PHASES:
-            violations.append(
-                f"migration {doc['migration_id']} ({doc['source']}->"
-                f"{doc['target']}) parked in phase={doc['phase']}"
-            )
-    return violations
+    return [
+        f"migration {doc['migration_id']} ({doc['source']}->{doc['target']}) "
+        f"parked in phase={doc['phase']}"
+        for doc in sorted(migrator._journal.find({}, copy=False), key=lambda d: d["migration_id"])
+        if doc["phase"] not in TERMINAL_PHASES
+    ]
 
 
 def no_key_lost(plane: FaultPlane) -> list[str]:
@@ -681,7 +722,7 @@ def no_key_lost(plane: FaultPlane) -> list[str]:
     The lost-key failure this catches: a cutover that deleted the source
     copy but (crash, torn write, skipped repair) never materialized the
     target copy — the owner would reject every spend of a live output."""
-    migrator = _migrator(plane)
+    migrator = plane.migrator
     if migrator is None:
         return []
     spent: set[tuple[str, int]] = set()
@@ -691,11 +732,7 @@ def no_key_lost(plane: FaultPlane) -> list[str]:
     for (tx_id, index), owner in sorted(_migrated_final_home(migrator).items()):
         if (tx_id, index) in spent or owner not in plane.shard_ids:
             continue
-        server = _reference_server(plane.shard_cluster(owner))
-        doc = server.database.collection("utxos").find_one(
-            {"transaction_id": tx_id, "output_index": index}, copy=False
-        )
-        if doc is None:
+        if not _utxo_live(plane, owner, (tx_id, index)):
             violations.append(
                 f"migrated output {tx_id[:8]}:{index} lost — unspent but "
                 f"absent from final owner {owner}"
@@ -711,20 +748,13 @@ def no_key_duplicated(plane: FaultPlane) -> list[str]:
     The double-spend enabler this catches: an import that materialized
     the target copy while the source kept its own — both shards would
     accept a spend of the same output."""
-    migrator = _migrator(plane)
+    migrator = plane.migrator
     if migrator is None:
         return []
     violations = []
     final_home = _migrated_final_home(migrator)
     for (tx_id, index), owner in sorted(final_home.items()):
-        holders = []
-        for shard_id in plane.shard_ids:
-            server = _reference_server(plane.shard_cluster(shard_id))
-            present = server.database.collection("utxos").find_one(
-                {"transaction_id": tx_id, "output_index": index}, copy=False
-            )
-            if present is not None:
-                holders.append(shard_id)
+        holders = [s for s in plane.shard_ids if _utxo_live(plane, s, (tx_id, index))]
         if len(holders) > 1:
             violations.append(
                 f"migrated output {tx_id[:8]}:{index} live on multiple "
@@ -746,95 +776,14 @@ def no_key_duplicated(plane: FaultPlane) -> list[str]:
         target = doc["target"]
         if target not in plane.shard_ids:
             continue
-        server = _reference_server(plane.shard_cluster(target))
-        utxos = server.database.collection("utxos")
         for row in doc.get("planned_refs") or []:
             ref = (row[0], row[1])
-            if final_home.get(ref) == target:
-                continue
-            if utxos.find_one(
-                {"transaction_id": ref[0], "output_index": ref[1]}, copy=False
-            ) is not None:
+            if final_home.get(ref) != target and _utxo_live(plane, target, ref):
                 violations.append(
                     f"rolled-back migration {doc['migration_id']} left "
                     f"{ref[0][:8]}:{ref[1]} behind on target {target}"
                 )
     return violations
-
-
-#: Collection -> the fields one row is compared by in :func:`replay_determinism`.
-REPLAY_KEYS = {
-    "transactions": ("id",),
-    "utxos": ("transaction_id", "output_index", "public_keys", "amount"),
-    "blocks": ("height", "block_id", "transaction_ids"),
-}
-
-
-def replay_determinism(plane: FaultPlane) -> dict[str, dict[str, tuple[int, int]]]:
-    """How far each live replica's state is from a pure replay of its chain.
-
-    For every shard the reference replica's chain (the longest) is
-    re-delivered, block by block, through a fresh volatile server
-    (:meth:`~repro.core.cluster.SmartchainCluster.replay_server`) by
-    :func:`~repro.consensus.abci.deliver_block` — the path the consensus
-    engine drives, nothing else; the replay server knows only what every
-    node knows (the shard it serves and every shard's validator keys, to
-    check cross-shard evidence).  The in-memory chain carries no delivery
-    time (a node's ``block`` frames do), so the replay judges every
-    deadline at simulated time 0.  Each live replica is compared
-    with the replay at its own chain height.  Returns ``{"shard/node":
-    {collection: (missing, extra)}}``: rows the replay has and the
-    replica lacks, and the reverse, compared by :data:`REPLAY_KEYS`.  An
-    out-of-band write shows up here; a replica whose state is a function
-    of its chain reads ``(0, 0)`` throughout (enforced by
-    :func:`replay_divergence`).
-    """
-
-    def rows(database, name: str) -> set[tuple]:
-        fields = REPLAY_KEYS[name]
-        return {
-            tuple(
-                tuple(value) if isinstance(value, list) else value
-                for value in (document.get(field) for field in fields)
-            )
-            for document in database.collection(name).find({}, copy=False)
-        }
-
-    report: dict[str, dict[str, tuple[int, int]]] = {}
-    for shard_id in plane.shard_ids:
-        shard = plane.shard_cluster(shard_id)
-        engine = shard.engine
-        reference = max(engine.validator_order, key=lambda n: len(engine.validator(n).chain))
-        replay = shard.replay_server()
-        live: dict[int, list[str]] = {}
-        for node_id in engine.validator_order:
-            if not shard.network.is_crashed(node_id):
-                live.setdefault(len(engine.validator(node_id).chain), []).append(node_id)
-        committed: set[str] = set()
-        for height in range(len(engine.validator(reference).chain) + 1):
-            if height:
-                deliver_block(replay, engine.validator(reference).chain[height - 1], committed)
-            if height not in live:
-                continue
-            expected = {name: rows(replay.database, name) for name in REPLAY_KEYS}
-            for node_id in live[height]:
-                database = shard.servers[node_id].database
-                report[f"{shard_id}/{node_id}"] = {
-                    name: (len(want - got), len(got - want))
-                    for name, want in expected.items()
-                    for got in (rows(database, name),)
-                }
-    return dict(sorted(report.items()))
-
-
-def replay_divergence(plane: FaultPlane) -> list[str]:
-    """:func:`replay_determinism` enforced: every cell reads ``(0, 0)``."""
-    return [
-        f"{replica}: state is not a replay of its chain "
-        + " ".join(f"{name}={cells}" for name, cells in diff.items() if cells != (0, 0))
-        for replica, diff in replay_determinism(plane).items()
-        if any(cells != (0, 0) for cells in diff.values())
-    ]
 
 
 def nested_eventual_commit(plane: FaultPlane) -> list[str]:
@@ -864,28 +813,28 @@ def nested_eventual_commit(plane: FaultPlane) -> list[str]:
 
 def all_cross_settled(plane: FaultPlane) -> list[str]:
     """Every cross-shard submission has a final outcome at quiesce."""
-    if not plane.sharded:
-        return []
-    violations = []
-    for tx_id, record in sorted(plane.cluster.cross_records.items()):
-        if record.committed_at is None and record.rejected is None:
-            violations.append(f"cross-shard tx {tx_id[:8]} never settled")
-    return violations
+    return [
+        f"cross-shard tx {tx_id[:8]} never settled"
+        for tx_id, record in sorted(plane.cluster.cross_records.items())
+        if record.committed_at is None and record.rejected is None
+    ]
 
 
 DEFAULT_INVARIANTS: list[Invariant] = [
     Invariant("no_double_spend", no_double_spend),
-    # Full per-node chain re-reads: cadenced like the other chain
-    # replayers (still runs unconditionally at quiesce).
+    # Full per-node chain re-reads: cadenced like the replay comparison
+    # (still runs unconditionally at quiesce).
     Invariant("chain_consistency", chain_consistency, every=5),
     Invariant("conservation", conservation),
+    # Every live replica == its shard's chain replay at its height:
+    # cross-shard state moves only through certified chain entries.
     Invariant("replica_utxo_consistency", replica_utxo_consistency, every=5),
     Invariant("lock_outbox_consistency", lock_outbox_consistency, sharded_only=True),
-    Invariant("metrics_consistency", metrics_consistency),
+    Invariant("metrics_consistency", metrics_consistency, sharded_only=True),
     Invariant("mempool_discipline", mempool_discipline, every=5),
     # Byzantine-fault family: safety under lying validators and forging
-    # clients (ISSUE 6).  Divergence/rollback checks replay in-memory
-    # chains, so they share the chain-replayers' cadence.
+    # clients.  Divergence/rollback checks walk in-memory
+    # chains, so they share the chain readers' cadence.
     Invariant("honest_no_divergence", honest_no_divergence, every=5),
     Invariant("no_forged_admission", no_forged_admission),
     Invariant("equivocation_contained", equivocation_contained, every=5),
@@ -902,11 +851,8 @@ DEFAULT_INVARIANTS: list[Invariant] = [
     Invariant("wal_prefix_durability", wal_prefix_durability, scope="quiesce"),
     # Incremental views == from-scratch recomputation.
     Invariant("mv_consistency", mv_consistency, scope="quiesce"),
-    # Full walks over the live views: the chain replayers' cadence.
+    # Full walks over the live views: the chain readers' cadence.
     Invariant("custody_memo", custody_memo, every=5),
-    # Every live replica == a fresh replay of its chain: cross-shard
-    # state moves only through certified chain entries.
-    Invariant("replay_determinism", replay_divergence, every=25),
     Invariant("nested_eventual_commit", nested_eventual_commit, scope="quiesce"),
 ]
 
@@ -929,27 +875,19 @@ class InvariantChecker:
             if invariant.scope == scope and (self.plane.sharded or not invariant.sharded_only)
         ]
 
-    def check_step(self, step: int) -> list[Violation]:
-        """Run due per-step invariants; returns any violations."""
+    def _run(self, invariants: list[Invariant], step: int) -> list[Violation]:
         violations: list[Violation] = []
-        for invariant in self.applicable("step"):
-            if step % invariant.every != 0:
-                continue
+        for invariant in invariants:
             self.checks_run[invariant.name] = self.checks_run.get(invariant.name, 0) + 1
             for detail in invariant.fn(self.plane):
-                violations.append(
-                    Violation(invariant.name, detail, step, self.plane.now)
-                )
+                violations.append(Violation(invariant.name, detail, step, self.plane.now))
         return violations
+
+    def check_step(self, step: int) -> list[Violation]:
+        """Run due per-step invariants; returns any violations."""
+        due = [i for i in self.applicable("step") if step % i.every == 0]
+        return self._run(due, step)
 
     def check_quiesce(self, step: int) -> list[Violation]:
         """Run everything — per-step *and* quiesce-only — after repair."""
-        violations: list[Violation] = []
-        for scope in ("step", "quiesce"):
-            for invariant in self.applicable(scope):
-                self.checks_run[invariant.name] = self.checks_run.get(invariant.name, 0) + 1
-                for detail in invariant.fn(self.plane):
-                    violations.append(
-                        Violation(invariant.name, detail, step, self.plane.now)
-                    )
-        return violations
+        return self._run(self.applicable("step") + self.applicable("quiesce"), step)

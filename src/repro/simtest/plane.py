@@ -1,9 +1,9 @@
 """The fault plane: one chaos surface over both deployment shapes.
 
-PR 2 scattered ad-hoc crash knobs across the stack — ``Network.crash``,
-``FailureInjector.crash_now``, ``ShardedCluster.crash_coordinator``,
-private recovery drivers on the cluster and the 2PC agent.  The
-:class:`FaultPlane` gathers them behind one interface that treats a
+Crash knobs live all over the stack — ``Network.crash``,
+``FailureInjector.crash_now``, the recovery drivers on the cluster and
+the 2PC agent.  The :class:`FaultPlane` is the one fault surface over
+them (the only coordinator crash hook), an interface that treats a
 plain :class:`~repro.core.cluster.SmartchainCluster` and a
 :class:`~repro.sharding.cluster.ShardedCluster` uniformly, so a fault
 schedule generated for one topology replays against the other.
@@ -59,8 +59,8 @@ class FaultPlane:
         #: or mutated signatures — ``no_forged_admission`` asserts none
         #: of them ever reaches an applied block.
         self.forged_tx_ids: set[str] = set()
-        #: (loop position, result) memo for invariants.applied_transactions.
-        self._applied_cache: tuple | None = None
+        #: shard -> its invariants.ChainReplay, extended as the chain grows.
+        self.replays: dict[str, Any] = {}
 
     # -- topology ---------------------------------------------------------------
 
@@ -283,13 +283,15 @@ class FaultPlane:
 
     # -- quiesce -------------------------------------------------------------------
 
-    def quiesce(self, max_events: int = 2_000_000, rounds: int = 4) -> None:
+    def quiesce(self, max_events: int = 2_000_000, rounds: int = 4) -> bool:
         """Repair everything and drain the deployment to a fixpoint.
 
         Heals partitions, clears chaos, recovers every crashed node and
         coordinator, then alternates ``run_until_idle`` with 2PC
         ``resume()`` kicks until no agent holds undecided state (bounded
         by ``rounds`` — parked retries need at most one kick per side).
+        Returns whether the loop drained: False means ``max_events`` ran
+        out first, i.e. something keeps scheduling work forever.
         """
         for shard_id in self.shard_ids:
             for node_id in list(self._byzantine.get(shard_id, {})):
@@ -325,3 +327,4 @@ class FaultPlane:
             if migrator is not None:
                 migrator.resume()
             self.loop.run_until_idle(max_events=max_events)
+        return not self.loop.pending

@@ -140,7 +140,7 @@ class TestFullPipelineCheckCounts:
             )
             cluster.submit_payload(payload)
         cluster.run()
-        committed = cluster.committed_records()
+        committed = [r for r in cluster.records.values() if r.committed_at is not None]
         assert len(committed) == n_txs
         for node_id, server in cluster.servers.items():
             assert server.stats["checked"] == n_txs, (node_id, server.stats)

@@ -118,7 +118,7 @@ def commit_fixed_mix(cluster) -> list[str]:
     cluster.run()
     cluster.submit_payload(driver.prepare_accept_bid(SALLY, request.tx_id, bids[0]).to_dict())
     cluster.run()
-    records = cluster.committed_records()
+    records = [r for r in cluster.records.values() if r.committed_at is not None]
     assert [record.rejected for record in cluster.records.values()] == [None] * 10
     assert sorted(Counter(record.operation for record in records).items()) == [
         ("ACCEPT_BID", 1), ("BID", 2), ("CREATE", 4), ("REQUEST", 1), ("RETURN", 1), ("TRANSFER", 1),

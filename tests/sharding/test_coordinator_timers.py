@@ -21,6 +21,7 @@ from repro.crypto import keypair_from_string
 from repro.durability.node import DurabilityConfig
 from repro.sharding.cluster import ShardedCluster, ShardedClusterConfig
 from repro.sharding.router import SHARD_KEY_METADATA
+from repro.simtest.plane import FaultPlane
 
 
 @pytest.fixture()
@@ -122,6 +123,7 @@ class TestRestartFromDiskRearmsInquiryTimers:
         cluster = ShardedCluster(
             ShardedClusterConfig(n_shards=2, seed=11, durability=DurabilityConfig())
         )
+        plane = FaultPlane(cluster)
         transfer = self._cross_shard_prepare(cluster)
         observed = {}
         timer_checks = []
@@ -135,7 +137,7 @@ class TestRestartFromDiskRearmsInquiryTimers:
                 # Kill the coordinator agent (no decision will come),
                 # then rebuild the participant purely from its disk.
                 cluster.loop.schedule_in(
-                    0.0, lambda: cluster.crash_coordinator(coordinator)
+                    0.0, lambda: plane.crash_coordinator(coordinator)
                 )
                 cluster.loop.schedule_in(
                     0.0,
@@ -171,7 +173,7 @@ class TestRestartFromDiskRearmsInquiryTimers:
             observed["tx"]
         ]
         # Once the coordinator recovers, presumed abort terminates it.
-        cluster.recover_coordinator(observed["coordinator"])
+        plane.recover_coordinator(observed["coordinator"])
         cluster.run()
         assert participant.active_locks() == []
         assert participant.unfinished() == []

@@ -12,6 +12,7 @@ import pytest
 from repro.crypto.keys import keypair_from_string
 from repro.sharding import ShardedCluster, ShardedClusterConfig
 from repro.sharding.router import SHARD_KEY_METADATA
+from repro.simtest.plane import FaultPlane
 
 
 def _sharded(n_shards: int = 2, **kwargs) -> ShardedCluster:
@@ -144,16 +145,17 @@ class TestCoordinatorCrash:
     def test_crash_between_prepare_and_commit_aborts_cleanly(self, staged):
         """The headline recovery case: intent is durable but undecided."""
         cluster, owner, create_tx, transfer_tx, origin, target = staged
+        plane = FaultPlane(cluster)
         start = cluster.loop.clock.now
         cluster.submit_payload(transfer_tx.to_dict())
         # Stop just after PREPARE went out, before the vote returns.
         cluster.loop.run(until=start + 0.007)
-        cluster.crash_coordinator(target)
+        plane.crash_coordinator(target)
         cluster.run()
         # While the coordinator is down the origin lock is held...
         assert len(cluster.agents[origin].active_locks()) == 1
         assert _origin_utxo_present(cluster, create_tx, origin)
-        cluster.recover_coordinator(target)
+        plane.recover_coordinator(target)
         cluster.run()
         # ...and recovery presumed-aborts: no half-spent state anywhere.
         record = cluster.records[transfer_tx.tx_id]
@@ -170,14 +172,15 @@ class TestCoordinatorCrash:
     def test_crash_after_home_commit_still_consumes_origin(self, staged):
         """Commit-pending recovery: the home chain is the source of truth."""
         cluster, _, create_tx, transfer_tx, origin, target = staged
+        plane = FaultPlane(cluster)
         start = cluster.loop.clock.now
         cluster.submit_payload(transfer_tx.to_dict())
         # Let prepare + vote + home submit happen, then kill the
         # coordinator while the home BFT is still ordering the block.
         cluster.loop.run(until=start + 0.02)
-        cluster.crash_coordinator(target)
+        plane.crash_coordinator(target)
         cluster.run()
-        cluster.recover_coordinator(target)
+        plane.recover_coordinator(target)
         cluster.run()
         record = cluster.records[transfer_tx.tx_id]
         if record.committed_at is not None:
@@ -197,7 +200,8 @@ class TestCoordinatorCrash:
 class TestParticipantFailure:
     def test_participant_down_at_prepare_times_out_to_abort(self, staged):
         cluster, _, create_tx, transfer_tx, origin, _ = staged
-        cluster.crash_coordinator(origin)  # participant agent for this 2PC
+        plane = FaultPlane(cluster)
+        plane.crash_coordinator(origin)  # participant agent for this 2PC
         cluster.submit_payload(transfer_tx.to_dict())
         cluster.run()
         record = cluster.records[transfer_tx.tx_id]
@@ -205,21 +209,22 @@ class TestParticipantFailure:
         assert "timeout" in record.rejected
         # Nothing was consumed or locked on the origin shard.
         assert _origin_utxo_present(cluster, create_tx, origin)
-        cluster.recover_coordinator(origin)
+        plane.recover_coordinator(origin)
         cluster.run()
         assert cluster.agents[origin].active_locks() == []
 
     def test_participant_crash_after_lock_recovers_and_releases(self, staged):
         """Participant timeout case: the lock must not outlive the abort."""
         cluster, _, create_tx, transfer_tx, origin, target = staged
+        plane = FaultPlane(cluster)
         start = cluster.loop.clock.now
         cluster.submit_payload(transfer_tx.to_dict())
         # Participant locks at ~0.01 (prepare delivery); crash right after
         # so its YES vote is sent but the later decision finds it down.
         cluster.loop.run(until=start + 0.012)
-        cluster.crash_coordinator(origin)
+        plane.crash_coordinator(origin)
         cluster.run()
-        cluster.recover_coordinator(origin)
+        plane.recover_coordinator(origin)
         cluster.run()
         # Whatever the outcome, the lock resolved after recovery.
         assert cluster.agents[origin].active_locks() == []
@@ -233,12 +238,13 @@ class TestRetryAfterAbort:
         """A client retry of an aborted 2PC replaces the terminal outbox
         row instead of tripping its unique index (regression)."""
         cluster, owner, create_tx, transfer_tx, origin, target = staged
+        plane = FaultPlane(cluster)
         start = cluster.loop.clock.now
         cluster.submit_payload(transfer_tx.to_dict())
         cluster.loop.run(until=start + 0.007)
-        cluster.crash_coordinator(target)
+        plane.crash_coordinator(target)
         cluster.run()
-        cluster.recover_coordinator(target)
+        plane.recover_coordinator(target)
         cluster.run()
         assert cluster.records[transfer_tx.tx_id].rejected is not None
         # Same payload, second attempt: must commit cleanly this time.
@@ -251,9 +257,10 @@ class TestRetryAfterAbort:
         fresh round could mark it done before any participant prepared
         (byzantine chaos sweep, seed 16)."""
         cluster, owner, create_tx, transfer_tx, origin, target = staged
+        plane = FaultPlane(cluster)
         tx_id = transfer_tx.tx_id
         agent = cluster.agents[target]  # the transfer's home coordinator
-        cluster.crash_coordinator(origin)  # participant down: prepare lost
+        plane.crash_coordinator(origin)  # participant down: prepare lost
         start = cluster.loop.clock.now
         cluster.submit_payload(transfer_tx.to_dict())
         # Past the 1.0s prepare timeout: round 1 is aborted, the decision
@@ -266,7 +273,7 @@ class TestRetryAfterAbort:
         assert agent.outbox_record(tx_id)["state"] == "preparing"
         assert ("retry", tx_id) not in agent._timers
         assert tx_id not in agent._acks
-        cluster.recover_coordinator(origin)
+        plane.recover_coordinator(origin)
         cluster.run()
         assert cluster.records[tx_id].committed_at is not None
         assert not _origin_utxo_present(cluster, create_tx, origin)
@@ -278,9 +285,10 @@ class TestRetryAfterAbort:
         carries must be a no-op — not zombify the new round as
         ``done`` with no outcome."""
         cluster, owner, create_tx, transfer_tx, origin, target = staged
+        plane = FaultPlane(cluster)
         tx_id = transfer_tx.tx_id
         agent = cluster.agents[target]
-        cluster.crash_coordinator(origin)
+        plane.crash_coordinator(origin)
         start = cluster.loop.clock.now
         cluster.submit_payload(transfer_tx.to_dict())
         cluster.loop.run(until=start + 1.1)
@@ -292,7 +300,7 @@ class TestRetryAfterAbort:
         doc = agent.outbox_record(tx_id)
         assert doc["state"] == "preparing" and doc["outcome"] is None
         del agent._acks[tx_id]
-        cluster.recover_coordinator(origin)
+        plane.recover_coordinator(origin)
         cluster.run()
         assert cluster.records[tx_id].committed_at is not None
 
@@ -351,7 +359,6 @@ class TestLateApplyingReplica:
         outlive."""
         from repro.durability.node import DurabilityConfig
         from repro.simtest.invariants import REPLAY_KEYS, replay_determinism
-        from repro.simtest.plane import FaultPlane
 
         cluster = _sharded(durability=DurabilityConfig(snapshot_interval=4))
         owner = keypair_from_string("late-owner")

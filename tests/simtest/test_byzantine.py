@@ -149,7 +149,6 @@ class TestInvariantDetectors:
         # Pretend that applied transaction had been a forgery: the
         # invariant must name it the moment the two sets intersect.
         plane.forged_tx_ids.add(payload["id"])
-        plane._applied_cache = None
         violations = no_forged_admission(plane)
         assert violations and payload["id"][:8] in violations[0]
 

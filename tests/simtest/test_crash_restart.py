@@ -61,6 +61,22 @@ class TestSweep:
             assert ran, "sweep seed lost its crash_restart guarantee"
             assert harness.checker.checks_run.get("wal_prefix_durability", 0) > 0
 
+    def test_a_validator_behind_idle_peers_catches_up_on_its_timeouts(self):
+        """Seed 13 heals shard-0's ``scdb-3`` stuck two heights behind
+        three idle peers with one pooled transaction.  Idle peers send
+        nothing above its height, so catch-up must come from its own
+        round timeouts; without that it spun rounds alone until quiesce
+        hit its 2 000 000-event cap."""
+        harness, report = _run(seed=13, steps=70, fault_rate=0.25)
+        assert report.ok, report.violations
+        assert harness.plane.loop.processed < 10_000
+
+    def test_a_loop_that_never_drains_is_a_violation(self, monkeypatch):
+        harness = SimHarness(SimtestConfig(seed=7, steps=10))
+        monkeypatch.setattr(harness.plane, "quiesce", lambda: False)
+        report = harness.run()
+        assert [v.invariant for v in report.violations] == ["quiesce_drained"]
+
     def test_crash_restart_runs_are_byte_identical_per_seed(self):
         _, first = _run(seed=17, steps=60, fault_rate=0.3)
         _, second = _run(seed=17, steps=60, fault_rate=0.3)

@@ -1,16 +1,20 @@
-"""The report-only ``replay_determinism`` oracle reads what it claims.
+"""The chain-replay oracle reads what it claims.
 
-A single-shard deployment has no 2PC, no reference imports and no
+``replay_determinism`` is the report behind ``replica_utxo_consistency``:
+how far each live replica is from its shard's chain replay.  A
+single-shard deployment has no 2PC, no reference imports and no
 migrations, so nothing reaches a replica's store except through its
 chain: under crashes and partitions every live replica still reads
-``(0, 0)``.  And a row planted in, or taken out of, one replica's store
-shows as exactly one ``extra`` / ``missing`` on that replica alone.
+``(0, 0)``.  A row planted in, or taken out of, one replica's store
+shows as exactly one ``extra`` / ``missing`` on that replica alone.  The
+replay itself is extended incrementally: each block of a shard's chain
+is delivered into it once per run.
 """
 
 import pytest
 
-from repro.simtest import SimHarness, SimtestConfig
-from repro.simtest.invariants import REPLAY_KEYS, replay_determinism
+from repro.simtest import SimHarness, SimtestConfig, invariants
+from repro.simtest.invariants import REPLAY_KEYS, replay_determinism, replica_utxo_consistency
 
 CLEAN = {name: (0, 0) for name in REPLAY_KEYS}
 
@@ -50,3 +54,34 @@ def test_a_planted_row_shows_on_that_replica_alone(collection, direction):
     planted = dict(CLEAN, **{collection: (1, 0) if direction == "missing" else (0, 1)})
     assert report.pop(f"{shard_id}/{node_id}") == planted
     assert all(cells == CLEAN for cells in report.values()), report
+
+
+def test_each_block_is_delivered_into_the_replay_once_per_run(monkeypatch):
+    delivered = []
+    deliver_block = invariants.deliver_block
+
+    def counted(app, block, committed):
+        delivered.append((app, block.block_id))
+        return deliver_block(app, block, committed)
+
+    monkeypatch.setattr(invariants, "deliver_block", counted)
+    harness = SimHarness(SimtestConfig(seed=5, steps=60))
+    assert harness.run().ok
+    assert harness.checker.checks_run["replica_utxo_consistency"] > 2
+    plane = harness.plane
+    for shard_id in plane.shard_ids:
+        engine = plane.shard_cluster(shard_id).engine
+        chain = max((engine.validator(n).chain for n in engine.validator_order), key=len)
+        server = plane.replays[shard_id].server
+        assert [bid for app, bid in delivered if app is server] == [b.block_id for b in chain]
+    assert len(delivered) == sum(len(replay.block_ids) for replay in plane.replays.values())
+
+
+def test_a_reference_chain_that_stops_extending_the_replay_is_a_violation():
+    plane = single_shard(5)
+    assert replica_utxo_consistency(plane) == []
+    engine = plane.shard_cluster(plane.shard_ids[0]).engine
+    for node_id in engine.validator_order:
+        engine.validator(node_id).chain.pop()
+    violations = replica_utxo_consistency(plane)
+    assert violations and "no longer extends" in violations[0]

@@ -173,9 +173,9 @@ class TestShardedClusterTraces:
     def test_per_shard_and_aggregate_percentiles(self):
         cluster = _sharded()
         _cross_transfer(cluster)
-        per_shard = cluster.per_shard_metrics()
-        for metrics in per_shard.values():
-            assert isinstance(metrics.percentiles_ms, dict)
+        for shard_id, shard in cluster.shards.items():
+            per_shard = collect_metrics(shard_id, shard.records.values())
+            assert isinstance(per_shard.percentiles_ms, dict)
         aggregate = cluster.aggregate_metrics()
         assert aggregate.percentiles_ms["count"] == _committed(cluster)
 
