@@ -49,7 +49,7 @@ JOBS = 2
 
 #: The ratchet: ``--check`` fails once the census grows past these counts.
 #: Lower them when a change shrinks the census; never raise them.
-MAX_UNREACHED_LINES = 709
+MAX_UNREACHED_LINES = 697
 MAX_ONE_VALUE_OPTIONS = 20
 
 #: (label, argv after ``python``).  ``{out}`` is a scratch directory.
@@ -116,7 +116,7 @@ KEPT_DEFS = {
     "repro.storage.indexes.SortedIndex": "upkeep on delete; no workload deletes a range-indexed row",
     "repro.storage.indexes.HashIndex": _TESTS,
     "repro.schema.validator.SchemaValidator.is_valid": "boolean form of validate(); schema tests",
-    "repro.schema.validator.SchemaValidator._check_any_of": "JSON-schema anyOf; no shipped schema uses it",
+    "repro.schema.validator._fail": "a circular or unresolvable $ref; no shipped schema has one",
     "repro.yamlite.parser._Parser": "YAML-subset grammar no shipped schema exercises",
     "repro.consensus.byzantine": "catch-up refusal of a lagging lying replica; sweep seeds reach it",
     "repro.analytics.common.ScanSource.referencing": "scan side of the analytics per-request "

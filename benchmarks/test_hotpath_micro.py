@@ -19,7 +19,11 @@ rewired, each against a faithful re-implementation of the previous
 * **point queries** — the write path's lookups by an id that never
   repeats (``getTxFromDB``, the spend check, the spend-guard probe of an
   empty collection, the two-field utxo query): the previous compile-first
-  read path against the probe-first one.
+  read path against the probe-first one;
+* **schema validation** — the auction payload mix (what ``auction_1kb``
+  commits) through each operation's schema: the previous interpreter,
+  which re-walks the schema dictionary and formats a path per value,
+  against the compiled validator.
 
 Under pytest (tier-1) the file gates what repeats exactly — both sides of
 every comparison return the same answers, and the cached pipeline does
@@ -27,7 +31,8 @@ each stateless check once per transaction — and only prints the
 speedups.  Run as a script (CI ``hotpath-smoke``) it also asserts the
 perf-regression floors (query >= 4x, commit >= 4x; ISSUE 4; spend check
 >= 3x, id lookup >= 2x; ISSUE 18) and then writes ``BENCH_hotpath.json``
-at the repo root so the perf trajectory is tracked across PRs.
+at the repo root so the perf trajectory is tracked across PRs.  The
+schema row's floor is >= 2x.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from __future__ import annotations
 import bisect
 import json
 import os
+import re
+import sys
 import time
 from typing import Any
 
@@ -46,6 +53,9 @@ from repro.core.validation import TransactionValidator
 from repro.crypto.keys import ReservedAccounts, keypair_from_string
 from repro.crypto.sigcache import SignatureCache, set_shared_cache
 from repro.common.encoding import deep_copy_json
+from repro.common.errors import SchemaValidationError
+from repro.schema.registry import OPERATION_SCHEMAS, _read_definition
+from repro.schema.validator import SchemaValidator
 from repro.storage.collection import Collection
 from repro.storage.compiler import cache_info, clear_cache, compile_query
 from repro.storage.documents import matches
@@ -63,6 +73,7 @@ N_MEMPOOL_TXS = 24_000
 MEMPOOL_BLOCK_TXS = 32
 MEMPOOL_BLOCK_WEIGHT = 64
 N_POINT_QUERIES = 1_500
+SCHEMA_ROUNDS = 40
 
 
 # -- baselines: the previous implementations, verbatim ------------------------
@@ -111,6 +122,144 @@ def compile_first_find_one(collection: Collection, query: dict[str, Any]):
         if matcher is None or matcher(document):
             return document
     return None
+
+
+_TYPE_CHECKS = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+    "boolean": lambda value: isinstance(value, bool),
+    "null": lambda value: value is None,
+}
+
+
+class InterpretedSchemaValidator:
+    """The previous schema validator: walks the schema dictionary for
+    every value and formats every value's path, failing or not."""
+
+    def __init__(self, schema: dict[str, Any], definitions: dict[str, Any]):
+        self._schema = schema
+        self._definitions = definitions
+        self._pattern_cache: dict[str, re.Pattern[str]] = {}
+
+    def validate(self, document: Any) -> None:
+        self._validate(document, self._schema, "$")
+
+    def _resolve(self, schema: dict[str, Any], path: str) -> dict[str, Any]:
+        seen: set[str] = set()
+        while "$ref" in schema:
+            ref = schema["$ref"]
+            if ref in seen:
+                raise SchemaValidationError(f"circular $ref: {ref}", path)
+            seen.add(ref)
+            target = self._definitions.get(ref.rsplit("/", 1)[-1])
+            if target is None:
+                raise SchemaValidationError(f"unresolvable $ref: {ref}", path)
+            schema = target
+        return schema
+
+    def _compiled_pattern(self, pattern: str) -> re.Pattern[str]:
+        compiled = self._pattern_cache.get(pattern)
+        if compiled is None:
+            compiled = self._pattern_cache[pattern] = re.compile(pattern)
+        return compiled
+
+    def _validate(self, value: Any, schema: dict[str, Any], path: str) -> None:
+        schema = self._resolve(schema, path)
+        if value is None and schema.get("nullable"):
+            return
+        if "const" in schema and value != schema["const"]:
+            raise SchemaValidationError(f"expected constant {schema['const']!r}, got {value!r}", path)
+        if "enum" in schema and value not in schema["enum"]:
+            raise SchemaValidationError(f"{value!r} is not one of {schema['enum']!r}", path)
+        declared = schema.get("type")
+        if declared is not None:
+            self._check_type(value, declared, path)
+        if "anyOf" in schema:
+            self._check_any_of(value, schema["anyOf"], path)
+        if "allOf" in schema:
+            for branch in schema["allOf"]:
+                self._validate(value, branch, path)
+        if isinstance(value, str):
+            self._check_string(value, schema, path)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            self._check_number(value, schema, path)
+        if isinstance(value, dict):
+            self._check_object(value, schema, path)
+        if isinstance(value, list):
+            self._check_array(value, schema, path)
+
+    def _check_type(self, value: Any, declared: Any, path: str) -> None:
+        types = declared if isinstance(declared, list) else [declared]
+        for type_name in types:
+            check = _TYPE_CHECKS.get(type_name)
+            if check is None:
+                raise SchemaValidationError(f"unknown schema type {type_name!r}", path)
+            if check(value):
+                return
+        raise SchemaValidationError(
+            f"expected {' or '.join(types)}, got {type(value).__name__}", path
+        )
+
+    def _check_any_of(self, value: Any, branches: list[dict[str, Any]], path: str) -> None:
+        failures = []
+        for branch in branches:
+            try:
+                self._validate(value, branch, path)
+                return
+            except SchemaValidationError as exc:
+                failures.append(str(exc))
+        raise SchemaValidationError("no anyOf branch matched: " + " | ".join(failures), path)
+
+    def _check_string(self, value: str, schema: dict[str, Any], path: str) -> None:
+        pattern = schema.get("pattern")
+        if pattern is not None and not self._compiled_pattern(pattern).search(value):
+            raise SchemaValidationError(f"string does not match pattern {pattern!r}", path)
+        min_length = schema.get("minLength")
+        if min_length is not None and len(value) < min_length:
+            raise SchemaValidationError(f"string shorter than minLength {min_length}", path)
+        max_length = schema.get("maxLength")
+        if max_length is not None and len(value) > max_length:
+            raise SchemaValidationError(f"string longer than maxLength {max_length}", path)
+
+    def _check_number(self, value: float, schema: dict[str, Any], path: str) -> None:
+        minimum = schema.get("minimum")
+        if minimum is not None and value < minimum:
+            raise SchemaValidationError(f"{value} is below minimum {minimum}", path)
+        maximum = schema.get("maximum")
+        if maximum is not None and value > maximum:
+            raise SchemaValidationError(f"{value} is above maximum {maximum}", path)
+
+    def _check_object(self, value: dict[str, Any], schema: dict[str, Any], path: str) -> None:
+        for name in schema.get("required", []):
+            if name not in value:
+                raise SchemaValidationError(f"missing required property {name!r}", path)
+        properties = schema.get("properties", {})
+        for name, item in value.items():
+            child_path = f"{path}.{name}"
+            if name in properties:
+                self._validate(item, properties[name], child_path)
+            elif schema.get("additionalProperties") is False:
+                raise SchemaValidationError(f"unexpected property {name!r}", path)
+            elif isinstance(schema.get("additionalProperties"), dict):
+                self._validate(item, schema["additionalProperties"], child_path)
+
+    def _check_array(self, value: list[Any], schema: dict[str, Any], path: str) -> None:
+        min_items = schema.get("minItems")
+        if min_items is not None and len(value) < min_items:
+            raise SchemaValidationError(f"array has fewer than minItems {min_items}", path)
+        max_items = schema.get("maxItems")
+        if max_items is not None and len(value) > max_items:
+            raise SchemaValidationError(f"array has more than maxItems {max_items}", path)
+        items = schema.get("items")
+        if isinstance(items, dict):
+            for index, item in enumerate(value):
+                self._validate(item, items, f"{path}[{index}]")
+        elif isinstance(items, list):
+            for index, (item, branch) in enumerate(zip(value, items)):
+                self._validate(item, branch, f"{path}[{index}]")
 
 
 class FlatSortedIndex:
@@ -478,6 +627,66 @@ def measure_point_queries() -> dict[str, Any]:
     return report
 
 
+def auction_payloads() -> list[dict[str, Any]]:
+    """What one smoke-size ``auction_1kb`` cycle commits: CREATEs, REQUESTs,
+    BIDs, ACCEPT_BIDs and their RETURNs at 1 115 B."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "e2e"))
+    try:
+        from workloads import Auction1kb
+    finally:
+        del sys.path[0]
+    workload = Auction1kb(seed=5, smoke=True)
+    workload.setup()
+    workload.run_cycle(0)
+    return workload.cluster.any_server().database.collection("transactions").find({})
+
+
+def schema_outcome(validator, document: Any) -> tuple:
+    try:
+        validator.validate(document)
+    except SchemaValidationError as exc:
+        return str(exc), exc.path
+    return ("accepted",)
+
+
+def measure_schema() -> dict[str, Any]:
+    payloads = auction_payloads()
+    definitions = _read_definition("base")["definitions"]
+    schemas = {operation: _read_definition(stem) for operation, stem in OPERATION_SCHEMAS.items()}
+    compiled = {op: SchemaValidator(schema, definitions) for op, schema in schemas.items()}
+    interpreted = {
+        op: InterpretedSchemaValidator(schema, definitions) for op, schema in schemas.items()
+    }
+    mix = [(compiled[p["operation"]], interpreted[p["operation"]], p) for p in payloads]
+    # Parity on the mix and on one broken copy of each payload (an output
+    # amount of zero: the deepest path the schemas check).
+    for compiled_validator, interpreted_validator, payload in mix:
+        broken = deep_copy_json(payload)
+        broken["outputs"][-1]["amount"] = 0
+        for document in (payload, broken):
+            assert schema_outcome(compiled_validator, document) == schema_outcome(
+                interpreted_validator, document
+            )
+
+    def run(side: int) -> None:
+        for _ in range(SCHEMA_ROUNDS):
+            for entry in mix:
+                entry[side].validate(entry[2])
+
+    interpreted_s = compiled_s = float("inf")
+    for _ in range(3):
+        interpreted_s = min(interpreted_s, timed(lambda: run(1)))
+        compiled_s = min(compiled_s, timed(lambda: run(0)))
+    count = SCHEMA_ROUNDS * len(mix)
+    return {
+        "payloads": len(mix),
+        "operations": sorted({payload["operation"] for payload in payloads}),
+        "interpreted_us": round(1e6 * interpreted_s / count, 2),
+        "compiled_us": round(1e6 * compiled_s / count, 2),
+        "speedup": round(interpreted_s / compiled_s, 2),
+    }
+
+
 def run_report() -> dict:
     """Measure every section (their parity and count gates run inside)
     and print the report; the speedups are reported, not judged."""
@@ -487,6 +696,7 @@ def run_report() -> dict:
         "commit_latency": measure_commit_latency(),
         "mempool_reap": measure_mempool_reap(),
         "point_query": measure_point_queries(),
+        "schema": measure_schema(),
     }
     lines = ["hot-path microbenchmark"]
     for section, numbers in report.items():
@@ -515,6 +725,8 @@ if __name__ == "__main__":
     points = report["point_query"]
     assert points["spend_check_unspent"]["speedup"] >= 3.0, points
     assert points["id_lookup"]["speedup"] >= 2.0, points
+    # Schemas compiled once (typical: 3-4x on the auction mix).
+    assert report["schema"]["speedup"] >= 2.0, report["schema"]
     with open(BENCH_PATH, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -20,6 +20,7 @@ worker-width ablation measures.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -187,6 +188,30 @@ class ConflictScheduler:
             serial_cost=serial_cost,
             parallel_cost=parallel_cost,
         )
+
+
+#: Blocks whose schedules :func:`block_schedule` keeps (the newest).
+SCHEDULE_MEMO_LIMIT = 64
+
+#: (id(pricing), lanes, id of each envelope) -> (the keyed objects, held so
+#: their ids are not reused while the entry lives, and their schedule).
+_SCHEDULES: OrderedDict[tuple, tuple[tuple, Schedule]] = OrderedDict()
+
+
+def block_schedule(scheduler: ConflictScheduler, pricing: Any, envelopes: Sequence[Any],
+                   cost_of: Callable[[Any], float]) -> Schedule:
+    """A block's schedule, once per process: every replica prices the same
+    envelopes with the cluster's one cost model (``pricing``) and lanes."""
+    key = (id(pricing), scheduler.lanes, *map(id, envelopes))
+    if key not in _SCHEDULES:
+        costs = {id(envelope.payload): cost_of(envelope) for envelope in envelopes}
+        payloads = [envelope.payload for envelope in envelopes]
+        schedule = scheduler.schedule(payloads, lambda payload: costs[id(payload)])
+        _SCHEDULES[key] = ((pricing, *envelopes), schedule)
+        if len(_SCHEDULES) > SCHEDULE_MEMO_LIMIT:
+            _SCHEDULES.popitem(last=False)
+    _SCHEDULES.move_to_end(key)
+    return _SCHEDULES[key][1]
 
 
 def parallel_validation_cost(

@@ -34,7 +34,7 @@ from repro.core.entries import (
     verify_entry,
 )
 from repro.core.nested import NestedTransactionProcessor
-from repro.core.parallel import ConflictScheduler
+from repro.core.parallel import ConflictScheduler, block_schedule
 from repro.core.transaction import ACCEPT_BID, RETURN, OutputRef
 from repro.core.validation import TransactionValidator, encoded_payload, kept_payload
 from repro.crypto.keys import ReservedAccounts
@@ -318,7 +318,8 @@ class SmartchainServer:
                 self.context.require_unspent(OutputRef(tx_id, index))
 
     def commit_block(self, block: Block, delivered: list[TxEnvelope]) -> None:
-        """Persist the block and its transactions; trigger nested children."""
+        """Persist the block and its transactions; trigger nested children.
+        The rows built here from frozen payloads are stored by reference."""
         transactions = self.database.collection("transactions")
         assets = self.database.collection("assets")
         utxos = self.database.collection("utxos")
@@ -330,7 +331,8 @@ class SmartchainServer:
                 "block_id": block.block_id,
                 "proposer": block.proposer,
                 "transaction_ids": [envelope.tx_id for envelope in delivered],
-            }
+            },
+            copy=False,
         )
         accepted_payloads: list[dict[str, Any]] = []
         fresh_utxos: list[dict[str, Any]] = []
@@ -360,7 +362,7 @@ class SmartchainServer:
                 fresh_utxos.extend(imported_utxos(payload))
             asset = payload.get("asset") or {}
             if "data" in asset:
-                assets.insert_one({"id": payload["id"], "data": asset.get("data")})
+                assets.insert_one({"id": payload["id"], "data": asset.get("data")}, copy=False)
             # UTXO maintenance: consume pre-existing spent refs now, and
             # group-commit the block's fresh outputs in one batched write
             # below — minus any output a later transaction in this same
@@ -395,7 +397,8 @@ class SmartchainServer:
                 for document in fresh_utxos
                 if (document["transaction_id"], document["output_index"])
                 not in spent_in_block
-            ]
+            ],
+            copy=False,
         )
         self.context.clear_staged()
 
@@ -424,17 +427,11 @@ class SmartchainServer:
         abstraction"), so independent transactions validate in parallel
         lanes and the block charge is ``max(lane sums)``, not the serial
         sum — the paper's modelled speedup made real on the commit path.
+        The proposer and its checkers share one schedule per block.
         """
         if len(envelopes) <= 1:
             return sum(self.execution_cost(envelope) for envelope in envelopes)
-        payloads = [envelope.payload for envelope in envelopes]
-        cost_by_identity = {
-            id(payload): self.execution_cost(envelope)
-            for payload, envelope in zip(payloads, envelopes)
-        }
-        schedule = self.scheduler.schedule(
-            payloads, lambda payload: cost_by_identity[id(payload)]
-        )
+        schedule = block_schedule(self.scheduler, self.costs, envelopes, self.execution_cost)
         return schedule.parallel_cost
 
     def commit_cost(self, block: Block) -> float:

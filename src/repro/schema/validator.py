@@ -9,26 +9,45 @@ implements the schema dialect those definitions use:
 ``minLength``/``maxLength``, ``minimum``/``maximum``, ``anyOf``,
 ``allOf``, ``$ref`` into a shared ``definitions`` table, and ``nullable``.
 
-Errors carry a JSON-path-like location so driver users get actionable
-messages (e.g. ``outputs[0].amount: expected integer``).
+Each schema node is compiled once into a check.  Errors carry a
+JSON-path-like location (e.g. ``$.outputs[0].amount: 0 is below minimum
+1``), built only when a check fails: each enclosing property or item
+adds its segment as the failure unwinds.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any
+from functools import partial
+from itertools import repeat
+from typing import Any, Callable
 
 from repro.common.errors import SchemaValidationError
 
-_TYPE_CHECKS = {
-    "object": lambda value: isinstance(value, dict),
-    "array": lambda value: isinstance(value, list),
-    "string": lambda value: isinstance(value, str),
-    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
-    "number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
-    "boolean": lambda value: isinstance(value, bool),
-    "null": lambda value: value is None,
-}
+Check = Callable[[Any], None]
+
+#: type name -> the classes it admits (``integer`` and ``number`` never bool).
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "number": (int, float), "boolean": bool, "null": type(None)}
+
+#: The keywords each kind of value is checked against.
+_KEYWORDS = {"string": ("pattern", "minLength", "maxLength"), "number": ("minimum", "maximum"),
+             "object": ("required", "properties", "additionalProperties"),
+             "array": ("minItems", "maxItems", "items")}
+
+
+class _Invalid(Exception):
+    """A check's failure: its message (for ``anyOf``, a function of the
+    failure's path) and the path segments, innermost first."""
+
+    def __init__(self, message: str | Callable[[str], str]):
+        self.message = message
+        self.segments: list[str] = []
+
+    def located(self, base: str) -> tuple[str, str]:
+        """``(path, message)`` of this failure under the path ``base``."""
+        path = base + "".join(reversed(self.segments))
+        return path, self.message(path) if callable(self.message) else self.message
 
 
 class SchemaValidator:
@@ -43,15 +62,20 @@ class SchemaValidator:
     def __init__(self, schema: dict[str, Any], definitions: dict[str, Any] | None = None):
         if not isinstance(schema, dict):
             raise SchemaValidationError("schema must be a mapping")
-        self._schema = schema
         self._definitions = definitions if definitions is not None else schema.get("definitions", {})
-        self._pattern_cache: dict[str, re.Pattern[str]] = {}
+        #: id(schema node after its $ref chain) -> its check.
+        self._compiled: dict[int, Check] = {}
+        self._check = self._compile(schema)
 
     # -- public API ---------------------------------------------------------
 
     def validate(self, document: Any) -> None:
         """Raise :class:`SchemaValidationError` if ``document`` is invalid."""
-        self._validate(document, self._schema, "$")
+        try:
+            self._check(document)
+        except _Invalid as failure:
+            path, message = failure.located("$")
+            raise SchemaValidationError(message, path) from None
 
     def is_valid(self, document: Any) -> bool:
         """Boolean variant of :meth:`validate`."""
@@ -61,132 +85,171 @@ class SchemaValidator:
             return False
         return True
 
-    # -- internals ----------------------------------------------------------
+    # -- compiler -----------------------------------------------------------
 
-    def _resolve(self, schema: dict[str, Any], path: str) -> dict[str, Any]:
-        """Follow a ``$ref`` chain to the concrete schema."""
+    def _compile(self, schema: dict[str, Any]) -> Check:
+        """The check of ``schema``; a broken ``$ref`` chain compiles to a
+        check that fails wherever it is reached."""
         seen: set[str] = set()
         while "$ref" in schema:
             ref = schema["$ref"]
             if ref in seen:
-                raise SchemaValidationError(f"circular $ref: {ref}", path)
+                return partial(_fail, f"circular $ref: {ref}")
             seen.add(ref)
-            name = ref.rsplit("/", 1)[-1]
-            target = self._definitions.get(name)
-            if target is None:
-                raise SchemaValidationError(f"unresolvable $ref: {ref}", path)
-            schema = target
-        return schema
+            schema = self._definitions.get(ref.rsplit("/", 1)[-1])
+            if schema is None:
+                return partial(_fail, f"unresolvable $ref: {ref}")
+        check = self._compiled.get(id(schema))
+        if check is None:
+            # A recursive schema's inner reference forwards to this check.
+            built: list[Check] = []
+            self._compiled[id(schema)] = lambda value: built[0](value)
+            check = self._compiled[id(schema)] = self._build(schema)
+            built.append(check)
+        return check
 
-    def _compiled_pattern(self, pattern: str) -> re.Pattern[str]:
-        compiled = self._pattern_cache.get(pattern)
-        if compiled is None:
-            compiled = re.compile(pattern)
-            self._pattern_cache[pattern] = compiled
-        return compiled
-
-    def _validate(self, value: Any, schema: dict[str, Any], path: str) -> None:
-        schema = self._resolve(schema, path)
-
-        if value is None and schema.get("nullable"):
-            return
-
-        if "const" in schema and value != schema["const"]:
-            raise SchemaValidationError(f"expected constant {schema['const']!r}, got {value!r}", path)
-
-        if "enum" in schema and value not in schema["enum"]:
-            raise SchemaValidationError(f"{value!r} is not one of {schema['enum']!r}", path)
-
+    def _build(self, schema: dict[str, Any]) -> Check:
+        """One node's checks in the order the module lists the keywords
+        (the first failure wins).  One declared type of a checked kind and
+        no combinator: that kind's check tests the type as well, and is
+        the node's whole check when no other keyword is present."""
         declared = schema.get("type")
-        if declared is not None:
-            self._check_type(value, declared, path)
+        combined = "anyOf" in schema or "allOf" in schema
+        kind = {"integer": "number"}.get(declared, declared) if isinstance(declared, str) else None
+        names = None
+        if kind in _KEYWORDS and not combined:
+            kinds = [self._kind(schema, kind, _TYPES[declared], declared)]
+        else:
+            names = declared if isinstance(declared, list) or declared is None else [declared]
+            kinds = [
+                self._kind(schema, kind, _TYPES[kind], None)
+                for kind, keywords in _KEYWORDS.items()
+                if any(keyword in schema for keyword in keywords)
+            ]
+        nullable = bool(schema.get("nullable"))
+        has_const, has_enum = "const" in schema, "enum" in schema
+        if len(kinds) == 1 and names is None and not (nullable or has_const or has_enum or combined):
+            return kinds[0]
+        const, options = schema.get("const"), schema.get("enum")
+        any_of = [self._compile(branch) for branch in schema["anyOf"]] if "anyOf" in schema else None
+        steps = [self._compile(branch) for branch in schema.get("allOf", ())] + kinds
 
-        if "anyOf" in schema:
-            self._check_any_of(value, schema["anyOf"], path)
-        if "allOf" in schema:
-            for index, branch in enumerate(schema["allOf"]):
-                self._validate(value, branch, path)
-
-        if isinstance(value, str):
-            self._check_string(value, schema, path)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            self._check_number(value, schema, path)
-        if isinstance(value, dict):
-            self._check_object(value, schema, path)
-        if isinstance(value, list):
-            self._check_array(value, schema, path)
-
-    def _check_type(self, value: Any, declared: Any, path: str) -> None:
-        types = declared if isinstance(declared, list) else [declared]
-        for type_name in types:
-            check = _TYPE_CHECKS.get(type_name)
-            if check is None:
-                raise SchemaValidationError(f"unknown schema type {type_name!r}", path)
-            if check(value):
+        def check(value: Any) -> None:
+            if value is None and nullable:
                 return
-        raise SchemaValidationError(
-            f"expected {' or '.join(types)}, got {type(value).__name__}", path
-        )
+            if has_const and value != const:
+                raise _Invalid(f"expected constant {const!r}, got {value!r}")
+            if has_enum and value not in options:
+                raise _Invalid(f"{value!r} is not one of {options!r}")
+            if names is not None:
+                _check_type(names, value)
+            if any_of is not None:
+                failures = []
+                for branch in any_of:
+                    try:
+                        branch(value)
+                        break
+                    except _Invalid as failure:
+                        failures.append(failure)
+                else:
+                    raise _Invalid(lambda path: "no anyOf branch matched: " + " | ".join(
+                        "%s: %s" % failure.located(path) for failure in failures))
+            for step in steps:
+                step(value)
 
-    def _check_any_of(self, value: Any, branches: list[dict[str, Any]], path: str) -> None:
-        failures = []
-        for branch in branches:
-            try:
-                self._validate(value, branch, path)
-                return
-            except SchemaValidationError as exc:
-                failures.append(str(exc))
-        raise SchemaValidationError(
-            "no anyOf branch matched: " + " | ".join(failures), path
-        )
+        return check
 
-    def _check_string(self, value: str, schema: dict[str, Any], path: str) -> None:
-        pattern = schema.get("pattern")
-        if pattern is not None and not self._compiled_pattern(pattern).search(value):
-            raise SchemaValidationError(f"string does not match pattern {pattern!r}", path)
-        min_length = schema.get("minLength")
-        if min_length is not None and len(value) < min_length:
-            raise SchemaValidationError(f"string shorter than minLength {min_length}", path)
-        max_length = schema.get("maxLength")
-        if max_length is not None and len(value) > max_length:
-            raise SchemaValidationError(f"string longer than maxLength {max_length}", path)
+    def _kind(self, schema: dict[str, Any], kind: str, classes: Any, declared: str | None) -> Check:
+        """The check of one kind's keywords; a value of another kind is a
+        type error if ``declared``, else passes."""
+        other_kind = partial(_check_type, [declared]) if declared else (lambda value: None)
+        get = schema.get
+        if kind == "string":
+            pattern, min_length, max_length = get("pattern"), get("minLength"), get("maxLength")
+            search = None if pattern is None else re.compile(pattern).search
 
-    def _check_number(self, value: float, schema: dict[str, Any], path: str) -> None:
-        minimum = schema.get("minimum")
-        if minimum is not None and value < minimum:
-            raise SchemaValidationError(f"{value} is below minimum {minimum}", path)
-        maximum = schema.get("maximum")
-        if maximum is not None and value > maximum:
-            raise SchemaValidationError(f"{value} is above maximum {maximum}", path)
+            def check(value: Any) -> None:
+                if not isinstance(value, str):
+                    return other_kind(value)
+                if search is not None and not search(value):
+                    raise _Invalid(f"string does not match pattern {pattern!r}")
+                if min_length is not None and len(value) < min_length:
+                    raise _Invalid(f"string shorter than minLength {min_length}")
+                if max_length is not None and len(value) > max_length:
+                    raise _Invalid(f"string longer than maxLength {max_length}")
 
-    def _check_object(self, value: dict[str, Any], schema: dict[str, Any], path: str) -> None:
-        for name in schema.get("required", []):
-            if name not in value:
-                raise SchemaValidationError(f"missing required property {name!r}", path)
-        properties = schema.get("properties", {})
-        for name, item in value.items():
-            child_path = f"{path}.{name}"
-            if name in properties:
-                self._validate(item, properties[name], child_path)
-            elif schema.get("additionalProperties") is False:
-                raise SchemaValidationError(f"unexpected property {name!r}", path)
-            elif isinstance(schema.get("additionalProperties"), dict):
-                self._validate(item, schema["additionalProperties"], child_path)
+        elif kind == "number":
+            minimum, maximum = get("minimum"), get("maximum")
 
-    def _check_array(self, value: list[Any], schema: dict[str, Any], path: str) -> None:
-        min_items = schema.get("minItems")
-        if min_items is not None and len(value) < min_items:
-            raise SchemaValidationError(f"array has fewer than minItems {min_items}", path)
-        max_items = schema.get("maxItems")
-        if max_items is not None and len(value) > max_items:
-            raise SchemaValidationError(f"array has more than maxItems {max_items}", path)
-        items = schema.get("items")
-        if isinstance(items, dict):
-            for index, item in enumerate(value):
-                self._validate(item, items, f"{path}[{index}]")
-        elif isinstance(items, list):
-            for index, (item, branch) in enumerate(zip(value, items)):
-                self._validate(item, branch, f"{path}[{index}]")
+            def check(value: Any) -> None:
+                if not isinstance(value, classes) or isinstance(value, bool):
+                    return other_kind(value)
+                if minimum is not None and value < minimum:
+                    raise _Invalid(f"{value} is below minimum {minimum}")
+                if maximum is not None and value > maximum:
+                    raise _Invalid(f"{value} is above maximum {maximum}")
+
+        elif kind == "object":
+            required = get("required", [])
+            required_set = frozenset(required)
+            properties = {name: self._compile(item) for name, item in get("properties", {}).items()}
+            extra = get("additionalProperties")
+            # What an undeclared property gets: rejected (False), a check or none.
+            other = False if extra is False else self._compile(extra) if isinstance(extra, dict) else None
+            walk = bool(properties) or other is not None
+
+            def check(value: Any) -> None:
+                if not isinstance(value, dict):
+                    return other_kind(value)
+                if not value.keys() >= required_set:
+                    name = next(name for name in required if name not in value)
+                    raise _Invalid(f"missing required property {name!r}")
+                for name, item in value.items() if walk else ():
+                    item_check = properties.get(name, other)
+                    if item_check is False:
+                        raise _Invalid(f"unexpected property {name!r}")
+                    try:
+                        item_check and item_check(item)
+                    except _Invalid as failure:
+                        failure.segments.append(f".{name}")
+                        raise
+
+        else:
+            min_items, max_items, items = get("minItems"), get("maxItems"), get("items")
+            branches: Any = repeat(self._compile(items)) if isinstance(items, dict) else (
+                [self._compile(branch) for branch in items] if isinstance(items, list) else ()
+            )
+
+            def check(value: Any) -> None:
+                if not isinstance(value, list):
+                    return other_kind(value)
+                if min_items is not None and len(value) < min_items:
+                    raise _Invalid(f"array has fewer than minItems {min_items}")
+                if max_items is not None and len(value) > max_items:
+                    raise _Invalid(f"array has more than maxItems {max_items}")
+                for index, (item, item_check) in enumerate(zip(value, branches)):
+                    try:
+                        item_check(item)
+                    except _Invalid as failure:
+                        failure.segments.append(f"[{index}]")
+                        raise
+
+        return check
+
+
+def _fail(message: str, value: Any) -> None:
+    raise _Invalid(message)
+
+
+def _check_type(names: list[Any], value: Any) -> None:
+    for name in names:
+        if name not in _TYPES:
+            raise _Invalid(f"unknown schema type {name!r}")
+        if isinstance(value, _TYPES[name]) and not (
+            isinstance(value, bool) and name in ("integer", "number")
+        ):
+            return
+    raise _Invalid(f"expected {' or '.join(names)}, got {type(value).__name__}")
 
 
 def validate_language_key(document: dict[str, Any], section: str) -> None:
@@ -201,23 +264,30 @@ def validate_language_key(document: dict[str, Any], section: str) -> None:
         SchemaValidationError: naming the offending key.
     """
     payload = document.get(section)
-    if payload is None:
-        return
-    _walk_language_keys(payload, f"$.{section}")
+    if isinstance(payload, (dict, list)):
+        try:
+            _walk_language_keys(payload)
+        except _Invalid as failure:
+            path, message = failure.located(f"$.{section}")
+            raise SchemaValidationError(message, path) from None
 
 
-def _walk_language_keys(value: Any, path: str) -> None:
-    if isinstance(value, dict):
-        for key, item in value.items():
+def _walk_language_keys(value: dict[str, Any] | list[Any]) -> None:
+    """Scalars hold no keys, so only containers are descended into."""
+    keyed = isinstance(value, dict)
+    for key, item in value.items() if keyed else enumerate(value):
+        if keyed:
             if not isinstance(key, str):
-                raise SchemaValidationError(f"non-string key {key!r}", path)
+                raise _Invalid(f"non-string key {key!r}")
             if key.startswith("$"):
-                raise SchemaValidationError(f"operator-like key {key!r} is forbidden", path)
+                raise _Invalid(f"operator-like key {key!r} is forbidden")
             if "." in key:
-                raise SchemaValidationError(f"dotted key {key!r} is forbidden", path)
+                raise _Invalid(f"dotted key {key!r} is forbidden")
             if key == "language" and not isinstance(item, str):
-                raise SchemaValidationError("'language' key must hold a string", path)
-            _walk_language_keys(item, f"{path}.{key}")
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            _walk_language_keys(item, f"{path}[{index}]")
+                raise _Invalid("'language' key must hold a string")
+        if isinstance(item, (dict, list)):
+            try:
+                _walk_language_keys(item)
+            except _Invalid as failure:
+                failure.segments.append(f".{key}" if keyed else f"[{key}]")
+                raise

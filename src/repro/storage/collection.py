@@ -9,7 +9,6 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.common.encoding import array_pieces, canonical_bytes, deep_copy_json, object_pieces
 from repro.common.errors import DuplicateKeyError, QueryError, StorageError
 from repro.storage.compiler import compile_query
-from repro.storage.documents import resolve_path
 from repro.storage.indexes import HashIndex, SortedIndex
 from repro.storage.query import QueryPlan, QueryPlanner
 
@@ -191,9 +190,10 @@ class Collection:
                 self.journal({"op": "insert", "c": self.name, "d": stored}, fragment)
         return doc_id
 
-    def insert_many(self, documents: list[dict[str, Any]]) -> list[int]:
-        """Insert several documents; stops (and raises) at the first failure."""
-        return [self.insert_one(document) for document in documents]
+    def insert_many(self, documents: list[dict[str, Any]], *, copy: bool = True) -> list[int]:
+        """Insert several documents; stops (and raises) at the first failure.
+        ``copy`` as in :meth:`insert_one`."""
+        return [self.insert_one(document, copy=copy) for document in documents]
 
     def delete_many(self, query: dict[str, Any]) -> int:
         """Delete all matching documents; returns the count removed."""

@@ -157,7 +157,7 @@ class Predicate:
 # -- path resolution ----------------------------------------------------------
 
 
-def _compile_resolver(path: str) -> Callable[[Any], list[Any]]:
+def compile_resolver(path: str) -> Callable[[Any], list[Any]]:
     """Pre-split a dotted path into a resolver closure.
 
     Mirrors :func:`repro.storage.documents.resolve_path` exactly (array
@@ -544,7 +544,7 @@ def _compile_clause(key: str, condition: Any) -> DocMatcher:
     if key.startswith("$"):
         raise QueryError(f"unknown top-level operator: {key!r}")
 
-    resolve = _compile_resolver(key)
+    resolve = compile_resolver(key)
     if _is_operator_doc(condition):
         values_matcher = _compile_operator_doc(condition)
     else:

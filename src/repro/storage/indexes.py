@@ -11,7 +11,7 @@ Two kinds, mirroring what the SmartchainDB deployment needs:
 
 Index keys are extracted with the same dotted-path, array-fanning rules as
 query evaluation, so an index on ``outputs.public_keys`` indexes a document
-under *every* key appearing in any output.
+under *every* key appearing in any output; each index compiles its path once.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Iterator
 
 from repro.common.errors import DuplicateKeyError
-from repro.storage.documents import resolve_path
+from repro.storage.compiler import compile_resolver
 
 #: Shared empty lookup result — callers treat lookups as read-only views.
 _EMPTY_IDS: tuple[int, ...] = ()
 
 
-def _index_keys(document: Any, path: str) -> set[Any]:
-    """All hashable key values a document exposes at ``path``."""
+def _index_keys(values: list[Any]) -> set[Any]:
+    """All hashable key values among a document's resolved ``values``."""
     keys: set[Any] = set()
-    for value in resolve_path(document, path):
+    for value in values:
         if isinstance(value, list):
             for element in value:
                 if not isinstance(element, (dict, list)):
@@ -51,6 +51,7 @@ class HashIndex:
     def __init__(self, path: str, unique: bool = False):
         self.path = path
         self.unique = unique
+        self._resolve = compile_resolver(path)
         self._buckets: dict[Any, tuple[int] | set[int]] = {}
 
     def __len__(self) -> int:
@@ -62,7 +63,7 @@ class HashIndex:
         Raises:
             DuplicateKeyError: if unique and a key value is already taken.
         """
-        keys = _index_keys(document, self.path)
+        keys = _index_keys(self._resolve(document))
         buckets = self._buckets
         if self.unique:
             for key in keys:
@@ -83,7 +84,7 @@ class HashIndex:
     def remove(self, doc_id: int, document: Any) -> None:
         """Drop a document from the index."""
         buckets = self._buckets
-        for key in _index_keys(document, self.path):
+        for key in _index_keys(self._resolve(document)):
             bucket = buckets.get(key)
             if type(bucket) is set:
                 bucket.discard(doc_id)
@@ -131,6 +132,7 @@ class SortedIndex:
 
     def __init__(self, path: str):
         self.path = path
+        self._resolve = compile_resolver(path)
         self._key_blocks: list[list[Any]] = []
         self._id_blocks: list[list[int]] = []
         self._maxes: list[Any] = []
@@ -200,14 +202,14 @@ class SortedIndex:
 
     def add(self, doc_id: int, document: Any) -> None:
         """Insert every comparable value the document exposes at the path."""
-        for key in _index_keys(document, self.path):
+        for key in _index_keys(self._resolve(document)):
             if isinstance(key, bool) or not isinstance(key, (int, float, str)):
                 continue
             self._insert(key, doc_id)
 
     def remove(self, doc_id: int, document: Any) -> None:
         """Remove this document's entries (one per distinct key value)."""
-        for key in _index_keys(document, self.path):
+        for key in _index_keys(self._resolve(document)):
             if isinstance(key, bool) or not isinstance(key, (int, float, str)):
                 continue
             self._delete(key, doc_id)

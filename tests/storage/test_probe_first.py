@@ -24,7 +24,7 @@ from repro.storage import collection as collection_module
 from repro.storage import query as query_module
 from repro.storage.collection import Collection
 from repro.storage.compiler import cache_info, clear_cache, compile_query
-from repro.storage.documents import extract_equality_paths, matches
+from repro.storage.documents import extract_equality_paths, matches, resolve_path
 from repro.storage.indexes import _index_keys
 from repro.storage.query import QueryPlanner
 
@@ -120,7 +120,7 @@ def assert_reads_as_expected(collection, query):
 def keyed_under(document, path, key) -> bool:
     """True if a hash index on ``path`` files ``document`` under ``key``
     (hash membership, so ``True`` / ``1`` / ``1.0`` share a bucket)."""
-    return key in _index_keys(document, path)
+    return key in _index_keys(resolve_path(document, path))
 
 
 def build(path, key, size, *, index_paths=(), unique=False, seed=11):
@@ -136,7 +136,7 @@ def build(path, key, size, *, index_paths=(), unique=False, seed=11):
     if unique:
         seen, kept = set(), []
         for document in documents:
-            keys = _index_keys(document, path)
+            keys = _index_keys(resolve_path(document, path))
             if not keys & seen:
                 seen |= keys
                 kept.append(document)
@@ -218,7 +218,13 @@ def test_generated_parity(data):
     stored = stored * data.draw(st.integers(1, 5))
     query = data.draw(generated_queries)
     filed = sorted(
-        {(path, key) for path in PATHS for d in stored for key in _index_keys(d, path)}, key=repr
+        {
+            (path, key)
+            for path in PATHS
+            for d in stored
+            for key in _index_keys(resolve_path(d, path))
+        },
+        key=repr,
     )
     path = data.draw(generated_paths)
     if filed and data.draw(st.integers(0, 3)):
