@@ -37,8 +37,8 @@ from repro.durability.wal import SegmentedWal, SimDisk, StorageBackend
 from repro.sim.events import EventLoop
 
 #: Journal records that count as one block of the checkpoint cadence for
-#: an owner that commits no blocks (about what a validator journaled per
-#: block when its collections were journaled too).
+#: an owner that commits no blocks, a 2PC agent (about what a validator
+#: journaled per block when its collections were journaled too).
 RECORDS_PER_BLOCK = 12
 
 
@@ -50,9 +50,9 @@ class DurabilityConfig:
     segment_max_bytes: int = 65536
     #: Take a checkpoint every N committed blocks (segment retirement
     #: follows each checkpoint).  An owner that commits no blocks (a 2PC
-    #: agent, the reshard controller) counts ``RECORDS_PER_BLOCK`` journal
-    #: records as one.  34 blocks is as often as the 400 journal records
-    #: this counted when a validator journaled its collections too.
+    #: agent) counts ``RECORDS_PER_BLOCK`` journal records as one.  34
+    #: blocks is as often as the 400 journal records this counted when a
+    #: validator journaled its collections too.
     snapshot_interval: int = 34
     #: Simulated seconds between a batch opening and its group flush.
     flush_interval: float = 0.0

@@ -97,17 +97,8 @@ class ShardedCluster:
         #: entries' authors' keys (each shard's agent, the controller).
         self.shard_keys: dict[str, dict[str, str]] = {}
         self.entry_authors: dict[str, str] = {}
-        #: Elastic resharding controller; built after the initial shards
-        #: so it can see them, consulted by commit/resync plumbing via
-        #: getattr until then.
-        self.migrator: ReshardController | None = None
-        self.shards: dict[str, SmartchainCluster] = {}
-        self.agents: dict[str, TwoPhaseCoordinator] = {}
-        for index, shard_id in enumerate(self.shard_ids):
-            self._build_shard(shard_id, index)
-        for shard_id in self.shard_ids:
-            self._build_agent(shard_id)
-        self._next_shard_index = len(self.shard_ids)
+        #: Elastic resharding controller; it reads the shards only once
+        #: a migration runs, so it is built first.
         self.migrator = ReshardController(
             self,
             policy=(
@@ -115,14 +106,16 @@ class ShardedCluster:
                 if self.config.auto_split
                 else self.config.migration_policy
             ),
-            durability=(
-                NodeDurability("reshard-controller", self.loop, self.config.durability)
-                if self.config.durability is not None
-                else None
-            ),
             telemetry=self.telemetry,
         )
         self.entry_authors[CONTROLLER] = self.migrator.keypair.public_key
+        self.shards: dict[str, SmartchainCluster] = {}
+        self.agents: dict[str, TwoPhaseCoordinator] = {}
+        for index, shard_id in enumerate(self.shard_ids):
+            self._build_shard(shard_id, index)
+        for shard_id in self.shard_ids:
+            self._build_agent(shard_id)
+        self._next_shard_index = len(self.shard_ids)
         # All shards derive the same reserved (escrow) accounts.
         self.reserved = self.shards[self.shard_ids[0]].reserved
         self.driver = Driver(self)
@@ -341,7 +334,7 @@ class ShardedCluster:
         for envelope in record.block.transactions:
             self.router.record_home(envelope.tx_id, shard_id)
         migrator = self.migrator
-        if migrator is not None and migrator.policy is not None:
+        if migrator.policy is not None:
             for envelope in record.block.transactions:
                 migrator.observe_commit(shard_id, envelope.payload)
 

@@ -4,50 +4,45 @@ The consistent-hash ring can *compute* a minimal-movement resize, but a
 resize is useless until the deployment can actually move state between
 BFT groups while traffic is running.  This module is that protocol: an
 epoch-versioned migration state machine driven by a deployment-level
-:class:`ReshardController`, built from parts that already exist —
-certified chain entries, the durability WAL, the 2PC fence, router
-placement memory — composed so the migration can be killed at any byte
-and never loses, duplicates, or double-spends a key.
+:class:`ReshardController`, built from certified chain entries, the 2PC
+fence and router placement memory, so that a migration can be killed at
+any point and never loses, duplicates, or double-spends a key.  The
+controller keeps no journal and no disk: the chains are its log.
 
 Phases of one migration (``planned`` is the initial state)::
 
     planned -> snapshot_ship -> wal_tail -> drain -> cutover -> done
            \\___________________________________/       |
-                     |  (crash / stall / drain failure,   |
+                     |  (stall / drain failure,           |
                      v   or the source refuses the export)
                  rolled_back <-----------------------------'
 
 * **snapshot_ship** — the moving set (a lineage of CREATE/TRANSFER
   transactions with live outputs, selected load-aware by the hot-shard
   policy or explicitly by the caller) is captured at a source chain
-  height ``h0``: its payloads are copied into the controller, nothing is
-  written anywhere yet.
+  height ``h0``; nothing is written anywhere yet.
 * **wal_tail** — the source chain above ``h0`` is re-read each round:
   outputs its entries spend or consume leave the moving set, children
-  that kept the lineage on the source join it.  Rounds repeat until the
-  per-round delta is bounded.
-* **drain** — the source agent's spend guard starts fencing the moving
-  set (``redirect:migrating:<id>`` verdicts refuse new admissions, pool
-  entries, 2PC prepares *and* pending home commit-points), then the
-  controller waits for every in-flight spend — pooled rivals and
-  prepared locks — to settle, absorbing their effects through more tail
-  rounds.  A drain that cannot settle within its round budget rolls the
-  migration back (lifting the fence); nothing was moved yet, so rollback
-  is trivially safe.
-* **cutover** — a forced ``cutover`` journal record carries the final
-  moved set and payloads.  The move then happens on the two chains, in
-  order, as entries the controller signs: a ``SHARD_EXPORT`` on the
-  source (refused unless every moved output is still unspent there —
-  then the migration rolls back), and once it is delivered a
-  ``SHARD_IMPORT`` on the target, whose evidence
-  is the export block's commit certificate (:mod:`repro.core.entries`):
-  the target cannot own an output before the source let it go (from the
-  export on, the source chain answers its spends ``redirect:moved``).  Then
-  the router learns the new homes and bumps its epoch.  The entries have
-  content ids, so a controller that crashes after the forced record
-  rolls *forward* by re-submitting them; one that crashes before it
-  rolls *back*.  Clients that raced the cutover see ``redirect:*``
-  rejections and retry against the new owner (the driver's backoff).
+  that kept the lineage on the source join it, until a round's delta is
+  bounded.
+* **drain** — the source agent's spend guard fences the moving set
+  (``redirect:migrating:<id>`` refuses new admissions, pool entries, 2PC
+  prepares *and* pending home commit-points) while the controller waits
+  for every in-flight spend — pooled rivals, prepared locks — to settle,
+  absorbing their effects through more tail rounds.  A drain that cannot
+  settle in its round budget rolls back; nothing moved yet.
+* **cutover** — entered in the event that submits the controller-signed
+  ``SHARD_EXPORT`` of the final moved set to the source chain.  Its
+  delivery there is the commit point: DeliverTx refuses it unless every
+  moved output is still unspent (then the migration rolls back), and
+  from it on the source answers their spends ``redirect:moved``.  A
+  ``SHARD_IMPORT`` on the target then carries the creating payloads, read
+  from the source chain, with the export block's commit certificate as
+  evidence (:mod:`repro.core.entries`), so the target cannot own an
+  output before the source let it go.  Then the router learns the new
+  homes and bumps its epoch.  Entries have content ids, so re-submitting
+  one is harmless; clients that raced the cutover see ``redirect:*`` and
+  retry against the new owner (the driver's backoff).
 
 Crash matrix — who can die, and what recovery does:
 
@@ -61,15 +56,18 @@ source/target  pre-cutover: nothing to redo — a stalled migration
 agent          retries, bounded, then rolls back.  Post-cutover the
                agents hold no migration state: the redirect is the
                export on the source chain.
-controller     pre-cutover crash: presumed abort — restart rolls the
-               migration back from its journal.  Post-``cutover`` record:
-               roll forward — the entries re-submit under the same ids.
+controller     :meth:`~ReshardController.restart` forgets every
+               migration and folds the chains and pools: an export
+               delivered without its import, or still pooled, rolls
+               forward; a migration whose export was never pooled is
+               forgotten — nothing of it is on any chain, and its fence
+               went with the memory.
 =============  ==========================================================
 
-The :class:`ReshardController` also closes the detection loop: fed every
-commit by the facade, it tracks a sliding ``hot_shard_share`` window and
-auto-splits a hot shard (growing the ring or rebalancing onto the
-coldest member) when the share crosses its threshold.
+Fed every commit by the facade, the controller also closes the detection
+loop: it tracks a sliding ``hot_shard_share`` window and auto-splits a
+hot shard (growing the ring or rebalancing onto the coldest member) when
+the share crosses its threshold.
 """
 
 from __future__ import annotations
@@ -80,11 +78,16 @@ from typing import Any, Callable
 from repro.common.encoding import deep_copy_json
 from repro.common.errors import MigrationError
 from repro.core.context import REDIRECT_MARKER
-from repro.core.entries import CONTROLLER, export_entry, import_entry
+from repro.core.entries import (
+    CONTROLLER,
+    SHARD_EXPORT,
+    SHARD_IMPORT,
+    export_entry,
+    import_entry,
+    refs_of,
+)
 from repro.core.transaction import OutputRef
 from repro.crypto.keys import keypair_from_string
-from repro.durability.recovery import checkpoint_state, recover
-from repro.storage.database import Database
 from repro.telemetry import INERT, Telemetry
 
 TERMINAL_PHASES = ("done", "rolled_back")
@@ -92,8 +95,8 @@ TERMINAL_PHASES = ("done", "rolled_back")
 #: Phases the chaos harness arms ``migrate_trap`` actions on: a trap
 #: crashes its role *inside* the phase (each phase spans at least one
 #: loop tick, so a zero-delay crash scheduled from the phase-entry
-#: notification lands mid-phase — on ``cutover`` between the forced
-#: journal record and the export).
+#: notification lands mid-phase — on ``cutover`` after the export is
+#: pooled and before a block delivers it).
 MIGRATE_TRAP_PHASES = ("snapshot_ship", "wal_tail", "drain", "cutover")
 
 #: Parties a ``migrate_trap`` can kill.
@@ -126,7 +129,7 @@ MAX_TAIL_ROUNDS = 10
 MAX_DRAIN_ROUNDS = 150
 #: Ticks a pre-cutover phase may stall (no live node / crashed agent)
 #: before presumed-abort rollback.  A cutover waiting that long parks
-#: instead: once journaled it only rolls forward, on the next resume.
+#: instead: its export is out, so it only rolls forward, on the next resume.
 MAX_STALL_TICKS = 600
 #: Cutover ticks between re-submissions of a chain entry not yet landed.
 RESUBMIT_TICKS = 25
@@ -152,21 +155,23 @@ class MigrationPolicy:
 
 
 class ShardMigration:
-    """In-memory state of one migration (the journal is authoritative)."""
+    """The controller's memory of one migration.  A restart loses it; what
+    survives is its export, on a chain or in a pool (see
+    :meth:`ReshardController.resume`)."""
 
     def __init__(self, migration_id: str, source: str, target: str):
         self.migration_id = migration_id
         self.source = source
         self.target = target
         self.phase = "planned"
-        #: tx_id -> payload of every transaction in the moving set.
-        self.plan: dict[str, dict[str, Any]] = {}
-        #: (transaction_id, output_index) -> utxo document still live.
-        self.live: dict[tuple[str, int], dict[str, Any]] = {}
+        #: Ids of the transactions in the moving set.
+        self.plan: set[str] = set()
+        #: (transaction_id, output_index) of every moving output still live.
+        self.live: set[tuple[str, int]] = set()
         #: Explicit plan requested by the caller (None = select here).
         self.requested: list[str] | None = None
-        #: Final moved set journaled at cutover: [tx_id, index, utxo doc].
-        self.moved: list[list[Any]] = []
+        #: The refs the export names, fixed at cutover.
+        self.moved: list[tuple[str, int]] = []
         self.tailed_height = 0
         self.tail_rounds = 0
         self.drain_rounds = 0
@@ -176,12 +181,9 @@ class ShardMigration:
         self.export: dict[str, Any] | None = None
         self.import_: dict[str, Any] | None = None
         self.awaiting: str | None = None
-        #: phase -> entry time (telemetry clocks; lost on controller
-        #: restart, where the rebuilt state only rolls forward/back).
+        #: phase -> entry time (telemetry clocks; a migration taken up
+        #: from the chains has none).
         self.phase_started: dict[str, float] = {}
-        #: True when rebuilt from the journal after a controller restart
-        #: (volatile tail state is gone: presumed abort pre-cutover).
-        self.rebuilt = False
 
     @property
     def terminal(self) -> bool:
@@ -191,13 +193,16 @@ class ShardMigration:
 class ReshardController:
     """Deployment-level migration controller + hot-shard policy.
 
+    It keeps no journal and no disk: a migration's commit point is its
+    export landing on the source chain, and :meth:`restart` re-derives
+    every cutover from the export and import entries the chains and
+    pools hold.
+
     Args:
         deployment: the owning
             :class:`~repro.sharding.cluster.ShardedCluster`.
         policy: hot-shard auto-split policy (None disables detection;
             explicit :meth:`start_migration` calls still work).
-        durability: optional persistence stack for the migration
-            journal — required for :meth:`restart_from_disk`.
         telemetry: shared deployment telemetry.
     """
 
@@ -205,14 +210,11 @@ class ReshardController:
         self,
         deployment,
         policy: MigrationPolicy | None = None,
-        durability=None,
         telemetry: Telemetry = INERT,
     ):
         self.deployment = deployment
         self.policy = policy
-        self.durability = durability
         self.telemetry = telemetry
-        self.crashed = False
         #: Signs the cutovers' ``SHARD_EXPORT`` / ``SHARD_IMPORT`` entries
         #: (replicas take them only under this key).
         self.keypair = keypair_from_string(CONTROLLER)
@@ -220,14 +222,14 @@ class ReshardController:
         self._epoch = 0
         self.migrations: dict[str, ShardMigration] = {}
         self.phase_listeners: list[MigrationPhaseListener] = []
-        #: Per-migration outcome reports (write pause, refs moved) for benchmarks.
+        #: Per-migration outcome reports (write pause, refs moved) for
+        #: benchmarks.  Like ``stats``, a run counter: a restart keeps it.
         self.reports: dict[str, dict[str, Any]] = {}
-        self.journal_db = self._make_journal_database()
-        if durability is not None:
-            durability.state_provider = self._checkpoint_state
         # Hot-shard policy state: sliding (shard, asset) commit window.
         self._window: list[tuple[str, str]] = []
         self._last_split_at = float("-inf")
+        #: A migration a restart forgot before its export is counted
+        #: started, but neither done nor rolled back.
         self.stats = {
             "started": 0,
             "done": 0,
@@ -240,41 +242,14 @@ class ReshardController:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _make_journal_database(self, journaled: bool = True) -> Database:
-        wal = (
-            self.durability.log
-            if journaled and self.durability is not None
-            else None
-        )
-        database = Database("reshard-controller", wal=wal)
-        collection = database.create_collection("migrations")
-        collection.create_index("migration_id", unique=True)
-        collection.create_index("phase")
-        return database
-
-    def _checkpoint_state(self, full: bool) -> list[bytes]:
-        return checkpoint_state(self.journal_db, full)
-
-    def _force(self) -> None:
-        """Migration force-write point: the ``cutover`` record must hit
-        the disk before any state moves — it is the commit point the
-        roll-forward/roll-back decision reads after a crash."""
-        if self.durability is not None:
-            self.durability.log.flush_now()
-
-    @property
-    def _journal(self):
-        return self.journal_db.collection("migrations")
-
     def _schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Epoch-guarded timer: anything armed before a crash/recovery
-        boundary is dead on arrival (mirrors the 2PC agent's timers)."""
+        """Epoch-guarded timer: anything armed before a restart or a
+        resume is dead on arrival (mirrors the 2PC agent's timers)."""
         epoch = self._epoch
 
         def fire() -> None:
-            if self.crashed or self._epoch != epoch:
-                return
-            callback()
+            if self._epoch == epoch:
+                callback()
 
         self._loop.schedule_in(delay, fire)
 
@@ -294,32 +269,23 @@ class ReshardController:
                 return node_id, cluster.servers[node_id]
         return None
 
-    def _enter_phase(self, m: ShardMigration, phase: str, **journal_fields: Any) -> None:
+    def _enter_phase(self, m: ShardMigration, phase: str) -> None:
         now = self._loop.clock.now
         started = m.phase_started.get(m.phase)
         if started is not None and m.phase in _CLOCKED_PHASES:
             self.telemetry.observe_ms(f"migration_{m.phase}_ms", now - started, shard=m.source)
         m.phase = phase
         m.phase_started[phase] = now
-        updates: dict[str, Any] = {"phase": phase}
-        updates.update(journal_fields)
-        self._journal.update_many(
-            {"migration_id": m.migration_id}, {"$set": updates}
-        )
-        if phase in ("cutover",) + TERMINAL_PHASES:
-            # The records recovery decisions read must be torn-proof.
-            self._force()
         self._set_active_gauge()
         self._notify(m.migration_id, phase)
 
     # -- starting migrations ------------------------------------------------------
 
     def _next_id(self) -> str:
-        taken = {doc["migration_id"] for doc in self._journal.find({}, copy=False)}
-        sequence = len(taken) + 1
-        while f"m-{sequence:04d}" in taken:
-            sequence += 1
-        return f"m-{sequence:04d}"
+        """One past the highest id held: a restart takes back every export
+        on a chain or in a pool (:meth:`resume`), so an id comes back only
+        when nothing anywhere carries it."""
+        return f"m-{max((int(mid[2:]) for mid in self.migrations), default=0) + 1:04d}"
 
     def start_migration(
         self, source: str, target: str, plan_txs: list[str] | None = None
@@ -330,11 +296,9 @@ class ReshardController:
         shard already acting as source or target refuses a second.
 
         Raises:
-            MigrationError: unknown shards, source == target, a
-                conflicting active migration, or a crashed controller.
+            MigrationError: unknown shards, source == target, or a
+                conflicting active migration.
         """
-        if self.crashed:
-            raise MigrationError("reshard controller is crashed")
         shards = self.deployment.shards
         if source not in shards:
             raise MigrationError(f"unknown source shard {source!r}")
@@ -353,19 +317,6 @@ class ReshardController:
         m.requested = sorted(plan_txs) if plan_txs else None
         m.phase_started["planned"] = self._loop.clock.now
         self.migrations[migration_id] = m
-        self._journal.insert_one(
-            {
-                "migration_id": migration_id,
-                "source": source,
-                "target": target,
-                "phase": "planned",
-                "reason": None,
-                "h0": 0,
-                "planned_refs": [],
-                "moved": [],
-                "payloads": [],
-            }
-        )
         self.stats["started"] += 1
         self.telemetry.counter("migrations_started", shard=source).inc()
         self._set_active_gauge()
@@ -398,8 +349,8 @@ class ReshardController:
     def _stall(self, m: ShardMigration) -> None:
         """A tick that could not progress (no live node, crashed agent,
         an entry not landed yet).  Pre-cutover stalls are bounded by
-        presumed abort; a journaled cutover waits for its parties, then
-        parks until :meth:`resume` (keeping the event loop finite)."""
+        presumed abort; a cutover, its export out, waits for its parties,
+        then parks until :meth:`resume` (keeping the event loop finite)."""
         m.stall_ticks += 1
         if m.stall_ticks > MAX_STALL_TICKS:
             if m.phase != "cutover":
@@ -411,36 +362,28 @@ class ReshardController:
         live = self._live_node(m.source)
         if live is None:
             return self._stall(m)
-        node_id, server = live
+        _node_id, server = live
         plan_ids = m.requested if m.requested is not None else self._select_plan(
             m.source, server
         )
-        transactions_seen = 0
+        transactions = server.database.collection("transactions")
         for tx_id in plan_ids:
-            payload = server.get_transaction(tx_id)
-            if payload is None:
+            if transactions.find_one({"id": tx_id}, copy=False) is None:
                 continue
-            m.plan[tx_id] = deep_copy_json(payload)
-            transactions_seen += 1
-            if transactions_seen >= MAX_PLAN_TXS:
+            m.plan.add(tx_id)
+            if len(m.plan) >= MAX_PLAN_TXS:
                 break
         utxos = server.database.collection("utxos")
         for tx_id in sorted(m.plan):
             for doc in utxos.find({"transaction_id": tx_id}, copy=False):
-                ref = (doc["transaction_id"], doc["output_index"])
-                m.live[ref] = deep_copy_json(doc)
+                m.live.add((doc["transaction_id"], doc["output_index"]))
         if not m.live:
             return self._rollback(m, "nothing live to move")
         blocks = server.database.collection("blocks")
         m.tailed_height = max(
             (block["height"] for block in blocks.find({}, copy=False)), default=0
         )
-        self._enter_phase(
-            m,
-            "snapshot_ship",
-            h0=m.tailed_height,
-            planned_refs=[[t, i] for t, i in sorted(m.live)],
-        )
+        self._enter_phase(m, "snapshot_ship")
         self._reschedule(m)
 
     def _movable(self, source: str, server) -> dict[str, dict[str, Any]]:
@@ -467,7 +410,8 @@ class ReshardController:
 
     def _tick_ship(self, m: ShardMigration) -> None:
         # The snapshot was captured at plan time; the payloads travel in
-        # the import entry at cutover, so there is nothing to write yet.
+        # the import entry, read from the source chain at cutover, so
+        # there is nothing to write yet.
         self._enter_phase(m, "wal_tail")
         self._reschedule(m)
 
@@ -481,7 +425,7 @@ class ReshardController:
             return None
         node_id, server = live
         transactions = server.database.collection("transactions")
-        fresh: list[dict[str, Any]] = []
+        fresh = 0
         chain = self.deployment.shards[m.source].engine.validator(node_id).chain
         for block in chain[m.tailed_height:]:
             for envelope in block.transactions:
@@ -496,7 +440,7 @@ class ReshardController:
                     ref = (fulfills["transaction_id"], fulfills["output_index"])
                     if ref[0] in m.plan:
                         spent_plan_output = True
-                    m.live.pop(ref, None)
+                    m.live.discard(ref)
                 if (
                     tx_id not in m.plan
                     and spent_plan_output
@@ -506,18 +450,12 @@ class ReshardController:
                 ):
                     # A child kept the lineage on the source mid-flight:
                     # it joins the moving set so the asset moves whole.
-                    copied = deep_copy_json(payload)
-                    m.plan[tx_id] = copied
-                    fresh.append(copied)
-                    for index, output in enumerate(payload.get("outputs") or []):
-                        m.live[(tx_id, index)] = {
-                            "transaction_id": tx_id,
-                            "output_index": index,
-                            "public_keys": list(output.get("public_keys", [])),
-                            "amount": output.get("amount"),
-                        }
+                    m.plan.add(tx_id)
+                    fresh += 1
+                    for index in range(len(payload.get("outputs") or [])):
+                        m.live.add((tx_id, index))
             m.tailed_height = max(m.tailed_height, block.height)
-        return len(fresh)
+        return fresh
 
     def _tick_tail(self, m: ShardMigration) -> None:
         fresh = self._tail_once(m)
@@ -560,34 +498,24 @@ class ReshardController:
         pending = self._pending_writer(m)
         if pending is not None:
             return self._reschedule(m)
-        moved = [[ref[0], ref[1], m.live[ref]] for ref in sorted(m.live)]
-        m.moved = moved
+        m.moved = sorted(m.live)
         m.stall_ticks = 0
-        # One forced journal record carrying everything roll-forward
-        # needs.  The export goes out on the next tick, so a crash
-        # scheduled from this notification lands exactly between the
-        # decision and its effects.
-        self._enter_phase(
-            m,
-            "cutover",
-            moved=moved,
-            payloads=[m.plan[tx_id] for tx_id in sorted(m.plan)],
-        )
-        self._schedule(0.0, lambda: self._tick(m.migration_id))
+        m.export = export_entry(m.migration_id, m.source, m.target, m.moved, self.keypair)
+        # The commit point goes out before the phase listeners hear of
+        # it: a crash they schedule at cutover finds the export pooled.
+        self._submit(m, self.deployment.shards[m.source], m.export)
+        self._enter_phase(m, "cutover")
+        self._stall(m)
 
     # -- cutover ------------------------------------------------------------------
 
     def _apply_cutover(self, m: ShardMigration) -> None:
-        """Drive a journaled cutover one step: the export onto the source
-        chain, then the import onto the target chain, then routing.  Every
-        step re-derives where it stands from the chains, so a restarted
-        controller resumes anywhere."""
+        """Drive a cutover one step: the export onto the source chain,
+        then the import onto the target chain, then routing.  Every step
+        re-derives where it stands from the chains, so a migration taken
+        up after a restart resumes anywhere."""
         deployment = self.deployment
         source, target = deployment.shards[m.source], deployment.shards[m.target]
-        if m.export is None:
-            m.export = export_entry(
-                m.migration_id, m.source, m.target, [(r[0], r[1]) for r in m.moved], self.keypair
-            )
         landed = source.landed(m.export["id"])
         if landed is False:
             return self._rollback(m, "the source chain refused the export", cutover=True)
@@ -595,18 +523,13 @@ class ReshardController:
             return self._await_entry(m, source, m.export)
         if m.import_ is None:
             evidence = source.commit_evidence(m.export["id"])
-            if evidence is None:
+            payloads = self._creators(m) if evidence is not None else None
+            if payloads is None:
                 return self._stall(m)
-            creators = sorted({row[0] for row in m.moved})
-            m.import_ = import_entry(
-                m.export,
-                evidence,
-                [deep_copy_json(m.plan[tx_id]) for tx_id in creators],
-                self.keypair,
-            )
+            m.import_ = import_entry(m.export, evidence, payloads, self.keypair)
         if not target.landed(m.import_["id"]):
             return self._await_entry(m, target, m.import_)
-        for tx_id in sorted({row[0] for row in m.moved}):
+        for tx_id in sorted({ref[0] for ref in m.moved}):
             deployment.router.record_home(tx_id, m.target)
         # New routing epoch: in-flight clients re-route and retry.
         deployment.router.bump_epoch()
@@ -627,21 +550,36 @@ class ReshardController:
             "target": m.target,
             "refs_moved": len(m.moved),
             "txs_shipped": len(m.import_["payloads"]),
-            "write_pause": (
-                now - m.phase_started["drain"] if "drain" in m.phase_started else None
-            ),
+            "write_pause": now - drained_at if drained_at is not None else None,
             "completed_at": now,
         }
         self._enter_phase(m, "done")
+
+    def _creators(self, m: ShardMigration) -> list[dict[str, Any]] | None:
+        """Copies of the payloads that created the moved outputs, as a
+        live source replica stores them (None while none holds them all)."""
+        source = self.deployment.shards[m.source]
+        creators = sorted({ref[0] for ref in m.moved})
+        for node_id in source.engine.validator_order:
+            if source.network.is_crashed(node_id):
+                continue
+            transactions = source.servers[node_id].database.collection("transactions")
+            payloads = [transactions.find_one({"id": tx_id}, copy=False) for tx_id in creators]
+            if all(payload is not None for payload in payloads):
+                return [deep_copy_json(payload) for payload in payloads]
+        return None
+
+    def _submit(self, m: ShardMigration, cluster, entry: dict[str, Any]) -> None:
+        m.awaiting = entry["id"]
+        self.stats["entries_submitted"] += 1
+        cluster.submit_entry(entry)
 
     def _await_entry(self, m: ShardMigration, cluster, entry: dict[str, Any]) -> None:
         """Submit a cutover entry, and again every :data:`RESUBMIT_TICKS`
         while it has not landed — its content id makes a duplicate
         harmless."""
         if m.awaiting != entry["id"] or m.stall_ticks % RESUBMIT_TICKS == 0:
-            m.awaiting = entry["id"]
-            self.stats["entries_submitted"] += 1
-            cluster.submit_entry(entry)
+            self._submit(m, cluster, entry)
         self._stall(m)
 
     def _rollback(self, m: ShardMigration, reason: str, cutover: bool = False) -> None:
@@ -657,7 +595,7 @@ class ReshardController:
             "rolled_back": reason,
             "completed_at": self._loop.clock.now,
         }
-        self._enter_phase(m, "rolled_back", reason=reason)
+        self._enter_phase(m, "rolled_back")
 
     # -- the spend-guard fence ----------------------------------------------------
 
@@ -673,95 +611,70 @@ class ReshardController:
                 return f"{REDIRECT_MARKER}:migrating:{migration_id}->{m.target}"
         return None
 
-    # -- crash / recovery ---------------------------------------------------------
+    # -- restart: the chains are the log ------------------------------------------
 
-    def crash(self) -> None:
-        """Stop the controller (timers die; fences stay up in memory)."""
-        if self.crashed:
-            return
-        self.crashed = True
-        self._epoch += 1
-        self.telemetry.flight.record(self._loop.clock.now, "reshard", "crash")
-
-    def recover(self) -> None:
-        if not self.crashed:
-            return
-        self.crashed = False
-        self._epoch += 1
-        self.resume()
-
-    def restart_from_disk(self, torn_bytes: int = 0) -> None:
-        """Kill the controller, discard its memory, restore it purely
-        from its journal's SimDisk, then roll every recorded migration
-        forward (cutover journaled) or back (anything earlier).
-
-        Raises:
-            MigrationError: when the controller has no durability stack.
-        """
-        if self.durability is None:
-            raise MigrationError(
-                "reshard controller has no durability stack to restart from"
-            )
-        self.crash()
-        self.durability.power_fail(torn_bytes)
-        recovered = recover(
-            self.durability, lambda: self._make_journal_database(journaled=False)
-        )
-        self.journal_db = recovered.database
-        self.journal_db.attach_wal(self.durability.log)
+    def restart(self) -> None:
+        """Kill the controller and start it with no memory: its timers die,
+        every migration (and with it every fence) is forgotten, and
+        :meth:`resume` takes back from the chains and pools whatever an
+        export put in flight.  ``stats`` and ``reports`` are run counters
+        and survive."""
+        self.telemetry.flight.record(self._loop.clock.now, "reshard", "restart")
         self.migrations = {}
-        self.crashed = False
-        self._epoch += 1
         self.resume()
 
     def resume(self) -> None:
-        """Drive every recorded migration toward a terminal state:
-        journaled cutovers roll forward, live pre-cutover migrations get
-        a fresh tick budget, and orphans (memory lost to a restart) roll
-        back."""
-        if self.crashed:
-            return
+        """Fold the chains and pools, then drive every migration toward a
+        terminal phase.  An export this controller does not hold is taken
+        up — as ``done`` once its import is delivered, else in
+        ``cutover``, to roll forward — and live migrations get a fresh
+        tick budget."""
         self._epoch += 1  # one tick chain per migration from here on
-        for doc in sorted(
-            self._journal.find({}, copy=False), key=lambda d: d["migration_id"]
-        ):
-            migration_id = doc["migration_id"]
-            phase = doc["phase"]
-            if phase in TERMINAL_PHASES:
+        for export, phase in self._exports():
+            if export["migration"] not in self.migrations:
+                m = self.migrations[export["migration"]] = ShardMigration(
+                    export["migration"], export["source"], export["target"]
+                )
+                m.phase, m.export, m.moved = phase, export, refs_of(export)
+                m.live = set(m.moved)
+        for migration_id in sorted(self.migrations):
+            m = self.migrations[migration_id]
+            if m.terminal:
                 continue
-            m = self.migrations.get(migration_id)
-            if m is None:
-                m = ShardMigration(migration_id, doc["source"], doc["target"])
-                m.phase = phase
-                m.moved = [list(row) for row in doc.get("moved") or []]
-                for payload in doc.get("payloads") or []:
-                    m.plan[payload["id"]] = deep_copy_json(payload)
-                m.live = {(row[0], row[1]): row[2] for row in m.moved}
-                m.rebuilt = True
-                self.migrations[migration_id] = m
             m.stall_ticks = 0
             if m.phase == "cutover":
                 self._apply_cutover(m)
-            elif m.rebuilt:
-                self._rollback(
-                    m, "controller restarted mid-migration (presumed abort)"
-                )
             else:
                 self._reschedule(m)
         self._set_active_gauge()
 
-    def unfinished(self) -> list[str]:
-        """Ids of journal migrations not yet terminal (quiesce drives
-        these to completion before invariants run)."""
-        return sorted(
-            doc["migration_id"]
-            for doc in self._journal.find({}, copy=False)
-            if doc["phase"] not in TERMINAL_PHASES
-        )
+    def _exports(self) -> list[tuple[dict[str, Any], str]]:
+        """Every export a shard's committed blocks delivered or a mempool
+        holds, in migration-id order, with the phase it stands in: ``done``
+        once its import is delivered, else ``cutover``.  An export a block
+        carried and DeliverTx refused moved nothing and is left out."""
+        exports: dict[str, dict[str, Any]] = {}
+        imported: set[str] = set()
+        for cluster in self.deployment.shards.values():
+            engine = cluster.engine
+            envelopes = [envelope for record in engine.commits for envelope in record.delivered]
+            for node_id in engine.validator_order:
+                envelopes += engine.validator(node_id).mempool.pending_envelopes()
+            for envelope in envelopes:
+                entry, landed = envelope.payload, cluster.landed(envelope.tx_id)
+                if entry.get("operation") == SHARD_EXPORT and landed is not False:
+                    exports[entry["migration"]] = entry
+                elif entry.get("operation") == SHARD_IMPORT and landed:
+                    imported.add(entry["export"]["id"])
+        return [
+            (exports[mid], "done" if exports[mid]["id"] in imported else "cutover")
+            for mid in sorted(exports)
+        ]
 
-    def journal_record(self, migration_id: str) -> dict[str, Any] | None:
-        doc = self._journal.find_one({"migration_id": migration_id}, copy=False)
-        return deep_copy_json(doc) if doc is not None else None
+    def unfinished(self) -> list[str]:
+        """Ids of the migrations this controller holds that are not yet
+        terminal (quiesce drives these to completion before invariants run)."""
+        return sorted(mid for mid, m in self.migrations.items() if not m.terminal)
 
     # -- hot-shard policy ---------------------------------------------------------
 
@@ -792,7 +705,7 @@ class ReshardController:
         """Auto-split when one shard dominates the commit window.
         Returns the started migration id, or None."""
         policy = self.policy
-        if policy is None or self.crashed:
+        if policy is None:
             return None
         if len(self._window) < policy.min_observations:
             return None

@@ -304,8 +304,6 @@ class SimHarness:
         migration = migrator.migrations.get(migration_id) if migrator else None
         if migration is None:
             return
-        if role == "controller" and migrator.durability is None:
-            return
         self._armed_migrate = None
         torn = self.rng.randint("migrate-trap:torn", 0, 48)
         self._trap_log.append(
@@ -313,10 +311,10 @@ class SimHarness:
             f"migration={migration_id} phase={phase} role={role} torn={torn}"
         )
         source, target = migration.source, migration.target
-        # Crash through the loop: the controller finishes journaling the
-        # phase it just entered, then the crashed party dies — for phase
-        # "cutover" that lands exactly between the forced commit-point
-        # record and its application.
+        # Crash through the loop: the controller finishes the event that
+        # entered the phase, then the crashed party dies — for phase
+        # "cutover" that lands after the export (the commit point) is
+        # pooled and before a block delivers it.
         self.plane.loop.schedule_in(
             0.0,
             lambda: self.plane.crash_migration_role(role, source, target, torn),
@@ -346,8 +344,8 @@ class SimHarness:
             try:
                 migration_id = plane.start_migration(action.shard, str(action.arg))
             except MigrationError as exc:
-                # A refused start (conflicting migration, crashed
-                # controller) is a scheduled no-op, not a failure.
+                # A refused start (a conflicting migration) is a
+                # scheduled no-op, not a failure.
                 return f"{action.describe()} (refused: {exc})"
             return f"{action.describe()} id={migration_id}"
         elif kind == "crash_restart":

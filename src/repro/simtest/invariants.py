@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.consensus.abci import deliver_block
-from repro.core.entries import is_entry
+from repro.core.entries import SHARD_EXPORT, SHARD_IMPORT, is_entry, refs_of
 from repro.simtest.plane import FaultPlane
 
 #: An invariant body: plane -> violation strings (empty = holds).
@@ -82,6 +82,11 @@ REPLAY_KEYS = {
 }
 
 
+#: Collection -> how many leading :data:`REPLAY_KEYS` fields name one row
+#: (what a block's delete queries name it by).
+ROW_IDENTITY = {"transactions": 1, "utxos": 2, "blocks": 1}
+
+
 def _frozen(value: Any) -> Any:
     return tuple(value) if type(value) is list else value
 
@@ -109,9 +114,10 @@ class ChainReplay:
     path the consensus engine drives, nothing else.  The in-memory chain
     carries no delivery time, so every deadline is judged at simulated
     time 0.  Per height it keeps the :data:`REPLAY_KEYS` rows the block
-    added and removed (inserts read from the database's journal, other
-    writes by re-reading the collection): any lower height's state is the
-    tip's with the deltas above it rewound.
+    added and removed, read from the block's own writes in the database's
+    journal: any lower height's state is the tip's with the deltas above
+    it rewound.  A block whose writes do not name their rows breaks the
+    replay.
     """
 
     def __init__(self, shard_id: str, shard):
@@ -125,11 +131,12 @@ class ChainReplay:
         self.block_ids: list[str] = []
         #: tx id -> (shard id, stored payload) of every delivered transaction.
         self.applied: dict[str, tuple[str, dict[str, Any]]] = {}
-        #: Collection -> rows at the tip.
-        self.rows: dict[str, set[tuple]] = {name: set() for name in REPLAY_KEYS}
+        #: Collection -> rows at the tip, by :data:`ROW_IDENTITY`.
+        self.rows: dict[str, dict[tuple, tuple]] = {name: {} for name in REPLAY_KEYS}
         #: ``deltas[h - 1]``: collection -> (rows added, rows removed) at height ``h``.
         self.deltas: list[dict[str, tuple[set[tuple], set[tuple]]]] = []
-        #: Why the reference chain stopped extending the replayed prefix.
+        #: Why the replay stopped: the reference chain no longer extends
+        #: the replayed prefix, or a block wrote a row it cannot name.
         self.broken: str | None = None
 
     def extend(self) -> None:
@@ -151,27 +158,46 @@ class ChainReplay:
                 payload = transactions.find_one({"id": envelope.tx_id}, copy=False)
                 if payload is not None:
                     self.applied[envelope.tx_id] = (self.shard_id, payload)
+            deltas = {name: self._advance(name) for name in REPLAY_KEYS}
+            if None in deltas.values():
+                self.broken = f"block {block.height} writes a row by no identity"
+                return
             self.block_ids.append(block.block_id)
-            self.deltas.append({name: self._advance(name) for name in REPLAY_KEYS})
+            self.deltas.append(deltas)
 
-    def _advance(self, name: str) -> tuple[set[tuple], set[tuple]]:
-        """Move collection ``name``'s tip rows past the block just delivered."""
-        writes = [record for record in self._writes if record["c"] == name]
-        tip = self.rows[name]
-        if all(record["op"] == "insert" for record in writes):
-            added = _rows((record["d"] for record in writes), name) - tip
-            removed: set[tuple] = set()
-        else:
-            after = _rows(self.database.collection(name).find({}, copy=False), name)
-            added, removed = after - tip, tip - after
-        tip -= removed
-        tip |= added
+    def _advance(self, name: str) -> tuple[set[tuple], set[tuple]] | None:
+        """Move collection ``name``'s tip past the block just delivered, at
+        a cost proportional to its writes: an insert carries its row, a
+        delete names one by identity.  Returns the rows added and removed,
+        or None for a write that does neither or would put two rows under
+        one identity."""
+        tip, fields, width = self.rows[name], REPLAY_KEYS[name], ROW_IDENTITY[name]
+        before: dict[tuple, tuple | None] = {}
+        for record in self._writes:
+            if record["c"] != name:
+                continue
+            if record["op"] == "insert":
+                row = tuple(map(_frozen, map(record["d"].get, fields)))
+                key = row[:width]
+            elif record["op"] == "delete" and tuple(record["q"]) == fields[:width]:
+                key, row = tuple(record["q"].values()), None
+            else:
+                return None
+            if not all(type(value) in (str, int) for value in key) or (key in tip) == (row is not None):
+                return None
+            before.setdefault(key, tip.get(key))
+            if row is None:
+                del tip[key]
+            else:
+                tip[key] = row
+        added = {tip[key] for key, old in before.items() if key in tip and tip[key] != old}
+        removed = {old for key, old in before.items() if old is not None and tip.get(key) != old}
         return added, removed
 
     def states(self, heights):
         """``(height, rows)`` for each of ``heights`` (at most the tip),
         highest first.  ``rows`` is rewound in place for the next one."""
-        rows = {name: set(tip) for name, tip in self.rows.items()}
+        rows = {name: set(tip.values()) for name, tip in self.rows.items()}
         height = len(self.deltas)
         for target in sorted(heights, reverse=True):
             while height > target:
@@ -221,21 +247,26 @@ def _utxo_live(plane: FaultPlane, shard_id: str, ref: tuple[str, int]) -> bool:
     return utxos.find_one(query, copy=False) is not None
 
 
-def _migrated_final_home(migrator) -> dict[tuple[str, int], str]:
-    """ref -> shard the migration journal says finally owns it.
+def _cutovers(plane: FaultPlane):
+    """The cutover entries the shards' chain replays applied: export id ->
+    every ``SHARD_EXPORT`` (an export lands only on the source it names),
+    ``(shard, entry)`` for every ``SHARD_IMPORT``, and ref -> the shard
+    the exports finally home it on.
 
-    Walks ``done`` migrations in id order — a ref can only join a second
-    migration after the first one's cutover re-homed it, and ids are
-    assigned at start time, so id order subsumes causal order and the
-    last writer is the final owner."""
-    home: dict[tuple[str, int], str] = {}
-    for doc in sorted(
-        migrator._journal.find({"phase": "done"}, copy=False),
-        key=lambda d: d["migration_id"],
-    ):
-        for row in doc.get("moved") or []:
-            home[(row[0], row[1])] = doc["target"]
-    return home
+    The last export of a ref in migration-id order homes it: a ref joins
+    a second migration only after the first one's export landed, and a
+    controller numbers a migration past every id it holds (a restart takes
+    back every landed or pooled export), so id order subsumes causal order."""
+    exports: dict[str, dict[str, Any]] = {}
+    imports: list[tuple[str, dict[str, Any]]] = []
+    for tx_id, (shard_id, payload) in sorted(applied_transactions(plane).items()):
+        if payload.get("operation") == SHARD_EXPORT:
+            exports[tx_id] = payload
+        elif payload.get("operation") == SHARD_IMPORT:
+            imports.append((shard_id, payload))
+    ordered = sorted(exports.values(), key=lambda export: export["migration"])
+    home = {ref: export["target"] for export in ordered for ref in refs_of(export)}
+    return exports, imports, home
 
 
 # -- per-step invariants ----------------------------------------------------------
@@ -599,19 +630,6 @@ def wal_prefix_durability(plane: FaultPlane) -> list[str]:
         )
         for problem in diff_databases(agent.durable, recovered.database):
             violations.append(f"{shard_id}/agent: {problem}")
-    migrator = plane.migrator
-    if migrator is not None and migrator.durability is not None:
-        if migrator.durability.log.pending:
-            violations.append(
-                "reshard-controller: journal records still unflushed at quiesce"
-            )
-        recovered = recover(
-            migrator.durability,
-            lambda: migrator._make_journal_database(journaled=False),
-            repair=False,
-        )
-        for problem in diff_databases(migrator.journal_db, recovered.database):
-            violations.append(f"reshard-controller: {problem}")
     return violations
 
 
@@ -698,38 +716,42 @@ def custody_memo(plane: FaultPlane) -> list[str]:
 
 
 def migration_terminal(plane: FaultPlane) -> list[str]:
-    """After repair + drain, every journaled migration reached a terminal
-    phase — ``done`` (cutover rolled forward) or ``rolled_back``
-    (presumed abort).  A migration parked anywhere else means recovery
-    lost track of it: its fences would block the moving keys forever."""
-    migrator = plane.migrator
-    if migrator is None:
-        return []
-    from repro.sharding.migration import TERMINAL_PHASES
-
-    return [
-        f"migration {doc['migration_id']} ({doc['source']}->{doc['target']}) "
-        f"parked in phase={doc['phase']}"
-        for doc in sorted(migrator._journal.find({}, copy=False), key=lambda d: d["migration_id"])
-        if doc["phase"] not in TERMINAL_PHASES
+    """After repair + drain, every migration the controller holds reached
+    a terminal phase — ``done`` (cutover rolled forward) or
+    ``rolled_back`` (presumed abort) — and every export a chain delivered
+    has its import delivered.  A migration parked anywhere else, or an
+    export nobody imported, means recovery lost track of it: its fence
+    would block the moving keys forever, or its keys would be gone."""
+    violations = [
+        f"migration {m.migration_id} ({m.source}->{m.target}) parked in phase={m.phase}"
+        for _, m in sorted(plane.migrator.migrations.items())
+        if not m.terminal
     ]
+    exports, imports, _ = _cutovers(plane)
+    imported = {entry["export"]["id"] for _, entry in imports}
+    for export_id, export in sorted(exports.items()):
+        if export_id not in imported:
+            violations.append(
+                f"export of migration {export['migration']} landed on "
+                f"{export['source']} but no import of it landed"
+            )
+    return violations
 
 
 def no_key_lost(plane: FaultPlane) -> list[str]:
-    """Every output a ``done`` migration moved is either committed-spent
+    """Every output a landed export moved is either committed-spent
     somewhere or present in its final owner's UTXO set.
 
     The lost-key failure this catches: a cutover that deleted the source
-    copy but (crash, torn write, skipped repair) never materialized the
-    target copy — the owner would reject every spend of a live output."""
-    migrator = plane.migrator
-    if migrator is None:
-        return []
+    copy but (crash, forgotten export, skipped import) never materialized
+    the target copy — the owner would reject every spend of a live
+    output."""
     spent: set[tuple[str, int]] = set()
     for _tx_id, (_shard, payload) in applied_transactions(plane).items():
         spent.update(_spent_refs(payload))
+    _, _, home = _cutovers(plane)
     violations = []
-    for (tx_id, index), owner in sorted(_migrated_final_home(migrator).items()):
+    for (tx_id, index), owner in sorted(home.items()):
         if (tx_id, index) in spent or owner not in plane.shard_ids:
             continue
         if not _utxo_live(plane, owner, (tx_id, index)):
@@ -742,18 +764,15 @@ def no_key_lost(plane: FaultPlane) -> list[str]:
 
 def no_key_duplicated(plane: FaultPlane) -> list[str]:
     """No migrated output is spendable on two shards, or on any shard
-    but its final owner, and nothing a rolled-back migration planned
-    surfaces on its target.
+    but its final owner, and nothing reaches a shard but through an
+    import of a landed export that names that shard.
 
     The double-spend enabler this catches: an import that materialized
     the target copy while the source kept its own — both shards would
     accept a spend of the same output."""
-    migrator = plane.migrator
-    if migrator is None:
-        return []
     violations = []
-    final_home = _migrated_final_home(migrator)
-    for (tx_id, index), owner in sorted(final_home.items()):
+    exports, imports, home = _cutovers(plane)
+    for (tx_id, index), owner in sorted(home.items()):
         holders = [s for s in plane.shard_ids if _utxo_live(plane, s, (tx_id, index))]
         if len(holders) > 1:
             violations.append(
@@ -763,26 +782,23 @@ def no_key_duplicated(plane: FaultPlane) -> list[str]:
         elif holders and holders[0] != owner:
             violations.append(
                 f"migrated output {tx_id[:8]}:{index} lives on {holders[0]} "
-                f"but the migration journal homes it on {owner}"
+                f"but its export homes it on {owner}"
             )
-    # Presumed abort leaves no residue: a rolled-back migration never
-    # reached cutover, so none of its planned refs may have a UTXO
-    # document on its target (unless a *later* done migration moved the
-    # ref there legitimately).
-    for doc in sorted(
-        migrator._journal.find({"phase": "rolled_back"}, copy=False),
-        key=lambda d: d["migration_id"],
-    ):
-        target = doc["target"]
-        if target not in plane.shard_ids:
-            continue
-        for row in doc.get("planned_refs") or []:
-            ref = (row[0], row[1])
-            if final_home.get(ref) != target and _utxo_live(plane, target, ref):
-                violations.append(
-                    f"rolled-back migration {doc['migration_id']} left "
-                    f"{ref[0][:8]}:{ref[1]} behind on target {target}"
-                )
+    # Presumed abort leaves no residue: a migration whose export never
+    # landed put nothing on its target, and an import mints only what a
+    # landed export let go, on the shard that export names.
+    for shard_id, entry in imports:
+        export = entry["export"]
+        if export["id"] not in exports:
+            violations.append(
+                f"import of migration {export['migration']} on {shard_id} "
+                f"carries an export that {export['source']} never delivered"
+            )
+        elif export["target"] != shard_id:
+            violations.append(
+                f"import of migration {export['migration']} landed on {shard_id} "
+                f"but its export names {export['target']}"
+            )
     return violations
 
 
@@ -841,9 +857,10 @@ DEFAULT_INVARIANTS: list[Invariant] = [
     Invariant("no_stuck_locks", no_stuck_locks, scope="quiesce", sharded_only=True),
     Invariant("outbox_terminal", outbox_terminal, scope="quiesce", sharded_only=True),
     Invariant("all_cross_settled", all_cross_settled, scope="quiesce", sharded_only=True),
-    # Elastic-resharding family (ISSUE 9): every migration terminal at
-    # quiesce, and the journal's final-owner map matches the physical
-    # UTXO placement exactly — nothing lost, nothing duplicated.
+    # Elastic-resharding family (ISSUE 9): every migration terminal and
+    # every landed export imported at quiesce, and the exports'
+    # final-owner map matches the physical UTXO placement exactly —
+    # nothing lost, nothing duplicated.
     Invariant("migration_terminal", migration_terminal, scope="quiesce", sharded_only=True),
     Invariant("no_key_lost", no_key_lost, scope="quiesce", sharded_only=True),
     Invariant("no_key_duplicated", no_key_duplicated, scope="quiesce", sharded_only=True),

@@ -108,9 +108,9 @@ class FaultPlane:
         """Begin a live key migration between two existing shards.
 
         Raises:
-            MigrationError: unknown shards, a conflicting active
-                migration, or a crashed controller — schedules treat a
-                refused start as a no-op fault.
+            MigrationError: unknown shards or a conflicting active
+                migration — schedules treat a refused start as a no-op
+                fault.
         """
         migrator = self.migrator
         if migrator is None:
@@ -120,16 +120,16 @@ class FaultPlane:
     def crash_migration_role(
         self, role: str, source: str, target: str, torn_bytes: int = 0
     ) -> None:
-        """Crash one party of a live migration, restoring it from disk.
+        """Crash one party of a live migration and restart it.
 
         ``source`` / ``target`` kill the shard's 2PC agent *and* its
-        first validator mid-protocol (the worst case: fences, registry
-        rows and shipped state must all survive the restart);
-        ``controller`` power-fails the reshard controller itself, whose
-        journal then decides roll-forward vs roll-back.
+        first validator mid-protocol and restore both from disk (the
+        worst case: fences and shipped state must all survive the
+        restart); ``controller`` restarts the reshard controller, which
+        keeps no disk: it re-derives every cutover from the chains.
         """
         if role == "controller":
-            self.migrator.restart_from_disk(torn_bytes=torn_bytes)
+            self.migrator.restart()
             return
         shard_id = source if role == "source" else target
         self.crash_restart_coordinator(shard_id, torn_bytes=torn_bytes)
@@ -306,8 +306,6 @@ class FaultPlane:
             if self.coordinator_crashed(shard_id):
                 self.recover_coordinator(shard_id)
         migrator = self.migrator
-        if migrator is not None and migrator.crashed:
-            migrator.recover()
         # A heal is not a crash: nodes that merely lagged still need the
         # catch-up kick recovery would have given them.
         for shard_id in self.shard_ids:

@@ -237,8 +237,9 @@ class ScheduleGenerator:
             kinds += list(DURABLE_KINDS)
             if plane.sharded:
                 kinds += list(DURABLE_SHARDED_KINDS)
-        #: Migrations need two distinct shards, a controller journal for
-        #: the controller-restart trap role, and agents for the fences.
+        #: Migrations need two distinct shards and agents for the fences;
+        #: durable, because the source / target trap roles restart their
+        #: validator and agent from disk.
         elastic = (
             self.elastic_rate > 0
             and plane.sharded

@@ -156,8 +156,7 @@ class TestAgainstARealMigration:
         def fenced_spend(mid, phase):
             if phase != "drain" or outcomes:
                 return
-            doc = cluster.migrator.journal_record(mid)
-            live = sorted(tx_id for tx_id, _i in doc.get("planned_refs") or [])
+            live = sorted(tx_id for tx_id, _i in cluster.migrator.migrations[mid].live)
             if not live:
                 return
             create = next(c for c in creates if c.tx_id == live[0])

@@ -183,7 +183,7 @@ class TestCarriedPayloads:
         target, home = [shard for shard in cluster.shard_ids if shard != source]
         migration_id = cluster.reshard(source, target=target, plan_txs=[create.tx_id])
         cluster.run()
-        assert cluster.migrator.journal_record(migration_id)["phase"] == "done"
+        assert cluster.migrator.migrations[migration_id].phase == "done"
         evidence = cluster.shards[target].commit_evidence(create.tx_id)
         assert evidence["carrier"]["operation"] == "SHARD_IMPORT"
         assert attached_payload(evidence, cluster.shard_keys, _check(cluster))["id"] == create.tx_id

@@ -1,18 +1,25 @@
 """Live shard migration: split under traffic, the crash matrix, repair.
 
-The migration protocol's contract is two-sided: a *completed* cutover is
-a point of no return (roll forward from the journal, whatever crashed),
-and anything short of it is presumed abort (roll back, release the
-fence, lose nothing).  These tests drive both sides deterministically —
-the chaos harness covers the same matrix stochastically.
+The migration protocol's contract is two-sided: an export pooled on the
+source chain is a point of no return once a block delivers it (roll
+forward from the chains, whatever crashed), and anything short of it is
+presumed abort (roll back or forget, release the fence, lose nothing).
+The controller keeps no disk: its restart re-derives every cutover from
+the chains.  These tests drive both sides deterministically — the chaos
+harness covers the same matrix stochastically.
 """
 
 import pytest
 
+from repro.common.errors import MigrationError
+from repro.core.transaction import OutputRef
 from repro.crypto.keys import keypair_from_string
 from repro.durability.node import DurabilityConfig
 from repro.sharding.cluster import ShardedCluster, ShardedClusterConfig
 from repro.sharding.migration import MigrationPolicy
+from repro.simtest.invariants import migration_terminal, no_key_duplicated, no_key_lost
+from repro.simtest.plane import FaultPlane
+from tests.sharding.test_chain_entries import _prepare_vote
 
 
 def build(seed: int = 11, **kwargs) -> ShardedCluster:
@@ -53,11 +60,11 @@ class TestBasicSplit:
         mint(cluster, alice, 8)
         migration_id = cluster.reshard("shard-0")
         cluster.run()
-        doc = cluster.migrator.journal_record(migration_id)
-        assert doc["phase"] == "done"
-        assert doc["moved"], "split moved nothing"
-        target = doc["target"]
-        for tx_id, index, _doc in doc["moved"]:
+        m = cluster.migrator.migrations[migration_id]
+        assert m.phase == "done"
+        assert m.moved, "split moved nothing"
+        target = m.target
+        for tx_id, index in m.moved:
             assert cluster.router.home_of_tx(tx_id) == target
             for shard_id in cluster.shard_ids:
                 assert utxo_on(cluster, shard_id, tx_id, index) == (shard_id == target)
@@ -76,8 +83,7 @@ class TestBasicSplit:
         creates = mint(cluster, alice, 8)
         migration_id = cluster.reshard("shard-0")
         cluster.run()
-        doc = cluster.migrator.journal_record(migration_id)
-        moved_tx = doc["moved"][0][0]
+        moved_tx = cluster.migrator.migrations[migration_id].moved[0][0]
         create = next(c for c in creates if c.tx_id == moved_tx)
         bob = keypair_from_string("bob")
         transfer = cluster.driver.prepare_transfer(
@@ -91,71 +97,155 @@ class TestBasicSplit:
         mint(cluster, keypair_from_string("alice"), 8)
         migration_id = cluster.reshard("shard-0", target="shard-1")
         cluster.run()
-        doc = cluster.migrator.journal_record(migration_id)
-        assert doc["phase"] == "done"
-        assert doc["target"] == "shard-1"
+        m = cluster.migrator.migrations[migration_id]
+        assert m.phase == "done"
+        assert m.target == "shard-1"
         assert len(cluster.shard_ids) == 2  # merge grows nothing
 
 
+def restart_at(cluster: ShardedCluster, phase: str, then=None) -> dict:
+    """Restart the controller as the first migration enters ``phase``
+    (through the loop, like the harness's trap), then call ``then(seen)``
+    in the same event.  ``seen`` keeps the forgotten migration's facts."""
+    seen: dict = {}
+
+    def listener(migration_id, entered):
+        if entered != phase or seen:
+            return
+        m = cluster.migrator.migrations[migration_id]
+        seen.update(id=migration_id, source=m.source, target=m.target,
+                    live=sorted(m.live), export=m.export)
+
+        def restart():
+            cluster.migrator.restart()
+            if then is not None:
+                then(seen)
+
+        cluster.loop.schedule_in(0.0, restart)
+
+    cluster.migrator.phase_listeners.append(listener)
+    return seen
+
+
 class TestControllerCrashMatrix:
-    """restart_from_disk at each phase: pre-cutover rolls back, the
-    forced cutover record rolls forward."""
+    """``restart()`` at each phase.  The controller keeps no disk: before
+    its export is pooled a migration is forgotten, after it the chains and
+    pools roll it forward."""
 
     @pytest.mark.parametrize("phase", ["snapshot_ship", "wal_tail", "drain"])
-    def test_pre_cutover_crash_rolls_back(self, phase):
+    def test_pre_cutover_restart_forgets_the_migration(self, phase):
         cluster = build(seed=12)
         mint(cluster, keypair_from_string("alice"), 8)
-
-        def crash(mid, entered):
-            if entered == phase:
-                cluster.loop.schedule_in(
-                    0.0, lambda: cluster.migrator.restart_from_disk()
-                )
-
-        cluster.migrator.phase_listeners.append(crash)
+        seen = restart_at(cluster, phase)
         migration_id = cluster.reshard("shard-0")
         cluster.run()
-        doc = cluster.migrator.journal_record(migration_id)
-        assert doc["phase"] == "rolled_back", (phase, doc["phase"])
+        assert seen["id"] == migration_id
+        assert migration_id not in cluster.migrator.migrations
         assert not cluster.migrator.unfinished()
+        assert cluster.migrator.stats["done"] == 0
         # Nothing may have leaked onto the target.
-        target = doc["target"]
-        for tx_id, index in doc.get("planned_refs") or []:
-            assert not utxo_on(cluster, target, tx_id, index)
+        for tx_id, index in seen["live"]:
+            assert not utxo_on(cluster, seen["target"], tx_id, index)
 
-    def test_cutover_crash_rolls_forward(self):
+    def test_cutover_restart_rolls_forward(self):
         cluster = build(seed=13)
         mint(cluster, keypair_from_string("alice"), 8)
-
-        def crash(mid, entered):
-            if entered == "cutover":
-                cluster.loop.schedule_in(
-                    0.0, lambda: cluster.migrator.restart_from_disk()
-                )
-
-        cluster.migrator.phase_listeners.append(crash)
+        restart_at(cluster, "cutover")
         migration_id = cluster.reshard("shard-0")
         cluster.run()
-        doc = cluster.migrator.journal_record(migration_id)
-        assert doc["phase"] == "done"
-        for tx_id, index, _doc in doc["moved"]:
-            assert utxo_on(cluster, doc["target"], tx_id, index)
+        m = cluster.migrator.migrations[migration_id]
+        assert m.phase == "done"
+        for tx_id, index in m.moved:
+            assert utxo_on(cluster, m.target, tx_id, index)
+            assert not utxo_on(cluster, m.source, tx_id, index)
 
-    def test_torn_journal_tail_still_recovers(self):
-        cluster = build(seed=14)
+    def test_restart_with_the_export_pooled_imports_it_once_it_lands(self):
+        """The export is pooled and not delivered when the controller
+        restarts: the restarted controller takes the cutover back from the
+        pool, a 2PC prepare on a moving ref votes no (the pooled export
+        contends for it, and the cutover's fence is up again), and once a
+        block delivers the export the controller imports it."""
+        cluster = build(seed=13)
         mint(cluster, keypair_from_string("alice"), 8)
+        window: dict = {}
 
-        def crash(mid, entered):
-            if entered == "wal_tail":
-                cluster.loop.schedule_in(
-                    0.0, lambda: cluster.migrator.restart_from_disk(torn_bytes=24)
-                )
+        def in_the_window(seen):
+            source = cluster.shards[seen["source"]]
+            export_id = seen["export"]["id"]
+            ref = OutputRef(*seen["live"][0])
+            window.update(
+                pooled=source.pooled(export_id),
+                landed=source.landed(export_id),
+                held={mid: m.phase for mid, m in cluster.migrator.migrations.items()},
+                rival=source.inflight_spender(ref),
+                vote=_prepare_vote(cluster.agents[seen["source"]], ref),
+            )
 
-        cluster.migrator.phase_listeners.append(crash)
+        seen = restart_at(cluster, "cutover", then=in_the_window)
         migration_id = cluster.reshard("shard-0")
         cluster.run()
-        doc = cluster.migrator.journal_record(migration_id)
-        assert doc is None or doc["phase"] in ("rolled_back", "done")
+        export_id = seen["export"]["id"]
+        assert window["pooled"] and window["landed"] is None
+        assert window["held"] == {migration_id: "cutover"}
+        assert window["rival"] == export_id and window["vote"] is not None
+        m = cluster.migrator.migrations[migration_id]
+        assert m.phase == "done" and m.export["id"] == export_id
+        assert cluster.shards[m.target].landed(m.import_["id"]) is True
+        plane = FaultPlane(cluster)
+        assert no_key_lost(plane) == [] and no_key_duplicated(plane) == []
+        assert migration_terminal(plane) == []
+
+    def test_restart_before_the_export_lifts_the_fence(self):
+        """Restarted in drain, before its export was built: nothing of the
+        migration is on either chain, its fence is gone with the memory,
+        and a spend of a planned ref commits on the source."""
+        cluster = build(seed=14)
+        alice = keypair_from_string("alice")
+        creates = {c.tx_id: c for c in mint(cluster, alice, 8)}
+        seen = restart_at(cluster, "drain")
+        migration_id = cluster.reshard("shard-0")
+        cluster.run()
+        assert seen["export"] is None and migration_id not in cluster.migrator.migrations
+        for shard in cluster.shards.values():
+            chain = max((shard.engine.validator(n).chain for n in shard.engine.validator_order), key=len)
+            operations = {e.payload.get("operation") for b in chain for e in b.transactions}
+            assert not operations & {"SHARD_EXPORT", "SHARD_IMPORT"}
+        tx_id, index = seen["live"][0]
+        assert cluster.migrator.fence(seen["source"], OutputRef(tx_id, index)) is None
+        transfer = cluster.driver.prepare_transfer(
+            alice, [(tx_id, index, 1)], creates[tx_id].tx_id,
+            [(keypair_from_string("bob").public_key, 1)],
+        )
+        record = cluster.submit_and_settle(transfer)
+        assert record.committed_at is not None, record.rejected
+        assert cluster.router.home_of_tx(transfer.tx_id) == seen["source"]
+
+    def test_no_id_is_reused_while_an_older_export_is_pooled(self):
+        """Right after a restart, with the forgotten migration's export
+        still pooled, that migration is held again: its shards refuse a
+        second migration, and one between two other shards takes a fresh
+        id.  Both end terminal under their own ids."""
+        cluster = ShardedCluster(
+            ShardedClusterConfig(
+                n_shards=4, seed=13, durability=DurabilityConfig(snapshot_interval=6)
+            )
+        )
+        mint(cluster, keypair_from_string("alice"), 16)
+        started: list = []
+
+        def start_others(seen):
+            assert cluster.shards[seen["source"]].pooled(seen["export"]["id"])
+            with pytest.raises(MigrationError, match=seen["id"]):
+                cluster.migrator.start_migration(seen["source"], seen["target"])
+            started.append(cluster.migrator.start_migration("shard-2", "shard-3"))
+
+        seen = restart_at(cluster, "cutover", then=start_others)
+        first = cluster.reshard("shard-0", target="shard-1")
+        cluster.run()
+        assert first == seen["export"]["migration"] and started and started[0] != first
+        migrations = cluster.migrator.migrations
+        assert migrations[first].phase == "done"
+        assert migrations[started[0]].terminal
         assert not cluster.migrator.unfinished()
 
 
@@ -180,12 +270,12 @@ class TestNodeCrashDuringMigration:
         cluster.migrator.phase_listeners.append(crash)
         migration_id = cluster.reshard("shard-0")
         cluster.run()
-        doc = cluster.migrator.journal_record(migration_id)
-        assert doc["phase"] in ("done", "rolled_back")
-        if doc["phase"] == "done":
-            for tx_id, index, _doc in doc["moved"]:
-                assert utxo_on(cluster, doc["target"], tx_id, index)
-                assert not utxo_on(cluster, doc["source"], tx_id, index)
+        m = cluster.migrator.migrations[migration_id]
+        assert m.phase in ("done", "rolled_back")
+        if m.phase == "done":
+            for tx_id, index in m.moved:
+                assert utxo_on(cluster, m.target, tx_id, index)
+                assert not utxo_on(cluster, m.source, tx_id, index)
 
 
 class TestResumeIdempotence:
@@ -197,16 +287,16 @@ class TestResumeIdempotence:
         mint(cluster, keypair_from_string("alice"), 8)
         migration_id = cluster.reshard("shard-0")
         cluster.run()
-        doc = cluster.migrator.journal_record(migration_id)
-        assert doc["phase"] == "done"
+        m = cluster.migrator.migrations[migration_id]
+        assert m.phase == "done"
         for _ in range(2):
             cluster.migrator.resume()
             cluster.run()
-        for tx_id, index, _d in doc["moved"]:
+        for tx_id, index in m.moved:
             holders = [
                 sid for sid in cluster.shard_ids if utxo_on(cluster, sid, tx_id, index)
             ]
-            assert holders == [doc["target"]]
+            assert holders == [m.target]
 
 
 class TestOwnershipIsOnTheChains:
@@ -229,14 +319,9 @@ class TestOwnershipIsOnTheChains:
         cluster.run()
         back_id = cluster.reshard("shard-1", target="shard-0", plan_txs=plan)
         cluster.run()
-        out_doc = cluster.migrator.journal_record(out_id)
-        back_doc = cluster.migrator.journal_record(back_id)
-        assert out_doc["phase"] == "done" and back_doc["phase"] == "done"
-        round_tripped = [
-            (tx_id, index)
-            for tx_id, index, _d in out_doc["moved"]
-            if any(t == tx_id and i == index for t, i, _x in back_doc["moved"])
-        ]
+        out, back = cluster.migrator.migrations[out_id], cluster.migrator.migrations[back_id]
+        assert out.phase == "done" and back.phase == "done"
+        round_tripped = [ref for ref in out.moved if ref in back.moved]
         assert round_tripped, "second hop moved none of the first hop's refs"
         for tx_id, index in round_tripped:
             assert utxo_on(cluster, "shard-0", tx_id, index)
@@ -258,10 +343,10 @@ class TestOwnershipIsOnTheChains:
         mint(cluster, alice, 8)
         migration_id = cluster.reshard("shard-0")
         cluster.run()
-        doc = cluster.migrator.journal_record(migration_id)
-        assert doc["phase"] == "done" and doc["moved"]
-        target = doc["target"]
-        moved_tx, moved_index = doc["moved"][0][0], doc["moved"][0][1]
+        m = cluster.migrator.migrations[migration_id]
+        assert m.phase == "done" and m.moved
+        target = m.target
+        moved_tx, moved_index = m.moved[0]
         transfer = cluster.driver.prepare_transfer(
             alice, [(moved_tx, moved_index, 1)], moved_tx,
             [(keypair_from_string("bob").public_key, 1)],
@@ -301,13 +386,13 @@ class TestCatchupSuppressor:
             pytest.skip("seeded placement put no fresh mints on shard-0")
         migration_id = cluster.reshard("shard-0", plan_txs=plan)
         cluster.run()
-        doc = cluster.migrator.journal_record(migration_id)
-        assert doc["phase"] == "done"
+        m = cluster.migrator.migrations[migration_id]
+        assert m.phase == "done"
         shard.network.heal_partition()
         shard.resync_node(laggard)
         cluster.run()
         laggard_utxos = shard.servers[laggard].database.collection("utxos")
-        for tx_id, index, _d in doc["moved"]:
+        for tx_id, index in m.moved:
             assert (
                 laggard_utxos.find_one(
                     {"transaction_id": tx_id, "output_index": index}, copy=False

@@ -9,13 +9,16 @@ a bundle that replays to the identical failure.
 
 import pytest
 
+from repro.core import server
 from repro.core.cluster import SmartchainCluster
+from repro.crypto.keys import keypair_from_string
 from repro.durability.node import DurabilityConfig
 from repro.sharding import migration
 from repro.sharding.cluster import ShardedCluster, ShardedClusterConfig
 from repro.sharding.migration import MIGRATE_TRAP_PHASES, MIGRATE_TRAP_ROLES
 from repro.sim.rng import SeededRng
 from repro.simtest import SimHarness, SimtestConfig
+from repro.simtest.invariants import InvariantChecker
 from repro.simtest.plane import FaultPlane
 from repro.simtest.schedule import Schedule, ScheduleGenerator
 
@@ -132,7 +135,7 @@ class TestLostKeyMutation:
         the target never mints them — a lost key.  Both chains stay
         self-consistent (each replica is still the replay of its chain),
         so the per-step replica checks stay blind and only the
-        journal-driven ``no_key_lost`` sweep can see the hole."""
+        chain-driven ``no_key_lost`` sweep can see the hole."""
         imports: set[str] = set()
         make_import = migration.import_entry
 
@@ -166,3 +169,76 @@ class TestLostKeyMutation:
             again.bundle.detail,
         )
         assert "--elastic-rate" in first.bundle.to_json()
+
+
+def _migrated_with(n_shards: int = 2, on_export_landed=None) -> dict[str, list[str]]:
+    """Mint on a durable deployment, migrate off shard-0, and return the
+    quiesce violations by invariant name.  ``on_export_landed`` runs
+    (through the loop) the moment shard-0's chain delivers the export."""
+    cluster = ShardedCluster(
+        ShardedClusterConfig(
+            n_shards=n_shards, seed=11, durability=DurabilityConfig(snapshot_interval=6)
+        )
+    )
+    alice = keypair_from_string("alice")
+    for index in range(8):
+        cluster.submit_payload(
+            cluster.driver.prepare_create(alice, {"capabilities": [f"c{index}"]}).to_dict()
+        )
+    cluster.run()
+
+    def watch(record):
+        if on_export_landed is not None and any(
+            e.payload.get("operation") == "SHARD_EXPORT" for e in record.delivered
+        ):
+            cluster.loop.schedule_in(0.0, lambda: on_export_landed(cluster))
+
+    cluster.shards["shard-0"].engine.commit_listeners.append(watch)
+    cluster.reshard("shard-0", target="shard-1")
+    cluster.run()
+    plane = FaultPlane(cluster)
+    checker = InvariantChecker(plane)
+    plane.quiesce()
+    failed: dict[str, list[str]] = {}
+    for violation in checker.check_quiesce(step=0):
+        failed.setdefault(violation.invariant, []).append(violation.detail)
+    return failed
+
+
+class TestCutoverEntryMutations:
+    """The migration invariants read the chains' export and import
+    entries; a controller that loses or misplaces one fails them by name."""
+
+    def test_unmutated_migration_is_green(self):
+        assert _migrated_with(on_export_landed=lambda c: c.migrator.restart()) == {}
+
+    def test_a_restart_that_drops_a_landed_export_is_caught(self, monkeypatch):
+        """The restart's fold skips the chains: the export the source just
+        delivered is never imported, and ``migration_terminal`` sees a
+        landed export with no import."""
+        monkeypatch.setattr(migration.ReshardController, "_exports", lambda self: [])
+        failed = _migrated_with(on_export_landed=lambda c: c.migrator.restart())
+        assert "migration_terminal" in failed, failed
+
+    def test_an_import_on_a_shard_its_export_did_not_name_is_caught(self, monkeypatch):
+        """The controller's export names a third shard while its import
+        goes to the migration's target, and replicas take an import
+        whatever shard its export names: ``no_key_duplicated`` sees the
+        import land where no export sent it."""
+        make_export, verify = migration.export_entry, server.verify_entry
+
+        def misnamed(migration_id, source, target, refs, author):
+            return make_export(migration_id, source, "shard-2", refs, author)
+
+        def lenient(entry, keyring, authors, check, shard_id):
+            if entry["operation"] == "SHARD_IMPORT":
+                shard_id = entry["export"]["target"]
+            verify(entry, keyring, authors, check, shard_id)
+
+        monkeypatch.setattr(migration, "export_entry", misnamed)
+        monkeypatch.setattr(server, "verify_entry", lenient)
+        failed = _migrated_with(n_shards=3)
+        assert any(
+            "landed on shard-1 but its export names shard-2" in detail
+            for detail in failed.get("no_key_duplicated", [])
+        ), failed

@@ -85,3 +85,42 @@ def test_a_reference_chain_that_stops_extending_the_replay_is_a_violation():
         engine.validator(node_id).chain.pop()
     violations = replica_utxo_consistency(plane)
     assert violations and "no longer extends" in violations[0]
+
+
+def test_each_block_delta_is_read_from_its_writes(monkeypatch):
+    """Every block's added and removed rows, read from the block's own
+    writes, equal the difference of the whole collections before and
+    after it — through transfers, 2PC consumes, exports and imports."""
+    advance = invariants.ChainReplay._advance
+
+    def checked(replay, name):
+        before = set(replay.rows[name].values())
+        added, removed = advance(replay, name)
+        after = invariants._rows(replay.database.collection(name).find({}, copy=False), name)
+        assert (added, removed) == (after - before, before - after), name
+        return added, removed
+
+    monkeypatch.setattr(invariants.ChainReplay, "_advance", checked)
+    report = SimHarness(
+        SimtestConfig(seed=7, steps=80, fault_rate=0.05, elastic_rate=0.12, cross_rate=0.3)
+    ).run()
+    assert report.ok, [f"{v.invariant}: {v.detail}" for v in report.violations]
+    migrated = report.stats["reshard"]["refs_moved"]
+    assert migrated > 0, "the run moved no keys: exports and imports went untested"
+
+
+def test_a_block_write_that_names_no_row_breaks_the_replay(monkeypatch):
+    """A write the replay cannot read a row from (here an update of every
+    UTXO) stops the replay rather than guess, and the comparison says so."""
+    plane = single_shard(5)
+    deliver = invariants.deliver_block
+
+    def deliver_and_update(server, block, committed):
+        delivered = list(deliver(server, block, committed))
+        server.database.collection("utxos").update_many({}, {"$set": {"amount": 2}})
+        return delivered
+
+    monkeypatch.setattr(invariants, "deliver_block", deliver_and_update)
+    plane.replays.clear()
+    violations = replica_utxo_consistency(plane)
+    assert violations and "writes a row by no identity" in violations[0], violations

@@ -83,7 +83,7 @@ def _coordinator():
 def _controller():
     controller = ReshardController(ShardedCluster(ShardedClusterConfig(n_shards=1)))
     controller._set_active_gauge()
-    controller.crash()
+    controller.restart()
     return controller
 
 
