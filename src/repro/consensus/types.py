@@ -3,9 +3,30 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 from repro.crypto.hashing import hash_document
+
+#: The value types a memoised header may hold: equal tuples of these are
+#: equal JSON, which ``1 == True`` or ``0.0 == -0.0`` would not be.
+_HEADER_TYPES = frozenset({int, str, type(None)})
+
+
+def header_id(height: Any, previous: Any, txs: list) -> str:
+    """The block id of a ``{height, previous, txs}`` header: the hash of
+    its canonical form, computed once per process for a header of ints,
+    strings and None — the proposer's build seeds it, so every replica's
+    check of the same header as cross-shard evidence reuses it."""
+    key = (height, previous, *txs)
+    if _HEADER_TYPES.issuperset(map(type, key)):
+        return _memoised_header_id(key)
+    return hash_document({"height": height, "previous": previous, "txs": txs})
+
+
+@lru_cache(maxsize=4096)
+def _memoised_header_id(key: tuple) -> str:
+    return hash_document({"height": key[0], "previous": key[1], "txs": list(key[2:])})
 
 
 @dataclass(frozen=True)
@@ -63,13 +84,7 @@ class Block:
         but every replica that commits it records one id and reaches one
         state.
         """
-        block_id = hash_document(
-            {
-                "height": height,
-                "previous": previous_id,
-                "txs": [envelope.tx_id for envelope in transactions],
-            }
-        )
+        block_id = header_id(height, previous_id, [envelope.tx_id for envelope in transactions])
         return Block(
             height=height,
             round=round_number,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.common.encoding import canonical_bytes, deep_copy_json
+from repro.common.encoding import canonical_bytes, deep_copy_json, frozen_bytes
 from repro.common.errors import SchemaValidationError, ValidationError
 from repro.consensus.abci import deliver_block, envelope_for
 from repro.consensus.bft import BftConfig, BftEngine, CommitRecord
@@ -253,9 +253,10 @@ class SmartchainCluster:
             # stores and journals by reference from here on — the single
             # copy the zero-copy discipline keeps.
             payload = deep_copy_json(payload)
-        # The one canonical encoding of the payload: sizes it here, then
-        # (once admitted) is what every durable replica journals.
-        encoded = canonical_bytes(payload)
+        # The one canonical encoding of the payload, frozen from here on:
+        # sizes it here, then (once admitted) is what every durable
+        # replica journals.
+        encoded = frozen_bytes(payload)
         size_bytes = len(encoded)
         wire_bytes = size_bytes + (
             len(canonical_bytes(list(attachments))) if attachments else 0

@@ -47,6 +47,7 @@ from typing import Any, Callable, Iterable
 
 from repro.common.errors import ValidationError
 from repro.consensus.bft import certifies
+from repro.consensus.types import header_id
 from repro.crypto.hashing import hash_document
 from repro.crypto.keys import KeyPair, verify_signature
 
@@ -158,7 +159,7 @@ def certified_txs(evidence: Any, keyring: Keyring) -> list[str]:
     height, txs = header.get("height"), header.get("txs")
     if keys is None or not isinstance(height, int) or not isinstance(txs, list):
         raise ValidationError(f"evidence from unknown shard {evidence.get('shard')!r}", "evidence")
-    block_id = hash_document({"height": height, "previous": header.get("previous"), "txs": txs})
+    block_id = header_id(height, header.get("previous"), txs)
     if not certifies(evidence.get("cert"), block_id, height, keys):
         raise ValidationError(f"no quorum certificate for {evidence['shard']} block {height}", "evidence")
     return txs

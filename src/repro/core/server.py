@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.common.encoding import deep_copy_json
+from repro.common.encoding import FrozenMemo, deep_copy_json
 from repro.common.errors import DuplicateKeyError, ValidationError
 from repro.consensus.types import Block, TxEnvelope
 from repro.core.context import REDIRECT_MARKER, ValidationContext, spent_error
@@ -96,6 +96,39 @@ class ServerCostModel:
 
     def block_commit_cost(self, size_bytes: int) -> float:
         return self.commit_base + size_bytes * self.commit_per_byte
+
+
+
+#: Frozen payload -> the rows its commit stores, and block -> its
+#: ``blocks`` row: built once per process and shared by reference by
+#: every replica's collections, which then encode each once.
+_ROWS = FrozenMemo(4096)
+
+
+def commit_rows(payload: dict[str, Any]) -> tuple[dict, dict | None, list[dict]]:
+    """``(stored form, asset row or None, UTXO rows)`` of a committed
+    payload: an entry is stored without its evidence (it did its work at
+    delivery and is outside the entry's id; the block record keeps it for
+    replay), an import's outputs come from its own payloads."""
+    rows = _ROWS.get(payload)
+    if rows is None:
+        stored = payload
+        if is_entry(payload):
+            stored = {k: v for k, v in payload.items() if k != "evidence"}
+        asset = payload.get("asset") or {}
+        asset_row = {"id": payload["id"], "data": asset.get("data")} if "data" in asset else None
+        utxo_rows = imported_utxos(payload) if payload.get("operation") == SHARD_IMPORT else []
+        for index, output in enumerate(payload.get("outputs", [])):
+            utxo_rows.append(
+                {
+                    "transaction_id": payload["id"],
+                    "output_index": index,
+                    "public_keys": output.get("public_keys", []),
+                    "amount": output.get("amount"),
+                }
+            )
+        rows = _ROWS.put(payload, (stored, asset_row, utxo_rows))
+    return rows
 
 
 class SmartchainServer:
@@ -325,15 +358,19 @@ class SmartchainServer:
         utxos = self.database.collection("utxos")
         blocks = self.database.collection("blocks")
 
-        blocks.insert_one(
-            {
-                "height": block.height,
-                "block_id": block.block_id,
-                "proposer": block.proposer,
-                "transaction_ids": [envelope.tx_id for envelope in delivered],
-            },
-            copy=False,
-        )
+        ids = [envelope.tx_id for envelope in delivered]
+        block_row = _ROWS.get(block)
+        if block_row is None or block_row["transaction_ids"] != ids:
+            block_row = _ROWS.put(
+                block,
+                {
+                    "height": block.height,
+                    "block_id": block.block_id,
+                    "proposer": block.proposer,
+                    "transaction_ids": ids,
+                },
+            )
+        blocks.insert_one(block_row, copy=False)
         accepted_payloads: list[dict[str, Any]] = []
         fresh_utxos: list[dict[str, Any]] = []
         spent_in_block: set[tuple[str, int]] = set()
@@ -350,19 +387,14 @@ class SmartchainServer:
             payload = envelope.payload
             for attachment in envelope.attachments:
                 store(attachment["payload"])
-            if is_entry(payload):
-                # The evidence did its work at delivery and is outside the
-                # entry's id; the block record keeps it for replay.
-                store({k: v for k, v in payload.items() if k != "evidence"})
-            else:
-                store(payload)
+            stored, asset_row, utxo_rows = commit_rows(payload)
+            store(stored)
             if payload.get("operation") == SHARD_IMPORT:
                 for carried in payload["payloads"]:
                     store(carried)
-                fresh_utxos.extend(imported_utxos(payload))
-            asset = payload.get("asset") or {}
-            if "data" in asset:
-                assets.insert_one({"id": payload["id"], "data": asset.get("data")}, copy=False)
+            fresh_utxos.extend(utxo_rows)
+            if asset_row is not None:
+                assets.insert_one(asset_row, copy=False)
             # UTXO maintenance: consume pre-existing spent refs now, and
             # group-commit the block's fresh outputs in one batched write
             # below — minus any output a later transaction in this same
@@ -375,15 +407,6 @@ class SmartchainServer:
                     utxos.delete_many(
                         {"transaction_id": ref[0], "output_index": ref[1]}
                     )
-            for index, output in enumerate(payload.get("outputs", [])):
-                fresh_utxos.append(
-                    {
-                        "transaction_id": payload["id"],
-                        "output_index": index,
-                        "public_keys": output.get("public_keys", []),
-                        "amount": output.get("amount"),
-                    }
-                )
             if payload.get("operation") == ACCEPT_BID:
                 accepted_payloads.append(payload)
             elif payload.get("operation") == RETURN:

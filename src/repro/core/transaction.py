@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.common.encoding import canonical_bytes, deep_copy_json
+from repro.common.encoding import deep_copy_json, is_plain, known_plain, vouched_bytes
 from repro.common.errors import SchemaValidationError, ValidationError
 from repro.crypto.conditions import Condition, Fulfillment
 from repro.crypto.hashing import sha3_256_hex
@@ -168,7 +168,9 @@ class Transaction:
         # size_bytes).  Reassigning any body field, or calling sign(),
         # invalidates them; callers deep-mutating a field's *contents*
         # (e.g. ``tx.asset["data"]["k"] = v``) must call
-        # invalidate_caches() themselves.
+        # invalidate_caches() themselves.  ``_cached_plain`` is whether the
+        # body without signatures is plain (``repro.common.encoding``), so
+        # its encodes walk it at most once.
         self.invalidate_caches()
 
     #: Fields whose reassignment changes the canonical body.
@@ -193,6 +195,7 @@ class Transaction:
         object.__setattr__(self, "_cached_signing_payload", None)
         object.__setattr__(self, "_cached_signed_bytes", None)
         object.__setattr__(self, "_cached_id", None)
+        object.__setattr__(self, "_cached_plain", None)
 
     @property
     def sealed(self) -> bool:
@@ -216,7 +219,9 @@ class Transaction:
 
     # -- serialisation --------------------------------------------------------
 
-    def _body(self, with_signatures: bool) -> dict[str, Any]:
+    def _body(self, with_signatures: bool, copy: bool = True) -> dict[str, Any]:
+        """The body as a fresh document; ``copy=False`` holds the asset
+        and metadata by reference, for a body only encoded here."""
         inputs = []
         for item in self.inputs:
             entry = item.to_dict()
@@ -226,10 +231,10 @@ class Transaction:
         body: dict[str, Any] = {
             "operation": self.operation,
             "version": VERSION,
-            "asset": deep_copy_json(self.asset),
+            "asset": deep_copy_json(self.asset) if copy else self.asset,
             "inputs": inputs,
             "outputs": [output.to_dict() for output in self.outputs],
-            "metadata": deep_copy_json(self.metadata),
+            "metadata": deep_copy_json(self.metadata) if copy else self.metadata,
         }
         if self.references or self.operation in (BID, ACCEPT_BID, RETURN):
             body["references"] = list(self.references)
@@ -247,7 +252,11 @@ class Transaction:
         """
         payload = self._cached_signing_payload
         if payload is None:
-            payload = canonical_bytes(self._body(with_signatures=False))
+            body = self._body(with_signatures=False, copy=False)
+            plain = self._cached_plain
+            if plain is None:
+                plain = self._cached_plain = is_plain(body)
+            payload = vouched_bytes(body, plain)
             self._cached_signing_payload = payload
         return payload
 
@@ -255,7 +264,15 @@ class Transaction:
         """Canonical bytes of the fully signed body, memoised."""
         signed = self._cached_signed_bytes
         if signed is None:
-            signed = canonical_bytes(self._body(with_signatures=True))
+            body = self._body(with_signatures=True, copy=False)
+            plain = self._cached_plain
+            if plain is None:
+                plain = is_plain(body)
+                if plain:  # so is the body without signatures
+                    self._cached_plain = True
+            elif plain:
+                plain = is_plain([item.fulfillment.signatures for item in self.inputs])
+            signed = vouched_bytes(body, plain)
             self._cached_signed_bytes = signed
         return signed
 
@@ -319,7 +336,7 @@ class Transaction:
                 validation should normally run first and give nicer errors).
         """
         try:
-            return cls(
+            transaction = cls(
                 operation=payload["operation"],
                 asset=deep_copy_json(payload["asset"]),
                 inputs=[Input.from_dict(item) for item in payload["inputs"]],
@@ -331,6 +348,12 @@ class Transaction:
             )
         except (KeyError, TypeError) as exc:
             raise SchemaValidationError(f"malformed transaction payload: {exc}") from exc
+        if known_plain(payload):
+            # Every body value is a payload value, or ``int`` / ``list`` /
+            # ``dict`` / ``sorted`` of one: plain too, but for ints out of
+            # orjson's range, which it refuses itself.
+            transaction._cached_plain = True
+        return transaction
 
     # -- integrity -------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Protocol
 
-from repro.common.encoding import canonical_bytes
+from repro.common.encoding import frozen_bytes
 from repro.common.errors import SchemaValidationError, ValidationError
 from repro.core.context import ValidationContext
 from repro.core.transaction import Transaction
@@ -189,8 +189,9 @@ def kept_payload(payload: dict[str, Any]) -> bytes | None:
 
 
 def encoded_payload(payload: dict[str, Any]) -> bytes:
-    """Canonical bytes of a payload: the kept ones, else encoded now."""
-    return kept_payload(payload) or canonical_bytes(payload)
+    """Canonical bytes of a frozen payload: the kept ones, else encoded
+    now (once per process)."""
+    return kept_payload(payload) or frozen_bytes(payload)
 
 
 class AdmissionProbe:

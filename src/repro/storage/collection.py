@@ -6,7 +6,14 @@ import itertools
 import json
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.common.encoding import array_pieces, canonical_bytes, deep_copy_json, object_pieces
+from repro.common.encoding import (
+    array_pieces,
+    decode_plain,
+    deep_copy_json,
+    frozen_bytes,
+    known_plain,
+    object_pieces,
+)
 from repro.common.errors import DuplicateKeyError, QueryError, StorageError
 from repro.storage.compiler import compile_query
 from repro.storage.indexes import HashIndex, SortedIndex
@@ -34,12 +41,12 @@ class Collection:
     probed straight from the query's top-level equalities, and the probe
     alone answers the write path's usual lookups: an empty bucket is the
     answer (the usual fate of a spend check or a "not yet present"
-    lookup), and a query that *is* the probed string equality
-    (``{"id": x}``) yields its bucket as it stands.  Everything else — a
-    scan, or a bucket that the query's other clauses still have to
-    filter — is compiled (:mod:`repro.storage.compiler`), once, and the
-    closure is evaluated per candidate instead of re-interpreting the
-    query dictionary.
+    lookup), the buckets of every probed string equality intersect into
+    the candidates, and a query of such equalities alone (``{"id": x}``)
+    yields them as they stand.  Everything else — a scan, or candidates
+    that the query's other clauses still have to filter — is compiled
+    (:mod:`repro.storage.compiler`), once, and the closure is evaluated
+    per candidate instead of re-interpreting the query dictionary.
 
     One consequence: the clauses of a query whose probe comes back empty
     are never read, so a malformed one returns nothing there instead of
@@ -57,12 +64,16 @@ class Collection:
     checkpoint, so a checkpoint writes only that.
 
     The same bytes make a durable collection's caller-owned copies:
-    ``find(copy=True)`` decodes its whole answer with one ``json.loads``
-    over the spliced kept bytes (a document without them is encoded and
-    kept first) instead of deep-copying each document.  Values and JSON
-    types are those of the stored documents; keys come back in canonical
-    (sorted) order — what a replica recovered from its disk serves
-    anyway.  A volatile collection copies with ``deep_copy_json``.
+    ``find(copy=True)`` decodes its whole answer in one call over the
+    spliced kept bytes (a document without them is encoded and kept
+    first) instead of deep-copying each document.  The call is orjson's
+    when every document of the answer was known plain when its bytes
+    were made (:func:`~repro.common.encoding.known_plain`, recorded per
+    document), else ``json.loads``: orjson would read an integer of
+    2**64 or more back as a float.  Values and JSON types are those of
+    the stored documents; keys come back in canonical (sorted) order —
+    what a replica recovered from its disk serves anyway.  A volatile
+    collection copies with ``deep_copy_json``.
 
     Args:
         name: collection name (used in error messages / stats).
@@ -83,6 +94,9 @@ class Collection:
         self._documents: dict[int, dict[str, Any]] = {}
         #: doc id -> canonical bytes of the stored document (see class doc).
         self._fragments: dict[int, bytes] = {}
+        #: Doc ids whose kept bytes were not known plain when made: an
+        #: answer holding one decodes through ``json.loads``.
+        self._mixed: set[int] = set()
         self._last_id = 0
         #: Since the last checkpoint: ids inserted or replaced, ids it
         #: held that are deleted, and the last id it knew.
@@ -141,7 +155,7 @@ class Collection:
         document: dict[str, Any],
         *,
         copy: bool = True,
-        encode: Callable[[dict[str, Any]], bytes] = canonical_bytes,
+        encode: Callable[[dict[str, Any]], bytes] = frozen_bytes,
     ) -> int:
         """Insert a document; returns its internal id.
 
@@ -155,8 +169,10 @@ class Collection:
                 contract (internal callers only — the counterpart of
                 ``find(copy=False)``).
             encode: how a journaled collection gets the stored document's
-                canonical bytes; a caller that already holds them passes
-                a lookup returning exactly ``canonical_bytes(document)``.
+                canonical bytes (by default once per process for a
+                document shared by reference); a caller that already
+                holds them passes a lookup returning exactly
+                ``canonical_bytes(document)``.
 
         Raises:
             DuplicateKeyError: if a unique index is violated (the insert is
@@ -184,7 +200,7 @@ class Collection:
         if self.keeps_bytes:
             # ``stored`` is frozen from here on, so the journal record
             # may hold it by reference and its encoding never goes stale.
-            fragment = self._fragments[doc_id] = encode(stored)
+            fragment = self._keep(doc_id, stored, encode(stored))
             self._changed.add(doc_id)
             if self.journal is not None:
                 self.journal({"op": "insert", "c": self.name, "d": stored}, fragment)
@@ -200,7 +216,7 @@ class Collection:
         doomed = [doc_id for doc_id, _ in self._match_ids(query)]
         for doc_id in doomed:
             self._unindex(doc_id, self._documents.pop(doc_id))
-            self._fragments.pop(doc_id, None)
+            self._drop_kept(doc_id)
             self._changed.discard(doc_id)
             if doc_id <= self._checkpointed_id:
                 self._gone.add(doc_id)
@@ -236,7 +252,7 @@ class Collection:
             else:
                 replacement = self._apply_update(document, update)
             self._replace(doc_id, document, replacement)
-            self._fragments.pop(doc_id, None)
+            self._drop_kept(doc_id)
             if tracking:
                 self._changed.add(doc_id)
             replacements.append(replacement)
@@ -283,14 +299,26 @@ class Collection:
 
     @staticmethod
     def _apply_update(document: dict[str, Any], update: dict[str, Any]) -> dict[str, Any]:
-        replacement = deep_copy_json(document)
+        """A fresh replacement for the frozen ``document``: only the
+        objects on an updated path are copied, every other value is
+        shared with the document (both stay frozen)."""
+        replacement = dict(document)
+        owned = {id(replacement)}
+
+        def descend(target: dict[str, Any], segment: str) -> Any:
+            child = target.setdefault(segment, {})
+            if isinstance(child, dict) and id(child) not in owned:
+                child = target[segment] = dict(child)
+                owned.add(id(child))
+            return child
+
         for operator, fields in update.items():
             if operator == "$set":
                 for path, value in fields.items():
                     target = replacement
                     segments = path.split(".")
                     for segment in segments[:-1]:
-                        target = target.setdefault(segment, {})
+                        target = descend(target, segment)
                         if not isinstance(target, dict):
                             raise QueryError(f"$set path {path!r} crosses a non-object")
                     target[segments[-1]] = deep_copy_json(value)
@@ -299,15 +327,19 @@ class Collection:
                     target = replacement
                     segments = path.split(".")
                     for segment in segments[:-1]:
-                        target = target.setdefault(segment, {})
+                        target = descend(target, segment)
                     target[segments[-1]] = target.get(segments[-1], 0) + delta
             elif operator == "$push":
                 for path, value in fields.items():
                     target = replacement
                     segments = path.split(".")
                     for segment in segments[:-1]:
-                        target = target.setdefault(segment, {})
-                    target.setdefault(segments[-1], []).append(deep_copy_json(value))
+                        target = descend(target, segment)
+                    items = target.setdefault(segments[-1], [])
+                    if isinstance(items, list) and id(items) not in owned:
+                        items = target[segments[-1]] = list(items)
+                        owned.add(id(items))
+                    items.append(deep_copy_json(value))
             else:
                 raise QueryError(f"unsupported update operator: {operator!r}")
         return replacement
@@ -335,27 +367,32 @@ class Collection:
             matcher = compile_query(query)
         else:
             stats["index_probes"] += 1
-            path, key, candidates = probed
+            path, key, candidates, strings = probed
             if not candidates:
                 # Nothing under the probed key: no document can match,
                 # whatever the other clauses say (they are never read).
                 return
+            # Index-covered clause elimination: a string equality's
+            # bucket holds exactly the documents meeting it, so the
+            # buckets of every probed one intersect into the candidates
+            # and only the other clauses run per document.  String keys
+            # only — for bool/int keys hash equality is coarser than
+            # query equality (``True == 1 == 1.0`` share a bucket).
+            others = [ids for other, ids in strings if other != path]
+            if others:
+                candidates = set(candidates).intersection(*others)
             if type(candidates) is set:
-                # The index's live bucket, of any size down to one id:
-                # fixed here, before a writer's first mutation changes it.
+                # The index's live bucket, of any size down to one id, or
+                # an intersection: fixed here, before a writer's first
+                # mutation changes it.
                 candidates = sorted(candidates)
-            # Index-covered clause elimination: every candidate already
-            # satisfies the probed equality, so only the other clauses
-            # run per document.  String keys only — for bool/int keys
-            # hash equality is coarser than query equality
-            # (``True == 1 == 1.0`` share a bucket).
-            if type(key) is not str:
-                matcher = compile_query(query)
-            elif len(query) == 1:
-                # The query *is* the probed equality: the bucket is the answer.
+                if not candidates:
+                    return
+            if len(strings) == len(query):
+                # The query *is* the probed equalities: no clause is left.
                 matcher = None
             else:
-                matcher = compile_query(query).residual_for(path)
+                matcher = compile_query(query).residual_for(*(other for other, _ in strings))
         for doc_id in candidates:
             document = documents.get(doc_id)
             if document is None:
@@ -385,7 +422,12 @@ class Collection:
         if not self.keeps_bytes:
             return [deep_copy_json(document) for _, document in matches]
         # One decode of the spliced kept bytes builds every copy at once.
-        return json.loads(b"".join(array_pieces(map(self._kept_bytes, matches))))
+        matched = list(matches)
+        data = b"".join(array_pieces(map(self._kept_bytes, matched)))
+        mixed = self._mixed
+        if mixed and not mixed.isdisjoint([doc_id for doc_id, _ in matched]):
+            return json.loads(data)
+        return decode_plain(data)
 
     def find_one(
         self,
@@ -441,9 +483,9 @@ class Collection:
         document ids; nothing loaded counts as changed."""
         for doc_id in entry["gone"]:
             self._unindex(doc_id, self._documents.pop(doc_id))
-            self._fragments.pop(doc_id, None)
+            self._drop_kept(doc_id)
         for doc_id, document in zip(entry["ids"], entry["docs"]):
-            self._fragments.pop(doc_id, None)
+            self._drop_kept(doc_id)
             self._replace(doc_id, self._documents.get(doc_id), document)
         self._last_id = max([self._last_id, *entry["ids"], *entry["gone"]])
         self._checkpointed_id = self._last_id
@@ -454,8 +496,22 @@ class Collection:
         doc_id, document = match
         fragment = self._fragments.get(doc_id)
         if fragment is None:
-            fragment = self._fragments[doc_id] = canonical_bytes(document)
+            fragment = self._keep(doc_id, document, frozen_bytes(document))
         return fragment
+
+    def _keep(self, doc_id: int, document: dict[str, Any], fragment: bytes) -> bytes:
+        """Keep ``fragment`` as the document's bytes, noting whether it is
+        known plain (see the class docstring)."""
+        self._fragments[doc_id] = fragment
+        if known_plain(document):
+            self._mixed.discard(doc_id)
+        else:
+            self._mixed.add(doc_id)
+        return fragment
+
+    def _drop_kept(self, doc_id: int) -> None:
+        self._fragments.pop(doc_id, None)
+        self._mixed.discard(doc_id)
 
     def explain(self, query: dict[str, Any]) -> QueryPlan:
         """Expose the access path the planner would pick (for ablations)."""

@@ -107,32 +107,32 @@ class Predicate:
             )
         self._matcher = _conjoin(clauses)
         self._clauses = clauses
-        self._residuals: dict[str, DocMatcher | None] = {}
+        self._residuals: dict[tuple[str, ...], DocMatcher | None] = {}
 
     def __call__(self, document: Any) -> bool:
         return self._matcher(document)
 
-    def residual_for(self, covered_path: str) -> DocMatcher | None:
-        """The predicate minus the equality clause an index probe covers.
+    def residual_for(self, *covered_paths: str) -> DocMatcher | None:
+        """The predicate minus the equality clauses index probes cover.
 
-        When the planner probes a hash index on ``covered_path`` for a
+        When the planner probes a hash index on a covered path for a
         *string* key, every candidate in the bucket is already known to
         satisfy that clause (string hash-equality coincides with query
         equality; the caller must enforce the string-key guard — for
         bool/int keys hash collisions like ``True == 1`` break the
-        equivalence).  Only the residual clauses need evaluating, and a
-        single-equality query needs no per-document work at all — in
-        which case this returns None.
+        equivalence), and so is every candidate of an intersection of
+        such buckets.  Only the residual clauses need evaluating, and a
+        query of covered equalities alone needs no per-document work at
+        all — in which case this returns None.
         """
-        cached = self._residuals.get(covered_path, _MISSING)
+        cached = self._residuals.get(covered_paths, _MISSING)
         if cached is not _MISSING:
             return cached  # type: ignore[return-value]
-        if covered_path not in self.equalities:
+        covered = {path for path in covered_paths if path in self.equalities}
+        if not covered:
             result: DocMatcher | None = self._matcher
         else:
-            rest = tuple(
-                matcher for key, matcher in self._clauses if key != covered_path
-            )
+            rest = tuple(matcher for key, matcher in self._clauses if key not in covered)
             if not rest:
                 result = None
             elif len(rest) == 1:
@@ -147,7 +147,7 @@ class Predicate:
                     return True
 
                 result = match
-        self._residuals[covered_path] = result
+        self._residuals[covered_paths] = result
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -49,34 +49,40 @@ class QueryPlanner:
 
     def probe(
         self, query: dict[str, Any]
-    ) -> tuple[str, Any, tuple[int, ...] | set[int]] | None:
+    ) -> tuple[str, Any, tuple[int, ...] | set[int], list[tuple[str, Any]]] | None:
         """Probe the hash indexes for ``query``'s top-level equalities.
 
-        Returns ``(path, key, ids)`` of the most selective indexed
-        equality — the smallest bucket, the first one found empty ending
-        the search — or None when no equality path is indexed (scan).
-        Reads nothing but the query dictionary and the index buckets: it
-        runs *before* any compilation, so a query whose answer the probe
-        already holds (an empty bucket, a lone string equality) never
-        reaches the compiler.
+        Returns ``(path, key, ids, strings)``: ``path``, ``key`` and
+        ``ids`` of the most selective indexed equality — the smallest
+        bucket, the first one found empty ending the search — and
+        ``(path, ids)`` of every *string* equality probed on the way
+        (the ones whose buckets hold exactly the documents meeting them),
+        or None when no equality path is indexed (scan).  Reads nothing
+        but the query dictionary and the index buckets: it runs *before*
+        any compilation, so a query whose answer the probe already holds
+        (an empty bucket, string equalities alone) never reaches the
+        compiler.
 
-        ``ids`` is a *read-only view* of the chosen index bucket (sized
-        and iterable: a 1-tuple, a set or the shared empty tuple) —
-        callers must materialise a set (``sorted(...)``) before mutating
-        the collection.
+        Each bucket is a *read-only view* of the index (sized and
+        iterable: a 1-tuple, a set or the shared empty tuple) — callers
+        must materialise a set (``sorted(...)``) before mutating the
+        collection.
         """
         indexes = self._indexes
         best: tuple[str, Any, tuple[int, ...] | set[int]] | None = None
+        strings: list[tuple[str, Any]] = []
         for path, key in extract_equality_paths(query).items():
             index = indexes.get(path)
             if index is None:
                 continue
             ids = index.lookup(key)
+            if type(key) is str:
+                strings.append((path, ids))
             if best is None or len(ids) < len(best[2]):
                 best = (path, key, ids)
                 if not ids:
                     break
-        return best
+        return None if best is None else (*best, strings)
 
     def plan(self, query: dict[str, Any], collection_size: int) -> QueryPlan:
         """The access path :meth:`probe` picks, as a :class:`QueryPlan`.
@@ -87,5 +93,5 @@ class QueryPlanner:
         probed = self.probe(query)
         if probed is None:
             return QueryPlan(kind="scan", index_path=None, key=None, candidates=collection_size)
-        path, key, ids = probed
+        path, key, ids, _ = probed
         return QueryPlan(kind="index", index_path=path, key=key, candidates=len(ids))

@@ -57,19 +57,26 @@ def consume(ids, limit):
 def expected_outcome(collection, query, limit=None):
     """Ids and read counters from first principles: the smallest bucket
     among the indexed top-level equalities (a scan when none is indexed),
-    walked in id order, each document judged by ``matches`` and counted
-    when it is reached."""
+    narrowed to the buckets of every indexed *string* equality, walked in
+    id order, each document judged by ``matches`` and counted when it is
+    reached."""
     documents = collection._documents
-    buckets = {
-        path: collection._hash_indexes[path].lookup(key)
+    equalities = {
+        path: key
         for path, key in extract_equality_paths(query).items()
         if path in collection._hash_indexes
     }
+    buckets = {path: collection._hash_indexes[path].lookup(key) for path, key in equalities.items()}
     plan = collection.explain(query)
     if buckets:
         # ``explain`` only breaks the tie between equally small buckets.
         assert plan.kind == "index" and plan.candidates == min(map(len, buckets.values()))
-        candidates = sorted(buckets[plan.index_path])
+        narrowed = set(buckets[plan.index_path])
+        if narrowed:
+            for path, key in equalities.items():
+                if type(key) is str:
+                    narrowed &= set(buckets[path])
+        candidates = sorted(narrowed)
     else:
         assert plan.kind == "scan"
         candidates = list(documents)
@@ -329,6 +336,13 @@ class TestKeyHazards:
             assert_reads_as_expected(collection, query)
         assert collection.find({"op": "ASK", "ref": "r9"}, copy=False)[0]["n"] == 99
         assert collection.find({"op": "ASK", "ref": "r1"}) == []
+        # Both string buckets intersect before any document is read: the
+        # lone ASK is not examined for a ref it does not carry, and a
+        # BID/r1 read examines the ten answers only.
+        before = collection.stats["documents_examined"]
+        assert collection.find({"op": "ASK", "ref": "r1"}, copy=False) == []
+        assert len(collection.find({"op": "BID", "ref": "r1"}, copy=False)) == 10
+        assert collection.stats["documents_examined"] - before == 10
 
 
 # -- writers iterate a live bucket ------------------------------------------------
@@ -558,13 +572,14 @@ def plant(monkeypatch, owner, name, old, new, module):
 
 class TestPlantedMutations:
     def test_dropping_the_string_guard_of_the_lone_equality_shortcut_is_caught(self, monkeypatch):
+        # The guard sits where the probe collects the buckets it covers.
         plant(
             monkeypatch,
-            Collection,
-            "_match_ids",
-            "        if type(key) is not str:\n",
-            "        if False:\n",
-            collection_module,
+            QueryPlanner,
+            "probe",
+            "        if type(key) is str:\n",
+            "        if True:\n",
+            query_module,
         )
         TestKeyHazards().test_string_keys_need_no_per_document_check()
         with pytest.raises(AssertionError):
