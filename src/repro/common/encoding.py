@@ -104,9 +104,9 @@ class FrozenMemo:
         self.limit = limit
         self._entries: OrderedDict[int, tuple[Any, Any]] = OrderedDict()
 
-    def get(self, value: Any, default: Any = None) -> Any:
+    def get(self, value: Any) -> Any:
         entry = self._entries.get(id(value))
-        return entry[1] if entry is not None and entry[0] is value else default
+        return entry[1] if entry is not None and entry[0] is value else None
 
     def put(self, value: Any, fact: Any) -> Any:
         entries = self._entries
