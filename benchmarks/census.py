@@ -142,8 +142,9 @@ KEPT_DEFS = {
     "repro.core.nested.ReturnQueue.requeue": "retry of a failed RETURN submit; nested tests",
     "repro.core.parallel": "lane accounting read-outs; ablation and parallel tests",
     "repro.core.transaction.Transaction": "accessors (asset_id, size_bytes, repr); tests and debugging",
-    "repro.core.validation.AdmissionMemo.__len__": _TESTS,
     "repro.core.validation.set_shared_memo": "test isolation hook for the process-wide memo",
+    "repro.storage.collection.Collection._apply_update.descend": "dotted update paths; no "
+    "caller updates a nested field (storage tests)",
     "repro.core.workflow": "workflow registry and trace read-outs; workflow tests",
     "repro.simtest.harness.SimtestConfig.to_dict": _ON_VIOLATION,
     "repro.simtest.harness.ReproBundle": _ON_VIOLATION,

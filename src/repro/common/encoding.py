@@ -181,6 +181,13 @@ def frozen_bytes(value: Any) -> bytes:
     return fact[0]
 
 
+def held_bytes(value: Any) -> bytes | None:
+    """The bytes :func:`frozen_bytes` still holds for ``value``, else
+    None; never encodes."""
+    fact = _FROZEN.get(value)
+    return fact[0] if fact is not None else None
+
+
 def known_plain(value: Any) -> bool:
     """True if ``value`` went through :func:`frozen_bytes` recently and
     is plain, so its bytes decode exactly through :func:`decode_plain`."""

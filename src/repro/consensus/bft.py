@@ -235,7 +235,7 @@ class Validator:
         verdicts: list[bool | None] = [None] * len(envelopes)
         misses: list[int] = []
         for index, envelope in enumerate(envelopes):
-            if memo.get(envelope.tx_id) is envelope.payload:
+            if envelope.tx_id in memo and memo[envelope.tx_id] is envelope.payload:
                 memo.move_to_end(envelope.tx_id)
                 self.check_stats["memo_hits"] += 1
                 verdicts[index] = True
@@ -641,10 +641,11 @@ class Validator:
 
     def _block_body(self, block: Block) -> bytes:
         """Canonical bytes of ``block``'s record, made on first use per
-        block — around the transactions' own bytes when the application
-        keeps them (its optional ``kept_payload`` hook) — and shared with
-        every validator of the engine that journals the same ``Block``
-        object (checked by ``is``), so a height's replicas hold one copy."""
+        block — around the transactions' own bytes when ``frozen_bytes``
+        holds them (:func:`~repro.durability.recovery.encoded_block_record`)
+        — and shared with every validator of the engine that journals the
+        same ``Block`` object (checked by ``is``), so a height's replicas
+        hold one copy."""
         height = block.height
         entry = self._block_bytes.get(height)
         if entry is None or entry[0] is not block:
@@ -653,8 +654,7 @@ class Validator:
                 if entry is not None and entry[0] is block:
                     break
             else:
-                kept = getattr(self.app, "kept_payload", None)
-                entry = (block, encoded_block_record(block, kept))
+                entry = (block, encoded_block_record(block))
             self._block_bytes[height] = entry
         return entry[1]
 

@@ -22,7 +22,6 @@ from repro.core.driver import Driver, DriverCallback
 from repro.core.entries import SHARD_IMPORT
 from repro.core.server import ServerCostModel, SmartchainServer
 from repro.core.transaction import ACCEPT_BID
-from repro.core.validation import shared_memo
 from repro.crypto.keys import ReservedAccounts
 from repro.durability.node import DurabilityConfig, NodeDurability
 from repro.durability.recovery import RecoveredState, checkpoint_state, recover
@@ -254,10 +253,8 @@ class SmartchainCluster:
             # copy the zero-copy discipline keeps.
             payload = deep_copy_json(payload)
         # The one canonical encoding of the payload, frozen from here on:
-        # sizes it here, then (once admitted) is what every durable
-        # replica journals.
-        encoded = frozen_bytes(payload)
-        size_bytes = len(encoded)
+        # sizes it here, then is what every durable replica journals.
+        size_bytes = len(frozen_bytes(payload))
         wire_bytes = size_bytes + (
             len(canonical_bytes(list(attachments))) if attachments else 0
         )
@@ -315,8 +312,6 @@ class SmartchainCluster:
                     )
                 self._fire_callback(tx_id, "rejected", str(error))
                 return
-            if self.node_durability:
-                shared_memo().keep_encoded(payload, encoded)
             if trace_flags & TRACE_SAMPLED:
                 self.telemetry.tracer.event(
                     tx_id, "receiver_validated", node=self.node_label(receiver_id)

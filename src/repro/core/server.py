@@ -36,7 +36,7 @@ from repro.core.entries import (
 from repro.core.nested import NestedTransactionProcessor
 from repro.core.parallel import ConflictScheduler, block_schedule
 from repro.core.transaction import ACCEPT_BID, RETURN, OutputRef
-from repro.core.validation import TransactionValidator, encoded_payload, kept_payload
+from repro.core.validation import TransactionValidator
 from repro.crypto.keys import ReservedAccounts
 from repro.sim.clock import SimClock
 from repro.storage.database import Database, make_smartchaindb_database
@@ -240,6 +240,8 @@ class SmartchainServer:
         lock table is safe to consult here."""
         self.stats["checked"] += 1
         payload = envelope.payload
+        if not isinstance(payload, dict):  # a peer's proposal may carry anything
+            return False
         try:
             if is_entry(payload):
                 # A system entry spends what the locks and fences guard,
@@ -281,12 +283,6 @@ class SmartchainServer:
     def check_block(self, envelopes: list[TxEnvelope]) -> list[bool]:
         """:meth:`check_tx` over a block's envelopes, in block order."""
         return [self.check_tx(envelope) for envelope in envelopes]
-
-    def kept_payload(self, payload: dict[str, Any]) -> bytes | None:
-        """The canonical bytes already held for a transaction payload, if
-        any (the consensus engine's optional hook for splicing durable
-        block records)."""
-        return kept_payload(payload)
 
     def deliver_tx(self, envelope: TxEnvelope) -> bool:
         """DeliverTx: the final stateful validation before mutating state.
@@ -376,7 +372,7 @@ class SmartchainServer:
         spent_in_block: set[tuple[str, int]] = set()
         def store(payload: dict[str, Any]) -> None:
             try:
-                transactions.insert_one(payload, copy=False, encode=encoded_payload)
+                transactions.insert_one(payload, copy=False)
             except DuplicateKeyError:
                 # Already here as a cross-shard reference copy: delivery
                 # adds the local effects below, the stored payload is the
@@ -439,7 +435,8 @@ class SmartchainServer:
     # -- cost model --------------------------------------------------------------
 
     def execution_cost(self, envelope: TxEnvelope) -> float:
-        operation = envelope.payload.get("operation", "TRANSFER")
+        payload = envelope.payload if isinstance(envelope.payload, dict) else {}
+        operation = payload.get("operation", "TRANSFER")
         return self.costs.validation_cost(operation, envelope.size_bytes)
 
     def block_validation_cost(self, envelopes: list[TxEnvelope]) -> float:
@@ -450,9 +447,11 @@ class SmartchainServer:
         abstraction"), so independent transactions validate in parallel
         lanes and the block charge is ``max(lane sums)``, not the serial
         sum — the paper's modelled speedup made real on the commit path.
-        The proposer and its checkers share one schedule per block.
+        The proposer and its checkers share one schedule per block.  A
+        block with a payload that is not a mapping (which CheckTx refuses)
+        declares no access sets and is charged serially.
         """
-        if len(envelopes) <= 1:
+        if len(envelopes) <= 1 or not all(isinstance(e.payload, dict) for e in envelopes):
             return sum(self.execution_cost(envelope) for envelope in envelopes)
         schedule = block_schedule(self.scheduler, self.costs, envelopes, self.execution_cost)
         return schedule.parallel_cost

@@ -13,16 +13,18 @@ Fig. 4 runs both at the receiver, again at every validator's CheckTx and
 again at DeliverTx.  The schema walk, the id hash and the transaction's
 own signature conditions are pure functions of the payload, so this
 module runs them **once per payload object per process** and keeps the
-outcome in the :class:`AdmissionMemo`; only the ``C_alpha`` conditions
-that read the ledger run on every replica.
+sealed parse in the shared memo (:data:`_shared`, a
+:class:`~repro.common.encoding.FrozenMemo`), as
+:func:`~repro.common.encoding.frozen_bytes` keeps the payload's canonical
+bytes; only the ``C_alpha`` conditions that read the ledger run on every
+replica.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Protocol
 
-from repro.common.encoding import frozen_bytes
+from repro.common.encoding import FrozenMemo
 from repro.common.errors import SchemaValidationError, ValidationError
 from repro.core.context import ValidationContext
 from repro.core.transaction import Transaction
@@ -45,153 +47,66 @@ class TypeValidator(Protocol):
     def validate(self, ctx: ValidationContext, transaction: Transaction) -> None: ...
 
 
-class Admission:
-    """One admitted payload: the object, its parse, its canonical bytes."""
-
-    __slots__ = ("payload", "transaction", "encoded")
-
-    def __init__(self, payload: dict[str, Any], transaction: Transaction):
-        self.payload = payload
-        self.transaction = transaction
-        #: ``canonical_bytes(payload)`` once :meth:`AdmissionMemo.keep_encoded`
-        #: was handed them; None until then.
-        self.encoded: bytes | None = None
-
-
-class AdmissionMemo:
-    """Process-wide memo of payloads that passed the stateless checks.
-
-    Scope.  A "cluster" here is many simulated nodes in one interpreter,
-    and a payload that crossed the ``submit_payload`` trust boundary is
-    one frozen dict every one of them is handed by reference.  Schema
-    validity, ``verify_id`` and ``verify_signatures`` of that dict are
-    the same on every node, so — like the signature verdicts of
-    :mod:`repro.crypto.sigcache` — they are kept once per process, not
-    once per server.  An entry is written only after all three passed.
-
-    What is shared across replicas: the payload dict itself, its sealed
-    (read-only) :class:`Transaction` parse, and — on a durable cluster,
-    handed over by ``submit_payload`` through :meth:`keep_encoded` — its
-    canonical bytes: the same bytes object sizes the envelope, becomes
-    the ``transactions`` fragment of every replica and is spliced into
-    their block records.  What is not: everything that reads a ledger.  Input
-    existence, double-spend checks, spend guards, ingress gates and
-    staging run against each replica's own database on every call, so a
-    DeliverTx verdict stays a function of that replica's state.  The
-    simulated cost of validation (``ServerCostModel.validation_cost``,
-    ``block_validation_cost``) is likewise still charged per replica per
-    call: the model describes a deployment whose nodes are separate
-    machines, each doing the work this process happens to do once.
-
-    Identity guard.  Entries are keyed by transaction id but a hit
-    additionally requires the entry's payload to be the **same object**
-    (``is``) as the one being checked: equal content in a different dict
-    misses, and a forged body claiming a known id misses and goes
-    through full verification, so it cannot ride on a memoised verdict.
-    The memo holds strong references, which is what makes the identity
-    test sound while an entry lives.
-
-    Ownership contract.  A payload handed to a validator must not be
-    mutated in place afterwards — an identity hit cannot detect such
-    tampering without re-hashing, which is exactly the cost being
-    memoised away.  ``SmartchainCluster.submit_payload`` enforces this
-    at the driver trust boundary by deep-copying the payload once on
-    entry, so nothing outside the pipeline holds a reference to the
-    object the memo vouches for; standalone ``TransactionValidator``
-    users who mutate and re-check a payload must construct a fresh dict.
-
-    Bound.  At most ``max_entries`` payloads and ``max_bytes`` of kept
-    canonical bytes, least recently used evicted first.  An entry is
-    needed from receiver validation until the last replica commits the
-    transaction, so the bound only has to cover what is in flight — the
-    default is the window the consensus layer's own CheckTx memo assumes
-    (``consensus.bft.CHECK_MEMO_LIMIT``); an evicted payload simply
-    re-verifies, to the same verdict.  A resident entry costs its parse
-    (measured 4.6 KB for a 1.4 KB payload, 2.6 KB of it the memoised
-    signing payload and signed body) on top of the payload and the bytes
-    the replicas hold anyway: ~19 MB of parses at the default entry cap,
-    and the byte cap keeps large payloads from multiplying that.
-    """
-
-    def __init__(self, max_entries: int = 4096, max_bytes: int = 16 << 20):
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._entries: "OrderedDict[str, Admission]" = OrderedDict()
-        self._kept_bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, payload: dict[str, Any]) -> Admission | None:
-        """The entry vouching for this exact payload object, if any."""
-        tx_id = payload.get("id")
-        entry = self._entries.get(tx_id) if isinstance(tx_id, str) else None
-        if entry is None or entry.payload is not payload:
-            return None
-        self._entries.move_to_end(tx_id)
-        return entry
-
-    def record(self, payload: dict[str, Any], transaction: Transaction) -> None:
-        """Remember a payload whose sealed parse is ``transaction``.
-
-        Raises:
-            ValueError: if the transaction is not sealed — an unverified
-                parse must never be handed to other replicas as admitted.
-        """
-        if not transaction.sealed:
-            raise ValueError("only a sealed transaction can be admitted")
-        self._drop(self._entries.pop(transaction.tx_id, None))
-        self._entries[transaction.tx_id] = Admission(payload, transaction)
-        self._evict()
-
-    def keep_encoded(self, payload: dict[str, Any], encoded: bytes) -> None:
-        """Keep ``encoded`` — which must be ``canonical_bytes(payload)`` —
-        with this payload's admission, for every replica's WAL to share;
-        a payload the memo does not hold is left alone."""
-        entry = self.lookup(payload)
-        if entry is not None and entry.encoded is None:
-            entry.encoded = encoded
-            self._kept_bytes += len(encoded)
-            self._evict()
-
-    def _drop(self, entry: Admission | None) -> None:
-        if entry is not None:
-            self._kept_bytes -= len(entry.encoded or b"")
-
-    def _evict(self) -> None:
-        entries = self._entries
-        while len(entries) > self.max_entries or (
-            self._kept_bytes > self.max_bytes and len(entries) > 1
-        ):
-            self._drop(entries.popitem(last=False)[1])
+#: Frozen payload -> its sealed :class:`Transaction`: the process-wide
+#: memo of payloads that passed the stateless checks.
+#:
+#: Scope.  A "cluster" here is many simulated nodes in one interpreter,
+#: and a payload that crossed the ``submit_payload`` trust boundary is
+#: one frozen dict every one of them is handed by reference.  Schema
+#: validity, ``verify_id`` and ``verify_signatures`` of that dict are the
+#: same on every node, so — like the signature verdicts of
+#: :mod:`repro.crypto.sigcache` — they are kept once per process, not
+#: once per server.  An entry is written only after all three passed.
+#: What is shared across replicas: the payload dict itself and its sealed
+#: (read-only) parse; its canonical bytes are
+#: :func:`~repro.common.encoding.frozen_bytes`'s to hold.  What is not:
+#: everything that reads a ledger.  Input existence, double-spend checks,
+#: spend guards, ingress gates and staging run against each replica's own
+#: database on every call, so a DeliverTx verdict stays a function of
+#: that replica's state.  The simulated cost
+#: of validation (``ServerCostModel.validation_cost``,
+#: ``block_validation_cost``) is likewise still charged per replica per
+#: call: the model describes a deployment whose nodes are separate
+#: machines, each doing the work this process happens to do once.
+#:
+#: Identity guard.  A hit requires the **same object** (``is``) as the
+#: one admitted: equal content in a different dict misses, and a forged
+#: body claiming a known id misses and goes through full verification,
+#: so it cannot ride on a memoised verdict.  The memo holds strong
+#: references, which is what makes the identity test sound while an
+#: entry lives.
+#:
+#: Ownership contract.  A payload handed to a validator must not be
+#: mutated in place afterwards — an identity hit cannot detect such
+#: tampering without re-hashing, which is exactly the cost being
+#: memoised away.  ``SmartchainCluster.submit_payload`` enforces this at
+#: the driver trust boundary by deep-copying the payload once on entry,
+#: so nothing outside the pipeline holds a reference to the object the
+#: memo vouches for; standalone ``TransactionValidator`` users who mutate
+#: and re-check a payload must construct a fresh dict.
+#:
+#: Bound.  An entry is needed from receiver validation until the last
+#: replica commits the transaction, so the bound only has to cover what
+#: is in flight — the window the consensus layer's own CheckTx memo
+#: assumes (``consensus.bft.CHECK_MEMO_LIMIT``); an evicted payload
+#: simply re-verifies, to the same verdict.  A resident entry costs its
+#: parse (measured 4.6 KB for a 1.4 KB payload, 2.6 KB of it the
+#: memoised signing payload and signed body) on top of the payload the
+#: replicas hold anyway: ~19 MB of parses at 4096 entries.
+_shared = FrozenMemo(4096)
 
 
-_shared = AdmissionMemo()
-
-
-def shared_memo() -> AdmissionMemo:
+def shared_memo() -> FrozenMemo:
     """The process-wide memo every validator consults."""
     return _shared
 
 
-def set_shared_memo(memo: AdmissionMemo) -> AdmissionMemo:
+def set_shared_memo(memo: FrozenMemo) -> FrozenMemo:
     """Swap the shared memo (tests needing isolation); returns the old one."""
     global _shared
     previous = _shared
     _shared = memo
     return previous
-
-
-def kept_payload(payload: dict[str, Any]) -> bytes | None:
-    """The canonical bytes kept with this payload's admission, if any."""
-    entry = _shared.lookup(payload)
-    return entry.encoded if entry is not None else None
-
-
-def encoded_payload(payload: dict[str, Any]) -> bytes:
-    """Canonical bytes of a frozen payload: the kept ones, else encoded
-    now (once per process)."""
-    return kept_payload(payload) or frozen_bytes(payload)
 
 
 class AdmissionProbe:
@@ -204,12 +119,12 @@ class AdmissionProbe:
 
     def lookup(self, payload: dict[str, Any]) -> Transaction | None:
         """Sealed parse of this exact payload object, or None."""
-        entry = _shared.lookup(payload)
-        if entry is None:
+        transaction = shared_memo().get(payload)
+        if transaction is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        return entry.transaction
+        else:
+            self.hits += 1
+        return transaction
 
 
 class TransactionValidator:
@@ -222,7 +137,7 @@ class TransactionValidator:
 
     def __init__(self):
         self._schemas = default_registry()
-        #: This validator's probe into the shared :class:`AdmissionMemo`;
+        #: This validator's probe into the shared memo;
         #: None (a benchmark's uncached reference) runs every stateless
         #: check on every call.
         self.verification_cache: AdmissionProbe | None = AdmissionProbe()
@@ -270,7 +185,9 @@ class TransactionValidator:
                 raise ValidationError("transaction id does not match body hash", "integrity")
             return False
         if admit and self.verification_cache is not None:
-            _shared.record(payload, transaction)
+            if not transaction.sealed:  # never hand an unverified parse to other replicas
+                raise ValueError("only a sealed transaction can be admitted")
+            shared_memo().put(payload, transaction)
         return True
 
     # -- phases -----------------------------------------------------------------

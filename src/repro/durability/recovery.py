@@ -44,6 +44,7 @@ from typing import Any, Callable
 from repro.common.encoding import (
     canonical_bytes,
     canonical_serialize,
+    held_bytes,
     object_pieces,
     splice_array,
 )
@@ -87,24 +88,18 @@ def block_record(block: Block) -> dict[str, Any]:
     return record
 
 
-def encoded_block_record(
-    block: Block, kept_payload: Callable[[Any], bytes | None] | None = None
-) -> bytes:
+def encoded_block_record(block: Block) -> bytes:
     """``canonical_bytes(block_record(block))``, byte for byte.
 
-    ``kept_payload(payload)`` returns the canonical bytes somebody
-    already holds for that payload object, or None.  When every
-    transaction of the block has them they are spliced in by reference
-    and only the header and the envelopes' scalars are encoded; a block
-    with nothing to splice (empty, no ``kept_payload``, or read back
-    from disk so nothing of it was ever admitted here) is encoded whole,
-    in one call.
+    When :func:`~repro.common.encoding.frozen_bytes` still holds the
+    canonical bytes of every transaction payload of the block, they are
+    spliced in by reference and only the header and the envelopes'
+    scalars are encoded; a block with any payload whose bytes nobody
+    holds (or an empty one) is encoded whole, in one call, since
+    splicing would encode those payloads and the envelopes' scalars
+    besides.
     """
-    kept = (
-        [kept_payload(envelope.payload) for envelope in block.transactions]
-        if kept_payload is not None
-        else []
-    )
+    kept = [held_bytes(envelope.payload) for envelope in block.transactions]
     if not kept or None in kept:
         return canonical_bytes(block_record(block))
 

@@ -150,13 +150,7 @@ class Collection:
 
     # -- writes ---------------------------------------------------------------
 
-    def insert_one(
-        self,
-        document: dict[str, Any],
-        *,
-        copy: bool = True,
-        encode: Callable[[dict[str, Any]], bytes] = frozen_bytes,
-    ) -> int:
+    def insert_one(self, document: dict[str, Any], *, copy: bool = True) -> int:
         """Insert a document; returns its internal id.
 
         The document is deep-copied here — the single freeze-on-insert
@@ -168,11 +162,6 @@ class Collection:
                 mutate it exists outside code honouring the stored-document
                 contract (internal callers only — the counterpart of
                 ``find(copy=False)``).
-            encode: how a journaled collection gets the stored document's
-                canonical bytes (by default once per process for a
-                document shared by reference); a caller that already
-                holds them passes a lookup returning exactly
-                ``canonical_bytes(document)``.
 
         Raises:
             DuplicateKeyError: if a unique index is violated (the insert is
@@ -200,7 +189,7 @@ class Collection:
         if self.keeps_bytes:
             # ``stored`` is frozen from here on, so the journal record
             # may hold it by reference and its encoding never goes stale.
-            fragment = self._keep(doc_id, stored, encode(stored))
+            fragment = self._keep(doc_id, stored, frozen_bytes(stored))
             self._changed.add(doc_id)
             if self.journal is not None:
                 self.journal({"op": "insert", "c": self.name, "d": stored}, fragment)

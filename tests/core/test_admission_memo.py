@@ -9,7 +9,7 @@ harmless, and everything that reads a ledger still runs per replica.
 
 import pytest
 
-from repro.common.encoding import canonical_bytes, deep_copy_json
+from repro.common.encoding import FrozenMemo, canonical_bytes, deep_copy_json
 from repro.common.errors import SchemaValidationError, ValidationError
 from repro.consensus.abci import envelope_for
 from repro.consensus.tendermint import tendermint_config
@@ -18,14 +18,7 @@ from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.core.context import ValidationContext
 from repro.core.extensions import build_interest, build_pre_request
 from repro.core.transaction import Transaction
-from repro.core.validation import (
-    AdmissionMemo,
-    TransactionValidator,
-    encoded_payload,
-    kept_payload,
-    set_shared_memo,
-    shared_memo,
-)
+from repro.core.validation import TransactionValidator, set_shared_memo, shared_memo
 from repro.crypto.keys import ReservedAccounts, keypair_from_string
 from repro.storage.database import make_smartchaindb_database
 
@@ -37,7 +30,7 @@ SALLY = keypair_from_string("sally")
 @pytest.fixture(autouse=True)
 def memo():
     """Every test gets its own empty process-wide memo."""
-    fresh = AdmissionMemo()
+    fresh = FrozenMemo(4096)
     previous = set_shared_memo(fresh)
     yield fresh
     set_shared_memo(previous)
@@ -62,6 +55,11 @@ def small_cluster(**overrides) -> SmartchainCluster:
             **overrides,
         )
     )
+
+
+def held(memo) -> list:
+    """The payload objects ``memo`` holds, oldest first."""
+    return [value for value, _ in memo._entries.values()]
 
 
 def envelope(payload):
@@ -95,7 +93,7 @@ def assert_forged_body_is_rejected_on_every_route(memo):
     validator = server.validator
     genuine = create_payload("genuine")
     validator.validate(server.context, genuine)
-    assert memo.lookup(genuine) is not None
+    assert memo.get(genuine) is not None
     forged = forge(genuine)
     assert forged["id"] == genuine["id"]
     with pytest.raises(ValidationError, match="does not match body hash"):
@@ -109,8 +107,8 @@ def assert_forged_body_is_rejected_on_every_route(memo):
     for replica in cluster.servers.values():
         assert replica.deliver_tx(envelope(forged)) is False
     # The forgery neither entered the memo nor displaced the genuine entry.
-    assert memo.lookup(forged) is None
-    assert memo.lookup(genuine).payload is genuine
+    assert memo.get(forged) is None
+    assert [payload for payload in held(memo) if payload["id"] == genuine["id"]] == [genuine]
 
 
 def assert_bad_signature_is_never_recorded(memo):
@@ -124,8 +122,8 @@ def assert_bad_signature_is_never_recorded(memo):
         validator.validate(ctx, bad)
     assert validator.check_tx(bad) is False
     assert validator.check_block([bad, create_payload("fine")]) == [False, True]
-    assert memo.lookup(bad) is None
-    assert len(memo) == 1  # only the valid batchmate
+    assert memo.get(bad) is None
+    assert len(held(memo)) == 1  # only the valid batchmate
 
 
 # -- identity guard -----------------------------------------------------------------
@@ -141,11 +139,10 @@ class TestIdentityGuard:
         assert validator.check_tx(payload)
         assert (probe.hits, probe.misses) == (1, 1)
         twin = deep_copy_json(payload)
-        assert twin == payload and memo.lookup(twin) is None
+        assert twin == payload and memo.get(twin) is None
         assert validator.check_tx(twin)  # verified on its own merits
         assert (probe.hits, probe.misses) == (1, 2)
-        # One entry per id: the twin took the slot, the original re-verifies.
-        assert memo.lookup(twin) is not None and memo.lookup(payload) is None
+        assert memo.get(twin) is not None
         assert validator.check_tx(payload)
 
     def test_forged_body_under_a_cached_id_is_rejected_on_every_route(self, memo):
@@ -194,7 +191,7 @@ class TestOnlyVerifiedPayloadsAreRecorded:
             else:
                 with pytest.raises((ValidationError, SchemaValidationError)):
                     getattr(validator, route)(ctx, payload)
-            assert len(memo) == 0, route
+            assert held(memo) == [], route
 
     def test_bad_signature_is_never_recorded(self, memo):
         assert_bad_signature_is_never_recorded(memo)
@@ -205,7 +202,7 @@ class TestOnlyVerifiedPayloadsAreRecorded:
         ctx, validator = ledger
         payload = create_payload()
         assert validator.validate_semantics(ctx, payload).verify_id()
-        assert len(memo) == 0
+        assert held(memo) == []
 
     def test_a_stateful_rejection_keeps_the_stateless_admission(self, memo, ledger):
         """Statelessly sound but spending a missing output: admitted once,
@@ -219,13 +216,17 @@ class TestOnlyVerifiedPayloadsAreRecorded:
         for _ in range(2):
             with pytest.raises(ValidationError, match="not committed"):
                 validator.validate(ctx, transfer)
-        assert memo.lookup(transfer) is not None
+        assert memo.get(transfer) is not None
         assert validator.verification_cache.hits == 1
 
-    def test_record_refuses_an_unsealed_parse(self, memo):
-        payload = create_payload()
-        with pytest.raises(ValueError):
-            memo.record(payload, Transaction.from_dict(payload))
+    def test_record_refuses_an_unsealed_parse(self, memo, ledger, monkeypatch):
+        """The one place that writes the memo refuses a parse that passed
+        without being sealed."""
+        _, validator = ledger
+        monkeypatch.setattr(Transaction, "seal", lambda self: True)
+        with pytest.raises(ValueError, match="only a sealed transaction"):
+            validator.check_tx(create_payload())
+        assert held(memo) == []
 
 
 # -- bound ------------------------------------------------------------------------
@@ -234,49 +235,19 @@ class TestOnlyVerifiedPayloadsAreRecorded:
 class TestBound:
     def test_entry_cap_holds_under_churn_and_eviction_keeps_verdicts(self, ledger):
         ctx, validator = ledger
-        memo = AdmissionMemo(max_entries=8)
+        memo = FrozenMemo(8)
         set_shared_memo(memo)
         good = [create_payload(f"asset-{index}") for index in range(40)]
         bad = broken_signature(create_payload("bad"))
         for payload in good:
             validator.validate(ctx, payload)
             assert validator.check_tx(bad) is False
-            assert len(memo) <= 8
-        assert len(memo) == 8
-        assert memo.lookup(good[0]) is None and memo.lookup(good[-1]) is not None
+            assert len(held(memo)) <= 8
+        assert held(memo) == good[-8:]
         misses = validator.verification_cache.misses
         assert validator.check_tx(good[0]) is True  # evicted: verified again
         assert validator.verification_cache.misses == misses + 1
-        assert memo.lookup(good[0]) is not None and len(memo) == 8
-
-    def test_byte_cap_counts_the_bytes_kept_with_admissions(self, ledger):
-        ctx, validator = ledger
-        payloads = [create_payload(f"asset-{index}") for index in range(6)]
-        size = len(canonical_bytes(payloads[0]))
-        memo = AdmissionMemo(max_entries=100, max_bytes=3 * size + size // 2)
-        set_shared_memo(memo)
-        for payload in payloads:
-            validator.validate(ctx, payload)  # no bytes yet: nothing to count
-        assert len(memo) == 6
-        for payload in payloads[:4]:
-            memo.keep_encoded(payload, canonical_bytes(payload))
-        # The fourth set of bytes went over the cap: least recently used
-        # entries go, byteless ones included, until it holds again.
-        assert [memo.lookup(payload) is not None for payload in payloads] == [
-            False, True, True, True, False, False
-        ]  # fmt: skip
-        kept = memo.lookup(payloads[3]).encoded
-        assert kept == canonical_bytes(payloads[3])
-        assert kept_payload(payloads[3]) is kept is encoded_payload(payloads[3])
-        # Not admitted: left alone, and encoded for the caller when asked.
-        memo.keep_encoded(payloads[0], canonical_bytes(payloads[0]))
-        assert memo.lookup(payloads[0]) is None and len(memo) == 3
-        assert kept_payload(payloads[0]) is None
-        assert encoded_payload(payloads[0]) == canonical_bytes(payloads[0])
-        # Admitted without bytes: the same.
-        validator.validate(ctx, payloads[5])
-        assert kept_payload(payloads[5]) is None
-        assert encoded_payload(payloads[5]) == canonical_bytes(payloads[5])
+        assert memo.get(good[0]) is not None and len(held(memo)) == 8
 
 
 # -- state-dependent checks still run on every replica ----------------------------
@@ -303,7 +274,7 @@ class TestReplicasStillJudgeTheirOwnState:
         cluster.submit_and_settle(first)
         # The rival is statelessly sound and admitted process-wide ...
         assert cluster.any_server().validator.check_tx(rival)
-        assert memo.lookup(rival) is not None
+        assert memo.get(rival) is not None
         # ... and still every replica's own ledger refuses it.
         for server in cluster.servers.values():
             hits = server.validator.verification_cache.hits
@@ -445,7 +416,7 @@ class TestSharedObjectsAreNeverWritten:
         frozen = stored[0]
         assert frozen is not payload  # the submit boundary copied it once ...
         assert all(document is frozen for document in stored)  # ... and nobody since
-        assert memo.lookup(frozen).payload is frozen
+        assert memo.get(frozen) is not None and frozen in held(memo)
         first, second, *rest = cluster.servers.values()
         first.database.collection("transactions").update_many(
             {"id": payload["id"]}, {"$set": {"metadata": {"reviewed": True}}}
@@ -461,7 +432,7 @@ class TestSharedObjectsAreNeverWritten:
         for server in rest:
             transactions = server.database.collection("transactions")
             assert transactions.find_one({"id": payload["id"]}, copy=False) is frozen
-        assert memo.lookup(frozen).payload == snapshot
+        assert memo.get(frozen) is not None and frozen == snapshot
 
 
 # -- planted mutations: the checks above must notice -------------------------------
@@ -469,10 +440,13 @@ class TestSharedObjectsAreNeverWritten:
 
 class TestPlantedMutations:
     def test_dropping_the_identity_guard_is_caught(self, memo, monkeypatch):
-        def lookup_without_guard(self, payload):
-            return self._entries.get(payload.get("id"))
+        def get_by_tx_id(payload):
+            for held_payload, transaction in memo._entries.values():
+                if held_payload.get("id") == payload.get("id"):
+                    return transaction
+            return None
 
-        monkeypatch.setattr(AdmissionMemo, "lookup", lookup_without_guard)
+        monkeypatch.setattr(memo, "get", get_by_tx_id)
         with pytest.raises((AssertionError, pytest.fail.Exception)):
             assert_forged_body_is_rejected_on_every_route(memo)
 

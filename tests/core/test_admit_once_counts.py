@@ -13,11 +13,11 @@ from contextlib import contextmanager
 import pytest
 
 from repro.common import encoding
-from repro.common.encoding import canonical_bytes
+from repro.common.encoding import FrozenMemo, canonical_bytes, frozen_bytes
 from repro.consensus.tendermint import tendermint_config
 from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.core.transaction import Transaction
-from repro.core.validation import AdmissionMemo, set_shared_memo, shared_memo
+from repro.core.validation import set_shared_memo, shared_memo
 from repro.crypto.keys import keypair_from_string
 from repro.durability.node import DurabilityConfig
 from repro.schema.registry import SchemaRegistry
@@ -39,7 +39,7 @@ COPYING_MODULES = (
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    previous = set_shared_memo(AdmissionMemo())
+    previous = set_shared_memo(FrozenMemo(4096))
     yield
     set_shared_memo(previous)
 
@@ -161,7 +161,7 @@ def test_volatile_cluster_admits_each_record_once(monkeypatch):
             for server in cluster.servers.values()
         ]
         assert all(document is documents[0] for document in documents)
-        assert shared_memo().lookup(documents[0]) is not None
+        assert shared_memo().get(documents[0]) is not None
 
 
 def test_durable_cluster_encodes_each_payload_once_per_process(monkeypatch):
@@ -177,7 +177,7 @@ def test_durable_cluster_encodes_each_payload_once_per_process(monkeypatch):
             transactions = server.database.collection("transactions")
             ((doc_id, document),) = transactions._match_ids({"id": tx_id})
             fragments.append(transactions._fragments[doc_id])
-        payload_bytes = shared_memo().lookup(document).encoded
+        payload_bytes = frozen_bytes(document)
         assert payload_bytes == canonical_bytes(document)
         # One bytes object: the submit boundary's, in every replica's
         # journal record and checkpoint ...

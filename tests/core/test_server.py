@@ -3,10 +3,12 @@
 import pytest
 
 from repro.consensus.abci import envelope_for
-from repro.consensus.types import Block
+from repro.consensus.types import NIL, PREVOTE, Block
 from repro.core.builders import build_create, build_request, build_transfer
+from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.core.server import ServerCostModel, SmartchainServer
 from repro.crypto.keys import ReservedAccounts, keypair_from_string
+from repro.sim.network import Message
 
 ALICE = keypair_from_string("alice")
 BOB = keypair_from_string("bob")
@@ -40,6 +42,22 @@ class TestAbciSurface:
         payload = create.to_dict()
         payload["metadata"] = {"injected": True}
         assert not server.check_tx(envelope_for(payload, payload["id"], 100))
+
+    @pytest.mark.parametrize("payload", [[1, 2], "x", None], ids=["list", "str", "none"])
+    def test_a_proposal_with_a_non_mapping_payload_earns_a_nil_prevote(self, payload):
+        """A peer's proposal may carry anything: CheckTx refuses what is
+        not a mapping instead of raising out of the validator."""
+        cluster = SmartchainCluster(ClusterConfig(n_validators=4, seed=3))
+        engine = cluster.engine
+        node, proposer, peer = engine.validator_order[:3]  # height 1, round 0: order[1] proposes
+        envelopes = [envelope_for(payload, tx_id * 64, 10) for tx_id in "ab"]
+        assert cluster.servers[node].check_tx(envelopes[0]) is False
+        assert cluster.servers[node].validator.check_tx(payload) is False
+        block = Block.build(1, 0, proposer, envelopes, engine.validator(node).state.last_block_id)
+        engine.validator(node).handle_message(Message(proposer, node, "PROPOSAL", block, 20))
+        cluster.loop.run(until=cluster.loop.clock.now + 0.05)
+        votes = engine.validator(peer).state.voters(PREVOTE, 0, NIL)
+        assert [vote.voter for vote in votes] == [node]
 
     def test_deliver_then_commit_persists(self, server):
         create = build_create(ALICE, {"name": "w"}).sign([ALICE])

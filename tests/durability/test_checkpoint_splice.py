@@ -436,7 +436,7 @@ class TestCheckpointCost:
         encoded = []
         real = bft.encoded_block_record
         monkeypatch.setattr(
-            bft, "encoded_block_record", lambda block, kept=None: encoded.append(block) or real(block, kept)
+            bft, "encoded_block_record", lambda block: encoded.append(block) or real(block)
         )
         cluster = durable_cluster()
         first, *others = (cluster.engine.validator(n) for n in cluster.engine.validator_order)

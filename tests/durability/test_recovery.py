@@ -1,10 +1,12 @@
 """Snapshot + WAL replay rebuilds databases, chains and lock state."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.common.encoding import canonical_bytes
+from repro.common import encoding
+from repro.common.encoding import canonical_bytes, frozen_bytes
 from repro.consensus.types import Block, TxEnvelope
 from repro.durability.node import DurabilityConfig, NodeDurability
 from repro.durability.recovery import (
@@ -189,36 +191,69 @@ class TestBlockRecords:
         TxEnvelope("", {}, 1, 0, 12345.678),
     ]
 
-    @pytest.mark.parametrize("count", range(len(ENVELOPES) + 1))
-    def test_spliced_record_equals_the_encoded_dict(self, count):
-        block = Block.build(4, 2, 'scdb-"0",x', self.ENVELOPES[:count], "e" * 64)
-        whole = canonical_bytes(block_record(block))
-        calls = []
+    @staticmethod
+    def unheld(envelopes):
+        """The envelopes over fresh payload objects, whose bytes nobody holds."""
+        return [
+            dataclasses.replace(envelope, payload=json.loads(json.dumps(envelope.payload)))
+            for envelope in envelopes
+        ]
 
-        def kept(payload):
-            calls.append(payload)
-            return canonical_bytes(payload)
-
-        assert encoded_block_record(block, kept) == whole
-        assert [id(p) for p in calls] == [id(e.payload) for e in block.transactions]
-        assert encoded_block_record(block) == whole
-        assert rebuild_block(json.loads(encoded_block_record(block, kept))) == block
-
-    def test_a_block_with_any_payload_not_kept_is_encoded_in_one_call(self, monkeypatch):
-        from repro.common import encoding
-
-        block = Block.build(4, 0, "scdb-1", self.ENVELOPES, "e" * 64)
-        whole = canonical_bytes(block_record(block))
-        missing = self.ENVELOPES[2].payload
-        calls = []
+    @staticmethod
+    def encoded_values(monkeypatch) -> list:
+        """Every value encoded from here on, in call order."""
+        values = []
         real = encoding.canonical_serialize
         monkeypatch.setattr(
-            encoding, "canonical_serialize", lambda value: calls.append(1) or real(value)
+            encoding, "canonical_serialize", lambda value: values.append(value) or real(value)
         )
-        spliced = encoded_block_record(
-            block, lambda payload: None if payload is missing else b"never spliced"
-        )
-        assert len(calls) == 1 and spliced == whole
+        return values
+
+    @pytest.mark.parametrize("count", range(len(ENVELOPES) + 1))
+    def test_spliced_record_equals_the_encoded_dict(self, count, monkeypatch):
+        envelopes = self.unheld(self.ENVELOPES[:count])
+        block = Block.build(4, 2, 'scdb-"0",x', envelopes, "e" * 64)
+        whole = canonical_bytes(block_record(block))
+        assert encoded_block_record(block) == whole
+        for envelope in envelopes:
+            frozen_bytes(envelope.payload)
+        encoded = self.encoded_values(monkeypatch)
+        spliced = encoded_block_record(block)
+        assert spliced == whole
+        # Held payloads are spliced in, never encoded again.
+        assert not [value for value in encoded for e in envelopes if value is e.payload]
+        assert len(encoded) == (1 + 2 * count if count else 1)
+        assert rebuild_block(json.loads(spliced)) == block
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_a_block_read_back_from_disk_encodes_as_its_record(self, held):
+        """Payloads decoded from canonical bytes, with a float, an int
+        past orjson's range and non-ASCII keys, whether or not their
+        bytes are held again."""
+        payloads = [
+            {"id": "tx-a", "amount": 2.5, "supply": 2**64 + 7, "ключ": "значение"},
+            {"id": "tx-b", "é": [1, {"ü": None}], "n": 2**63},
+        ]
+        envelopes = [
+            TxEnvelope(payload["id"], json.loads(canonical_bytes(payload)), 10, 1, 0.25)
+            for payload in payloads
+        ]
+        block = Block.build(5, 0, "scdb-2", envelopes, "d" * 64)
+        if held:
+            for envelope in envelopes:
+                frozen_bytes(envelope.payload)
+        assert encoded_block_record(block) == canonical_bytes(block_record(block))
+        assert rebuild_block(json.loads(encoded_block_record(block))) == block
+
+    def test_a_block_with_any_payload_not_kept_is_encoded_in_one_call(self, monkeypatch):
+        envelopes = self.unheld(self.ENVELOPES)
+        block = Block.build(4, 0, "scdb-1", envelopes, "e" * 64)
+        whole = canonical_bytes(block_record(block))
+        for envelope in envelopes[:2] + envelopes[3:]:
+            frozen_bytes(envelope.payload)
+        encoded = self.encoded_values(monkeypatch)
+        assert encoded_block_record(block) == whole
+        assert len(encoded) == 1
 
     def test_lock_cleared_once_height_commits(self):
         loop = EventLoop()
