@@ -49,7 +49,7 @@ JOBS = 2
 
 #: The ratchet: ``--check`` fails once the census grows past these counts.
 #: Lower them when a change shrinks the census; never raise them.
-MAX_UNREACHED_LINES = 691
+MAX_UNREACHED_LINES = 688
 MAX_ONE_VALUE_OPTIONS = 20
 
 #: (label, argv after ``python``).  ``{out}`` is a scratch directory.

@@ -23,6 +23,7 @@ only, because orjson reads integers of 2**64 or more as floats.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import OrderedDict
 from typing import Any, Iterable
@@ -199,6 +200,31 @@ def decode_plain(data: bytes) -> Any:
     """``json.loads(data)`` for canonical bytes of plain values only (a
     big int from elsewhere would come back a float through orjson)."""
     return _orjson.loads(data) if _orjson is not None else json.loads(data)
+
+
+class collector_paused:
+    """``with collector_paused():`` builds a caller-owned read answer with
+    the cyclic collector off, then restores its previous state.
+
+    A large answer is thousands of fresh containers; gen-0 passes that run
+    while it is alive promote it, until the promotions set off full passes
+    over the ledger heap.  Safe because JSON trees and dict or list copies
+    cannot form cycles; the gen-0 count still rises while paused, so a kept
+    answer is collected later as before and a dropped one is freed by
+    refcount without a pass; and the program is single-threaded.  A class,
+    not a generator: leaving allocates no ``StopIteration`` that would start
+    the put-off pass while the answer is alive.
+    """
+
+    __slots__ = ("_enabled",)
+
+    def __enter__(self) -> None:
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._enabled:
+            gc.enable()
 
 
 def object_pieces(

@@ -53,24 +53,26 @@ class AccessSet:
 
 
 def access_set_of(payload: dict[str, Any]) -> AccessSet:
-    """Derive the declared access set of a transaction payload."""
+    """Derive the declared access set of a transaction payload.  A field of
+    the wrong shape declares nothing: blocks are priced before CheckTx."""
     writes: set[str] = set()
     reads: set[str] = set()
-    for item in payload.get("inputs", []):
-        fulfills = item.get("fulfills")
-        if fulfills:
-            writes.add(f"utxo:{fulfills['transaction_id']}:{fulfills['output_index']}")
-    asset = payload.get("asset") or {}
-    asset_id = asset.get("id")
+    for item in _listed(payload, "inputs"):
+        fulfills = item.get("fulfills") if isinstance(item, dict) else None
+        if isinstance(fulfills, dict) and fulfills:
+            writes.add(f"utxo:{fulfills.get('transaction_id')}:{fulfills.get('output_index')}")
+    asset = payload.get("asset")
+    asset_id = asset.get("id") if isinstance(asset, dict) else None
     if asset_id:
         writes.add(f"asset:{asset_id}")
-    for reference in payload.get("references", []):
+    references = _listed(payload, "references")
+    for reference in references:
         reads.add(f"tx:{reference}")
     operation = payload.get("operation")
     if operation == "ACCEPT_BID":
         # Settling an RFQ excludes concurrent accepts on it: treat the
         # referenced request as written.
-        for reference in payload.get("references", []):
+        for reference in references:
             writes.add(f"rfq:{reference}")
             reads.discard(f"tx:{reference}")
     return AccessSet(
@@ -78,6 +80,11 @@ def access_set_of(payload: dict[str, Any]) -> AccessSet:
         writes=frozenset(writes),
         reads=frozenset(reads),
     )
+
+
+def _listed(payload: dict[str, Any], field: str) -> list[Any]:
+    value = payload.get(field)
+    return value if isinstance(value, list) else []
 
 
 class _UnionFind:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.common.encoding import FrozenMemo, deep_copy_json
+from repro.common.encoding import FrozenMemo, collector_paused, deep_copy_json
 from repro.common.errors import DuplicateKeyError, ValidationError
 from repro.consensus.types import Block, TxEnvelope
 from repro.core.context import REDIRECT_MARKER, ValidationContext, spent_error
@@ -478,10 +478,11 @@ class SmartchainServer:
         """
         if source != "scan" and self.views is not None:
             self.read_stats["view_served"] += 1
-            return [
-                deep_copy_json(request)
-                for request in self.views.open_requests(capability, shard=self.views_shard)
-            ]
+            with collector_paused():
+                return [
+                    deep_copy_json(request)
+                    for request in self.views.open_requests(capability, shard=self.views_shard)
+                ]
         self.read_stats["scan_fallback"] += 1
         # Scan zero-copy; only the surviving open requests are copied for
         # the caller, instead of every committed REQUEST.
@@ -492,14 +493,15 @@ class SmartchainServer:
             return []
         accepted = self.context.accepted_request_ids()
         open_requests = []
-        for request in requests:
-            if request["id"] in accepted:
-                continue
-            if capability is not None:
-                data = (request.get("asset") or {}).get("data") or {}
-                if capability not in (data.get("capabilities") or []):
+        with collector_paused():
+            for request in requests:
+                if request["id"] in accepted:
                     continue
-            open_requests.append(deep_copy_json(request))
+                if capability is not None:
+                    data = (request.get("asset") or {}).get("data") or {}
+                    if capability not in (data.get("capabilities") or []):
+                        continue
+                open_requests.append(deep_copy_json(request))
         return open_requests
 
     def outputs_for(

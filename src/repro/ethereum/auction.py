@@ -288,10 +288,6 @@ class ReverseAuctionMarketplace(Contract):
         """View: request struct by id (still pays the O(n) scan)."""
         return dict(self._scan(ctx, "requests", SLOT_REQUESTS, rfq_id))
 
-    def get_bid(self, ctx: CallContext, bid_id: int) -> dict[str, Any]:
-        """View: bid struct by id."""
-        return dict(self._scan(ctx, "bids", SLOT_BIDS, bid_id))
-
     def asset_owner(self, ctx: CallContext, asset_id: int) -> str:
         """View: current owner of an asset."""
         return self._scan(ctx, "assets", SLOT_ASSETS, asset_id)["owner"]

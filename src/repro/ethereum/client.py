@@ -101,6 +101,3 @@ class Web3Client:
     def balance(self, address: str) -> int:
         """Account balance on the canonical node."""
         return self.chain.any_application().runtime.state.balance(address)
-
-    def receipt(self, tx_id: str) -> EthTxRecord | None:
-        return self.chain.records.get(tx_id)

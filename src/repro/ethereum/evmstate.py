@@ -12,7 +12,6 @@ structures pay per-slot gas for every word they touch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.common.errors import RevertError
 from repro.crypto.hashing import keccak_like_slot
@@ -66,9 +65,6 @@ class WorldState:
                 f"insufficient balance: {account.balance} < {amount} at {address[:10]}"
             )
         account.balance -= amount
-
-    def addresses(self) -> Iterator[str]:
-        return iter(self._accounts)
 
 
 class StorageView:

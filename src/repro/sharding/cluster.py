@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.common.encoding import canonical_bytes, deep_copy_json
+from repro.common.encoding import canonical_bytes, collector_paused, deep_copy_json
 from repro.common.errors import ValidationError
 from repro.consensus.tendermint import tendermint_config
 from repro.core.cluster import ClusterConfig, SmartchainCluster, TxRecord
@@ -393,7 +393,8 @@ class ShardedCluster:
 
     def open_requests(self, capability: str | None = None) -> list[dict[str, Any]]:
         """Open RFQs across *all* shards, from the merged views."""
-        return [deep_copy_json(r) for r in self.views.open_requests(capability)]
+        with collector_paused():
+            return [deep_copy_json(r) for r in self.views.open_requests(capability)]
 
     def outputs_for(self, public_key: str) -> list[dict[str, Any]]:
         """One account's unspent outputs across all shards (wallet view)."""

@@ -8,6 +8,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.encoding import (
     array_pieces,
+    collector_paused,
     decode_plain,
     deep_copy_json,
     frozen_bytes,
@@ -408,15 +409,16 @@ class Collection:
         matches = itertools.islice(self._match_ids(query or {}), limit)
         if not copy:
             return [document for _, document in matches]
-        if not self.keeps_bytes:
-            return [deep_copy_json(document) for _, document in matches]
-        # One decode of the spliced kept bytes builds every copy at once.
-        matched = list(matches)
-        data = b"".join(array_pieces(map(self._kept_bytes, matched)))
-        mixed = self._mixed
-        if mixed and not mixed.isdisjoint([doc_id for doc_id, _ in matched]):
-            return json.loads(data)
-        return decode_plain(data)
+        with collector_paused():
+            if not self.keeps_bytes:
+                return [deep_copy_json(document) for _, document in matches]
+            # One decode of the spliced kept bytes builds every copy at once.
+            matched = list(matches)
+            data = b"".join(array_pieces(map(self._kept_bytes, matched)))
+            mixed = self._mixed
+            if mixed and not mixed.isdisjoint([doc_id for doc_id, _ in matched]):
+                return json.loads(data)
+            return decode_plain(data)
 
     def find_one(
         self,

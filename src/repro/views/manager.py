@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.common.encoding import collector_paused
 from repro.core.asset import extract_capabilities
 from repro.core.entries import SHARD_IMPORT, is_entry, refs_of
 from repro.telemetry import INERT, Telemetry
@@ -73,8 +74,8 @@ class ViewManager:
         self._spender: dict[tuple[str, int], str] = {}
         #: (transaction_id, output_index) -> utxo document.
         self._utxos: dict[tuple[str, int], dict[str, Any]] = {}
-        #: public key -> ordered set (insertion-ordered dict) of utxo refs.
-        self._owner_index: dict[str, dict[tuple[str, int], None]] = {}
+        #: public key -> utxo ref -> utxo document, in insertion order.
+        self._owner_index: dict[str, dict[tuple[str, int], dict[str, Any]]] = {}
         #: ordered set of open (unaccepted) request ids.
         self._open_requests: dict[str, None] = {}
         #: capability -> ordered set of open request ids.
@@ -169,7 +170,7 @@ class ViewManager:
             }
             self._utxos[ref] = document
             for public_key in document["public_keys"]:
-                self._owner_index.setdefault(public_key, {})[ref] = None
+                self._owner_index.setdefault(public_key, {})[ref] = document
 
         if operation == "REQUEST":
             capabilities = extract_capabilities(payload.get("asset"))
@@ -243,10 +244,10 @@ class ViewManager:
         if shard is None or (
             not self._shard_overrides and len(self._heights) == 1 and shard in self._heights
         ):
-            return [self._utxos[ref] for ref in refs]
+            return list(refs.values())
         return [
-            self._utxos[ref]
-            for ref in refs
+            document
+            for ref, document in refs.items()
             if self._shard_of(ref[0]) == shard
         ]
 
@@ -257,10 +258,11 @@ class ViewManager:
         of each (``_apply_tx`` makes every view UTXO with exactly four
         fields, three of them scalars) with a fresh ``public_keys`` list."""
         owned = []
-        for document in self.outputs_for(public_key, shard):
-            copy = document.copy()
-            copy["public_keys"] = list(copy["public_keys"])
-            owned.append(copy)
+        with collector_paused():
+            for document in self.outputs_for(public_key, shard):
+                copy = document.copy()
+                copy["public_keys"] = list(copy["public_keys"])
+                owned.append(copy)
         return owned
 
     def _shard_of(self, tx_id: str) -> str | None:

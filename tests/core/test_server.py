@@ -32,6 +32,22 @@ def commit_block(server, envelopes, height=1):
     return delivered
 
 
+def assert_two_copies_earn_a_nil_prevote(payload):
+    """A peer proposes a block of two envelopes carrying ``payload``: the
+    receiving validator refuses it at CheckTx and prevotes nil."""
+    cluster = SmartchainCluster(ClusterConfig(n_validators=4, seed=3))
+    engine = cluster.engine
+    node, proposer, peer = engine.validator_order[:3]  # height 1, round 0: order[1] proposes
+    envelopes = [envelope_for(payload, tx_id * 64, 10) for tx_id in "ab"]
+    assert cluster.servers[node].check_tx(envelopes[0]) is False
+    assert cluster.servers[node].validator.check_tx(payload) is False
+    block = Block.build(1, 0, proposer, envelopes, engine.validator(node).state.last_block_id)
+    engine.validator(node).handle_message(Message(proposer, node, "PROPOSAL", block, 20))
+    cluster.loop.run(until=cluster.loop.clock.now + 0.05)
+    votes = engine.validator(peer).state.voters(PREVOTE, 0, NIL)
+    assert [vote.voter for vote in votes] == [node]
+
+
 class TestAbciSurface:
     def test_check_tx_accepts_valid(self, server):
         create = build_create(ALICE, {"name": "w"}).sign([ALICE])
@@ -47,17 +63,19 @@ class TestAbciSurface:
     def test_a_proposal_with_a_non_mapping_payload_earns_a_nil_prevote(self, payload):
         """A peer's proposal may carry anything: CheckTx refuses what is
         not a mapping instead of raising out of the validator."""
-        cluster = SmartchainCluster(ClusterConfig(n_validators=4, seed=3))
-        engine = cluster.engine
-        node, proposer, peer = engine.validator_order[:3]  # height 1, round 0: order[1] proposes
-        envelopes = [envelope_for(payload, tx_id * 64, 10) for tx_id in "ab"]
-        assert cluster.servers[node].check_tx(envelopes[0]) is False
-        assert cluster.servers[node].validator.check_tx(payload) is False
-        block = Block.build(1, 0, proposer, envelopes, engine.validator(node).state.last_block_id)
-        engine.validator(node).handle_message(Message(proposer, node, "PROPOSAL", block, 20))
-        cluster.loop.run(until=cluster.loop.clock.now + 0.05)
-        votes = engine.validator(peer).state.voters(PREVOTE, 0, NIL)
-        assert [vote.voter for vote in votes] == [node]
+        assert_two_copies_earn_a_nil_prevote(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"inputs": 5}, {"inputs": [1]}, {"inputs": [{"fulfills": "x"}]}, {"asset": "x"},
+         {"references": 5}],
+        ids=["inputs-int", "input-int", "fulfills-str", "asset-str", "references-int"],
+    )
+    def test_a_proposal_with_misshapen_access_fields_earns_a_nil_prevote(self, payload):
+        """Blocks are priced (lane schedule) before CheckTx runs: a mapping
+        payload whose fields have the wrong shape declares nothing there
+        instead of raising out of the validator."""
+        assert_two_copies_earn_a_nil_prevote(payload)
 
     def test_deliver_then_commit_persists(self, server):
         create = build_create(ALICE, {"name": "w"}).sign([ALICE])
