@@ -25,7 +25,6 @@ catch-up with commit certificates, telemetry, the ``evidence`` log.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -44,10 +43,6 @@ from repro.telemetry import INERT
 #: Cap on the per-validator misbehavior evidence log: a vote-spamming
 #: byzantine peer must not grow honest memory without bound.
 EVIDENCE_LIMIT = 512
-
-#: Bound on the per-validator CheckTx verdict memo (see
-#: ``Validator.check_tx_cached``).
-CHECK_MEMO_LIMIT = 4096
 
 
 def certifies(cert: Any, block_id: str, height: int, public_keys: dict[str, str]) -> bool:
@@ -158,18 +153,8 @@ class Validator:
         self._timeout_handle: EventHandle | None = None
         self._last_propose_time = float("-inf")
         self._catchup_requested_at = float("-inf")
-        #: CheckTx memo: tx_id -> payload object of what CheckTx accepted.
-        #: A hit requires the *same object* (``is``) as the envelope's —
-        #: the validation cache's identity guard, so a forged body reusing
-        #: a known id re-validates.  Admission already ran CheckTx on
-        #: every transaction, so proposal assembly and block validation
-        #: become memo lookups.  Refusals are never remembered: a stale
-        #: acceptance is caught by DeliverTx, but what refused a
-        #: transaction (a lock, a migration fence, a parent not yet
-        #: applied here) can go away, and a validator that kept prevoting
-        #: NIL on it would stall the height.
-        self._check_memo: "OrderedDict[str, Any]" = OrderedDict()
-        self.check_stats = {"calls": 0, "memo_hits": 0, "app_checks": 0}
+        #: CheckTx calls this node made (admission, gossip, block checks).
+        self.check_stats = {"calls": 0}
         #: Optional :class:`~repro.consensus.byzantine.ByzantineBehavior`
         #: (installed by the fault plane's mark-byzantine control): when
         #: set, this node *lies* — the behavior rewrites its outbound
@@ -223,36 +208,12 @@ class Validator:
 
     # -- batched application checks ---------------------------------------------
 
-    def check_tx_cached(self, envelope: TxEnvelope) -> bool:
-        """``app.check_tx`` behind the bounded identity-guarded memo."""
-        return self._check_batch([envelope])[0]
-
     def _check_batch(self, envelopes: list[TxEnvelope]) -> list[bool]:
-        """Memoised verdicts for many envelopes; misses go through
-        ``app.check_tx`` one envelope at a time."""
+        """``app.check_tx`` of each envelope, asked afresh every time: what
+        the ledger, a 2PC lock or a migration fence refuses changes, and
+        the stateless half is the shared validation memo's to keep."""
         self.check_stats["calls"] += len(envelopes)
-        memo = self._check_memo
-        verdicts: list[bool | None] = [None] * len(envelopes)
-        misses: list[int] = []
-        for index, envelope in enumerate(envelopes):
-            if envelope.tx_id in memo and memo[envelope.tx_id] is envelope.payload:
-                memo.move_to_end(envelope.tx_id)
-                self.check_stats["memo_hits"] += 1
-                verdicts[index] = True
-            else:
-                misses.append(index)
-        if misses:
-            self.check_stats["app_checks"] += len(misses)
-            fresh = [self.app.check_tx(envelopes[index]) for index in misses]
-            for index, verdict in zip(misses, fresh):
-                envelope = envelopes[index]
-                verdicts[index] = verdict
-                if verdict:
-                    memo[envelope.tx_id] = envelope.payload
-                    memo.move_to_end(envelope.tx_id)
-            while len(memo) > CHECK_MEMO_LIMIT:
-                memo.popitem(last=False)
-        return [bool(verdict) for verdict in verdicts]
+        return [bool(self.app.check_tx(envelope)) for envelope in envelopes]
 
     def _block_validation_cost(self, envelopes: list[TxEnvelope]) -> float:
         """Simulated block-validation seconds: lane-parallel when the
@@ -266,7 +227,7 @@ class Validator:
 
     def submit_transaction(self, envelope: TxEnvelope, gossip: bool = True) -> bool:
         """Receiver-node intake: admit locally, then gossip to peers."""
-        if not self.check_tx_cached(envelope):
+        if not self._check_batch([envelope])[0]:
             return False
         if envelope.tx_id in self._committed_ids:
             return False
@@ -377,7 +338,7 @@ class Validator:
             envelope: TxEnvelope = message.payload
             if envelope.tx_id not in self._committed_ids:
                 try:
-                    if self.check_tx_cached(envelope):
+                    if self._check_batch([envelope])[0]:
                         self.mempool.add(envelope)
                         self._kick_proposer()
                 except Exception:
@@ -401,16 +362,21 @@ class Validator:
         """The machine's ``valid(v)``: the verdict is taken now and the
         prevote it licenses leaves after the validation compute — every
         peer re-validates the block's transactions (the paper's second
-        validation set), conflict-free ones in parallel lanes, skipping
-        through the memo what this node already admitted."""
+        validation set), conflict-free ones in parallel lanes, and drops
+        from its pool what CheckTx now refuses (Tendermint's Recheck),
+        telling the drop listeners: only an envelope of that very payload
+        object, so a forged body under an honest id evicts nothing."""
         block = action.block
         validation_cost = self._block_validation_cost(block.transactions)
         # A block must extend *this* node's chain: an honest proposer at
         # our height builds on the parent we hold, so only a liar trips it.
-        valid = block.previous_id == self.state.last_block_id and all(
-            self._check_batch(block.transactions)
-        )
-        prevote = machine.step(self.state, machine.BlockChecked(block, valid))
+        verdicts = [block.previous_id == self.state.last_block_id]
+        if verdicts[0]:
+            verdicts = self._check_batch(block.transactions)
+            dropped = self.mempool.drop(e for e, ok in zip(block.transactions, verdicts) if not ok)
+            for listener in self.engine.drop_listeners:
+                listener(self.node_id, dropped)
+        prevote = machine.step(self.state, machine.BlockChecked(block, all(verdicts)))
         self._later(validation_cost, lambda: self._execute(prevote))
 
     def _adopt_lock(self, action: machine.JournalLock) -> None:
@@ -591,7 +557,6 @@ class Validator:
         validator that forgot it could join a second quorum at its locked
         height."""
         self.mempool.flush_volatile()
-        self._check_memo.clear()
         self.state.forget_volatile()
         self.evidence.clear()
         self._cancel_round_timeout()
@@ -703,7 +668,7 @@ class Validator:
         """Adopt disk-recovered chain and lock state after a restart
         (``checkpointed``: the leading blocks the checkpoints held).
 
-        Volatile state (mempool, votes, proposals, memo) is assumed
+        Volatile state (mempool, votes, proposals) is assumed
         already cleared by :meth:`on_crash`; this resets the durable
         half exactly as the WAL replay reconstructed it.
         """
@@ -755,6 +720,8 @@ class BftEngine:
         self.commits: list[CommitRecord] = []
         self._first_commit_heights: set[int] = set()
         self.commit_listeners: list[Callable[[CommitRecord], None]] = []
+        #: Told (node id, envelopes dropped from its pool) after each block check.
+        self.drop_listeners: list[Callable[[str, list[TxEnvelope]], None]] = []
         for node_id in validator_ids:
             validator = Validator(node_id, self, application_factory(node_id))
             self.validators[node_id] = validator

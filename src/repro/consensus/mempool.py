@@ -177,6 +177,17 @@ class Mempool:
             self._pool.pop(tx_id, None)
         self._remember(tx_ids)
 
+    def drop(self, envelopes) -> list[TxEnvelope]:
+        """Unpool each envelope's pooled copy if it carries the very same
+        payload object (``is``); returns the dropped.  No id is
+        remembered: a refusal can go away, and the client may resubmit."""
+        dropped = []
+        for envelope in envelopes:
+            pooled = self._pool.get(envelope.tx_id)
+            if pooled is not None and pooled.payload is envelope.payload:
+                dropped.append(self._pool.pop(envelope.tx_id))
+        return dropped
+
     def flush_volatile(self) -> None:
         """Simulate a crash: resident transactions are lost, dedup memory
         (backed by the chain itself) survives for reaped/committed ids —

@@ -20,9 +20,9 @@ Milosevic, arXiv:1807.04938): ``h``, ``round``, ``locked_value``,
 ``_on_proposal``       line 22's guard: due proposer, current height; then
                        asks the driver for ``valid(v)`` (``CheckBlock``)
 ``_on_block_checked``  lines 23-27: prevote ``id(v)`` if valid and not
-                       locked on another value, else nil
+                       locked on another value, else nil and drop ``v``
 ``_on_vote``           the ``2f+1`` counting every ``upon`` rule relies on;
-                       lines 49-50 (``Commit``)
+                       lines 49-50 (``Commit``, or catch-up if ``v`` is gone)
 ``_on_polka``          lines 36-41: lock, then precommit
 ``_on_decided``        lines 51-54
 ``_on_timeout``        lines 65-67: StartRound(round + 1)
@@ -58,7 +58,7 @@ Deliberate divergences, documented and unchanged here:
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 
 from repro.consensus.types import NIL, PRECOMMIT, PREVOTE, Block, Vote
@@ -103,8 +103,13 @@ class RoundState:
         return self.locked_value is not None and self.locked_value.block_id == block_id
 
     def undecided(self) -> bool:
-        """Is a proposal for the current height on the table?"""
-        return any(key[0] == self.h for key in self.proposals)
+        """Is a proposal for the current height on the table, or a block a
+        precommit quorum decided that this node holds no body for?"""
+        if any(slot for key, slot in self.proposals.items() if key[0] == self.h):
+            return True
+        tally = Counter((v.round, v.block_id) for (phase, _), slot in self.votes.items()
+                        if phase == PRECOMMIT for v in slot.values() if v.block_id != NIL)
+        return max(tally.values(), default=0) >= self.quorum
 
     def voters(self, phase: str, round_number: int, block_id: str) -> list[Vote]:
         """The counted votes for ``block_id`` in one phase of one round."""
@@ -238,6 +243,10 @@ def _locked_out(state: RoundState, block: Block) -> bool:
 
 def _on_block_checked(state: RoundState, event: BlockChecked) -> list:
     block = event.block
+    if not event.valid:
+        # Lines 36 and 49 lock and decide only a valid(v): a refused value
+        # leaves the table, so it keeps no round timer turning here.
+        state.proposals.get((block.height, block.round), {}).pop(block.block_id, None)
     vote_for = block.block_id if event.valid and not _locked_out(state, block) else NIL
     return [Send(None, "VOTE", Vote(PREVOTE, block.height, block.round, vote_for, state.me))]
 
@@ -272,8 +281,9 @@ def _on_vote(state: RoundState, event: VoteReceived) -> list:
             _on_polka(state, vote, actions)
         else:
             block = state.proposals.get((vote.height, vote.round), {}).get(vote.block_id)
-            if block is not None:
-                actions.append(Commit(block))
+            # Refused or never seen here: fetch it certified, then each round.
+            fetch = [RequestCatchup(vote.voter), ArmTimeout()]
+            actions += fetch if block is None else [Commit(block)]
     return actions
 
 

@@ -16,7 +16,7 @@ from repro.common.encoding import canonical_bytes, deep_copy_json, frozen_bytes
 from repro.common.errors import SchemaValidationError, ValidationError
 from repro.consensus.abci import deliver_block, envelope_for
 from repro.consensus.bft import BftConfig, BftEngine, CommitRecord
-from repro.consensus.types import Block
+from repro.consensus.types import Block, TxEnvelope
 from repro.consensus.tendermint import make_tendermint_cluster, tendermint_config
 from repro.core.driver import Driver, DriverCallback
 from repro.core.entries import SHARD_IMPORT
@@ -167,7 +167,7 @@ class SmartchainCluster:
             validator.mempool.telemetry_label = self.node_label(node_id)
             self.failures.register_callbacks(
                 node_id,
-                on_crash=validator.on_crash,
+                on_crash=lambda nid=node_id: self._on_node_crash(nid),
                 on_recover=lambda nid=node_id: self.resync_node(nid),
             )
             self._wire_nested(node_id)
@@ -201,10 +201,15 @@ class SmartchainCluster:
         #: ``records``: any committed payload may later be a foreign input.
         self._heights: dict[str, int] = {}
         self._refused: set[str] = set()
+        #: Ids a crash took with the only live pool holding them: unless a
+        #: proposal already in flight carries one, no client hears of it
+        #: (the ``all_settled`` invariant exempts them).
+        self.crash_lost: set[str] = set()
         self._callbacks: dict[str, DriverCallback] = {}
         #: accept_id -> receiver node responsible for its RETURN children.
         self._accept_receivers: dict[str, str] = {}
         self.engine.commit_listeners.append(self._on_block_commit)
+        self.engine.drop_listeners.append(self._on_pool_drop)
 
     def node_label(self, node_id: str) -> str:
         """Registry label for one node, unique across a sharded deployment."""
@@ -433,6 +438,32 @@ class SmartchainCluster:
                     height=record.block.height,
                 )
             self._fire_callback(envelope.tx_id, "committed", envelope.payload)
+
+    def _on_node_crash(self, node_id: str) -> None:
+        """The crash empties the node's pool: note what no live peer pools."""
+        validator = self.engine.validator(node_id)
+        self.crash_lost.update(
+            envelope.tx_id
+            for envelope in validator.mempool.pending_envelopes()
+            if not self.pooled(envelope.tx_id)
+        )
+        validator.on_crash()
+
+    def _on_pool_drop(self, node_id: str, dropped: list[TxEnvelope]) -> None:
+        """A validator's block check dropped what its CheckTx now refuses.
+        Once no live pool holds one and no block carried it, its client
+        hears that refusal: nothing else would ever answer it.  While a
+        peer still pools it, that peer's own check or a commit decides."""
+        server = self.servers[node_id]
+        for envelope in dropped:
+            tx_id = envelope.tx_id
+            if self.pooled(tx_id) or self.landed(tx_id) is not None:
+                continue
+            reason = server.refusal(envelope)
+            record = self.records.get(tx_id)
+            if record is not None and record.committed_at is None:
+                record.rejected = reason
+            self._fire_callback(tx_id, "rejected", reason)
 
     def _fire_callback(self, tx_id: str, status: str, detail: Any) -> None:
         callback = self._callbacks.pop(tx_id, None)

@@ -66,7 +66,8 @@ CONTROLLER = "reshard-controller"
 
 
 def is_entry(payload: dict[str, Any]) -> bool:
-    return payload.get("operation") in SYSTEM_OPERATIONS
+    operation = payload.get("operation")  # a peer's proposal may carry anything
+    return isinstance(operation, str) and operation in SYSTEM_OPERATIONS
 
 
 def entry_id(entry: dict[str, Any]) -> str:

@@ -91,7 +91,7 @@ class ServerCostModel:
     commit_per_byte: float = 5.0e-9
 
     def validation_cost(self, operation: str, size_bytes: int) -> float:
-        base = self.semantic_base.get(operation, 0.005)
+        base = self.semantic_base.get(operation, 0.005) if isinstance(operation, str) else 0.005
         return self.schema_check + self.signature_verify + base + size_bytes * self.per_byte
 
     def block_commit_cost(self, size_bytes: int) -> float:
@@ -239,25 +239,33 @@ class SmartchainServer:
         cross-shard spend.  Per-node and advisory, so the time-varying
         lock table is safe to consult here."""
         self.stats["checked"] += 1
+        return self.refusal(envelope) is None
+
+    def refusal(self, envelope: TxEnvelope) -> str | None:
+        """Why :meth:`check_tx` refuses ``envelope`` now, or None: what a
+        client hears when a validator drops it from its pool (a
+        ``redirect`` reason is the driver's to retry elsewhere)."""
         payload = envelope.payload
         if not isinstance(payload, dict):  # a peer's proposal may carry anything
-            return False
+            return "not a transaction"
         try:
             if is_entry(payload):
                 # A system entry spends what the locks and fences guard,
                 # by its author's decision: its signature and evidence,
                 # not the guards or the client gates, decide.
                 self._verify_entry(payload)
-                return True
+                return None
             for attachment in envelope.attachments:
                 attached_payload(attachment, self.shard_keys, self.validator.check_tx)
-        except ValidationError:
-            return False
-        return (
-            self.validator.check_tx(payload)
-            and self._guarded_spender(payload) is None
-            and all(gate(payload) is None for gate in self.ingress_gates)
-        )
+        except ValidationError as error:
+            return str(error)
+        if not self.validator.check_tx(payload):
+            return "fails its schema, id or signature check"
+        guarded = self._guarded_spender(payload)
+        if guarded is not None:
+            return str(spent_error(*guarded))
+        reasons = (gate(payload) for gate in self.ingress_gates)
+        return next((reason for reason in reasons if reason is not None), None)
 
     def _guarded_spender(self, payload: dict[str, Any]) -> tuple[OutputRef, str] | None:
         """The first input the spend guard holds, or that an export on this

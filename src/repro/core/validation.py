@@ -86,13 +86,13 @@ class TypeValidator(Protocol):
 #: and re-check a payload must construct a fresh dict.
 #:
 #: Bound.  An entry is needed from receiver validation until the last
-#: replica commits the transaction, so the bound only has to cover what
-#: is in flight — the window the consensus layer's own CheckTx memo
-#: assumes (``consensus.bft.CHECK_MEMO_LIMIT``); an evicted payload
-#: simply re-verifies, to the same verdict.  A resident entry costs its
-#: parse (measured 4.6 KB for a 1.4 KB payload, 2.6 KB of it the
-#: memoised signing payload and signed body) on top of the payload the
-#: replicas hold anyway: ~19 MB of parses at 4096 entries.
+#: replica's block check of the transaction, so the bound only has to
+#: cover what is in flight: admitted, pooled or proposed, and not yet
+#: checked in a block by every replica.  An evicted payload simply
+#: re-verifies, to the same verdict.  A resident entry costs its parse
+#: (measured 4.6 KB for a 1.4 KB payload, 2.6 KB of it the memoised
+#: signing payload and signed body) on top of the payload the replicas
+#: hold anyway: ~19 MB of parses at 4096 entries.
 _shared = FrozenMemo(4096)
 
 

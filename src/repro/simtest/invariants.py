@@ -501,7 +501,7 @@ def no_forged_admission(plane: FaultPlane) -> list[str]:
 
     The adversarial workload records every payload it submitted with a
     mutated signature in ``plane.forged_tx_ids``; signature verification
-    (and the identity-guarded verdict memos in front of it) must reject
+    (and the identity-guarded validation memo in front of it) must reject
     every one of them before a block carries it."""
     applied = applied_transactions(plane) if plane.forged_tx_ids else {}
     return [
@@ -827,6 +827,37 @@ def nested_eventual_commit(plane: FaultPlane) -> list[str]:
     return violations
 
 
+def pools_valid(plane: FaultPlane) -> list[str]:
+    """Every live validator's pool is empty or passes its own CheckTx: a
+    pooled transaction the chain or a 2PC abort has made invalid must
+    have left the pool, or its proposer re-proposes it every few rounds
+    and the shard never goes idle (elastic seed 24)."""
+    return [
+        f"{shard_id}/{node_id}: pooled tx {envelope.tx_id[:8]} fails its CheckTx"
+        for shard_id in plane.shard_ids
+        for node_id, validator in plane.shard_cluster(shard_id).engine.validators.items()
+        if node_id not in plane.crashed_nodes(shard_id)
+        for envelope in validator.mempool.pending_envelopes()
+        if not validator.app.check_tx(envelope)
+    ]
+
+
+def all_settled(plane: FaultPlane) -> list[str]:
+    """Every submission to a shard has an outcome at quiesce: committed,
+    or rejected with a reason its client heard — one a block check
+    dropped from the last pool that held it too.  Exempt are the ids a
+    crash lost with the only pool holding them (``crash_lost``), which
+    no one answers yet."""
+    return [
+        f"{shard_id}: tx {tx_id[:8]} has no outcome"
+        for shard_id in plane.shard_ids
+        for shard in [plane.shard_cluster(shard_id)]
+        for tx_id, record in sorted(shard.records.items())
+        if record.committed_at is None and record.rejected is None
+        and tx_id not in shard.crash_lost
+    ]
+
+
 def all_cross_settled(plane: FaultPlane) -> list[str]:
     """Every cross-shard submission has a final outcome at quiesce."""
     return [
@@ -871,6 +902,8 @@ DEFAULT_INVARIANTS: list[Invariant] = [
     # Full walks over the live views: the chain readers' cadence.
     Invariant("custody_memo", custody_memo, every=5),
     Invariant("nested_eventual_commit", nested_eventual_commit, scope="quiesce"),
+    Invariant("pools_valid", pools_valid, scope="quiesce"),
+    Invariant("all_settled", all_settled, scope="quiesce"),
 ]
 
 

@@ -21,16 +21,20 @@ from repro.consensus.abci import envelope_for
 from repro.consensus.byzantine import conflicting_vote, make_behavior, sibling_block
 from repro.consensus.round import (
     GENESIS_ID,
+    ArmTimeout,
     BlockChecked,
     CheckBlock,
+    Commit,
     Evidence,
     ProposalReceived,
+    RequestCatchup,
     RoundState,
     Send,
+    TimeoutFired,
     VoteReceived,
     step,
 )
-from repro.consensus.types import NIL, PREVOTE, Block, Vote
+from repro.consensus.types import NIL, PRECOMMIT, PREVOTE, Block, Vote
 
 ORDER = ("n0", "n1", "n2", "n3")
 DUE = ORDER[1]  # proposer of (height 1, round 0)
@@ -176,6 +180,51 @@ class TestEquivocationHandling:
         step(state, ProposalReceived(sibling, DUE))
         rival = conflicting_vote(state, prevote(block.block_id, "n0"))
         assert rival.block_id == sibling.block_id
+
+
+    def test_a_refused_body_leaves_the_table_to_the_block_its_id_names(self):
+        """A block id hashes transaction ids, not bodies.  A liar's forged
+        body under an honest block's id, refused by ``valid(v)``, leaves
+        the table (nothing is left to keep a round timer turning), and
+        what a precommit quorum for that id then commits is the honest
+        block, not the forgery."""
+        state = RoundState("n0", ORDER)
+        honest = block_from(DUE, "x")
+        forged_body = envelope_for({"tag": "forged"}, honest.transactions[0].tx_id, 100)
+        forged = Block.build(1, 0, DUE, [forged_body], GENESIS_ID)
+        assert forged.block_id == honest.block_id
+        step(state, ProposalReceived(forged, DUE))
+        step(state, BlockChecked(forged, False))
+        assert not state.undecided()
+        step(state, ProposalReceived(honest, DUE))
+        precommits = [Vote(PRECOMMIT, 1, 0, honest.block_id, voter) for voter in ORDER[1:]]
+        commits = [
+            action
+            for vote in precommits
+            for action in step(state, VoteReceived(vote, vote.voter))
+            if isinstance(action, Commit)
+        ]
+        assert [commit.block for commit in commits] == [honest]
+        assert commits[0].block is honest
+
+
+class TestARefusedValueIsFetchedCertified:
+    def test_a_node_that_refused_the_quorums_block_asks_for_catch_up(self):
+        """This node's check refused a block the other three precommit:
+        the refused value left its table, so the quorum finds no body to
+        commit here.  The node asks a voter for the certified block at
+        once and, while it has none, its round timer keeps asking."""
+        state = RoundState("n0", ORDER)
+        block = block_from(DUE, "x")
+        step(state, ProposalReceived(block, DUE))
+        step(state, BlockChecked(block, False))
+        precommits = [Vote(PRECOMMIT, 1, 0, block.block_id, voter) for voter in ORDER[1:]]
+        actions = [a for vote in precommits for a in step(state, VoteReceived(vote, vote.voter))]
+        assert not any(isinstance(action, Commit) for action in actions)
+        assert [a.peer for a in actions if isinstance(a, RequestCatchup)] == [ORDER[3]]
+        assert any(isinstance(action, ArmTimeout) for action in actions)
+        assert state.undecided()
+        assert RequestCatchup(state.proposer(1, 1)) in step(state, TimeoutFired(1, 0, False))
 
 
 class TestBehaviorsRewriteSends:

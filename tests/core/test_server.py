@@ -68,8 +68,9 @@ class TestAbciSurface:
     @pytest.mark.parametrize(
         "payload",
         [{"inputs": 5}, {"inputs": [1]}, {"inputs": [{"fulfills": "x"}]}, {"asset": "x"},
-         {"references": 5}],
-        ids=["inputs-int", "input-int", "fulfills-str", "asset-str", "references-int"],
+         {"references": 5}, {"operation": ["ACCEPT_BID"]}, {"operation": {}}],
+        ids=["inputs-int", "input-int", "fulfills-str", "asset-str", "references-int",
+             "operation-list", "operation-dict"],
     )
     def test_a_proposal_with_misshapen_access_fields_earns_a_nil_prevote(self, payload):
         """Blocks are priced (lane schedule) before CheckTx runs: a mapping

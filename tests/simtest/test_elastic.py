@@ -9,6 +9,8 @@ a bundle that replays to the identical failure.
 
 import pytest
 
+from repro.common.encoding import canonical_bytes
+from repro.consensus.abci import envelope_for
 from repro.core import server
 from repro.core.cluster import SmartchainCluster
 from repro.crypto.keys import keypair_from_string
@@ -18,7 +20,7 @@ from repro.sharding.cluster import ShardedCluster, ShardedClusterConfig
 from repro.sharding.migration import MIGRATE_TRAP_PHASES, MIGRATE_TRAP_ROLES
 from repro.sim.rng import SeededRng
 from repro.simtest import SimHarness, SimtestConfig
-from repro.simtest.invariants import InvariantChecker
+from repro.simtest.invariants import InvariantChecker, pools_valid
 from repro.simtest.plane import FaultPlane
 from repro.simtest.schedule import Schedule, ScheduleGenerator
 
@@ -242,3 +244,39 @@ class TestCutoverEntryMutations:
             "landed on shard-1 but its export names shard-2" in detail
             for detail in failed.get("no_key_duplicated", [])
         ), failed
+
+
+class TestPoolsValid:
+    """``pools_valid`` at quiesce: a pooled transaction that an exported
+    input made invalid must have left every pool (elastic seed 24 hung
+    on one, its proposer re-proposing it every fourth round)."""
+
+    def test_a_pooled_spend_of_an_exported_output_is_named_until_it_leaves(self):
+        plane = FaultPlane(ShardedCluster(ShardedClusterConfig(n_shards=2, seed=7)))
+        cluster = plane.cluster
+        owner = keypair_from_string("pool-owner")
+        create = cluster.driver.prepare_create(owner, {"capabilities": ["x"]})
+        assert cluster.submit_and_settle(create.to_dict()).committed_at is not None
+        source = cluster.router.home_of_tx(create.tx_id)
+        target = next(shard for shard in cluster.shard_ids if shard != source)
+        export = migration.export_entry(
+            "m-0001", source, target, [(create.tx_id, 0)], cluster.migrator.keypair
+        )
+        shard = cluster.shards[source]
+        shard.submit_entry(export)
+        cluster.run()
+        spend = cluster.driver.prepare_transfer(
+            owner, [(create.tx_id, 0, 1)], create.tx_id, [(owner.public_key, 1)]
+        ).to_dict()
+        envelope = envelope_for(spend, spend["id"], len(canonical_bytes(spend)))
+        validators = [shard.engine.validator(node) for node in plane.nodes(source)]
+        for validator in validators:  # admitted before the export reached it
+            assert validator.mempool.add(envelope)
+        assert sorted(pools_valid(plane)) == [
+            f"{source}/{node}: pooled tx {spend['id'][:8]} fails its CheckTx"
+            for node in plane.nodes(source)
+        ]
+        for validator in validators:
+            validator.maybe_propose()
+        cluster.run(max_events=20_000)
+        assert pools_valid(plane) == []

@@ -5,6 +5,7 @@ import pytest
 from repro.core.cluster import ClusterConfig, SmartchainCluster
 from repro.crypto.keys import keypair_from_string
 from repro.sharding.cluster import ShardedCluster, ShardedClusterConfig
+from repro.simtest.invariants import all_settled
 from repro.simtest.plane import SINGLE_SHARD, FaultPlane
 
 
@@ -110,3 +111,38 @@ class TestQuiesce:
         for agent in sharded_plane.agents.values():
             agent._notify("probe", "tx-0")
         assert seen == [("shard-0", "probe"), ("shard-1", "probe")]
+
+
+def pooled_at(plane: FaultPlane, receiver: str | None = None) -> str:
+    """Submit a CREATE and run until a pool holds it; returns its id."""
+    cluster = plane.cluster
+    payload = cluster.driver.prepare_create(keypair_from_string("settle"), {"n": 1}).to_dict()
+    cluster.submit_payload(payload, receiver=receiver)
+    engine = cluster.engine
+    while not any(payload["id"] in engine.validator(n).mempool for n in engine.validator_order):
+        assert cluster.loop.step()
+    return payload["id"]
+
+
+class TestAllSettled:
+    def test_a_transaction_every_pool_dropped_is_rejected_not_lost(self, single_plane):
+        cluster = single_plane.cluster
+        tx_id = pooled_at(single_plane)
+        cluster.add_ingress_gate(lambda _payload: "redirect:migrating:m-0001")
+        assert single_plane.quiesce()
+        assert cluster.records[tx_id].rejected == "redirect:migrating:m-0001"
+        assert all_settled(single_plane) == []
+
+    def test_one_a_crash_lost_with_its_only_pool_is_recorded_and_exempt(self, single_plane):
+        cluster = single_plane.cluster
+        single_plane.partition_minority(SINGLE_SHARD)
+        receiver = single_plane.nodes(SINGLE_SHARD)[-1]
+        tx_id = pooled_at(single_plane, receiver)
+        single_plane.crash_node(SINGLE_SHARD, receiver)
+        assert single_plane.quiesce()
+        record = cluster.records[tx_id]
+        assert (record.committed_at, record.rejected) == (None, None)
+        assert cluster.crash_lost == {tx_id}
+        assert all_settled(single_plane) == []
+        cluster.crash_lost.clear()
+        assert all_settled(single_plane) == [f"{SINGLE_SHARD}: tx {tx_id[:8]} has no outcome"]

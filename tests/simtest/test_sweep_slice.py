@@ -1,17 +1,20 @@
 """A fixed slice of the nightly chaos sweeps, in tier-1.
 
-Twelve pinned 300-step seeds, every registered invariant asserted: four
-plain chaos runs, four with live shard migrations (``--elastic-rate
-0.05``) and four with lying validators and an adversarial client
-(``--byzantine-rate 0.2 --adversarial-rate 0.2``).  Each is exactly
-``python -m repro simtest --seed S --steps 300 <flags>``.
+Thirteen pinned 300-step seeds, every registered invariant asserted:
+four plain chaos runs, five with live shard migrations
+(``--elastic-rate 0.05``) and four with lying validators and an
+adversarial client (``--byzantine-rate 0.2 --adversarial-rate 0.2``).
+Each is exactly ``python -m repro simtest --seed S --steps 300 <flags>``.
 
 The elastic and byzantine seeds are not arbitrary: 110 / 123 / 141 and
 7231 / 7262 / 7324 were red for several PRs (a replica delivering a
 block over its own reference copy; views applying transactions a block
 contained but did not deliver) while each PR certified its logs
 "identical to the parent, known failures included".  With the slice in
-tier-1 a known failure is a red build.
+tier-1 a known failure is a red build.  Elastic 24 hung at quiesce: a
+validator kept proposing a pooled transfer that a 2PC abort had made
+invalid, on a memoised CheckTx verdict, and its shard spun rounds until
+the event valve closed.
 
 Each seed also reads the ``replay_determinism`` report (how far every
 live replica is from a pure replay of its shard's chain) and asserts
@@ -26,7 +29,7 @@ from repro.simtest.invariants import replay_determinism
 
 FAMILIES = {
     "plain": ({}, (201, 202, 203, 204)),
-    "elastic": ({"elastic_rate": 0.05}, (101, 110, 123, 141)),
+    "elastic": ({"elastic_rate": 0.05}, (24, 101, 110, 123, 141)),
     "byzantine": ({"byzantine_rate": 0.2, "adversarial_rate": 0.2}, (7231, 7262, 7293, 7324)),
 }
 
