@@ -139,6 +139,8 @@ KEPT_DEFS = {
     "repro.core.context.ValidationContext.is_committed": _TESTS,
     "repro.core.server.SmartchainServer.get_transaction": "public read of one transaction by id; server tests",
     "repro.core.driver.is_redirect_rejection": "classifies a migration-fence rejection; elastic tests",
+    "repro.core.cluster.SmartchainCluster._retrigger_later": "the driver's crash re-trigger "
+    "(Section 4.2.1): only a crash that takes a submission reaches it (faultplane tests)",
     "repro.core.nested.ReturnQueue.requeue": "retry of a failed RETURN submit; nested tests",
     "repro.core.parallel": "lane accounting read-outs; ablation and parallel tests",
     "repro.core.transaction.Transaction": "accessors (asset_id, size_bytes, repr); tests and debugging",

@@ -97,7 +97,6 @@ def envelope_for(
     tx_id: str,
     size_bytes: int,
     weight: int = 1,
-    now: float = 0.0,
     trace_flags: int = 0,
     attachments: tuple = (),
 ) -> TxEnvelope:
@@ -107,7 +106,6 @@ def envelope_for(
         payload=payload,
         size_bytes=size_bytes,
         weight=weight,
-        submitted_at=now,
         trace_flags=trace_flags,
         attachments=attachments,
     )

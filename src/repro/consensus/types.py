@@ -42,7 +42,6 @@ class TxEnvelope:
     payload: Any
     size_bytes: int
     weight: int = 1
-    submitted_at: float = 0.0
     #: Trace context carried across gossip and shard boundaries.  Bit 0
     #: (:data:`repro.telemetry.TRACE_SAMPLED`) marks a sampled lifecycle
     #: trace, so hot paths learn "is this tx traced?" from one bit test

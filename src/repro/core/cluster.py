@@ -34,6 +34,11 @@ from repro.telemetry import DEFAULT_SAMPLE_RATE, TRACE_SAMPLED, Telemetry
 from repro.views import ChangeFeed, ViewManager
 
 
+#: The driver's re-trigger timeout (Section 4.2.1): how long after a
+#: crash took a submission with it the client submits it again.
+RETRIGGER_DELAY = 1.0
+
+
 @dataclass
 class TxRecord:
     """Lifecycle record for one submitted transaction."""
@@ -201,10 +206,6 @@ class SmartchainCluster:
         #: ``records``: any committed payload may later be a foreign input.
         self._heights: dict[str, int] = {}
         self._refused: set[str] = set()
-        #: Ids a crash took with the only live pool holding them: unless a
-        #: proposal already in flight carries one, no client hears of it
-        #: (the ``all_settled`` invariant exempts them).
-        self.crash_lost: set[str] = set()
         self._callbacks: dict[str, DriverCallback] = {}
         #: accept_id -> receiver node responsible for its RETURN children.
         self._accept_receivers: dict[str, str] = {}
@@ -289,17 +290,8 @@ class SmartchainCluster:
 
         def receiver_step() -> None:
             if self.network.is_crashed(receiver_id):
-                # Crash during initial validation: the driver re-triggers
-                # after a timeout (Section 4.2.1 case 1).
-                self.loop.schedule_in(
-                    1.0,
-                    lambda: self.submit_payload(
-                        payload,
-                        self._callbacks.get(tx_id),
-                        _retry=True,
-                        attachments=attachments,
-                    ),
-                )
+                # Crash during initial validation (Section 4.2.1 case 1).
+                self._retrigger_later(tx_id, payload, attachments)
                 return
             try:
                 server.receiver_validate(payload, attachments)
@@ -325,7 +317,6 @@ class SmartchainCluster:
                 payload,
                 tx_id,
                 wire_bytes,
-                now=self.loop.clock.now,
                 trace_flags=trace_flags,
                 attachments=attachments,
             )
@@ -352,9 +343,7 @@ class SmartchainCluster:
                 continue
             if callback is not None:
                 self._callbacks[entry["id"]] = callback
-            envelope = envelope_for(
-                entry, entry["id"], len(canonical_bytes(entry)), now=self.loop.clock.now
-            )
+            envelope = envelope_for(entry, entry["id"], len(canonical_bytes(entry)))
             self.engine.validator(node_id).submit_transaction(envelope)
             return True
         return False
@@ -440,14 +429,29 @@ class SmartchainCluster:
             self._fire_callback(envelope.tx_id, "committed", envelope.payload)
 
     def _on_node_crash(self, node_id: str) -> None:
-        """The crash empties the node's pool: note what no live peer pools."""
+        """The crash empties the node's pool.  A client submission no live
+        peer pools is re-triggered by its driver after the timeout, as
+        one whose receiver crashed during initial validation is (Section
+        4.2.1); a system entry is its author's to re-drive."""
         validator = self.engine.validator(node_id)
-        self.crash_lost.update(
-            envelope.tx_id
-            for envelope in validator.mempool.pending_envelopes()
-            if not self.pooled(envelope.tx_id)
-        )
+        for envelope in validator.mempool.pending_envelopes():
+            if envelope.tx_id in self.records and not self.pooled(envelope.tx_id):
+                self._retrigger_later(envelope.tx_id, envelope.payload, envelope.attachments)
         validator.on_crash()
+
+    def _retrigger_later(self, tx_id: str, payload: dict[str, Any], attachments: tuple) -> None:
+        """The driver's re-trigger: submit ``payload`` again after the
+        timeout unless by then a block carried it, a live pool holds it or
+        its record has an outcome (a proposal in flight may commit it)."""
+
+        def fire() -> None:
+            record = self.records[tx_id]
+            settled = record.committed_at is not None or record.rejected is not None
+            if not settled and self.landed(tx_id) is None and not self.pooled(tx_id):
+                callback = self._callbacks.get(tx_id)
+                self.submit_payload(payload, callback, _retry=True, attachments=attachments)
+
+        self.loop.schedule_in(RETRIGGER_DELAY, fire)
 
     def _on_pool_drop(self, node_id: str, dropped: list[TxEnvelope]) -> None:
         """A validator's block check dropped what its CheckTx now refuses.

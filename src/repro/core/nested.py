@@ -123,8 +123,9 @@ class RecoveryLog:
         if children == record["children"]:
             return
         status = COMMITTED if all(c["status"] == COMMITTED for c in children) else PENDING
-        replacement = dict(record, status=status, children=children)
-        self._collection.update_many({"accept_id": accept_id}, lambda _: replacement)
+        self._collection.update_many(
+            {"accept_id": accept_id}, {"$set": {"status": status, "children": children}}
+        )
 
     def is_fully_committed(self, accept_id: str) -> bool:
         """Definition 2: parent committed iff all children committed."""

@@ -9,9 +9,7 @@ journal vocabulary (every record is a small canonical-JSON dict):
 * ``{"k": "db", "op": ..., "c": <collection>, ...}`` — one logical
   mutation of a journaled agent table (2PC, migrations):
   ``insert`` (the frozen stored document), ``delete`` / ``update``
-  (query + update document, replayed through the same code path), or
-  ``replace`` (the computed replacement documents of a callable update,
-  in match order — callables cannot be serialised, their *effects* can).
+  (query + update document, replayed through the same code path).
 * ``{"k": "lock", "r": <round>, "b": <block record>}`` — the Tendermint
   lock the consensus engine must not forget across a crash (the
   write-ahead consensus state), with the locked block; cleared
@@ -68,14 +66,8 @@ def _block_header(block: Block) -> dict[str, Any]:
 
 def _envelope_item(envelope: TxEnvelope) -> list[Any]:
     """An envelope's entry in its block's record; slot 1 is the payload,
-    slot 5 (present only when there are any) its attachments."""
-    item = [
-        envelope.tx_id,
-        envelope.payload,
-        envelope.size_bytes,
-        envelope.weight,
-        envelope.submitted_at,
-    ]
+    slot 4 (present only when there are any) its attachments."""
+    item = [envelope.tx_id, envelope.payload, envelope.size_bytes, envelope.weight]
     if envelope.attachments:
         item.append(list(envelope.attachments))
     return item
@@ -126,8 +118,7 @@ def rebuild_block(record: dict[str, Any]) -> Block:
                 payload=item[1],
                 size_bytes=item[2],
                 weight=item[3],
-                submitted_at=item[4],
-                attachments=tuple(item[5]) if len(item) > 5 else (),
+                attachments=tuple(item[4]) if len(item) > 4 else (),
             )
             for item in record["txs"]
         ),
@@ -149,9 +140,6 @@ def apply_db_op(database: Database, op: dict[str, Any]) -> None:
         collection.delete_many(op["q"])
     elif kind == "update":
         collection.update_many(op["q"], op["u"])
-    elif kind == "replace":
-        replacements = iter(op["r"])
-        collection.update_many(op["q"], lambda _: next(replacements))
     else:
         raise ValueError(f"unknown journaled db op {kind!r}")
 

@@ -185,9 +185,7 @@ class QuorumChain:
         size_bytes = len(canonical_bytes({k: repr(v) for k, v in payload.items()}))
         if gas_estimate is None:
             gas_estimate = self.estimate_gas(payload)
-        envelope = envelope_for(
-            payload, tx_id, size_bytes, weight=gas_estimate, now=self.loop.clock.now
-        )
+        envelope = envelope_for(payload, tx_id, size_bytes, weight=gas_estimate)
         self.records[tx_id] = EthTxRecord(
             tx_id=tx_id,
             kind=payload["type"],

@@ -82,25 +82,16 @@ REPLAY_KEYS = {
 }
 
 
-#: Collection -> how many leading :data:`REPLAY_KEYS` fields name one row
-#: (what a block's delete queries name it by).
-ROW_IDENTITY = {"transactions": 1, "utxos": 2, "blocks": 1}
-
-
 def _frozen(value: Any) -> Any:
     return tuple(value) if type(value) is list else value
 
 
+def _row(document: dict[str, Any], name: str) -> tuple:
+    return tuple(map(_frozen, map(document.get, REPLAY_KEYS[name])))
+
+
 def _rows(documents, name: str) -> set[tuple]:
-    fields = REPLAY_KEYS[name]
-    return {tuple(map(_frozen, map(document.get, fields))) for document in documents}
-
-
-class _Writes(list):
-    """The replay database's journal sink: the logical ops of one block."""
-
-    def append(self, record: dict[str, Any], body: bytes | None = None) -> None:
-        super().append(record)
+    return {_row(document, name) for document in documents}
 
 
 class ChainReplay:
@@ -114,10 +105,10 @@ class ChainReplay:
     path the consensus engine drives, nothing else.  The in-memory chain
     carries no delivery time, so every deadline is judged at simulated
     time 0.  Per height it keeps the :data:`REPLAY_KEYS` rows the block
-    added and removed, read from the block's own writes in the database's
-    journal: any lower height's state is the tip's with the deltas above
-    it rewound.  A block whose writes do not name their rows breaks the
-    replay.
+    added and removed, read from each collection's change set
+    (:meth:`~repro.storage.collection.Collection.take_changes`), which
+    the replay database keeps because it is durable: any lower height's
+    state is the tip's with the deltas above it rewound.
     """
 
     def __init__(self, shard_id: str, shard):
@@ -125,18 +116,17 @@ class ChainReplay:
         self.shard_id = shard_id
         self.server = shard.replay_server()
         self.database = self.server.database
-        self._writes = _Writes()
-        self.database.attach_wal(self._writes)
+        self.database.make_durable()
         self._committed: set[str] = set()
         self.block_ids: list[str] = []
         #: tx id -> (shard id, stored payload) of every delivered transaction.
         self.applied: dict[str, tuple[str, dict[str, Any]]] = {}
-        #: Collection -> rows at the tip, by :data:`ROW_IDENTITY`.
-        self.rows: dict[str, dict[tuple, tuple]] = {name: {} for name in REPLAY_KEYS}
+        #: Collection -> rows at the tip, by internal document id.
+        self.rows: dict[str, dict[int, tuple]] = {name: {} for name in REPLAY_KEYS}
         #: ``deltas[h - 1]``: collection -> (rows added, rows removed) at height ``h``.
         self.deltas: list[dict[str, tuple[set[tuple], set[tuple]]]] = []
         #: Why the replay stopped: the reference chain no longer extends
-        #: the replayed prefix, or a block wrote a row it cannot name.
+        #: the replayed prefix.
         self.broken: str | None = None
 
     def extend(self) -> None:
@@ -153,46 +143,28 @@ class ChainReplay:
             return
         transactions = self.database.collection("transactions")
         for block in chain[height:]:
-            self._writes.clear()
             for envelope in deliver_block(self.server, block, self._committed):
                 payload = transactions.find_one({"id": envelope.tx_id}, copy=False)
                 if payload is not None:
                     self.applied[envelope.tx_id] = (self.shard_id, payload)
-            deltas = {name: self._advance(name) for name in REPLAY_KEYS}
-            if None in deltas.values():
-                self.broken = f"block {block.height} writes a row by no identity"
-                return
             self.block_ids.append(block.block_id)
-            self.deltas.append(deltas)
+            self.deltas.append({name: self._advance(name) for name in REPLAY_KEYS})
 
-    def _advance(self, name: str) -> tuple[set[tuple], set[tuple]] | None:
+    def _advance(self, name: str) -> tuple[set[tuple], set[tuple]]:
         """Move collection ``name``'s tip past the block just delivered, at
-        a cost proportional to its writes: an insert carries its row, a
-        delete names one by identity.  Returns the rows added and removed,
-        or None for a write that does neither or would put two rows under
-        one identity."""
-        tip, fields, width = self.rows[name], REPLAY_KEYS[name], ROW_IDENTITY[name]
-        before: dict[tuple, tuple | None] = {}
-        for record in self._writes:
-            if record["c"] != name:
-                continue
-            if record["op"] == "insert":
-                row = tuple(map(_frozen, map(record["d"].get, fields)))
-                key = row[:width]
-            elif record["op"] == "delete" and tuple(record["q"]) == fields[:width]:
-                key, row = tuple(record["q"].values()), None
-            else:
-                return None
-            if not all(type(value) in (str, int) for value in key) or (key in tip) == (row is not None):
-                return None
-            before.setdefault(key, tip.get(key))
-            if row is None:
-                del tip[key]
-            else:
-                tip[key] = row
-        added = {tip[key] for key, old in before.items() if key in tip and tip[key] != old}
-        removed = {old for key, old in before.items() if old is not None and tip.get(key) != old}
-        return added, removed
+        a cost proportional to its writes: a changed document's old row
+        leaves and its new row joins, a gone one's row leaves.  Returns
+        the rows added and removed."""
+        tip, collection = self.rows[name], self.database.collection(name)
+        changed, gone = collection.take_changes()
+        removed = {tip.pop(doc_id) for doc_id in gone}
+        added = set()
+        for doc_id in changed:
+            if doc_id in tip:
+                removed.add(tip[doc_id])
+            tip[doc_id] = row = _row(collection.document(doc_id), name)
+            added.add(row)
+        return added - removed, removed - added
 
     def states(self, heights):
         """``(height, rows)`` for each of ``heights`` (at most the tip),
@@ -843,26 +815,18 @@ def pools_valid(plane: FaultPlane) -> list[str]:
 
 
 def all_settled(plane: FaultPlane) -> list[str]:
-    """Every submission to a shard has an outcome at quiesce: committed,
-    or rejected with a reason its client heard — one a block check
-    dropped from the last pool that held it too.  Exempt are the ids a
-    crash lost with the only pool holding them (``crash_lost``), which
-    no one answers yet."""
+    """Every submission has an outcome at quiesce: committed, or rejected
+    with a reason its client heard — one a block check dropped from the
+    last pool that held it, or a crash took with its only pool, too (the
+    driver re-triggers it).  That holds for each shard's records and for
+    a sharded facade's cross-shard records alike."""
+    records = [(shard_id, plane.shard_cluster(shard_id).records) for shard_id in plane.shard_ids]
+    if plane.sharded:
+        records.append(("cross-shard", plane.cluster.cross_records))
     return [
-        f"{shard_id}: tx {tx_id[:8]} has no outcome"
-        for shard_id in plane.shard_ids
-        for shard in [plane.shard_cluster(shard_id)]
-        for tx_id, record in sorted(shard.records.items())
-        if record.committed_at is None and record.rejected is None
-        and tx_id not in shard.crash_lost
-    ]
-
-
-def all_cross_settled(plane: FaultPlane) -> list[str]:
-    """Every cross-shard submission has a final outcome at quiesce."""
-    return [
-        f"cross-shard tx {tx_id[:8]} never settled"
-        for tx_id, record in sorted(plane.cluster.cross_records.items())
+        f"{where}: tx {tx_id[:8]} has no outcome"
+        for where, by_id in records
+        for tx_id, record in sorted(by_id.items())
         if record.committed_at is None and record.rejected is None
     ]
 
@@ -887,7 +851,6 @@ DEFAULT_INVARIANTS: list[Invariant] = [
     Invariant("equivocation_contained", equivocation_contained, every=5),
     Invariant("no_stuck_locks", no_stuck_locks, scope="quiesce", sharded_only=True),
     Invariant("outbox_terminal", outbox_terminal, scope="quiesce", sharded_only=True),
-    Invariant("all_cross_settled", all_cross_settled, scope="quiesce", sharded_only=True),
     # Elastic-resharding family (ISSUE 9): every migration terminal and
     # every landed export imported at quiesce, and the exports'
     # final-owner map matches the physical UTXO placement exactly —

@@ -381,12 +381,7 @@ class TraceWorkload:
         if alive:
             node = self._rng.choice("workload:adv-node", alive)
             replay = deep_copy_json(payload)
-            envelope = envelope_for(
-                replay,
-                replay["id"],
-                len(canonical_bytes(replay)),
-                now=self.plane.now,
-            )
+            envelope = envelope_for(replay, replay["id"], len(canonical_bytes(replay)))
             shard.engine.validator(node).submit_transaction(envelope)
         self.stats["double_submits"] += 1
         return f"adv double-submit tx={payload['id'][:8]}"

@@ -61,8 +61,10 @@ class Collection:
     re-encoding the document, and a checkpoint on the simulated disk
     holds them by reference rather than a copy.  They exist only for live
     documents: an update or delete drops them, a volatile collection
-    never makes any.  It also tracks what changed since its last
-    checkpoint, so a checkpoint writes only that.
+    never makes any.  It also keeps its change set, the one record of
+    what its writes changed: the ids inserted or replaced and the ids
+    deleted since the last :meth:`take_changes`.  A checkpoint takes it
+    and writes only that; so does the chain replay after each block.
 
     The same bytes make a durable collection's caller-owned copies:
     ``find(copy=True)`` decodes its whole answer in one call over the
@@ -82,15 +84,15 @@ class Collection:
 
     def __init__(self, name: str):
         self.name = name
-        #: Optional journal sink (set by a WAL-backed Database): called
-        #: with one logical-op record per successful mutation, *after*
-        #: the in-memory apply — write-ahead ordering is provided by the
-        #: group-commit layer, which makes the record durable before any
-        #: externally visible acknowledgement leaves the node.
-        #: An ``insert`` record comes with the document's canonical bytes
-        #: as second argument.
+        #: Optional journal sink (set by a WAL-backed Database, which
+        #: makes the collection durable): called with one logical-op
+        #: record per successful mutation, *after* the in-memory apply —
+        #: write-ahead ordering is provided by the group-commit layer,
+        #: which makes the record durable before any externally visible
+        #: acknowledgement leaves the node.  An ``insert`` record comes
+        #: with the document's canonical bytes as second argument.
         self.journal: Callable[..., None] | None = None
-        #: Durable without a journal (see the class docstring).
+        #: Keeps document bytes and a change set (see the class docstring).
         self.durable = False
         self._documents: dict[int, dict[str, Any]] = {}
         #: doc id -> canonical bytes of the stored document (see class doc).
@@ -99,11 +101,11 @@ class Collection:
         #: answer holding one decodes through ``json.loads``.
         self._mixed: set[int] = set()
         self._last_id = 0
-        #: Since the last checkpoint: ids inserted or replaced, ids it
-        #: held that are deleted, and the last id it knew.
+        #: Since the last take: ids inserted or replaced, ids it knew
+        #: that are deleted, and the last id it knew.
         self._changed: set[int] = set()
         self._gone: set[int] = set()
-        self._checkpointed_id = 0
+        self._taken_id = 0
         self._hash_indexes: dict[str, HashIndex] = {}
         self._sorted_indexes: dict[str, SortedIndex] = {}
         self._planner = QueryPlanner(self._hash_indexes, self._sorted_indexes)
@@ -120,10 +122,6 @@ class Collection:
 
     def __len__(self) -> int:
         return len(self._documents)
-
-    @property
-    def keeps_bytes(self) -> bool:
-        return self.durable or self.journal is not None
 
     # -- index management ----------------------------------------------------
 
@@ -187,7 +185,7 @@ class Collection:
             sorted_index.add(doc_id, stored)
         self._documents[doc_id] = stored
         self.stats["inserts"] += 1
-        if self.keeps_bytes:
+        if self.durable:
             # ``stored`` is frozen from here on, so the journal record
             # may hold it by reference and its encoding never goes stale.
             fragment = self._keep(doc_id, stored, frozen_bytes(stored))
@@ -208,7 +206,7 @@ class Collection:
             self._unindex(doc_id, self._documents.pop(doc_id))
             self._drop_kept(doc_id)
             self._changed.discard(doc_id)
-            if doc_id <= self._checkpointed_id:
+            if doc_id <= self._taken_id:
                 self._gone.add(doc_id)
         self.stats["deletes"] += len(doomed)
         if doomed and self.journal is not None:
@@ -225,17 +223,20 @@ class Collection:
         """Update all matching documents.
 
         ``update`` is either a ``{"$set": {...}}`` document (dotted paths
-        supported) or a callable mapping the frozen stored document (which
-        it must not mutate) to a fresh replacement the collection keeps.
-        Stored documents are frozen: updates build a fresh replacement and
-        swap it in, re-indexing the document.
+        supported) or, on a collection without a journal, a callable
+        mapping the frozen stored document (which it must not mutate) to
+        a fresh replacement the collection keeps.  Stored documents are
+        frozen: updates build a fresh replacement and swap it in,
+        re-indexing the document.
 
         Raises:
             QueryError: if the update document uses unsupported operators.
+            StorageError: if ``update`` is a callable and the collection
+                journals (a callable has no record to replay).
         """
+        if callable(update) and self.journal is not None:
+            raise StorageError(f"{self.name}: a journaled collection takes no callable update")
         updated = 0
-        replacements: list[dict[str, Any]] = []
-        tracking = self.keeps_bytes
         for doc_id, document in self._match_ids(query):
             if callable(update):
                 replacement = update(document)
@@ -243,32 +244,19 @@ class Collection:
                 replacement = self._apply_update(document, update)
             self._replace(doc_id, document, replacement)
             self._drop_kept(doc_id)
-            if tracking:
+            if self.durable:
                 self._changed.add(doc_id)
-            replacements.append(replacement)
             updated += 1
         self.stats["updates"] += updated
         if updated and self.journal is not None:
-            if callable(update):
-                # A callable cannot be serialised; its *effects* can.
-                # Replay swaps these replacements back in match order.
-                self.journal(
-                    {
-                        "op": "replace",
-                        "c": self.name,
-                        "q": deep_copy_json(query),
-                        "r": replacements,
-                    }
-                )
-            else:
-                self.journal(
-                    {
-                        "op": "update",
-                        "c": self.name,
-                        "q": deep_copy_json(query),
-                        "u": deep_copy_json(update),
-                    }
-                )
+            self.journal(
+                {
+                    "op": "update",
+                    "c": self.name,
+                    "q": deep_copy_json(query),
+                    "u": deep_copy_json(update),
+                }
+            )
         return updated
 
     def _unindex(self, doc_id: int, document: dict[str, Any]) -> None:
@@ -410,7 +398,7 @@ class Collection:
         if not copy:
             return [document for _, document in matches]
         with collector_paused():
-            if not self.keeps_bytes:
+            if not self.durable:
                 return [deep_copy_json(document) for _, document in matches]
             # One decode of the spliced kept bytes builds every copy at once.
             matched = list(matches)
@@ -436,21 +424,35 @@ class Collection:
             return len(self._documents)
         return sum(1 for _ in self._match_ids(query))
 
+    def take_changes(self) -> tuple[list[int], list[int]]:
+        """The change set since the last take, each in id order: the ids
+        inserted or replaced, and the ids the last take knew that are
+        deleted (an id inserted and deleted in between is in neither).
+        Starts the next one empty.  Only a durable collection tracks
+        inserts and updates."""
+        changes = sorted(self._changed), sorted(self._gone)
+        self._changed, self._gone = set(), set()
+        self._taken_id = self._last_id
+        return changes
+
+    def document(self, doc_id: int) -> dict[str, Any]:
+        """The frozen stored document with internal id ``doc_id`` (the
+        caller must not mutate it)."""
+        return self._documents[doc_id]
+
     def checkpoint_entry(self, full: bool) -> list[bytes]:
         """This collection's part of a checkpoint, ``{"docs": [...],
         "gone": [ids], "ids": [ids]}``, as canonical byte pieces holding
         the kept per-document bytes by reference: every live document
-        (``full``), or those inserted or replaced since the last
-        checkpoint and the ids it held that are deleted.  A document
-        without kept bytes is encoded here and kept."""
+        (``full``), or the change set (:meth:`take_changes`), which it
+        takes either way.  A document without kept bytes is encoded here
+        and kept."""
         documents = self._documents
+        ids, gone = self.take_changes()
         if full:
             ids, gone, docs = list(documents), [], self.encoded_documents()
         else:
-            ids, gone = sorted(self._changed), sorted(self._gone)
             docs = array_pieces(self._kept_bytes((i, documents[i])) for i in ids)
-        self._changed, self._gone = set(), set()
-        self._checkpointed_id = self._last_id
         return object_pieces({"docs": docs, "gone": _id_array(gone), "ids": _id_array(ids)})
 
     def encoded_documents(self) -> list[bytes]:
@@ -479,7 +481,7 @@ class Collection:
             self._drop_kept(doc_id)
             self._replace(doc_id, self._documents.get(doc_id), document)
         self._last_id = max([self._last_id, *entry["ids"], *entry["gone"]])
-        self._checkpointed_id = self._last_id
+        self._taken_id = self._last_id
 
     def _kept_bytes(self, match: tuple[int, dict[str, Any]]) -> bytes:
         """The kept canonical bytes of one ``(doc id, stored document)``,

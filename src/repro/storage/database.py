@@ -43,15 +43,16 @@ class Database:
             set, every collection mutation (insert/delete/update) emits
             one logical-op record, so the database can be rebuilt from
             checkpoints + journal after a crash
-            (:mod:`repro.durability.recovery`).  The 2PC agent's tables
-            journal; a validator's collections do not — its chain is
-            their log (:meth:`make_durable`).
+            (:mod:`repro.durability.recovery`).  A journaled database is
+            durable.  The 2PC agent's tables journal; a validator's
+            collections do not — its chain is their log
+            (:meth:`make_durable`).
     """
 
     def __init__(self, name: str = "smartchaindb", wal: Any = None):
         self.name = name
         self.wal = wal
-        self.durable = False
+        self.durable = wal is not None
         self._collections: dict[str, Collection] = {}
         #: Collection name -> its canonical bytes (insert record bodies).
         self._encoded_names: dict[str, bytes] = {}
@@ -69,15 +70,17 @@ class Database:
         return collection
 
     def attach_wal(self, wal: Any) -> None:
-        """Journal all further mutations (existing collections included).
+        """Journal all further mutations (existing collections included);
+        the database becomes durable.
 
         Recovery uses this: the database is rebuilt journal-free (replay
         must not re-journal), then reattached so post-restart mutations
         extend the log.
         """
         self.wal = wal
+        self.make_durable()
         for collection in self._collections.values():
-            collection.journal = self._journal if wal is not None else None
+            collection.journal = self._journal
 
     def make_durable(self) -> None:
         """Keep per-document bytes and track changes for incremental

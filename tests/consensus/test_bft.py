@@ -45,7 +45,7 @@ def build_cluster(n=4, config=None, seed=3):
 def submit_batch(loop, engine, count, start=0):
     for index in range(start, start + count):
         tx_id = hashlib.sha3_256(f"tx-{index}".encode()).hexdigest()
-        envelope = envelope_for({"n": index}, tx_id, 200, now=loop.clock.now)
+        envelope = envelope_for({"n": index}, tx_id, 200)
         node = engine.validator_order[index % len(engine.validator_order)]
         engine.validator(node).submit_transaction(envelope)
 
@@ -212,7 +212,7 @@ class TestIbftConfig:
         engine = BftEngine(loop, network, factory, [f"q{i}" for i in range(4)], config)
         for index in range(6):
             tx_id = hashlib.sha3_256(f"g{index}".encode()).hexdigest()
-            envelope = envelope_for({"n": index}, tx_id, 100, weight=60, now=loop.clock.now)
+            envelope = envelope_for({"n": index}, tx_id, 100, weight=60)
             engine.validator("q0").submit_transaction(envelope)
         loop.run(until=120.0)
         # 60-gas txs against a 100-gas limit: one tx per block.
@@ -229,7 +229,7 @@ class TestIbftConfig:
         )
         for index in range(8):
             tx_id = hashlib.sha3_256(f"s{index}".encode()).hexdigest()
-            envelope = envelope_for({"n": index}, tx_id, 100, weight=1, now=loop.clock.now)
+            envelope = envelope_for({"n": index}, tx_id, 100, weight=1)
             engine.validator(f"q{index % 4}").submit_transaction(envelope)
         loop.run(until=120.0)
         same_proposer_times: dict[str, list[float]] = {}

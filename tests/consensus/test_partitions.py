@@ -21,7 +21,7 @@ def build(n=4, seed=71):
 def submit(loop, engine, count, start=0):
     for index in range(start, start + count):
         tx_id = hashlib.sha3_256(f"p{index}".encode()).hexdigest()
-        envelope = envelope_for({"n": index}, tx_id, 150, now=loop.clock.now)
+        envelope = envelope_for({"n": index}, tx_id, 150)
         node = engine.validator_order[index % len(engine.validator_order)]
         engine.validator(node).submit_transaction(envelope)
 

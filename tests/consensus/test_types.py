@@ -32,10 +32,10 @@ class TestBlock:
 
 class TestEnvelope:
     def test_envelope_fields(self):
-        envelope = envelope_for({"x": 1}, "a" * 64, 256, weight=7, now=3.5)
+        envelope = envelope_for({"x": 1}, "a" * 64, 256, weight=7)
         assert envelope.tx_id == "a" * 64
+        assert envelope.size_bytes == 256
         assert envelope.weight == 7
-        assert envelope.submitted_at == 3.5
 
 
 class TestNullApplication:

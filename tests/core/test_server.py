@@ -20,9 +20,9 @@ def server():
     return SmartchainServer("node-0", ReservedAccounts())
 
 
-def envelope_of(transaction, now=0.0):
+def envelope_of(transaction):
     payload = transaction.to_dict()
-    return envelope_for(payload, payload["id"], transaction.size_bytes(), now=now)
+    return envelope_for(payload, payload["id"], transaction.size_bytes())
 
 
 def commit_block(server, envelopes, height=1):

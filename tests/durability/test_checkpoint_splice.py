@@ -214,9 +214,9 @@ class SpliceMachine(RuleBasedStateMachine):
         self.database.collection(name).update_many({"key": key}, {"$set": {path: value}})
 
     @rule(name=collections, parity=st.integers(0, 1), value=values)
-    def update_callable(self, name, parity, value):
+    def update_matching(self, name, parity, value):
         self.database.collection(name).update_many(
-            {"parity": parity, "key": {"$lte": 6}}, lambda doc: {**doc, "touched": value}
+            {"parity": parity, "key": {"$lte": 6}}, {"$set": {"touched": value}}
         )
 
     @rule(name=collections, key=keys)
@@ -239,7 +239,6 @@ class SpliceMachine(RuleBasedStateMachine):
                     payload=payload,
                     size_bytes=100 + self.tx_serial,
                     weight=1 + self.tx_serial % 3,
-                    submitted_at=self.tx_serial / 7.0,
                 )
             )
         return Block.build(

@@ -49,21 +49,6 @@ class TestDbOpReplay:
         assert diff_databases(database, recovered.database) == []
         assert recovered.database.collection("people").find_one({"id": "a"})["rank"] == 10
 
-    def test_callable_update_replays_via_replacements(self):
-        loop = EventLoop()
-        durability, database = make_durable_db(loop)
-        rows = database.create_collection("rows")
-        rows.insert_one({"id": "x", "children": [{"s": "p"}]})
-        record = {"id": "x", "children": [{"s": "done"}]}
-        rows.update_many({"id": "x"}, lambda _: record)
-        loop.run_until_idle()
-        recovered = recover(durability, factory, repair=False)
-        assert diff_databases(database, recovered.database) == []
-        assert (
-            recovered.database.collection("rows").find_one({"id": "x"})["children"]
-            == [{"s": "done"}]
-        )
-
     def test_unknown_op_raises(self):
         import pytest
 
@@ -175,7 +160,7 @@ class TestSnapshots:
 
 class TestBlockRecords:
     def test_block_roundtrip_preserves_id_and_envelopes(self):
-        envelope = TxEnvelope("tx-1", {"id": "tx-1", "operation": "CREATE"}, 99, 2, 0.5)
+        envelope = TxEnvelope("tx-1", {"id": "tx-1", "operation": "CREATE"}, 99, 2)
         block = Block.build(3, 1, "scdb-0", [envelope], "f" * 64)
         rebuilt = rebuild_block(block_record(block))
         assert rebuilt.block_id == block.block_id
@@ -185,10 +170,16 @@ class TestBlockRecords:
     # The spliced encoding is what goes to disk and ``block_record`` is what
     # ``rebuild_block`` reads back: they must never drift apart.
     ENVELOPES = [
-        TxEnvelope("tx-1", {"id": "tx-1", "operation": "CREATE"}, 99, 2, 0.5),
-        TxEnvelope('a,"b",c\\', {"z": [1, {"é": None}], "a": {}, "m": 'x,"y"'}, 7, 1, 3),
-        TxEnvelope("ünï,cøde", {"nested": {"b": 2.50, "a": [True, False]}}, 0, 10**12, 1e-9),
-        TxEnvelope("", {}, 1, 0, 12345.678),
+        TxEnvelope("tx-1", {"id": "tx-1", "operation": "CREATE"}, 99, 2),
+        TxEnvelope(
+            'a,"b",c\\',
+            {"z": [1, {"é": None}], "a": {}, "m": 'x,"y"'},
+            7,
+            1,
+            attachments=({"f": 12345.678, "p": [1e-9, "ü"]},),
+        ),
+        TxEnvelope("ünï,cøde", {"nested": {"b": 2.50, "a": [True, False]}}, 0, 10**12),
+        TxEnvelope("", {}, 1, 0),
     ]
 
     @staticmethod
@@ -235,7 +226,7 @@ class TestBlockRecords:
             {"id": "tx-b", "é": [1, {"ü": None}], "n": 2**63},
         ]
         envelopes = [
-            TxEnvelope(payload["id"], json.loads(canonical_bytes(payload)), 10, 1, 0.25)
+            TxEnvelope(payload["id"], json.loads(canonical_bytes(payload)), 10, 1)
             for payload in payloads
         ]
         block = Block.build(5, 0, "scdb-2", envelopes, "d" * 64)
@@ -258,7 +249,7 @@ class TestBlockRecords:
     def test_lock_cleared_once_height_commits(self):
         loop = EventLoop()
         durability, _ = make_durable_db(loop)
-        envelope = TxEnvelope("tx-1", {"id": "tx-1"}, 10, 1, 0.0)
+        envelope = TxEnvelope("tx-1", {"id": "tx-1"}, 10, 1)
         b1 = Block.build(1, 0, "n0", [envelope], "0" * 64)
         durability.journal({"k": "lock", "r": 0, "b": block_record(b1)})
         durability.journal({"k": "block", "b": block_record(b1)})
@@ -269,7 +260,7 @@ class TestBlockRecords:
     def test_live_lock_survives_recovery(self):
         loop = EventLoop()
         durability, _ = make_durable_db(loop)
-        envelope = TxEnvelope("tx-2", {"id": "tx-2"}, 10, 1, 0.0)
+        envelope = TxEnvelope("tx-2", {"id": "tx-2"}, 10, 1)
         b2 = Block.build(2, 1, "n0", [envelope], "a" * 64)
         durability.journal({"k": "lock", "r": 1, "b": block_record(b2)})
         loop.run_until_idle()

@@ -119,7 +119,7 @@ class TestLockForcedDurability:
         )
         node = cluster.engine.validator_order[0]
         validator = cluster.engine.validator(node)
-        envelope = TxEnvelope("tx-lock", {"id": "tx-lock"}, 64, 1, 0.0)
+        envelope = TxEnvelope("tx-lock", {"id": "tx-lock"}, 64, 1)
         block = Block.build(1, 0, node, [envelope], validator.state.last_block_id)
         validator.state.proposals[(1, 0)] = {block.block_id: block}
         for voter in cluster.engine.validator_order[:3]:
@@ -157,7 +157,7 @@ class TestLockForcedDurability:
                 if rec.get("k") == "lock"
             ]
 
-        envelope = TxEnvelope("tx-lock", {"id": "tx-lock"}, 64, 1, 0.0)
+        envelope = TxEnvelope("tx-lock", {"id": "tx-lock"}, 64, 1)
         block = Block.build(1, 0, node, [envelope], validator.state.last_block_id)
         validator.state.proposals[(1, 0)] = {block.block_id: block}
         for voter in order[:3]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cluster import ClusterConfig, SmartchainCluster
+from repro.core.cluster import ClusterConfig, SmartchainCluster, TxRecord
 from repro.crypto.keys import keypair_from_string
 from repro.sharding.cluster import ShardedCluster, ShardedClusterConfig
 from repro.simtest.invariants import all_settled
@@ -133,16 +133,39 @@ class TestAllSettled:
         assert cluster.records[tx_id].rejected == "redirect:migrating:m-0001"
         assert all_settled(single_plane) == []
 
-    def test_one_a_crash_lost_with_its_only_pool_is_recorded_and_exempt(self, single_plane):
+    def test_one_a_crash_lost_with_its_only_pool_is_re_triggered(self, single_plane):
         cluster = single_plane.cluster
         single_plane.partition_minority(SINGLE_SHARD)
         receiver = single_plane.nodes(SINGLE_SHARD)[-1]
         tx_id = pooled_at(single_plane, receiver)
+        heard = []
+        cluster._callbacks[tx_id] = lambda status, detail: heard.append(status)
         single_plane.crash_node(SINGLE_SHARD, receiver)
+        assert not cluster.pooled(tx_id)
         assert single_plane.quiesce()
         record = cluster.records[tx_id]
-        assert (record.committed_at, record.rejected) == (None, None)
-        assert cluster.crash_lost == {tx_id}
+        assert record.committed_at is not None and record.rejected is None
+        assert cluster.landed(tx_id) is True
+        assert heard == ["committed"]
         assert all_settled(single_plane) == []
-        cluster.crash_lost.clear()
+
+    def test_a_re_trigger_leaves_a_committed_record_alone(self, single_plane):
+        cluster = single_plane.cluster
+        receiver = single_plane.nodes(SINGLE_SHARD)[-1]
+        tx_id = pooled_at(single_plane, receiver)
+        (envelope,) = cluster.engine.validator(receiver).mempool.pending_envelopes()
+        assert single_plane.quiesce()
+        record = cluster.records[tx_id]
+        assert record.committed_at is not None
+        cluster._retrigger_later(tx_id, envelope.payload, envelope.attachments)
+        assert single_plane.quiesce()
+        assert cluster.records[tx_id] is record and not cluster.pooled(tx_id)
+
+    def test_a_submission_without_an_outcome_is_a_violation(self, single_plane):
+        tx_id = pooled_at(single_plane)
         assert all_settled(single_plane) == [f"{SINGLE_SHARD}: tx {tx_id[:8]} has no outcome"]
+
+    def test_so_is_a_cross_shard_record_without_one(self, sharded_plane):
+        record = TxRecord("c" * 64, "TRANSFER", 1, submitted_at=0.0)
+        sharded_plane.cluster.cross_records[record.tx_id] = record
+        assert all_settled(sharded_plane) == ["cross-shard: tx cccccccc has no outcome"]

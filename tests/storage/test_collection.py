@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.encoding import canonical_bytes
-from repro.common.errors import DuplicateKeyError, QueryError
+from repro.common.errors import DuplicateKeyError, QueryError, StorageError
 from repro.storage.collection import Collection
 
 
@@ -161,6 +161,49 @@ def test_indexed_and_scan_results_agree_property(entries, wanted):
     assert via_index == naive
 
 
+class TestChangeSet:
+    """A durable collection's change set: what its writes changed since
+    the last take, by internal id."""
+
+    @pytest.fixture()
+    def durable(self, txs):
+        txs.durable = True
+        return txs
+
+    def test_an_insert_and_a_delete_in_one_take_leave_nothing(self, durable):
+        durable.insert_one(doc("t1"))
+        durable.delete_many({"id": "t1"})
+        assert durable.take_changes() == ([], [])
+
+    def test_a_replace_shows_as_changed(self, durable):
+        first, second = durable.insert_many([doc("t1"), doc("t2")])
+        assert durable.take_changes() == ([first, second], [])
+        durable.update_many({"id": "t2"}, {"$set": {"operation": "BID"}})
+        durable.update_many({"id": "t1"}, lambda found: {**found, "seen": True})
+        assert durable.take_changes() == ([first, second], [])
+        assert durable.document(first)["seen"] is True
+        assert durable.document(second)["operation"] == "BID"
+        assert durable.take_changes() == ([], [])
+
+    def test_gone_lists_only_ids_the_last_take_knew(self, durable):
+        first, second = durable.insert_many([doc("t1"), doc("t2")])
+        durable.take_changes()
+        durable.insert_one(doc("t3"))
+        durable.update_many({"id": "t1"}, {"$set": {"operation": "BID"}})
+        assert durable.delete_many({}) == 3
+        assert durable.take_changes() == ([], [first, second])
+
+    def test_a_callable_update_on_a_journaled_collection_raises(self, durable):
+        journal = []
+        durable.journal = lambda op, document=None: journal.append(op)
+        doc_id = durable.insert_one(doc("t1"))
+        with pytest.raises(StorageError):
+            durable.update_many({"id": "t1"}, lambda found: {**found, "seen": True})
+        assert [op["op"] for op in journal] == ["insert"]
+        assert "seen" not in durable.find_one({"id": "t1"})
+        assert durable.take_changes() == ([doc_id], [])
+
+
 class TestKeptBytes:
     """A journaled collection keeps each live document's canonical bytes."""
 
@@ -168,6 +211,7 @@ class TestKeptBytes:
     def journaled(self, txs):
         self.journal = []
         txs.journal = lambda op, document=None: self.journal.append((op, document))
+        txs.durable = True
         return txs
 
     def test_insert_hands_the_journal_the_documents_bytes(self, journaled):
@@ -185,7 +229,7 @@ class TestKeptBytes:
     def test_update_and_delete_drop_them(self, journaled):
         journaled.insert_many([doc("t1"), doc("t2", "BID"), doc("t3", "BID")])
         journaled.update_many({"id": "t1"}, {"$set": {"operation": "BID"}})
-        journaled.update_many({"id": "t2"}, lambda found: {**found, "seen": True})
+        journaled.update_many({"id": "t2"}, {"$inc": {"seen": 1}})
         journaled.delete_many({"id": "t3"})
         assert len(journaled) == 2 and journaled._fragments == {}
 
@@ -204,7 +248,7 @@ class TestKeptBytes:
     def test_dump_equals_whole_encoding_and_bytes_track_live_documents(self, steps):
         collection = Collection("c")
         collection.create_index("n")
-        collection.journal = lambda op, document=None: None
+        collection.durable = True
         for serial, (step, n) in enumerate(steps):
             if step == "insert":
                 collection.insert_one({"n": n, "zeta": serial / 3.0, "alpha": {"ü": []}})

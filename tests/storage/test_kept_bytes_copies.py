@@ -56,7 +56,7 @@ def journaled_collections(cluster):
         database = server.database
         for name in database.collection_names():
             collection = database.collection(name)
-            assert collection.keeps_bytes, name
+            assert collection.durable, name
             yield collection
 
 
@@ -121,7 +121,7 @@ class TestCallerOwnsTheCopy:
     def journaled(self):
         collection = Collection("c")
         collection.create_index("n")
-        collection.journal = lambda op, document=None: None
+        collection.durable = True
         for n in range(3):
             collection.insert_one({"n": n, "inner": {"list": [n], "text": "ü"}})
         return collection

@@ -27,7 +27,7 @@ from repro.views import ViewManager
 
 def _envelope(number: int):
     tx_id = hashlib.sha3_256(f"inert-{number}".encode()).hexdigest()
-    return envelope_for({"n": number}, tx_id, 200, now=0.0, trace_flags=TRACE_SAMPLED)
+    return envelope_for({"n": number}, tx_id, 200, trace_flags=TRACE_SAMPLED)
 
 
 def _mempool():
