@@ -68,6 +68,9 @@ ENTRY_POINTS = (
                               "--out-prefix", "{out}/" + label.replace(" ", "_")] + extra)
         for label, extra in (
             ("plain 201", ["--seed", "201"]),
+            # A crash that takes a submission's only pooled copy, so the
+            # driver's re-trigger (Section 4.2.1) runs.
+            ("plain 1", ["--seed", "1"]),
             ("elastic 110", ["--seed", "110", "--elastic-rate", "0.05"]),
             ("byzantine 7231", ["--seed", "7231", "--byzantine-rate", "0.2",
                                 "--adversarial-rate", "0.2"]),
@@ -139,8 +142,6 @@ KEPT_DEFS = {
     "repro.core.context.ValidationContext.is_committed": _TESTS,
     "repro.core.server.SmartchainServer.get_transaction": "public read of one transaction by id; server tests",
     "repro.core.driver.is_redirect_rejection": "classifies a migration-fence rejection; elastic tests",
-    "repro.core.cluster.SmartchainCluster._retrigger_later": "the driver's crash re-trigger "
-    "(Section 4.2.1): only a crash that takes a submission reaches it (faultplane tests)",
     "repro.core.nested.ReturnQueue.requeue": "retry of a failed RETURN submit; nested tests",
     "repro.core.parallel": "lane accounting read-outs; ablation and parallel tests",
     "repro.core.transaction.Transaction": "accessors (asset_id, size_bytes, repr); tests and debugging",

@@ -21,6 +21,10 @@ vote-sender authentication, proposer legitimacy, the lock rule — is the
 pure round machine of :mod:`repro.consensus.round`.  This module is its
 driver: timers, the wire, validation and commit costs, WAL force points,
 catch-up with commit certificates, telemetry, the ``evidence`` log.
+
+A commit certificate is the signed precommits a node counted, stored
+unverified; whoever relies on one checks it with :func:`certifies` (a
+catch-up receiver, a shard shipping or admitting cross-shard evidence).
 """
 
 from __future__ import annotations
@@ -57,20 +61,12 @@ def certifies(cert: Any, block_id: str, height: int, public_keys: dict[str, str]
         return False
     if not set(sigs) <= set(public_keys):
         return False
-    valid = signers(public_keys, precommit_message(height, round_number, block_id), sigs)
-    return len(valid) >= (2 * len(public_keys)) // 3 + 1
-
-
-def signers(public_keys: dict[str, str], message: bytes, sigs: dict) -> dict[str, str]:
-    """The entries of ``sigs`` (voter -> signature) that are a known
-    voter's valid signature of ``message``."""
-    return {
-        voter: sig
+    message = precommit_message(height, round_number, block_id)
+    valid = sum(
+        isinstance(sig, str) and verify_signature(public_keys[voter], message, sig)
         for voter, sig in sigs.items()
-        if voter in public_keys
-        and isinstance(sig, str)
-        and verify_signature(public_keys[voter], message, sig)
-    }
+    )
+    return valid >= (2 * len(public_keys)) // 3 + 1
 
 
 @dataclass
@@ -170,9 +166,9 @@ class Validator:
         #: alongside each block.
         self.keypair = keypair_from_string(f"validator:{node_id}")
         #: height -> commit certificate for every block this node
-        #: committed (assembled locally or adopted from verified
-        #: catch-up); journaled with the block record, so a restarted
-        #: node can keep serving verifiable catch-up.
+        #: committed (assembled unverified from its own tally, or adopted
+        #: from verified catch-up); journaled with the block record, so a
+        #: restarted node can keep serving catch-up.
         self.commit_certs: dict[int, dict] = {}
         #: The deployment's :class:`~repro.telemetry.Telemetry` (set by
         #: the cluster; a bare engine records into the inert one).
@@ -448,14 +444,13 @@ class Validator:
         self.engine.record_commit(self.node_id, block, delivered)
 
     def _build_commit_cert(self, block: Block) -> dict | None:
-        """Quorum of verified precommit signatures for a committed block:
-        a lying voter cannot smuggle an invalid signature into the
-        certificate and poison honest catch-up service."""
+        """The counted precommit signatures for a committed block, or None
+        short of a quorum of signed votes.  A certificate is verified by
+        the node that adopts a block or ships evidence on its strength;
+        assembling one verifies nothing (a lying voter's bad signature is
+        stored and fails wherever the certificate is relied on)."""
         counted = self.state.voters(PRECOMMIT, block.round, block.block_id)
-        message = precommit_message(block.height, block.round, block.block_id)
-        sigs = signers(
-            self.engine.public_keys, message, {vote.voter: vote.sig for vote in counted if vote.sig}
-        )
+        sigs = {vote.voter: vote.sig for vote in counted if vote.sig}
         if len(sigs) < self.state.quorum:
             return None
         return {"h": block.height, "r": block.round, "id": block.block_id, "sigs": sigs}

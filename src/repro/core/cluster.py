@@ -15,7 +15,7 @@ from typing import Any
 from repro.common.encoding import canonical_bytes, deep_copy_json, frozen_bytes
 from repro.common.errors import SchemaValidationError, ValidationError
 from repro.consensus.abci import deliver_block, envelope_for
-from repro.consensus.bft import BftConfig, BftEngine, CommitRecord
+from repro.consensus.bft import BftConfig, BftEngine, CommitRecord, certifies
 from repro.consensus.types import Block, TxEnvelope
 from repro.consensus.tendermint import make_tendermint_cluster, tendermint_config
 from repro.core.driver import Driver, DriverCallback
@@ -370,8 +370,8 @@ class SmartchainCluster:
         object validation already vouched for), with the header and
         commit certificate of the block that committed it — or, for a
         payload an import brought here, of the block that committed the
-        import (named as the carrier).  None while no live node holds
-        both."""
+        import (named as the carrier).  The first live node's certificate
+        that :func:`certifies`; None while no live node holds both."""
         carrier = None
         height = self._heights.get(tx_id)
         if height is None:
@@ -388,12 +388,13 @@ class SmartchainCluster:
             validator = self.engine.validator(node_id)
             if self.network.is_crashed(node_id) or len(validator.chain) < height:
                 continue
-            cert = validator.commit_certs.get(height)
+            block, cert = validator.chain[height - 1], validator.commit_certs.get(height)
             transactions = self.servers[node_id].database.collection("transactions")
             payload = transactions.find_one({"id": tx_id}, copy=False)
-            if cert is not None and payload is not None:
-                header = validator.chain[height - 1].header
-                evidence = {"shard": self.view_shard_key, "header": header, "cert": cert}
+            if payload is not None and certifies(
+                cert, block.block_id, height, self.engine.public_keys
+            ):
+                evidence = {"shard": self.view_shard_key, "header": block.header, "cert": cert}
                 evidence["payload"] = payload
                 return evidence if carrier is None else dict(evidence, carrier=carrier)
         return None

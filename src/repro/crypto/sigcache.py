@@ -2,12 +2,14 @@
 
 An Ed25519 verdict is a pure function of ``(public_key, message,
 signature)`` — there is nothing node-local about it.  Yet the replicated
-pipeline verifies the same triple many times: the receiver node checks it
-during semantic validation, every other validator re-checks it at CheckTx
-admission, and block validation walks the same signatures again on every
-replica.  This module holds one bounded LRU of verdicts shared by every
-simulated node in the process, so a signature the proposer already
-verified costs its replicas a dictionary lookup.
+pipeline meets the same triple many times: the admission memo settles a
+payload's own signatures once per process, but every replica checks a
+TRANSFER's fulfillments against the spent outputs' conditions again, and
+every consumer of a commit certificate (a catch-up receiver, a shard
+shipping or admitting cross-shard evidence) checks precommits another
+node may have settled.  This module holds one bounded LRU of verdicts
+shared by every simulated node in the process, so a triple one node
+already verified costs the others a dictionary lookup.
 
 Keys are ``(public_key, sha3-256(message), signature)``.  The message is
 folded to its digest so the key stays small for large payloads; the full
