@@ -18,7 +18,8 @@ rewired, each against a faithful re-implementation of the previous
   trims) against the ``popitem``-based reap with batched window upkeep;
 * **point queries** — the write path's lookups by an id that never
   repeats (``getTxFromDB``, the spend check, the spend-guard probe of an
-  empty collection, the two-field utxo query): the previous compile-first
+  empty collection, the two-field utxo query) and a block commit's UTXO
+  retirement (``delete_many`` of one outpoint): the previous compile-first
   read path against the probe-first one;
 * **schema validation** — the auction payload mix (what ``auction_1kb``
   commits) through each operation's schema: the previous interpreter,
@@ -37,9 +38,9 @@ speedups.  Run as a script (CI ``hotpath-smoke``) it also asserts the
 perf-regression floors (query >= 4x, commit >= 4x; ISSUE 4; spend check
 >= 3x, id lookup >= 2x; ISSUE 18) and then writes ``BENCH_hotpath.json``
 at the repo root so the perf trajectory is tracked across PRs.  The
-schema row's floor is >= 2x; the encoding row's, with orjson bound, is
->= 3x for an encode whose verdict is known and >= 1.5x for one that
-walks first.
+UTXO retirement's floor is >= 1.5x, the schema row's >= 2x; the
+encoding row's, with orjson bound, is >= 3x for an encode whose verdict
+is known and >= 1.5x for one that walks first.
 """
 
 from __future__ import annotations
@@ -101,10 +102,11 @@ def interpreted_find(collection: Collection, query: dict[str, Any]) -> list[dict
     return results
 
 
-def compile_first_find_one(collection: Collection, query: dict[str, Any]):
+def compile_first_matches(collection: Collection, query: dict[str, Any]):
     """The previous point read: compile (or find in the LRU) first, plan
     second (a ``QueryPlan`` per query, as the old planner allocated),
-    then the residual over a freshly built candidate list."""
+    then the residual over a freshly built candidate list; yields every
+    ``(doc id, document)`` match."""
     predicate = compile_query(query)
     best_path, best_ids = None, None
     for path, key in predicate.equalities.items():
@@ -128,8 +130,22 @@ def compile_first_find_one(collection: Collection, query: dict[str, Any]):
     for doc_id in candidates:
         document = collection._documents[doc_id]
         if matcher is None or matcher(document):
-            return document
-    return None
+            yield doc_id, document
+
+
+def compile_first_find_one(collection: Collection, query: dict[str, Any]):
+    return next((document for _, document in compile_first_matches(collection, query)), None)
+
+
+def compile_first_delete(collection: Collection, query: dict[str, Any]) -> int:
+    """The previous UTXO retirement: compile-first matching, then what
+    ``delete_many`` does to a volatile collection."""
+    doomed = [doc_id for doc_id, _ in compile_first_matches(collection, query)]
+    for doc_id in doomed:
+        collection._unindex(doc_id, collection._documents.pop(doc_id))
+        collection._drop_kept(doc_id)
+    collection.stats["deletes"] += len(doomed)
+    return len(doomed)
 
 
 _TYPE_CHECKS = {
@@ -533,6 +549,55 @@ def measure_mempool_reap() -> dict[str, float]:
     }
 
 
+def fill_utxos(utxos: Collection, ids: list[str]) -> None:
+    """Two unspent outputs per transaction id."""
+    for number, tx_id in enumerate(ids):
+        for output_index in (0, 1):
+            utxos.insert_one(
+                {
+                    "transaction_id": tx_id,
+                    "output_index": output_index,
+                    "public_keys": [f"K{(number + output_index) % 20}"],
+                    "amount": 1,
+                }
+            )
+
+
+def measure_utxo_retire(ids: list[str]) -> dict[str, Any]:
+    """A block commit's UTXO retirement, ``delete_many`` of one outpoint
+    whose id no other retirement names: compile-first (a compiled residual
+    per outpoint) against the uncompiled residual check."""
+    queries = [{"transaction_id": tx_id, "output_index": 1} for tx_id in ids]
+
+    def retire(delete) -> tuple[float, int, list[dict[str, Any]]]:
+        utxos = make_smartchaindb_database("retire").collection("utxos")
+        fill_utxos(utxos, ids)
+        clear_cache()
+        started = time.perf_counter()
+        removed = sum(delete(utxos, query) for query in queries)
+        elapsed = time.perf_counter() - started
+        assert removed == len(queries)
+        compiled = cache_info()["misses"]
+        return elapsed, compiled, utxos.find({}, copy=False)
+
+    before_s = now_s = float("inf")
+    for _ in range(3):
+        elapsed, compiled, before_left = retire(compile_first_delete)
+        assert compiled == len(queries)
+        before_s = min(before_s, elapsed)
+        elapsed, compiled, now_left = retire(Collection.delete_many)
+        # The gate that repeats exactly: a retirement compiles nothing.
+        assert compiled == 0
+        now_s = min(now_s, elapsed)
+        assert now_left == before_left and len(now_left) == len(ids)
+    count = len(queries)
+    return {
+        "compile_first_us": round(1e6 * before_s / count, 2),
+        "probe_first_us": round(1e6 * now_s / count, 2),
+        "speedup": round(before_s / now_s, 2),
+    }
+
+
 def measure_point_queries() -> dict[str, Any]:
     database = make_smartchaindb_database("bench")
     transactions = database.collection("transactions")
@@ -564,15 +629,7 @@ def measure_point_queries() -> dict[str, Any]:
                 ],
             }
         )
-        for output_index in (0, 1):
-            utxos.insert_one(
-                {
-                    "transaction_id": tx_id,
-                    "output_index": output_index,
-                    "public_keys": [f"K{(number + output_index) % 20}"],
-                    "amount": 1,
-                }
-            )
+    fill_utxos(utxos, ids)
     unknown = [f"f{number:063x}" for number in range(count)]
 
     def spend_check(tx_id: str, output_index: int) -> dict[str, Any]:
@@ -596,11 +653,12 @@ def measure_point_queries() -> dict[str, Any]:
             [{"transaction_id": tx_id, "output_index": 0, "direction": "out"} for tx_id in ids],
         ),
         "utxo_absent": (utxos, [{"transaction_id": tx_id, "output_index": 1} for tx_id in unknown]),
-        # A candidate the other clauses must still check: compiled, as before.
+        # A candidate an ``$elemMatch`` must still check: compiled, as before.
         "spend_check_sibling_spent": (transactions, [spend_check(tx_id, 1) for tx_id in ids]),
+        # A candidate scalar equalities still check: nothing compiled.
         "utxo": (utxos, [{"transaction_id": tx_id, "output_index": 1} for tx_id in ids]),
     }
-    compiled_rows = {"spend_check_sibling_spent", "utxo"}
+    compiled_rows = {"spend_check_sibling_spent"}
     report: dict[str, Any] = {"queries_per_row": count}
     for name, (collection, queries) in rows.items():
         def run_before() -> None:
@@ -632,6 +690,7 @@ def measure_point_queries() -> dict[str, Any]:
             "probe_first_us": round(1e6 * now_s / count, 2),
             "speedup": round(before_s / now_s, 2),
         }
+    report["utxo_retire"] = measure_utxo_retire(ids)
     return report
 
 
@@ -765,6 +824,8 @@ if __name__ == "__main__":
     points = report["point_query"]
     assert points["spend_check_unspent"]["speedup"] >= 3.0, points
     assert points["id_lookup"]["speedup"] >= 2.0, points
+    # A UTXO retirement checks its residual uncompiled (typical: ~2x).
+    assert points["utxo_retire"]["speedup"] >= 1.5, points
     # Schemas compiled once (typical: 3-4x on the auction mix).
     assert report["schema"]["speedup"] >= 2.0, report["schema"]
     # Canonical JSON through orjson behind its exactness guard (typical on

@@ -18,10 +18,11 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from repro.common.errors import DoubleSpendError, InputDoesNotExistError
+from repro.common.errors import DoubleSpendError, InputDoesNotExistError, QueryError
 from repro.core.entries import SHARD_EXPORT
 from repro.core.transaction import CREATE, OutputRef, REQUEST
 from repro.crypto.keys import ReservedAccounts
+from repro.storage.compiler import compile_resolver, scalar_equal
 from repro.storage.database import Database
 
 #: Verdicts for migrating/moved outputs start with this marker, which a
@@ -35,6 +36,23 @@ def spent_error(ref: OutputRef, holder: str) -> DoubleSpendError:
     kind (``shard-lock:``, ``redirect:moved:``) kept whole."""
     holder = _LONG_HEX.sub(lambda match: match.group()[:8], holder)
     return DoubleSpendError(f"output {ref.transaction_id[:8]}..:{ref.output_index} already spent by {holder}")
+
+
+_FULFILLS = compile_resolver("fulfills.transaction_id"), compile_resolver("fulfills.output_index")
+
+
+def _spends(payload: dict[str, Any], tx_id: str, index: int) -> bool:
+    """The ``$elemMatch`` of ``{"fulfills.transaction_id": tx_id,
+    "fulfills.output_index": index}`` over ``payload``'s inputs, raising
+    as it does at an item that is no object."""
+    inputs = payload.get("inputs")
+    by_id, by_index = _FULFILLS
+    for item in inputs if isinstance(inputs, list) else ():
+        if not isinstance(item, dict):
+            raise QueryError("unknown query operator: 'fulfills.transaction_id'")
+        if scalar_equal(tx_id, by_id(item)) and scalar_equal(index, by_index(item)):
+            return True
+    return False
 
 
 class ValidationContext:
@@ -80,6 +98,8 @@ class ValidationContext:
     def output_spender(self, ref: OutputRef) -> str | None:
         """Id of the committed transaction spending ``ref``, or None.
 
+        The index bucket of ``ref``'s id, filtered by :func:`_spends`.
+
         An output whose latest spender here is a ``SHARD_EXPORT`` moved
         to the export's target shard: the verdict is
         ``redirect:moved:<target>`` until an import brings it back (the
@@ -87,18 +107,18 @@ class ValidationContext:
         """
         if (ref.transaction_id, ref.output_index) in self._staged_spends:
             return "<staged>"
-        spenders = self._database.collection("transactions").find(
-            {
-                "inputs.fulfills.transaction_id": ref.transaction_id,
-                "inputs": {
-                    "$elemMatch": {
-                        "fulfills.transaction_id": ref.transaction_id,
-                        "fulfills.output_index": ref.output_index,
-                    }
-                },
-            },
-            copy=False,
-        )
+        tx_id, index = ref.transaction_id, ref.output_index
+        query: dict[str, Any] = {"inputs.fulfills.transaction_id": tx_id}
+        bucket = type(tx_id) is str and type(index) is int
+        if not bucket:
+            query["inputs"] = {
+                "$elemMatch": {"fulfills.transaction_id": tx_id, "fulfills.output_index": index}
+            }
+        spenders = [
+            payload
+            for payload in self._database.collection("transactions").find(query, copy=False)
+            if not bucket or _spends(payload, tx_id, index)
+        ]
         if not spenders:
             return None
         # Stored in chain order: the last is the latest spender.

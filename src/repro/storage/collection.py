@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.common.encoding import (
     array_pieces,
@@ -16,9 +16,15 @@ from repro.common.encoding import (
     object_pieces,
 )
 from repro.common.errors import DuplicateKeyError, QueryError, StorageError
-from repro.storage.compiler import compile_query
+from repro.storage.compiler import DocMatcher, compile_query, compile_resolver, scalar_equal
 from repro.storage.indexes import HashIndex, SortedIndex
 from repro.storage.query import QueryPlan, QueryPlanner
+
+#: Operand types of the equalities a residual checks uncompiled.
+_SCALARS = (str, int, float)
+
+#: A stored document and its internal id.
+Match = tuple[int, dict[str, Any]]
 
 
 class Collection:
@@ -40,14 +46,15 @@ class Collection:
 
     Queries are *planned first and compiled last*.  The hash indexes are
     probed straight from the query's top-level equalities, and the probe
-    alone answers the write path's usual lookups: an empty bucket is the
+    alone answers the ledger's point queries: an empty bucket is the
     answer (the usual fate of a spend check or a "not yet present"
     lookup), the buckets of every probed string equality intersect into
     the candidates, and a query of such equalities alone (``{"id": x}``)
-    yields them as they stand.  Everything else — a scan, or candidates
-    that the query's other clauses still have to filter — is compiled
-    (:mod:`repro.storage.compiler`), once, and the closure is evaluated
-    per candidate instead of re-interpreting the query dictionary.
+    is answered by them as they stand.  Scalar equalities left to check
+    (a UTXO retirement's ``output_index``) run the compiler's equality
+    rule uncompiled.  Everything else — a scan, or any other clause left
+    — is compiled (:mod:`repro.storage.compiler`), once, and the closure
+    is evaluated per candidate instead of re-interpreting the query.
 
     One consequence: the clauses of a query whose probe comes back empty
     are never read, so a malformed one returns nothing there instead of
@@ -109,6 +116,8 @@ class Collection:
         self._hash_indexes: dict[str, HashIndex] = {}
         self._sorted_indexes: dict[str, SortedIndex] = {}
         self._planner = QueryPlanner(self._hash_indexes, self._sorted_indexes)
+        #: path -> resolver of the residual equalities checked uncompiled.
+        self._resolvers: dict[str, Callable[[Any], list[Any]]] = {}
         #: Running counters, inspected by benchmarks and the cost model.
         self.stats: dict[str, int] = {
             "inserts": 0,
@@ -324,53 +333,64 @@ class Collection:
 
     # -- reads ----------------------------------------------------------------
 
-    def _match_ids(self, query: dict[str, Any]) -> Iterator[tuple[int, dict[str, Any]]]:
-        """Every ``(doc id, stored document)`` matching ``query``, by id.
+    def _match_ids(self, query: dict[str, Any]) -> Iterator[Match]:
+        """Every ``(doc id, stored document)`` matching ``query``, by id."""
+        yield from self._walk(*self._plan(query))
 
-        Planned first, compiled last (see the class docstring): the hash
-        indexes are probed straight from the query's top-level
-        equalities, and the compiler only runs when the probe leaves
-        clauses to check.
-        """
+    def _plan(self, query: dict[str, Any]) -> tuple[Sequence[int], DocMatcher | None]:
+        """The candidates of ``query``, in id order, and the check each still
+        needs (None: none): planned first, compiled last (class docstring)."""
         stats = self.stats
         stats["queries"] += 1
         if not isinstance(query, dict):
             raise QueryError("query must be a mapping")
-        documents = self._documents
         probed = self._planner.probe(query)
-        matcher: Callable[[Any], bool] | None
         if probed is None:
             stats["full_scans"] += 1
-            candidates: Iterable[int] = list(documents)
-            matcher = compile_query(query)
-        else:
-            stats["index_probes"] += 1
-            path, key, candidates, strings = probed
-            if not candidates:
-                # Nothing under the probed key: no document can match,
-                # whatever the other clauses say (they are never read).
-                return
-            # Index-covered clause elimination: a string equality's
-            # bucket holds exactly the documents meeting it, so the
-            # buckets of every probed one intersect into the candidates
-            # and only the other clauses run per document.  String keys
-            # only — for bool/int keys hash equality is coarser than
-            # query equality (``True == 1 == 1.0`` share a bucket).
-            others = [ids for other, ids in strings if other != path]
-            if others:
-                candidates = set(candidates).intersection(*others)
-            if type(candidates) is set:
-                # The index's live bucket, of any size down to one id, or
-                # an intersection: fixed here, before a writer's first
-                # mutation changes it.
-                candidates = sorted(candidates)
-                if not candidates:
-                    return
-            if len(strings) == len(query):
-                # The query *is* the probed equalities: no clause is left.
-                matcher = None
-            else:
-                matcher = compile_query(query).residual_for(*(other for other, _ in strings))
+            return list(self._documents), compile_query(query)
+        stats["index_probes"] += 1
+        path, key, candidates, strings = probed
+        # Index-covered clause elimination: a string equality's bucket
+        # holds exactly the documents meeting it, so the buckets of every
+        # probed one intersect into the candidates and only the other
+        # clauses run per document.  String keys only — for bool/int keys
+        # hash equality is coarser than query equality (``True == 1 ==
+        # 1.0`` share a bucket).
+        others = [ids for other, ids in strings if other != path]
+        if candidates and others:
+            candidates = set(candidates).intersection(*others)
+        if type(candidates) is set:
+            # The index's live bucket, of any size down to one id, or an
+            # intersection: fixed here, before a writer's first mutation
+            # changes it.
+            candidates = sorted(candidates)
+        if not candidates:
+            # No document can match: the other clauses are never read.
+            return (), None
+        if len(strings) == len(query):
+            # The query *is* the probed equalities: no clause is left.
+            return candidates, None
+        return candidates, self._residual(query, [other for other, _ in strings])
+
+    def _residual(self, query: dict[str, Any], covered: list[str]) -> DocMatcher:
+        """The check of ``query``'s clauses outside ``covered``: compiled
+        unless they are all equalities with a :data:`_SCALARS` operand."""
+        checks = []
+        for path, condition in query.items():
+            if path in covered:
+                continue
+            if type(condition) not in _SCALARS or path.startswith("$"):
+                return compile_query(query).residual_for(*covered)
+            resolve = self._resolvers.get(path)
+            if resolve is None:
+                resolve = self._resolvers[path] = compile_resolver(path)
+            checks.append((condition, resolve))
+        return lambda document: all(scalar_equal(c, resolve(document)) for c, resolve in checks)
+
+    def _walk(self, candidates: Sequence[int], matcher: DocMatcher | None) -> Iterator[Match]:
+        """Each live candidate ``matcher`` accepts (None: every one)."""
+        documents = self._documents
+        stats = self.stats
         for doc_id in candidates:
             document = documents.get(doc_id)
             if document is None:
@@ -394,7 +414,13 @@ class Collection:
                 documents directly — the zero-copy fast path for internal
                 read-only consumers, which must not mutate them.
         """
-        matches = itertools.islice(self._match_ids(query or {}), limit)
+        candidates, matcher = self._plan(query or {})
+        if matcher is None and not copy:
+            # The candidates are the answer: each is read, none checked.
+            candidates = candidates[:limit]
+            self.stats["documents_examined"] += len(candidates)
+            return list(map(self._documents.__getitem__, candidates))
+        matches = itertools.islice(self._walk(candidates, matcher), limit)
         if not copy:
             return [document for _, document in matches]
         with collector_paused():
@@ -483,7 +509,7 @@ class Collection:
         self._last_id = max([self._last_id, *entry["ids"], *entry["gone"]])
         self._taken_id = self._last_id
 
-    def _kept_bytes(self, match: tuple[int, dict[str, Any]]) -> bytes:
+    def _kept_bytes(self, match: Match) -> bytes:
         """The kept canonical bytes of one ``(doc id, stored document)``,
         encoded and kept first if it has none."""
         doc_id, document = match

@@ -16,11 +16,11 @@ operand values* (its scalar clauses, or its canonical JSON when nested),
 so a query issued again — ``{"operation": "BID"}``, a per-owner wallet
 find, the analytics mixes — compiles exactly once.
 
-``Collection._match_ids`` probes the indexes first and comes here only
-when the probe leaves clauses to check: a scan, or a non-empty bucket
-under a query with more clauses than the probed equality.  An empty
-bucket and a lone string equality (``{"id": x}``) are answered by the
-probe, so most one-shot ids of the write path never reach the LRU.
+``Collection`` probes the indexes first and comes here only for a scan
+or when clauses other than scalar equalities are left to check: an
+empty bucket, ``{"id": x}`` and ``{"transaction_id": t, "output_index":
+i}`` compile nothing, so the one-shot ids of the write path never reach
+the LRU.
 
 ``matches()`` is kept untouched as the parity oracle; the property suite
 in ``tests/storage/test_compiler.py`` asserts ``compile_query(q)(doc) ==
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from collections import OrderedDict
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable
 
@@ -472,24 +473,28 @@ def _compile_operator_doc(operators: dict[str, Any]) -> ValuesMatcher:
     return match
 
 
+def scalar_equal(condition: Any, values: list[Any]) -> bool:
+    """Equality with a scalar ``condition`` (no container, bool or None)
+    over a path's values: an array matches through any element, a bool
+    never matches (``True == 1`` to Python, not to a query)."""
+    for value in values:
+        if not isinstance(value, bool) and value == condition:
+            return True
+        if isinstance(value, list):
+            for element in value:
+                if not isinstance(element, bool) and element == condition:
+                    return True
+    return False
+
+
 def _compile_equality(condition: Any) -> ValuesMatcher:
     """Direct-equality condition (``{"operation": "BID"}``).
 
-    Scalars are by far the most common case, so they get a branch with no
-    helper-function dispatch at all.
+    Scalars are by far the most common case, so they get
+    :func:`scalar_equal` with no helper-function dispatch at all.
     """
     if not isinstance(condition, (dict, list, bool)) and condition is not None:
-        def match_scalar(values: list[Any]) -> bool:
-            for value in values:
-                if not isinstance(value, bool) and value == condition:
-                    return True
-                if isinstance(value, list):
-                    for element in value:
-                        if not isinstance(element, bool) and element == condition:
-                            return True
-            return False
-
-        return match_scalar
+        return partial(scalar_equal, condition)
 
     def match(values: list[Any]) -> bool:
         return any(_values_equal(candidate, condition) for candidate in _each_candidate(values))
@@ -624,9 +629,8 @@ def compile_query(query: dict[str, Any]) -> Predicate:
 
     Compiled predicates are cached in an LRU keyed on the query's
     structure and operands (:func:`_cache_key`), so a query issued twice
-    — by the same caller or by another validator of the process — shares
-    one compilation; a miss costs a deep copy of the query plus the
-    closure build.  Queries containing non-JSON values (e.g. compiled
+    — an analytics mix, a wallet find — shares one compilation; a miss
+    costs a deep copy of the query plus the closure build.  Queries containing non-JSON values (e.g. compiled
     pattern objects) are compiled uncached.
 
     Raises:

@@ -101,7 +101,7 @@ class HashIndex:
         be mutated.  A removal shrinks a set in place before the bucket is
         swapped for a 1-tuple, so a caller that may mutate the collection
         while iterating must copy by *type*, not by size:
-        ``Collection._match_ids`` sorts every set into its own candidate
+        ``Collection._plan`` sorts every set into its own candidate
         list and walks a tuple as it stands (a tuple cannot change under
         it).  No allocation happens on the probe itself.
         """
